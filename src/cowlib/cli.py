@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -82,9 +83,12 @@ def _write_json(path: Optional[str], obj: dict):
     text = canonical_json(obj)
     if path is None:
         print(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -97,35 +101,61 @@ def _load_json(path: str) -> dict:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _is_numeric(row: List[str]) -> bool:
+    try:
+        for v in row:
+            float(v)
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_row_error(path: str, names: Optional[List[str]], cause) -> CliInputError:
+    """Rescan a file the fast parser rejected, naming the first bad line."""
+    width = None if names is None else len(names)
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (lineno == 1 and names is not None):
+                continue
+            if not _is_numeric(row):
+                return CliInputError(f"{path}: malformed CSV row at line {lineno}")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                return CliInputError(f"{path}: wrong column count at line {lineno}")
+    return CliInputError(f"{path}: malformed CSV: {cause}")
+
+
 def read_csv(path: str, min_cols: int = 1) -> Tuple[List[str], np.ndarray]:
     """Read a numeric CSV; a non-numeric first row is taken as the header.
 
-    Raises :class:`CliInputError` naming the 1-based line of any malformed
-    row.
+    Blank lines are skipped; values may be quoted or space-padded.  Raises
+    :class:`CliInputError` naming the 1-based line of any malformed row or
+    wrong column count.
     """
+    names = None
     try:
-        fh = open(path, newline="")
+        with open(path, newline="") as fh:
+            first = next(csv.reader([fh.readline()]), [])
+            if first and not _is_numeric(first):
+                names = [v.strip() for v in first]
+            else:
+                fh.seek(0)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                    data = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
+                                      quotechar='"', ndmin=2)
+            except ValueError as exc:
+                raise _bad_row_error(path, names, exc) from exc
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    names = None
-    with fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                if lineno == 1 and names is None:
-                    names = [v.strip() for v in row]
-                    continue
-                raise CliInputError(f"{path}: malformed CSV row at line {lineno}") from exc
-            if names is not None and len(row) != len(names):
-                raise CliInputError(f"{path}: wrong column count at line {lineno}")
-    if not rows:
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"{path}: not a text file: {exc}") from exc
+    if data.shape[0] == 0:
         raise CliInputError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    if names is not None and data.shape[1] != len(names):
+        raise _bad_row_error(path, names, f"{len(names)} names, {data.shape[1]} columns")
     if data.shape[1] < min_cols:
         raise CliInputError(f"{path}: need at least {min_cols} columns, found {data.shape[1]}")
     if names is None:
@@ -133,12 +163,23 @@ def read_csv(path: str, min_cols: int = 1) -> Tuple[List[str], np.ndarray]:
     return names, data
 
 
+# Rows formatted per write: large enough to amortize the call, small enough
+# that the text of one block stays far below the size of the array.
+WRITE_BLOCK_ROWS = 4096
+
+
 def write_csv(path: str, names: List[str], data: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in np.atleast_2d(data):
-            writer.writerow([format(float(v), ".17g") for v in row])
+    """Write a header row and every value as ``%.17g`` (exact round trip), CRLF ends."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    row_fmt = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
+    try:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerow(names)
+            for start in range(0, data.shape[0], WRITE_BLOCK_ROWS):
+                block = data[start:start + WRITE_BLOCK_ROWS]
+                fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

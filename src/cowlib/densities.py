@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtr, ndtri
 
 from ._quadrature import integrate as _integrate_raw
 from .errors import ConstructionError, EvaluationError
@@ -168,8 +168,10 @@ class Density1D:
             return p[1] - p[0]
         if k == "normal":
             mu, sigma = p
-            return sigma * math.sqrt(2 * math.pi) * (
-                _norm.cdf((hi - mu) / sigma) - _norm.cdf((lo - mu) / sigma))
+            a, b = (lo - mu) / sigma, (hi - mu) / sigma
+            # in the upper tail the CDF difference cancels to 0: use the survival function
+            mass = ndtr(-a) - ndtr(-b) if a > 0 else ndtr(b) - ndtr(a)
+            return sigma * math.sqrt(2 * math.pi) * mass
         if k == "exponential":
             lam = p[0]
             if lam == 0:
@@ -239,8 +241,12 @@ class Density1D:
             return p[0] + u * (p[1] - p[0])
         if k == "normal":
             mu, sigma = p
-            a, b = _norm.cdf((lo - mu) / sigma), _norm.cdf((hi - mu) / sigma)
-            return mu + sigma * _norm.ppf(a + u * (b - a))
+            a, b = (lo - mu) / sigma, (hi - mu) / sigma
+            if a > 0:  # upper tail: the branch below, mirrored onto the survival function
+                qa, qb = ndtr(-a), ndtr(-b)
+                return mu - sigma * ndtri(qb + (1.0 - u) * (qa - qb))
+            pa, pb = ndtr(a), ndtr(b)
+            return mu + sigma * ndtri(pa + u * (pb - pa))
         if k == "exponential":
             lam = p[0]
             if lam == 0:

@@ -10,6 +10,7 @@ parallel.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,6 +34,7 @@ __all__ = [
     "generate_multicomponent",
     "generate_nonfactorising",
     "run_ensemble",
+    "worker_count",
     "M_SUPPORT",
     "T_SUPPORT",
     "TRUE_SLOPE",
@@ -578,6 +580,19 @@ def _aggregate(records: List[dict], method_names: Sequence[str]) -> Dict[str, di
     return out
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def worker_count(jobs: int, n_toys: int) -> int:
+    """Worker processes for an ensemble: ``jobs`` capped by toys and usable CPUs."""
+    return max(1, min(jobs, n_toys, usable_cpus()))
+
+
 def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
     """Run n_toys independent pseudo-experiments and aggregate the results.
 
@@ -587,8 +602,9 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
     if config.n_toys < 1:
         raise ConstructionError("n_toys must be >= 1")
     indices = list(range(config.n_toys))
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = worker_count(config.jobs, config.n_toys)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_toy_star, [(config, i) for i in indices]))
     else:
         records = [run_toy(config, i) for i in indices]

@@ -67,6 +67,23 @@ class TestInputErrors:
         assert cli.main(["pipeline", "--config", cfg]) == 1
         assert "efficiency" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,out_key", [
+        ("pipeline", "out_weights"), ("pipeline", "out_summary"),
+        ("sweights", "out_weights"), ("sweights", "out_summary")])
+    def test_unwritable_output_path(self, tmp_path, data_csv, capsys,
+                                    command, out_key):
+        cfg = {"data": data_csv, "model": MODEL_CFG,
+               "out_weights": str(tmp_path / "w.csv"),
+               "out_summary": str(tmp_path / "s.json")}
+        if command == "pipeline":
+            cfg.update(method="sweights-B", control_model=CONTROL_CFG)
+        cfg[out_key] = str(tmp_path / "no" / "such" / "dir" / "out")
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert cli.main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write")
+        assert "Traceback" not in err
+
 
 class TestNumericalFailures:
     def test_duplicate_cow_basis(self, tmp_path, data_csv, capsys):

@@ -1,0 +1,190 @@
+"""CSV reading and writing of the command-line interface.
+
+The numpy-based ``read_csv``/``write_csv`` are checked against the
+per-value loop versions they replaced, kept here as references.
+"""
+
+import csv
+
+import numpy as np
+import pytest
+
+from cowlib import cli
+from cowlib.cli import CliInputError
+
+
+def reference_read_csv(path, min_cols=1):
+    """Per-value ``csv.reader`` + ``float()`` loop (the replaced reader)."""
+    rows = []
+    names = None
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                if lineno == 1 and names is None:
+                    names = [v.strip() for v in row]
+                    continue
+                raise CliInputError(f"{path}: malformed CSV row at line {lineno}") from exc
+            if names is not None and len(row) != len(names):
+                raise CliInputError(f"{path}: wrong column count at line {lineno}")
+    if not rows:
+        raise CliInputError(f"{path}: no data rows")
+    data = np.asarray(rows, dtype=float)
+    if data.shape[1] < min_cols:
+        raise CliInputError(f"{path}: need at least {min_cols} columns, found {data.shape[1]}")
+    if names is None:
+        names = ["m", "t"][: data.shape[1]] + [f"c{i}" for i in range(2, data.shape[1])]
+    return names, data
+
+
+def reference_write_csv(path, names, data):
+    """Per-value ``csv.writer`` + ``format(v, ".17g")`` loop (the replaced writer)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in np.atleast_2d(data):
+            writer.writerow([format(float(v), ".17g") for v in row])
+
+
+def _outcome(reader, path, min_cols=1):
+    try:
+        names, data = reader(path, min_cols=min_cols)
+    except CliInputError as exc:
+        return "error", str(exc)
+    return names, data.tobytes(), data.shape
+
+
+VALID_FILES = {
+    "header": "m,t\n0.5,1.0\n0.25,2.5\n",
+    "no_header": "0.5,1.0\n0.25,2.5\n1e-3,-4\n",
+    "blank_lines": "m,t\n\n0.5,1.0\n\n\n0.25,2.5\n\n",
+    "leading_blank_line": "\n0.5,1.0\n0.25,2.5\n",
+    "crlf": "m,t\r\n0.5,1.0\r\n0.25,2.5\r\n",
+    "spaces": " m , t \n 0.5 , 1.0\n\t0.25,2.5 \n",
+    "quoted_numbers": '"m","t"\n"0.5","1.0"\n0.25,"2.5"\n',
+    "quoted_header_with_comma": '"m, GeV",t\n0.5,1.0\n',
+    "one_column": "m\n0.5\n0.25\n0.125\n",
+    "one_column_no_header": "0.5\n0.25\n",
+    "one_row": "0.5,1.0\n",
+    "no_trailing_newline": "m,t\n0.5,1.0\n0.25,2.5",
+    "special_values": "m,t\ninf,-inf\nnan,-0\n+1.5,.5\n5e-324,1.7976931348623157e308\n",
+    "three_columns": "m,t,label\n0.5,1.0,1\n0.25,2.5,0\n",
+}
+
+MALFORMED_FILES = {
+    "bad_value": ("m,t\n0.5,1.0\n0.6,oops\n", "line 3"),
+    "bad_value_no_header": ("0.5,1.0\n0.6,1.0\noops,1\n", "line 3"),
+    "bad_after_blank": ("m,t\n0.5,1.0\n\n\n0.6,x\n", "line 5"),
+    "trailing_comma": ("m,t\n0.5,1.0,\n", "line 2"),
+    "too_many_columns": ("m,t\n0.5,1.0\n0.5,1.0,2.0\n", "line 3"),
+    "too_few_columns": ("m,t\n0.5,1.0\n0.5\n", "line 3"),
+    "header_wider_than_data": ("m,t,x\n0.5,1.0\n0.5,1.0\n", "line 2"),
+    "whitespace_only_line": ("m,t\n0.5,1.0\n   \n0.6,1.0\n", "line 3"),
+    "comment_line": ("m,t\n0.5,1.0\n# note\n", "line 3"),
+    "semicolons": ("m;t\n0.5;1.0\n", "line 2"),
+    "no_data_rows": ("m,t\n", "no data rows"),
+    "empty_file": ("", "no data rows"),
+    "only_blank_lines": ("\n\n\n", "no data rows"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_FILES))
+def test_read_csv_matches_reference(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(VALID_FILES[name].encode())
+    assert _outcome(cli.read_csv, str(path)) == _outcome(reference_read_csv, str(path))
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_read_csv_errors_match_reference(tmp_path, name):
+    text, needle = MALFORMED_FILES[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode())
+    got = _outcome(cli.read_csv, str(path))
+    assert got == _outcome(reference_read_csv, str(path))
+    assert got[0] == "error" and needle in got[1]
+
+
+def test_read_csv_min_cols(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("m\n0.5\n")
+    got = _outcome(cli.read_csv, str(path), min_cols=2)
+    assert got == _outcome(reference_read_csv, str(path), min_cols=2)
+    assert "need at least 2 columns" in got[1]
+
+
+def test_read_csv_ragged_rows_without_header_name_the_line(tmp_path):
+    # the loop version crashed here on a ragged np.asarray
+    path = tmp_path / "ragged.csv"
+    path.write_text("0.5,1.0\n0.6,1.0\n0.7\n")
+    with pytest.raises(CliInputError, match="wrong column count at line 3"):
+        cli.read_csv(str(path))
+
+
+def test_read_csv_value_float_accepts_but_csv_parser_rejects(tmp_path):
+    # float() also reads "1_0"; the file is still reported, not crashed on
+    path = tmp_path / "underscore.csv"
+    path.write_text("m,t\n0.5,1_0\n")
+    with pytest.raises(CliInputError, match="malformed CSV"):
+        cli.read_csv(str(path))
+
+
+def test_read_csv_binary_file(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"m,t\n0.5,1.0\n\xff\xfe\x00\x81,2\n")
+    with pytest.raises(CliInputError):  # undecodable under a UTF-8 locale
+        cli.read_csv(str(path))
+
+
+def test_read_csv_missing_file(tmp_path):
+    with pytest.raises(CliInputError, match="cannot read"):
+        cli.read_csv(str(tmp_path / "absent.csv"))
+
+
+def test_read_csv_round_trip_large(tmp_path):
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(20001, 3)) * np.array([1.0, 1e-300, 1e300])
+    path = tmp_path / "big.csv"
+    cli.write_csv(str(path), ["m", "t", "w"], data)
+    names, back = cli.read_csv(str(path))
+    assert names == ["m", "t", "w"]
+    assert back.tobytes() == data.tobytes()
+    assert _outcome(cli.read_csv, str(path)) == _outcome(reference_read_csv, str(path))
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+                    1.7976931348623157e308, 0.1, -1.0 / 3.0, 1e22, 123456789.0])
+
+
+@pytest.mark.parametrize("shape", [(12, 1), (6, 2), (4, 3), (3, 4), (1, 12)])
+def test_write_csv_special_values_match_reference(tmp_path, shape):
+    data = SPECIAL.reshape(shape)
+    cli.write_csv(str(tmp_path / "new.csv"), ["a", "b,c", 'd"e', "f"][: shape[1]], data)
+    reference_write_csv(str(tmp_path / "ref.csv"), ["a", "b,c", 'd"e', "f"][: shape[1]], data)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli.WRITE_BLOCK_ROWS - 1, cli.WRITE_BLOCK_ROWS,
+                                    2 * cli.WRITE_BLOCK_ROWS + 7])
+def test_write_csv_block_boundaries_match_reference(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    data = rng.normal(size=(n_rows, 2))
+    data[::5, 1] = -0.0
+    cli.write_csv(str(tmp_path / "new.csv"), ["m", "t"], data)
+    reference_write_csv(str(tmp_path / "ref.csv"), ["m", "t"], data)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_one_dimensional_and_integer_input(tmp_path):
+    for data in (np.array([0.5, 1.25, -3.0]), np.array([[1, 2], [3, 4]])):
+        cli.write_csv(str(tmp_path / "new.csv"), ["a", "b", "c"], data)
+        reference_write_csv(str(tmp_path / "ref.csv"), ["a", "b", "c"], data)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_unwritable_path(tmp_path):
+    with pytest.raises(CliInputError, match="cannot write"):
+        cli.write_csv(str(tmp_path / "no" / "such" / "dir.csv"), ["m"], np.zeros((2, 1)))

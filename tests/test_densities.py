@@ -117,6 +117,23 @@ class TestMakeDensity:
         x = np.linspace(0, 1, 31)
         assert np.allclose(d.pdf(x), d2.pdf(x))
 
+    @pytest.mark.parametrize("mu,sigma", [(-1.0, 0.1), (-0.2, 0.1), (-2.0, 0.1),
+                                          (-0.05, 0.3)])
+    def test_normal_tails_mirror_symmetric(self, mu, sigma, unit_interval):
+        # reflecting x -> 1 - x maps normal(mu) on [0, 1] onto normal(1 - mu);
+        # the far lower and upper tails must normalize and invert alike
+        d = make_density("normal", [mu, sigma], unit_interval)
+        m = make_density("normal", [1.0 - mu, sigma], unit_interval)
+        x = np.linspace(0.0, 0.05, 11)
+        assert np.allclose(d.pdf(x), m.pdf(1.0 - x), rtol=1e-9, atol=0.0)
+        assert integrate(d.pdf, unit_interval, 1e-9) == pytest.approx(1.0, abs=1e-8)
+        u = np.array([0.0, 1e-12, 0.1, 0.5, 0.9, 1.0 - 1e-12, 1.0])
+        lower, upper = d.ppf(u), m.ppf(1.0 - u)
+        assert np.allclose(lower, 1.0 - upper, rtol=0.0, atol=1e-12)
+        assert np.all(np.diff(lower) >= 0)
+        assert lower[0] == pytest.approx(0.0, abs=1e-12)
+        assert lower[-1] == pytest.approx(1.0, abs=1e-12)
+
     def test_sampling_stays_in_support(self, unit_interval):
         d = make_density("normal", [0.5, 0.3], unit_interval)
         rng = np.random.default_rng(5)

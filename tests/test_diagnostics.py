@@ -9,6 +9,45 @@ from scipy.stats import kendalltau
 from cowlib import EvaluationError, kendall_tau, pull
 
 
+def reference_tau_b(x, y):
+    """Tau-b by merge-sort inversion count (the replaced implementation)."""
+    def merge_count(v):
+        if len(v) < 2:
+            return 0
+        mid = len(v) // 2
+        left, right = v[:mid], v[mid:]
+        inv = merge_count(left) + merge_count(right)
+        merged = []
+        i = j = 0
+        while i < len(left) and j < len(right):
+            if left[i] <= right[j]:
+                merged.append(left[i])
+                i += 1
+            else:
+                inv += len(left) - i
+                merged.append(right[j])
+                j += 1
+        merged.extend(left[i:])
+        merged.extend(right[j:])
+        v[:] = merged
+        return inv
+
+    def tie_term(values):
+        _, counts = np.unique(values, axis=0, return_counts=True)
+        return int(np.sum(counts * (counts - 1) // 2))
+
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    n = len(x)
+    tot = n * (n - 1) // 2
+    n1, n2 = tie_term(xs), tie_term(ys)
+    n3 = tie_term(np.stack([xs, ys], axis=1))
+    numerator = tot - n1 - n2 + n3 - 2 * merge_count(list(ys))
+    return numerator / math.sqrt((tot - n1) * (tot - n2))
+
+
 class TestKendallTau:
     def test_perfectly_concordant(self):
         assert kendall_tau([1.0, 2.0, 3.0], [10.0, 20.0, 30.0]).tau == 1.0
@@ -59,6 +98,27 @@ class TestKendallTau:
             kendall_tau([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(EvaluationError):
             kendall_tau(np.ones((2, 2)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("levels", [(2, 2), (3, 7), (8, 6), (50, 3), (400, 400)])
+    def test_matches_merge_sort_reference_on_ties(self, levels):
+        rng = np.random.default_rng(sum(levels))
+        x = rng.integers(0, levels[0], size=3000).astype(float)
+        y = (x % 3 + rng.integers(0, levels[1], size=3000)).astype(float)
+        assert kendall_tau(x, y).tau == pytest.approx(reference_tau_b(x, y),
+                                                      abs=1e-12)
+
+    def test_reruns_bit_identical(self):
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 20, size=5000).astype(float)
+        y = x + rng.normal(size=5000)
+        assert kendall_tau(x, y) == kendall_tau(x.copy(), y.copy())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(EvaluationError, match="finite"):
+            kendall_tau([1.0, bad, 3.0, 4.0], [1.0, 2.0, 3.0, 5.0])
+        with pytest.raises(EvaluationError, match="finite"):
+            kendall_tau([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 5.0])
 
     def test_null_sigma_closed_form(self):
         rep = kendall_tau(np.arange(10.0), np.arange(10.0) % 3)

@@ -1,13 +1,16 @@
 """Pseudo-experiment generators and the ensemble runner."""
 
+import os
+
 import numpy as np
 import pytest
 
 from cowlib import ConstructionError, kendall_tau
+from cowlib import toygen
 from cowlib.toygen import (EnsembleConfig, MethodSpec, ToySpec,
                            generate_multicomponent, generate_nonfactorising,
                            generate_simple, run_ensemble, run_toy,
-                           simple_truth_densities)
+                           simple_truth_densities, worker_count)
 
 
 class TestSpecs:
@@ -161,3 +164,25 @@ class TestEnsembleRunner:
         assert d["config"]["n_toys"] == 4
         for key in ("mean_pull", "pull_width", "coverage68", "mean_neq"):
             assert key in d["aggregates"]["swB"]
+
+
+class TestWorkerCount:
+    """The --jobs clamp; computed only, no process is started."""
+
+    @pytest.mark.parametrize("jobs,n_toys,cpus,expected", [
+        (1, 100, 8, 1),
+        (4, 100, 8, 4),
+        (64, 100, 8, 8),
+        (10**6, 100, 8, 8),
+        (16, 3, 8, 3),
+        (16, 100, 1, 1),
+        (0, 100, 8, 1),
+        (-3, 100, 8, 1),
+    ])
+    def test_clamped_to_toys_and_usable_cpus(self, monkeypatch, jobs, n_toys,
+                                             cpus, expected):
+        monkeypatch.setattr(toygen, "usable_cpus", lambda: cpus)
+        assert worker_count(jobs, n_toys) == expected
+
+    def test_usable_cpus_positive_and_bounded(self):
+        assert 1 <= toygen.usable_cpus() <= (os.cpu_count() or 1)
