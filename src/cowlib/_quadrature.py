@@ -7,6 +7,7 @@ wrapped transparently.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -40,6 +41,19 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 _G_IDX = np.arange(1, 15, 2)
+
+
+@functools.lru_cache(maxsize=8)
+def gauss_legendre(n: int):
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    ``numpy.polynomial.legendre.leggauss`` solves an eigenproblem on every
+    call; the few rule sizes in use are computed once per process.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _vectorized(f: Callable) -> Callable:

@@ -346,6 +346,8 @@ def _build_cow_from_cfg(resolved: dict, data: np.ndarray):
     if resolved["poly_order"] > 0:
         basis = basis + monomial_basis(resolved["poly_order"] + 1, support)
     eff = _efficiency_from_path(resolved["efficiency"])
+    if eff is not None and data.shape[1] < 2:
+        raise CliInputError("an efficiency map needs (m, t) data; the data have one column")
     proxy = (None if resolved["signal_proxy"] is None
              else _density_from_cfg(resolved["signal_proxy"], support))
 
@@ -359,8 +361,7 @@ def _build_cow_from_cfg(resolved: dict, data: np.ndarray):
             variance_fn_qm(data[:, :2], eff or UNIT_EFFICIENCY, resolved["qm_bins"],
                            support=support))
     elif kind == "mixture":
-        mix_data = data[:, :2] if data.shape[1] >= 2 else data[:, 0]
-        _, var = variance_fn_ml_iterative(basis, mix_data, eff)
+        _, var = variance_fn_ml_iterative(basis, data[:, :2], eff)
     else:
         raise CliInputError(f"unknown variance kind {kind!r}")
 
@@ -379,10 +380,7 @@ def cmd_cow(config: dict, echo: bool) -> int:
         raise CliInputError("cow config needs 'data'")
     names, data = read_csv(resolved["data"], min_cols=1)
     cow, eff = _build_cow_from_cfg(resolved, data)
-    if data.shape[1] >= 2:
-        w = efficiency_corrected_weights(cow, eff, data[:, :2])
-    else:
-        w = efficiency_corrected_weights(cow, eff, data[:, 0])
+    w = efficiency_corrected_weights(cow, eff, data[:, :2])
     if resolved["out_weights"]:
         wnames = [f"w_{k}" for k in range(w.shape[1])]
         write_csv(resolved["out_weights"], names[: data.shape[1]] + wnames,

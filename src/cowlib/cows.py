@@ -231,6 +231,20 @@ def variance_fn_qm(data, eff: EfficiencyMap, bins: int,
     return Histogram1D(edges, hist.contents / total, hist.sumw2 / total ** 2)
 
 
+def _split_m_t(data, eff) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The m column and, when the data have one, the t column.
+
+    An efficiency map depends on t, so it cannot be applied to data with
+    only an m column.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim == 2 and data.shape[1] >= 2:
+        return data[:, 0], data[:, 1]
+    if eff is not None:
+        raise EvaluationError("an efficiency map needs (m, t) data; got one column")
+    return (data[:, 0] if data.ndim == 2 else data), None
+
+
 def estimate_fractions(cow: CowSet, data, eff: Optional[EfficiencyMap] = None
                        ) -> Tuple[np.ndarray, float]:
     """Component fractions from efficiency-corrected sample averages.
@@ -238,12 +252,7 @@ def estimate_fractions(cow: CowSet, data, eff: Optional[EfficiencyMap] = None
     Returns (fractions, D_hat) with D_hat the harmonic mean of the
     efficiencies; D_hat = 1 for unit efficiency.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        m = data
-        t = np.zeros_like(m)
-    else:
-        m, t = data[:, 0], data[:, 1]
+    m, t = _split_m_t(data, eff)
     n = len(m)
     if eff is None:
         inv_e = np.ones(n)
@@ -305,12 +314,7 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
 def efficiency_corrected_weights(cow: CowSet, eff: Optional[EfficiencyMap],
                                  data) -> np.ndarray:
     """Per-event weights w_k(m_i) / efficiency(m_i, t_i), shape (N, n)."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        m = data
-        t = np.zeros_like(m)
-    else:
-        m, t = data[:, 0], data[:, 1]
+    m, t = _split_m_t(data, eff)
     w = cow.weights(m)
     if eff is None:
         return w

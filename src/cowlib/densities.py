@@ -233,8 +233,16 @@ class Density1D:
     # -- sampling -------------------------------------------------------------
 
     def ppf(self, u):
-        """Inverse CDF on the support; used for inverse-transform sampling."""
-        u = np.asarray(u, dtype=float)
+        """Inverse CDF on the support; used for inverse-transform sampling.
+
+        The result is clipped to the support: a far tail whose CDF
+        underflows would otherwise invert to +-inf.
+        """
+        with np.errstate(divide="ignore"):
+            x = self._ppf(np.asarray(u, dtype=float))
+        return np.clip(x, self.support.lo, self.support.hi)
+
+    def _ppf(self, u: np.ndarray):
         lo, hi = self.support.lo, self.support.hi
         k, p = self.kind, self.params
         if k == "uniform":

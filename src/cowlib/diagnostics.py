@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .errors import EvaluationError
 
@@ -36,6 +35,10 @@ def kendall_tau(x, y) -> IndependenceReport:
     null-hypothesis standard deviation sqrt(2(2n+5) / (9 n (n-1))), which
     scales like 1/sqrt(n).
     """
+    # imported here: scipy.stats takes longer to import than the rest of
+    # cowlib, and only this function needs it
+    from scipy.stats import kendalltau
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:

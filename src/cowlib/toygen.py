@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import cows, sweights, wcov
+from ._quadrature import gauss_legendre
 from .densities import (Density1D, EfficiencyMap, Interval, UNIT_EFFICIENCY,
                         monomial_basis)
 from .errors import CowlibError, ConstructionError, EvaluationError
@@ -211,13 +212,12 @@ class _NonfactTruth:
         return np.exp(-lam * m) * np.exp(-0.5 * ((t - mu) / sig) ** 2)
 
     def _compute_bkg_norm(self) -> float:
-        xm, wm = np.polynomial.legendre.leggauss(120)
-        xt, wt = np.polynomial.legendre.leggauss(120)
-        mg = 0.5 * (M_SUPPORT.lo + M_SUPPORT.hi) + 0.5 * M_SUPPORT.width * xm
-        tg = 0.5 * (T_SUPPORT.lo + T_SUPPORT.hi) + 0.5 * T_SUPPORT.width * xt
+        x, w = gauss_legendre(120)
+        mg = 0.5 * (M_SUPPORT.lo + M_SUPPORT.hi) + 0.5 * M_SUPPORT.width * x
+        tg = 0.5 * (T_SUPPORT.lo + T_SUPPORT.hi) + 0.5 * T_SUPPORT.width * x
         M, T = np.meshgrid(mg, tg, indexing="ij")
         vals = self.bkg_unnorm(M, T)
-        w2d = np.outer(wm, wt) * (0.25 * M_SUPPORT.width * T_SUPPORT.width)
+        w2d = np.outer(w, w) * (0.25 * M_SUPPORT.width * T_SUPPORT.width)
         return float(np.sum(vals * w2d))
 
     def f_bkg(self, m, t):
@@ -293,12 +293,11 @@ def generate_nonfactorising(spec: ToySpec) -> ToyDataset:
         return np.ones_like(np.asarray(m, dtype=float))
 
     # observed per-component normalizations under the efficiency
-    xm, wm = np.polynomial.legendre.leggauss(80)
-    xt, wt = np.polynomial.legendre.leggauss(80)
-    mg = 0.5 * (M_SUPPORT.lo + M_SUPPORT.hi) + 0.5 * M_SUPPORT.width * xm
-    tg = 0.5 * (T_SUPPORT.lo + T_SUPPORT.hi) + 0.5 * T_SUPPORT.width * xt
+    x, w = gauss_legendre(80)
+    mg = 0.5 * (M_SUPPORT.lo + M_SUPPORT.hi) + 0.5 * M_SUPPORT.width * x
+    tg = 0.5 * (T_SUPPORT.lo + T_SUPPORT.hi) + 0.5 * T_SUPPORT.width * x
     M, T = np.meshgrid(mg, tg, indexing="ij")
-    w2d = np.outer(wm, wt) * (0.25 * M_SUPPORT.width * T_SUPPORT.width)
+    w2d = np.outer(w, w) * (0.25 * M_SUPPORT.width * T_SUPPORT.width)
     det_sig = float(np.sum(eff(M, T) * truth.f_sig(M, T) * w2d))
     det_bkg = float(np.sum(eff(M, T) * truth.f_bkg(M, T) * w2d))
     z_obs = z * det_sig / (z * det_sig + (1 - z) * det_bkg)

@@ -9,11 +9,13 @@ for the case where the discriminating-variable shapes are known.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._quadrature import gauss_legendre
 from .densities import Density1D
 from .errors import EvaluationError
 
@@ -31,6 +33,11 @@ ROOT_TOL_PER_EVENT = 1e-4
 JACOBIAN_REL_STEP = 1e-6
 LOG_DERIV_STEP = 1e-6
 LOG_DERIV2_STEP = 1e-4
+# the histogram-variance bootstrap works on blocks of at most this many
+# (replica, event) pairs, and keeps the Poisson multiplicities of a call
+# in memory for the next one only up to this many
+BOOT_BLOCK_ELEMENTS = 2 ** 16
+BOOT_CACHE_ELEMENTS = 2 ** 23
 
 
 def variance_sum_weights(weights) -> float:
@@ -117,9 +124,13 @@ class CorrectedCovariance:
                 "reduction_term": arr(self.reduction_term)}
 
 
-def _naive_covariance(hs: Density1D, t, weights, theta) -> Optional[np.ndarray]:
-    d2 = _log_derivs2(hs, t, theta)
-    H = np.einsum("i,kli->kl", weights, d2)
+def _weighted_hessian(hs: Density1D, t, weights, theta) -> np.ndarray:
+    """Hessian of the weighted log-likelihood sum_i w_i ln hs(t_i; theta)."""
+    return np.einsum("i,kli->kl", weights, _log_derivs2(hs, t, theta))
+
+
+def _naive_covariance(H: np.ndarray) -> Optional[np.ndarray]:
+    """The (wrong) inverse-Hessian covariance of a weighted fit, or None."""
     try:
         return np.linalg.inv(-H)
     except np.linalg.LinAlgError:
@@ -152,8 +163,7 @@ def corrected_covariance_fixed_shapes(
     p = len(theta)
 
     d1 = _log_derivs1(hs_model, t, theta)          # (p, N)
-    d2 = _log_derivs2(hs_model, t, theta)          # (p, p, N)
-    H = np.einsum("i,kli->kl", w, d2)
+    H = _weighted_hessian(hs_model, t, w, theta)
     Hp = (w ** 2 * d1) @ d1.T
     try:
         Hinv = np.linalg.inv(H)
@@ -186,8 +196,8 @@ def corrected_covariance_fixed_shapes(
 
     reduction = 0.5 * (reduction + reduction.T)
     first = 0.5 * (first + first.T)
-    naive = _naive_covariance(hs_model, t, w, theta)
-    return CorrectedCovariance(theta_block=first - reduction, naive=naive,
+    return CorrectedCovariance(theta_block=first - reduction,
+                               naive=_naive_covariance(H),
                                first_term=first, reduction_term=reduction)
 
 
@@ -206,7 +216,10 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     weight matrix per replica, which captures the (strongly nonlinear)
     response of the weights to the bin contents.  Replicas are cheap
     because the histogram variance function is piecewise constant, so the
-    weight matrix is an exact sum of per-bin basis integrals.
+    weight matrix is an exact sum of per-bin basis integrals.  They are
+    processed in blocks of whole-array operations, and their Poisson
+    multiplicities depend only on (N, n_boot, boot_seed), so a small set
+    of them is drawn once per process and reused.
     """
     from .cows import HistogramVariance
     from .densities import ZERO_BIN_FLOOR
@@ -230,8 +243,7 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     w = w_m * inv_e                                # fit weights
 
     d1 = _log_derivs1(hs_model, t, theta)          # (p, N)
-    d2 = _log_derivs2(hs_model, t, theta)
-    H = np.einsum("i,kli->kl", w, d2)
+    H = _weighted_hessian(hs_model, t, w, theta)
     try:
         Hinv = np.linalg.inv(H)
     except np.linalg.LinAlgError as exc:
@@ -247,7 +259,7 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
 
         # per-bin basis integrals B_klj of g_k g_l by Gauss-Legendre; the
         # weight matrix for any bin contents is then W_kl = sum_j B_klj / I_j
-        x, gq = np.polynomial.legendre.leggauss(quad_points)
+        x, gq = gauss_legendre(quad_points)
         half = 0.5 * widths
         nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x[None, :]
         gv = cow.basis_values(nodes.ravel())
@@ -258,30 +270,39 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
         G = cow.basis_values(m)                    # (nb, N)
         jidx = np.clip(np.searchsorted(edges, m, side="right") - 1, 0, nbins - 1)
         fill = inv_e ** 2                          # histogram fill weights
-        sel = np.zeros(nb)
-        sel[:n_sig] = 1.0
 
-        rng = np.random.default_rng(boot_seed)
-        scores = np.empty((n_boot, len(theta)))
-        kept = 0
-        for _ in range(n_boot):
-            mult = rng.poisson(1.0, size=n)
-            raw = np.bincount(jidx, weights=mult * fill, minlength=nbins)
-            pos = raw[raw > 0]
-            if pos.size == 0:
-                continue
-            raw = np.where(raw > 0, raw, pos.min() * ZERO_BIN_FLOOR)
-            I_bins = raw / (widths * raw.sum())
-            try:
-                A = np.linalg.inv(np.einsum("klj,j->kl", B, 1.0 / I_bins))
-            except np.linalg.LinAlgError:
-                continue
-            w_rep = ((sel @ A) @ G) / I_bins[jidx] * inv_e
-            scores[kept] = d1 @ (mult * w_rep)
-            kept += 1
+        # the score of replica r is sum_i mult_ri w_r(m_i) d1_i / eff_i with
+        # w_r(m) = a_r . g(m) / I_r(m); summed bin by bin, 1/I_r is a factor
+        p = len(theta)
+        Gd = (G[:, None, :] * (inv_e * d1)).reshape(nb, p * n)
+        # bincount labels: bin j of row q (a replica, or a replica and a
+        # score component) is j + nbins * q
+        labels = jidx + nbins * np.arange(_block_rows(n) * p)[:, None]
+        score_blocks = []
+        for mult in _multiplicity_blocks(n, n_boot, boot_seed):
+            r = len(mult)
+            raw = np.bincount(labels[:r].ravel(), weights=(mult * fill).ravel(),
+                              minlength=r * nbins).reshape(r, nbins)
+            filled = raw > 0
+            keep = filled.any(axis=1)            # a replica with no event is skipped
+            if not keep.all():
+                raw, filled, mult = raw[keep], filled[keep], mult[keep]
+            floor = np.where(filled, raw, np.inf).min(axis=1, keepdims=True)
+            raw = np.where(filled, raw, floor * ZERO_BIN_FLOOR)
+            I_bins = raw / (widths * raw.sum(axis=1, keepdims=True))
+            A, ok = _inverses(np.einsum("klj,rj->rkl", B, 1.0 / I_bins))
+            if not ok.all():
+                A, I_bins, mult = A[ok], I_bins[ok], mult[ok]
+            r = len(mult)
+            terms = (A[:, :n_sig].sum(axis=1) @ Gd).reshape(r, p, n) * mult[:, None, :]
+            S = np.bincount(labels[:r * p].ravel(), weights=terms.ravel(),
+                            minlength=r * p * nbins).reshape(r, p, nbins)
+            score_blocks.append((S / I_bins[:, None, :]).sum(axis=2))
+        scores = np.concatenate(score_blocks)
+        kept = len(scores)
         if kept < 2:
             raise EvaluationError("bootstrap score covariance unavailable")
-        CS = np.cov(scores[:kept].T, ddof=1).reshape(len(theta), len(theta))
+        CS = np.cov(scores.T, ddof=1).reshape(len(theta), len(theta))
     else:
         psi = w * d1
         CS = psi @ psi.T
@@ -290,9 +311,74 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     theta_block = 0.5 * (theta_block + theta_block.T)
     Hp = (w ** 2 * d1) @ d1.T
     first = Hinv @ Hp @ Hinv.T
-    naive = _naive_covariance(hs_model, t, w, theta)
-    return CorrectedCovariance(theta_block=theta_block, naive=naive,
+    return CorrectedCovariance(theta_block=theta_block,
+                               naive=_naive_covariance(H),
                                first_term=0.5 * (first + first.T))
+
+
+def _inverses(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of matrices and a mask of the invertible ones.
+
+    One batched call; only when it fails is the stack inverted matrix by
+    matrix, to find the singular ones.
+    """
+    try:
+        return np.linalg.inv(W), np.ones(len(W), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    A = np.empty_like(W)
+    ok = np.ones(len(W), dtype=bool)
+    for i, Wi in enumerate(W):
+        try:
+            A[i] = np.linalg.inv(Wi)
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return A, ok
+
+
+def _block_rows(n: int) -> int:
+    return max(1, BOOT_BLOCK_ELEMENTS // max(n, 1))
+
+
+def _poisson_rows(n: int, n_boot: int, seed: int):
+    """The (n_boot, n) Poisson(1) multiplicities of ``default_rng(seed)`` in
+    row blocks of at most BOOT_BLOCK_ELEMENTS; the blocks concatenate to the
+    stream of n_boot separate ``poisson(1.0, size=n)`` draws."""
+    rng = np.random.default_rng(seed)
+    rows = _block_rows(n)
+    for r0 in range(0, n_boot, rows):
+        yield rng.poisson(1.0, size=(min(rows, n_boot - r0), n))
+
+
+@functools.lru_cache(maxsize=1)
+def _multiplicities(n: int, n_boot: int, seed: int) -> np.ndarray:
+    """All multiplicities of :func:`_poisson_rows` as one read-only matrix.
+
+    Every toy of an ensemble and every method of a toy bootstraps with the
+    same (n, n_boot, seed), so the draw is made once per process.  Stored
+    as uint8 unless a count exceeds 255.
+    """
+    out = np.empty((n_boot, n), dtype=np.uint8)
+    r0 = 0
+    for block in _poisson_rows(n, n_boot, seed):
+        if block.max() > np.iinfo(out.dtype).max:
+            out = out.astype(np.int64)
+        out[r0:r0 + len(block)] = block
+        r0 += len(block)
+    out.flags.writeable = False
+    return out
+
+
+def _multiplicity_blocks(n: int, n_boot: int, seed: int):
+    """Row blocks of the bootstrap multiplicities, from the per-process
+    cache when the whole matrix is small, drawn afresh otherwise."""
+    if n * n_boot > BOOT_CACHE_ELEMENTS:
+        yield from _poisson_rows(n, n_boot, seed)
+        return
+    mult = _multiplicities(n, n_boot, seed)
+    rows = _block_rows(n)
+    for r0 in range(0, n_boot, rows):
+        yield mult[r0:r0 + rows]
 
 
 @dataclass
@@ -487,5 +573,6 @@ def corrected_covariance_full(data, spec: QuasiScoreSpec, lam_hat,
     theta_block = C[ith, ith]
     theta = lam[ith]
     w = spec.weight_s(m, lam)
-    naive = _naive_covariance(spec.hs.with_params(theta), t, w, theta)
-    return CorrectedCovariance(theta_block=theta_block, naive=naive, full=C)
+    H = _weighted_hessian(spec.hs.with_params(theta), t, w, theta)
+    return CorrectedCovariance(theta_block=theta_block,
+                               naive=_naive_covariance(H), full=C)

@@ -218,3 +218,40 @@ class TestHappyPaths:
                                              rel=1e-10)
         assert res["sigma_corrected"] < res["sigma_naive"] * 5
         assert res["kendall_tau"]["n"] == 2000
+
+
+class TestOneColumnData:
+    @pytest.fixture
+    def one_column_csv(self, tmp_path):
+        path = tmp_path / "m.csv"
+        m = np.linspace(0.01, 0.99, 200)
+        cli.write_csv(str(path), ["m"], m[:, None])
+        return str(path)
+
+    @pytest.mark.parametrize("variance", ["unity", "mixture", "qm"])
+    def test_cow_with_efficiency_rejected(self, tmp_path, one_column_csv,
+                                          capsys, variance):
+        eff = write_cfg(tmp_path, "eff.json",
+                        {"m_edges": [0.0, 1.0], "t_edges": [0.0, 3.0],
+                         "values": [[0.5]]})
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"data": one_column_csv, "support": [0.0, 1.0],
+                         "basis": [GS_CFG, GB_CFG], "variance": variance,
+                         "efficiency": eff,
+                         "out_summary": str(tmp_path / "s.json")})
+        assert cli.main(["cow", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "(m, t)" in err
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("variance", ["unity", "mixture"])
+    def test_cow_without_efficiency_runs(self, tmp_path, one_column_csv,
+                                         variance):
+        ssum = tmp_path / "s.json"
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"data": one_column_csv, "support": [0.0, 1.0],
+                         "basis": [GS_CFG, GB_CFG], "variance": variance,
+                         "out_summary": str(ssum)})
+        assert cli.main(["cow", "--config", cfg]) == 0
+        assert len(json.loads(ssum.read_text())["sum_w"]) == 2

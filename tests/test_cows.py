@@ -252,3 +252,34 @@ class TestEfficiencyCorrectedWeights:
             lambda m, t: np.full(np.broadcast(m, t).shape, 1e-9))
         with pytest.raises(EvaluationError):
             efficiency_corrected_weights(cow, tiny, ds.data)
+
+
+class TestOneColumnWithEfficiency:
+    @pytest.fixture
+    def unity_cow(self, unit_interval):
+        gs, gb, _, _ = simple_truth_densities()
+        return build_cow(CowSpec(basis=[gs, gb], variance_fn=UnityVariance(),
+                                 support=unit_interval))
+
+    @pytest.mark.parametrize("shape", ["1d", "column"])
+    def test_rejected(self, simple_toy, unity_cow, shape):
+        ds = simple_toy[0]
+        m = ds.m if shape == "1d" else ds.data[:, :1]
+        with pytest.raises(EvaluationError, match="one column"):
+            estimate_fractions(unity_cow, m, HALF_EFF)
+        with pytest.raises(EvaluationError, match="one column"):
+            efficiency_corrected_weights(unity_cow, HALF_EFF, m)
+        gs, gb, _, _ = simple_truth_densities()
+        with pytest.raises(EvaluationError, match="one column"):
+            variance_fn_ml_iterative([gs, gb], m, HALF_EFF)
+
+    @pytest.mark.parametrize("shape", ["1d", "column"])
+    def test_without_efficiency_uses_m(self, simple_toy, unity_cow, shape):
+        ds = simple_toy[0]
+        m = ds.m if shape == "1d" else ds.data[:, :1]
+        z, d_hat = estimate_fractions(unity_cow, m)
+        z2, _ = estimate_fractions(unity_cow, ds.data)
+        assert d_hat == 1.0
+        assert np.array_equal(z, z2)
+        assert np.array_equal(efficiency_corrected_weights(unity_cow, None, m),
+                              unity_cow.weights(ds.m))

@@ -253,3 +253,59 @@ class TestEfficiencyMap:
     def test_formula_not_serializable(self):
         with pytest.raises(EvaluationError):
             UNIT_EFFICIENCY.to_dict()
+
+
+class TestPpfStaysInSupport:
+    @pytest.mark.parametrize("kind,params", [
+        ("uniform", []),
+        ("uniform", [0.2, 0.7]),
+        ("normal", [0.3, 0.1]),
+        ("normal", [-3.0, 0.1]),      # far lower tail: CDF at hi underflows
+        ("normal", [4.0, 0.1]),       # far upper tail: CDF at lo underflows
+        ("normal", [-1.0, 0.1]),
+        ("normal", [2.0, 0.1]),
+        ("exponential", [1.7]),
+        ("exponential", [-2.5]),
+        ("exponential", [0.0]),
+        ("exponential", [800.0]),
+        ("monomial", [3]),
+        ("monomial", [1]),
+    ])
+    def test_finite_and_inside(self, kind, params, unit_interval):
+        d = make_density(kind, params, unit_interval)
+        x = d.ppf(np.array([0.0, 0.5, 1.0]))
+        assert np.all(np.isfinite(x))
+        assert np.all((x >= 0.0) & (x <= 1.0))
+        assert np.all(np.diff(x) >= 0)
+        assert float(d.ppf(0.5)) == x[1]
+
+    def test_histogram(self, unit_interval):
+        d = histogram_density(np.array([0.1, 0.15, 0.8]), np.ones(3), 4,
+                              unit_interval)
+        x = d.ppf(np.array([0.0, 0.5, 1.0]))
+        assert np.all(np.isfinite(x))
+        assert x[0] == 0.0 and x[-1] == 1.0
+
+    def test_far_tails_clip_to_the_support_ends(self, unit_interval):
+        below = make_density("normal", [-3.0, 0.1], unit_interval)
+        above = make_density("normal", [4.0, 0.1], unit_interval)
+        assert below.ppf(1.0) == 1.0
+        assert above.ppf(0.0) == 0.0
+        assert below.ppf(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert above.ppf(1.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_in_support_values_unchanged(self, unit_interval):
+        # clipping must not touch values the inverse CDF already puts inside
+        d = make_density("normal", [0.5, 0.08], unit_interval)
+        u = np.linspace(0.01, 0.99, 99)
+        assert np.array_equal(d.ppf(u), d._ppf(u))
+
+
+class TestGaussLegendre:
+    def test_cached_read_only_and_exact(self):
+        from cowlib._quadrature import gauss_legendre
+        x, w = gauss_legendre(80)
+        xr, wr = np.polynomial.legendre.leggauss(80)
+        assert np.array_equal(x, xr) and np.array_equal(w, wr)
+        assert not x.flags.writeable and not w.flags.writeable
+        assert gauss_legendre(80)[0] is x

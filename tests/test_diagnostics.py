@@ -158,3 +158,20 @@ class TestPull:
             pull(1.0, 1.0, 0.0)
         with pytest.raises(EvaluationError):
             pull(1.0, 1.0, -0.5)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is the slowest import in reach; only kendall_tau needs it
+    import os
+    import subprocess
+    import sys
+
+    import cowlib
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cowlib.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, cowlib.cli; "
+            "sys.exit(3 if 'scipy.stats' in sys.modules else 0)")
+    res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert res.returncode == 0

@@ -5,11 +5,12 @@ import pytest
 
 from cowlib import (Density1D, EvaluationError, Interval, MixtureComponent,
                     MixtureModel, UNIT_EFFICIENCY, fit_extended_ml,
-                    fit_weighted_ml)
+                    fit_weighted_ml, monomial_basis, wcov)
 from cowlib.cows import (CowSpec, HistogramVariance, MixtureVariance,
                          UnityVariance, build_cow, variance_fn_qm)
 from cowlib.sweights import compute_W_variant_B, weight_functions
-from cowlib.toygen import ToySpec, generate_simple, simple_truth_densities
+from cowlib.toygen import (TRUE_SLOPE, ToySpec, generate_nonfactorising,
+                           generate_simple, simple_truth_densities)
 from cowlib.wcov import (QuasiScoreSpec, corrected_covariance_cow,
                          corrected_covariance_fixed_shapes,
                          corrected_covariance_full, equivalent_events,
@@ -226,3 +227,184 @@ class TestFullSandwich:
         spec, _ = spec_and_root
         with pytest.raises(EvaluationError):
             corrected_covariance_full(d["ds"].data, spec, np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# batched histogram-variance bootstrap
+
+
+def loop_bootstrap_covariance(cow, data, hs_model, theta, eff=None,
+                              quad_points=16, n_boot=400, boot_seed=0):
+    """The histogram-variance bootstrap one replica at a time: the reference
+    for the batched version (theta_block only)."""
+    from cowlib.densities import ZERO_BIN_FLOOR
+    from cowlib.wcov import _log_derivs1, _log_derivs2
+
+    data = np.asarray(data, dtype=float)
+    m, t = data[:, 0], data[:, 1]
+    n = len(m)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    n_sig = cow.spec.n_signal
+    inv_e = np.ones(n) if eff is None else 1.0 / np.asarray(eff(m, t), dtype=float)
+    w = cow.weights(m)[:, :n_sig].sum(axis=1) * inv_e
+    d1 = _log_derivs1(hs_model, t, theta)
+    H = np.einsum("i,kli->kl", w, _log_derivs2(hs_model, t, theta))
+    Hinv = np.linalg.inv(H)
+
+    edges = np.asarray(cow.spec.variance_fn.density.data["edges"], dtype=float)
+    nbins = len(edges) - 1
+    widths = np.diff(edges)
+    x, gq = np.polynomial.legendre.leggauss(quad_points)
+    half = 0.5 * widths
+    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x[None, :]
+    gv = cow.basis_values(nodes.ravel())
+    nb = gv.shape[0]
+    gv = gv.reshape(nb, nbins, quad_points)
+    B = np.einsum("kjq,ljq,q,j->klj", gv, gv, gq, half)
+    G = cow.basis_values(m)
+    jidx = np.clip(np.searchsorted(edges, m, side="right") - 1, 0, nbins - 1)
+    fill = inv_e ** 2
+    sel = np.zeros(nb)
+    sel[:n_sig] = 1.0
+
+    rng = np.random.default_rng(boot_seed)
+    scores = []
+    for _ in range(n_boot):
+        mult = rng.poisson(1.0, size=n)
+        raw = np.bincount(jidx, weights=mult * fill, minlength=nbins)
+        pos = raw[raw > 0]
+        if pos.size == 0:
+            continue
+        raw = np.where(raw > 0, raw, pos.min() * ZERO_BIN_FLOOR)
+        I_bins = raw / (widths * raw.sum())
+        try:
+            A = np.linalg.inv(np.einsum("klj,j->kl", B, 1.0 / I_bins))
+        except np.linalg.LinAlgError:
+            continue
+        w_rep = ((sel @ A) @ G) / I_bins[jidx] * inv_e
+        scores.append(d1 @ (mult * w_rep))
+    CS = np.cov(np.array(scores).T, ddof=1).reshape(len(theta), len(theta))
+    block = Hinv @ CS @ Hinv.T
+    return 0.5 * (block + block.T), len(scores)
+
+
+def nonfact_hist_cow(n_events, seed, poly_order, bins):
+    """Criterion-08-style histogram-variance cow on a non-factorising toy."""
+    ds = generate_nonfactorising(ToySpec(study="nonfactorising",
+                                         n_events=n_events, z=0.5,
+                                         efficiency=True, seed=seed))
+    gs, _, hs, _ = simple_truth_densities()
+    hist = variance_fn_qm(ds.data, ds.efficiency, bins, support=gs.support)
+    cow = build_cow(CowSpec(
+        basis=[gs] + monomial_basis(poly_order + 1, gs.support),
+        variance_fn=HistogramVariance(hist), support=gs.support,
+        efficiency=ds.efficiency))
+    return ds, cow, hs
+
+
+class TestBatchedBootstrap:
+    @pytest.mark.parametrize("poly_order", [1, 3, 5])
+    def test_matches_replica_loop(self, poly_order):
+        ds, cow, hs = nonfact_hist_cow(2000, 808, poly_order, 50)
+        theta = np.array([TRUE_SLOPE])
+        got = corrected_covariance_cow(cow, ds.data, hs, theta, eff=ds.efficiency)
+        ref, kept = loop_bootstrap_covariance(cow, ds.data, hs, theta,
+                                              eff=ds.efficiency)
+        assert kept == 400
+        assert np.allclose(got.theta_block, ref, rtol=1e-10, atol=0.0)
+
+    def test_two_parameter_control_density(self):
+        # a normal in t has a two-component score per replica
+        ds, cow, _ = nonfact_hist_cow(2000, 808, 3, 50)
+        hs = Density1D("normal", [1.5, 0.5], T_IV)
+        theta = np.array([1.4, 0.6])
+        got = corrected_covariance_cow(cow, ds.data, hs, theta, eff=ds.efficiency)
+        ref, _ = loop_bootstrap_covariance(cow, ds.data, hs, theta,
+                                           eff=ds.efficiency)
+        assert got.theta_block.shape == (2, 2)
+        assert np.allclose(got.theta_block, ref, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("n_events,bins,all_empty", [(12, 8, False),
+                                                         (3, 4, True)])
+    def test_tiny_sample_with_empty_bins(self, n_events, bins, all_empty):
+        # most replicas leave bins empty (floored); with three events some
+        # replicas draw no event at all and are skipped
+        ds, cow, hs = nonfact_hist_cow(n_events, 4, 1, bins)
+        theta = np.array([TRUE_SLOPE])
+        for seed in (0, 3):
+            got = corrected_covariance_cow(cow, ds.data, hs, theta,
+                                           eff=ds.efficiency, boot_seed=seed)
+            ref, kept = loop_bootstrap_covariance(cow, ds.data, hs, theta,
+                                                  eff=ds.efficiency,
+                                                  boot_seed=seed)
+            assert (kept < 400) == all_empty
+            assert np.allclose(got.theta_block, ref, rtol=1e-10, atol=0.0)
+
+    def test_fewer_than_two_replicas_kept_rejected(self):
+        # one event, and all three replicas of boot_seed 22 draw it zero times
+        ds, cow, hs = nonfact_hist_cow(1, 0, 1, 2)
+        with pytest.raises(EvaluationError, match="bootstrap"):
+            corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]),
+                                     eff=ds.efficiency, n_boot=3,
+                                     boot_seed=22)
+
+    def test_blocks_and_uncached_path_match_cached(self, monkeypatch):
+        ds, cow, hs = nonfact_hist_cow(500, 17, 3, 20)
+        theta = np.array([TRUE_SLOPE])
+
+        def run():
+            return corrected_covariance_cow(cow, ds.data, hs, theta,
+                                            eff=ds.efficiency,
+                                            boot_seed=11).theta_block
+
+        one_block = run()
+        monkeypatch.setattr(wcov, "BOOT_BLOCK_ELEMENTS", 7 * 500 + 3)
+        cached = run()
+        monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 0)
+        wcov._multiplicities.cache_clear()
+        uncached = run()
+        assert wcov._multiplicities.cache_info().currsize == 0
+        assert np.array_equal(cached, uncached)
+        ref, _ = loop_bootstrap_covariance(cow, ds.data, hs, theta,
+                                           eff=ds.efficiency, boot_seed=11)
+        for got in (one_block, cached, uncached):
+            assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
+
+    def test_cached_multiplicities_are_the_replica_stream(self):
+        mult = wcov._multiplicities(300, 40, 9)
+        assert mult.dtype == np.uint8
+        assert not mult.flags.writeable
+        with pytest.raises(ValueError):
+            mult[0, 0] = 1
+        rng = np.random.default_rng(9)
+        ref = np.stack([rng.poisson(1.0, size=300) for _ in range(40)])
+        assert np.array_equal(mult, ref)
+        assert wcov._multiplicities(300, 40, 9) is mult
+
+    def test_singular_replicas_skipped_like_the_loop(self, monkeypatch):
+        # make the batched inverse fail, and every fifth replica's weight
+        # matrix count as singular, in both implementations alike
+        ds, cow, hs = nonfact_hist_cow(500, 17, 1, 20)
+        nb = len(cow.spec.basis)
+        theta = np.array([TRUE_SLOPE])
+        real_inv = np.linalg.inv
+        calls = {"n": 0}
+
+        def flaky_inv(a):
+            a = np.asarray(a)
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("batched")
+            if a.shape == (nb, nb):
+                calls["n"] += 1
+                if calls["n"] % 5 == 0:
+                    raise np.linalg.LinAlgError("singular")
+            return real_inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", flaky_inv)
+        got = corrected_covariance_cow(cow, ds.data, hs, theta,
+                                       eff=ds.efficiency)
+        calls["n"] = 0
+        ref, kept = loop_bootstrap_covariance(cow, ds.data, hs, theta,
+                                              eff=ds.efficiency)
+        assert kept == 320
+        assert np.allclose(got.theta_block, ref, rtol=1e-10, atol=0.0)
