@@ -27,7 +27,7 @@ from .wcov import (CorrectedCovariance, QuasiScoreSpec,
                    corrected_covariance_cow,
                    corrected_covariance_fixed_shapes, corrected_covariance_full,
                    equivalent_events, variance_sum_weights)
-from .toygen import (EnsembleConfig, EnsembleReport, MethodSpec, ToyDataset,
-                     ToySpec, generate, generate_multicomponent,
-                     generate_nonfactorising, generate_simple, run_ensemble,
-                     simple_truth_densities)
+from .methods import MethodSpec, apply_method
+from .toygen import (EnsembleConfig, EnsembleReport, ToyDataset, ToySpec,
+                     generate, generate_multicomponent, generate_nonfactorising,
+                     generate_simple, run_ensemble, simple_truth_densities)

@@ -26,20 +26,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .cows import (CowSpec, HistogramVariance, MixtureVariance, UnityVariance,
-                   build_cow, efficiency_corrected_weights, variance_fn_qm,
-                   variance_fn_ml_iterative)
-from .densities import (Density1D, EfficiencyMap, Interval, UNIT_EFFICIENCY,
-                        monomial_basis)
+from .cows import CowSpec, build_cow, efficiency_corrected_weights
+from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
 from .diagnostics import kendall_tau
-from .errors import (ConstructionError, CowlibError, EvaluationError,
-                     NonConvergenceError)
+from .errors import ConstructionError, CowlibError, NonConvergenceError
+from .methods import MethodSpec, apply_method, variance_function
 from .mlfit import MixtureComponent, MixtureModel, fit_extended_ml, fit_weighted_ml
-from .sweights import (compute_W_variant_A, compute_W_variant_B,
-                       compute_W_variant_C, weight_functions)
-from .toygen import EnsembleConfig, MethodSpec, ToySpec, generate, run_ensemble
-from .wcov import (corrected_covariance_cow, corrected_covariance_fixed_shapes,
-                   equivalent_events)
+from .toygen import EnsembleConfig, ToySpec, generate, run_ensemble
+from .wcov import corrected_covariance_fixed_shapes, equivalent_events
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -258,10 +252,6 @@ def _efficiency_from_path(path: Optional[str]) -> Optional[EfficiencyMap]:
         raise CliInputError(f"bad efficiency map {path}: {exc}") from exc
 
 
-def _fit_to_dict(fit) -> dict:
-    return fit.to_dict()
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -278,30 +268,13 @@ def cmd_fit(config: dict, echo: bool) -> int:
     _, data = read_csv(resolved["data"], min_cols=1)
     model = _model_from_cfg(resolved["model"], data.shape[0])
     fit = fit_extended_ml(data[:, 0], model)
-    out = {**_stamp(resolved), "fit": _fit_to_dict(fit)}
+    out = {**_stamp(resolved), "fit": fit.to_dict()}
     _write_json(resolved["out"], out)
     return EXIT_OK if fit.converged else EXIT_NONCONVERGENCE
 
 
 SWEIGHTS_DEFAULTS = {"data": None, "model": None, "variant": "B",
                      "out_weights": None, "out_summary": None, "seed": 0}
-
-
-def _sweights_from_fit(variant: str, fit, m: np.ndarray):
-    gs = fit.model.components[0].density
-    gb = fit.model.components[1].density
-    z = float(fit.params[0] / fit.params[:2].sum())
-    if variant == "A":
-        wm = compute_W_variant_A(gs, gb, z, gs.support)
-    elif variant == "B":
-        wm = compute_W_variant_B(gs, gb, z, m)
-    elif variant == "Ci":
-        wm = compute_W_variant_C(fit, len(m), "invert-full-cov")
-    elif variant == "Cii":
-        wm = compute_W_variant_C(fit, len(m), "yields-only-cov")
-    else:
-        raise CliInputError(f"unknown sweights variant {variant!r}")
-    return wm, weight_functions(wm, gs, gb)
 
 
 def cmd_sweights(config: dict, echo: bool) -> int:
@@ -311,6 +284,7 @@ def cmd_sweights(config: dict, echo: bool) -> int:
         return _echo(resolved)
     if resolved["data"] is None or resolved["model"] is None:
         raise CliInputError("sweights config needs 'data' and 'model'")
+    spec = MethodSpec(f"sweights-{resolved['variant']}", variant=resolved["variant"])
     names, data = read_csv(resolved["data"], min_cols=1)
     if len(resolved["model"].get("components", [])) != 2:
         raise CliInputError("sweights needs a two-component model")
@@ -318,14 +292,14 @@ def cmd_sweights(config: dict, echo: bool) -> int:
     fit = fit_extended_ml(data[:, 0], model)
     if not fit.converged:
         return EXIT_NONCONVERGENCE
-    wm, wfs = _sweights_from_fit(resolved["variant"], fit, data[:, 0])
-    w = wfs.all(data[:, 0])
+    weights = apply_method(spec, fit, data)
+    wnames, w = weights.columns()
     if resolved["out_weights"]:
-        write_csv(resolved["out_weights"], names[: data.shape[1]] + ["w_s", "w_b"],
+        write_csv(resolved["out_weights"], names[: data.shape[1]] + wnames,
                   np.column_stack([data, w]))
-    summary = {**_stamp(resolved), "fit": _fit_to_dict(fit), "W": wm.to_dict(),
+    summary = {**_stamp(resolved), "fit": fit.to_dict(), "W": weights.W,
                "sum_w_s": float(w[:, 0].sum()), "sum_w_s2": float((w[:, 0] ** 2).sum()),
-               "warnings": wfs.warnings}
+               "warnings": weights.wfs.warnings}
     _write_json(resolved["out_summary"], summary)
     return EXIT_OK
 
@@ -351,20 +325,8 @@ def _build_cow_from_cfg(resolved: dict, data: np.ndarray):
     proxy = (None if resolved["signal_proxy"] is None
              else _density_from_cfg(resolved["signal_proxy"], support))
 
-    kind = resolved["variance"]
-    if kind == "unity":
-        var = UnityVariance()
-    elif kind == "qm":
-        if data.shape[1] < 2:
-            raise CliInputError("variance 'qm' needs (m, t) data")
-        var = HistogramVariance(
-            variance_fn_qm(data[:, :2], eff or UNIT_EFFICIENCY, resolved["qm_bins"],
-                           support=support))
-    elif kind == "mixture":
-        _, var = variance_fn_ml_iterative(basis, data[:, :2], eff)
-    else:
-        raise CliInputError(f"unknown variance kind {kind!r}")
-
+    var = variance_function(resolved["variance"], basis, data[:, :2], eff,
+                            resolved["qm_bins"], support)
     spec = CowSpec(basis=basis, variance_fn=var, support=support,
                    n_signal=int(resolved["n_signal"]), signal_proxy=proxy,
                    efficiency=eff)
@@ -425,7 +387,7 @@ def cmd_correct(config: dict, echo: bool) -> int:
     if not tfit.converged:
         return EXIT_NONCONVERGENCE
     corr = corrected_covariance_fixed_shapes(t, w, None, hs, tfit.params)
-    out = {**_stamp(resolved), "fit": _fit_to_dict(tfit),
+    out = {**_stamp(resolved), "fit": tfit.to_dict(),
            "covariance": corr.to_dict(),
            "sum_w": float(w.sum()), "sum_w2": float((w ** 2).sum()),
            "n_equivalent": equivalent_events(w)}
@@ -474,10 +436,10 @@ def cmd_toys(config: dict, echo: bool, jobs_override: Optional[int] = None) -> i
     try:
         toy = ToySpec(**resolved["toy"])
         methods = [MethodSpec(**m) for m in (resolved["methods"] or [])]
+        ens = EnsembleConfig(toy=toy, methods=methods, n_toys=int(resolved["n_toys"]),
+                             base_seed=int(resolved["base_seed"]), jobs=int(resolved["jobs"]))
     except (TypeError, ConstructionError) as exc:
         raise CliInputError(f"bad toys config: {exc}") from exc
-    ens = EnsembleConfig(toy=toy, methods=methods, n_toys=int(resolved["n_toys"]),
-                         base_seed=int(resolved["base_seed"]), jobs=int(resolved["jobs"]))
     if resolved["export_dataset"]:
         ds = generate(ToySpec(**{**toy.to_dict(), "seed": ens.base_seed}))
         write_csv(resolved["export_dataset"], ds.columns + ["label"],
@@ -486,6 +448,17 @@ def cmd_toys(config: dict, echo: bool, jobs_override: Optional[int] = None) -> i
     out = {**_stamp(resolved), "report": report.to_dict()}
     _write_json(resolved["out"], out)
     return EXIT_OK if report.valid else EXIT_INVALID_ENSEMBLE
+
+
+def _pipeline_method(method, cow_cfg: dict) -> MethodSpec:
+    """The spec of a pipeline ``method``: "sweights-<variant>", or "cow" with
+    the variance function and basis of the ``cow`` block."""
+    if method == "cow":
+        return MethodSpec(method, kind="cow", variance=cow_cfg["variance"],
+                          qm_bins=cow_cfg["qm_bins"], poly_order=cow_cfg["poly_order"])
+    if isinstance(method, str) and method.startswith("sweights-"):
+        return MethodSpec(method, variant=method[len("sweights-"):])
+    raise CliInputError(f"unknown method {method!r}")
 
 
 PIPELINE_DEFAULTS = {"data": None, "model": None, "method": "sweights-B",
@@ -501,7 +474,7 @@ def cmd_pipeline(config: dict, echo: bool) -> int:
     cow_cfg = _resolve(resolved["cow"] or {},
                        {"poly_order": 0, "variance": "mixture", "qm_bins": 50,
                         "efficiency": None}, "pipeline cow")
-    if method.startswith("sweights") and cow_cfg["efficiency"] is not None:
+    if str(method).startswith("sweights") and cow_cfg["efficiency"] is not None:
         # an m-dependent efficiency invalidates the classic per-event w/eps
         raise CliInputError(
             "efficiency maps require the cow method; classic weights divided "
@@ -511,80 +484,39 @@ def cmd_pipeline(config: dict, echo: bool) -> int:
     for key in ("data", "model", "control_model"):
         if resolved[key] is None:
             raise CliInputError(f"pipeline config needs {key!r}")
+    spec = _pipeline_method(method, cow_cfg)
     names, data = read_csv(resolved["data"], min_cols=2)
     m, t = data[:, 0], data[:, 1]
     model = _model_from_cfg(resolved["model"], len(m))
     fit = fit_extended_ml(m, model)
     if not fit.converged:
         return EXIT_NONCONVERGENCE
-
-    dW = None
-    extra = {}
-    if method.startswith("sweights-"):
-        variant = method.split("-", 1)[1]
-        wm, wfs = _sweights_from_fit(variant, fit, m)
-        w = wfs.w_s(m)
-        dW = wfs.dw_s_dW(m)
-        weight_cols = wfs.all(m)
-        wnames = ["w_s", "w_b"]
-        extra["W"] = wm.to_dict()
-    elif method == "cow":
-        gs_hat = fit.model.components[0].density
-        gb_hat = fit.model.components[1].density
-        support = model.support
-        if cow_cfg["poly_order"] > 0:
-            basis = [gs_hat] + monomial_basis(cow_cfg["poly_order"] + 1, support)
-        else:
-            basis = [gs_hat, gb_hat]
-        eff = _efficiency_from_path(cow_cfg["efficiency"])
-        if cow_cfg["variance"] == "unity":
-            var = UnityVariance()
-        elif cow_cfg["variance"] == "qm":
-            var = HistogramVariance(
-                variance_fn_qm(data[:, :2], eff or UNIT_EFFICIENCY, cow_cfg["qm_bins"],
-                               support=support))
-        elif cow_cfg["variance"] == "mixture":
-            _, var = variance_fn_ml_iterative(basis, data[:, :2], eff)
-        else:
-            raise CliInputError(f"unknown variance kind {cow_cfg['variance']!r}")
-        spec = CowSpec(basis=basis, variance_fn=var, support=support,
-                       n_signal=1, efficiency=eff)
-        cow = build_cow(spec)
-        weight_cols = efficiency_corrected_weights(cow, eff, data[:, :2])
-        w = weight_cols[:, 0]
-        wnames = [f"w_{k}" for k in range(weight_cols.shape[1])]
-        extra["W"] = cow.W
-    else:
-        raise CliInputError(f"unknown method {method!r}")
+    eff = _efficiency_from_path(cow_cfg["efficiency"])
+    weights = apply_method(spec, fit, data[:, :2], eff)
+    w = weights.w
 
     hs = _density_from_cfg(resolved["control_model"])
     tfit = fit_weighted_ml(t, w, hs)
     if not tfit.converged:
         return EXIT_NONCONVERGENCE
-    gs_hat = fit.model.components[0].density
-    gb_hat = fit.model.components[1].density
-    if method == "cow":
-        corr = corrected_covariance_cow(cow, data[:, :2], hs, tfit.params, eff=eff)
-    else:
-        corr = corrected_covariance_fixed_shapes(
-            t, w, dW, hs, tfit.params,
-            gs=gs_hat, gb=gb_hat, yields=fit.params[:2], data_m=m)
+    corr = weights.covariance(hs, tfit.params)
 
     tau = kendall_tau(m, t)
     stamp = _stamp(resolved)
     if resolved["out_weights"]:
+        wnames, weight_cols = weights.columns()
         write_csv(resolved["out_weights"], names[:2] + wnames,
                   np.column_stack([data[:, :2], weight_cols]))
     if resolved["out_covariance"]:
         _write_json(resolved["out_covariance"], {**stamp, "covariance": corr.to_dict()})
     summary = {**stamp, "method": method,
-               "m_fit": _fit_to_dict(fit), "t_fit": _fit_to_dict(tfit),
+               "m_fit": fit.to_dict(), "t_fit": tfit.to_dict(),
                "sigma_naive": (None if corr.naive is None
                                else float(np.sqrt(corr.naive[0, 0]))),
                "sigma_corrected": float(np.sqrt(corr.theta_block[0, 0])),
                "sum_w": float(w.sum()), "sum_w2": float((w ** 2).sum()),
                "n_equivalent": equivalent_events(w),
-               "kendall_tau": tau.to_dict(), **extra}
+               "kendall_tau": tau.to_dict(), "W": weights.W}
     _write_json(resolved["out_summary"], summary)
     return EXIT_OK
 

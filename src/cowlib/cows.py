@@ -8,14 +8,14 @@ reduces to the classic two-component signal/background weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .densities import (Density1D, EfficiencyMap, Histogram1D, Interval,
-                        ZERO_BIN_FLOOR, histogram_density, integrate)
+                        ZERO_BIN_FLOOR, integrate)
 from .errors import (ConstructionError, EvaluationError,
                      IllConditionedBasisError, NonConvergenceError)
 

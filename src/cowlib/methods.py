@@ -1,0 +1,161 @@
+"""Weight methods: from a method spec and a fit of m to per-event weights and
+a corrected covariance.  A method is the W estimator of classic weights
+(variant A, B, Ci or Cii) or the basis and variance function I(m) of cows,
+plus the covariance correction of the weighted control-variable fit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict, dataclass
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from .cows import (CowSpec, HistogramVariance, UnityVariance, build_cow,
+                   efficiency_corrected_weights, variance_fn_ml_iterative,
+                   variance_fn_qm)
+from .densities import Density1D, EfficiencyMap, Interval, UNIT_EFFICIENCY, monomial_basis
+from .errors import ConstructionError
+from .mlfit import FitResult, yields_only_refit
+from .sweights import (WeightMatrix, compute_W_variant_A, compute_W_variant_B,
+                       compute_W_variant_C, weight_functions)
+from .wcov import (CorrectedCovariance, corrected_covariance_cow,
+                   corrected_covariance_fixed_shapes)
+
+__all__ = ["MethodSpec", "MethodWeights", "apply_method", "fitted_basis",
+           "sweights_matrix", "variance_function"]
+
+
+@dataclass
+class MethodSpec:
+    """One weight-extraction recipe: classic two-component weights
+    ("sweights") or the generalized construction ("cow"), whose background is
+    the fitted shape (``poly_order`` 0) or monomials up to ``poly_order``, and
+    a covariance ``correction``.  The toy runner reads ``fit_shapes`` to
+    choose the m fit whose shapes the weights use."""
+
+    name: str
+    kind: str = "sweights"
+    variant: str = "B"
+    variance: str = "mixture"
+    qm_bins: int = 50
+    poly_order: int = 0
+    fit_shapes: bool = False
+    correction: str = "fixed"
+
+    def __post_init__(self):
+        for key, allowed in (("kind", ("sweights", "cow")),
+                             ("variant", ("A", "B", "Ci", "Cii")),
+                             ("variance", ("unity", "qm", "mixture")),
+                             ("correction", ("fixed", "sandwich", "none"))):
+            if getattr(self, key) not in allowed:
+                raise ConstructionError(f"method {self.name!r}: unknown {key} "
+                                        f"{getattr(self, key)!r}; expected one of {allowed}")
+        if not (self.poly_order >= 0 and self.qm_bins >= 1):
+            raise ConstructionError(f"method {self.name!r}: need poly_order >= 0, qm_bins >= 1")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def _shapes(fit: FitResult) -> Tuple[Density1D, Density1D]:
+    return fit.model.components[0].density, fit.model.components[1].density
+
+
+def sweights_matrix(variant: str, fit: FitResult, data_m) -> WeightMatrix:
+    """W of the classic weights at the shapes of ``fit``.
+
+    Variant C takes W from the fit whose shapes the weights use: Ci inverts
+    its full covariance, Cii reads its yields covariance, which is A only when
+    no shape floats; a fit with free shapes is refitted for the yields first.
+    """
+    m = np.asarray(data_m, dtype=float)
+    gs, gb = _shapes(fit)
+    z = float(fit.params[0] / fit.params[:2].sum())
+    if variant == "A":
+        return compute_W_variant_A(gs, gb, z, gs.support)
+    if variant == "B":
+        return compute_W_variant_B(gs, gb, z, m)
+    if variant == "Ci":
+        return compute_W_variant_C(fit, len(m), "invert-full-cov")
+    if variant == "Cii":
+        if any(c.free_shape for c in fit.model.components):
+            fit = yields_only_refit(m, fit.model)
+        return compute_W_variant_C(fit, len(m), "yields-only-cov")
+    raise ConstructionError(f"unknown sweights variant {variant!r}")
+
+
+def fitted_basis(fit: FitResult, poly_order: int) -> List[Density1D]:
+    """The fitted signal, then the fitted background or monomials up to ``poly_order``."""
+    gs, gb = _shapes(fit)
+    if poly_order > 0:
+        return [gs] + monomial_basis(poly_order + 1, gs.support)
+    return [gs, gb]
+
+
+def variance_function(kind: str, basis: List[Density1D], data,
+                      eff: Optional[EfficiencyMap], qm_bins: int, support: Interval):
+    """The variance function I(m) named ``kind`` for this basis and sample."""
+    if kind == "unity":
+        return UnityVariance()
+    if kind == "qm":
+        if data.shape[1] < 2:
+            raise ConstructionError("variance 'qm' needs (m, t) data")
+        return HistogramVariance(
+            variance_fn_qm(data, eff or UNIT_EFFICIENCY, qm_bins, support=support))
+    if kind == "mixture":
+        return variance_fn_ml_iterative(basis, data, eff)[1]
+    raise ConstructionError(f"unknown variance kind {kind!r}")
+
+
+class MethodWeights:
+    """The weights of one method on one sample: the signal weight ``w`` per
+    event and ``W``, the classic ``WeightMatrix`` as a dict or the cow W
+    matrix.  Exactly one of ``wfs`` (classic weights) and ``cow`` is set."""
+
+    def __init__(self, spec: MethodSpec, fit: FitResult, data: np.ndarray,
+                 w: np.ndarray, W, wfs=None, cow=None, cow_columns=None):
+        self.spec, self.fit, self.data = spec, fit, data
+        self.w, self.W, self.wfs, self.cow = w, W, wfs, cow
+        self._cow_columns = cow_columns
+
+    def columns(self) -> Tuple[List[str], np.ndarray]:
+        """Names and values of every per-event weight column."""
+        if self.cow is not None:
+            return [f"w_{k}" for k in range(self._cow_columns.shape[1])], self._cow_columns
+        return ["w_s", "w_b"], np.column_stack([self.w, self.wfs.w_b(self.data[:, 0])])
+
+    def covariance(self, hs: Density1D, theta) -> Optional[CorrectedCovariance]:
+        """Corrected covariance of the weighted fit of ``hs`` at ``theta``, or
+        None under correction "none".  Classic weights subtract the reduction
+        term of the estimated W under "fixed" only; cows ignore the choice."""
+        if self.spec.correction == "none":
+            return None
+        if self.cow is not None:
+            return corrected_covariance_cow(self.cow, self.data, hs, theta,
+                                            eff=self.cow.spec.efficiency)
+        m = self.data[:, 0]
+        dW = self.wfs.dw_s_dW(m) if self.spec.correction == "fixed" else None
+        return corrected_covariance_fixed_shapes(
+            self.data[:, 1], self.w, dW, hs, theta, gs=self.wfs.gs, gb=self.wfs.gb,
+            yields=self.fit.params[:2], data_m=m)
+
+
+def apply_method(spec: MethodSpec, fit: FitResult, data,
+                 eff: Optional[EfficiencyMap] = None) -> MethodWeights:
+    """Weights of ``spec`` at the shapes and yields of the m fit ``fit``, on
+    the (m, t) columns ``data``.  Classic weights ignore ``eff`` on purpose:
+    on an efficiency-distorted sample they expose the bias."""
+    data = np.asarray(data, dtype=float)
+    m = data[:, 0]
+    if spec.kind == "sweights":
+        wm = sweights_matrix(spec.variant, fit, m)
+        wfs = weight_functions(wm, *_shapes(fit))
+        return MethodWeights(spec, fit, data, wfs.w_s(m), wm.to_dict(), wfs=wfs)
+    basis = fitted_basis(fit, spec.poly_order)
+    support = basis[0].support
+    var = variance_function(spec.variance, basis, data, eff, spec.qm_bins, support)
+    cow = build_cow(CowSpec(basis=basis, variance_fn=var, support=support,
+                            n_signal=1, efficiency=eff))
+    cols = efficiency_corrected_weights(cow, eff, data)
+    return MethodWeights(spec, fit, data, cols[:, 0], cow.W, cow=cow, cow_columns=cols)

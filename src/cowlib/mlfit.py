@@ -9,12 +9,12 @@ identity) are reproduced to near machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .densities import Density1D, EfficiencyMap, Interval
+from .densities import Density1D, Interval
 from .errors import ConstructionError, EvaluationError
 
 # failure modes of a numerical Hessian at (or probing past) a bound
@@ -46,7 +46,6 @@ class MixtureModel:
 
     components: List[MixtureComponent]
     yields: np.ndarray
-    efficiency: Optional[EfficiencyMap] = None
 
     def __post_init__(self):
         self.yields = np.atleast_1d(np.asarray(self.yields, dtype=float))
@@ -83,11 +82,11 @@ class MixtureModel:
                 dens = dens.with_params(shape_params[i])
             comps.append(MixtureComponent(c.label, dens, c.free_shape))
         y = self.yields if yields is None else yields
-        return MixtureModel(comps, np.asarray(y, dtype=float), self.efficiency)
+        return MixtureModel(comps, np.asarray(y, dtype=float))
 
     def fix_shapes(self) -> "MixtureModel":
         comps = [MixtureComponent(c.label, c.density, False) for c in self.components]
-        return MixtureModel(comps, self.yields.copy(), self.efficiency)
+        return MixtureModel(comps, self.yields.copy())
 
 
 @dataclass

@@ -8,7 +8,7 @@ fitted yield Hessian/covariance (variant C, modes Ci and Cii).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np

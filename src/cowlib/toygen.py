@@ -17,13 +17,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import cows, sweights, wcov
+from . import wcov
 from ._quadrature import gauss_legendre
-from .densities import (Density1D, EfficiencyMap, Interval, UNIT_EFFICIENCY,
-                        monomial_basis)
+from .densities import Density1D, EfficiencyMap, Interval
 from .errors import CowlibError, ConstructionError, EvaluationError
-from .mlfit import (FitResult, MixtureComponent, MixtureModel,
-                    fit_extended_ml, fit_weighted_ml, yields_only_refit)
+from .methods import MethodSpec, apply_method
+from .mlfit import (FitResult, MixtureComponent, MixtureModel, fit_extended_ml,
+                    fit_weighted_ml)
 
 __all__ = [
     "ToySpec",
@@ -342,36 +342,16 @@ def generate(spec: ToySpec) -> ToyDataset:
 
 
 @dataclass
-class MethodSpec:
-    """One weight-extraction recipe to run per toy.
-
-    ``kind`` selects classic two-component weights ("sweights") or the
-    generalized construction ("cow").  For cows, ``poly_order`` > 0 expands
-    the background over monomial densities of that order; 0 keeps the fitted
-    background shape.  ``correction`` picks the covariance treatment of the
-    weighted control-variable fit.
-    """
-
-    name: str
-    kind: str = "sweights"
-    variant: str = "B"              # sweights: A | B | Ci | Cii
-    variance: str = "mixture"       # cow: unity | qm | mixture
-    qm_bins: int = 50
-    poly_order: int = 0
-    fit_shapes: bool = False
-    correction: str = "fixed"       # fixed | sandwich | none
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
 class EnsembleConfig:
     toy: ToySpec
     methods: List[MethodSpec]
     n_toys: int
     base_seed: int = 0
     jobs: int = 1
+
+    def __post_init__(self):
+        if len({ms.name for ms in self.methods}) != len(self.methods):
+            raise ConstructionError(f"duplicate method names in {[m.name for m in self.methods]}")
 
     def to_dict(self) -> dict:
         return {"toy": self.toy.to_dict(),
@@ -398,105 +378,34 @@ class EnsembleReport:
                 "n_failed": self.n_failed, "valid": self.valid}
 
 
-def _fit_models(ds: ToyDataset, need_free: bool, need_yields_only: bool):
-    """Extended-ML fits of the m distribution; shapes from the simple truth."""
+def _fit_models(ds: ToyDataset, fit_shapes: set) -> Dict[bool, FitResult]:
+    """Extended-ML fits of m from the simple-truth shapes, keyed by whether they float."""
     gs, gb, _, _ = simple_truth_densities()
-    m = ds.m
-    n = len(m)
-    out = {}
-    if need_free:
-        model = MixtureModel(
-            [MixtureComponent("s", gs, True), MixtureComponent("b", gb, True)],
-            np.array([0.5 * n, 0.5 * n]))
-        out["free"] = fit_extended_ml(m, model)
-    if need_yields_only:
-        model = MixtureModel(
-            [MixtureComponent("s", gs, False), MixtureComponent("b", gb, False)],
-            np.array([0.5 * n, 0.5 * n]))
-        out["yields_only"] = fit_extended_ml(m, model)
-    return out
+    n = len(ds.m)
+    return {free: fit_extended_ml(ds.m, MixtureModel(
+                [MixtureComponent("s", gs, free), MixtureComponent("b", gb, free)],
+                np.array([0.5 * n, 0.5 * n])))
+            for free in sorted(fit_shapes, reverse=True)}
 
 
-def _hs_template() -> Density1D:
-    return Density1D("exponential", [1.5], T_SUPPORT)
-
-
-def _run_method(method: MethodSpec, ds: ToyDataset, fits: dict) -> dict:
-    m, t = ds.m, ds.column("t")
-    n = len(m)
-    data = np.column_stack([m, t])
-    eff = ds.efficiency
-    truth_slope = ds.truth.get("slope", TRUE_SLOPE)
-
-    fit = fits["free"] if method.fit_shapes else fits["yields_only"]
+def _run_method(method: MethodSpec, ds: ToyDataset, fits: Dict[bool, FitResult]) -> dict:
+    fit = fits[method.fit_shapes]
     if not fit.converged:
         raise EvaluationError("m fit did not converge")
-    gs_hat = fit.model.components[0].density
-    gb_hat = fit.model.components[1].density
-    yields = fit.params[:2]
-    z_hat = float(yields[0] / yields.sum())
+    t = ds.column("t")
+    weights = apply_method(method, fit, np.column_stack([ds.m, t]), ds.efficiency)
+    w = weights.w
+    truth_slope = ds.truth.get("slope", TRUE_SLOPE)
 
-    dW = None
-    if method.kind == "sweights":
-        # classic weights ignore any efficiency map on purpose: running them
-        # on an efficiency-distorted sample exposes the resulting bias
-        if method.variant == "A":
-            wm = sweights.compute_W_variant_A(gs_hat, gb_hat, z_hat, gs_hat.support)
-        elif method.variant == "B":
-            wm = sweights.compute_W_variant_B(gs_hat, gb_hat, z_hat, m)
-        elif method.variant == "Ci":
-            wm = sweights.compute_W_variant_C(fits["free"], n, "invert-full-cov")
-        elif method.variant == "Cii":
-            yfit = fits.get("yields_only")
-            if yfit is None:
-                yfit = yields_only_refit(m, fits["free"].model)
-            wm = sweights.compute_W_variant_C(yfit, n, "yields-only-cov")
-        else:
-            raise ConstructionError(f"unknown variant {method.variant!r}")
-        wfs = sweights.weight_functions(wm, gs_hat, gb_hat)
-        w = wfs.w_s(m)
-        dW = wfs.dw_s_dW(m)
-    elif method.kind == "cow":
-        if method.poly_order > 0:
-            # a polynomial background of order p spans degrees 0..p
-            basis = [gs_hat] + monomial_basis(method.poly_order + 1, gs_hat.support)
-        else:
-            basis = [gs_hat, gb_hat]
-        if method.variance == "unity":
-            var = cows.UnityVariance()
-        elif method.variance == "qm":
-            var = cows.HistogramVariance(
-                cows.variance_fn_qm(data, eff or UNIT_EFFICIENCY, method.qm_bins,
-                                    support=gs_hat.support))
-        elif method.variance == "mixture":
-            z_iter, var = cows.variance_fn_ml_iterative(basis, data, eff)
-        else:
-            raise ConstructionError(f"unknown variance {method.variance!r}")
-        spec = cows.CowSpec(basis=basis, variance_fn=var,
-                            support=gs_hat.support, n_signal=1, efficiency=eff)
-        cow = cows.build_cow(spec)
-        w = cows.efficiency_corrected_weights(cow, eff, data)[:, 0]
-    else:
-        raise ConstructionError(f"unknown method kind {method.kind!r}")
-
-    hs = _hs_template()
+    hs = Density1D("exponential", [1.5], T_SUPPORT)
     tfit = fit_weighted_ml(t, w, hs, bounds=[(0.05, 20.0)])
     if not tfit.converged:
         raise EvaluationError("weighted t fit did not converge")
     theta = tfit.params
 
     sigma_naive = float(np.sqrt(tfit.covariance[0, 0])) if tfit.covariance is not None else np.nan
-    if method.correction == "none":
-        sigma_corr = sigma_naive
-    elif method.kind == "cow":
-        corr = wcov.corrected_covariance_cow(cow, data, hs, theta, eff=eff)
-        sigma_corr = float(np.sqrt(corr.theta_block[0, 0]))
-    else:
-        use_dw = dW if method.correction == "fixed" else None
-        corr = wcov.corrected_covariance_fixed_shapes(
-            t, w, use_dw, hs, theta,
-            gs=gs_hat, gb=gb_hat, yields=yields, data_m=m)
-        sigma_corr = float(np.sqrt(corr.theta_block[0, 0]))
+    corr = weights.covariance(hs, theta)
+    sigma_corr = sigma_naive if corr is None else float(np.sqrt(corr.theta_block[0, 0]))
 
     est = float(theta[0])
     return {
@@ -533,11 +442,9 @@ def run_toy(config: EnsembleConfig, index: int) -> dict:
     record = {"toy": index, "seed": seed, "ok": True, "methods": {}}
     try:
         ds = generate(spec)
-        need_free = any(ms.fit_shapes or ms.variant == "Ci" for ms in config.methods)
-        need_yonly = any((not ms.fit_shapes) or ms.variant == "Cii" for ms in config.methods)
-        fits = _fit_models(ds, need_free, need_yonly)
-        record["fit_free"] = _fit_summary(fits.get("free"))
-        record["fit_yields_only"] = _fit_summary(fits.get("yields_only"))
+        fits = _fit_models(ds, {ms.fit_shapes for ms in config.methods})
+        record["fit_free"] = _fit_summary(fits.get(True))
+        record["fit_yields_only"] = _fit_summary(fits.get(False))
         record["n"] = spec.n_events
         for ms in config.methods:
             try:

@@ -10,8 +10,8 @@ for the case where the discriminating-variable shapes are known.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

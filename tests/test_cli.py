@@ -255,3 +255,57 @@ class TestOneColumnData:
                          "out_summary": str(ssum)})
         assert cli.main(["cow", "--config", cfg]) == 0
         assert len(json.loads(ssum.read_text())["sum_w"]) == 2
+
+
+class TestMethodResolution:
+    """The method is resolved from the config before any data or toy."""
+
+    @pytest.mark.parametrize("methods", [
+        [{"name": "c", "kind": "cwo"}],
+        [{"name": "c", "kind": "cow", "correction": "fixd"}],
+        [{"name": "a"}, {"name": "a", "variant": "A"}],
+    ], ids=["kind", "correction", "duplicate-name"])
+    def test_bad_toys_method_exits_before_any_toy(self, tmp_path, capsys,
+                                                  monkeypatch, methods):
+        def no_toys(config):
+            raise AssertionError("a toy ran")
+        monkeypatch.setattr(cli, "run_ensemble", no_toys)
+        cfg = write_cfg(tmp_path, "c.json", {
+            "toy": {"study": "simple", "n_events": 300, "z": 0.3},
+            "methods": methods, "n_toys": 2, "out": str(tmp_path / "r.json")})
+        assert cli.main(["toys", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: bad toys config")
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command,cfg,named", [
+        ("pipeline", {"method": "sweights-X"}, "sweights-X"),
+        ("pipeline", {"method": "cow", "cow": {"variance": "qmm"}}, "qmm"),
+        ("pipeline", {"method": "sweight-B"}, "sweight-B"),
+        ("sweights", {"variant": "X"}, "sweights-X"),
+    ])
+    def test_bad_method_reported_before_reading_data(self, tmp_path, capsys,
+                                                     command, cfg, named):
+        cfg = {"data": str(tmp_path / "absent.csv"), "model": MODEL_CFG, **cfg}
+        if command == "pipeline":
+            cfg["control_model"] = CONTROL_CFG
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert cli.main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "cannot read" not in err
+
+    @pytest.mark.parametrize("command", ["sweights", "pipeline"])
+    def test_cii_on_free_shapes_agrees_with_b(self, tmp_path, data_csv, command):
+        free = {**MODEL_CFG, "components": [{**GS_CFG, "free_shape": True},
+                                            {**GB_CFG, "free_shape": True}]}
+        A = {}
+        for variant in ("B", "Cii"):
+            out = tmp_path / f"{variant}.json"
+            cfg = {"data": data_csv, "model": free, "out_summary": str(out)}
+            if command == "pipeline":
+                cfg.update(method=f"sweights-{variant}", control_model=CONTROL_CFG)
+            else:
+                cfg["variant"] = variant
+            assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
+            A[variant] = np.array(json.loads(out.read_text())["W"]["A"])
+        assert np.allclose(A["Cii"], A["B"], rtol=1e-3, atol=0)
