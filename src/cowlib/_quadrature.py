@@ -1,14 +1,16 @@
 """Adaptive Gauss-Kronrod quadrature with vectorized integrand evaluation.
 
 The integrand is evaluated on whole arrays of abscissae at once, which makes
-the scheme fast for numpy-vectorized densities.  Scalar-only callables are
-wrapped transparently.
+the scheme fast for numpy-vectorized densities.  A vector integrand (k rows
+of values) gets k integrals from one shared partition, so each density in it
+is evaluated once per node.  Scalar-only callables are wrapped
+transparently.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -56,35 +58,51 @@ def gauss_legendre(n: int):
     return x, w
 
 
-def _vectorized(f: Callable) -> Callable:
-    probe = np.array([0.5, 0.25])
+def _vectorized(f: Callable, x: np.ndarray):
+    """``f`` as a callable on node arrays, and its values at the nodes ``x``.
+
+    ``f`` may map an array of nodes to one value per node, or to k rows of
+    them (a vector integrand).  Anything else, such as a scalar-only
+    callable, is evaluated point by point.
+    """
     try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return f
+        y = np.asarray(f(x), dtype=float)
+        if y.ndim in (1, 2) and y.shape[-1] == len(x):
+            return f, y
     except Exception:
         pass
-    return lambda x: np.array([f(v) for v in np.atleast_1d(x)], dtype=float)
+
+    def pointwise(xs):
+        return np.array([f(v) for v in xs], dtype=float).T
+
+    return pointwise, pointwise(x)
 
 
-def _gk15(f, lo: np.ndarray, hi: np.ndarray):
-    """Apply the GK15 rule on a batch of intervals.
-
-    Returns (kronrod estimate, error estimate) per interval.
-    """
+def _nodes(lo: np.ndarray, hi: np.ndarray):
+    """Half-widths of a batch of intervals and their GK15 nodes, flattened."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    # shape (n_intervals, 15)
-    x = mid[:, None] + half[:, None] * _XK[None, :]
-    y = f(x.ravel()).reshape(x.shape)
-    if not np.all(np.isfinite(y)):
-        bad = x.ravel()[~np.isfinite(y.ravel())][0]
+    return half, (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
+
+
+def _gk15(y: np.ndarray, x: np.ndarray, half: np.ndarray):
+    """Apply the GK15 rule on a batch of intervals.
+
+    ``y`` holds the integrand at the nodes ``x`` of ``_nodes``, one row per
+    integrand element.  Returns (kronrod estimate, error estimate), each of
+    shape (n_elements, n_intervals).
+    """
+    finite = np.isfinite(y).reshape(-1, len(x))
+    if not np.all(finite):
+        bad = float(x[~finite.all(axis=0)][0])
         raise IntegrationError(
             f"integrand non-finite at m={bad!r}", np.nan, np.inf)
-    k = half * (y @ _WK)
-    g = half * (y[:, _G_IDX] @ _WG)
+    n = len(half)
+    y = y.reshape(-1, 15)  # one row per (element, interval)
+    k = (y @ _WK).reshape(-1, n) * half
+    g = (y[:, _G_IDX] @ _WG).reshape(-1, n) * half
     # scipy-style sharpened error estimate for smooth integrands
-    resabs = half * (np.abs(y) @ _WK)
+    resabs = (np.abs(y) @ _WK).reshape(-1, n) * half
     diff = np.abs(k - g)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(
@@ -100,49 +118,71 @@ def integrate(
     hi: float,
     tol: float = 1e-9,
     points: Optional[Iterable[float]] = None,
-) -> float:
+) -> Union[float, np.ndarray]:
     """Integrate ``f`` over [lo, hi] to absolute accuracy ``tol``.
 
-    ``points`` lists known breakpoints (e.g. density discontinuities); the
-    initial subdivision is split there so each cell is smooth.
+    ``f`` returns one value per node, or an array of shape (k, len(x)) for
+    a vector integrand; then all k integrals share one adaptive partition,
+    each must meet ``tol``, and the result is an array of k values (a float
+    for a scalar integrand).  ``points`` lists known breakpoints (e.g.
+    density discontinuities); the initial subdivision is split there so
+    each cell is smooth.
 
     Raises
     ------
     IntegrationError
         If the error target is not met after the subdivision budget; the
-        exception carries the best estimate.
+        exception carries the best estimate (an array for a vector
+        integrand).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid interval [{lo}, {hi}]")
-    fv = _vectorized(f)
     edges = [lo, hi]
     if points is not None:
         edges.extend(p for p in points if lo < p < hi)
     edges = np.array(sorted(set(edges)))
-    los, his = edges[:-1], edges[1:]
-    vals, errs = _gk15(fv, los, his)
+    half, x = _nodes(edges[:-1], edges[1:])
+    fv, y = _vectorized(f, x)
+    vector = y.ndim == 2
+    v0, e0 = _gk15(y, x, half)
+
+    # intervals live in the first n slots; a split replaces the interval
+    # by its left half and appends the right half
+    n = len(edges) - 1
+    cap = max(2 * n, 64)
+    los, his = np.empty(cap), np.empty(cap)
+    vals, errs = np.empty((len(v0), cap)), np.empty((len(v0), cap))
+    los[:n], his[:n], vals[:, :n], errs[:, :n] = edges[:-1], edges[1:], v0, e0
     for _ in range(MAX_SUBDIVISIONS):
-        total_err = errs.sum()
-        if total_err <= tol:
-            return float(vals.sum())
-        if len(los) >= MAX_SUBDIVISIONS:
+        total_err = errs[:, :n].sum(axis=1)
+        if np.all(total_err <= tol):
+            estimate = vals[:, :n].sum(axis=1)
+            return estimate if vector else float(estimate[0])
+        if n >= MAX_SUBDIVISIONS:
             break
-        # split the worst interval
-        i = int(np.argmax(errs))
+        # split the worst interval of the element furthest over tol
+        e = int(np.argmax(total_err))
+        i = int(np.argmax(errs[e, :n]))
         a, b = los[i], his[i]
         m = 0.5 * (a + b)
         if not (a < m < b):
             break  # interval exhausted at machine precision
-        nlo = np.array([a, m])
-        nhi = np.array([m, b])
-        nv, ne = _gk15(fv, nlo, nhi)
-        los = np.concatenate([np.delete(los, i), nlo])
-        his = np.concatenate([np.delete(his, i), nhi])
-        vals = np.concatenate([np.delete(vals, i), nv])
-        errs = np.concatenate([np.delete(errs, i), ne])
-    estimate = float(vals.sum())
+        half, x = _nodes(np.array([a, m]), np.array([m, b]))
+        nv, ne = _gk15(fv(x), x, half)
+        if n == cap:  # grow by doubling: most integrals need few intervals
+            cap *= 2
+            los, his = np.resize(los, cap), np.resize(his, cap)
+            vals = np.concatenate([vals, np.empty_like(vals)], axis=1)
+            errs = np.concatenate([errs, np.empty_like(errs)], axis=1)
+        his[i], los[n], his[n] = m, m, b
+        vals[:, i], vals[:, n] = nv[:, 0], nv[:, 1]
+        errs[:, i], errs[:, n] = ne[:, 0], ne[:, 1]
+        n += 1
+    estimate = vals[:, :n].sum(axis=1)
+    total_err = errs[:, :n].sum(axis=1)
     raise IntegrationError(
-        f"quadrature did not reach tol={tol:g} (err={errs.sum():.3g})",
-        estimate, float(errs.sum()))
+        f"quadrature did not reach tol={tol:g} (err={total_err.max():.3g})",
+        estimate if vector else float(estimate[0]),
+        total_err if vector else float(total_err[0]))

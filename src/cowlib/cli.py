@@ -310,15 +310,39 @@ COW_DEFAULTS = {"data": None, "basis": None, "n_signal": 1, "support": None,
                 "out_weights": None, "out_summary": None, "seed": 0}
 
 
+def _int_setting(resolved: dict, key: str, minimum: int) -> int:
+    """An integer config value of at least ``minimum``; 2.0 is read as 2."""
+    value = resolved[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise CliInputError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _support_setting(value) -> Interval:
+    """An interval from a config value ``[lo, hi]``."""
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        raise CliInputError(f"'support' must be [lo, hi], got {value!r}")
+    try:
+        return Interval(float(value[0]), float(value[1]))
+    except ConstructionError as exc:
+        raise CliInputError(f"bad 'support': {exc}") from exc
+
+
 def _build_cow_from_cfg(resolved: dict, data: np.ndarray):
     if resolved["support"] is None:
         raise CliInputError("cow config needs a 'support'")
-    support = Interval(*resolved["support"])
-    if not resolved["basis"]:
-        raise CliInputError("cow config needs a nonempty 'basis'")
+    support = _support_setting(resolved["support"])
+    n_signal = _int_setting(resolved, "n_signal", 1)
+    poly_order = _int_setting(resolved, "poly_order", 0)
+    qm_bins = _int_setting(resolved, "qm_bins", 1)
+    if not resolved["basis"] or not isinstance(resolved["basis"], list):
+        raise CliInputError("cow config needs a nonempty 'basis' list")
     basis = [_density_from_cfg(c, support) for c in resolved["basis"]]
-    if resolved["poly_order"] > 0:
-        basis = basis + monomial_basis(resolved["poly_order"] + 1, support)
+    if poly_order > 0:
+        basis = basis + monomial_basis(poly_order + 1, support)
     eff = _efficiency_from_path(resolved["efficiency"])
     if eff is not None and data.shape[1] < 2:
         raise CliInputError("an efficiency map needs (m, t) data; the data have one column")
@@ -326,9 +350,9 @@ def _build_cow_from_cfg(resolved: dict, data: np.ndarray):
              else _density_from_cfg(resolved["signal_proxy"], support))
 
     var = variance_function(resolved["variance"], basis, data[:, :2], eff,
-                            resolved["qm_bins"], support)
+                            qm_bins, support)
     spec = CowSpec(basis=basis, variance_fn=var, support=support,
-                   n_signal=int(resolved["n_signal"]), signal_proxy=proxy,
+                   n_signal=n_signal, signal_proxy=proxy,
                    efficiency=eff)
     return build_cow(spec), eff
 
@@ -438,7 +462,7 @@ def cmd_toys(config: dict, echo: bool, jobs_override: Optional[int] = None) -> i
         methods = [MethodSpec(**m) for m in (resolved["methods"] or [])]
         ens = EnsembleConfig(toy=toy, methods=methods, n_toys=int(resolved["n_toys"]),
                              base_seed=int(resolved["base_seed"]), jobs=int(resolved["jobs"]))
-    except (TypeError, ConstructionError) as exc:
+    except (TypeError, ValueError, ConstructionError) as exc:
         raise CliInputError(f"bad toys config: {exc}") from exc
     if resolved["export_dataset"]:
         ds = generate(ToySpec(**{**toy.to_dict(), "seed": ens.base_seed}))

@@ -184,12 +184,15 @@ def build_cow(spec: CowSpec, tol: float = 1e-9) -> CowSet:
         pts.update(g.breakpoints())
     pts = sorted(pts)
 
+    # the upper triangle of W in one pass: each density once per node batch
+    rows, cols = np.triu_indices(n)
+
+    def f(m):
+        g = np.stack([gk.pdf(m) for gk in basis])
+        return g[rows] * g[cols] / spec.variance_fn(m)
+
     W = np.empty((n, n))
-    for k in range(n):
-        for l in range(k, n):
-            def f(m, gk=basis[k], gl=basis[l]):
-                return gk.pdf(m) * gl.pdf(m) / spec.variance_fn(m)
-            W[k, l] = W[l, k] = integrate(f, spec.support, tol, points=pts)
+    W[rows, cols] = W[cols, rows] = integrate(f, spec.support, tol, points=pts)
 
     cond = np.linalg.cond(W)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:

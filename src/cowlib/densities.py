@@ -55,10 +55,12 @@ class Interval:
 
 
 def integrate(f: Callable, iv: Interval, tol: float = 1e-9,
-              points: Optional[Sequence[float]] = None) -> float:
+              points: Optional[Sequence[float]] = None):
     """Adaptive Gauss-Kronrod integral of ``f`` over ``iv``.
 
-    Deterministic for identical inputs; raises
+    A vector integrand, returning shape (k, len(x)), gives an array of k
+    integrals from one shared partition.  Deterministic for identical
+    inputs; raises
     :class:`~cowlib.errors.IntegrationError` (carrying the best estimate) if
     the absolute error target is not met.
     """

@@ -8,6 +8,7 @@ identity) are reproduced to near machine precision.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -247,6 +248,23 @@ def _default_shape_bounds(density: Density1D):
     return [(-np.inf, np.inf)] * density.n_params
 
 
+def _pdf_memo(density: Density1D, data: np.ndarray, size: int):
+    """``theta -> pdf(data)`` of one mixture component at shape parameters
+    ``theta``, keeping the ``size`` most recently used results.
+
+    A free component with n shape parameters gets 2n^2 + 1 entries: the
+    center and every point of the central-difference Hessian stencil in its
+    own parameters, so probes that move only the yields or another component
+    reuse the stored values.  An empty ``theta`` means the shape is fixed.
+    """
+    @functools.lru_cache(maxsize=size)
+    def values(key: bytes) -> np.ndarray:
+        theta = np.frombuffer(key)
+        return (density.with_params(theta) if theta.size else density).pdf(data)
+
+    return lambda theta: values(theta.tobytes())
+
+
 def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitResult:
     """Maximize the extended log-likelihood over yields and free shape params.
 
@@ -276,13 +294,21 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
     if np.any(init < lower) or np.any(init > upper):
         raise EvaluationError("init outside bounds")
 
-    def densities_at(params):
-        m = _model_at(model, params)
-        return [c.density for c in m.components]
+    # per component: its slice of the parameter vector (empty when the shape
+    # is fixed) and a memo of pdf(data) keyed by that slice
+    slices = [slice(0, 0)] * n_comp
+    off = n_comp
+    for i, npar in layout:
+        slices[i] = slice(off, off + npar)
+        off += npar
+    memos = [_pdf_memo(c.density, data, 2 * c.density.n_params ** 2 + 1 if c.free_shape else 1)
+             for c in model.components]
 
     def comp_values(params):
-        dens = densities_at(params)
-        return np.stack([d.pdf(data) for d in dens])  # (n_comp, N)
+        # a negative yield (a Hessian probe past the bound) is infeasible too
+        if np.any(params[:n_comp] < 0):
+            raise ConstructionError("yields must be >= 0")
+        return np.stack([memo(params[s]) for memo, s in zip(memos, slices)])  # (n_comp, N)
 
     def nll(params):
         # shape proposals inside the box bounds can still be infeasible
@@ -306,20 +332,21 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
         f = np.maximum(f, 1e-300)
         out = np.empty(n_par)
         out[:n_comp] = 1.0 - g @ (1.0 / f)
-        off = n_comp
-        for i, npar in layout:
-            for j in range(npar):
+        for i, _ in layout:
+            s = slices[i]
+            dens = model.components[i].density
+            for off in range(s.start, s.stop):
+                # central difference in one shape parameter of component i
                 h = 1e-6 * max(abs(params[off]), 1.0)
-                pp, pm = params.copy(), params.copy()
-                pp[off] += h
-                pm[off] -= h
+                tp, tm = params[s].copy(), params[s].copy()
+                tp[off - s.start] += h
+                tm[off - s.start] -= h
                 try:
-                    dgi = (densities_at(pp)[i].pdf(data)
-                           - densities_at(pm)[i].pdf(data)) / (2 * h)
+                    dgi = (dens.with_params(tp).pdf(data)
+                           - dens.with_params(tm).pdf(data)) / (2 * h)
                     out[off] = -np.sum(params[i] * dgi / f)
                 except ConstructionError:
                     out[off] = 0.0
-                off += 1
         return out
 
     def polish_yields(params):

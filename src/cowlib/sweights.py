@@ -73,14 +73,13 @@ def compute_W_variant_A(gs: Density1D, gb: Density1D, z: float, iv: Interval,
     _check_fraction(z)
     pts = sorted(set(gs.breakpoints()) | set(gb.breakpoints()))
 
-    def elem(gx, gy):
-        def f(m):
-            den = z * gs.pdf(m) + (1.0 - z) * gb.pdf(m)
-            return gx.pdf(m) * gy.pdf(m) / den
-        return integrate(f, iv, tol, points=pts)
+    def f(m):
+        s, b = gs.pdf(m), gb.pdf(m)
+        den = z * s + (1.0 - z) * b
+        return np.stack([s * s, s * b, b * b]) / den
 
-    W = np.array([[elem(gs, gs), elem(gs, gb)],
-                  [elem(gs, gb), elem(gb, gb)]])
+    ss, sb, bb = integrate(f, iv, tol, points=pts)
+    W = np.array([[ss, sb], [sb, bb]])
     A = _invert_2x2(W)
     return WeightMatrix(W, A, "A", np.array([z, 1.0 - z]))
 

@@ -341,6 +341,10 @@ def generate(spec: ToySpec) -> ToyDataset:
 # ensemble runner
 
 
+# studies whose toys have the (m, t) columns the toy methods analyse
+ANALYSED_STUDIES = ("simple", "nonfactorising")
+
+
 @dataclass
 class EnsembleConfig:
     toy: ToySpec
@@ -350,6 +354,10 @@ class EnsembleConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        if self.methods and self.toy.study not in ANALYSED_STUDIES:
+            raise ConstructionError(
+                f"study {self.toy.study!r} has no control variable t for the toy "
+                f"methods to fit; use one of {ANALYSED_STUDIES}")
         if len({ms.name for ms in self.methods}) != len(self.methods):
             raise ConstructionError(f"duplicate method names in {[m.name for m in self.methods]}")
 

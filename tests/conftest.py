@@ -44,3 +44,37 @@ def sample_box_mixture(rng, n, z=0.5):
     m = rng.random(n)
     m[is_sig] *= 0.5
     return m
+
+
+def count_integrals(monkeypatch, module):
+    """Wrap ``module.integrate``; returns one entry per call, each a list
+    that gets one entry per integrand evaluation (the node batch size)."""
+    calls = []
+    integrate = module.integrate
+
+    def counted(f, *args, **kwargs):
+        evals = []
+        calls.append(evals)
+
+        def g(x):
+            evals.append(len(x))
+            return f(x)
+
+        return integrate(g, *args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", counted)
+    return calls
+
+
+def count_pdf_calls(monkeypatch):
+    """Wrap ``Density1D.pdf``; returns the list of densities it was called on."""
+    from cowlib import Density1D
+    calls = []
+    pdf = Density1D.pdf
+
+    def counted(self, x, extrapolate=False):
+        calls.append(self)
+        return pdf(self, x, extrapolate)
+
+    monkeypatch.setattr(Density1D, "pdf", counted)
+    return calls

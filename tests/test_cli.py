@@ -309,3 +309,48 @@ class TestMethodResolution:
             assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
             A[variant] = np.array(json.loads(out.read_text())["W"]["A"])
         assert np.allclose(A["Cii"], A["B"], rtol=1e-3, atol=0)
+
+
+class TestConfigValidation:
+    """Malformed values exit 1 with an ``error:`` line, not a traceback."""
+
+    @pytest.mark.parametrize("change,named", [
+        ({"toy": {"study": "multicomponent", "n_events": 300}}, "multicomponent"),
+        ({"n_toys": "x"}, "'x'"), ({"base_seed": "x"}, "'x'")],
+        ids=["multicomponent", "n_toys", "base_seed"])
+    def test_bad_toys_setting(self, tmp_path, capsys, monkeypatch, change, named):
+        def no_toys(config):
+            raise AssertionError("a toy ran")
+        monkeypatch.setattr(cli, "run_ensemble", no_toys)
+        cfg = write_cfg(tmp_path, "c.json", {
+            "toy": {"study": "simple", "n_events": 300},
+            "methods": [{"name": "swB", "kind": "sweights", "variant": "B"}],
+            "n_toys": 1, "out": str(tmp_path / "r.json"), **change})
+        assert cli.main(["toys", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad toys config")
+        assert named in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("support", [0, 1, 2]), ("support", "0,1"), ("support", [1.0, 0.0]),
+        ("n_signal", "x"), ("n_signal", 1.5), ("n_signal", 0),
+        ("poly_order", "two"), ("poly_order", -1), ("poly_order", True),
+        ("qm_bins", "50"), ("basis", {"kind": "uniform"})])
+    def test_malformed_cow_setting(self, tmp_path, data_csv, capsys, key, value):
+        cfg = {"data": data_csv, "support": [0.0, 1.0],
+               "basis": [GS_CFG, GB_CFG], "variance": "unity",
+               "out_summary": str(tmp_path / "s.json"), key: value}
+        assert cli.main(["cow", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert key in err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_integral_float_settings_accepted(self, tmp_path, data_csv):
+        ssum = tmp_path / "s.json"
+        cfg = {"data": data_csv, "support": [0, 1], "basis": [GS_CFG],
+               "variance": "unity", "poly_order": 2.0, "n_signal": 1.0,
+               "out_summary": str(ssum)}
+        assert cli.main(["cow", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
+        assert len(json.loads(ssum.read_text())["sum_w"]) == 4

@@ -8,6 +8,7 @@ from cowlib import (ConstructionError, Density1D, EfficiencyMap,
                     EvaluationError, Histogram1D, IllConditionedBasisError,
                     Interval, MixtureComponent, MixtureModel, UNIT_EFFICIENCY,
                     fit_extended_ml, integrate, monomial_basis)
+from cowlib import cows
 from cowlib.cows import (CowSet, CowSpec, HistogramVariance, MixtureVariance,
                          UnityVariance, build_cow, efficiency_corrected_weights,
                          estimate_fractions, variance_fn_ml_iterative,
@@ -15,6 +16,8 @@ from cowlib.cows import (CowSet, CowSpec, HistogramVariance, MixtureVariance,
 from cowlib.sweights import compute_W_variant_A, weight_functions
 from cowlib.toygen import (ToySpec, generate_nonfactorising, generate_simple,
                            simple_truth_densities)
+
+from conftest import count_integrals, count_pdf_calls
 
 HALF_EFF = EfficiencyMap.from_function(
     lambda m, t: np.full(np.broadcast(m, t).shape, 0.5))
@@ -104,6 +107,27 @@ class TestBuildCow:
             val = integrate(lambda x, l=l: cow.w_k(0, x) * basis[l].pdf(x),
                             unit_interval, 1e-9, points=pts)
             assert val == pytest.approx(0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("variance", ["mixture", "histogram"])
+    def test_one_integral_pass(self, unit_interval, monkeypatch, variance):
+        # W is one vector integral; every basis density is evaluated once
+        # per node batch
+        gs, _, _, _ = simple_truth_densities()
+        basis = [gs] + monomial_basis(4, unit_interval)
+        if variance == "mixture":
+            var = MixtureVariance(np.full(5, 0.2), basis)
+        else:
+            m = np.random.default_rng(2).random(500)
+            var = HistogramVariance(Histogram1D.fill(m, np.ones(500), np.linspace(0, 1, 21)))
+        spec = CowSpec(basis=basis, variance_fn=var, support=unit_interval)
+        integrals = count_integrals(monkeypatch, cows)
+        pdf_calls = count_pdf_calls(monkeypatch)
+        cow = build_cow(spec)
+        assert len(integrals) == 1
+        for g in basis:
+            assert sum(d is g for d in pdf_calls) == len(integrals[0]) * (
+                2 if variance == "mixture" else 1)
+        assert np.allclose(cow.A @ cow.W, np.eye(5), atol=1e-8)
 
 
 class TestVarianceFunctions:

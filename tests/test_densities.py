@@ -69,6 +69,84 @@ class TestIntegrate:
         assert exc.value.error >= 0
 
 
+class TestVectorIntegrate:
+    """k integrals on one shared adaptive partition."""
+
+    def test_agrees_with_scalar_calls(self, unit_interval):
+        # the cow basis at polynomial order 5 with a 50-bin histogram
+        # variance: 28 Gram-matrix elements
+        gs = make_density("normal", [0.5, 0.08], unit_interval)
+        basis = [gs] + monomial_basis(6, unit_interval)
+        m = np.random.default_rng(5).random(2000)
+        var = histogram_density(m, None, 50, unit_interval)
+        rows, cols = np.triu_indices(len(basis))
+        tol = 1e-9
+
+        def f(x):
+            g = np.stack([b.pdf(x) for b in basis])
+            return g[rows] * g[cols] / var.pdf(x)
+
+        pts = var.breakpoints()
+        got = integrate(f, unit_interval, tol, points=pts)
+        assert got.shape == (len(rows),)
+        for e, (k, l) in enumerate(zip(rows, cols)):
+            ref = integrate(lambda x: basis[k].pdf(x) * basis[l].pdf(x) / var.pdf(x),
+                            unit_interval, tol, points=pts)
+            assert abs(got[e] - ref) <= tol
+
+    def test_every_element_meets_tol(self, unit_interval):
+        # an easy element first and a narrow peak after it: the partition
+        # must keep refining for the peak after the easy element has converged
+        peak = make_density("normal", [0.37, 0.02], unit_interval)
+        batches = {"vector": 0, "peak": 0}
+
+        def f(x):
+            batches["vector"] += 1
+            return np.stack([np.ones_like(x), peak.pdf(x), 2.0 * x])
+
+        def g(x):
+            batches["peak"] += 1
+            return peak.pdf(x)
+
+        val = integrate(f, unit_interval, 1e-10)
+        assert np.all(np.abs(val - 1.0) <= 1e-10)
+        # only the element over tol drives the splits: the same partition
+        # as the peak alone
+        assert abs(integrate(g, unit_interval, 1e-10) - val[1]) <= 1e-15
+        assert batches["vector"] == batches["peak"] > 1
+
+    def test_result_types(self, unit_interval):
+        scalar = integrate(lambda x: 2.0 * x, unit_interval, 1e-10)
+        assert isinstance(scalar, float)
+        one = integrate(lambda x: (2.0 * x)[None, :], unit_interval, 1e-10)
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert one[0] == pytest.approx(1.0, abs=1e-10)
+
+    def test_scalar_only_vector_integrand(self, unit_interval):
+        # a callable that only takes one point at a time, returning k values
+        val = integrate(lambda x: [1.0, 2.0 * float(x)], unit_interval, 1e-10)
+        assert np.allclose(val, [1.0, 1.0], atol=1e-10)
+
+    def test_failure_carries_array_estimate(self, monkeypatch):
+        import cowlib._quadrature as quadrature
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 40)
+        with pytest.raises(IntegrationError) as exc:
+            integrate(lambda x: np.stack([np.exp(x), 2.0 * x]),
+                      Interval(0.0, 1.0), 1e-300)
+        est, err = exc.value.estimate, exc.value.error
+        assert isinstance(est, np.ndarray) and est.shape == (2,)
+        assert np.allclose(est, [math.e - 1.0, 1.0], rtol=1e-12)
+        assert isinstance(err, np.ndarray) and np.all(err >= 0)
+
+    def test_nonfinite_element_names_point(self, unit_interval):
+        # one element is NaN above m = 0.6; the error names such a node
+        with pytest.raises(IntegrationError, match="non-finite") as exc:
+            integrate(lambda x: np.stack([x, np.where(x > 0.6, np.nan, x)]),
+                      unit_interval, 1e-9)
+        bad = float(str(exc.value).split("m=")[1].rstrip(")"))
+        assert 0.6 < bad < 1.0
+
+
 class TestMakeDensity:
     def test_uniform_is_one(self, unit_interval):
         d = make_density("uniform", [], unit_interval)

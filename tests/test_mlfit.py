@@ -8,7 +8,10 @@ from cowlib import (ConstructionError, Density1D, EvaluationError, Interval,
                     MixtureComponent, MixtureModel, fit_extended_ml,
                     fit_weighted_ml, make_density, numerical_hessian,
                     yields_only_refit)
+from cowlib import mlfit
 from cowlib.toygen import ToySpec, generate_simple, simple_truth_densities
+
+from conftest import count_pdf_calls
 
 
 def two_component_model(n, free=False):
@@ -187,3 +190,181 @@ class TestNumericalHessian:
     def test_nonfinite_objective_names_probe(self):
         with pytest.raises(EvaluationError, match="probe point"):
             numerical_hessian(lambda x: np.log(x[0]), np.array([1e-7]))
+
+
+def reference_fit_extended_ml(data_m, model, init=None):
+    """``fit_extended_ml`` as it was before the per-component pdf memo, kept
+    as the reference: every objective and score call rebuilds the whole
+    model and evaluates every density."""
+    data = np.asarray(data_m, dtype=float)
+    n_comp = len(model.components)
+    layout = mlfit._shape_param_layout(model)
+    n_par = n_comp + sum(npar for _, npar in layout)
+    if init is None:
+        y0 = np.full(n_comp, len(data) / n_comp)
+        init = np.concatenate([y0] + [model.components[i].density.params for i, _ in layout])
+    init = np.asarray(init, dtype=float)
+    bounds = [(0.0, np.inf)] * n_comp
+    for i, _ in layout:
+        bounds.extend(mlfit._default_shape_bounds(model.components[i].density))
+    lower = np.array([b[0] for b in bounds])
+    upper = np.array([b[1] for b in bounds])
+
+    def densities_at(params):
+        return [c.density for c in mlfit._model_at(model, params).components]
+
+    def comp_values(params):
+        return np.stack([d.pdf(data) for d in densities_at(params)])
+
+    def nll(params):
+        try:
+            g = comp_values(params)
+        except ConstructionError:
+            return 1e100
+        f = params[:n_comp] @ g
+        if np.any(f <= 0):
+            return 1e100
+        return float(np.sum(params[:n_comp]) - np.sum(np.log(f)))
+
+    def grad(params):
+        try:
+            g = comp_values(params)
+        except ConstructionError:
+            return np.zeros(n_par)
+        f = np.maximum(params[:n_comp] @ g, 1e-300)
+        out = np.empty(n_par)
+        out[:n_comp] = 1.0 - g @ (1.0 / f)
+        off = n_comp
+        for i, npar in layout:
+            for _ in range(npar):
+                h = 1e-6 * max(abs(params[off]), 1.0)
+                pp, pm = params.copy(), params.copy()
+                pp[off] += h
+                pm[off] -= h
+                try:
+                    dgi = (densities_at(pp)[i].pdf(data)
+                           - densities_at(pm)[i].pdf(data)) / (2 * h)
+                    out[off] = -np.sum(params[i] * dgi / f)
+                except ConstructionError:
+                    out[off] = 0.0
+                off += 1
+        return out
+
+    def polish_yields(params):
+        p = params.copy()
+        g = comp_values(p)
+        best = np.inf
+        for _ in range(50):
+            y = p[:n_comp]
+            f = y @ g
+            if np.any(f <= 0):
+                break
+            S = g @ (1.0 / f) - 1.0
+            worst = np.max(np.abs(S))
+            if worst >= best or worst < 1e-14:
+                break
+            best = worst
+            J = -(g / f ** 2) @ g.T
+            try:
+                step = np.linalg.solve(J, -S)
+            except np.linalg.LinAlgError:
+                break
+            y_new = y + step
+            if np.any(y_new < 0):
+                break
+            p[:n_comp] = y_new
+        return p
+
+    gtol = mlfit.GRAD_TOL_PER_EVENT * max(len(data), 1.0)
+    x, fval, converged, n_calls, counted = mlfit._run_fit(nll, grad, init, lower, upper, gtol)
+    if converged and np.all(x[:n_comp] > 0):
+        x = polish_yields(x)
+        fval = counted(x)
+    flags = []
+    hess = None
+    if converged:
+        try:
+            H_nll = numerical_hessian(counted, x)
+            hess = -H_nll
+            cov = np.linalg.inv(H_nll)
+            cov = 0.5 * (cov + cov.T)
+            if not np.all(np.isfinite(cov)) or np.any(np.diag(cov) <= 0):
+                flags.append("hessian_singular")
+        except mlfit._HESSIAN_ERRORS:
+            flags.append("hessian_singular")
+            hess = None
+    else:
+        flags.append("not_converged")
+    return mlfit.FitResult(params=x, covariance=None, hessian=hess, nll=fval,
+                           converged=converged, n_calls=n_calls, flags=flags)
+
+
+def pure_signal(n, seed):
+    gs, _, _, _ = simple_truth_densities()
+    return gs.sample(np.random.default_rng(seed), n)
+
+
+class TestPdfMemo:
+    """Each density is evaluated once per parameter point, and every value
+    the optimizer sees is bit-identical to the unmemoized fit."""
+
+    @pytest.mark.parametrize("case", [
+        "fixed", "free", "seed-1015-free", "yield-at-bound-fixed", "yield-at-bound-free"])
+    def test_bit_identical_to_reference(self, toy_2000, case):
+        init = None
+        if case.startswith("seed-1015"):
+            m = generate_simple(ToySpec(study="simple", n_events=2000, z=0.2, seed=1015)).m
+        elif case.startswith("yield-at-bound"):
+            # the background yield starts and stays at 0, so the Hessian
+            # probes a negative yield
+            m = pure_signal(500, 3)
+            init = np.array([500.0, 0.0])
+        else:
+            m = toy_2000.m
+        model = two_component_model(len(m), free=case.endswith("free"))
+        if init is not None and case.endswith("free"):
+            init = np.concatenate([init] + [c.density.params for c in model.components])
+        got = fit_extended_ml(m, model, init=init)
+        ref = reference_fit_extended_ml(m, model, init=init)
+        assert np.array_equal(got.params, ref.params)
+        assert got.nll == ref.nll
+        assert got.n_calls == ref.n_calls
+        assert got.converged == ref.converged
+        assert got.flags == ref.flags
+        if ref.hessian is None:
+            assert got.hessian is None
+        else:
+            assert np.array_equal(got.hessian, ref.hessian)
+        if case.startswith("seed-1015"):
+            assert not got.converged
+        if case.startswith("yield-at-bound"):
+            assert got.params[1] == 0.0
+
+    def test_fixed_shapes_evaluate_each_pdf_once(self, toy_2000, monkeypatch):
+        calls = count_pdf_calls(monkeypatch)
+        fit = fit_extended_ml(toy_2000.m, two_component_model(2000))
+        assert fit.converged and fit.n_calls > 10
+        gs, gb = (c.density for c in fit.model.components)
+        assert len(calls) == 2
+        assert calls[0] is gs and calls[1] is gb
+
+    def test_hessian_evaluates_each_stencil_point_once(self, toy_2000, monkeypatch):
+        # a free component with n shape parameters has 2n^2 + 1 distinct
+        # parameter points on the Hessian stencil; probes that move only the
+        # yields or the other component reuse them
+        pdf_calls = count_pdf_calls(monkeypatch)
+        per_hessian = []
+        hessian = mlfit.numerical_hessian
+
+        def counted(objective, params, *args, **kwargs):
+            before = len(pdf_calls)
+            out = hessian(objective, params, *args, **kwargs)
+            per_hessian.append(len(pdf_calls) - before)
+            return out
+
+        monkeypatch.setattr(mlfit, "numerical_hessian", counted)
+        model = two_component_model(2000, free=True)
+        fit = fit_extended_ml(toy_2000.m, model)
+        assert fit.converged and per_hessian
+        stencil = sum(2 * c.density.n_params ** 2 + 1 for c in model.components)
+        assert max(per_hessian) <= stencil

@@ -8,10 +8,11 @@ from cowlib import (EvaluationError, FitResult, Interval, MixtureComponent,
                     compute_W_variant_A, compute_W_variant_B,
                     compute_W_variant_C, fit_extended_ml, integrate,
                     weight_functions)
+from cowlib import sweights
 from cowlib.sweights import WeightMatrix
 from cowlib.toygen import ToySpec, generate_simple, simple_truth_densities
 
-from conftest import sample_box_mixture
+from conftest import count_integrals, count_pdf_calls, sample_box_mixture
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,15 @@ class TestVariantA:
         for z in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(EvaluationError):
                 compute_W_variant_A(gs, gb, z, unit_interval)
+
+    def test_one_integral_pass(self, unit_interval, monkeypatch):
+        gs, gb, _, _ = simple_truth_densities()
+        integrals = count_integrals(monkeypatch, sweights)
+        pdf_calls = count_pdf_calls(monkeypatch)
+        wm = compute_W_variant_A(gs, gb, 0.3, unit_interval)
+        assert len(integrals) == 1
+        assert len(pdf_calls) == 2 * len(integrals[0])
+        assert np.allclose(wm.A @ wm.W, np.eye(2), atol=1e-10)
 
 
 class TestVariantB:
