@@ -17,6 +17,8 @@ import numpy as np
 from .errors import IntegrationError
 
 MAX_SUBDIVISIONS = 2 ** 15
+# no interval's error estimate is below this fraction of its integral
+ERR_FLOOR_REL = 1e-15
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
 _XK = np.array([
@@ -108,7 +110,7 @@ def _gk15(y: np.ndarray, x: np.ndarray, half: np.ndarray):
         scaled = np.where(
             resabs > 0, np.minimum(1.0, (200.0 * diff / np.maximum(resabs, 1e-300)) ** 1.5), 0.0)
     err = np.where(resabs > 0, resabs * scaled, diff)
-    err = np.maximum(err, np.abs(k) * 1e-15)
+    err = np.maximum(err, np.abs(k) * ERR_FLOOR_REL)
     return k, err
 
 
@@ -131,7 +133,9 @@ def integrate(
     Raises
     ------
     IntegrationError
-        If the error target is not met after the subdivision budget; the
+        If the error target is not met after the subdivision budget, or
+        cannot be met because it lies below the error floor of
+        ``ERR_FLOOR_REL`` times the summed |integral| of the intervals; the
         exception carries the best estimate (an array for a vector
         integrand).
     """
@@ -162,8 +166,13 @@ def integrate(
             return estimate if vector else float(estimate[0])
         if n >= MAX_SUBDIVISIONS:
             break
-        # split the worst interval of the element furthest over tol
+        # split the worst interval of the element furthest over tol, unless
+        # the error floor of that element alone exceeds tol: splitting
+        # cannot lower the summed |integral| of its intervals by more than
+        # their estimates move, which is at most their error
         e = int(np.argmax(total_err))
+        if ERR_FLOOR_REL * (np.abs(vals[e, :n]).sum() - total_err[e]) > tol:
+            break
         i = int(np.argmax(errs[e, :n]))
         a, b = los[i], his[i]
         m = 0.5 * (a + b)

@@ -179,11 +179,21 @@ def write_csv(path: str, names: List[str], data: np.ndarray):
 # ---------------------------------------------------------------------------
 # config plumbing
 
+# config keys whose value names a file
+_PATH_KEYS = ("data", "weights", "efficiency", "out", "out_weights",
+              "out_summary", "out_covariance", "export_dataset")
+
+
 def _resolve(config: dict, defaults: dict, context: str) -> dict:
+    if not isinstance(config, dict):
+        raise CliInputError(
+            f"{context} config must be a JSON object, not {type(config).__name__}")
     out = dict(defaults)
     for key, val in config.items():
         if key not in defaults:
             raise CliInputError(f"unknown {context} config key {key!r}")
+        if key in _PATH_KEYS and val is not None and not isinstance(val, str):
+            raise CliInputError(f"{context} config key {key!r} must be a file path, got {val!r}")
         out[key] = val
     return out
 
@@ -226,7 +236,7 @@ def _model_from_cfg(cfg: dict, n_events: int) -> MixtureModel:
     except (KeyError, TypeError, ConstructionError) as exc:
         raise CliInputError(f"model config needs a valid 'support': {exc}") from exc
     comps_cfg = cfg.get("components")
-    if not comps_cfg or len(comps_cfg) < 2:
+    if not isinstance(comps_cfg, list) or len(comps_cfg) < 2:
         raise CliInputError("model config needs at least two components")
     comps = []
     for i, c in enumerate(comps_cfg):
@@ -238,7 +248,7 @@ def _model_from_cfg(cfg: dict, n_events: int) -> MixtureModel:
         yields = [n_events / len(comps)] * len(comps)
     try:
         return MixtureModel(comps, np.asarray(yields, dtype=float))
-    except ConstructionError as exc:
+    except (ConstructionError, TypeError, ValueError) as exc:
         raise CliInputError(f"bad model config: {exc}") from exc
 
 
@@ -286,9 +296,9 @@ def cmd_sweights(config: dict, echo: bool) -> int:
         raise CliInputError("sweights config needs 'data' and 'model'")
     spec = MethodSpec(f"sweights-{resolved['variant']}", variant=resolved["variant"])
     names, data = read_csv(resolved["data"], min_cols=1)
-    if len(resolved["model"].get("components", [])) != 2:
-        raise CliInputError("sweights needs a two-component model")
     model = _model_from_cfg(resolved["model"], data.shape[0])
+    if len(model.components) != 2:
+        raise CliInputError("sweights needs a two-component model")
     fit = fit_extended_ml(data[:, 0], model)
     if not fit.converged:
         return EXIT_NONCONVERGENCE
@@ -459,6 +469,8 @@ def cmd_toys(config: dict, echo: bool, jobs_override: Optional[int] = None) -> i
         raise CliInputError("toys config needs a 'toy' spec")
     try:
         toy = ToySpec(**resolved["toy"])
+        if not isinstance(toy.params, dict):
+            raise TypeError(f"'params' must be an object, got {toy.params!r}")
         methods = [MethodSpec(**m) for m in (resolved["methods"] or [])]
         ens = EnsembleConfig(toy=toy, methods=methods, n_toys=int(resolved["n_toys"]),
                              base_seed=int(resolved["base_seed"]), jobs=int(resolved["jobs"]))
@@ -589,6 +601,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_json(args.config)
+        if not isinstance(config, dict):
+            raise CliInputError(
+                f"{args.config}: config must be a JSON object, not {type(config).__name__}")
         if args.command == "toys":
             if args.out is not None:
                 config["out"] = args.out

@@ -153,10 +153,14 @@ class CowSet:
         m = np.atleast_1d(np.asarray(m, dtype=float))
         return np.stack([g.pdf(m) for g in self._basis])  # (n, len(m))
 
-    def weights(self, m) -> np.ndarray:
-        """All weight functions at m; shape (len(m), n_components)."""
+    def weights(self, m, gv: Optional[np.ndarray] = None) -> np.ndarray:
+        """All weight functions at m; shape (len(m), n_components).
+
+        ``gv`` may pass in ``basis_values(m)`` when the caller has it.
+        """
         m = np.atleast_1d(np.asarray(m, dtype=float))
-        gv = self.basis_values(m)
+        if gv is None:
+            gv = self.basis_values(m)
         I = np.asarray(self.spec.variance_fn(m), dtype=float)
         if np.any(I <= 0):
             raise EvaluationError("variance function non-positive at evaluation point")

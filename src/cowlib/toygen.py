@@ -10,10 +10,12 @@ parallel.
 
 from __future__ import annotations
 
+import functools
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -276,16 +278,23 @@ def _accept_reject_2d(rng, fn, n, envelope) -> Tuple[np.ndarray, np.ndarray]:
     return out_m[:n], out_t[:n]
 
 
-def generate_nonfactorising(spec: ToySpec) -> ToyDataset:
-    """Coupled background plus a smooth non-factorising efficiency.
+@dataclass(frozen=True)
+class _NonfactSetup:
+    """The seed-independent part of :func:`generate_nonfactorising`."""
 
-    The returned dataset carries the exact efficiency map used and the truth
-    callables, so tests can integrate the generator density directly.
-    """
-    rng = _rng(spec.seed)
-    truth = _NonfactTruth(spec.params)
-    z = spec.z
-    use_eff = spec.efficiency
+    truth: _NonfactTruth
+    eff: Callable
+    det_sig: float
+    det_bkg: float
+    rho_sig: Callable
+    rho_bkg: Callable
+    env_sig: float
+    env_bkg: float
+    eff_map: Optional[EfficiencyMap]
+
+
+def _nonfact_setup(params, use_eff: bool) -> _NonfactSetup:
+    truth = _NonfactTruth(params)
 
     def eff(m, t):
         if use_eff:
@@ -300,11 +309,6 @@ def generate_nonfactorising(spec: ToySpec) -> ToyDataset:
     w2d = np.outer(w, w) * (0.25 * M_SUPPORT.width * T_SUPPORT.width)
     det_sig = float(np.sum(eff(M, T) * truth.f_sig(M, T) * w2d))
     det_bkg = float(np.sum(eff(M, T) * truth.f_bkg(M, T) * w2d))
-    z_obs = z * det_sig / (z * det_sig + (1 - z) * det_bkg)
-
-    n = spec.n_events
-    is_sig = rng.random(n) < z_obs
-    n_sig = int(np.sum(is_sig))
 
     def rho_sig(m, t):
         return eff(m, t) * truth.f_sig(m, t)
@@ -312,21 +316,56 @@ def generate_nonfactorising(spec: ToySpec) -> ToyDataset:
     def rho_bkg(m, t):
         return eff(m, t) * truth.f_bkg(m, t)
 
-    env_sig = 1.2 * _grid_max(rho_sig)
-    env_bkg = 1.2 * _grid_max(rho_bkg)
-    m = np.empty(n)
-    t = np.empty(n)
-    m[is_sig], t[is_sig] = _accept_reject_2d(rng, rho_sig, n_sig, env_sig)
-    m[~is_sig], t[~is_sig] = _accept_reject_2d(rng, rho_bkg, n - n_sig, env_bkg)
-
     eff_map = (EfficiencyMap.from_function(truth.eff, tag="nonfactorising")
                if use_eff else None)
-    D = z * det_sig + (1 - z) * det_bkg
+    return _NonfactSetup(truth, eff, det_sig, det_bkg, rho_sig, rho_bkg,
+                         1.2 * _grid_max(rho_sig), 1.2 * _grid_max(rho_bkg),
+                         eff_map)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_nonfact_setup(params: frozenset, use_eff: bool) -> _NonfactSetup:
+    return _nonfact_setup(dict((k, v) for k, _, v in params), use_eff)
+
+
+def _nonfact_setup_for(params, use_eff: bool) -> _NonfactSetup:
+    """The set-up of a study, made once per process for every (params,
+    efficiency) whose params are plain numbers; every toy of an ensemble
+    shares it, truth object and efficiency map included, so they are
+    read-only.  Other params are passed through as given."""
+    if isinstance(params, dict) and all(isinstance(v, numbers.Real)
+                                        for v in params.values()):
+        key = frozenset((k, type(v), v) for k, v in params.items())
+        return _cached_nonfact_setup(key, bool(use_eff))
+    return _nonfact_setup(params, use_eff)
+
+
+def generate_nonfactorising(spec: ToySpec) -> ToyDataset:
+    """Coupled background plus a smooth non-factorising efficiency.
+
+    The returned dataset carries the exact efficiency map used and the truth
+    callables, so tests can integrate the generator density directly.
+    """
+    rng = _rng(spec.seed)
+    st = _nonfact_setup_for(spec.params, spec.efficiency)
+    z = spec.z
+    z_obs = z * st.det_sig / (z * st.det_sig + (1 - z) * st.det_bkg)
+
+    n = spec.n_events
+    is_sig = rng.random(n) < z_obs
+    n_sig = int(np.sum(is_sig))
+    m = np.empty(n)
+    t = np.empty(n)
+    m[is_sig], t[is_sig] = _accept_reject_2d(rng, st.rho_sig, n_sig, st.env_sig)
+    m[~is_sig], t[~is_sig] = _accept_reject_2d(rng, st.rho_bkg, n - n_sig, st.env_bkg)
+
+    D = z * st.det_sig + (1 - z) * st.det_bkg
+    truth = st.truth
     info = {"z": z, "z_obs": z_obs, "slope": TRUE_SLOPE, "gs": truth.gs,
             "hs": truth.hs, "f_sig": truth.f_sig, "f_bkg": truth.f_bkg,
-            "eff": eff, "D": D, "nonfact": truth}
+            "eff": st.eff, "D": D, "nonfact": truth}
     return ToyDataset(np.column_stack([m, t]), ["m", "t"],
-                      np.where(is_sig, 0, 1), efficiency=eff_map, truth=info)
+                      np.where(is_sig, 0, 1), efficiency=st.eff_map, truth=info)
 
 
 def generate(spec: ToySpec) -> ToyDataset:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._quadrature import gauss_legendre
-from .densities import Density1D
+from .densities import ZERO_BIN_FLOOR, Density1D
 from .errors import EvaluationError
 
 __all__ = [
@@ -108,6 +108,8 @@ class CorrectedCovariance:
     inverse Hessian of the weighted likelihood for comparison.  On the
     fixed-shape path ``first_term`` and ``reduction_term`` are the two pieces
     of the correction (the reduction is PSD and is subtracted).
+    ``boot_kept`` counts the bootstrap replicas that entered the score
+    covariance of a histogram-variance cow; it is not part of ``to_dict``.
     """
 
     theta_block: np.ndarray
@@ -115,6 +117,7 @@ class CorrectedCovariance:
     full: Optional[np.ndarray] = None
     first_term: Optional[np.ndarray] = None
     reduction_term: Optional[np.ndarray] = None
+    boot_kept: Optional[int] = None
 
     def to_dict(self) -> dict:
         def arr(a):
@@ -216,13 +219,14 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     weight matrix per replica, which captures the (strongly nonlinear)
     response of the weights to the bin contents.  Replicas are cheap
     because the histogram variance function is piecewise constant, so the
-    weight matrix is an exact sum of per-bin basis integrals.  They are
-    processed in blocks of whole-array operations, and their Poisson
+    weight matrix is an exact sum of per-bin basis integrals, and each
+    replica's score is a sum over bins of per-bin score sums, which one
+    matrix product per bin gives for all replicas at once.  The Poisson
     multiplicities depend only on (N, n_boot, boot_seed), so a small set
-    of them is drawn once per process and reused.
+    of them is drawn once per process and reused.  ``boot_kept`` of the
+    result counts the replicas used.
     """
     from .cows import HistogramVariance
-    from .densities import ZERO_BIN_FLOOR
 
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
@@ -239,7 +243,8 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
         if np.any(e <= 0):
             raise EvaluationError("efficiency must be positive at all data points")
         inv_e = 1.0 / e
-    w_m = cow.weights(m)[:, :n_sig].sum(axis=1)    # weight function values
+    G = cow.basis_values(m)                        # (nb, N)
+    w_m = cow.weights(m, G)[:, :n_sig].sum(axis=1)  # weight function values
     w = w_m * inv_e                                # fit weights
 
     d1 = _log_derivs1(hs_model, t, theta)          # (p, N)
@@ -250,6 +255,7 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
         raise EvaluationError("weighted Hessian is singular") from exc
 
     var = cow.spec.variance_fn
+    boot_kept = None
     if isinstance(var, HistogramVariance):
         if n_boot < 2:
             raise EvaluationError("n_boot must be at least 2")
@@ -267,40 +273,22 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
         gv = gv.reshape(nb, nbins, quad_points)
         B = np.einsum("kjq,ljq,q,j->klj", gv, gv, gq, half)
 
-        G = cow.basis_values(m)                    # (nb, N)
+        # events sorted by bin (stably, so each bin keeps event order); the
+        # events of bin j are rows bounds[j]:bounds[j+1]
         jidx = np.clip(np.searchsorted(edges, m, side="right") - 1, 0, nbins - 1)
-        fill = inv_e ** 2                          # histogram fill weights
-
+        order = np.argsort(jidx, kind="stable")
+        bounds = np.searchsorted(jidx[order], np.arange(nbins + 1))
+        fill = (inv_e ** 2)[order]                 # histogram fill weights
         # the score of replica r is sum_i mult_ri w_r(m_i) d1_i / eff_i with
         # w_r(m) = a_r . g(m) / I_r(m); summed bin by bin, 1/I_r is a factor
-        p = len(theta)
-        Gd = (G[:, None, :] * (inv_e * d1)).reshape(nb, p * n)
-        # bincount labels: bin j of row q (a replica, or a replica and a
-        # score component) is j + nbins * q
-        labels = jidx + nbins * np.arange(_block_rows(n) * p)[:, None]
-        score_blocks = []
-        for mult in _multiplicity_blocks(n, n_boot, boot_seed):
-            r = len(mult)
-            raw = np.bincount(labels[:r].ravel(), weights=(mult * fill).ravel(),
-                              minlength=r * nbins).reshape(r, nbins)
-            filled = raw > 0
-            keep = filled.any(axis=1)            # a replica with no event is skipped
-            if not keep.all():
-                raw, filled, mult = raw[keep], filled[keep], mult[keep]
-            floor = np.where(filled, raw, np.inf).min(axis=1, keepdims=True)
-            raw = np.where(filled, raw, floor * ZERO_BIN_FLOOR)
-            I_bins = raw / (widths * raw.sum(axis=1, keepdims=True))
-            A, ok = _inverses(np.einsum("klj,rj->rkl", B, 1.0 / I_bins))
-            if not ok.all():
-                A, I_bins, mult = A[ok], I_bins[ok], mult[ok]
-            r = len(mult)
-            terms = (A[:, :n_sig].sum(axis=1) @ Gd).reshape(r, p, n) * mult[:, None, :]
-            S = np.bincount(labels[:r * p].ravel(), weights=terms.ravel(),
-                            minlength=r * p * nbins).reshape(r, p, nbins)
-            score_blocks.append((S / I_bins[:, None, :]).sum(axis=2))
-        scores = np.concatenate(score_blocks)
-        kept = len(scores)
-        if kept < 2:
+        # of the per-bin sums of the rows of Y = g d1 / eff, shape (N, nb p)
+        Y = (G[:, None, :] * (inv_e * d1)).reshape(-1, n).T[order]
+        rows = max(1, BOOT_BLOCK_ELEMENTS // n_boot)  # events per chunk
+        scores = np.concatenate([
+            _replica_scores(mult, order, bounds, fill, Y, B, widths, n_sig, rows)
+            for mult in _multiplicity_blocks(n, n_boot, boot_seed)])
+        boot_kept = len(scores)
+        if boot_kept < 2:
             raise EvaluationError("bootstrap score covariance unavailable")
         CS = np.cov(scores.T, ddof=1).reshape(len(theta), len(theta))
     else:
@@ -313,7 +301,8 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     first = Hinv @ Hp @ Hinv.T
     return CorrectedCovariance(theta_block=theta_block,
                                naive=_naive_covariance(H),
-                               first_term=0.5 * (first + first.T))
+                               first_term=0.5 * (first + first.T),
+                               boot_kept=boot_kept)
 
 
 def _inverses(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -336,8 +325,55 @@ def _inverses(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return A, ok
 
 
-def _block_rows(n: int) -> int:
-    return max(1, BOOT_BLOCK_ELEMENTS // max(n, 1))
+def _replica_scores(X: np.ndarray, order: np.ndarray, bounds: np.ndarray,
+                    fill: np.ndarray, Y: np.ndarray, B: np.ndarray,
+                    widths: np.ndarray, n_sig: int, rows: int) -> np.ndarray:
+    """Bootstrap scores of the replicas in the columns of ``X``.
+
+    ``X`` holds the multiplicities, one row per event; ``order`` sorts the
+    events by bin, and the sorted events of bin j, at positions
+    bounds[j]:bounds[j+1], have fill weights ``fill`` and score rows ``Y``
+    (N, nb p).  Bins are taken in chunks of at most ``rows`` events.
+    Replicas that draw no event or whose weight matrix is singular are left
+    out; returns (kept, p).
+    """
+    r = X.shape[1]
+    nbins = len(bounds) - 1
+    buf = np.empty((min(rows, len(X)), r))
+    raw = np.zeros((r, nbins))
+    # 1/I_rj = widths_j S_r / raw_rj in a bin that replica r fills, where S_r
+    # is its total bin content; T_r gathers sum_j (Y_j^T X_j)_r widths_j / raw_rj
+    T = np.zeros((Y.shape[1], r))
+    factor = np.empty(r)
+    for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if a == b:
+            continue
+        M = acc = 0.0
+        for c in range(a, b, rows):
+            ev = slice(c, min(c + rows, b))
+            Xf = buf[:ev.stop - c]
+            Xf[...] = X[order[ev]]
+            M = M + Y[ev].T @ Xf
+            # the bin contents are summed event by event, as np.bincount
+            # does, so they reproduce a per-replica histogram fill exactly
+            Xf *= fill[ev, None]
+            Xf[0] += acc
+            acc = Xf.sum(axis=0)
+        raw[:, j] = acc
+        factor[:] = 0.0    # a replica that leaves bin j empty has M = 0 there
+        np.divide(widths[j], acc, out=factor, where=acc > 0)
+        T += M * factor
+    filled = raw > 0
+    keep = np.flatnonzero(filled.any(axis=1))  # a replica with no event is skipped
+    raw, filled = raw[keep], filled[keep]
+    floor = np.where(filled, raw, np.inf).min(axis=1, keepdims=True)
+    raw = np.where(filled, raw, floor * ZERO_BIN_FLOOR)
+    total = raw.sum(axis=1, keepdims=True)
+    I_bins = raw / (widths * total)
+    A, ok = _inverses(np.einsum("klj,rj->rkl", B, 1.0 / I_bins))
+    nb = len(B)
+    T = T[:, keep[ok]].reshape(nb, Y.shape[1] // nb, -1) * total[ok, 0]
+    return np.einsum("rk,kpr->rp", A[ok][:, :n_sig].sum(axis=1), T)
 
 
 def _poisson_rows(n: int, n_boot: int, seed: int):
@@ -345,40 +381,41 @@ def _poisson_rows(n: int, n_boot: int, seed: int):
     row blocks of at most BOOT_BLOCK_ELEMENTS; the blocks concatenate to the
     stream of n_boot separate ``poisson(1.0, size=n)`` draws."""
     rng = np.random.default_rng(seed)
-    rows = _block_rows(n)
+    rows = max(1, BOOT_BLOCK_ELEMENTS // max(n, 1))
     for r0 in range(0, n_boot, rows):
         yield rng.poisson(1.0, size=(min(rows, n_boot - r0), n))
 
 
 @functools.lru_cache(maxsize=1)
 def _multiplicities(n: int, n_boot: int, seed: int) -> np.ndarray:
-    """All multiplicities of :func:`_poisson_rows` as one read-only matrix.
+    """All multiplicities of :func:`_poisson_rows` as one read-only
+    (n_boot, n) matrix.
 
     Every toy of an ensemble and every method of a toy bootstraps with the
     same (n, n_boot, seed), so the draw is made once per process.  Stored
-    as uint8 unless a count exceeds 255.
+    event-major (the result is the transpose of a C-contiguous (n, n_boot)
+    array), so that gathering the events of a bin copies whole rows, and as
+    uint8 unless a count exceeds 255.
     """
-    out = np.empty((n_boot, n), dtype=np.uint8)
+    out = np.empty((n, n_boot), dtype=np.uint8)
     r0 = 0
     for block in _poisson_rows(n, n_boot, seed):
         if block.max() > np.iinfo(out.dtype).max:
             out = out.astype(np.int64)
-        out[r0:r0 + len(block)] = block
+        out[:, r0:r0 + len(block)] = block.T
         r0 += len(block)
     out.flags.writeable = False
-    return out
+    return out.T
 
 
 def _multiplicity_blocks(n: int, n_boot: int, seed: int):
-    """Row blocks of the bootstrap multiplicities, from the per-process
-    cache when the whole matrix is small, drawn afresh otherwise."""
+    """Event-major (n, r) blocks of the bootstrap multiplicities: the whole
+    per-process cache when it is small, row blocks drawn afresh otherwise."""
     if n * n_boot > BOOT_CACHE_ELEMENTS:
-        yield from _poisson_rows(n, n_boot, seed)
+        for block in _poisson_rows(n, n_boot, seed):
+            yield block.T
         return
-    mult = _multiplicities(n, n_boot, seed)
-    rows = _block_rows(n)
-    for r0 in range(0, n_boot, rows):
-        yield mult[r0:r0 + rows]
+    yield _multiplicities(n, n_boot, seed).T
 
 
 @dataclass

@@ -354,3 +354,74 @@ class TestConfigValidation:
                "out_summary": str(ssum)}
         assert cli.main(["cow", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
         assert len(json.loads(ssum.read_text())["sum_w"]) == 4
+
+
+class TestConfigShape:
+    """Configs of the wrong JSON shape exit 1 with an ``error:`` line."""
+
+    @pytest.mark.parametrize("command", ["fit", "sweights", "pipeline",
+                                         "correct", "check-independence",
+                                         "cow", "toys"])
+    @pytest.mark.parametrize("top", [[1, 2], 3, "x", None],
+                             ids=["array", "number", "string", "null"])
+    def test_top_level_not_an_object(self, tmp_path, capsys, command, top):
+        cfg = write_cfg(tmp_path, "c.json", top)
+        assert cli.main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "must be a JSON object" in err
+
+    def test_toys_out_override_on_an_array(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", [1, 2])
+        assert cli.main(["toys", "--config", cfg,
+                         "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("model", ["x", [1, 2], {**MODEL_CFG, "components": "x"},
+                                       {**MODEL_CFG, "yields": "x"},
+                                       {**MODEL_CFG, "yields": {"a": 1}}],
+                             ids=["string", "array", "components", "yields",
+                                  "yields-object"])
+    @pytest.mark.parametrize("command", ["fit", "sweights", "pipeline"])
+    def test_malformed_model(self, tmp_path, data_csv, capsys, command, model):
+        cfg = {"data": data_csv, "model": model, "control_model": CONTROL_CFG,
+               "out_summary": str(tmp_path / "s.json")}
+        if command == "fit":
+            cfg = {"data": data_csv, "model": model, "out": str(tmp_path / "s.json")}
+        elif command == "sweights":
+            del cfg["control_model"]
+        assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "s.json").exists()
+
+    def test_sweights_three_components_rejected(self, tmp_path, data_csv, capsys):
+        model = {**MODEL_CFG, "components": [GS_CFG, GB_CFG, GB_CFG],
+                 "yields": [500.0, 500.0, 1000.0]}
+        cfg = {"data": data_csv, "model": model,
+               "out_summary": str(tmp_path / "s.json")}
+        assert cli.main(["sweights", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        assert "two-component" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", [
+        ("fit", "data"), ("fit", "out"), ("sweights", "out_weights"),
+        ("pipeline", "out_covariance"), ("check-independence", "data"),
+        ("correct", "weights"), ("cow", "efficiency"), ("toys", "export_dataset")])
+    def test_path_that_is_not_a_string(self, tmp_path, capsys, command, key):
+        cfg = write_cfg(tmp_path, "c.json", {key: [1]})
+        assert cli.main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{key!r} must be a file path" in err
+
+    def test_pipeline_cow_block_not_an_object(self, tmp_path, data_csv, capsys):
+        cfg = {"data": data_csv, "model": MODEL_CFG, "method": "cow",
+               "cow": "x", "control_model": CONTROL_CFG}
+        assert cli.main(["pipeline", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        assert "pipeline cow config must be a JSON object" in capsys.readouterr().err
+
+    def test_toy_params_not_an_object(self, tmp_path, capsys):
+        cfg = {"toy": {"study": "nonfactorising", "n_events": 100, "params": "x"},
+               "methods": [{"name": "swB", "kind": "sweights", "variant": "B"}],
+               "out": str(tmp_path / "r.json")}
+        assert cli.main(["toys", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad toys config")

@@ -61,12 +61,63 @@ class TestIntegrate:
         assert a == b
 
     def test_failure_carries_estimate(self):
-        # below the machine-precision error floor the subdivision budget runs
-        # out; the exception must still carry the best estimate
+        # below the machine-precision error floor the target cannot be met;
+        # the exception must still carry the best estimate
         with pytest.raises(IntegrationError) as exc:
             integrate(np.exp, Interval(0.0, 1.0), 1e-300)
         assert exc.value.estimate == pytest.approx(math.e - 1.0, rel=1e-12)
         assert exc.value.error >= 0
+
+
+class TestIntegrateErrorFloor:
+    """A tol below the error floor (1e-15 of the summed |integral|) raises
+    once the estimates are good enough to show it, not after the whole
+    subdivision budget."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(x):
+            calls.append(len(x))
+            return f(x)
+
+        return g, calls
+
+    def test_smooth_integrand_raises_at_once(self):
+        from cowlib._quadrature import integrate as raw_integrate
+        f, calls = self.counted(np.exp)
+        with pytest.raises(IntegrationError) as exc:
+            raw_integrate(f, 0.0, 1.0, 1e-300)
+        assert len(calls) == 1
+        assert exc.value.estimate == pytest.approx(math.e - 1.0, rel=1e-12)
+
+    def test_vector_integrand_raises_at_once(self):
+        from cowlib._quadrature import integrate as raw_integrate
+        f, calls = self.counted(lambda x: np.stack([np.exp(x), x]))
+        with pytest.raises(IntegrationError) as exc:
+            raw_integrate(f, 0.0, 1.0, 1e-300)
+        assert len(calls) == 1
+        assert exc.value.estimate == pytest.approx([math.e - 1.0, 0.5], rel=1e-12)
+
+    def test_unresolved_peak_is_refined_before_raising(self):
+        # the first rule misses most of a narrow peak; its floor only shows
+        # once some splits have found the peak, far inside the budget
+        from cowlib._quadrature import MAX_SUBDIVISIONS
+        from cowlib._quadrature import integrate as raw_integrate
+        peak = lambda x: np.exp(-0.5 * ((x - 0.3) / 1e-3) ** 2) / (1e-3 * math.sqrt(2 * math.pi))
+        f, calls = self.counted(peak)
+        with pytest.raises(IntegrationError) as exc:
+            raw_integrate(f, 0.0, 1.0, 1e-17)
+        assert 1 < len(calls) < MAX_SUBDIVISIONS // 100
+        assert abs(exc.value.estimate - 1.0) <= exc.value.error
+
+    def test_target_just_above_the_floor_still_met(self):
+        from cowlib._quadrature import integrate as raw_integrate
+        peak = lambda x: np.exp(-0.5 * ((x - 0.3) / 1e-3) ** 2) / (1e-3 * math.sqrt(2 * math.pi))
+        assert raw_integrate(peak, 0.0, 1.0, 1e-13) == pytest.approx(1.0, abs=1e-13)
+        assert raw_integrate(np.exp, 0.0, 1.0, 1e-14) == pytest.approx(math.e - 1.0,
+                                                                       abs=1e-14)
 
 
 class TestVectorIntegrate:

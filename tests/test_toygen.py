@@ -120,6 +120,76 @@ class TestNonfactorisingGenerator:
                               generate_nonfactorising(spec).data)
 
 
+class TestNonfactSetupCache:
+    """The seed-independent set-up of the non-factorising study is made
+    once per process for each (params, efficiency)."""
+
+    SPECS = [dict(n_events=400, z=0.5, efficiency=True),
+             dict(n_events=300, z=0.3, efficiency=False),
+             dict(n_events=300, z=0.5, efficiency=True,
+                  params={"bkg_slope_t": 0.0, "eff_mt": 0.1})]
+
+    @staticmethod
+    def _toys(specs, seeds):
+        out = []
+        for kw in specs:
+            for seed in seeds:
+                ds = generate_nonfactorising(
+                    ToySpec(study="nonfactorising", seed=seed, **kw))
+                out.append((ds.data, ds.labels, ds.truth["z_obs"], ds.truth["D"],
+                            None if ds.efficiency is None
+                            else ds.efficiency(ds.m, ds.column("t"))))
+        return out
+
+    def test_cached_toys_equal_freshly_set_up_ones(self, monkeypatch):
+        toygen._cached_nonfact_setup.cache_clear()
+        cached = self._toys(self.SPECS, range(4))
+        monkeypatch.setattr(toygen, "_cached_nonfact_setup",
+                            lambda key, use_eff: toygen._nonfact_setup(
+                                dict((k, v) for k, _, v in key), use_eff))
+        fresh = self._toys(self.SPECS, range(4))
+        for a, b in zip(cached, fresh):
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
+
+    def test_set_up_once_per_params_and_efficiency(self, monkeypatch):
+        toygen._cached_nonfact_setup.cache_clear()
+        made = []
+        setup = toygen._nonfact_setup
+
+        def counted(params, use_eff):
+            made.append((dict(params), use_eff))
+            return setup(params, use_eff)
+
+        monkeypatch.setattr(toygen, "_nonfact_setup", counted)
+        self._toys(self.SPECS, range(3))
+        self._toys(self.SPECS, range(3, 5))
+        assert len(made) == 3
+        # an int and a float of the same value are separate keys
+        self._toys([dict(n_events=50, params={"eff_base": 1}),
+                    dict(n_events=50, params={"eff_base": 1.0})], range(2))
+        assert len(made) == 5
+
+    @pytest.mark.parametrize("params", [{"eff_base": [0.3]},
+                                        [("eff_base", 0.3)]],
+                             ids=["unhashable-value", "pairs"])
+    def test_other_params_passed_through(self, monkeypatch, params):
+        # not cached, and generated as the plain-number equivalent
+        toygen._cached_nonfact_setup.cache_clear()
+        spec = dict(study="nonfactorising", n_events=80, z=0.5, seed=3,
+                    efficiency=True)
+        got = generate_nonfactorising(ToySpec(params=params, **spec))
+        assert toygen._cached_nonfact_setup.cache_info().currsize == 0
+        ref = generate_nonfactorising(ToySpec(params={"eff_base": 0.3}, **spec))
+        assert np.array_equal(got.data, ref.data)
+
+    def test_non_numeric_param_fails_as_before(self):
+        with pytest.raises(TypeError):
+            generate_nonfactorising(ToySpec(
+                study="nonfactorising", n_events=50, efficiency=True,
+                params={"eff_base": "x"}))
+
+
 @pytest.fixture(scope="module")
 def small_config():
     return EnsembleConfig(

@@ -1,5 +1,7 @@
 """Covariance corrections for fits to weighted data."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -408,3 +410,187 @@ class TestBatchedBootstrap:
                                               eff=ds.efficiency)
         assert kept == 320
         assert np.allclose(got.theta_block, ref, rtol=1e-10, atol=0.0)
+
+
+def loop_histogram_weight_matrices(cow, data, eff, n_boot, boot_seed):
+    """Per-replica weight matrices of the bootstrap, from np.bincount bin
+    contents and one replica at a time (the empty replicas left out)."""
+    from cowlib.densities import ZERO_BIN_FLOOR
+
+    m, t = data[:, 0], data[:, 1]
+    fill = (1.0 / np.asarray(eff(m, t), dtype=float)) ** 2
+    edges = np.asarray(cow.spec.variance_fn.density.data["edges"], dtype=float)
+    nbins = len(edges) - 1
+    widths = np.diff(edges)
+    x, gq = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * widths
+    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x[None, :]
+    gv = cow.basis_values(nodes.ravel())
+    gv = gv.reshape(len(gv), nbins, 16)
+    B = np.einsum("kjq,ljq,q,j->klj", gv, gv, gq, half)
+    jidx = np.clip(np.searchsorted(edges, m, side="right") - 1, 0, nbins - 1)
+    rng = np.random.default_rng(boot_seed)
+    inv_I = []
+    for _ in range(n_boot):
+        raw = np.bincount(jidx, weights=rng.poisson(1.0, size=len(m)) * fill,
+                          minlength=nbins)
+        pos = raw[raw > 0]
+        if pos.size:
+            raw = np.where(raw > 0, raw, pos.min() * ZERO_BIN_FLOOR)
+            inv_I.append(1.0 / (raw / (widths * raw.sum())))
+    return np.einsum("klj,rj->rkl", B, np.array(inv_I)), np.bincount(jidx)
+
+
+class TestBootstrapLayout:
+    """The per-bin layout of the bootstrap: exact bin contents, bounded
+    temporaries, no cache on the uncached path, and the kept-replica count."""
+
+    def test_bin_contents_reproduce_bincount_exactly(self, monkeypatch):
+        # the weight matrices handed to the inverse are built from the bin
+        # contents; they match the np.bincount ones bit for bit, also when
+        # bins hold more events than one chunk
+        ds, cow, hs = nonfact_hist_cow(500, 17, 3, 6)
+        monkeypatch.setattr(wcov, "BOOT_BLOCK_ELEMENTS", 7 * 400 + 3)
+        seen = []
+        real = wcov._inverses
+
+        def spy(W):
+            seen.append(W.copy())
+            return real(W)
+
+        monkeypatch.setattr(wcov, "_inverses", spy)
+        corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]),
+                                 eff=ds.efficiency, boot_seed=3)
+        ref, counts = loop_histogram_weight_matrices(cow, ds.data, ds.efficiency,
+                                                     400, 3)
+        assert counts.min() > 7
+        assert np.array_equal(np.concatenate(seen), ref)
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_bins_larger_than_a_block_match_the_loop(self, monkeypatch, cache):
+        # two bins of ~250 events each, summed 7 events at a time
+        ds, cow, hs = nonfact_hist_cow(500, 17, 3, 2)
+        theta = np.array([TRUE_SLOPE])
+        monkeypatch.setattr(wcov, "BOOT_BLOCK_ELEMENTS", 7 * 400 + 3)
+        if not cache:
+            monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 0)
+        got = corrected_covariance_cow(cow, ds.data, hs, theta,
+                                       eff=ds.efficiency, boot_seed=11)
+        ref, kept = loop_bootstrap_covariance(cow, ds.data, hs, theta,
+                                              eff=ds.efficiency, boot_seed=11)
+        assert got.boot_kept == kept == 400
+        assert np.allclose(got.theta_block, ref, rtol=1e-10, atol=0.0)
+
+    def test_uncached_path_caches_no_multiplicity_matrix(self, monkeypatch):
+        n, n_boot = 500, 400
+        ds, cow, hs = nonfact_hist_cow(n, 17, 3, 20)
+
+        def run():
+            return corrected_covariance_cow(cow, ds.data, hs,
+                                            np.array([TRUE_SLOPE]),
+                                            eff=ds.efficiency,
+                                            boot_seed=11).theta_block
+
+        run()
+        wcov._multiplicities.cache_clear()
+        tracemalloc.start()
+        try:
+            # the cached path keeps its (N, n_boot) uint8 matrix alive, which
+            # shows that the measurement sees such a matrix
+            before = tracemalloc.get_traced_memory()[0]
+            cached = run()
+            held_cached = tracemalloc.get_traced_memory()[0] - before
+
+            monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 0)
+            wcov._multiplicities.cache_clear()
+            monkeypatch.setattr(wcov, "_multiplicities", None)
+            drawn = []
+            poisson_rows = wcov._poisson_rows
+
+            def counted_rows(*args):
+                for block in poisson_rows(*args):
+                    drawn.append(len(block))
+                    yield block
+
+            monkeypatch.setattr(wcov, "_poisson_rows", counted_rows)
+            before = tracemalloc.get_traced_memory()[0]
+            uncached = run()
+            held_uncached = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(drawn) == n_boot            # the stream was drawn afresh
+        assert held_cached >= n * n_boot
+        assert held_uncached < n * n_boot // 4
+        assert np.array_equal(cached, uncached)
+
+    def test_memory_per_call_does_not_grow_with_n_times_n_boot(self):
+        # from 1000 to 8000 events the peak memory of a call grows by less
+        # than one byte per (replica, event): no copy of the multiplicity
+        # matrix, let alone a float one, is made per call
+        n_boot = 400
+        theta = np.array([TRUE_SLOPE])
+        peaks = []
+        for n in (1000, 8000):
+            ds, cow, hs = nonfact_hist_cow(n, 808, 3, 20)
+            corrected_covariance_cow(cow, ds.data, hs, theta, eff=ds.efficiency)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                corrected_covariance_cow(cow, ds.data, hs, theta,
+                                         eff=ds.efficiency)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < (8000 - 1000) * n_boot
+
+    def test_boot_kept_counts_the_replicas_like_the_loop(self, monkeypatch):
+        ds, cow, hs = nonfact_hist_cow(3, 4, 1, 4)
+        theta = np.array([TRUE_SLOPE])
+        got = corrected_covariance_cow(cow, ds.data, hs, theta,
+                                       eff=ds.efficiency)
+        _, kept = loop_bootstrap_covariance(cow, ds.data, hs, theta,
+                                            eff=ds.efficiency)
+        assert got.boot_kept == kept < 400
+        assert "boot_kept" not in got.to_dict()
+        unity = corrected_covariance_cow(
+            build_cow(CowSpec(basis=cow.spec.basis, variance_fn=UnityVariance(),
+                              support=cow.spec.support)),
+            ds.data, hs, theta)
+        assert unity.boot_kept is None
+
+    def test_boot_kept_without_singular_replicas(self, monkeypatch):
+        # every fifth replica's weight matrix counts as singular
+        ds, cow, hs = nonfact_hist_cow(500, 17, 1, 20)
+        nb = len(cow.spec.basis)
+        real_inv = np.linalg.inv
+        calls = {"n": 0}
+
+        def flaky_inv(a):
+            a = np.asarray(a)
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("batched")
+            if a.shape == (nb, nb):
+                calls["n"] += 1
+                if calls["n"] % 5 == 0:
+                    raise np.linalg.LinAlgError("singular")
+            return real_inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", flaky_inv)
+        got = corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]),
+                                       eff=ds.efficiency)
+        assert got.boot_kept == 320
+
+    def test_basis_evaluated_once_at_the_data(self, monkeypatch):
+        from cowlib.cows import CowSet
+        ds, cow, hs = nonfact_hist_cow(500, 17, 3, 20)
+        sizes = []
+        basis_values = CowSet.basis_values
+
+        def counted(self, m):
+            sizes.append(np.size(m))
+            return basis_values(self, m)
+
+        monkeypatch.setattr(CowSet, "basis_values", counted)
+        corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]),
+                                 eff=ds.efficiency)
+        assert sizes.count(500) == 1
