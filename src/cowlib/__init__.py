@@ -17,12 +17,12 @@ from .errors import (ConstructionError, CowlibError, EvaluationError,
                      NonConvergenceError, SingularModelError)
 from .mlfit import (FitResult, MixtureComponent, MixtureModel, fit_extended_ml,
                     fit_weighted_ml, numerical_hessian, yields_only_refit)
-from .sweights import (WeightFunctionSet, WeightMatrix, apply_weights,
-                       compute_W_variant_A, compute_W_variant_B,
+from .sweights import (WeightMatrix, compute_W_variant_A, compute_W_variant_B,
                        compute_W_variant_C, weight_functions)
-from .cows import (CowSet, CowSpec, HistogramVariance, MixtureVariance,
-                   UnityVariance, build_cow, efficiency_corrected_weights,
-                   estimate_fractions, variance_fn_ml_iterative, variance_fn_qm)
+from .cows import (CowSet, CowSpec, HistogramVariance, ImpliedVariance,
+                   MixtureVariance, UnityVariance, build_cow,
+                   efficiency_corrected_weights, estimate_fractions, implied_cow,
+                   variance_fn_ml_iterative, variance_fn_qm)
 from .wcov import (CorrectedCovariance, QuasiScoreSpec,
                    corrected_covariance_cow,
                    corrected_covariance_fixed_shapes, corrected_covariance_full,

@@ -309,7 +309,7 @@ def cmd_sweights(config: dict, echo: bool) -> int:
                   np.column_stack([data, w]))
     summary = {**_stamp(resolved), "fit": fit.to_dict(), "W": weights.W,
                "sum_w_s": float(w[:, 0].sum()), "sum_w_s2": float((w[:, 0] ** 2).sum()),
-               "warnings": weights.wfs.warnings}
+               "warnings": weights.cow.warnings}
     _write_json(resolved["out_summary"], summary)
     return EXIT_OK
 

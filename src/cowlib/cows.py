@@ -23,8 +23,10 @@ __all__ = [
     "UnityVariance",
     "HistogramVariance",
     "MixtureVariance",
+    "ImpliedVariance",
     "CowSpec",
     "CowSet",
+    "implied_cow",
     "build_cow",
     "variance_fn_qm",
     "variance_fn_ml_iterative",
@@ -40,8 +42,6 @@ POSITIVITY_PROBE_POINTS = 2001
 class UnityVariance:
     """Constant variance function I(m) = 1."""
 
-    in_span = False
-
     def __call__(self, m):
         return np.ones_like(np.asarray(m, dtype=float))
 
@@ -51,8 +51,6 @@ class UnityVariance:
 
 class HistogramVariance:
     """Piecewise-constant variance function from a histogram of m."""
-
-    in_span = False
 
     def __init__(self, hist):
         if isinstance(hist, Density1D):
@@ -81,8 +79,6 @@ class HistogramVariance:
 class MixtureVariance:
     """I(m) as a linear combination of the basis densities (in-span choice)."""
 
-    in_span = True
-
     def __init__(self, fractions, basis: Sequence[Density1D]):
         self.fractions = np.asarray(fractions, dtype=float)
         self.basis = list(basis)
@@ -102,6 +98,18 @@ class MixtureVariance:
         for g in self.basis:
             pts.extend(g.breakpoints())
         return sorted(set(pts))
+
+
+class ImpliedVariance(MixtureVariance):
+    """I(m) = (A 1) . g(m), the variance function that a W matrix with inverse
+    A implies for the basis g; its weights (A g) / I are the classic (sPlot)
+    weights.  A valid W can imply negative fractions and an I(m) that changes
+    sign, so neither is rejected: the weights are undefined only where
+    I(m) = 0, which includes every m outside the support."""
+
+    def __init__(self, A, basis: Sequence[Density1D]):
+        self.fractions = np.asarray(A, dtype=float).sum(axis=1)
+        self.basis = list(basis)
 
 
 @dataclass
@@ -125,6 +133,8 @@ class CowSpec:
             raise ConstructionError("basis must contain at least one density")
         if not 1 <= self.n_signal <= len(self.basis):
             raise ConstructionError("n_signal must lie in [1, len(basis)]")
+        if isinstance(self.variance_fn, ImpliedVariance):
+            return      # an implied I may take either sign
         grid = np.linspace(self.support.lo, self.support.hi, POSITIVITY_PROBE_POINTS)
         if np.any(np.asarray(self.variance_fn(grid)) <= 0):
             raise ConstructionError(
@@ -137,41 +147,91 @@ class CowSpec:
 
 
 class CowSet:
-    """Built weight functions w_k(m) = sum_l A_kl g_l(m) / I(m)."""
+    """Built weight functions w_k(m) = sum_l A_kl g_l(m) / I(m), with the
+    ``warnings`` their construction raised."""
 
     def __init__(self, spec: CowSpec, W: np.ndarray, A: np.ndarray):
         self.spec = spec
         self.W = W
         self.A = A
         self._basis = spec.effective_basis()
-
-    @property
-    def n_components(self) -> int:
-        return len(self._basis)
+        self.warnings: List[str] = []
 
     def basis_values(self, m) -> np.ndarray:
         m = np.atleast_1d(np.asarray(m, dtype=float))
         return np.stack([g.pdf(m) for g in self._basis])  # (n, len(m))
 
+    def _variance(self, m, gv: np.ndarray) -> np.ndarray:
+        """I at m; an implied I is taken from the basis values ``gv``."""
+        var = self.spec.variance_fn
+        if isinstance(var, ImpliedVariance):
+            I = var.fractions @ gv
+            if np.any(I == 0):
+                raise EvaluationError("weight-function denominator is exactly zero")
+            return I
+        I = np.asarray(var(m), dtype=float)
+        if np.any(I <= 0):
+            raise EvaluationError("variance function non-positive at evaluation point")
+        return I
+
     def weights(self, m, gv: Optional[np.ndarray] = None) -> np.ndarray:
-        """All weight functions at m; shape (len(m), n_components).
+        """All weight functions at m; shape (len(m), len(basis)).
 
         ``gv`` may pass in ``basis_values(m)`` when the caller has it.
         """
         m = np.atleast_1d(np.asarray(m, dtype=float))
         if gv is None:
             gv = self.basis_values(m)
-        I = np.asarray(self.spec.variance_fn(m), dtype=float)
-        if np.any(I <= 0):
-            raise EvaluationError("variance function non-positive at evaluation point")
-        return (self.A @ gv).T / I[:, None]
+        return (self.A @ gv).T / self._variance(m, gv)[:, None]
 
     def w_k(self, k: int, m) -> np.ndarray:
         return self.weights(m)[:, k]
 
-    def signal_weight(self, m) -> np.ndarray:
-        """Sum of the signal-block weight functions."""
-        return self.weights(m)[:, : self.spec.n_signal].sum(axis=1)
+    def dw_dW(self, m) -> np.ndarray:
+        """Derivative of the signal weight w_s at m wrt the upper triangle of
+        W in :func:`upper_pairs` order ((W_ss, W_sb, W_bb) for two components),
+        shape (len(m), n(n+1)/2).  Through dA = -A dW A, with u = A g and c_k
+        the signal rows of A summed at column k, less w_s (A 1)_k when I is
+        implied: dw_s/dW_kl = -(c_k u_l + c_l u_k) / I, dw_s/dW_kk = -c_k u_k / I.
+        """
+        m = np.atleast_1d(np.asarray(m, dtype=float))
+        gv = self.basis_values(m)
+        I = self._variance(m, gv)
+        u = self.A @ gv                                    # (n, N)
+        n_sig = self.spec.n_signal
+        c = self.A[:n_sig].sum(axis=0)[:, None]
+        if isinstance(self.spec.variance_fn, ImpliedVariance):
+            c = c - u[:n_sig].sum(axis=0) / I * self.A.sum(axis=1)[:, None]
+        pairs = upper_pairs(len(self._basis))
+        out = np.empty((len(pairs), len(m)))
+        for j, (k, l) in enumerate(pairs):
+            out[j] = c[k] * u[l] if k == l else c[k] * u[l] + c[l] * u[k]
+        out /= -I
+        return out.T
+
+
+def implied_cow(W: np.ndarray, A: np.ndarray, basis: Sequence[Density1D]) -> CowSet:
+    """The weights of ``W`` (inverse ``A``) and the variance function it implies."""
+    return CowSet(CowSpec(list(basis), ImpliedVariance(A, basis), basis[0].support), W, A)
+
+
+def upper_pairs(n: int) -> List[Tuple[int, int]]:
+    """The index pairs (k, l), k <= l, of an n x n upper triangle in
+    ``np.triu_indices`` order: (ss, sb, bb) for two components."""
+    return [(k, l) for k in range(n) for l in range(k, n)]
+
+
+def pair_products(g: np.ndarray) -> np.ndarray:
+    """Products g_k g_l of the rows of ``g`` over :func:`upper_pairs`."""
+    return np.stack([g[k] * g[l] for k, l in upper_pairs(len(g))])
+
+
+def from_upper(v, n: int) -> np.ndarray:
+    """The symmetric n x n matrix with upper triangle ``v`` (pair order)."""
+    M = np.empty((n, n))
+    for x, (k, l) in zip(v, upper_pairs(n)):
+        M[k, l] = M[l, k] = x
+    return M
 
 
 def build_cow(spec: CowSpec, tol: float = 1e-9) -> CowSet:
@@ -189,14 +249,10 @@ def build_cow(spec: CowSpec, tol: float = 1e-9) -> CowSet:
     pts = sorted(pts)
 
     # the upper triangle of W in one pass: each density once per node batch
-    rows, cols = np.triu_indices(n)
-
     def f(m):
-        g = np.stack([gk.pdf(m) for gk in basis])
-        return g[rows] * g[cols] / spec.variance_fn(m)
+        return pair_products(np.stack([gk.pdf(m) for gk in basis])) / spec.variance_fn(m)
 
-    W = np.empty((n, n))
-    W[rows, cols] = W[cols, rows] = integrate(f, spec.support, tol, points=pts)
+    W = from_upper(integrate(f, spec.support, tol, points=pts), n)
 
     cond = np.linalg.cond(W)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:

@@ -109,21 +109,21 @@ def variance_function(kind: str, basis: List[Density1D], data,
 
 
 class MethodWeights:
-    """The weights of one method on one sample: the signal weight ``w`` per
-    event and ``W``, the classic ``WeightMatrix`` as a dict or the cow W
-    matrix.  Exactly one of ``wfs`` (classic weights) and ``cow`` is set."""
+    """The weights of one method on one sample: the weight functions ``cow``
+    (for classic weights the set :func:`weight_functions` returns), the
+    signal weight ``w`` per event and ``W``, the classic ``WeightMatrix`` as
+    a dict or the cow W matrix."""
 
-    def __init__(self, spec: MethodSpec, fit: FitResult, data: np.ndarray,
-                 w: np.ndarray, W, wfs=None, cow=None, cow_columns=None):
-        self.spec, self.fit, self.data = spec, fit, data
-        self.w, self.W, self.wfs, self.cow = w, W, wfs, cow
-        self._cow_columns = cow_columns
+    def __init__(self, spec: MethodSpec, fit: FitResult, data: np.ndarray, cow, W):
+        self.spec, self.fit, self.data, self.cow, self.W = spec, fit, data, cow, W
+        self._columns = efficiency_corrected_weights(cow, cow.spec.efficiency, data)
+        self.w = self._columns[:, 0]
 
     def columns(self) -> Tuple[List[str], np.ndarray]:
         """Names and values of every per-event weight column."""
-        if self.cow is not None:
-            return [f"w_{k}" for k in range(self._cow_columns.shape[1])], self._cow_columns
-        return ["w_s", "w_b"], np.column_stack([self.w, self.wfs.w_b(self.data[:, 0])])
+        if self.spec.kind == "sweights":
+            return ["w_s", "w_b"], self._columns
+        return [f"w_{k}" for k in range(self._columns.shape[1])], self._columns
 
     def covariance(self, hs: Density1D, theta) -> Optional[CorrectedCovariance]:
         """Corrected covariance of the weighted fit of ``hs`` at ``theta``, or
@@ -131,13 +131,14 @@ class MethodWeights:
         term of the estimated W under "fixed" only; cows ignore the choice."""
         if self.spec.correction == "none":
             return None
-        if self.cow is not None:
+        if self.spec.kind == "cow":
             return corrected_covariance_cow(self.cow, self.data, hs, theta,
                                             eff=self.cow.spec.efficiency)
         m = self.data[:, 0]
-        dW = self.wfs.dw_s_dW(m) if self.spec.correction == "fixed" else None
+        dW = self.cow.dw_dW(m) if self.spec.correction == "fixed" else None
+        gs, gb = self.cow.spec.basis
         return corrected_covariance_fixed_shapes(
-            self.data[:, 1], self.w, dW, hs, theta, gs=self.wfs.gs, gb=self.wfs.gb,
+            self.data[:, 1], self.w, dW, hs, theta, gs=gs, gb=gb,
             yields=self.fit.params[:2], data_m=m)
 
 
@@ -147,15 +148,12 @@ def apply_method(spec: MethodSpec, fit: FitResult, data,
     the (m, t) columns ``data``.  Classic weights ignore ``eff`` on purpose:
     on an efficiency-distorted sample they expose the bias."""
     data = np.asarray(data, dtype=float)
-    m = data[:, 0]
     if spec.kind == "sweights":
-        wm = sweights_matrix(spec.variant, fit, m)
-        wfs = weight_functions(wm, *_shapes(fit))
-        return MethodWeights(spec, fit, data, wfs.w_s(m), wm.to_dict(), wfs=wfs)
+        wm = sweights_matrix(spec.variant, fit, data[:, 0])
+        return MethodWeights(spec, fit, data, weight_functions(wm, *_shapes(fit)), wm.to_dict())
     basis = fitted_basis(fit, spec.poly_order)
     support = basis[0].support
     var = variance_function(spec.variance, basis, data, eff, spec.qm_bins, support)
     cow = build_cow(CowSpec(basis=basis, variance_fn=var, support=support,
                             n_signal=1, efficiency=eff))
-    cols = efficiency_corrected_weights(cow, eff, data)
-    return MethodWeights(spec, fit, data, cols[:, 0], cow.W, cow=cow, cow_columns=cols)
+    return MethodWeights(spec, fit, data, cow, cow.W)

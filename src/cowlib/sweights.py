@@ -2,29 +2,29 @@
 
 Three estimators of the W matrix are provided: quadrature of the density
 ratio (variant A), a per-event sample sum (variant B) and rescaling of the
-fitted yield Hessian/covariance (variant C, modes Ci and Cii).
+fitted yield Hessian/covariance (variant C, modes Ci and Cii).  The weights
+of a W are the :class:`~cowlib.cows.CowSet` whose variance function is the
+one W implies, I(m) = (A 1) . g(m) with A = W^-1.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
+from .cows import CowSet, from_upper, implied_cow, pair_products
 from .densities import Density1D, Interval, integrate
 from .errors import EvaluationError, SingularModelError
 from .mlfit import FitResult
 
 __all__ = [
     "WeightMatrix",
-    "WeightFunctionSet",
     "compute_W_variant_A",
     "compute_W_variant_B",
     "compute_W_variant_C",
     "weight_functions",
-    "apply_weights",
 ]
 
 GRID_PROBE_POINTS = 10_000
@@ -75,11 +75,9 @@ def compute_W_variant_A(gs: Density1D, gb: Density1D, z: float, iv: Interval,
 
     def f(m):
         s, b = gs.pdf(m), gb.pdf(m)
-        den = z * s + (1.0 - z) * b
-        return np.stack([s * s, s * b, b * b]) / den
+        return pair_products(np.stack([s, b])) / (z * s + (1.0 - z) * b)
 
-    ss, sb, bb = integrate(f, iv, tol, points=pts)
-    W = np.array([[ss, sb], [sb, bb]])
+    W = from_upper(integrate(f, iv, tol, points=pts), 2)
     A = _invert_2x2(W)
     return WeightMatrix(W, A, "A", np.array([z, 1.0 - z]))
 
@@ -97,12 +95,7 @@ def compute_W_variant_B(gs: Density1D, gb: Density1D, z: float, data_m) -> Weigh
         i = int(np.argmax(g <= 0))
         raise EvaluationError(
             f"mixture density vanishes at observation {i} (m={m[i]!r})")
-    inv2 = 1.0 / g ** 2
-    n = len(m)
-    W = np.array([
-        [np.sum(s * s * inv2), np.sum(s * b * inv2)],
-        [np.sum(s * b * inv2), np.sum(b * b * inv2)],
-    ]) / n
+    W = from_upper((pair_products(np.stack([s, b])) * (1.0 / g ** 2)).sum(axis=1), 2) / len(m)
     A = _invert_2x2(W)
     return WeightMatrix(W, A, "B", np.array([z, 1.0 - z]))
 
@@ -138,83 +131,19 @@ def compute_W_variant_C(full_fit: FitResult, N: int, mode: str = "invert-full-co
     raise ValueError(f"unknown variant C mode {mode!r}")
 
 
-class WeightFunctionSet:
-    """Evaluable signal/background weight functions for a 2-component model."""
+def weight_functions(wm: WeightMatrix, gs: Density1D, gb: Density1D) -> CowSet:
+    """Plug-in weight functions built from an estimated W matrix: the
+    :class:`~cowlib.cows.CowSet` of basis (gs, gb) with the W and A of ``wm``
+    and the variance function they imply.
 
-    def __init__(self, wm: WeightMatrix, gs: Density1D, gb: Density1D,
-                 strict_range: bool = True):
-        self.source = wm
-        self.gs = gs
-        self.gb = gb
-        self.strict_range = strict_range
-        W = wm.W
-        self._cs = W[1, 1], -W[0, 1]          # numerator coefficients for w_s
-        self._cb = -W[0, 1], W[0, 0]          # numerator coefficients for w_b
-        self._ds = W[1, 1] - W[0, 1]          # denominator: ds*g_s + db*g_b
-        self._db = W[0, 0] - W[0, 1]
-        self.warnings: List[str] = []
-        grid = np.linspace(gs.support.lo, gs.support.hi, GRID_PROBE_POINTS)
-        den = self._den(grid)
-        if np.any(den <= 0):
-            msg = "weight-function denominator non-positive on part of the support"
-            self.warnings.append(msg)
-            warnings.warn(msg, RuntimeWarning, stacklevel=2)
-
-    @property
-    def support(self) -> Interval:
-        return self.gs.support
-
-    def _eval_densities(self, m):
-        m = np.asarray(m, dtype=float)
-        if self.strict_range:
-            if np.any(~self.support.contains(m)):
-                raise EvaluationError("m outside the fitted range (strict mode)")
-            return self.gs.pdf(m), self.gb.pdf(m)
-        return self.gs.pdf(m, extrapolate=True), self.gb.pdf(m, extrapolate=True)
-
-    def _den(self, m):
-        s, b = self._eval_densities(m)
-        return self._ds * s + self._db * b
-
-    def _ratio(self, m, coeffs):
-        s, b = self._eval_densities(m)
-        den = self._ds * s + self._db * b
-        if np.any(den == 0):
-            raise EvaluationError("weight-function denominator is exactly zero")
-        return (coeffs[0] * s + coeffs[1] * b) / den
-
-    def w_s(self, m):
-        return self._ratio(m, self._cs)
-
-    def w_b(self, m):
-        return self._ratio(m, self._cb)
-
-    def all(self, m) -> np.ndarray:
-        """Per-event weights, shape (len(m), 2)."""
-        m = np.atleast_1d(np.asarray(m, dtype=float))
-        if m.size == 0:
-            return np.empty((0, 2))
-        return np.column_stack([self.w_s(m), self.w_b(m)])
-
-    def dw_s_dW(self, m) -> np.ndarray:
-        """Analytic derivative of w_s wrt (W_ss, W_sb, W_bb), shape (len(m), 3)."""
-        m = np.atleast_1d(np.asarray(m, dtype=float))
-        s, b = self._eval_densities(m)
-        num = self._cs[0] * s + self._cs[1] * b
-        den = self._ds * s + self._db * b
-        den2 = den ** 2
-        d_ss = -num * b / den2
-        d_sb = (-b * den + num * (s + b)) / den2
-        d_bb = s * (den - num) / den2
-        return np.column_stack([d_ss, d_sb, d_bb])
-
-
-def weight_functions(wm: WeightMatrix, gs: Density1D, gb: Density1D,
-                     strict_range: bool = True) -> WeightFunctionSet:
-    """Plug-in weight functions built from an estimated W matrix."""
-    return WeightFunctionSet(wm, gs, gb, strict_range=strict_range)
-
-
-def apply_weights(wfs: WeightFunctionSet, data_m) -> np.ndarray:
-    """Per-event weight matrix, one row per event, columns (w_s, w_b)."""
-    return wfs.all(data_m)
+    Warns (and records in ``warnings``) when the denominator of the closed
+    form, (W_bb - W_sb) g_s + (W_ss - W_sb) g_b = det(W) I(m), is
+    non-positive anywhere on the support.
+    """
+    cow = implied_cow(wm.W, wm.A, [gs, gb])
+    grid = np.linspace(gs.support.lo, gs.support.hi, GRID_PROBE_POINTS)
+    if np.any(np.linalg.det(wm.W) * cow.spec.variance_fn(grid) <= 0):
+        msg = "weight-function denominator non-positive on part of the support"
+        cow.warnings.append(msg)
+        warnings.warn(msg, RuntimeWarning, stacklevel=2)
+    return cow

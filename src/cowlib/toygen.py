@@ -108,6 +108,15 @@ class ToySpec:
                 raise ConstructionError("fractions must be >= 0 and sum to 1")
         elif not 0.0 <= self.z <= 1.0:
             raise ConstructionError("z must lie in [0, 1]")
+        try:
+            keys = set(dict(self.params))   # a mapping or (key, value) pairs
+        except (TypeError, ValueError) as exc:
+            raise ConstructionError(f"params must map names to values, got {self.params!r}") from exc
+        unknown = keys - set(NONFACT_DEFAULTS if self.study == "nonfactorising" else ())
+        if unknown:
+            raise ConstructionError(
+                f"unknown params {sorted(unknown)} for study {self.study!r}; only "
+                f"'nonfactorising' takes params, named in {sorted(NONFACT_DEFAULTS)}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

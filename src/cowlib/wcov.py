@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._quadrature import gauss_legendre
+from .cows import HistogramVariance, from_upper, implied_cow, pair_products
 from .densities import ZERO_BIN_FLOOR, Density1D
 from .errors import EvaluationError
 
@@ -156,9 +157,10 @@ def corrected_covariance_fixed_shapes(
     """Covariance correction when the shapes in m are known.
 
     ``dW`` holds per-event derivatives of the signal weight wrt
-    (W_ss, W_sb, W_bb), shape (N, 3); pass None for externally supplied
-    fixed weights, which reduces the result to the plain sandwich.  The
-    C' matrix is built from (gs, gb, yields, data_m) unless given directly.
+    (W_ss, W_sb, W_bb), shape (N, 3), as ``CowSet.dw_dW`` gives them; pass
+    None for externally supplied fixed weights, which reduces the result to
+    the plain sandwich.  The C' matrix is built from (gs, gb, yields,
+    data_m) unless given directly.
     """
     t = np.asarray(data_t, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -192,8 +194,7 @@ def corrected_covariance_fixed_shapes(
             ns, nb = float(yields[0]), float(yields[1])
             s = gs.pdf(m)
             b = gb.pdf(m)
-            f = ns * s + nb * b
-            P = np.stack([s * s, s * b, b * b]) / f ** 2   # (3, N)
+            P = pair_products(np.stack([s, b])) / (ns * s + nb * b) ** 2   # (3, N)
             cprime = P @ P.T
         reduction = Hinv @ E @ cprime @ E.T @ Hinv.T
 
@@ -226,8 +227,6 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     of them is drawn once per process and reused.  ``boot_kept`` of the
     result counts the replicas used.
     """
-    from .cows import HistogramVariance
-
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
         raise EvaluationError("data must have columns (m, t)")
@@ -452,52 +451,36 @@ class QuasiScoreSpec:
         phi = lam[2:2 + n]
         Wv = lam[2 + n:5 + n]
         theta = lam[5 + n:]
-        gs, gb = self.gs, self.gb
+        dens = {"s": self.gs, "b": self.gb}
         for val, (comp, idx) in zip(phi, self.phi_free):
-            if comp == "s":
-                params = gs.params.copy()
-                params[idx] = val
-                gs = gs.with_params(params)
-            else:
-                params = gb.params.copy()
-                params[idx] = val
-                gb = gb.with_params(params)
-        return ns, nb, gs, gb, Wv, theta
+            params = dens[comp].params.copy()
+            params[idx] = val
+            dens[comp] = dens[comp].with_params(params)
+        return ns, nb, dens["s"], dens["b"], Wv, theta
 
     def lambda_from_fits(self, data_m, mfit, tfit) -> np.ndarray:
         """Assemble the parameter vector from an m fit and a weighted t fit."""
         m = np.asarray(data_m, dtype=float)
         ns, nb = mfit.params[0], mfit.params[1]
-        phi_vals = []
-        off = 2
-        # free shape params appear after the yields in the m-fit vector, in
-        # component order; map them through phi_free
+        # the fitted free shape params, mapped through phi_free
         fitted = {}
         if mfit.model is not None:
             for ci, comp in enumerate(mfit.model.components):
                 if comp.free_shape:
                     fitted["s" if ci == 0 else "b"] = comp.density.params
-        for comp, idx in self.phi_free:
-            phi_vals.append(fitted[comp][idx])
+        phi_vals = [fitted[comp][idx] for comp, idx in self.phi_free]
         _, _, gs, gb, _, _ = self.unpack(
             np.concatenate([[ns, nb], phi_vals, np.zeros(3), np.zeros(self.n_theta)]))
         s = gs.pdf(m)
         b = gb.pdf(m)
-        f = ns * s + nb * b
-        Wv = np.array([np.sum(s * s / f ** 2), np.sum(s * b / f ** 2),
-                       np.sum(b * b / f ** 2)])
+        Wv = (pair_products(np.stack([s, b])) / (ns * s + nb * b) ** 2).sum(axis=1)
         return np.concatenate([[ns, nb], phi_vals, Wv, tfit.params])
 
     def weight_s(self, m, lam) -> np.ndarray:
+        """The classic signal weight of the W block of ``lam`` at m."""
         _, _, gs, gb, Wv, _ = self.unpack(np.asarray(lam, dtype=float))
-        wss, wsb, wbb = Wv
-        s = gs.pdf(m)
-        b = gb.pdf(m)
-        num = wbb * s - wsb * b
-        den = (wbb - wsb) * s + (wss - wsb) * b
-        if np.any(den == 0):
-            raise EvaluationError("weight-function denominator is exactly zero")
-        return num / den
+        W = from_upper(Wv, 2)
+        return implied_cow(W, np.linalg.inv(W), [gs, gb]).weights(m)[:, 0]
 
     def _dphi(self, lam, m):
         """Per-event (N_s dgs/dphi + N_b dgb/dphi) / f; shape (n_phi, N)."""
@@ -515,48 +498,31 @@ class QuasiScoreSpec:
             out[k] = (ns if comp == "s" else nb) * dg / f
         return out
 
-    def score(self, lam, m, t) -> np.ndarray:
-        """The quasi-score vector S(lambda) summed over the sample."""
+    def _per_event(self, lam, m, t) -> np.ndarray:
+        """Per-event terms of the quasi-score, shape (dim, N)."""
         lam = np.asarray(lam, dtype=float)
         m = np.asarray(m, dtype=float)
-        t = np.asarray(t, dtype=float)
-        ns, nb, gs, gb, Wv, theta = self.unpack(lam)
-        s = gs.pdf(m)
-        b = gb.pdf(m)
-        f = ns * s + nb * b
+        ns, nb, gs, gb, _, theta = self.unpack(lam)
+        g = np.stack([gs.pdf(m), gb.pdf(m)])
+        f = ns * g[0] + nb * g[1]
         if np.any(f <= 0):
             raise EvaluationError("mixture density non-positive at a data point")
-        S = np.empty(self.dim)
-        S[0] = np.sum(s / f) - 1.0
-        S[1] = np.sum(b / f) - 1.0
-        if self.n_phi:
-            S[2:2 + self.n_phi] = self._dphi(lam, m).sum(axis=1)
+        d1 = _log_derivs1(self.hs.with_params(theta), np.asarray(t, dtype=float),
+                          np.asarray(theta, dtype=float))
+        rows = [g / f, self._dphi(lam, m)] if self.n_phi else [g / f]
+        return np.concatenate(rows + [pair_products(g) / f ** 2, self.weight_s(m, lam) * d1])
+
+    def score(self, lam, m, t) -> np.ndarray:
+        """The quasi-score vector S(lambda) summed over the sample."""
+        S = self._per_event(lam, m, t).sum(axis=1)
         iw = 2 + self.n_phi
-        S[iw + 0] = np.sum(s * s / f ** 2) - Wv[0]
-        S[iw + 1] = np.sum(s * b / f ** 2) - Wv[1]
-        S[iw + 2] = np.sum(b * b / f ** 2) - Wv[2]
-        w = self.weight_s(m, lam)
-        d1 = _log_derivs1(self.hs.with_params(theta), t, np.asarray(theta, dtype=float))
-        S[iw + 3:] = d1 @ w
+        S[:2] -= 1.0
+        S[iw:iw + 3] -= np.asarray(lam, dtype=float)[iw:iw + 3]
         return S
 
     def score_covariance(self, lam, m, t) -> np.ndarray:
         """Sample estimate of E[S S^T] under Poisson sample-size fluctuations."""
-        lam = np.asarray(lam, dtype=float)
-        m = np.asarray(m, dtype=float)
-        t = np.asarray(t, dtype=float)
-        ns, nb, gs, gb, Wv, theta = self.unpack(lam)
-        s = gs.pdf(m)
-        b = gb.pdf(m)
-        f = ns * s + nb * b
-        w = self.weight_s(m, lam)
-        d1 = _log_derivs1(self.hs.with_params(theta), t, np.asarray(theta, dtype=float))
-        rows = [s / f, b / f]
-        if self.n_phi:
-            rows.extend(self._dphi(lam, m))
-        rows.extend([s * s / f ** 2, s * b / f ** 2, b * b / f ** 2])
-        rows.extend(w * d1k for d1k in d1)
-        V = np.stack(rows)                 # (dim, N)
+        V = self._per_event(lam, m, t)
         return V @ V.T
 
 

@@ -8,8 +8,10 @@ chain, from closed-form oracles through large toy ensembles.  Run with
 import numpy as np
 import pytest
 
+from functools import partial
+
 from cowlib import (FitResult, Interval, MixtureComponent, MixtureModel,
-                    apply_weights, compute_W_variant_A, compute_W_variant_B,
+                    compute_W_variant_A, compute_W_variant_B,
                     compute_W_variant_C, fit_extended_ml, fit_weighted_ml,
                     integrate, kendall_tau, make_density, monomial_basis,
                     weight_functions, yields_only_refit)
@@ -47,8 +49,8 @@ def test_criterion_01_analytic_box_oracle():
     wm_a = compute_W_variant_A(gs, gb, 0.5, UNIT)
     assert np.allclose(wm_a.W, BOX_W, atol=1e-9)
     wfs = weight_functions(wm_a, gs, gb)
-    assert np.allclose(wfs.w_s([0.1, 0.25, 0.49]), 1.0, atol=1e-9)
-    assert np.allclose(wfs.w_s([0.51, 0.75, 0.9]), -1.0, atol=1e-9)
+    assert np.allclose(wfs.w_k(0, [0.1, 0.25, 0.49]), 1.0, atol=1e-9)
+    assert np.allclose(wfs.w_k(0, [0.51, 0.75, 0.9]), -1.0, atol=1e-9)
 
     rng = np.random.default_rng(12345)
     m = sample_box_mixture(rng, 100_000, z=0.5)
@@ -70,7 +72,7 @@ def test_criterion_02_orthonormality_and_unit_sum():
 
     def check_empirical(wfs):
         g = z * gs.pdf(ds.m) + (1.0 - z) * gb.pdf(ds.m)
-        for i, wfn in enumerate((wfs.w_s, wfs.w_b)):
+        for i, wfn in enumerate((partial(wfs.w_k, 0), partial(wfs.w_k, 1))):
             for j, gfn in enumerate((gs, gb)):
                 val = np.sum(wfn(ds.m) * gfn.pdf(ds.m) / g) / len(ds.m)
                 assert val == pytest.approx(float(i == j), abs=1e-6)
@@ -78,23 +80,23 @@ def test_criterion_02_orthonormality_and_unit_sum():
     # quadrature-matrix variant: orthonormality under the Lebesgue measure
     wm_a = compute_W_variant_A(gs, gb, z, UNIT)
     wfs_a = weight_functions(wm_a, gs, gb)
-    for i, wfn in enumerate((wfs_a.w_s, wfs_a.w_b)):
+    for i, wfn in enumerate((partial(wfs_a.w_k, 0), partial(wfs_a.w_k, 1))):
         for j, gfn in enumerate((gs, gb)):
             val = integrate(lambda x: wfn(x) * gfn.pdf(x), UNIT, 1e-9)
             assert val == pytest.approx(float(i == j), abs=1e-6)
-    assert np.allclose(wfs_a.w_s(grid) + wfs_a.w_b(grid), 1.0, atol=1e-9)
+    assert np.allclose(wfs_a.w_k(0, grid) + wfs_a.w_k(1, grid), 1.0, atol=1e-9)
 
     # per-event-sum and Hessian variants: orthonormality under the
     # empirical measure dN / g
     wm_b = compute_W_variant_B(gs, gb, z, ds.m)
     wfs_b = weight_functions(wm_b, gs, gb)
     check_empirical(wfs_b)
-    assert np.allclose(wfs_b.w_s(grid) + wfs_b.w_b(grid), 1.0, atol=1e-9)
+    assert np.allclose(wfs_b.w_k(0, grid) + wfs_b.w_k(1, grid), 1.0, atol=1e-9)
 
     for mode in ("invert-full-cov", "yields-only-cov"):
         wm_c = compute_W_variant_C(fit, len(ds.m), mode)
         wfs_c = weight_functions(wm_c, gs, gb)
-        assert np.allclose(wfs_c.w_s(grid) + wfs_c.w_b(grid), 1.0, atol=1e-9)
+        assert np.allclose(wfs_c.w_k(0, grid) + wfs_c.w_k(1, grid), 1.0, atol=1e-9)
     # with the analytically exact yields Hessian the Hessian variant matches
     # the per-event sum, inheriting its orthonormality
     s, b = gs.pdf(ds.m), gb.pdf(ds.m)
@@ -135,7 +137,7 @@ def test_criterion_03_self_consistent_weight_sums():
         assert fit.converged
         z_hat = float(fit.params[0] / fit.params[:2].sum())
         wm = compute_W_variant_B(gs, gb, z_hat, ds.m)
-        w = weight_functions(wm, gs, gb).w_s(ds.m)
+        w = weight_functions(wm, gs, gb).w_k(0, ds.m)
         assert w.sum() == pytest.approx(n * z_hat, rel=1e-12)
 
 
@@ -154,7 +156,7 @@ def test_criterion_04_yield_error_relations():
         assert fit.converged
         z_hat = float(fit.params[0] / fit.params[:2].sum())
         wm = compute_W_variant_B(gs, gb, z_hat, ds.m)
-        w = weight_functions(wm, gs, gb).w_s(ds.m)
+        w = weight_functions(wm, gs, gb).w_k(0, ds.m)
         assert w.sum() == pytest.approx(fit.params[0], rel=1e-12)
         ratios.append(np.sqrt(np.sum(w ** 2))
                       / np.sqrt(fit.covariance[0, 0]))
@@ -234,13 +236,13 @@ def test_criterion_06_sandwich_cross_validation():
     z_hat = float(mfit.params[0] / mfit.params[:2].sum())
     wm = compute_W_variant_B(gs, gb, z_hat, m)
     wfs = weight_functions(wm, gs, gb)
-    w = wfs.w_s(m)
+    w = wfs.w_k(0, m)
     tfit = fit_weighted_ml(t, w, hs, bounds=[(0.05, 20.0)])
     assert tfit.converged
     lam_hat = spec.lambda_from_fits(m, mfit, tfit)
     full = corrected_covariance_full(ds.data, spec, lam_hat)
     fixed = corrected_covariance_fixed_shapes(
-        t, w, wfs.dw_s_dW(m), hs, tfit.params,
+        t, w, wfs.dw_dW(m), hs, tfit.params,
         gs=gs, gb=gb, yields=mfit.params[:2], data_m=m)
     rel = abs(full.theta_block[0, 0] - fixed.theta_block[0, 0]) / fixed.theta_block[0, 0]
     assert rel < 1e-3
@@ -262,8 +264,8 @@ def test_criterion_07_generalized_weights_reduce_to_classic():
                                                   n_events=2000, z=z,
                                                   seed=21)).m])
     cw = cow.weights(pts)
-    assert np.allclose(cw[:, 0], wfs.w_s(pts), atol=1e-10)
-    assert np.allclose(cw[:, 1], wfs.w_b(pts), atol=1e-10)
+    assert np.allclose(cw[:, 0], wfs.w_k(0, pts), atol=1e-10)
+    assert np.allclose(cw[:, 1], wfs.w_k(1, pts), atol=1e-10)
 
 
 def test_criterion_08_nonfactorising_study():
@@ -302,7 +304,7 @@ def test_criterion_09_weight_sum_variance_estimator():
     assert fit.converged
     z_hat = float(fit.params[0] / fit.params[:2].sum())
     wm = compute_W_variant_B(gs, gb, z_hat, ds.m)
-    pool = weight_functions(wm, gs, gb).w_s(ds.m)
+    pool = weight_functions(wm, gs, gb).w_k(0, ds.m)
 
     rng = np.random.default_rng(7)
     sums = np.empty(10_000)

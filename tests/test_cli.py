@@ -425,3 +425,16 @@ class TestConfigShape:
                "out": str(tmp_path / "r.json")}
         assert cli.main(["toys", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: bad toys config")
+
+    @pytest.mark.parametrize("toy", [
+        {"study": "nonfactorising", "n_events": 100, "params": {"bkg_slop_t": 5.0}},
+        {"study": "simple", "n_events": 100, "params": {"bkg_slope_t": 5.0}}],
+        ids=["misspelt", "simple"])
+    def test_toy_params_outside_the_study(self, tmp_path, capsys, toy):
+        cfg = {"toy": toy, "n_toys": 1,
+               "methods": [{"name": "swB", "kind": "sweights", "variant": "B"}],
+               "out": str(tmp_path / "r.json")}
+        assert cli.main(["toys", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad toys config") and "unknown params" in err
+        assert not (tmp_path / "r.json").exists()

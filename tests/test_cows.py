@@ -41,8 +41,8 @@ class TestBuildCow:
                                 support=unit_interval))
         grid = np.linspace(0, 1, 2001)
         w = cow.weights(grid)
-        assert np.allclose(w[:, 0], wfs.w_s(grid), atol=1e-10)
-        assert np.allclose(w[:, 1], wfs.w_b(grid), atol=1e-10)
+        assert np.allclose(w[:, 0], wfs.w_k(0, grid), atol=1e-10)
+        assert np.allclose(w[:, 1], wfs.w_k(1, grid), atol=1e-10)
 
     def test_monomial_basis_orthonormality(self, unit_interval):
         basis = monomial_basis(3, unit_interval)
@@ -197,6 +197,43 @@ class TestVarianceFunctions:
         ds, _, _ = simple_toy
         with pytest.raises(ConstructionError):
             variance_fn_qm(ds.data, UNIT_EFFICIENCY, 0, support=unit_interval)
+
+
+class TestImpliedVariance:
+    @pytest.mark.parametrize("implied", [True, False], ids=["implied", "unity"])
+    def test_dw_dW_matches_finite_differences(self, unit_interval, implied):
+        basis = monomial_basis(3, unit_interval)
+        cow = build_cow(CowSpec(basis=basis, variance_fn=UnityVariance(),
+                                support=unit_interval))
+        if implied:
+            cow = cows.implied_cow(cow.W, cow.A, basis)
+        m = np.linspace(0.05, 0.95, 7)
+
+        def w_s(W):
+            A = np.linalg.inv(W)
+            other = (cows.implied_cow(W, A, basis) if implied
+                     else CowSet(cow.spec, W, A))
+            return other.weights(m)[:, 0]
+
+        dW = cow.dw_dW(m)
+        h = 1e-6 * np.max(np.abs(cow.W))
+        for j, (k, l) in enumerate(zip(*np.triu_indices(3))):
+            E = np.zeros((3, 3))
+            E[k, l] = E[l, k] = h
+            fd = (w_s(cow.W + E) - w_s(cow.W - E)) / (2 * h)
+            assert np.allclose(dW[:, j], fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(dW)))
+
+    def test_signed_fractions_accepted(self, unit_interval):
+        gs, gb, _, _ = simple_truth_densities()
+        W = np.array([[1.0, 0.5], [0.5, 0.2]])     # A 1 = (6, -10)
+        cow = cows.implied_cow(W, np.linalg.inv(W), [gs, gb])
+        assert np.allclose(cow.spec.variance_fn.fractions, [6.0, -10.0])
+        w = cow.weights(np.linspace(0.01, 0.99, 99))
+        assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
+        with pytest.raises(EvaluationError):
+            cow.weights([1.5])                    # I = 0 outside the support
+        with pytest.raises(ConstructionError):
+            MixtureVariance(cow.spec.variance_fn.fractions, [gs, gb])
 
 
 class TestIterativeFractions:

@@ -54,8 +54,8 @@ def reference_run(method, ds, fits):
         else:
             raise ConstructionError(f"unknown variant {method.variant!r}")
         wfs = sweights.weight_functions(wm, gs_hat, gb_hat)
-        w = wfs.w_s(m)
-        dW = wfs.dw_s_dW(m)
+        w = wfs.w_k(0, m)
+        dW = wfs.dw_dW(m)
     elif method.kind == "cow":
         if method.poly_order > 0:
             basis = [gs_hat] + monomial_basis(method.poly_order + 1, gs_hat.support)
@@ -128,7 +128,7 @@ def test_recipe_matches_reference_dispatch(toy, fields):
         weights = apply_method(ms, fit, ds.data, ds.efficiency)
         assert np.array_equal(weights.w, w)
         if dW is not None:
-            assert np.array_equal(weights.wfs.dw_s_dW(ds.m), dW)
+            assert np.array_equal(weights.cow.dw_dW(ds.m), dW)
         record = toygen._run_method(ms, ds, {True: fits["free"], False: fits["yields_only"]})
         assert record["estimate"] == est
         assert record["sigma_corr"] == sigma

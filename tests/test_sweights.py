@@ -1,13 +1,17 @@
 """Two-component weight matrices, weight functions and their identities."""
 
+import warnings
+from functools import partial
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
-from cowlib import (EvaluationError, FitResult, Interval, MixtureComponent,
-                    MixtureModel, SingularModelError, apply_weights,
-                    compute_W_variant_A, compute_W_variant_B,
-                    compute_W_variant_C, fit_extended_ml, integrate,
-                    weight_functions)
+from cowlib import (CowSpec, EvaluationError, FitResult, Interval,
+                    MixtureComponent, MixtureModel, MixtureVariance,
+                    SingularModelError, build_cow, compute_W_variant_A,
+                    compute_W_variant_B, compute_W_variant_C, fit_extended_ml,
+                    integrate, monomial_basis, weight_functions)
 from cowlib import sweights
 from cowlib.sweights import WeightMatrix
 from cowlib.toygen import ToySpec, generate_simple, simple_truth_densities
@@ -40,8 +44,8 @@ class TestVariantA:
         gs, gb = box_model
         wm = compute_W_variant_A(gs, gb, 0.5, unit_interval)
         wfs = weight_functions(wm, gs, gb)
-        assert np.allclose(wfs.w_s([0.1, 0.3, 0.49]), 1.0, atol=1e-9)
-        assert np.allclose(wfs.w_s([0.51, 0.7, 0.99]), -1.0, atol=1e-9)
+        assert np.allclose(wfs.w_k(0, [0.1, 0.3, 0.49]), 1.0, atol=1e-9)
+        assert np.allclose(wfs.w_k(0, [0.51, 0.7, 0.99]), -1.0, atol=1e-9)
 
     def test_identical_shapes_singular(self, box_model, unit_interval):
         _, gb = box_model
@@ -85,7 +89,7 @@ class TestVariantB:
     def test_self_consistency_sum_equals_fitted_yield(self, toy_fit):
         m, gs, gb, fit, z = toy_fit
         wm = compute_W_variant_B(gs, gb, z, m)
-        w = weight_functions(wm, gs, gb).w_s(m)
+        w = weight_functions(wm, gs, gb).w_k(0, m)
         n = len(m)
         assert w.sum() == pytest.approx(n * z, rel=1e-12)
         # equivalently the sample mean of the weights equals the fraction
@@ -165,7 +169,7 @@ class TestWeightFunctions:
         wm = compute_W_variant_A(gs, gb, 0.5, unit_interval)
         wfs = weight_functions(wm, gs, gb)
         grid = np.linspace(0, 1, 1001)
-        assert np.allclose(wfs.w_s(grid) + wfs.w_b(grid), 1.0, atol=1e-9)
+        assert np.allclose(wfs.w_k(0, grid) + wfs.w_k(1, grid), 1.0, atol=1e-9)
 
     def test_orthonormality_by_quadrature(self, toy_fit, unit_interval):
         m, gs, gb, fit, z = toy_fit
@@ -174,7 +178,7 @@ class TestWeightFunctions:
         pairs = {("s", "s"): 1.0, ("s", "b"): 0.0,
                  ("b", "s"): 0.0, ("b", "b"): 1.0}
         for (wx, gy), expected in pairs.items():
-            wfn = wfs.w_s if wx == "s" else wfs.w_b
+            wfn = partial(wfs.w_k, 0 if wx == "s" else 1)
             gfn = gs if gy == "s" else gb
             val = integrate(lambda x: wfn(x) * gfn.pdf(x), unit_interval, 1e-9)
             assert val == pytest.approx(expected, abs=1e-8)
@@ -188,7 +192,7 @@ class TestWeightFunctions:
         g = z * gs.pdf(m) + (1.0 - z) * gb.pdf(m)
         n = len(m)
         mat = np.empty((2, 2))
-        for i, wfn in enumerate((wfs.w_s, wfs.w_b)):
+        for i, wfn in enumerate((partial(wfs.w_k, 0), partial(wfs.w_k, 1))):
             for j, gfn in enumerate((gs, gb)):
                 mat[i, j] = np.sum(wfn(m) * gfn.pdf(m) / g) / n
         assert np.allclose(mat, np.eye(2), atol=1e-10)
@@ -199,18 +203,28 @@ class TestWeightFunctions:
         wm = compute_W_variant_A(gs, gb, 0.5, unit_interval)
         strict = weight_functions(wm, gs, gb)
         with pytest.raises(EvaluationError):
-            strict.w_s([1.2])
-        loose = weight_functions(wm, gs, gb, strict_range=False)
-        assert np.isfinite(loose.w_s([1.2])[0])
+            strict.w_k(0, [1.2])
 
-    def test_negative_denominator_warns(self, box_model):
+    @pytest.mark.parametrize("W,warns,w_s,w_b", [
+        # det W = -3: A 1 = (1/3, 1/3) > 0, but the W-form denominator is < 0
+        ([[1.0, 2.0], [2.0, 1.0]], True, [0.0, 2.0], [1.0, -1.0]),
+        # A 1 = (6, -10): the denominator changes sign across the support
+        ([[1.0, 0.5], [0.5, 0.2]], True, [1.0, -1.0], [0.0, 2.0]),
+        # A 1 = (-15, 80): a negative implied fraction, denominator > 0
+        ([[1.0, 0.2], [0.2, 0.05]], False, [-0.2, -0.25], [1.2, 1.25]),
+    ], ids=["det-negative", "sign-change", "negative-fraction"])
+    def test_negative_denominator_warns(self, box_model, W, warns, w_s, w_b):
         gs, gb = box_model
-        # a deliberately inconsistent matrix makes the denominator negative
-        W = np.array([[1.0, 2.0], [2.0, 1.0]])
+        W = np.array(W)
         wm = WeightMatrix(W, np.linalg.inv(W), "A", np.array([0.5, 0.5]))
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             wfs = weight_functions(wm, gs, gb)
-        assert wfs.warnings
+        assert [w.category for w in caught] == [RuntimeWarning] * warns
+        assert bool(wfs.warnings) == warns
+        w = wfs.weights([0.25, 0.75])
+        assert np.allclose(w[:, 0], w_s, rtol=1e-12, atol=1e-12)
+        assert np.allclose(w[:, 1], w_b, rtol=1e-12, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -222,20 +236,20 @@ def box_wfs(box_model, unit_interval):
 
 class TestApplyWeights:
     def test_signal_side(self, box_wfs):
-        assert np.allclose(apply_weights(box_wfs, [0.25]), [[1.0, 0.0]],
+        assert np.allclose(box_wfs.weights([0.25]), [[1.0, 0.0]],
                            atol=1e-9)
 
     def test_background_side(self, box_wfs):
-        assert np.allclose(apply_weights(box_wfs, [0.75]), [[-1.0, 2.0]],
+        assert np.allclose(box_wfs.weights([0.75]), [[-1.0, 2.0]],
                            atol=1e-9)
 
     def test_empty(self, box_wfs):
-        out = apply_weights(box_wfs, [])
+        out = box_wfs.weights([])
         assert out.shape == (0, 2)
 
     def test_rows_sum_to_one(self, box_wfs):
         rng = np.random.default_rng(8)
-        out = apply_weights(box_wfs, rng.random(100))
+        out = box_wfs.weights(rng.random(100))
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -245,3 +259,109 @@ def test_weight_matrix_round_trip(box_model, unit_interval):
     wm2 = WeightMatrix.from_dict(wm.to_dict())
     assert np.allclose(wm2.W, wm.W)
     assert wm2.variant == "A"
+
+
+# The W-form closed forms of the two-component weights, their W derivative
+# and the W estimators that the CowSet construction replaced, kept as the
+# reference the set is checked against.
+
+def reference_weights(W, s, b):
+    den = (W[1, 1] - W[0, 1]) * s + (W[0, 0] - W[0, 1]) * b
+    return np.column_stack([(W[1, 1] * s - W[0, 1] * b) / den,
+                            (-W[0, 1] * s + W[0, 0] * b) / den])
+
+
+def reference_dw_s_dW(W, s, b):
+    num = W[1, 1] * s - W[0, 1] * b
+    den = (W[1, 1] - W[0, 1]) * s + (W[0, 0] - W[0, 1]) * b
+    den2 = den ** 2
+    return np.column_stack([-num * b / den2, (-b * den + num * (s + b)) / den2,
+                            s * (den - num) / den2])
+
+
+def reference_W(variant, gs, gb, z, m, fit):
+    if variant == "A":
+        def f(x):
+            s, b = gs.pdf(x), gb.pdf(x)
+            den = z * s + (1.0 - z) * b
+            return np.stack([s * s, s * b, b * b]) / den
+        ss, sb, bb = integrate(f, gs.support, 1e-9,
+                               points=sorted(set(gs.breakpoints()) | set(gb.breakpoints())))
+        W = np.array([[ss, sb], [sb, bb]])
+    elif variant == "B":
+        s, b = gs.pdf(m), gb.pdf(m)
+        inv2 = 1.0 / (z * s + (1.0 - z) * b) ** 2
+        W = np.array([
+            [np.sum(s * s * inv2), np.sum(s * b * inv2)],
+            [np.sum(s * b * inv2), np.sum(b * b * inv2)],
+        ]) / len(m)
+    elif variant == "Ci":
+        W = len(m) * np.linalg.inv(fit.covariance)[:2, :2]
+        W = 0.5 * (W + W.T)
+    else:
+        A = fit.covariance[:2, :2] / len(m)
+        A = 0.5 * (A + A.T)
+        return sweights._invert_2x2(A), A
+    return W, sweights._invert_2x2(W)
+
+
+def estimate(variant, gs, gb, z, m, fit):
+    if variant == "A":
+        return compute_W_variant_A(gs, gb, z, gs.support)
+    if variant == "B":
+        return compute_W_variant_B(gs, gb, z, m)
+    mode = "invert-full-cov" if variant == "Ci" else "yields-only-cov"
+    return compute_W_variant_C(fit, len(m), mode)
+
+
+class TestClosedFormReference:
+    """The weights of a W are the CowSet of its implied variance function;
+    they agree with the W-form closed form to rounding."""
+
+    def _check(self, wm, gs, gb, pts):
+        cow = weight_functions(wm, gs, gb)
+        s, b = gs.pdf(pts), gb.pdf(pts)
+        ref = reference_weights(wm.W, s, b)
+        assert np.max(np.abs(cow.weights(pts) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        ref_dW = reference_dw_s_dW(wm.W, s, b)
+        assert np.max(np.abs(cow.dw_dW(pts) - ref_dW)) <= 1e-12 * np.max(np.abs(ref_dW))
+        assert cow.W is wm.W and cow.A is wm.A
+
+    @pytest.mark.parametrize("variant", ["A", "B", "Ci", "Cii"])
+    def test_simple_toy(self, toy_fit, variant):
+        m, gs, gb, fit, z = toy_fit
+        wm = estimate(variant, gs, gb, z, m, fit)
+        W, A = reference_W(variant, gs, gb, z, m, fit)
+        assert np.array_equal(wm.W, W) and np.array_equal(wm.A, A)
+        self._check(wm, gs, gb, np.concatenate([m, np.linspace(0.0, 1.0, 1001)]))
+
+    @pytest.mark.parametrize("z", [0.5, 0.2])
+    def test_box_model(self, box_model, unit_interval, z):
+        gs, gb = box_model
+        wm = compute_W_variant_A(gs, gb, z, unit_interval)
+        W, A = reference_W("A", gs, gb, z, None, None)
+        assert np.array_equal(wm.W, W) and np.array_equal(wm.A, A)
+        self._check(wm, gs, gb, np.linspace(0.0, 1.0, 1001))
+
+    def test_cow_matrices(self, toy_fit, unit_interval):
+        m, gs, gb, fit, z = toy_fit
+        for basis, var in (([gs, gb], MixtureVariance([z, 1 - z], [gs, gb])),
+                           ([gs] + monomial_basis(4, unit_interval), MixtureVariance(
+                               [0.2] * 5, [gs] + monomial_basis(4, unit_interval)))):
+            cow = build_cow(CowSpec(basis=basis, variance_fn=var, support=unit_interval))
+            n = len(basis)
+            rows, cols = np.triu_indices(n)
+
+            def f(x):
+                g = np.stack([gk.pdf(x) for gk in basis])
+                return g[rows] * g[cols] / var(x)
+
+            pts = set(var.breakpoints())
+            for g in basis:
+                pts.update(g.breakpoints())
+            W = np.empty((n, n))
+            W[rows, cols] = W[cols, rows] = integrate(f, unit_interval, 1e-9,
+                                                      points=sorted(pts))
+            A = cho_solve(cho_factor(W), np.eye(n))
+            assert np.array_equal(cow.W, W)
+            assert np.array_equal(cow.A, 0.5 * (A + A.T))

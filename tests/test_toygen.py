@@ -27,6 +27,22 @@ class TestSpecs:
             ToySpec(study="multicomponent", n_events=10,
                     fractions=[0.5, 0.2, 0.2])
 
+    @pytest.mark.parametrize("study,params", [
+        ("nonfactorising", {"bkg_slop_t": 5.0}),
+        ("nonfactorising", [("eff_base", 0.3), ("eff_bse", 0.3)]),
+        ("simple", {"bkg_slope_t": 0.8}),
+        ("multicomponent", {"eff_base": 0.3}),
+        ("nonfactorising", "x"),
+    ], ids=["misspelt", "misspelt-pairs", "simple", "multicomponent", "not-a-mapping"])
+    def test_params_outside_the_study_rejected(self, study, params):
+        with pytest.raises(ConstructionError, match="params"):
+            ToySpec(study=study, n_events=10, params=params)
+
+    def test_params_of_the_study_accepted(self):
+        ToySpec(study="nonfactorising", n_events=10, params=dict(toygen.NONFACT_DEFAULTS))
+        ToySpec(study="nonfactorising", n_events=10, params=[("eff_base", 0.3)])
+        ToySpec(study="simple", n_events=10, params={})
+
     def test_invalid_ensemble(self):
         cfg = EnsembleConfig(toy=ToySpec(study="simple", n_events=10),
                              methods=[MethodSpec(name="a")], n_toys=0)

@@ -34,7 +34,7 @@ def weighted_toy():
     z = float(mfit.params[0] / mfit.params[:2].sum())
     wm = compute_W_variant_B(gs, gb, z, m)
     wfs = weight_functions(wm, gs, gb)
-    w = wfs.w_s(m)
+    w = wfs.w_k(0, m)
     tfit = fit_weighted_ml(t, w, hs, bounds=[(0.05, 20.0)])
     assert tfit.converged
     return dict(ds=ds, m=m, t=t, gs=gs, gb=gb, hs=hs, mfit=mfit, tfit=tfit,
@@ -112,7 +112,7 @@ class TestFixedShapeCorrection:
     def test_reduction_term_psd_and_subtracted(self, weighted_toy):
         d = weighted_toy
         corr = corrected_covariance_fixed_shapes(
-            d["t"], d["w"], d["wfs"].dw_s_dW(d["m"]), d["hs"],
+            d["t"], d["w"], d["wfs"].dw_dW(d["m"]), d["hs"],
             d["tfit"].params, gs=d["gs"], gb=d["gb"],
             yields=d["mfit"].params[:2], data_m=d["m"])
         np.linalg.cholesky(corr.reduction_term + 1e-15 * np.eye(1))
@@ -124,7 +124,7 @@ class TestFixedShapeCorrection:
         d = weighted_toy
         with pytest.raises(EvaluationError):
             corrected_covariance_fixed_shapes(
-                d["t"], d["w"], d["wfs"].dw_s_dW(d["m"]), d["hs"],
+                d["t"], d["w"], d["wfs"].dw_dW(d["m"]), d["hs"],
                 d["tfit"].params)
 
 
@@ -223,6 +223,29 @@ class TestFullSandwich:
         bad[-1] *= 1.5
         with pytest.raises(EvaluationError, match="root"):
             corrected_covariance_full(d["ds"].data, spec, bad)
+
+    def test_free_signal_shape(self, weighted_toy):
+        # phi_free: the fitted signal mean and width enter the joint score
+        d = weighted_toy
+        mfit = fit_extended_ml(d["m"], MixtureModel(
+            [MixtureComponent("s", d["gs"], True), MixtureComponent("b", d["gb"], False)],
+            np.array([1500.0, 1500.0])))
+        assert mfit.converged
+        gs_hat = mfit.model.components[0].density
+        z = float(mfit.params[0] / mfit.params[:2].sum())
+        w = weight_functions(compute_W_variant_B(gs_hat, d["gb"], z, d["m"]),
+                             gs_hat, d["gb"]).w_k(0, d["m"])
+        tfit = fit_weighted_ml(d["t"], w, d["hs"], bounds=[(0.05, 20.0)])
+        spec = QuasiScoreSpec(gs=d["gs"], gb=d["gb"], hs=d["hs"],
+                              phi_free=(("s", 0), ("s", 1)))
+        lam = spec.lambda_from_fits(d["m"], mfit, tfit)
+        assert np.array_equal(lam[2:4], gs_hat.params)
+        assert np.array_equal(spec.unpack(lam)[2].params, gs_hat.params)
+        assert np.allclose(spec.weight_s(d["m"], lam), w, rtol=1e-9, atol=1e-12)
+        assert np.max(np.abs(spec.score(lam, d["m"], d["t"]))) < 1e-4 * len(d["m"])
+        corr = corrected_covariance_full(d["ds"].data, spec, lam)
+        assert corr.full.shape == (8, 8)
+        assert 0 < corr.theta_block[0, 0]
 
     def test_wrong_length_rejected(self, weighted_toy, spec_and_root):
         d = weighted_toy
