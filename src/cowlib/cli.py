@@ -30,7 +30,7 @@ from .cows import CowSpec, build_cow, efficiency_corrected_weights
 from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
 from .diagnostics import kendall_tau
 from .errors import ConstructionError, CowlibError, NonConvergenceError
-from .methods import MethodSpec, apply_method, variance_function
+from .methods import MethodSpec, apply_method, as_integer, variance_function
 from .mlfit import MixtureComponent, MixtureModel, fit_extended_ml, fit_weighted_ml
 from .toygen import EnsembleConfig, ToySpec, generate, run_ensemble
 from .wcov import corrected_covariance_fixed_shapes, equivalent_events
@@ -241,8 +241,10 @@ def _model_from_cfg(cfg: dict, n_events: int) -> MixtureModel:
     comps = []
     for i, c in enumerate(comps_cfg):
         dens = _density_from_cfg(c, support)
-        comps.append(MixtureComponent(c.get("label", f"c{i}"), dens,
-                                      bool(c.get("free_shape", False))))
+        free = c.get("free_shape", False)
+        if not isinstance(free, bool):
+            raise CliInputError(f"'free_shape' must be true or false, got {free!r}")
+        comps.append(MixtureComponent(c.get("label", f"c{i}"), dens, free))
     yields = cfg.get("yields")
     if yields is None:
         yields = [n_events / len(comps)] * len(comps)
@@ -320,16 +322,6 @@ COW_DEFAULTS = {"data": None, "basis": None, "n_signal": 1, "support": None,
                 "out_weights": None, "out_summary": None, "seed": 0}
 
 
-def _int_setting(resolved: dict, key: str, minimum: int) -> int:
-    """An integer config value of at least ``minimum``; 2.0 is read as 2."""
-    value = resolved[key]
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise CliInputError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
 def _support_setting(value) -> Interval:
     """An interval from a config value ``[lo, hi]``."""
     if (not isinstance(value, (list, tuple)) or len(value) != 2
@@ -345,9 +337,9 @@ def _build_cow_from_cfg(resolved: dict, data: np.ndarray):
     if resolved["support"] is None:
         raise CliInputError("cow config needs a 'support'")
     support = _support_setting(resolved["support"])
-    n_signal = _int_setting(resolved, "n_signal", 1)
-    poly_order = _int_setting(resolved, "poly_order", 0)
-    qm_bins = _int_setting(resolved, "qm_bins", 1)
+    n_signal = as_integer(resolved["n_signal"], "'n_signal'", 1)
+    poly_order = as_integer(resolved["poly_order"], "'poly_order'", 0)
+    qm_bins = as_integer(resolved["qm_bins"], "'qm_bins'", 1)
     if not resolved["basis"] or not isinstance(resolved["basis"], list):
         raise CliInputError("cow config needs a nonempty 'basis' list")
     basis = [_density_from_cfg(c, support) for c in resolved["basis"]]
@@ -472,8 +464,10 @@ def cmd_toys(config: dict, echo: bool, jobs_override: Optional[int] = None) -> i
         if not isinstance(toy.params, dict):
             raise TypeError(f"'params' must be an object, got {toy.params!r}")
         methods = [MethodSpec(**m) for m in (resolved["methods"] or [])]
-        ens = EnsembleConfig(toy=toy, methods=methods, n_toys=int(resolved["n_toys"]),
-                             base_seed=int(resolved["base_seed"]), jobs=int(resolved["jobs"]))
+        ens = EnsembleConfig(toy=toy, methods=methods,
+                             n_toys=as_integer(resolved["n_toys"], "n_toys", 1),
+                             base_seed=as_integer(resolved["base_seed"], "base_seed"),
+                             jobs=int(resolved["jobs"]))
     except (TypeError, ValueError, ConstructionError) as exc:
         raise CliInputError(f"bad toys config: {exc}") from exc
     if resolved["export_dataset"]:

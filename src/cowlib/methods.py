@@ -6,6 +6,7 @@ plus the covariance correction of the weighted control-variable fit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
@@ -22,8 +23,20 @@ from .sweights import (WeightMatrix, compute_W_variant_A, compute_W_variant_B,
 from .wcov import (CorrectedCovariance, corrected_covariance_cow,
                    corrected_covariance_fixed_shapes)
 
-__all__ = ["MethodSpec", "MethodWeights", "apply_method", "fitted_basis",
+__all__ = ["MethodSpec", "MethodWeights", "apply_method", "as_integer", "fitted_basis",
            "sweights_matrix", "variance_function"]
+
+
+def as_integer(value, what: str, minimum: Optional[int] = None) -> int:
+    """``value`` as an int of at least ``minimum``: 2.0 is read as 2, and a
+    bool is not an integer.  Raises ConstructionError naming ``what``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConstructionError(f"{what} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -51,8 +64,11 @@ class MethodSpec:
             if getattr(self, key) not in allowed:
                 raise ConstructionError(f"method {self.name!r}: unknown {key} "
                                         f"{getattr(self, key)!r}; expected one of {allowed}")
-        if not (self.poly_order >= 0 and self.qm_bins >= 1):
-            raise ConstructionError(f"method {self.name!r}: need poly_order >= 0, qm_bins >= 1")
+        self.poly_order = as_integer(self.poly_order, f"method {self.name!r}: poly_order", 0)
+        self.qm_bins = as_integer(self.qm_bins, f"method {self.name!r}: qm_bins", 1)
+        if not isinstance(self.fit_shapes, bool):
+            raise ConstructionError(
+                f"method {self.name!r}: fit_shapes must be true or false, got {self.fit_shapes!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -101,6 +117,8 @@ def variance_function(kind: str, basis: List[Density1D], data,
     if kind == "qm":
         if data.shape[1] < 2:
             raise ConstructionError("variance 'qm' needs (m, t) data")
+        if qm_bins > len(data):
+            raise ConstructionError(f"qm_bins {qm_bins} exceeds the {len(data)} events")
         return HistogramVariance(
             variance_fn_qm(data, eff or UNIT_EFFICIENCY, qm_bins, support=support))
     if kind == "mixture":

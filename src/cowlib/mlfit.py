@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
+from ._numdiff import derivative, numerical_hessian
 from .densities import Density1D, Interval
 from .errors import ConstructionError, EvaluationError
 
@@ -119,38 +120,6 @@ class FitResult:
             "n_calls": int(self.n_calls),
             "flags": list(self.flags),
         }
-
-
-def numerical_hessian(objective, params, rel_step: float = 1e-5) -> np.ndarray:
-    """Central-difference Hessian, symmetrized by averaging with its transpose.
-
-    Steps are scaled per parameter by ``max(|p|, 1)``.  Raises
-    :class:`~cowlib.errors.EvaluationError` naming the probe point if the
-    objective is non-finite anywhere on the stencil.
-    """
-    x = np.asarray(params, dtype=float)
-    n = len(x)
-    steps = rel_step * np.maximum(np.abs(x), 1.0)
-
-    def f(p):
-        v = float(objective(p))
-        if not np.isfinite(v):
-            raise EvaluationError(f"objective non-finite at probe point {p.tolist()}")
-        return v
-
-    f0 = f(x)
-    H = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = steps[i]
-        H[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / steps[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = steps[j]
-            H[i, j] = H[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
-    return 0.5 * (H + H.T)
 
 
 def _projected_grad(g, x, lower, upper):
@@ -336,17 +305,13 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
             s = slices[i]
             dens = model.components[i].density
             for off in range(s.start, s.stop):
-                # central difference in one shape parameter of component i
-                h = 1e-6 * max(abs(params[off]), 1.0)
-                tp, tm = params[s].copy(), params[s].copy()
-                tp[off - s.start] += h
-                tm[off - s.start] -= h
                 try:
-                    dgi = (dens.with_params(tp).pdf(data)
-                           - dens.with_params(tm).pdf(data)) / (2 * h)
-                    out[off] = -np.sum(params[i] * dgi / f)
+                    dgi = derivative(lambda theta: dens.with_params(theta).pdf(data),
+                                     params[s], off - s.start)
                 except ConstructionError:
                     out[off] = 0.0
+                    continue
+                out[off] = -np.sum(params[i] * dgi / f)
         return out
 
     def polish_yields(params):
@@ -460,18 +425,12 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
     def grad(theta):
         out = np.empty(n_par)
         for j in range(n_par):
-            h = 1e-6 * max(abs(theta[j]), 1.0)
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
             try:
-                lp = density.with_params(tp).logpdf(t)
-                lm = density.with_params(tm).logpdf(t)
+                d = derivative(lambda th: density.with_params(th).logpdf(t), theta, j)
             except ConstructionError:
                 out[j] = 0.0
                 continue
-            d = np.where(active, (lp - lm) / (2 * h), 0.0)
-            out[j] = -np.sum(w * d)
+            out[j] = -np.sum(w * np.where(active, d, 0.0))
         return out
 
     # score scales with sum|w|; point estimate is scale-invariant

@@ -23,7 +23,7 @@ from . import wcov
 from ._quadrature import gauss_legendre
 from .densities import Density1D, EfficiencyMap, Interval
 from .errors import CowlibError, ConstructionError, EvaluationError
-from .methods import MethodSpec, apply_method
+from .methods import MethodSpec, apply_method, as_integer
 from .mlfit import (FitResult, MixtureComponent, MixtureModel, fit_extended_ml,
                     fit_weighted_ml)
 
@@ -100,14 +100,19 @@ class ToySpec:
     def __post_init__(self):
         if self.study not in ("simple", "multicomponent", "nonfactorising"):
             raise ConstructionError(f"unknown study {self.study!r}")
-        if self.n_events < 1:
-            raise ConstructionError("n_events must be >= 1")
+        self.n_events = as_integer(self.n_events, "n_events", 1)
+        self.seed = as_integer(self.seed, "seed")
+        if not isinstance(self.efficiency, bool):
+            raise ConstructionError(f"efficiency must be true or false, got {self.efficiency!r}")
+        if not (isinstance(self.z, numbers.Real) and 0.0 <= self.z <= 1.0):
+            raise ConstructionError(f"z must be a number in [0, 1], got {self.z!r}")
         if self.fractions is not None:
-            f = np.asarray(self.fractions, dtype=float)
-            if np.any(f < 0) or abs(f.sum() - 1.0) > 1e-9:
+            try:
+                f = np.asarray(self.fractions, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConstructionError(f"fractions must be a list of numbers: {exc}") from exc
+            if f.ndim != 1 or not np.all(f >= 0) or abs(f.sum() - 1.0) > 1e-9:
                 raise ConstructionError("fractions must be >= 0 and sum to 1")
-        elif not 0.0 <= self.z <= 1.0:
-            raise ConstructionError("z must lie in [0, 1]")
         try:
             keys = set(dict(self.params))   # a mapping or (key, value) pairs
         except (TypeError, ValueError) as exc:
@@ -115,7 +120,7 @@ class ToySpec:
         unknown = keys - set(NONFACT_DEFAULTS if self.study == "nonfactorising" else ())
         if unknown:
             raise ConstructionError(
-                f"unknown params {sorted(unknown)} for study {self.study!r}; only "
+                f"unknown params {sorted(unknown, key=str)} for study {self.study!r}; only "
                 f"'nonfactorising' takes params, named in {sorted(NONFACT_DEFAULTS)}")
 
     def to_dict(self) -> dict:
@@ -408,6 +413,10 @@ class EnsembleConfig:
                 f"methods to fit; use one of {ANALYSED_STUDIES}")
         if len({ms.name for ms in self.methods}) != len(self.methods):
             raise ConstructionError(f"duplicate method names in {[m.name for m in self.methods]}")
+        for ms in self.methods:
+            if ms.kind == "cow" and ms.variance == "qm" and ms.qm_bins > self.toy.n_events:
+                raise ConstructionError(f"method {ms.name!r}: qm_bins {ms.qm_bins} exceeds "
+                                        f"the {self.toy.n_events} events of a toy")
 
     def to_dict(self) -> dict:
         return {"toy": self.toy.to_dict(),

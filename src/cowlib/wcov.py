@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._numdiff import LOG_HESSIAN_STEP, derivative, numerical_hessian
 from ._quadrature import gauss_legendre
 from .cows import HistogramVariance, from_upper, implied_cow, pair_products
 from .densities import ZERO_BIN_FLOOR, Density1D
@@ -31,9 +32,6 @@ __all__ = [
 ]
 
 ROOT_TOL_PER_EVENT = 1e-4
-JACOBIAN_REL_STEP = 1e-6
-LOG_DERIV_STEP = 1e-6
-LOG_DERIV2_STEP = 1e-4
 # the histogram-variance bootstrap works on blocks of at most this many
 # (replica, event) pairs, and keeps the Poisson multiplicities of a call
 # in memory for the next one only up to this many
@@ -61,43 +59,11 @@ def equivalent_events(weights) -> float:
     return float(sw ** 2 / sw2)
 
 
-def _log_derivs1(density: Density1D, t: np.ndarray, theta: np.ndarray,
-                 rel_step: float = LOG_DERIV_STEP) -> np.ndarray:
+def _log_derivs1(density: Density1D, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """First derivatives of ln density wrt its parameters; shape (p, N)."""
-    p = len(theta)
-    out = np.empty((p, len(t)))
-    for k in range(p):
-        h = rel_step * max(abs(theta[k]), 1.0)
-        tp, tm = theta.copy(), theta.copy()
-        tp[k] += h
-        tm[k] -= h
-        out[k] = (density.with_params(tp).logpdf(t)
-                  - density.with_params(tm).logpdf(t)) / (2 * h)
-    return out
-
-
-def _log_derivs2(density: Density1D, t: np.ndarray, theta: np.ndarray,
-                 rel_step: float = LOG_DERIV2_STEP) -> np.ndarray:
-    """Second derivatives of ln density wrt its parameters; shape (p, p, N)."""
-    p = len(theta)
-    steps = rel_step * np.maximum(np.abs(theta), 1.0)
-    l0 = density.with_params(theta).logpdf(t)
-    out = np.empty((p, p, len(t)))
-    for k in range(p):
-        ek = np.zeros(p)
-        ek[k] = steps[k]
-        lp = density.with_params(theta + ek).logpdf(t)
-        lm = density.with_params(theta - ek).logpdf(t)
-        out[k, k] = (lp - 2 * l0 + lm) / steps[k] ** 2
-        for l in range(k + 1, p):
-            el = np.zeros(p)
-            el[l] = steps[l]
-            v = (density.with_params(theta + ek + el).logpdf(t)
-                 - density.with_params(theta + ek - el).logpdf(t)
-                 - density.with_params(theta - ek + el).logpdf(t)
-                 + density.with_params(theta - ek - el).logpdf(t)
-                 ) / (4 * steps[k] * steps[l])
-            out[k, l] = out[l, k] = v
+    out = np.empty((len(theta), len(t)))
+    for k in range(len(theta)):
+        out[k] = derivative(lambda th: density.with_params(th).logpdf(t), theta, k)
     return out
 
 
@@ -129,8 +95,13 @@ class CorrectedCovariance:
 
 
 def _weighted_hessian(hs: Density1D, t, weights, theta) -> np.ndarray:
-    """Hessian of the weighted log-likelihood sum_i w_i ln hs(t_i; theta)."""
-    return np.einsum("i,kli->kl", weights, _log_derivs2(hs, t, theta))
+    """Hessian of the weighted log-likelihood sum_i w_i ln hs(t_i; theta).
+
+    Raises :class:`~cowlib.errors.EvaluationError` if ln hs is non-finite at
+    any event on the stencil, even one of weight 0.
+    """
+    d2 = numerical_hessian(lambda th: hs.with_params(th).logpdf(t), theta, LOG_HESSIAN_STEP)
+    return np.einsum("i,kli->kl", weights, d2)
 
 
 def _naive_covariance(H: np.ndarray) -> Optional[np.ndarray]:
@@ -490,11 +461,7 @@ class QuasiScoreSpec:
         out = np.empty((self.n_phi, len(m)))
         for k, (comp, idx) in enumerate(self.phi_free):
             dens = gs if comp == "s" else gb
-            h = 1e-6 * max(abs(dens.params[idx]), 1.0)
-            pp, pm = dens.params.copy(), dens.params.copy()
-            pp[idx] += h
-            pm[idx] -= h
-            dg = (dens.with_params(pp).pdf(m) - dens.with_params(pm).pdf(m)) / (2 * h)
+            dg = derivative(lambda p: dens.with_params(p).pdf(m), dens.params, idx)
             out[k] = (ns if comp == "s" else nb) * dg / f
         return out
 
@@ -558,11 +525,7 @@ def corrected_covariance_full(data, spec: QuasiScoreSpec, lam_hat,
         scales[iw:iw + 3] = np.maximum(np.abs(lam[iw:iw + 3]), w_scale)
     J = np.empty((dim, dim))
     for j in range(dim):
-        h = JACOBIAN_REL_STEP * scales[j]
-        lp, lm = lam.copy(), lam.copy()
-        lp[j] += h
-        lm[j] -= h
-        J[:, j] = (spec.score(lp, m, t) - spec.score(lm, m, t)) / (2 * h)
+        J[:, j] = derivative(lambda l: spec.score(l, m, t), lam, j, scales[j])
 
     CS = spec.score_covariance(lam, m, t)
     try:

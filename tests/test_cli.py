@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cowlib import cli
+from cowlib import Density1D, Interval, cli
 from cowlib.toygen import ToySpec, generate_simple
 
 GS_CFG = {"kind": "normal", "params": [0.5, 0.08], "label": "s"}
@@ -438,3 +438,108 @@ class TestConfigShape:
         err = capsys.readouterr().err
         assert err.startswith("error: bad toys config") and "unknown params" in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command,cfg,named", [
+        ("pipeline", {"method": "cow", "cow": {"poly_order": 2.5}}, "poly_order"),
+        ("pipeline", {"method": "cow", "cow": {"variance": "qm", "qm_bins": "x"}}, "qm_bins"),
+        ("toys", {"toy": {"study": "simple", "n_events": 2.5}}, "n_events"),
+        ("toys", {"toy": {"study": "simple", "n_events": 300, "seed": 2.5}}, "seed"),
+        ("toys", {"toy": {"study": "simple", "n_events": 300},
+                  "methods": [{"name": "c", "kind": "cow", "poly_order": True}]}, "poly_order"),
+        ("toys", {"toy": {"study": "simple", "n_events": 300}, "n_toys": 2.5}, "n_toys")],
+        ids=["pipeline-poly_order", "pipeline-qm_bins", "toys-n_events", "toys-seed",
+             "toys-method-poly_order", "toys-n_toys"])
+    def test_non_integer_field(self, tmp_path, capsys, monkeypatch, command, cfg, named):
+        def no_toys(config):
+            raise AssertionError("a toy ran")
+        monkeypatch.setattr(cli, "run_ensemble", no_toys)
+        if command == "pipeline":
+            cfg = {"data": str(tmp_path / "absent.csv"), "model": MODEL_CFG,
+                   "control_model": CONTROL_CFG, **cfg}
+        cfg["out_summary" if command == "pipeline" else "out"] = str(tmp_path / "s.json")
+        assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err and "integer" in err
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("methods", [
+        [{"name": "free", "fit_shapes": True}, {"name": "x", "fit_shapes": "x"}],
+        [{"name": "free", "fit_shapes": "false"}]], ids=["mixed", "string"])
+    def test_fit_shapes_not_a_boolean(self, tmp_path, capsys, monkeypatch, methods):
+        def no_toys(config):
+            raise AssertionError("a toy ran")
+        monkeypatch.setattr(cli, "run_ensemble", no_toys)
+        cfg = {"toy": {"study": "simple", "n_events": 300}, "methods": methods,
+               "out": str(tmp_path / "r.json")}
+        assert cli.main(["toys", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad toys config") and "fit_shapes" in err
+
+    def test_toy_efficiency_not_a_boolean(self, tmp_path, capsys, monkeypatch):
+        def no_toys(config):
+            raise AssertionError("a toy ran")
+        monkeypatch.setattr(cli, "run_ensemble", no_toys)
+        cfg = {"toy": {"study": "nonfactorising", "n_events": 300, "efficiency": "no"},
+               "out": str(tmp_path / "r.json")}
+        assert cli.main(["toys", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad toys config") and "efficiency" in err
+
+    @pytest.mark.parametrize("command", ["fit", "sweights", "pipeline"])
+    def test_free_shape_not_a_boolean(self, tmp_path, data_csv, capsys, command):
+        model = {**MODEL_CFG, "components": [{**GS_CFG, "free_shape": "false"}, GB_CFG]}
+        out = str(tmp_path / "s.json")
+        cfg = {"data": data_csv, "model": model}
+        if command == "fit":
+            cfg["out"] = out
+        else:
+            cfg["out_summary"] = out
+        if command == "pipeline":
+            cfg["control_model"] = CONTROL_CFG
+        assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "free_shape" in err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_qm_bins_above_the_event_count(self, tmp_path, data_csv, capsys, monkeypatch):
+        small = tmp_path / "small.csv"
+        ds = generate_simple(ToySpec(study="simple", n_events=50, z=0.3, seed=5))
+        cli.write_csv(str(small), ["m", "t"], ds.data)
+        out = tmp_path / "s.json"
+        cow = {"data": str(small), "support": [0.0, 1.0], "basis": [GS_CFG, GB_CFG],
+               "variance": "qm", "qm_bins": 51, "out_summary": str(out)}
+        assert cli.main(["cow", "--config", write_cfg(tmp_path, "c.json", cow)]) == 1
+        assert "qm_bins 51 exceeds the 50 events" in capsys.readouterr().err
+        cow["qm_bins"] = 50
+        assert cli.main(["cow", "--config", write_cfg(tmp_path, "c.json", cow)]) == 0
+        out.unlink()
+
+        pipeline = {"data": data_csv, "model": MODEL_CFG, "method": "cow",
+                    "cow": {"variance": "qm", "qm_bins": 2001},
+                    "control_model": CONTROL_CFG, "out_summary": str(out)}
+        assert cli.main(["pipeline", "--config", write_cfg(tmp_path, "c.json", pipeline)]) == 1
+        assert "qm_bins 2001 exceeds the 2000 events" in capsys.readouterr().err
+        assert not out.exists()
+
+        def no_toys(config):
+            raise AssertionError("a toy ran")
+        monkeypatch.setattr(cli, "run_ensemble", no_toys)
+        toys = {"toy": {"study": "simple", "n_events": 300},
+                "methods": [{"name": "c", "kind": "cow", "variance": "qm", "qm_bins": 301}],
+                "out": str(out)}
+        assert cli.main(["toys", "--config", write_cfg(tmp_path, "c.json", toys)]) == 1
+        assert "qm_bins 301 exceeds the 300 events" in capsys.readouterr().err
+
+    def test_correct_with_an_underflowing_zero_weight_event(self, tmp_path, capsys):
+        # the weighted fit ignores the event at t = 0, where ln h is -inf, so
+        # its corrected covariance is undefined: exit 2, not a NaN result
+        d = Density1D("normal", [0.5, 0.01], Interval(0.0, 1.0))
+        t = np.append(d.sample(np.random.default_rng(3), 500), 0.0)
+        data, weights = tmp_path / "d.csv", tmp_path / "w.csv"
+        cli.write_csv(str(data), ["m", "t"], np.column_stack([np.full_like(t, 0.5), t]))
+        cli.write_csv(str(weights), ["w_s"], np.append(np.ones(500), 0.0)[:, None])
+        cfg = {"data": str(data), "weights": str(weights), "out": str(tmp_path / "o.json"),
+               "control_model": {"kind": "normal", "params": [0.5, 0.01], "support": [0, 1]}}
+        assert cli.main(["correct", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o.json").exists()

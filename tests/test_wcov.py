@@ -127,6 +127,18 @@ class TestFixedShapeCorrection:
                 d["t"], d["w"], d["wfs"].dw_dW(d["m"]), d["hs"],
                 d["tfit"].params)
 
+    def test_zero_weight_event_where_the_density_underflows(self):
+        # the fit ignores the event at t = 0, which has weight 0, but ln h(0)
+        # is -inf: the weighted Hessian is undefined there, so the correction
+        # raises instead of returning NaN
+        d = Density1D("normal", [0.5, 0.01], Interval(0.0, 1.0))
+        t = np.append(d.sample(np.random.default_rng(3), 500), 0.0)
+        w = np.append(np.ones(500), 0.0)
+        fit = fit_weighted_ml(t, w, d)
+        assert fit.converged
+        with pytest.raises(EvaluationError, match="non-finite"):
+            corrected_covariance_fixed_shapes(t, w, None, d, fit.params)
+
 
 @pytest.fixture(scope="module")
 def hist_cow(weighted_toy):
@@ -263,7 +275,7 @@ def loop_bootstrap_covariance(cow, data, hs_model, theta, eff=None,
     """The histogram-variance bootstrap one replica at a time: the reference
     for the batched version (theta_block only)."""
     from cowlib.densities import ZERO_BIN_FLOOR
-    from cowlib.wcov import _log_derivs1, _log_derivs2
+    from cowlib.wcov import _log_derivs1, _weighted_hessian
 
     data = np.asarray(data, dtype=float)
     m, t = data[:, 0], data[:, 1]
@@ -273,7 +285,7 @@ def loop_bootstrap_covariance(cow, data, hs_model, theta, eff=None,
     inv_e = np.ones(n) if eff is None else 1.0 / np.asarray(eff(m, t), dtype=float)
     w = cow.weights(m)[:, :n_sig].sum(axis=1) * inv_e
     d1 = _log_derivs1(hs_model, t, theta)
-    H = np.einsum("i,kli->kl", w, _log_derivs2(hs_model, t, theta))
+    H = _weighted_hessian(hs_model, t, w, theta)
     Hinv = np.linalg.inv(H)
 
     edges = np.asarray(cow.spec.variance_fn.density.data["edges"], dtype=float)
