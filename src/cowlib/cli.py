@@ -29,7 +29,7 @@ from . import __version__
 from .cows import CowSpec, build_cow, efficiency_corrected_weights
 from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
 from .diagnostics import kendall_tau
-from .errors import ConstructionError, CowlibError, NonConvergenceError
+from .errors import ConstructionError, CowlibError
 from .methods import MethodSpec, apply_method, as_integer, variance_function
 from .mlfit import MixtureComponent, MixtureModel, fit_extended_ml, fit_weighted_ml
 from .toygen import EnsembleConfig, ToySpec, generate, run_ensemble
@@ -48,25 +48,17 @@ class CliInputError(Exception):
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _round_trip_floats(obj):
-    """Clamp floats to 17 significant digits (a no-op on the value itself)."""
-    if isinstance(obj, dict):
-        return {k: _round_trip_floats(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_round_trip_floats(v) for v in obj]
+def _to_builtin(obj):
+    """``json.dumps`` hook: numpy arrays and scalars as Python builtins."""
     if isinstance(obj, np.ndarray):
-        return _round_trip_floats(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(format(float(obj), ".17g"))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_round_trip_floats(obj), sort_keys=True, indent=2)
+    return json.dumps(obj, sort_keys=True, indent=2, default=_to_builtin)
 
 
 def config_hash(resolved: dict) -> str:
@@ -192,19 +184,10 @@ def _resolve(config: dict, defaults: dict, context: str) -> dict:
     for key, val in config.items():
         if key not in defaults:
             raise CliInputError(f"unknown {context} config key {key!r}")
-        if key in _PATH_KEYS and val is not None and not isinstance(val, str):
+        if key in _PATH_KEYS and val is not None and (not isinstance(val, str) or "\0" in val):
             raise CliInputError(f"{context} config key {key!r} must be a file path, got {val!r}")
         out[key] = val
     return out
-
-
-def _apply_seed_override(resolved: dict, key: str = "seed"):
-    env = os.environ.get("COWLIB_SEED")
-    if env is not None:
-        try:
-            resolved[key] = int(env)
-        except ValueError as exc:
-            raise CliInputError(f"COWLIB_SEED must be an integer, got {env!r}") from exc
 
 
 def _stamp(resolved: dict) -> dict:
@@ -214,16 +197,15 @@ def _stamp(resolved: dict) -> dict:
 
 
 def _density_from_cfg(cfg: dict, support: Optional[Interval] = None) -> Density1D:
+    """The density of ``cfg`` on its own ``support``, else on ``support``."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise CliInputError("density config must be an object with a 'kind'")
-    try:
-        if "support" in cfg:
-            d = dict(cfg)
-            lo, hi = d.pop("support")
-            return Density1D.from_dict({**d, "support": [lo, hi]})
+    if "support" not in cfg:
         if support is None:
             raise CliInputError("density config needs a 'support'")
-        return Density1D.from_dict({**cfg, "support": list(support.as_tuple())})
+        cfg = {**cfg, "support": support.as_tuple()}
+    try:
+        return Density1D.from_dict(cfg)
     except (ConstructionError, KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"bad density config: {exc}") from exc
 
@@ -231,10 +213,7 @@ def _density_from_cfg(cfg: dict, support: Optional[Interval] = None) -> Density1
 def _model_from_cfg(cfg: dict, n_events: int) -> MixtureModel:
     if not isinstance(cfg, dict):
         raise CliInputError("model config must be an object")
-    try:
-        support = Interval(*cfg["support"])
-    except (KeyError, TypeError, ConstructionError) as exc:
-        raise CliInputError(f"model config needs a valid 'support': {exc}") from exc
+    support = Interval.from_pair(cfg.get("support"))
     comps_cfg = cfg.get("components")
     if not isinstance(comps_cfg, list) or len(comps_cfg) < 2:
         raise CliInputError("model config needs at least two components")
@@ -265,18 +244,12 @@ def _efficiency_from_path(path: Optional[str]) -> Optional[EfficiencyMap]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the resolved config, its required keys checked
 
 FIT_DEFAULTS = {"data": None, "model": None, "out": None, "seed": 0}
 
 
-def cmd_fit(config: dict, echo: bool) -> int:
-    resolved = _resolve(config, FIT_DEFAULTS, "fit")
-    _apply_seed_override(resolved)
-    if echo:
-        return _echo(resolved)
-    if resolved["data"] is None or resolved["model"] is None:
-        raise CliInputError("fit config needs 'data' and 'model'")
+def cmd_fit(resolved: dict) -> int:
     _, data = read_csv(resolved["data"], min_cols=1)
     model = _model_from_cfg(resolved["model"], data.shape[0])
     fit = fit_extended_ml(data[:, 0], model)
@@ -289,13 +262,7 @@ SWEIGHTS_DEFAULTS = {"data": None, "model": None, "variant": "B",
                      "out_weights": None, "out_summary": None, "seed": 0}
 
 
-def cmd_sweights(config: dict, echo: bool) -> int:
-    resolved = _resolve(config, SWEIGHTS_DEFAULTS, "sweights")
-    _apply_seed_override(resolved)
-    if echo:
-        return _echo(resolved)
-    if resolved["data"] is None or resolved["model"] is None:
-        raise CliInputError("sweights config needs 'data' and 'model'")
+def cmd_sweights(resolved: dict) -> int:
     spec = MethodSpec(f"sweights-{resolved['variant']}", variant=resolved["variant"])
     names, data = read_csv(resolved["data"], min_cols=1)
     model = _model_from_cfg(resolved["model"], data.shape[0])
@@ -322,21 +289,8 @@ COW_DEFAULTS = {"data": None, "basis": None, "n_signal": 1, "support": None,
                 "out_weights": None, "out_summary": None, "seed": 0}
 
 
-def _support_setting(value) -> Interval:
-    """An interval from a config value ``[lo, hi]``."""
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        raise CliInputError(f"'support' must be [lo, hi], got {value!r}")
-    try:
-        return Interval(float(value[0]), float(value[1]))
-    except ConstructionError as exc:
-        raise CliInputError(f"bad 'support': {exc}") from exc
-
-
-def _build_cow_from_cfg(resolved: dict, data: np.ndarray):
-    if resolved["support"] is None:
-        raise CliInputError("cow config needs a 'support'")
-    support = _support_setting(resolved["support"])
+def cmd_cow(resolved: dict) -> int:
+    support = Interval.from_pair(resolved["support"])
     n_signal = as_integer(resolved["n_signal"], "'n_signal'", 1)
     poly_order = as_integer(resolved["poly_order"], "'poly_order'", 0)
     qm_bins = as_integer(resolved["qm_bins"], "'qm_bins'", 1)
@@ -345,29 +299,17 @@ def _build_cow_from_cfg(resolved: dict, data: np.ndarray):
     basis = [_density_from_cfg(c, support) for c in resolved["basis"]]
     if poly_order > 0:
         basis = basis + monomial_basis(poly_order + 1, support)
-    eff = _efficiency_from_path(resolved["efficiency"])
-    if eff is not None and data.shape[1] < 2:
-        raise CliInputError("an efficiency map needs (m, t) data; the data have one column")
     proxy = (None if resolved["signal_proxy"] is None
              else _density_from_cfg(resolved["signal_proxy"], support))
+    eff = _efficiency_from_path(resolved["efficiency"])
+    names, data = read_csv(resolved["data"], min_cols=1)
+    if eff is not None and data.shape[1] < 2:
+        raise CliInputError("an efficiency map needs (m, t) data; the data have one column")
 
     var = variance_function(resolved["variance"], basis, data[:, :2], eff,
                             qm_bins, support)
-    spec = CowSpec(basis=basis, variance_fn=var, support=support,
-                   n_signal=n_signal, signal_proxy=proxy,
-                   efficiency=eff)
-    return build_cow(spec), eff
-
-
-def cmd_cow(config: dict, echo: bool) -> int:
-    resolved = _resolve(config, COW_DEFAULTS, "cow")
-    _apply_seed_override(resolved)
-    if echo:
-        return _echo(resolved)
-    if resolved["data"] is None:
-        raise CliInputError("cow config needs 'data'")
-    names, data = read_csv(resolved["data"], min_cols=1)
-    cow, eff = _build_cow_from_cfg(resolved, data)
+    cow = build_cow(CowSpec(basis=basis, variance_fn=var, support=support,
+                            n_signal=n_signal, signal_proxy=proxy, efficiency=eff))
     w = efficiency_corrected_weights(cow, eff, data[:, :2])
     if resolved["out_weights"]:
         wnames = [f"w_{k}" for k in range(w.shape[1])]
@@ -383,20 +325,14 @@ CORRECT_DEFAULTS = {"data": None, "weights": None, "weight_column": "w_s",
                     "control_model": None, "out": None, "seed": 0}
 
 
-def cmd_correct(config: dict, echo: bool) -> int:
+def cmd_correct(resolved: dict) -> int:
     """Weighted control-variable fit with the plain sandwich correction.
 
     Weights are taken as externally fixed, so the reduction term for
     fit-derived weights does not apply here; use `pipeline` for the full
     chain.
     """
-    resolved = _resolve(config, CORRECT_DEFAULTS, "correct")
-    _apply_seed_override(resolved)
-    if echo:
-        return _echo(resolved)
-    for key in ("data", "weights", "control_model"):
-        if resolved[key] is None:
-            raise CliInputError(f"correct config needs {key!r}")
+    hs = _density_from_cfg(resolved["control_model"])
     _, data = read_csv(resolved["data"], min_cols=2)
     wnames, wdata = read_csv(resolved["weights"], min_cols=1)
     if resolved["weight_column"] in wnames:
@@ -407,7 +343,6 @@ def cmd_correct(config: dict, echo: bool) -> int:
         raise CliInputError(f"weight column {resolved['weight_column']!r} not found")
     if len(w) != data.shape[0]:
         raise CliInputError("weights and data have different lengths")
-    hs = _density_from_cfg(resolved["control_model"])
     t = data[:, 1]
     tfit = fit_weighted_ml(t, w, hs)
     if not tfit.converged:
@@ -424,13 +359,7 @@ def cmd_correct(config: dict, echo: bool) -> int:
 CHECK_DEFAULTS = {"data": None, "x": "m", "y": "t", "out": None, "seed": 0}
 
 
-def cmd_check_independence(config: dict, echo: bool) -> int:
-    resolved = _resolve(config, CHECK_DEFAULTS, "check-independence")
-    _apply_seed_override(resolved)
-    if echo:
-        return _echo(resolved)
-    if resolved["data"] is None:
-        raise CliInputError("check-independence config needs 'data'")
+def cmd_check_independence(resolved: dict) -> int:
     names, data = read_csv(resolved["data"], min_cols=2)
 
     def col(name):
@@ -450,15 +379,7 @@ TOYS_DEFAULTS = {"toy": None, "methods": None, "n_toys": 1, "base_seed": 0,
                  "jobs": 1, "out": None, "export_dataset": None}
 
 
-def cmd_toys(config: dict, echo: bool, jobs_override: Optional[int] = None) -> int:
-    resolved = _resolve(config, TOYS_DEFAULTS, "toys")
-    _apply_seed_override(resolved, key="base_seed")
-    if jobs_override is not None:
-        resolved["jobs"] = jobs_override
-    if echo:
-        return _echo(resolved)
-    if resolved["toy"] is None:
-        raise CliInputError("toys config needs a 'toy' spec")
+def cmd_toys(resolved: dict) -> int:
     try:
         toy = ToySpec(**resolved["toy"])
         if not isinstance(toy.params, dict):
@@ -468,7 +389,7 @@ def cmd_toys(config: dict, echo: bool, jobs_override: Optional[int] = None) -> i
                              n_toys=as_integer(resolved["n_toys"], "n_toys", 1),
                              base_seed=as_integer(resolved["base_seed"], "base_seed"),
                              jobs=int(resolved["jobs"]))
-    except (TypeError, ValueError, ConstructionError) as exc:
+    except (TypeError, ValueError, OverflowError, ConstructionError) as exc:
         raise CliInputError(f"bad toys config: {exc}") from exc
     if resolved["export_dataset"]:
         ds = generate(ToySpec(**{**toy.to_dict(), "seed": ens.base_seed}))
@@ -487,6 +408,11 @@ def _pipeline_method(method, cow_cfg: dict) -> MethodSpec:
         return MethodSpec(method, kind="cow", variance=cow_cfg["variance"],
                           qm_bins=cow_cfg["qm_bins"], poly_order=cow_cfg["poly_order"])
     if isinstance(method, str) and method.startswith("sweights-"):
+        if cow_cfg["efficiency"] is not None:
+            # an m-dependent efficiency invalidates the classic per-event w/eps
+            raise CliInputError(
+                "efficiency maps require the cow method; classic weights divided "
+                "by a position-dependent efficiency are biased")
         return MethodSpec(method, variant=method[len("sweights-"):])
     raise CliInputError(f"unknown method {method!r}")
 
@@ -495,37 +421,25 @@ PIPELINE_DEFAULTS = {"data": None, "model": None, "method": "sweights-B",
                      "cow": None, "control_model": None,
                      "out_weights": None, "out_covariance": None,
                      "out_summary": None, "seed": 0}
+PIPELINE_COW_DEFAULTS = {"poly_order": 0, "variance": "mixture", "qm_bins": 50,
+                         "efficiency": None}
 
 
-def cmd_pipeline(config: dict, echo: bool) -> int:
-    resolved = _resolve(config, PIPELINE_DEFAULTS, "pipeline")
-    _apply_seed_override(resolved)
+def cmd_pipeline(resolved: dict) -> int:
     method = resolved["method"]
-    cow_cfg = _resolve(resolved["cow"] or {},
-                       {"poly_order": 0, "variance": "mixture", "qm_bins": 50,
-                        "efficiency": None}, "pipeline cow")
-    if str(method).startswith("sweights") and cow_cfg["efficiency"] is not None:
-        # an m-dependent efficiency invalidates the classic per-event w/eps
-        raise CliInputError(
-            "efficiency maps require the cow method; classic weights divided "
-            "by a position-dependent efficiency are biased")
-    if echo:
-        return _echo(resolved)
-    for key in ("data", "model", "control_model"):
-        if resolved[key] is None:
-            raise CliInputError(f"pipeline config needs {key!r}")
+    cow_cfg = _resolve(resolved["cow"] or {}, PIPELINE_COW_DEFAULTS, "pipeline cow")
     spec = _pipeline_method(method, cow_cfg)
+    hs = _density_from_cfg(resolved["control_model"])
+    eff = _efficiency_from_path(cow_cfg["efficiency"])
     names, data = read_csv(resolved["data"], min_cols=2)
     m, t = data[:, 0], data[:, 1]
     model = _model_from_cfg(resolved["model"], len(m))
     fit = fit_extended_ml(m, model)
     if not fit.converged:
         return EXIT_NONCONVERGENCE
-    eff = _efficiency_from_path(cow_cfg["efficiency"])
     weights = apply_method(spec, fit, data[:, :2], eff)
     w = weights.w
 
-    hs = _density_from_cfg(resolved["control_model"])
     tfit = fit_weighted_ml(t, w, hs)
     if not tfit.converged:
         return EXIT_NONCONVERGENCE
@@ -551,24 +465,18 @@ def cmd_pipeline(config: dict, echo: bool) -> int:
     return EXIT_OK
 
 
-def _echo(resolved: dict) -> int:
-    """Print version and the fully-resolved config; idempotent round trip."""
-    print(f"# cowlib {__version__}", file=sys.stderr)
-    print(canonical_json(resolved))
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
+# subcommand -> (handler, defaults, keys that must not be null)
 _COMMANDS = {
-    "fit": cmd_fit,
-    "sweights": cmd_sweights,
-    "cow": cmd_cow,
-    "correct": cmd_correct,
-    "check-independence": cmd_check_independence,
-    "toys": cmd_toys,
-    "pipeline": cmd_pipeline,
+    "fit": (cmd_fit, FIT_DEFAULTS, ("data", "model")),
+    "sweights": (cmd_sweights, SWEIGHTS_DEFAULTS, ("data", "model")),
+    "cow": (cmd_cow, COW_DEFAULTS, ("data", "support", "basis")),
+    "correct": (cmd_correct, CORRECT_DEFAULTS, ("data", "weights", "control_model")),
+    "check-independence": (cmd_check_independence, CHECK_DEFAULTS, ("data",)),
+    "toys": (cmd_toys, TOYS_DEFAULTS, ("toy",)),
+    "pipeline": (cmd_pipeline, PIPELINE_DEFAULTS, ("data", "model", "control_model")),
 }
 
 
@@ -593,23 +501,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, defaults, required = _COMMANDS[args.command]
     try:
-        config = _load_json(args.config)
-        if not isinstance(config, dict):
-            raise CliInputError(
-                f"{args.config}: config must be a JSON object, not {type(config).__name__}")
-        if args.command == "toys":
-            if args.out is not None:
-                config["out"] = args.out
-            return cmd_toys(config, args.echo, jobs_override=args.jobs)
-        return _COMMANDS[args.command](config, args.echo)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except ConstructionError as exc:
+        resolved = _resolve(_load_json(args.config), defaults, args.command)
+        for key in ("out", "jobs"):   # the toys command-line overrides
+            if getattr(args, key, None) is not None:
+                resolved[key] = getattr(args, key)
+        env = os.environ.get("COWLIB_SEED")
+        if env is not None:
+            try:
+                resolved["base_seed" if "base_seed" in defaults else "seed"] = int(env)
+            except ValueError as exc:
+                raise CliInputError(f"COWLIB_SEED must be an integer, got {env!r}") from exc
+        if args.echo:
+            # the resolved config, before the required keys: an idempotent round trip
+            print(f"# cowlib {__version__}", file=sys.stderr)
+            print(canonical_json(resolved))
+            return EXIT_OK
+        for key in required:
+            if resolved[key] is None:
+                raise CliInputError(f"{args.command} config needs {key!r}")
+        return handler(resolved)
+    except (CliInputError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CowlibError as exc:

@@ -31,6 +31,7 @@ __all__ = [
     "variance_fn_qm",
     "variance_fn_ml_iterative",
     "estimate_fractions",
+    "efficiency_at",
     "efficiency_corrected_weights",
 ]
 
@@ -279,9 +280,7 @@ def variance_fn_qm(data, eff: EfficiencyMap, bins: int,
     """
     data = np.asarray(data, dtype=float)
     m, t = data[:, 0], data[:, 1]
-    e = np.asarray(eff(m, t), dtype=float)
-    if np.any(e <= 0):
-        raise EvaluationError("efficiency must be positive at all data points")
+    e = efficiency_at(eff, m, t)
     if bins < 1:
         raise ConstructionError("bins must be >= 1")
     if support is not None:
@@ -292,6 +291,24 @@ def variance_fn_qm(data, eff: EfficiencyMap, bins: int,
     hist = Histogram1D.fill(m, 1.0 / e ** 2, edges)
     total = float(np.sum(hist.contents))
     return Histogram1D(edges, hist.contents / total, hist.sumw2 / total ** 2)
+
+
+def efficiency_at(eff: Optional[EfficiencyMap], m, t) -> np.ndarray:
+    """The efficiency of each event (m, t), ones without a map.
+
+    Raises :class:`~cowlib.errors.EvaluationError` naming the first event
+    whose efficiency is below ``MIN_EFFICIENCY`` (or nan), where 1/efficiency
+    weights would blow up.
+    """
+    if eff is None:
+        return np.ones(len(m))
+    e = np.asarray(eff(m, t), dtype=float)
+    low = ~(e >= MIN_EFFICIENCY)
+    if np.any(low):
+        i = int(np.argmax(low))
+        raise EvaluationError(
+            f"efficiency {e[i]:g} below {MIN_EFFICIENCY:g} at event {i}; weights would blow up")
+    return e
 
 
 def _split_m_t(data, eff) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -317,13 +334,7 @@ def estimate_fractions(cow: CowSet, data, eff: Optional[EfficiencyMap] = None
     """
     m, t = _split_m_t(data, eff)
     n = len(m)
-    if eff is None:
-        inv_e = np.ones(n)
-    else:
-        e = np.asarray(eff(m, t), dtype=float)
-        if np.any(e <= 0):
-            raise EvaluationError("efficiency must be positive at all data points")
-        inv_e = 1.0 / e
+    inv_e = 1.0 / efficiency_at(eff, m, t)
     d_hat = 1.0 / float(np.mean(inv_e))
     w = cow.weights(m)  # (n, n_comp)
     z = d_hat / n * (w * inv_e[:, None]).sum(axis=0)
@@ -379,11 +390,4 @@ def efficiency_corrected_weights(cow: CowSet, eff: Optional[EfficiencyMap],
     """Per-event weights w_k(m_i) / efficiency(m_i, t_i), shape (N, n)."""
     m, t = _split_m_t(data, eff)
     w = cow.weights(m)
-    if eff is None:
-        return w
-    e = np.asarray(eff(m, t), dtype=float)
-    if np.any(e < MIN_EFFICIENCY):
-        i = int(np.argmax(e < MIN_EFFICIENCY))
-        raise EvaluationError(
-            f"efficiency below {MIN_EFFICIENCY:g} at event {i}; weights would blow up")
-    return w / e[:, None]
+    return w if eff is None else w / efficiency_at(eff, m, t)[:, None]

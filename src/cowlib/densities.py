@@ -8,6 +8,7 @@ interval with vectorized pointwise evaluation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -41,6 +42,19 @@ class Interval:
             raise ConstructionError("interval bounds must be finite")
         if not self.lo < self.hi:
             raise ConstructionError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+
+    @classmethod
+    def from_pair(cls, value) -> "Interval":
+        """The interval of a config ``support``: ``[lo, hi]``, two numbers
+        (not booleans) with lo < hi."""
+        if (not isinstance(value, (list, tuple)) or len(value) != 2
+                or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                           for v in value)):
+            raise ConstructionError(f"'support' must be [lo, hi], got {value!r}")
+        try:
+            return cls(float(value[0]), float(value[1]))
+        except (ConstructionError, OverflowError) as exc:
+            raise ConstructionError(f"bad 'support' {value!r}: {exc}") from exc
 
     @property
     def width(self) -> float:
@@ -79,6 +93,8 @@ class Density1D:
     def __init__(self, kind: str, params, support: Interval, data: Optional[dict] = None):
         self.kind = kind
         self.params = np.atleast_1d(np.asarray(params, dtype=float))
+        if self.params.ndim != 1:
+            raise ConstructionError(f"{kind} params must be a flat list, got shape {self.params.shape}")
         self.support = support
         self.data = data or {}
         self._validate()
@@ -305,7 +321,7 @@ class Density1D:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Density1D":
-        support = Interval(*d["support"])
+        support = Interval.from_pair(d["support"])
         kind = d["kind"]
         data = None
         if kind == "histogram":

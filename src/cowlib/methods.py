@@ -57,6 +57,8 @@ class MethodSpec:
     correction: str = "fixed"
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConstructionError(f"a method name must be a string, got {self.name!r}")
         for key, allowed in (("kind", ("sweights", "cow")),
                              ("variant", ("A", "B", "Ci", "Cii")),
                              ("variance", ("unity", "qm", "mixture")),

@@ -404,6 +404,8 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
         raise EvaluationError(f"density non-positive at weighted observation index {i}")
 
     n_par = density.n_params
+    if n_par == 0:
+        raise ConstructionError(f"{density.kind} density has no parameters to fit")
     if init is None:
         init = density.params.copy()
     init = np.asarray(init, dtype=float)

@@ -11,6 +11,7 @@ parallel.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -85,6 +86,16 @@ def _density(kind_params, support) -> Density1D:
     return Density1D(kind, params, support)
 
 
+def _is_finite_real(value) -> bool:
+    """A real number other than a bool, inf or nan."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
 @dataclass
 class ToySpec:
     """Configuration of one pseudo-experiment."""
@@ -114,14 +125,17 @@ class ToySpec:
             if f.ndim != 1 or not np.all(f >= 0) or abs(f.sum() - 1.0) > 1e-9:
                 raise ConstructionError("fractions must be >= 0 and sum to 1")
         try:
-            keys = set(dict(self.params))   # a mapping or (key, value) pairs
+            params = dict(self.params)   # a mapping or (key, value) pairs
         except (TypeError, ValueError) as exc:
             raise ConstructionError(f"params must map names to values, got {self.params!r}") from exc
-        unknown = keys - set(NONFACT_DEFAULTS if self.study == "nonfactorising" else ())
+        unknown = set(params) - set(NONFACT_DEFAULTS if self.study == "nonfactorising" else ())
         if unknown:
             raise ConstructionError(
                 f"unknown params {sorted(unknown, key=str)} for study {self.study!r}; only "
                 f"'nonfactorising' takes params, named in {sorted(NONFACT_DEFAULTS)}")
+        for key, value in params.items():
+            if not _is_finite_real(value):
+                raise ConstructionError(f"params {key!r} must be a finite number, got {value!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -277,6 +291,9 @@ def _grid_max(fn, n=201) -> float:
 
 def _accept_reject_2d(rng, fn, n, envelope) -> Tuple[np.ndarray, np.ndarray]:
     """Sample n points from the unnormalized 2-D density fn on the rectangle."""
+    if not (np.isfinite(envelope) and envelope > 0):
+        # no point would ever be accepted
+        raise EvaluationError(f"accept-reject envelope {envelope} is not a positive number")
     out_m = np.empty(0)
     out_t = np.empty(0)
     while len(out_m) < n:
@@ -344,14 +361,10 @@ def _cached_nonfact_setup(params: frozenset, use_eff: bool) -> _NonfactSetup:
 
 def _nonfact_setup_for(params, use_eff: bool) -> _NonfactSetup:
     """The set-up of a study, made once per process for every (params,
-    efficiency) whose params are plain numbers; every toy of an ensemble
-    shares it, truth object and efficiency map included, so they are
-    read-only.  Other params are passed through as given."""
-    if isinstance(params, dict) and all(isinstance(v, numbers.Real)
-                                        for v in params.values()):
-        key = frozenset((k, type(v), v) for k, v in params.items())
-        return _cached_nonfact_setup(key, bool(use_eff))
-    return _nonfact_setup(params, use_eff)
+    efficiency); every toy of an ensemble shares it, truth object and
+    efficiency map included, so they are read-only."""
+    key = frozenset((k, type(v), v) for k, v in dict(params).items())
+    return _cached_nonfact_setup(key, bool(use_eff))
 
 
 def generate_nonfactorising(spec: ToySpec) -> ToyDataset:

@@ -17,7 +17,8 @@ import numpy as np
 
 from ._numdiff import LOG_HESSIAN_STEP, derivative, numerical_hessian
 from ._quadrature import gauss_legendre
-from .cows import HistogramVariance, from_upper, implied_cow, pair_products
+from .cows import (HistogramVariance, efficiency_at, from_upper, implied_cow,
+                   pair_products)
 from .densities import ZERO_BIN_FLOOR, Density1D
 from .errors import EvaluationError
 
@@ -206,13 +207,7 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     theta = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     n_sig = cow.spec.n_signal
 
-    if eff is None:
-        inv_e = np.ones(n)
-    else:
-        e = np.asarray(eff(m, t), dtype=float)
-        if np.any(e <= 0):
-            raise EvaluationError("efficiency must be positive at all data points")
-        inv_e = 1.0 / e
+    inv_e = 1.0 / efficiency_at(eff, m, t)
     G = cow.basis_values(m)                        # (nb, N)
     w_m = cow.weights(m, G)[:, :n_sig].sum(axis=1)  # weight function values
     w = w_m * inv_e                                # fit weights

@@ -1,9 +1,27 @@
 """Shared fixtures and helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
 
 from cowlib import Interval, make_density
+
+# property tests draw the same examples on every run and have no time limit
+settings.register_profile("cowlib", derandomize=True, deadline=None)
+settings.load_profile("cowlib")
+
+# Any JSON value.  Numbers stay in [-2, 300] (or are nan/inf), so no drawn
+# count, order or size can ask for a large allocation, and strings hold no
+# "/", so a drawn file name stays in the working directory.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 300) | st.floats(-2, 300)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.text(st.characters(exclude_characters="/"), max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8)
 
 
 @pytest.fixture(scope="session")

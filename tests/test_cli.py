@@ -543,3 +543,103 @@ class TestConfigShape:
         assert cli.main(["correct", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "o.json").exists()
+
+
+class TestSharedConfigLayer:
+    """One support rule, densities parsed before the data, the pipeline cow
+    block checked after ``--echo``, and the input errors of the fits."""
+
+    HISTOGRAM = {"kind": "histogram", "support": [0, 3], "edges": [0, 1, 2, 3],
+                 "contents": [3, 2, 1]}
+
+    @pytest.mark.parametrize("support", [[0, True], [[0, 1], 1], [0, float("nan")], [1, 1]],
+                             ids=["bool", "nested", "nan", "empty"])
+    @pytest.mark.parametrize("where", ["model", "component", "control_model", "cow",
+                                       "mixture-component"])
+    def test_one_support_rule(self, tmp_path, data_csv, capsys, where, support):
+        out = str(tmp_path / "s.json")
+        if where == "cow":
+            command, cfg = "cow", {"data": data_csv, "support": support,
+                                   "basis": [GS_CFG, GB_CFG], "out_summary": out}
+        elif where == "mixture-component":
+            mixture = {"kind": "mixture", "weights": [1, 1],
+                       "components": [{**GB_CFG, "support": support},
+                                      {"kind": "uniform", "params": [], "support": [0, 1]}]}
+            command, cfg = "cow", {"data": data_csv, "support": [0, 1], "variance": "unity",
+                                   "basis": [GS_CFG, mixture], "out_summary": out}
+        elif where == "control_model":
+            command, cfg = "pipeline", {"data": data_csv, "model": MODEL_CFG,
+                                        "control_model": {**CONTROL_CFG, "support": support},
+                                        "out_summary": out}
+        else:
+            model = ({**MODEL_CFG, "support": support} if where == "model" else
+                     {**MODEL_CFG, "components": [{**GS_CFG, "support": support}, GB_CFG]})
+            command, cfg = "fit", {"data": data_csv, "model": model, "out": out}
+        assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'support'" in err
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("command", ["correct", "pipeline"])
+    def test_parameter_free_control_model(self, tmp_path, data_csv, capsys, command):
+        out = tmp_path / "o.json"
+        cfg = {"data": data_csv, "control_model": self.HISTOGRAM}
+        if command == "correct":
+            weights = tmp_path / "w.csv"
+            cli.write_csv(str(weights), ["w_s"], np.ones((2000, 1)))
+            cfg.update(weights=str(weights), out=str(out))
+        else:
+            cfg.update(model=MODEL_CFG, out_summary=str(out))
+        assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no parameters" in err
+        assert not out.exists()
+
+    def test_two_dimensional_params(self, tmp_path, data_csv, capsys):
+        model = {**MODEL_CFG, "components": [{**GS_CFG, "params": [[0.5, 0.08]]}, GB_CFG]}
+        cfg = {"data": data_csv, "model": model, "out": str(tmp_path / "s.json")}
+        assert cli.main(["fit", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad density config") and "flat list" in err
+
+    @pytest.mark.parametrize("value", ["x", [1, 2]])
+    def test_toy_param_that_is_not_a_number(self, tmp_path, capsys, value):
+        cfg = {"toy": {"study": "nonfactorising", "n_events": 100,
+                       "params": {"bkg_slope_t": value}},
+               "methods": [{"name": "swB"}], "out": str(tmp_path / "r.json")}
+        assert cli.main(["toys", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad toys config")
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("correct", {"weights": "absent.csv", "control_model": {"kind": "normal"}}),
+        ("pipeline", {"model": MODEL_CFG, "control_model": {"kind": "normal"}}),
+        ("cow", {"support": [0, 1], "basis": [{"kind": "normal"}]}),
+        ("cow", {"support": [0, 1], "basis": [GS_CFG], "signal_proxy": {"kind": "x"}})],
+        ids=["correct", "pipeline", "cow-basis", "cow-signal_proxy"])
+    def test_densities_parsed_before_the_data(self, tmp_path, capsys, command, cfg):
+        cfg = {"data": str(tmp_path / "absent.csv"), **cfg}
+        assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "density config" in err and "cannot read" not in err
+
+    def test_pipeline_cow_block_checked_after_echo(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", {"method": "sweights-B", "cow": "x"})
+        assert cli.main(["pipeline", "--config", cfg, "--echo"]) == 0
+        assert json.loads(capsys.readouterr().out)["cow"] == "x"
+
+    @pytest.mark.parametrize("command,missing", [
+        ("fit", "model"), ("cow", "support"), ("correct", "weights"), ("toys", "toy")])
+    def test_required_key(self, tmp_path, data_csv, capsys, command, missing):
+        cfg = {"fit": {"data": data_csv}, "cow": {"data": data_csv, "basis": [GS_CFG]},
+               "correct": {"data": data_csv, "control_model": CONTROL_CFG},
+               "toys": {}}[command]
+        assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {command} config needs {missing!r}\n"
+
+    def test_canonical_json_of_numpy_values(self):
+        value = {"b": np.arange(3), "a": [np.float32(0.1), np.bool_(True), np.int64(-4)],
+                 "c": (np.nan, -0.0, np.float64(5e-324))}
+        plain = {"b": [0, 1, 2], "a": [float(np.float32(0.1)), True, -4],
+                 "c": [float("nan"), -0.0, 5e-324]}
+        assert cli.canonical_json(value) == json.dumps(plain, sort_keys=True, indent=2)

@@ -14,6 +14,7 @@ from cowlib.cows import (CowSet, CowSpec, HistogramVariance, MixtureVariance,
                          estimate_fractions, variance_fn_ml_iterative,
                          variance_fn_qm)
 from cowlib.sweights import compute_W_variant_A, weight_functions
+from cowlib.wcov import corrected_covariance_cow
 from cowlib.toygen import (ToySpec, generate_nonfactorising, generate_simple,
                            simple_truth_densities)
 
@@ -344,3 +345,44 @@ class TestOneColumnWithEfficiency:
         assert np.array_equal(z, z2)
         assert np.array_equal(efficiency_corrected_weights(unity_cow, None, m),
                               unity_cow.weights(ds.m))
+
+
+LOW_EVENT = 17   # the event given a low efficiency below
+
+# each consumer of 1/efficiency, reduced to an array
+EFFICIENCY_CONSUMERS = {
+    "estimate_fractions": lambda data, cow, hs, eff: estimate_fractions(cow, data, eff)[0],
+    "variance_fn_qm": lambda data, cow, hs, eff: variance_fn_qm(
+        data, eff, 10, cow.spec.support).contents,
+    "efficiency_corrected_weights": lambda data, cow, hs, eff: efficiency_corrected_weights(
+        cow, eff, data),
+    "corrected_covariance_cow": lambda data, cow, hs, eff: corrected_covariance_cow(
+        cow, data, hs, [2.0], eff=eff).theta_block,
+}
+
+
+class TestEfficiencyCheck:
+    """Every consumer of 1/efficiency rejects an efficiency below
+    MIN_EFFICIENCY, naming the event, and reads no map as efficiency one."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, simple_toy, unit_interval):
+        ds, gs, gb = simple_toy
+        cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=UnityVariance(),
+                                support=unit_interval))
+        return ds.data[:300], cow, simple_truth_densities()[2]
+
+    @pytest.mark.parametrize("consumer", EFFICIENCY_CONSUMERS)
+    @pytest.mark.parametrize("value", [0.0, 1e-7])
+    def test_low_efficiency_rejected(self, inputs, consumer, value):
+        data, cow, hs = inputs
+        low_m = data[LOW_EVENT, 0]
+        eff = EfficiencyMap.from_function(lambda m, t: np.where(m == low_m, value, 0.5))
+        with pytest.raises(EvaluationError, match=f"at event {LOW_EVENT};"):
+            EFFICIENCY_CONSUMERS[consumer](data, cow, hs, eff)
+
+    @pytest.mark.parametrize("consumer", EFFICIENCY_CONSUMERS)
+    def test_no_map_is_unit_efficiency(self, inputs, consumer):
+        data, cow, hs = inputs
+        got = EFFICIENCY_CONSUMERS[consumer](data, cow, hs, None)
+        assert np.array_equal(got, EFFICIENCY_CONSUMERS[consumer](data, cow, hs, UNIT_EFFICIENCY))

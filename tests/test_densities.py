@@ -33,6 +33,18 @@ class TestInterval:
                               [False, True, True, True, False])
 
 
+class TestIntervalFromPair:
+    def test_valid(self):
+        assert Interval.from_pair([0, 1]) == Interval(0.0, 1.0)
+        assert Interval.from_pair((np.float64(-1.5), 2)).as_tuple() == (-1.5, 2.0)
+
+    @pytest.mark.parametrize("value", [[0, True], [[0, 1], 1], "01", None, [0, 1, 2],
+                                       [1, 0], [0, float("inf")], [0, 10 ** 400]])
+    def test_rejected_naming_support(self, value):
+        with pytest.raises(ConstructionError, match="'support'"):
+            Interval.from_pair(value)
+
+
 class TestIntegrate:
     def test_constant(self, unit_interval):
         assert integrate(lambda x: np.ones_like(x), unit_interval, 1e-10) == \
@@ -223,6 +235,15 @@ class TestMakeDensity:
             make_density("uniform", [0.7, 0.2], unit_interval)
         with pytest.raises(ConstructionError):
             make_density("nosuchkind", [], unit_interval)
+
+    @pytest.mark.parametrize("kind,params", [("normal", [[0.5, 0.08]]),
+                                             ("exponential", [[1.0]]),
+                                             ("uniform", [[0.0], [1.0]])])
+    def test_params_that_are_not_flat_rejected(self, unit_interval, kind, params):
+        with pytest.raises(ConstructionError, match="flat list"):
+            Density1D(kind, params, unit_interval)
+        with pytest.raises(ConstructionError, match="flat list"):
+            Density1D.from_dict({"kind": kind, "params": params, "support": [0.0, 1.0]})
 
     @pytest.mark.parametrize("kind,params", [
         ("uniform", []),

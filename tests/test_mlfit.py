@@ -151,6 +151,12 @@ class TestWeightedML:
         with pytest.raises(EvaluationError):
             fit_weighted_ml(t, bad, d)                   # non-finite weight
 
+    def test_density_without_parameters_rejected(self):
+        d = Density1D("histogram", [], Interval(0.0, 3.0),
+                      {"edges": [0.0, 1.0, 2.0, 3.0], "contents": [3.0, 2.0, 1.0]})
+        with pytest.raises(ConstructionError, match="no parameters"):
+            fit_weighted_ml(np.array([0.5, 1.5, 2.5]), np.ones(3), d)
+
     def test_density_zero_at_weighted_point_rejected(self):
         # the second monomial density vanishes at the lower support edge
         d = Density1D("monomial", [2.0], Interval(0.0, 1.0))

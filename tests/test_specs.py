@@ -9,17 +9,13 @@ from hypothesis import given, settings, strategies as st
 from cowlib import ConstructionError
 from cowlib.methods import MethodSpec
 from cowlib.toygen import ToySpec
+from conftest import JSON_VALUES
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
-                                                                max_size=4),
-    max_leaves=8)
 REQUIRED = {MethodSpec: {"name": "m"}, ToySpec: {"study": "simple", "n_events": 100}}
 FIELDS = [(cls, f.name) for cls in REQUIRED for f in dataclasses.fields(cls)]
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(field=st.sampled_from(FIELDS), value=JSON_VALUES)
 def test_any_json_value_constructs_or_is_rejected(field, value):
     cls, name = field

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from cowlib import ConstructionError, kendall_tau
+from cowlib import ConstructionError, EvaluationError, kendall_tau
 from cowlib import toygen
 from cowlib.toygen import (EnsembleConfig, MethodSpec, ToySpec,
                            generate_multicomponent, generate_nonfactorising,
@@ -186,24 +186,28 @@ class TestNonfactSetupCache:
                     dict(n_events=50, params={"eff_base": 1.0})], range(2))
         assert len(made) == 5
 
-    @pytest.mark.parametrize("params", [{"eff_base": [0.3]},
-                                        [("eff_base", 0.3)]],
-                             ids=["unhashable-value", "pairs"])
-    def test_other_params_passed_through(self, monkeypatch, params):
-        # not cached, and generated as the plain-number equivalent
+    def test_pairs_share_the_mapping_cache_entry(self):
         toygen._cached_nonfact_setup.cache_clear()
         spec = dict(study="nonfactorising", n_events=80, z=0.5, seed=3,
                     efficiency=True)
-        got = generate_nonfactorising(ToySpec(params=params, **spec))
-        assert toygen._cached_nonfact_setup.cache_info().currsize == 0
+        got = generate_nonfactorising(ToySpec(params=[("eff_base", 0.3)], **spec))
         ref = generate_nonfactorising(ToySpec(params={"eff_base": 0.3}, **spec))
+        assert toygen._cached_nonfact_setup.cache_info().currsize == 1
         assert np.array_equal(got.data, ref.data)
 
-    def test_non_numeric_param_fails_as_before(self):
-        with pytest.raises(TypeError):
-            generate_nonfactorising(ToySpec(
-                study="nonfactorising", n_events=50, efficiency=True,
-                params={"eff_base": "x"}))
+    @pytest.mark.parametrize("value", ["x", [0.3], [1, 2], True, None, float("nan"),
+                                       float("inf"), 10 ** 400],
+                             ids=["str", "list", "pair", "bool", "null", "nan", "inf", "huge-int"])
+    def test_param_that_is_not_a_finite_number_rejected(self, value):
+        with pytest.raises(ConstructionError, match="'eff_base' must be a finite number"):
+            ToySpec(study="nonfactorising", n_events=50, params={"eff_base": value})
+
+    def test_envelope_that_is_not_a_number_raises(self):
+        # the background normalization underflows to 0, so its envelope is nan:
+        # no point could be accepted, and the sampler would never return
+        with pytest.raises(EvaluationError, match="envelope nan"):
+            generate_nonfactorising(ToySpec(study="nonfactorising", n_events=50,
+                                            params={"bkg_slope_t": 1e300}))
 
 
 @pytest.fixture(scope="module")
