@@ -30,7 +30,7 @@ from .cows import CowSpec, build_cow, efficiency_corrected_weights
 from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
 from .diagnostics import kendall_tau
 from .errors import ConstructionError, CowlibError
-from .methods import MethodSpec, apply_method, as_integer, variance_function
+from .methods import MAX_POLY_ORDER, MethodSpec, apply_method, as_integer, variance_function
 from .mlfit import MixtureComponent, MixtureModel, fit_extended_ml, fit_weighted_ml
 from .toygen import EnsembleConfig, ToySpec, generate, run_ensemble
 from .wcov import corrected_covariance_fixed_shapes, equivalent_events
@@ -292,7 +292,7 @@ COW_DEFAULTS = {"data": None, "basis": None, "n_signal": 1, "support": None,
 def cmd_cow(resolved: dict) -> int:
     support = Interval.from_pair(resolved["support"])
     n_signal = as_integer(resolved["n_signal"], "'n_signal'", 1)
-    poly_order = as_integer(resolved["poly_order"], "'poly_order'", 0)
+    poly_order = as_integer(resolved["poly_order"], "'poly_order'", 0, MAX_POLY_ORDER)
     qm_bins = as_integer(resolved["qm_bins"], "'qm_bins'", 1)
     if not resolved["basis"] or not isinstance(resolved["basis"], list):
         raise CliInputError("cow config needs a nonempty 'basis' list")
@@ -388,7 +388,7 @@ def cmd_toys(resolved: dict) -> int:
         ens = EnsembleConfig(toy=toy, methods=methods,
                              n_toys=as_integer(resolved["n_toys"], "n_toys", 1),
                              base_seed=as_integer(resolved["base_seed"], "base_seed"),
-                             jobs=int(resolved["jobs"]))
+                             jobs=as_integer(resolved["jobs"], "jobs", 1))
     except (TypeError, ValueError, OverflowError, ConstructionError) as exc:
         raise CliInputError(f"bad toys config: {exc}") from exc
     if resolved["export_dataset"]:

@@ -27,6 +27,7 @@ __all__ = [
     "CowSpec",
     "CowSet",
     "implied_cow",
+    "gram_matrix",
     "build_cow",
     "variance_fn_qm",
     "variance_fn_ml_iterative",
@@ -235,6 +236,21 @@ def from_upper(v, n: int) -> np.ndarray:
     return M
 
 
+def gram_matrix(basis: Sequence[Density1D], variance_fn, support: Interval,
+                tol: float = 1e-9) -> np.ndarray:
+    """W_kl = integral over ``support`` of g_k g_l / I for the basis g and
+    the variance function I, split at the breakpoints of both."""
+    pts = set(variance_fn.breakpoints())
+    for g in basis:
+        pts.update(g.breakpoints())
+
+    # the upper triangle of W in one pass: each basis density once per node batch
+    def f(m):
+        return pair_products(np.stack([gk.pdf(m) for gk in basis])) / variance_fn(m)
+
+    return from_upper(integrate(f, support, tol, points=sorted(pts)), len(basis))
+
+
 def build_cow(spec: CowSpec, tol: float = 1e-9) -> CowSet:
     """Compute the W matrix by quadrature and invert it.
 
@@ -242,19 +258,8 @@ def build_cow(spec: CowSpec, tol: float = 1e-9) -> CowSet:
     matrix condition number exceeds 1e12 (typically too many polynomial
     terms for the sample).
     """
-    basis = spec.effective_basis()
-    n = len(basis)
-    pts = set(spec.variance_fn.breakpoints())
-    for g in basis:
-        pts.update(g.breakpoints())
-    pts = sorted(pts)
-
-    # the upper triangle of W in one pass: each density once per node batch
-    def f(m):
-        return pair_products(np.stack([gk.pdf(m) for gk in basis])) / spec.variance_fn(m)
-
-    W = from_upper(integrate(f, spec.support, tol, points=pts), n)
-
+    W = gram_matrix(spec.effective_basis(), spec.variance_fn, spec.support, tol)
+    n = len(W)
     cond = np.linalg.cond(W)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedBasisError(

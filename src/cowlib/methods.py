@@ -23,18 +23,28 @@ from .sweights import (WeightMatrix, compute_W_variant_A, compute_W_variant_B,
 from .wcov import (CorrectedCovariance, corrected_covariance_cow,
                    corrected_covariance_fixed_shapes)
 
-__all__ = ["MethodSpec", "MethodWeights", "apply_method", "as_integer", "fitted_basis",
-           "sweights_matrix", "variance_function"]
+__all__ = ["MAX_POLY_ORDER", "MethodSpec", "MethodWeights", "apply_method", "as_integer",
+           "fitted_basis", "sweights_matrix", "variance_function"]
+
+# The highest monomial order of a cow basis.  A normal(0.5, 0.08) signal
+# plus monomials, with I(m) = 1 on [0, 1], has a Gram matrix beyond
+# cows.CONDITION_LIMIT from order 9 on (cond 5.3e12 at 9, 4.9e14 at 10,
+# 9.5e17 at 20), so a higher order only spends time and memory on a W that
+# build_cow rejects.
+MAX_POLY_ORDER = 30
 
 
-def as_integer(value, what: str, minimum: Optional[int] = None) -> int:
-    """``value`` as an int of at least ``minimum``: 2.0 is read as 2, and a
-    bool is not an integer.  Raises ConstructionError naming ``what``."""
+def as_integer(value, what: str, minimum: Optional[int] = None,
+               maximum: Optional[int] = None) -> int:
+    """``value`` as an int in [``minimum``, ``maximum``]: 2.0 is read as 2,
+    and a bool is not an integer.  Raises ConstructionError naming ``what``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or (minimum is not None and value < minimum)):
-        bound = "" if minimum is None else f" >= {minimum}"
+            or (minimum is not None and value < minimum)
+            or (maximum is not None and value > maximum)):
+        bound = " and".join(f" {op} {b}" for op, b in ((">=", minimum), ("<=", maximum))
+                            if b is not None)
         raise ConstructionError(f"{what} must be an integer{bound}, got {value!r}")
     return int(value)
 
@@ -66,7 +76,8 @@ class MethodSpec:
             if getattr(self, key) not in allowed:
                 raise ConstructionError(f"method {self.name!r}: unknown {key} "
                                         f"{getattr(self, key)!r}; expected one of {allowed}")
-        self.poly_order = as_integer(self.poly_order, f"method {self.name!r}: poly_order", 0)
+        self.poly_order = as_integer(self.poly_order, f"method {self.name!r}: poly_order",
+                                     0, MAX_POLY_ORDER)
         self.qm_bins = as_integer(self.qm_bins, f"method {self.name!r}: qm_bins", 1)
         if not isinstance(self.fit_shapes, bool):
             raise ConstructionError(

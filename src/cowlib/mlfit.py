@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from ._numdiff import derivative, numerical_hessian
+from ._numdiff import LOG_HESSIAN_STEP, derivative, numerical_hessian
 from .densities import Density1D, Interval
 from .errors import ConstructionError, EvaluationError
 
@@ -120,6 +120,33 @@ class FitResult:
             "n_calls": int(self.n_calls),
             "flags": list(self.flags),
         }
+
+
+def _covariance(H: np.ndarray) -> Optional[np.ndarray]:
+    """The inverse of minus the log-likelihood Hessian ``H``, symmetrized;
+    None when H is singular or the inverse has a non-finite element or a
+    variance <= 0."""
+    try:
+        cov = np.linalg.inv(-H)
+    except np.linalg.LinAlgError:
+        return None
+    cov = 0.5 * (cov + cov.T)
+    if not np.all(np.isfinite(cov)) or np.any(np.diag(cov) <= 0):
+        return None
+    return cov
+
+
+def _curvature(hessian, x, converged: bool):
+    """(covariance, hessian, flags) of a fit ending at ``x``, where
+    ``hessian`` maps x to the log-likelihood Hessian."""
+    if not converged:
+        return None, None, ["not_converged"]
+    try:
+        H = hessian(x)
+    except _HESSIAN_ERRORS:
+        return None, None, ["hessian_singular"]
+    cov = _covariance(H)
+    return cov, H, [] if cov is not None else ["hessian_singular"]
 
 
 def _projected_grad(g, x, lower, upper):
@@ -352,23 +379,7 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
         x = polish_yields(x)
         fval = counted(x)
 
-    flags = []
-    cov = hess = None
-    if converged:
-        try:
-            H_nll = numerical_hessian(counted, x)
-            hess = -H_nll
-            cov = np.linalg.inv(H_nll)
-            cov = 0.5 * (cov + cov.T)
-            if not np.all(np.isfinite(cov)) or np.any(np.diag(cov) <= 0):
-                flags.append("hessian_singular")
-                cov = None
-        except _HESSIAN_ERRORS:
-            flags.append("hessian_singular")
-            cov = hess = None
-    else:
-        flags.append("not_converged")
-
+    cov, hess, flags = _curvature(lambda p: -numerical_hessian(counted, p), x, converged)
     return FitResult(params=x, covariance=cov, hessian=hess, nll=fval,
                      converged=converged, n_calls=n_calls,
                      param_names=_param_names(model), flags=flags,
@@ -383,11 +394,39 @@ def yields_only_refit(data_m, model: MixtureModel, init=None) -> FitResult:
     return fit_extended_ml(data_m, fixed, init=init)
 
 
+# The weighted log-likelihood sum_i w_i ln h(t_i; theta): its per-event
+# scores and its Hessian serve the weighted fit and every covariance
+# correction of it (cowlib.wcov).
+
+def _log_deriv1(density: Density1D, t: np.ndarray, theta: np.ndarray, k: int) -> np.ndarray:
+    """Derivative of ln density at each of ``t`` wrt parameter k."""
+    return derivative(lambda th: density.with_params(th).logpdf(t), theta, k)
+
+
+def _log_derivs1(density: Density1D, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """First derivatives of ln density wrt its parameters; shape (p, N)."""
+    out = np.empty((len(theta), len(t)))
+    for k in range(len(theta)):
+        out[k] = _log_deriv1(density, t, theta, k)
+    return out
+
+
+def _weighted_hessian(hs: Density1D, t, weights, theta) -> np.ndarray:
+    """Hessian of the weighted log-likelihood sum_i w_i ln hs(t_i; theta).
+
+    Raises :class:`~cowlib.errors.EvaluationError` if ln hs is non-finite at
+    any event on the stencil, even one of weight 0.
+    """
+    d2 = numerical_hessian(lambda th: hs.with_params(th).logpdf(t), theta, LOG_HESSIAN_STEP)
+    return np.einsum("i,kli->kl", weights, d2)
+
+
 def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None) -> FitResult:
     """Solve the weighted score equations for the shape parameters of ``density``.
 
-    Weights may be negative (sWeights are).  The covariance field holds the
-    naive inverse Hessian of the weighted likelihood, which is *not* a valid
+    Weights may be negative (sWeights are).  The hessian field holds
+    :func:`_weighted_hessian` over the events of nonzero weight, and the
+    covariance field the naive inverse of it, which is *not* a valid
     covariance for weighted data; use the wcov module to correct it.
     """
     t = np.asarray(data_t, dtype=float)
@@ -428,7 +467,7 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
         out = np.empty(n_par)
         for j in range(n_par):
             try:
-                d = derivative(lambda th: density.with_params(th).logpdf(t), theta, j)
+                d = _log_deriv1(density, t, theta, j)
             except ConstructionError:
                 out[j] = 0.0
                 continue
@@ -437,22 +476,9 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
 
     # score scales with sum|w|; point estimate is scale-invariant
     gtol = GRAD_TOL_PER_EVENT * max(np.sum(np.abs(w)), 1.0)
-    x, fval, converged, n_calls, counted = _run_fit(nll, grad, init, lower, upper, gtol)
-
-    flags = []
-    cov = hess = None
-    if converged:
-        try:
-            H_nll = numerical_hessian(counted, x)
-            hess = -H_nll
-            cov = np.linalg.inv(H_nll)
-            cov = 0.5 * (cov + cov.T)
-        except _HESSIAN_ERRORS:
-            flags.append("hessian_singular")
-            cov = hess = None
-    else:
-        flags.append("not_converged")
-
+    x, fval, converged, n_calls, _ = _run_fit(nll, grad, init, lower, upper, gtol)
+    cov, hess, flags = _curvature(
+        lambda th: _weighted_hessian(density, t[active], w[active], th), x, converged)
     names = [f"theta_{j}" for j in range(n_par)]
     return FitResult(params=x, covariance=cov, hessian=hess, nll=fval,
                      converged=converged, n_calls=n_calls,

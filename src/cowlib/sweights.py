@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cows import CowSet, from_upper, implied_cow, pair_products
-from .densities import Density1D, Interval, integrate
+from .cows import CowSet, MixtureVariance, from_upper, gram_matrix, implied_cow, pair_products
+from .densities import Density1D, Interval
 from .errors import EvaluationError, SingularModelError
 from .mlfit import FitResult
 
@@ -69,15 +69,10 @@ def _check_fraction(z: float):
 
 def compute_W_variant_A(gs: Density1D, gb: Density1D, z: float, iv: Interval,
                         tol: float = 1e-9) -> WeightMatrix:
-    """W from quadrature: W_xy = integral of g_x g_y / (z g_s + (1-z) g_b)."""
+    """W from quadrature: the Gram matrix of (g_s, g_b) under the variance
+    function z g_s + (1-z) g_b."""
     _check_fraction(z)
-    pts = sorted(set(gs.breakpoints()) | set(gb.breakpoints()))
-
-    def f(m):
-        s, b = gs.pdf(m), gb.pdf(m)
-        return pair_products(np.stack([s, b])) / (z * s + (1.0 - z) * b)
-
-    W = from_upper(integrate(f, iv, tol, points=pts), 2)
+    W = gram_matrix([gs, gb], MixtureVariance([z, 1.0 - z], [gs, gb]), iv, tol)
     A = _invert_2x2(W)
     return WeightMatrix(W, A, "A", np.array([z, 1.0 - z]))
 

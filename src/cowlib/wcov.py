@@ -15,12 +15,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numdiff import LOG_HESSIAN_STEP, derivative, numerical_hessian
+from ._numdiff import derivative
 from ._quadrature import gauss_legendre
 from .cows import (HistogramVariance, efficiency_at, from_upper, implied_cow,
                    pair_products)
 from .densities import ZERO_BIN_FLOOR, Density1D
 from .errors import EvaluationError
+from .mlfit import _covariance, _log_derivs1, _weighted_hessian
 
 __all__ = [
     "QuasiScoreSpec",
@@ -60,14 +61,6 @@ def equivalent_events(weights) -> float:
     return float(sw ** 2 / sw2)
 
 
-def _log_derivs1(density: Density1D, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """First derivatives of ln density wrt its parameters; shape (p, N)."""
-    out = np.empty((len(theta), len(t)))
-    for k in range(len(theta)):
-        out[k] = derivative(lambda th: density.with_params(th).logpdf(t), theta, k)
-    return out
-
-
 @dataclass
 class CorrectedCovariance:
     """Corrected covariance for the control-variable parameters.
@@ -95,22 +88,19 @@ class CorrectedCovariance:
                 "reduction_term": arr(self.reduction_term)}
 
 
-def _weighted_hessian(hs: Density1D, t, weights, theta) -> np.ndarray:
-    """Hessian of the weighted log-likelihood sum_i w_i ln hs(t_i; theta).
-
-    Raises :class:`~cowlib.errors.EvaluationError` if ln hs is non-finite at
-    any event on the stencil, even one of weight 0.
-    """
-    d2 = numerical_hessian(lambda th: hs.with_params(th).logpdf(t), theta, LOG_HESSIAN_STEP)
-    return np.einsum("i,kli->kl", weights, d2)
-
-
-def _naive_covariance(H: np.ndarray) -> Optional[np.ndarray]:
-    """The (wrong) inverse-Hessian covariance of a weighted fit, or None."""
+def _sandwich(hs_model: Density1D, t, w, theta):
+    """What every correction of the weighted fit of ``hs_model`` starts from:
+    the per-event scores d1 (p, N), the inverse H^-1 of the weighted
+    log-likelihood Hessian, the plain sandwich H^-1 (sum w^2 d1 d1^T) H^-T
+    (symmetrized) and the naive covariance."""
+    d1 = _log_derivs1(hs_model, t, theta)
+    H = _weighted_hessian(hs_model, t, w, theta)
     try:
-        return np.linalg.inv(-H)
-    except np.linalg.LinAlgError:
-        return None
+        Hinv = np.linalg.inv(H)
+    except np.linalg.LinAlgError as exc:
+        raise EvaluationError("weighted Hessian is singular") from exc
+    first = Hinv @ ((w ** 2 * d1) @ d1.T) @ Hinv.T
+    return d1, Hinv, 0.5 * (first + first.T), _covariance(H)
 
 
 def corrected_covariance_fixed_shapes(
@@ -124,56 +114,41 @@ def corrected_covariance_fixed_shapes(
     gb: Optional[Density1D] = None,
     yields: Optional[Sequence[float]] = None,
     data_m=None,
-    cprime: Optional[np.ndarray] = None,
 ) -> CorrectedCovariance:
     """Covariance correction when the shapes in m are known.
 
     ``dW`` holds per-event derivatives of the signal weight wrt
     (W_ss, W_sb, W_bb), shape (N, 3), as ``CowSet.dw_dW`` gives them; pass
     None for externally supplied fixed weights, which reduces the result to
-    the plain sandwich.  The C' matrix is built from (gs, gb, yields,
-    data_m) unless given directly.
+    the plain sandwich.  Otherwise the C' matrix is built from (gs, gb,
+    yields, data_m).
     """
     t = np.asarray(data_t, dtype=float)
     w = np.asarray(weights, dtype=float)
     theta = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     p = len(theta)
 
-    d1 = _log_derivs1(hs_model, t, theta)          # (p, N)
-    H = _weighted_hessian(hs_model, t, w, theta)
-    Hp = (w ** 2 * d1) @ d1.T
-    try:
-        Hinv = np.linalg.inv(H)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError("weighted Hessian is singular") from exc
-
-    first = Hinv @ Hp @ Hinv.T
-
+    d1, Hinv, first, naive = _sandwich(hs_model, t, w, theta)
     if dW is None:
         reduction = np.zeros((p, p))
     else:
+        if gs is None or gb is None or yields is None or data_m is None:
+            raise EvaluationError("the reduction term needs (gs, gb, yields, data_m)")
         dW = np.asarray(dW, dtype=float)
         # C' below is the covariance of the per-event-sum estimator of W,
         # which carries a 1/N relative to the density-scale W that dW refers
         # to; the weight is scale-invariant in W, so rescaling dW by N puts
         # both factors of the quadratic form on the same convention.
         E = len(t) * (d1 @ dW)                      # (p, 3)
-        if cprime is None:
-            if gs is None or gb is None or yields is None or data_m is None:
-                raise EvaluationError(
-                    "need (gs, gb, yields, data_m) or a precomputed cprime")
-            m = np.asarray(data_m, dtype=float)
-            ns, nb = float(yields[0]), float(yields[1])
-            s = gs.pdf(m)
-            b = gb.pdf(m)
-            P = pair_products(np.stack([s, b])) / (ns * s + nb * b) ** 2   # (3, N)
-            cprime = P @ P.T
-        reduction = Hinv @ E @ cprime @ E.T @ Hinv.T
+        m = np.asarray(data_m, dtype=float)
+        ns, nb = float(yields[0]), float(yields[1])
+        s = gs.pdf(m)
+        b = gb.pdf(m)
+        P = pair_products(np.stack([s, b])) / (ns * s + nb * b) ** 2   # (3, N)
+        reduction = Hinv @ E @ (P @ P.T) @ E.T @ Hinv.T
 
     reduction = 0.5 * (reduction + reduction.T)
-    first = 0.5 * (first + first.T)
-    return CorrectedCovariance(theta_block=first - reduction,
-                               naive=_naive_covariance(H),
+    return CorrectedCovariance(theta_block=first - reduction, naive=naive,
                                first_term=first, reduction_term=reduction)
 
 
@@ -184,10 +159,10 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     """Sandwich covariance for a fit weighted with orthogonal weight functions.
 
     For a deterministic variance function this is the plain weighted-score
-    sandwich H^-1 H' H^-T.  When the variance function of ``cow`` is a
-    histogram that was filled from this same sample with 1/efficiency^2
-    event weights, the weight functions carry sampling noise from the
-    estimated bin contents; the score covariance is then estimated with a
+    sandwich H^-1 H' H^-T, the ``first_term``.  When the variance function
+    of ``cow`` is a histogram that was filled from this same sample with
+    1/efficiency^2 event weights, the weight functions carry sampling noise
+    from the estimated bin contents; the score covariance is then estimated with a
     one-step Poisson bootstrap that refills the histogram and rebuilds the
     weight matrix per replica, which captures the (strongly nonlinear)
     response of the weights to the bin contents.  Replicas are cheap
@@ -212,62 +187,47 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     w_m = cow.weights(m, G)[:, :n_sig].sum(axis=1)  # weight function values
     w = w_m * inv_e                                # fit weights
 
-    d1 = _log_derivs1(hs_model, t, theta)          # (p, N)
-    H = _weighted_hessian(hs_model, t, w, theta)
-    try:
-        Hinv = np.linalg.inv(H)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError("weighted Hessian is singular") from exc
-
+    d1, Hinv, first, naive = _sandwich(hs_model, t, w, theta)
     var = cow.spec.variance_fn
-    boot_kept = None
-    if isinstance(var, HistogramVariance):
-        if n_boot < 2:
-            raise EvaluationError("n_boot must be at least 2")
-        edges = np.asarray(var.density.data["edges"], dtype=float)
-        nbins = len(edges) - 1
-        widths = np.diff(edges)
+    if not isinstance(var, HistogramVariance):
+        return CorrectedCovariance(theta_block=first, naive=naive, first_term=first)
+    if n_boot < 2:
+        raise EvaluationError("n_boot must be at least 2")
+    edges = np.asarray(var.density.data["edges"], dtype=float)
+    nbins = len(edges) - 1
+    widths = np.diff(edges)
 
-        # per-bin basis integrals B_klj of g_k g_l by Gauss-Legendre; the
-        # weight matrix for any bin contents is then W_kl = sum_j B_klj / I_j
-        x, gq = gauss_legendre(quad_points)
-        half = 0.5 * widths
-        nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x[None, :]
-        gv = cow.basis_values(nodes.ravel())
-        nb = gv.shape[0]
-        gv = gv.reshape(nb, nbins, quad_points)
-        B = np.einsum("kjq,ljq,q,j->klj", gv, gv, gq, half)
+    # per-bin basis integrals B_klj of g_k g_l by Gauss-Legendre; the
+    # weight matrix for any bin contents is then W_kl = sum_j B_klj / I_j
+    x, gq = gauss_legendre(quad_points)
+    half = 0.5 * widths
+    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x[None, :]
+    gv = cow.basis_values(nodes.ravel())
+    nb = gv.shape[0]
+    gv = gv.reshape(nb, nbins, quad_points)
+    B = np.einsum("kjq,ljq,q,j->klj", gv, gv, gq, half)
 
-        # events sorted by bin (stably, so each bin keeps event order); the
-        # events of bin j are rows bounds[j]:bounds[j+1]
-        jidx = np.clip(np.searchsorted(edges, m, side="right") - 1, 0, nbins - 1)
-        order = np.argsort(jidx, kind="stable")
-        bounds = np.searchsorted(jidx[order], np.arange(nbins + 1))
-        fill = (inv_e ** 2)[order]                 # histogram fill weights
-        # the score of replica r is sum_i mult_ri w_r(m_i) d1_i / eff_i with
-        # w_r(m) = a_r . g(m) / I_r(m); summed bin by bin, 1/I_r is a factor
-        # of the per-bin sums of the rows of Y = g d1 / eff, shape (N, nb p)
-        Y = (G[:, None, :] * (inv_e * d1)).reshape(-1, n).T[order]
-        rows = max(1, BOOT_BLOCK_ELEMENTS // n_boot)  # events per chunk
-        scores = np.concatenate([
-            _replica_scores(mult, order, bounds, fill, Y, B, widths, n_sig, rows)
-            for mult in _multiplicity_blocks(n, n_boot, boot_seed)])
-        boot_kept = len(scores)
-        if boot_kept < 2:
-            raise EvaluationError("bootstrap score covariance unavailable")
-        CS = np.cov(scores.T, ddof=1).reshape(len(theta), len(theta))
-    else:
-        psi = w * d1
-        CS = psi @ psi.T
-
+    # events sorted by bin (stably, so each bin keeps event order); the
+    # events of bin j are rows bounds[j]:bounds[j+1]
+    jidx = np.clip(np.searchsorted(edges, m, side="right") - 1, 0, nbins - 1)
+    order = np.argsort(jidx, kind="stable")
+    bounds = np.searchsorted(jidx[order], np.arange(nbins + 1))
+    fill = (inv_e ** 2)[order]                 # histogram fill weights
+    # the score of replica r is sum_i mult_ri w_r(m_i) d1_i / eff_i with
+    # w_r(m) = a_r . g(m) / I_r(m); summed bin by bin, 1/I_r is a factor
+    # of the per-bin sums of the rows of Y = g d1 / eff, shape (N, nb p)
+    Y = (G[:, None, :] * (inv_e * d1)).reshape(-1, n).T[order]
+    rows = max(1, BOOT_BLOCK_ELEMENTS // n_boot)  # events per chunk
+    scores = np.concatenate([
+        _replica_scores(mult, order, bounds, fill, Y, B, widths, n_sig, rows)
+        for mult in _multiplicity_blocks(n, n_boot, boot_seed)])
+    boot_kept = len(scores)
+    if boot_kept < 2:
+        raise EvaluationError("bootstrap score covariance unavailable")
+    CS = np.cov(scores.T, ddof=1).reshape(len(theta), len(theta))
     theta_block = Hinv @ CS @ Hinv.T
-    theta_block = 0.5 * (theta_block + theta_block.T)
-    Hp = (w ** 2 * d1) @ d1.T
-    first = Hinv @ Hp @ Hinv.T
-    return CorrectedCovariance(theta_block=theta_block,
-                               naive=_naive_covariance(H),
-                               first_term=0.5 * (first + first.T),
-                               boot_kept=boot_kept)
+    return CorrectedCovariance(theta_block=0.5 * (theta_block + theta_block.T),
+                               naive=naive, first_term=first, boot_kept=boot_kept)
 
 
 def _inverses(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -535,5 +495,4 @@ def corrected_covariance_full(data, spec: QuasiScoreSpec, lam_hat,
     theta = lam[ith]
     w = spec.weight_s(m, lam)
     H = _weighted_hessian(spec.hs.with_params(theta), t, w, theta)
-    return CorrectedCovariance(theta_block=theta_block,
-                               naive=_naive_covariance(H), full=C)
+    return CorrectedCovariance(theta_block=theta_block, naive=_covariance(H), full=C)

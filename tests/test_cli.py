@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cowlib import Density1D, Interval, cli
+from cowlib.methods import MAX_POLY_ORDER
 from cowlib.toygen import ToySpec, generate_simple
 
 GS_CFG = {"kind": "normal", "params": [0.5, 0.08], "label": "s"}
@@ -159,6 +160,30 @@ class TestHappyPaths:
         assert res["fit"]["converged"]
         assert res["n_equivalent"] > 0
         assert res["sum_w"] == pytest.approx(summary["sum_w_s"], rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["pipeline-sweights-B", "pipeline-cow", "correct"])
+    def test_fit_covariance_is_the_naive_covariance(self, tmp_path, data_csv, command):
+        # the weighted fit and the correction invert one weighted Hessian
+        out = tmp_path / "out.json"
+        if command == "correct":
+            wcsv = tmp_path / "w.csv"
+            w = np.linspace(-0.2, 1.0, 2000)
+            cli.write_csv(str(wcsv), ["w_s"], w[:, None])
+            cfg = {"data": data_csv, "weights": str(wcsv), "control_model": CONTROL_CFG,
+                   "out": str(out)}
+        else:
+            cfg = {"data": data_csv, "model": MODEL_CFG, "control_model": CONTROL_CFG,
+                   "method": command[len("pipeline-"):], "out_summary": str(out),
+                   "out_covariance": str(tmp_path / "cov.json")}
+        name = command.split("-")[0]
+        assert cli.main([name, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
+        res = json.loads(out.read_text())
+        if command == "correct":
+            fit_cov, naive = res["fit"]["cov"], res["covariance"]["naive"]
+        else:
+            fit_cov = res["t_fit"]["cov"]
+            naive = json.loads((tmp_path / "cov.json").read_text())["covariance"]["naive"]
+        assert fit_cov == naive
 
     def test_cow(self, tmp_path, data_csv):
         ssum = tmp_path / "cow.json"
@@ -347,6 +372,33 @@ class TestConfigValidation:
         assert key in err
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize("order", [MAX_POLY_ORDER, MAX_POLY_ORDER + 1])
+    @pytest.mark.parametrize("command", ["cow", "pipeline", "toys"])
+    def test_poly_order_bound(self, tmp_path, data_csv, capsys, command, order):
+        # above the bound the config is rejected; at it, build_cow rejects
+        # the ill-conditioned basis (exit 2, or an invalid ensemble: 3)
+        if command == "cow":
+            cfg = {"data": data_csv, "support": [0.0, 1.0], "basis": [GS_CFG],
+                   "variance": "unity", "poly_order": order}
+        elif command == "pipeline":
+            cfg = {"data": data_csv, "model": MODEL_CFG, "control_model": CONTROL_CFG,
+                   "method": "cow", "cow": {"poly_order": order}}
+        else:
+            cfg = {"toy": {"study": "simple", "n_events": 300, "z": 0.3}, "n_toys": 1,
+                   "methods": [{"name": "c", "kind": "cow", "poly_order": order}]}
+        cfg["out" if command == "toys" else "out_summary"] = str(tmp_path / "s.json")
+        code = cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)])
+        err = capsys.readouterr().err
+        if order > MAX_POLY_ORDER:
+            assert code == 1
+            assert err.startswith("error:") and "poly_order" in err
+            assert f"must be an integer >= 0 and <= {MAX_POLY_ORDER}, got {order}" in err
+            assert not (tmp_path / "s.json").exists()
+        elif command == "toys":
+            assert code == 3
+        else:
+            assert code == 2 and "condition number" in err
+
     def test_integral_float_settings_accepted(self, tmp_path, data_csv):
         ssum = tmp_path / "s.json"
         cfg = {"data": data_csv, "support": [0, 1], "basis": [GS_CFG],
@@ -446,9 +498,13 @@ class TestConfigShape:
         ("toys", {"toy": {"study": "simple", "n_events": 300, "seed": 2.5}}, "seed"),
         ("toys", {"toy": {"study": "simple", "n_events": 300},
                   "methods": [{"name": "c", "kind": "cow", "poly_order": True}]}, "poly_order"),
-        ("toys", {"toy": {"study": "simple", "n_events": 300}, "n_toys": 2.5}, "n_toys")],
+        ("toys", {"toy": {"study": "simple", "n_events": 300}, "n_toys": 2.5}, "n_toys"),
+        ("toys", {"toy": {"study": "simple", "n_events": 300}, "jobs": 2.7}, "jobs"),
+        ("toys", {"toy": {"study": "simple", "n_events": 300}, "jobs": True}, "jobs"),
+        ("toys", {"toy": {"study": "simple", "n_events": 300}, "jobs": "2"}, "jobs")],
         ids=["pipeline-poly_order", "pipeline-qm_bins", "toys-n_events", "toys-seed",
-             "toys-method-poly_order", "toys-n_toys"])
+             "toys-method-poly_order", "toys-n_toys", "toys-jobs-float", "toys-jobs-bool",
+             "toys-jobs-string"])
     def test_non_integer_field(self, tmp_path, capsys, monkeypatch, command, cfg, named):
         def no_toys(config):
             raise AssertionError("a toy ran")

@@ -9,6 +9,7 @@ from cowlib import (ConstructionError, Density1D, EvaluationError, Interval,
                     fit_weighted_ml, make_density, numerical_hessian,
                     yields_only_refit)
 from cowlib import mlfit
+from cowlib.methods import MethodSpec, apply_method
 from cowlib.toygen import ToySpec, generate_simple, simple_truth_densities
 
 from conftest import count_pdf_calls
@@ -156,6 +157,22 @@ class TestWeightedML:
                       {"edges": [0.0, 1.0, 2.0, 3.0], "contents": [3.0, 2.0, 1.0]})
         with pytest.raises(ConstructionError, match="no parameters"):
             fit_weighted_ml(np.array([0.5, 1.5, 2.5]), np.ones(3), d)
+
+    @pytest.mark.parametrize("seed", [1001, 1002])
+    def test_covariance_of_the_exponential_in_closed_form(self, seed):
+        # for h = lam e^(-lam t) / (1 - e^(-a lam)) on [0, a] the second
+        # derivative of ln h in lam is the same at every t, so the naive
+        # covariance of the weighted fit is 1 / (sum w * that curvature)
+        ds = generate_simple(ToySpec(study="simple", n_events=2000, seed=seed))
+        fit = fit_extended_ml(ds.m, two_component_model(2000))
+        w = apply_method(MethodSpec("swB"), fit, ds.data).w
+        hs = Density1D("exponential", [1.5], Interval(0.0, 3.0))
+        tfit = fit_weighted_ml(ds.column("t"), w, hs, bounds=[(0.05, 20.0)])
+        assert fit.converged and tfit.converged
+        lam, a = tfit.params[0], 3.0
+        e = np.exp(-a * lam)
+        exact = 1.0 / (w.sum() * (1.0 / lam ** 2 - a ** 2 * e / (1.0 - e) ** 2))
+        assert tfit.covariance[0, 0] == pytest.approx(exact, rel=1e-7, abs=0)
 
     def test_density_zero_at_weighted_point_rejected(self):
         # the second monomial density vanishes at the lower support edge

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from cowlib import (CowSpec, EvaluationError, FitResult, Interval,
+from cowlib import (CowSpec, Density1D, EvaluationError, FitResult, Interval,
                     MixtureComponent, MixtureModel, MixtureVariance,
                     SingularModelError, build_cow, compute_W_variant_A,
                     compute_W_variant_B, compute_W_variant_C, fit_extended_ml,
                     integrate, monomial_basis, weight_functions)
-from cowlib import sweights
+from cowlib import cows, sweights
 from cowlib.sweights import WeightMatrix
 from cowlib.toygen import ToySpec, generate_simple, simple_truth_densities
 
@@ -59,13 +59,34 @@ class TestVariantA:
                 compute_W_variant_A(gs, gb, z, unit_interval)
 
     def test_one_integral_pass(self, unit_interval, monkeypatch):
+        # W is the Gram matrix of build_cow under the mixture variance: one
+        # vector integral, each density evaluated once as a basis element
+        # and once in I(m) per node batch
         gs, gb, _, _ = simple_truth_densities()
-        integrals = count_integrals(monkeypatch, sweights)
+        integrals = count_integrals(monkeypatch, cows)
         pdf_calls = count_pdf_calls(monkeypatch)
         wm = compute_W_variant_A(gs, gb, 0.3, unit_interval)
         assert len(integrals) == 1
-        assert len(pdf_calls) == 2 * len(integrals[0])
+        assert len(pdf_calls) == 4 * len(integrals[0])
+        for g in (gs, gb):
+            assert sum(d is g for d in pdf_calls) == 2 * len(integrals[0])
         assert np.allclose(wm.A @ wm.W, np.eye(2), atol=1e-10)
+
+    @pytest.mark.parametrize("z", [0.05, 0.2, 0.4, 0.77])
+    @pytest.mark.parametrize("background", ["exponential", "histogram"])
+    @pytest.mark.parametrize("support", [(0.0, 1.0), (0.2, 0.9)], ids=str)
+    def test_gram_matrix_of_the_mixture_variance(self, support, background, z):
+        # bit for bit the integral of the two-component density ratio
+        iv = Interval(*support)
+        gs = Density1D("normal", [0.5, 0.08], iv)
+        if background == "exponential":
+            gb = Density1D("exponential", [1.0], iv)
+        else:
+            gb = Density1D("histogram", [], iv, {"edges": np.linspace(*support, 6),
+                                                 "contents": [5.0, 4.0, 3.0, 2.0, 1.0]})
+        W, A = reference_W("A", gs, gb, z, None, None)
+        wm = compute_W_variant_A(gs, gb, z, iv)
+        assert np.array_equal(wm.W, W) and np.array_equal(wm.A, A)
 
 
 class TestVariantB:
