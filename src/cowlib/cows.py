@@ -240,13 +240,19 @@ def gram_matrix(basis: Sequence[Density1D], variance_fn, support: Interval,
                 tol: float = 1e-9) -> np.ndarray:
     """W_kl = integral over ``support`` of g_k g_l / I for the basis g and
     the variance function I, split at the breakpoints of both."""
-    pts = set(variance_fn.breakpoints())
-    for g in basis:
-        pts.update(g.breakpoints())
+    pts = set(variance_fn.breakpoints()).union(*(g.breakpoints() for g in basis))
+    at = {id(g): i for i, g in enumerate(basis)}
+    rows = ([at.get(id(g)) for g in variance_fn.basis]
+            if isinstance(variance_fn, MixtureVariance) else [None])
 
-    # the upper triangle of W in one pass: each basis density once per node batch
+    # the upper triangle of W in one pass, each density once per node batch: a
+    # MixtureVariance over basis densities is summed from their values, in the
+    # order of its __call__ so that W is the same bits
     def f(m):
-        return pair_products(np.stack([gk.pdf(m) for gk in basis])) / variance_fn(m)
+        gv = np.stack([gk.pdf(m) for gk in basis])
+        if None in rows:
+            return pair_products(gv) / variance_fn(m)
+        return pair_products(gv) / sum(z * gv[i] for z, i in zip(variance_fn.fractions, rows))
 
     return from_upper(integrate(f, support, tol, points=sorted(pts)), len(basis))
 

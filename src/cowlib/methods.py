@@ -26,11 +26,10 @@ from .wcov import (CorrectedCovariance, corrected_covariance_cow,
 __all__ = ["MAX_POLY_ORDER", "MethodSpec", "MethodWeights", "apply_method", "as_integer",
            "fitted_basis", "sweights_matrix", "variance_function"]
 
-# The highest monomial order of a cow basis.  A normal(0.5, 0.08) signal
-# plus monomials, with I(m) = 1 on [0, 1], has a Gram matrix beyond
-# cows.CONDITION_LIMIT from order 9 on (cond 5.3e12 at 9, 4.9e14 at 10,
-# 9.5e17 at 20), so a higher order only spends time and memory on a W that
-# build_cow rejects.
+# The highest monomial order of a cow basis: a cap on the W quadrature's cost
+# that lets an order-25 ensemble still fail in build_cow, not where W turns
+# ill-conditioned (a normal(0.5, 0.08) signal plus monomials, I = 1 on [0, 1],
+# is past cows.CONDITION_LIMIT from order 9: 5.3e12 at 9, 9.5e17 at 20).
 MAX_POLY_ORDER = 30
 
 

@@ -427,7 +427,9 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
     Weights may be negative (sWeights are).  The hessian field holds
     :func:`_weighted_hessian` over the events of nonzero weight, and the
     covariance field the naive inverse of it, which is *not* a valid
-    covariance for weighted data; use the wcov module to correct it.
+    covariance for weighted data; use the wcov module to correct it.  It is
+    ``CorrectedCovariance.naive`` bit for bit when no weight is 0 (else to
+    rounding; the correction raises where ln h is infinite at a w = 0 event).
     """
     t = np.asarray(data_t, dtype=float)
     w = np.asarray(weights, dtype=float)

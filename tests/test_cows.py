@@ -1,6 +1,8 @@
 """Generalized orthogonal weight functions: construction, variance
 functions, fraction estimation and efficiency correction."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -112,7 +114,7 @@ class TestBuildCow:
     @pytest.mark.parametrize("variance", ["mixture", "histogram"])
     def test_one_integral_pass(self, unit_interval, monkeypatch, variance):
         # W is one vector integral; every basis density is evaluated once
-        # per node batch
+        # per node batch, a mixture I(m) being summed from the basis values
         gs, _, _, _ = simple_truth_densities()
         basis = [gs] + monomial_basis(4, unit_interval)
         if variance == "mixture":
@@ -126,9 +128,20 @@ class TestBuildCow:
         cow = build_cow(spec)
         assert len(integrals) == 1
         for g in basis:
-            assert sum(d is g for d in pdf_calls) == len(integrals[0]) * (
-                2 if variance == "mixture" else 1)
+            assert sum(d is g for d in pdf_calls) == len(integrals[0])
         assert np.allclose(cow.A @ cow.W, np.eye(5), atol=1e-8)
+
+    def test_mixture_variance_from_basis_values_is_bit_identical(self, unit_interval):
+        # a mixture over copies of the basis densities is called as I(m);
+        # over the basis densities themselves it is summed from their values
+        gs, _, _, _ = simple_truth_densities()
+        basis = [gs] + monomial_basis(3, unit_interval)
+        z = [0.4, 0.1, 0.3, 0.2]
+        W = {}
+        for route, var_basis in (("values", basis), ("call", [copy.copy(g) for g in basis])):
+            W[route] = build_cow(CowSpec(basis=basis, variance_fn=MixtureVariance(z, var_basis),
+                                         support=unit_interval)).W
+        assert np.array_equal(W["values"], W["call"])
 
 
 class TestVarianceFunctions:

@@ -127,6 +127,15 @@ class TestFixedShapeCorrection:
                 d["t"], d["w"], d["wfs"].dw_dW(d["m"]), d["hs"],
                 d["tfit"].params)
 
+    def test_fit_covariance_with_zero_weights(self, weighted_toy):
+        # the fit's Hessian leaves out the events of weight 0 and the naive
+        # covariance sums their zero terms too: equal to rounding, not bits
+        d = weighted_toy
+        w = np.where(np.arange(len(d["w"])) % 7 == 0, 0.0, d["w"])
+        fit = fit_weighted_ml(d["t"], w, d["hs"], bounds=[(0.05, 20.0)])
+        corr = corrected_covariance_fixed_shapes(d["t"], w, None, d["hs"], fit.params)
+        assert np.allclose(fit.covariance, corr.naive, rtol=1e-12, atol=0)
+
     def test_zero_weight_event_where_the_density_underflows(self):
         # the fit ignores the event at t = 0, which has weight 0, but ln h(0)
         # is -inf: the weighted Hessian is undefined there, so the correction
