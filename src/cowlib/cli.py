@@ -266,8 +266,6 @@ def cmd_sweights(resolved: dict) -> int:
     spec = MethodSpec(f"sweights-{resolved['variant']}", variant=resolved["variant"])
     names, data = read_csv(resolved["data"], min_cols=1)
     model = _model_from_cfg(resolved["model"], data.shape[0])
-    if len(model.components) != 2:
-        raise CliInputError("sweights needs a two-component model")
     fit = fit_extended_ml(data[:, 0], model)
     if not fit.converged:
         return EXIT_NONCONVERGENCE

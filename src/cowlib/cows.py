@@ -3,7 +3,7 @@
 The weight functions are rows of the inverse of the Gram matrix
 W_kl = integral of g_k g_l / I over the support, for a chosen strictly
 positive variance function I(m).  With I equal to the fitted mixture this
-reduces to the classic two-component signal/background weights.
+reduces to the classic (sPlot) weights.
 """
 
 from __future__ import annotations

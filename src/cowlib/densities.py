@@ -101,7 +101,7 @@ class Density1D:
         self._norm = self._raw_norm()
         if not (np.isfinite(self._norm) and self._norm > 0):
             raise ConstructionError(
-                f"{kind} density has non-positive normalization on {support.as_tuple()}")
+                f"{kind} density has no finite positive normalization on {support.as_tuple()}")
 
     # -- construction helpers -------------------------------------------------
 
@@ -194,7 +194,10 @@ class Density1D:
             lam = p[0]
             if lam == 0:
                 return hi - lo
-            return (1.0 - math.exp(-lam * (hi - lo))) / lam
+            try:
+                return (1.0 - math.exp(-lam * (hi - lo))) / lam
+            except OverflowError:   # beyond the float range: caught in __init__
+                return math.inf
         if k == "monomial":
             return 1.0  # k*u^(k-1)/width integrates to 1 exactly
         if k == "histogram":

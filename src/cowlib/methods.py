@@ -50,10 +50,10 @@ def as_integer(value, what: str, minimum: Optional[int] = None,
 
 @dataclass
 class MethodSpec:
-    """One weight-extraction recipe: classic two-component weights
-    ("sweights") or the generalized construction ("cow"), whose background is
-    the fitted shape (``poly_order`` 0) or monomials up to ``poly_order``, and
-    a covariance ``correction``.  The toy runner reads ``fit_shapes`` to
+    """One weight-extraction recipe: classic weights ("sweights") or the
+    generalized construction ("cow"), whose non-signal basis is the fitted
+    shapes (``poly_order`` 0) or monomials up to ``poly_order``, and a
+    covariance ``correction``.  The toy runner reads ``fit_shapes`` to
     choose the m fit whose shapes the weights use."""
 
     name: str
@@ -86,10 +86,6 @@ class MethodSpec:
         return asdict(self)
 
 
-def _shapes(fit: FitResult) -> Tuple[Density1D, Density1D]:
-    return fit.model.components[0].density, fit.model.components[1].density
-
-
 def sweights_matrix(variant: str, fit: FitResult, data_m) -> WeightMatrix:
     """W of the classic weights at the shapes of ``fit``.
 
@@ -98,27 +94,27 @@ def sweights_matrix(variant: str, fit: FitResult, data_m) -> WeightMatrix:
     no shape floats; a fit with free shapes is refitted for the yields first.
     """
     m = np.asarray(data_m, dtype=float)
-    gs, gb = _shapes(fit)
-    z = float(fit.params[0] / fit.params[:2].sum())
+    basis, z = fit.model.densities(), fit.model.fractions
     if variant == "A":
-        return compute_W_variant_A(gs, gb, z, gs.support)
+        return compute_W_variant_A(basis, z, basis[0].support)
     if variant == "B":
-        return compute_W_variant_B(gs, gb, z, m)
+        return compute_W_variant_B(basis, z, m)
     if variant == "Ci":
-        return compute_W_variant_C(fit, len(m), "invert-full-cov")
+        return compute_W_variant_C(fit, len(m), "invert-full-cov", n_components=len(basis))
     if variant == "Cii":
         if any(c.free_shape for c in fit.model.components):
             fit = yields_only_refit(m, fit.model)
-        return compute_W_variant_C(fit, len(m), "yields-only-cov")
+        return compute_W_variant_C(fit, len(m), "yields-only-cov", n_components=len(basis))
     raise ConstructionError(f"unknown sweights variant {variant!r}")
 
 
 def fitted_basis(fit: FitResult, poly_order: int) -> List[Density1D]:
-    """The fitted signal, then the fitted background or monomials up to ``poly_order``."""
-    gs, gb = _shapes(fit)
+    """Every fitted component, or at ``poly_order`` > 0 the fitted signal and
+    monomials up to that order in place of the other components."""
+    basis = fit.model.densities()
     if poly_order > 0:
-        return [gs] + monomial_basis(poly_order + 1, gs.support)
-    return [gs, gb]
+        return basis[:1] + monomial_basis(poly_order + 1, basis[0].support)
+    return basis
 
 
 def variance_function(kind: str, basis: List[Density1D], data,
@@ -151,9 +147,10 @@ class MethodWeights:
 
     def columns(self) -> Tuple[List[str], np.ndarray]:
         """Names and values of every per-event weight column."""
+        n = self._columns.shape[1]
         if self.spec.kind == "sweights":
-            return ["w_s", "w_b"], self._columns
-        return [f"w_{k}" for k in range(self._columns.shape[1])], self._columns
+            return ["w_s", "w_b"] + [f"w_b{k}" for k in range(2, n)], self._columns
+        return [f"w_{k}" for k in range(n)], self._columns
 
     def covariance(self, hs: Density1D, theta) -> Optional[CorrectedCovariance]:
         """Corrected covariance of the weighted fit of ``hs`` at ``theta``, or
@@ -166,10 +163,9 @@ class MethodWeights:
                                             eff=self.cow.spec.efficiency)
         m = self.data[:, 0]
         dW = self.cow.dw_dW(m) if self.spec.correction == "fixed" else None
-        gs, gb = self.cow.spec.basis
         return corrected_covariance_fixed_shapes(
-            self.data[:, 1], self.w, dW, hs, theta, gs=gs, gb=gb,
-            yields=self.fit.params[:2], data_m=m)
+            self.data[:, 1], self.w, dW, hs, theta, basis=self.cow.spec.basis,
+            yields=self.fit.model.yields, data_m=m)
 
 
 def apply_method(spec: MethodSpec, fit: FitResult, data,
@@ -180,7 +176,8 @@ def apply_method(spec: MethodSpec, fit: FitResult, data,
     data = np.asarray(data, dtype=float)
     if spec.kind == "sweights":
         wm = sweights_matrix(spec.variant, fit, data[:, 0])
-        return MethodWeights(spec, fit, data, weight_functions(wm, *_shapes(fit)), wm.to_dict())
+        cow = weight_functions(wm, fit.model.densities())
+        return MethodWeights(spec, fit, data, cow, wm.to_dict())
     basis = fitted_basis(fit, spec.poly_order)
     support = basis[0].support
     var = variance_function(spec.variance, basis, data, eff, spec.qm_bins, support)

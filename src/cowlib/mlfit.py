@@ -455,32 +455,32 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
     lower = np.array([b[0] for b in bounds])
     upper = np.array([b[1] for b in bounds])
 
+    # the events of weight 0 drop out of the likelihood and its derivatives
+    t, w = t[active], w[active]
+
     def nll(theta):
         try:
             p = density.with_params(theta).pdf(t)
         except ConstructionError:
             return 1e100
-        if np.any(p[active] <= 0):
+        if np.any(p <= 0):
             return 1e100
-        logp = np.where(active, np.log(np.where(p > 0, p, 1.0)), 0.0)
-        return float(-np.sum(w * logp))
+        return float(-np.sum(w * np.log(p)))
 
     def grad(theta):
         out = np.empty(n_par)
         for j in range(n_par):
             try:
-                d = _log_deriv1(density, t, theta, j)
+                out[j] = -np.sum(w * _log_deriv1(density, t, theta, j))
             except ConstructionError:
                 out[j] = 0.0
-                continue
-            out[j] = -np.sum(w * np.where(active, d, 0.0))
         return out
 
     # score scales with sum|w|; point estimate is scale-invariant
     gtol = GRAD_TOL_PER_EVENT * max(np.sum(np.abs(w)), 1.0)
     x, fval, converged, n_calls, _ = _run_fit(nll, grad, init, lower, upper, gtol)
     cov, hess, flags = _curvature(
-        lambda th: _weighted_hessian(density, t[active], w[active], th), x, converged)
+        lambda th: _weighted_hessian(density, t, w, th), x, converged)
     names = [f"theta_{j}" for j in range(n_par)]
     return FitResult(params=x, covariance=cov, hessian=hess, nll=fval,
                      converged=converged, n_calls=n_calls,

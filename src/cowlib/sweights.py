@@ -1,16 +1,18 @@
-"""Classic two-component signal/background weight extraction.
+"""Classic (sPlot) weights for a mixture of n components.
 
-Three estimators of the W matrix are provided: quadrature of the density
-ratio (variant A), a per-event sample sum (variant B) and rescaling of the
-fitted yield Hessian/covariance (variant C, modes Ci and Cii).  The weights
-of a W are the :class:`~cowlib.cows.CowSet` whose variance function is the
-one W implies, I(m) = (A 1) . g(m) with A = W^-1.
+Three estimators of the W matrix of the component densities are provided:
+quadrature of the density ratios (variant A), a per-event sample sum
+(variant B) and rescaling of the fitted yields block of the Hessian or
+covariance (variant C, modes Ci and Cii).  The weights of a W are the
+:class:`~cowlib.cows.CowSet` whose variance function is the one W implies,
+I(m) = (A 1) . g(m) with A = W^-1; the first component is the signal.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,13 +32,14 @@ __all__ = [
 GRID_PROBE_POINTS = 10_000
 
 
-def _invert_2x2(W: np.ndarray) -> np.ndarray:
-    det = W[0, 0] * W[1, 1] - W[0, 1] ** 2
-    norm2 = float(np.sum(W * W))
-    if det <= 1e-14 * norm2:
-        raise SingularModelError(
-            "W matrix is singular: the component shapes are proportional")
-    return np.array([[W[1, 1], -W[0, 1]], [-W[0, 1], W[0, 0]]]) / det
+def _inverse(W: np.ndarray) -> np.ndarray:
+    """W^-1, symmetrized; SingularModelError unless det(W) > 1e-14 (sum W^2)^(n/2)
+    and W is positive definite (which a positive det implies only for n = 2)."""
+    if np.linalg.det(W) <= 1e-14 * np.sum(W * W) ** (len(W) / 2) or np.linalg.eigvalsh(W)[0] <= 0:
+        raise SingularModelError("W matrix is singular or not positive definite: "
+                                 "the component shapes may be linearly dependent")
+    A = np.linalg.inv(W)
+    return 0.5 * (A + A.T)
 
 
 @dataclass
@@ -62,44 +65,47 @@ class WeightMatrix:
         return cls(np.array(d["W"]), np.array(d["A"]), d["variant"], np.array(d["z_hat"]))
 
 
-def _check_fraction(z: float):
-    if not 0.0 < z < 1.0:
-        raise EvaluationError(f"signal fraction must lie in (0, 1), got {z}")
+def _check_fractions(z, n: int) -> np.ndarray:
+    """``z`` as an array of n component fractions, each in (0, 1)."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (n,) or not np.all((z > 0.0) & (z < 1.0)):
+        raise EvaluationError(f"need {n} component fractions, each in (0, 1); got {z.tolist()}")
+    return z
 
 
-def compute_W_variant_A(gs: Density1D, gb: Density1D, z: float, iv: Interval,
+def compute_W_variant_A(basis: Sequence[Density1D], z, iv: Interval,
                         tol: float = 1e-9) -> WeightMatrix:
-    """W from quadrature: the Gram matrix of (g_s, g_b) under the variance
-    function z g_s + (1-z) g_b."""
-    _check_fraction(z)
-    W = gram_matrix([gs, gb], MixtureVariance([z, 1.0 - z], [gs, gb]), iv, tol)
-    A = _invert_2x2(W)
-    return WeightMatrix(W, A, "A", np.array([z, 1.0 - z]))
+    """W from quadrature: the Gram matrix of the basis g_k under the variance
+    function sum_k z_k g_k."""
+    z = _check_fractions(z, len(basis))
+    W = gram_matrix(basis, MixtureVariance(z, basis), iv, tol)
+    return WeightMatrix(W, _inverse(W), "A", z)
 
 
-def compute_W_variant_B(gs: Density1D, gb: Density1D, z: float, data_m) -> WeightMatrix:
-    """W from the per-event sample sum (the recommended, self-consistent choice)."""
-    _check_fraction(z)
+def compute_W_variant_B(basis: Sequence[Density1D], z, data_m) -> WeightMatrix:
+    """W from the per-event sample sum (the recommended, self-consistent
+    choice): the mean over the events of g_k g_l / (z . g)^2."""
+    z = _check_fractions(z, len(basis))
     m = np.asarray(data_m, dtype=float)
     if m.size == 0:
         raise EvaluationError("variant B requires a nonempty data sample")
-    s = gs.pdf(m)
-    b = gb.pdf(m)
-    g = z * s + (1.0 - z) * b
-    if np.any(g <= 0):
-        i = int(np.argmax(g <= 0))
+    G = np.stack([g.pdf(m) for g in basis])
+    f = sum(zk * gk for zk, gk in zip(z, G))   # MixtureVariance's sum, not BLAS's
+    if np.any(f <= 0):
+        i = int(np.argmax(f <= 0))
         raise EvaluationError(
             f"mixture density vanishes at observation {i} (m={m[i]!r})")
-    W = from_upper((pair_products(np.stack([s, b])) * (1.0 / g ** 2)).sum(axis=1), 2) / len(m)
-    A = _invert_2x2(W)
-    return WeightMatrix(W, A, "B", np.array([z, 1.0 - z]))
+    W = from_upper((pair_products(G) * (1.0 / f ** 2)).sum(axis=1), len(G)) / len(m)
+    return WeightMatrix(W, _inverse(W), "B", z)
 
 
-def compute_W_variant_C(full_fit: FitResult, N: int, mode: str = "invert-full-cov") -> WeightMatrix:
-    """W from a fit's covariance matrix.
+def compute_W_variant_C(full_fit: FitResult, N: int, mode: str = "invert-full-cov",
+                        *, n_components: int) -> WeightMatrix:
+    """W from a fit's covariance matrix, whose first ``n_components``
+    parameters are the component yields.
 
     ``invert-full-cov`` (Ci): invert the full covariance, take the yields
-    2x2 block of the resulting Hessian and scale by N.  Inversion must come
+    n x n block of the resulting Hessian and scale by N.  Inversion must come
     before extraction; the reverse order would not restore the derivatives.
     ``yields-only-cov`` (Cii): for a yields-only fit the scaled covariance
     C/N is directly the coefficient matrix A.
@@ -107,36 +113,35 @@ def compute_W_variant_C(full_fit: FitResult, N: int, mode: str = "invert-full-co
     if not full_fit.converged or full_fit.covariance is None:
         raise EvaluationError("variant C needs a converged fit with covariance")
     cov = np.asarray(full_fit.covariance, dtype=float)
-    yields = np.asarray(full_fit.params[:2], dtype=float)
+    n = n_components
+    yields = np.asarray(full_fit.params[:n], dtype=float)
     z_hat = yields / yields.sum()
     if mode == "invert-full-cov":
         try:
             hess_full = np.linalg.inv(cov)
         except np.linalg.LinAlgError as exc:
             raise EvaluationError("covariance matrix is not invertible") from exc
-        W = N * hess_full[:2, :2]
+        W = N * hess_full[:n, :n]
         W = 0.5 * (W + W.T)
-        A = _invert_2x2(W)
-        return WeightMatrix(W, A, "Ci", z_hat)
+        return WeightMatrix(W, _inverse(W), "Ci", z_hat)
     if mode == "yields-only-cov":
-        A = cov[:2, :2] / N
+        A = cov[:n, :n] / N
         A = 0.5 * (A + A.T)
-        W = _invert_2x2(A)
-        return WeightMatrix(W, A, "Cii", z_hat)
+        return WeightMatrix(_inverse(A), A, "Cii", z_hat)
     raise ValueError(f"unknown variant C mode {mode!r}")
 
 
-def weight_functions(wm: WeightMatrix, gs: Density1D, gb: Density1D) -> CowSet:
+def weight_functions(wm: WeightMatrix, basis: Sequence[Density1D]) -> CowSet:
     """Plug-in weight functions built from an estimated W matrix: the
-    :class:`~cowlib.cows.CowSet` of basis (gs, gb) with the W and A of ``wm``
+    :class:`~cowlib.cows.CowSet` of ``basis`` with the W and A of ``wm``
     and the variance function they imply.
 
-    Warns (and records in ``warnings``) when the denominator of the closed
-    form, (W_bb - W_sb) g_s + (W_ss - W_sb) g_b = det(W) I(m), is
-    non-positive anywhere on the support.
+    Warns (and records in ``warnings``) when det(W) I(m) = (adj(W) 1) . g(m),
+    the denominator of the weights in adjugate form, is non-positive anywhere
+    on the support; for two components it is (W_bb - W_sb) g_s + (W_ss - W_sb) g_b.
     """
-    cow = implied_cow(wm.W, wm.A, [gs, gb])
-    grid = np.linspace(gs.support.lo, gs.support.hi, GRID_PROBE_POINTS)
+    cow = implied_cow(wm.W, wm.A, basis)
+    grid = np.linspace(*basis[0].support.as_tuple(), GRID_PROBE_POINTS)
     if np.any(np.linalg.det(wm.W) * cow.spec.variance_fn(grid) <= 0):
         msg = "weight-function denominator non-positive on part of the support"
         cow.warnings.append(msg)

@@ -93,8 +93,8 @@ def _sandwich(hs_model: Density1D, t, w, theta):
     the per-event scores d1 (p, N), the inverse H^-1 of the weighted
     log-likelihood Hessian, the plain sandwich H^-1 (sum w^2 d1 d1^T) H^-T
     (symmetrized) and the naive covariance."""
+    H = _weighted_hessian(hs_model, t, w, theta)   # raises where ln h is not finite
     d1 = _log_derivs1(hs_model, t, theta)
-    H = _weighted_hessian(hs_model, t, w, theta)
     try:
         Hinv = np.linalg.inv(H)
     except np.linalg.LinAlgError as exc:
@@ -110,18 +110,17 @@ def corrected_covariance_fixed_shapes(
     hs_model: Density1D,
     theta_hat,
     *,
-    gs: Optional[Density1D] = None,
-    gb: Optional[Density1D] = None,
+    basis: Optional[Sequence[Density1D]] = None,
     yields: Optional[Sequence[float]] = None,
     data_m=None,
 ) -> CorrectedCovariance:
     """Covariance correction when the shapes in m are known.
 
-    ``dW`` holds per-event derivatives of the signal weight wrt
-    (W_ss, W_sb, W_bb), shape (N, 3), as ``CowSet.dw_dW`` gives them; pass
-    None for externally supplied fixed weights, which reduces the result to
-    the plain sandwich.  Otherwise the C' matrix is built from (gs, gb,
-    yields, data_m).
+    ``dW`` holds per-event derivatives of the signal weight wrt the upper
+    triangle of the n x n W, shape (N, n(n+1)/2), as ``CowSet.dw_dW`` gives
+    them; pass None for externally supplied fixed weights, which reduces the
+    result to the plain sandwich.  Otherwise the C' matrix is built from the
+    n ``basis`` densities, their ``yields`` and ``data_m``.
     """
     t = np.asarray(data_t, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -132,19 +131,17 @@ def corrected_covariance_fixed_shapes(
     if dW is None:
         reduction = np.zeros((p, p))
     else:
-        if gs is None or gb is None or yields is None or data_m is None:
-            raise EvaluationError("the reduction term needs (gs, gb, yields, data_m)")
+        if basis is None or yields is None or data_m is None:
+            raise EvaluationError("the reduction term needs (basis, yields, data_m)")
         dW = np.asarray(dW, dtype=float)
         # C' below is the covariance of the per-event-sum estimator of W,
         # which carries a 1/N relative to the density-scale W that dW refers
         # to; the weight is scale-invariant in W, so rescaling dW by N puts
         # both factors of the quadratic form on the same convention.
-        E = len(t) * (d1 @ dW)                      # (p, 3)
-        m = np.asarray(data_m, dtype=float)
-        ns, nb = float(yields[0]), float(yields[1])
-        s = gs.pdf(m)
-        b = gb.pdf(m)
-        P = pair_products(np.stack([s, b])) / (ns * s + nb * b) ** 2   # (3, N)
+        E = len(t) * (d1 @ dW)                      # (p, n(n+1)/2)
+        G = np.stack([g.pdf(data_m) for g in basis])
+        f = sum(float(y) * g for y, g in zip(yields, G))   # not BLAS's (fused) sum
+        P = pair_products(G) / f ** 2               # (n(n+1)/2, N)
         reduction = Hinv @ E @ (P @ P.T) @ E.T @ Hinv.T
 
     reduction = 0.5 * (reduction + reduction.T)

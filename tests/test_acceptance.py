@@ -46,15 +46,15 @@ def test_criterion_01_analytic_box_oracle():
     +1/-1 weight values are reproduced by quadrature exactly and by the
     per-event sum within Monte Carlo error at N = 1e5."""
     gs, gb = _box_densities()
-    wm_a = compute_W_variant_A(gs, gb, 0.5, UNIT)
+    wm_a = compute_W_variant_A([gs, gb], [0.5, 0.5], UNIT)
     assert np.allclose(wm_a.W, BOX_W, atol=1e-9)
-    wfs = weight_functions(wm_a, gs, gb)
+    wfs = weight_functions(wm_a, [gs, gb])
     assert np.allclose(wfs.w_k(0, [0.1, 0.25, 0.49]), 1.0, atol=1e-9)
     assert np.allclose(wfs.w_k(0, [0.51, 0.75, 0.9]), -1.0, atol=1e-9)
 
     rng = np.random.default_rng(12345)
     m = sample_box_mixture(rng, 100_000, z=0.5)
-    wm_b = compute_W_variant_B(gs, gb, 0.5, m)
+    wm_b = compute_W_variant_B([gs, gb], [0.5, 0.5], m)
     assert np.allclose(wm_b.W, BOX_W, atol=0.02)
 
 
@@ -78,8 +78,8 @@ def test_criterion_02_orthonormality_and_unit_sum():
                 assert val == pytest.approx(float(i == j), abs=1e-6)
 
     # quadrature-matrix variant: orthonormality under the Lebesgue measure
-    wm_a = compute_W_variant_A(gs, gb, z, UNIT)
-    wfs_a = weight_functions(wm_a, gs, gb)
+    wm_a = compute_W_variant_A([gs, gb], [z, 1 - z], UNIT)
+    wfs_a = weight_functions(wm_a, [gs, gb])
     for i, wfn in enumerate((partial(wfs_a.w_k, 0), partial(wfs_a.w_k, 1))):
         for j, gfn in enumerate((gs, gb)):
             val = integrate(lambda x: wfn(x) * gfn.pdf(x), UNIT, 1e-9)
@@ -88,14 +88,14 @@ def test_criterion_02_orthonormality_and_unit_sum():
 
     # per-event-sum and Hessian variants: orthonormality under the
     # empirical measure dN / g
-    wm_b = compute_W_variant_B(gs, gb, z, ds.m)
-    wfs_b = weight_functions(wm_b, gs, gb)
+    wm_b = compute_W_variant_B([gs, gb], [z, 1 - z], ds.m)
+    wfs_b = weight_functions(wm_b, [gs, gb])
     check_empirical(wfs_b)
     assert np.allclose(wfs_b.w_k(0, grid) + wfs_b.w_k(1, grid), 1.0, atol=1e-9)
 
     for mode in ("invert-full-cov", "yields-only-cov"):
-        wm_c = compute_W_variant_C(fit, len(ds.m), mode)
-        wfs_c = weight_functions(wm_c, gs, gb)
+        wm_c = compute_W_variant_C(fit, len(ds.m), mode, n_components=2)
+        wfs_c = weight_functions(wm_c, [gs, gb])
         assert np.allclose(wfs_c.w_k(0, grid) + wfs_c.w_k(1, grid), 1.0, atol=1e-9)
     # with the analytically exact yields Hessian the Hessian variant matches
     # the per-event sum, inheriting its orthonormality
@@ -107,8 +107,8 @@ def test_criterion_02_orthonormality_and_unit_sum():
                   [np.sum(s * b / f ** 2), np.sum(b * b / f ** 2)]])
     afit = FitResult(params=yields, covariance=np.linalg.inv(H), hessian=-H,
                      nll=0.0, converged=True, n_calls=0)
-    wm_ce = compute_W_variant_C(afit, n, "invert-full-cov")
-    check_empirical(weight_functions(wm_ce, gs, gb))
+    wm_ce = compute_W_variant_C(afit, n, "invert-full-cov", n_components=2)
+    check_empirical(weight_functions(wm_ce, [gs, gb]))
 
     # generalized weights with an in-span variance function
     for variance, basis in (
@@ -136,8 +136,8 @@ def test_criterion_03_self_consistent_weight_sums():
         fit = fit_extended_ml(ds.m, _yields_only_model(n))
         assert fit.converged
         z_hat = float(fit.params[0] / fit.params[:2].sum())
-        wm = compute_W_variant_B(gs, gb, z_hat, ds.m)
-        w = weight_functions(wm, gs, gb).w_k(0, ds.m)
+        wm = compute_W_variant_B([gs, gb], [z_hat, 1 - z_hat], ds.m)
+        w = weight_functions(wm, [gs, gb]).w_k(0, ds.m)
         assert w.sum() == pytest.approx(n * z_hat, rel=1e-12)
 
 
@@ -155,8 +155,8 @@ def test_criterion_04_yield_error_relations():
         fit = fit_extended_ml(ds.m, _yields_only_model(n))
         assert fit.converged
         z_hat = float(fit.params[0] / fit.params[:2].sum())
-        wm = compute_W_variant_B(gs, gb, z_hat, ds.m)
-        w = weight_functions(wm, gs, gb).w_k(0, ds.m)
+        wm = compute_W_variant_B([gs, gb], [z_hat, 1 - z_hat], ds.m)
+        w = weight_functions(wm, [gs, gb]).w_k(0, ds.m)
         assert w.sum() == pytest.approx(fit.params[0], rel=1e-12)
         ratios.append(np.sqrt(np.sum(w ** 2))
                       / np.sqrt(fit.covariance[0, 0]))
@@ -234,8 +234,8 @@ def test_criterion_06_sandwich_cross_validation():
     mfit = fit_extended_ml(m, _yields_only_model(len(m)))
     assert mfit.converged
     z_hat = float(mfit.params[0] / mfit.params[:2].sum())
-    wm = compute_W_variant_B(gs, gb, z_hat, m)
-    wfs = weight_functions(wm, gs, gb)
+    wm = compute_W_variant_B([gs, gb], [z_hat, 1 - z_hat], m)
+    wfs = weight_functions(wm, [gs, gb])
     w = wfs.w_k(0, m)
     tfit = fit_weighted_ml(t, w, hs, bounds=[(0.05, 20.0)])
     assert tfit.converged
@@ -243,7 +243,7 @@ def test_criterion_06_sandwich_cross_validation():
     full = corrected_covariance_full(ds.data, spec, lam_hat)
     fixed = corrected_covariance_fixed_shapes(
         t, w, wfs.dw_dW(m), hs, tfit.params,
-        gs=gs, gb=gb, yields=mfit.params[:2], data_m=m)
+        basis=[gs, gb], yields=mfit.params[:2], data_m=m)
     rel = abs(full.theta_block[0, 0] - fixed.theta_block[0, 0]) / fixed.theta_block[0, 0]
     assert rel < 1e-3
 
@@ -254,8 +254,8 @@ def test_criterion_07_generalized_weights_reduce_to_classic():
     pointwise."""
     gs, gb, _, _ = simple_truth_densities()
     z = 0.4
-    wm = compute_W_variant_A(gs, gb, z, UNIT)
-    wfs = weight_functions(wm, gs, gb)
+    wm = compute_W_variant_A([gs, gb], [z, 1 - z], UNIT)
+    wfs = weight_functions(wm, [gs, gb])
     cow = build_cow(CowSpec(basis=[gs, gb],
                             variance_fn=MixtureVariance([z, 1 - z], [gs, gb]),
                             support=UNIT))
@@ -303,8 +303,8 @@ def test_criterion_09_weight_sum_variance_estimator():
     fit = fit_extended_ml(ds.m, _yields_only_model(n))
     assert fit.converged
     z_hat = float(fit.params[0] / fit.params[:2].sum())
-    wm = compute_W_variant_B(gs, gb, z_hat, ds.m)
-    pool = weight_functions(wm, gs, gb).w_k(0, ds.m)
+    wm = compute_W_variant_B([gs, gb], [z_hat, 1 - z_hat], ds.m)
+    pool = weight_functions(wm, [gs, gb]).w_k(0, ds.m)
 
     rng = np.random.default_rng(7)
     sums = np.empty(10_000)

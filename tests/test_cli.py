@@ -24,6 +24,24 @@ def data_csv(tmp_path_factory):
     return str(path)
 
 
+# a third, narrow peak in m next to the signal and background of MODEL_CFG
+GP_CFG = {"kind": "normal", "params": [0.25, 0.03], "label": "p"}
+MODEL3_CFG = {"support": [0.0, 1.0], "components": [GS_CFG, GB_CFG, GP_CFG],
+              "yields": [500.0, 2000.0, 750.0]}
+
+
+@pytest.fixture(scope="module")
+def three_component_csv(tmp_path_factory):
+    """2500 simple-study events plus 750 of the peak GP_CFG, normal in t."""
+    ds = generate_simple(ToySpec(study="simple", n_events=2500, seed=11))
+    u = np.random.default_rng(3).random((750, 2))
+    peak = np.column_stack([Density1D("normal", [0.25, 0.03], Interval(0, 1)).ppf(u[:, 0]),
+                            Density1D("normal", [1.0, 0.3], Interval(0, 3)).ppf(u[:, 1])])
+    path = tmp_path_factory.mktemp("data") / "three.csv"
+    cli.write_csv(str(path), ["m", "t"], np.vstack([ds.data, peak]))
+    return str(path)
+
+
 def write_cfg(tmp_path, name, cfg):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -184,6 +202,22 @@ class TestHappyPaths:
             fit_cov = res["t_fit"]["cov"]
             naive = json.loads((tmp_path / "cov.json").read_text())["covariance"]["naive"]
         assert fit_cov == naive
+
+    @pytest.mark.parametrize("method,rtol", [
+        ("sweights-A", 1e-9), ("sweights-B", 1e-9), ("sweights-Ci", 1e-6),
+        ("sweights-Cii", 1e-6), ("cow", 1e-9)])
+    def test_pipeline_three_components(self, tmp_path, three_component_csv, method, rtol):
+        # every component's shape enters the weights, so the signal weights
+        # sum to the fitted signal yield and the slope fit finds the truth
+        out = tmp_path / "s.json"
+        cfg = {"data": three_component_csv, "model": MODEL3_CFG, "method": method,
+               "control_model": CONTROL_CFG, "out_summary": str(out)}
+        assert cli.main(["pipeline", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
+        res = json.loads(out.read_text())
+        sigma = res["sigma_corrected"]
+        assert np.isfinite(sigma) and sigma > 0
+        assert abs(res["t_fit"]["params"][0] - 2.0) < 5 * sigma
+        assert res["sum_w"] == pytest.approx(res["m_fit"]["params"][0], rel=rtol)
 
     def test_cow(self, tmp_path, data_csv):
         ssum = tmp_path / "cow.json"
@@ -446,13 +480,24 @@ class TestConfigShape:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "s.json").exists()
 
-    def test_sweights_three_components_rejected(self, tmp_path, data_csv, capsys):
+    def test_sweights_three_components(self, tmp_path, three_component_csv):
+        wcsv, ssum = tmp_path / "w.csv", tmp_path / "s.json"
+        cfg = {"data": three_component_csv, "model": MODEL3_CFG,
+               "out_weights": str(wcsv), "out_summary": str(ssum)}
+        assert cli.main(["sweights", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
+        assert wcsv.read_text().splitlines()[0] == "m,t,w_s,w_b,w_b2"
+        yields = json.loads(ssum.read_text())["fit"]["params"]
+        sums = np.loadtxt(wcsv, delimiter=",", skiprows=1)[:, 2:].sum(axis=0)
+        assert np.allclose(sums, yields, rtol=1e-9, atol=0)
+
+    def test_sweights_proportional_components_rejected(self, tmp_path, data_csv, capsys):
         model = {**MODEL_CFG, "components": [GS_CFG, GB_CFG, GB_CFG],
                  "yields": [500.0, 500.0, 1000.0]}
         cfg = {"data": data_csv, "model": model,
                "out_summary": str(tmp_path / "s.json")}
-        assert cli.main(["sweights", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
-        assert "two-component" in capsys.readouterr().err
+        assert cli.main(["sweights", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: W matrix is singular")
+        assert not (tmp_path / "s.json").exists()
 
     @pytest.mark.parametrize("command,key", [
         ("fit", "data"), ("fit", "out"), ("sweights", "out_weights"),
@@ -598,6 +643,18 @@ class TestConfigShape:
                "control_model": {"kind": "normal", "params": [0.5, 0.01], "support": [0, 1]}}
         assert cli.main(["correct", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o.json").exists()
+
+
+    def test_correct_where_the_slope_fit_overflows(self, tmp_path, capsys):
+        # every event sits at the top of the support, so the slope fit walks
+        # towards -inf until exp(-slope * 3) overflows: not converged, exit 2
+        data, weights = tmp_path / "d.csv", tmp_path / "w.csv"
+        cli.write_csv(str(data), ["m", "t"], np.column_stack([np.full(50, 0.5), np.full(50, 2.999)]))
+        cli.write_csv(str(weights), ["w_s"], np.ones((50, 1)))
+        cfg = {"data": str(data), "weights": str(weights), "out": str(tmp_path / "o.json"),
+               "control_model": CONTROL_CFG}
+        assert cli.main(["correct", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
         assert not (tmp_path / "o.json").exists()
 
 

@@ -37,8 +37,8 @@ class TestBuildCow:
     def test_mixture_variance_matches_classic_weights(self, unit_interval):
         gs, gb, _, _ = simple_truth_densities()
         z = 0.4
-        wm = compute_W_variant_A(gs, gb, z, unit_interval)
-        wfs = weight_functions(wm, gs, gb)
+        wm = compute_W_variant_A([gs, gb], [z, 1 - z], unit_interval)
+        wfs = weight_functions(wm, [gs, gb])
         cow = build_cow(CowSpec(basis=[gs, gb],
                                 variance_fn=MixtureVariance([z, 1 - z], [gs, gb]),
                                 support=unit_interval))

@@ -236,6 +236,12 @@ class TestMakeDensity:
         with pytest.raises(ConstructionError):
             make_density("nosuchkind", [], unit_interval)
 
+    def test_exponential_whose_norm_overflows(self):
+        # (1 - e^3000) / -1000 is beyond the float range
+        with pytest.raises(ConstructionError, match="normalization"):
+            Density1D("exponential", [-1000.0], Interval(0.0, 3.0))
+        assert Density1D("exponential", [-200.0], Interval(0.0, 3.0)).pdf(3.0) == pytest.approx(200.0, rel=1e-12)
+
     @pytest.mark.parametrize("kind,params", [("normal", [[0.5, 0.08]]),
                                              ("exponential", [[1.0]]),
                                              ("uniform", [[0.0], [1.0]])])

@@ -36,24 +36,24 @@ def reference_run(method, ds, fits):
     gs_hat = fit.model.components[0].density
     gb_hat = fit.model.components[1].density
     yields = fit.params[:2]
-    z_hat = float(yields[0] / yields.sum())
+    z_hat = yields / yields.sum()
 
     dW = None
     if method.kind == "sweights":
         if method.variant == "A":
-            wm = sweights.compute_W_variant_A(gs_hat, gb_hat, z_hat, gs_hat.support)
+            wm = sweights.compute_W_variant_A([gs_hat, gb_hat], z_hat, gs_hat.support)
         elif method.variant == "B":
-            wm = sweights.compute_W_variant_B(gs_hat, gb_hat, z_hat, m)
+            wm = sweights.compute_W_variant_B([gs_hat, gb_hat], z_hat, m)
         elif method.variant == "Ci":
-            wm = sweights.compute_W_variant_C(fits["free"], n, "invert-full-cov")
+            wm = sweights.compute_W_variant_C(fits["free"], n, "invert-full-cov", n_components=2)
         elif method.variant == "Cii":
             yfit = fits.get("yields_only")
             if yfit is None:
                 yfit = yields_only_refit(m, fits["free"].model)
-            wm = sweights.compute_W_variant_C(yfit, n, "yields-only-cov")
+            wm = sweights.compute_W_variant_C(yfit, n, "yields-only-cov", n_components=2)
         else:
             raise ConstructionError(f"unknown variant {method.variant!r}")
-        wfs = sweights.weight_functions(wm, gs_hat, gb_hat)
+        wfs = sweights.weight_functions(wm, [gs_hat, gb_hat])
         w = wfs.w_k(0, m)
         dW = wfs.dw_dW(m)
     elif method.kind == "cow":
@@ -94,7 +94,7 @@ def reference_run(method, ds, fits):
         use_dw = dW if method.correction == "fixed" else None
         corr = wcov.corrected_covariance_fixed_shapes(
             t, w, use_dw, hs, theta,
-            gs=gs_hat, gb=gb_hat, yields=yields, data_m=m)
+            basis=[gs_hat, gb_hat], yields=yields, data_m=m)
         sigma_corr = float(np.sqrt(corr.theta_block[0, 0]))
     return w, dW, float(theta[0]), sigma_corr
 
@@ -159,12 +159,12 @@ class TestVariantC:
         ds, fits = sample
         yfit = fits["yields_only"]
         got = sweights_matrix("Cii", yfit, ds.m)
-        want = sweights.compute_W_variant_C(yfit, len(ds.m), "yields-only-cov")
+        want = sweights.compute_W_variant_C(yfit, len(ds.m), "yields-only-cov", n_components=2)
         assert np.array_equal(got.A, want.A)
 
     def test_ci_uses_the_fit_it_is_given(self, sample):
         ds, fits = sample
         yfit = fits["yields_only"]
         got = sweights_matrix("Ci", yfit, ds.m)
-        want = sweights.compute_W_variant_C(yfit, len(ds.m), "invert-full-cov")
+        want = sweights.compute_W_variant_C(yfit, len(ds.m), "invert-full-cov", n_components=2)
         assert np.array_equal(got.W, want.W)

@@ -114,8 +114,9 @@ def ref_extended_grad(model, data, params):
 
 
 def ref_weighted_grad(density, t, w, theta):
-    """The score of ``fit_weighted_ml``."""
+    """The score of ``fit_weighted_ml``, a sum over the events of nonzero weight."""
     active = w != 0
+    t, w = t[active], w[active]
     out = np.empty(len(theta))
     for j in range(len(theta)):
         h = 1e-6 * max(abs(theta[j]), 1.0)
@@ -128,8 +129,7 @@ def ref_weighted_grad(density, t, w, theta):
         except ConstructionError:
             out[j] = 0.0
             continue
-        d = np.where(active, (lp - lm) / (2 * h), 0.0)
-        out[j] = -np.sum(w * d)
+        out[j] = -np.sum(w * ((lp - lm) / (2 * h)))
     return out
 
 
@@ -271,7 +271,7 @@ def test_full_sandwich_jacobian(toy, phi_free):
     assert mfit.converged
     gs_hat = mfit.model.components[0].density
     z = float(mfit.params[0] / mfit.params[:2].sum())
-    w = weight_functions(compute_W_variant_B(gs_hat, gb, z, m), gs_hat, gb).w_k(0, m)
+    w = weight_functions(compute_W_variant_B([gs_hat, gb], [z, 1 - z], m), [gs_hat, gb]).w_k(0, m)
     tfit = fit_weighted_ml(t, w, hs, bounds=[(0.05, 20.0)])
     assert tfit.converged
     spec = QuasiScoreSpec(gs=gs, gb=gb, hs=hs, phi_free=phi_free)

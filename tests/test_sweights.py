@@ -1,4 +1,4 @@
-"""Two-component weight matrices, weight functions and their identities."""
+"""Classic weight matrices, weight functions and their identities."""
 
 import warnings
 from functools import partial
@@ -12,7 +12,7 @@ from cowlib import (CowSpec, Density1D, EvaluationError, FitResult, Interval,
                     SingularModelError, build_cow, compute_W_variant_A,
                     compute_W_variant_B, compute_W_variant_C, fit_extended_ml,
                     integrate, monomial_basis, weight_functions)
-from cowlib import cows, sweights
+from cowlib import cows
 from cowlib.sweights import WeightMatrix
 from cowlib.toygen import ToySpec, generate_simple, simple_truth_densities
 
@@ -36,27 +36,27 @@ def toy_fit():
 class TestVariantA:
     def test_box_oracle_matrix(self, box_model, box_W, unit_interval):
         gs, gb = box_model
-        wm = compute_W_variant_A(gs, gb, 0.5, unit_interval)
+        wm = compute_W_variant_A([gs, gb], [0.5, 0.5], unit_interval)
         assert np.allclose(wm.W, box_W, atol=1e-9)
         assert np.allclose(wm.A @ wm.W, np.eye(2), atol=1e-10)
 
     def test_box_oracle_weight_values(self, box_model, unit_interval):
         gs, gb = box_model
-        wm = compute_W_variant_A(gs, gb, 0.5, unit_interval)
-        wfs = weight_functions(wm, gs, gb)
+        wm = compute_W_variant_A([gs, gb], [0.5, 0.5], unit_interval)
+        wfs = weight_functions(wm, [gs, gb])
         assert np.allclose(wfs.w_k(0, [0.1, 0.3, 0.49]), 1.0, atol=1e-9)
         assert np.allclose(wfs.w_k(0, [0.51, 0.7, 0.99]), -1.0, atol=1e-9)
 
     def test_identical_shapes_singular(self, box_model, unit_interval):
         _, gb = box_model
         with pytest.raises(SingularModelError):
-            compute_W_variant_A(gb, gb, 0.5, unit_interval)
+            compute_W_variant_A([gb, gb], [0.5, 0.5], unit_interval)
 
     def test_invalid_fraction(self, box_model, unit_interval):
         gs, gb = box_model
         for z in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(EvaluationError):
-                compute_W_variant_A(gs, gb, z, unit_interval)
+                compute_W_variant_A([gs, gb], [z, 1 - z], unit_interval)
 
     def test_one_integral_pass(self, unit_interval, monkeypatch):
         # W is the Gram matrix of build_cow under the mixture variance: one
@@ -65,7 +65,7 @@ class TestVariantA:
         gs, gb, _, _ = simple_truth_densities()
         integrals = count_integrals(monkeypatch, cows)
         pdf_calls = count_pdf_calls(monkeypatch)
-        wm = compute_W_variant_A(gs, gb, 0.3, unit_interval)
+        wm = compute_W_variant_A([gs, gb], [0.3, 0.7], unit_interval)
         assert len(integrals) == 1
         assert len(pdf_calls) == 2 * len(integrals[0])
         assert np.allclose(wm.A @ wm.W, np.eye(2), atol=1e-10)
@@ -83,15 +83,15 @@ class TestVariantA:
             gb = Density1D("histogram", [], iv, {"edges": np.linspace(*support, 6),
                                                  "contents": [5.0, 4.0, 3.0, 2.0, 1.0]})
         W, A = reference_W("A", gs, gb, z, None, None)
-        wm = compute_W_variant_A(gs, gb, z, iv)
-        assert np.array_equal(wm.W, W) and np.array_equal(wm.A, A)
+        wm = compute_W_variant_A([gs, gb], [z, 1 - z], iv)
+        assert_reference(wm, W, A)
 
 
 class TestVariantB:
     def test_two_event_hand_formula(self, box_model):
         gs, gb = box_model
         m = np.array([0.25, 0.75])
-        wm = compute_W_variant_B(gs, gb, 0.5, m)
+        wm = compute_W_variant_B([gs, gb], [0.5, 0.5], m)
         # per-event terms g_x g_y / g^2 with (s, b, g) = (2, 1, 1.5) at 0.25
         # and (0, 1, 0.5) at 0.75, averaged over the two events
         assert wm.W[0, 0] == pytest.approx(0.5 * 4.0 / 2.25, rel=1e-14)
@@ -102,13 +102,13 @@ class TestVariantB:
         gs, gb = box_model
         rng = np.random.default_rng(12345)
         m = sample_box_mixture(rng, 100_000, z=0.5)
-        wm = compute_W_variant_B(gs, gb, 0.5, m)
+        wm = compute_W_variant_B([gs, gb], [0.5, 0.5], m)
         assert np.allclose(wm.W, box_W, atol=0.02)
 
     def test_self_consistency_sum_equals_fitted_yield(self, toy_fit):
         m, gs, gb, fit, z = toy_fit
-        wm = compute_W_variant_B(gs, gb, z, m)
-        w = weight_functions(wm, gs, gb).w_k(0, m)
+        wm = compute_W_variant_B([gs, gb], [z, 1 - z], m)
+        w = weight_functions(wm, [gs, gb]).w_k(0, m)
         n = len(m)
         assert w.sum() == pytest.approx(n * z, rel=1e-12)
         # equivalently the sample mean of the weights equals the fraction
@@ -118,14 +118,14 @@ class TestVariantB:
         # rows of A sum to the component fractions for the self-consistent
         # in-sample estimate
         m, gs, gb, fit, z = toy_fit
-        wm = compute_W_variant_B(gs, gb, z, m)
+        wm = compute_W_variant_B([gs, gb], [z, 1 - z], m)
         assert wm.A[0].sum() == pytest.approx(z, rel=1e-10)
         assert wm.A[1].sum() == pytest.approx(1.0 - z, rel=1e-10)
 
     def test_empty_data_rejected(self, box_model):
         gs, gb = box_model
         with pytest.raises(EvaluationError):
-            compute_W_variant_B(gs, gb, 0.5, np.array([]))
+            compute_W_variant_B([gs, gb], [0.5, 0.5], np.array([]))
 
     def test_vanishing_mixture_names_observation(self, unit_interval):
         gs = simple_truth_densities()[0]
@@ -133,7 +133,58 @@ class TestVariantB:
         gb = make_density("uniform", [0.0, 0.5], unit_interval)
         narrow = make_density("uniform", [0.4, 0.5], unit_interval)
         with pytest.raises(EvaluationError, match="observation"):
-            compute_W_variant_B(narrow, gb, 0.5, np.array([0.45, 0.9]))
+            compute_W_variant_B([narrow, gb], [0.5, 0.5], np.array([0.45, 0.9]))
+
+
+class TestThreeComponents:
+    @pytest.fixture(scope="class")
+    def fit3(self):
+        """A simple toy plus a narrow third peak, fitted with all three shapes."""
+        gs, gb, _, _ = simple_truth_densities()
+        gp = Density1D("normal", [0.25, 0.03], gs.support)
+        m = np.concatenate([generate_simple(ToySpec(study="simple", n_events=2000, seed=5)).m,
+                            gp.ppf(np.random.default_rng(4).random(600))])
+        fit = fit_extended_ml(m, MixtureModel(
+            [MixtureComponent(k, g) for k, g in zip("sbp", (gs, gb, gp))], [800.0] * 3))
+        assert fit.converged
+        return m, [gs, gb, gp], fit.params / fit.params.sum()
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_weights_sum_to_the_fitted_yields(self, fit3, variant):
+        m, basis, z = fit3
+        wm = (compute_W_variant_A(basis, z, basis[0].support) if variant == "A"
+              else compute_W_variant_B(basis, z, m))
+        assert np.allclose(wm.A @ wm.W, np.eye(3), atol=1e-10)
+        sums = weight_functions(wm, basis).weights(m).sum(axis=0)
+        assert np.allclose(sums, len(m) * z, rtol=1e-9 if variant == "A" else 1e-12)
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    @pytest.mark.parametrize("third", ["repeated", "in-span"])
+    def test_linearly_dependent_shapes_singular(self, fit3, variant, third):
+        # no two shapes of the second basis are proportional, but the third
+        # is a mixture of the other two
+        m, (gs, gb, _), z = fit3
+        g3 = gb if third == "repeated" else Density1D(
+            "mixture", [], gs.support, {"components": [gs, gb], "weights": [0.3, 0.7]})
+        with pytest.raises(SingularModelError, match="singular"):
+            if variant == "A":
+                compute_W_variant_A([gs, gb, g3], z, gs.support)
+            else:
+                compute_W_variant_B([gs, gb, g3], z, m)
+
+    @pytest.mark.parametrize("mode", ["invert-full-cov", "yields-only-cov"])
+    def test_indefinite_W_rejected(self, mode):
+        # det > 0 with two negative eigenvalues: a determinant test alone
+        # rejects an indefinite W only for two components
+        fit = FitResult(params=np.array([1.0, 1.0, 1.0]), covariance=np.diag([1.0, -1.0, -1.0]),
+                        hessian=None, nll=0.0, converged=True, n_calls=0)
+        with pytest.raises(SingularModelError, match="not positive definite"):
+            compute_W_variant_C(fit, 10, mode, n_components=3)
+
+    def test_one_fraction_per_component(self, fit3):
+        m, basis, z = fit3
+        with pytest.raises(EvaluationError, match="2 component fractions"):
+            compute_W_variant_B(basis[:2], z, m)
 
 
 class TestVariantC:
@@ -151,49 +202,49 @@ class TestVariantC:
 
     def test_exact_hessian_reproduces_variant_B(self, toy_fit):
         m, gs, gb, fit, z = toy_fit
-        wm_b = compute_W_variant_B(gs, gb, z, m)
+        wm_b = compute_W_variant_B([gs, gb], [z, 1 - z], m)
         afit = self._analytic_yields_fit(gs, gb, z, m)
-        wm_ci = compute_W_variant_C(afit, len(m), "invert-full-cov")
-        wm_cii = compute_W_variant_C(afit, len(m), "yields-only-cov")
+        wm_ci = compute_W_variant_C(afit, len(m), "invert-full-cov", n_components=2)
+        wm_cii = compute_W_variant_C(afit, len(m), "yields-only-cov", n_components=2)
         assert np.allclose(wm_ci.W, wm_b.W, rtol=1e-12)
         assert np.allclose(wm_cii.A, wm_b.A, rtol=1e-12)
 
     def test_numerical_hessian_close_to_variant_B(self, toy_fit):
         m, gs, gb, fit, z = toy_fit
-        wm_b = compute_W_variant_B(gs, gb, z, m)
-        wm_c = compute_W_variant_C(fit, len(m), "invert-full-cov")
+        wm_b = compute_W_variant_B([gs, gb], [z, 1 - z], m)
+        wm_c = compute_W_variant_C(fit, len(m), "invert-full-cov", n_components=2)
         assert np.allclose(wm_c.W, wm_b.W, rtol=1e-3)
 
     def test_inverse_consistency(self, toy_fit):
         m, gs, gb, fit, z = toy_fit
         for mode in ("invert-full-cov", "yields-only-cov"):
-            wm = compute_W_variant_C(fit, len(m), mode)
+            wm = compute_W_variant_C(fit, len(m), mode, n_components=2)
             assert np.allclose(wm.A @ wm.W, np.eye(2), atol=1e-10)
 
     def test_requires_converged_fit_with_covariance(self):
         bad = FitResult(params=np.array([1.0, 1.0]), covariance=None,
                         hessian=None, nll=0.0, converged=False, n_calls=0)
         with pytest.raises(EvaluationError):
-            compute_W_variant_C(bad, 10, "invert-full-cov")
+            compute_W_variant_C(bad, 10, "invert-full-cov", n_components=2)
 
     def test_unknown_mode(self, toy_fit):
         m, gs, gb, fit, z = toy_fit
         with pytest.raises(ValueError):
-            compute_W_variant_C(fit, len(m), "nope")
+            compute_W_variant_C(fit, len(m), "nope", n_components=2)
 
 
 class TestWeightFunctions:
     def test_sum_to_unity_box(self, box_model, unit_interval):
         gs, gb = box_model
-        wm = compute_W_variant_A(gs, gb, 0.5, unit_interval)
-        wfs = weight_functions(wm, gs, gb)
+        wm = compute_W_variant_A([gs, gb], [0.5, 0.5], unit_interval)
+        wfs = weight_functions(wm, [gs, gb])
         grid = np.linspace(0, 1, 1001)
         assert np.allclose(wfs.w_k(0, grid) + wfs.w_k(1, grid), 1.0, atol=1e-9)
 
     def test_orthonormality_by_quadrature(self, toy_fit, unit_interval):
         m, gs, gb, fit, z = toy_fit
-        wm = compute_W_variant_A(gs, gb, z, unit_interval)
-        wfs = weight_functions(wm, gs, gb)
+        wm = compute_W_variant_A([gs, gb], [z, 1 - z], unit_interval)
+        wfs = weight_functions(wm, [gs, gb])
         pairs = {("s", "s"): 1.0, ("s", "b"): 0.0,
                  ("b", "s"): 0.0, ("b", "b"): 1.0}
         for (wx, gy), expected in pairs.items():
@@ -206,8 +257,8 @@ class TestWeightFunctions:
         # the per-event-sum matrix is exactly orthonormal against the
         # empirical measure dmu = dN / (z gs + (1-z) gb)
         m, gs, gb, fit, z = toy_fit
-        wm = compute_W_variant_B(gs, gb, z, m)
-        wfs = weight_functions(wm, gs, gb)
+        wm = compute_W_variant_B([gs, gb], [z, 1 - z], m)
+        wfs = weight_functions(wm, [gs, gb])
         g = z * gs.pdf(m) + (1.0 - z) * gb.pdf(m)
         n = len(m)
         mat = np.empty((2, 2))
@@ -219,8 +270,8 @@ class TestWeightFunctions:
     def test_strict_range(self, unit_interval):
         # smooth shapes so extrapolation beyond the fit range is defined
         gs, gb, _, _ = simple_truth_densities()
-        wm = compute_W_variant_A(gs, gb, 0.5, unit_interval)
-        strict = weight_functions(wm, gs, gb)
+        wm = compute_W_variant_A([gs, gb], [0.5, 0.5], unit_interval)
+        strict = weight_functions(wm, [gs, gb])
         with pytest.raises(EvaluationError):
             strict.w_k(0, [1.2])
 
@@ -238,7 +289,7 @@ class TestWeightFunctions:
         wm = WeightMatrix(W, np.linalg.inv(W), "A", np.array([0.5, 0.5]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            wfs = weight_functions(wm, gs, gb)
+            wfs = weight_functions(wm, [gs, gb])
         assert [w.category for w in caught] == [RuntimeWarning] * warns
         assert bool(wfs.warnings) == warns
         w = wfs.weights([0.25, 0.75])
@@ -249,8 +300,8 @@ class TestWeightFunctions:
 @pytest.fixture(scope="module")
 def box_wfs(box_model, unit_interval):
     gs, gb = box_model
-    wm = compute_W_variant_A(gs, gb, 0.5, unit_interval)
-    return weight_functions(wm, gs, gb)
+    wm = compute_W_variant_A([gs, gb], [0.5, 0.5], unit_interval)
+    return weight_functions(wm, [gs, gb])
 
 
 class TestApplyWeights:
@@ -274,7 +325,7 @@ class TestApplyWeights:
 
 def test_weight_matrix_round_trip(box_model, unit_interval):
     gs, gb = box_model
-    wm = compute_W_variant_A(gs, gb, 0.5, unit_interval)
+    wm = compute_W_variant_A([gs, gb], [0.5, 0.5], unit_interval)
     wm2 = WeightMatrix.from_dict(wm.to_dict())
     assert np.allclose(wm2.W, wm.W)
     assert wm2.variant == "A"
@@ -320,17 +371,30 @@ def reference_W(variant, gs, gb, z, m, fit):
     else:
         A = fit.covariance[:2, :2] / len(m)
         A = 0.5 * (A + A.T)
-        return sweights._invert_2x2(A), A
-    return W, sweights._invert_2x2(W)
+        return adjugate_inverse(A), A
+    return W, adjugate_inverse(W)
+
+
+def adjugate_inverse(M):
+    return np.array([[M[1, 1], -M[0, 1]], [-M[0, 1], M[0, 0]]]) / (
+        M[0, 0] * M[1, 1] - M[0, 1] ** 2)
+
+
+def assert_reference(wm, W, A):
+    """The estimated matrix is the reference's bit for bit; its inverse,
+    from the general inverse and not the adjugate, agrees to 1e-14 relative."""
+    est, inv = ((wm.A, A), (wm.W, W)) if wm.variant == "Cii" else ((wm.W, W), (wm.A, A))
+    assert np.array_equal(*est)
+    assert np.allclose(*inv, rtol=1e-14, atol=0)
 
 
 def estimate(variant, gs, gb, z, m, fit):
     if variant == "A":
-        return compute_W_variant_A(gs, gb, z, gs.support)
+        return compute_W_variant_A([gs, gb], [z, 1 - z], gs.support)
     if variant == "B":
-        return compute_W_variant_B(gs, gb, z, m)
+        return compute_W_variant_B([gs, gb], [z, 1 - z], m)
     mode = "invert-full-cov" if variant == "Ci" else "yields-only-cov"
-    return compute_W_variant_C(fit, len(m), mode)
+    return compute_W_variant_C(fit, len(m), mode, n_components=2)
 
 
 class TestClosedFormReference:
@@ -338,7 +402,7 @@ class TestClosedFormReference:
     they agree with the W-form closed form to rounding."""
 
     def _check(self, wm, gs, gb, pts):
-        cow = weight_functions(wm, gs, gb)
+        cow = weight_functions(wm, [gs, gb])
         s, b = gs.pdf(pts), gb.pdf(pts)
         ref = reference_weights(wm.W, s, b)
         assert np.max(np.abs(cow.weights(pts) - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -351,15 +415,15 @@ class TestClosedFormReference:
         m, gs, gb, fit, z = toy_fit
         wm = estimate(variant, gs, gb, z, m, fit)
         W, A = reference_W(variant, gs, gb, z, m, fit)
-        assert np.array_equal(wm.W, W) and np.array_equal(wm.A, A)
+        assert_reference(wm, W, A)
         self._check(wm, gs, gb, np.concatenate([m, np.linspace(0.0, 1.0, 1001)]))
 
     @pytest.mark.parametrize("z", [0.5, 0.2])
     def test_box_model(self, box_model, unit_interval, z):
         gs, gb = box_model
-        wm = compute_W_variant_A(gs, gb, z, unit_interval)
+        wm = compute_W_variant_A([gs, gb], [z, 1 - z], unit_interval)
         W, A = reference_W("A", gs, gb, z, None, None)
-        assert np.array_equal(wm.W, W) and np.array_equal(wm.A, A)
+        assert_reference(wm, W, A)
         self._check(wm, gs, gb, np.linspace(0.0, 1.0, 1001))
 
     def test_cow_matrices(self, toy_fit, unit_interval):

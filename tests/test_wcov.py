@@ -32,8 +32,8 @@ def weighted_toy():
         np.array([1500.0, 1500.0])))
     assert mfit.converged
     z = float(mfit.params[0] / mfit.params[:2].sum())
-    wm = compute_W_variant_B(gs, gb, z, m)
-    wfs = weight_functions(wm, gs, gb)
+    wm = compute_W_variant_B([gs, gb], [z, 1 - z], m)
+    wfs = weight_functions(wm, [gs, gb])
     w = wfs.w_k(0, m)
     tfit = fit_weighted_ml(t, w, hs, bounds=[(0.05, 20.0)])
     assert tfit.converged
@@ -113,7 +113,7 @@ class TestFixedShapeCorrection:
         d = weighted_toy
         corr = corrected_covariance_fixed_shapes(
             d["t"], d["w"], d["wfs"].dw_dW(d["m"]), d["hs"],
-            d["tfit"].params, gs=d["gs"], gb=d["gb"],
+            d["tfit"].params, basis=[d["gs"], d["gb"]],
             yields=d["mfit"].params[:2], data_m=d["m"])
         np.linalg.cholesky(corr.reduction_term + 1e-15 * np.eye(1))
         assert np.allclose(corr.theta_block,
@@ -254,8 +254,8 @@ class TestFullSandwich:
         assert mfit.converged
         gs_hat = mfit.model.components[0].density
         z = float(mfit.params[0] / mfit.params[:2].sum())
-        w = weight_functions(compute_W_variant_B(gs_hat, d["gb"], z, d["m"]),
-                             gs_hat, d["gb"]).w_k(0, d["m"])
+        w = weight_functions(compute_W_variant_B([gs_hat, d["gb"]], [z, 1 - z], d["m"]),
+                             [gs_hat, d["gb"]]).w_k(0, d["m"])
         tfit = fit_weighted_ml(d["t"], w, d["hs"], bounds=[(0.05, 20.0)])
         spec = QuasiScoreSpec(gs=d["gs"], gb=d["gb"], hs=d["hs"],
                               phi_free=(("s", 0), ("s", 1)))
