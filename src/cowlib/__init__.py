@@ -8,6 +8,15 @@ front end.
 
 __version__ = "1.0.0"
 
+import os
+
+# One BLAS thread per process unless the caller chose a number: no array in
+# cowlib is large enough for threaded BLAS to pay, and on a loaded machine
+# the threads compete for the cores.  This must run before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .densities import (Density1D, EfficiencyMap, Histogram1D, Interval,
                         UNIT_EFFICIENCY, histogram_density, integrate,
                         make_density, monomial_basis)

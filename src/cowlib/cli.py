@@ -210,7 +210,9 @@ def _density_from_cfg(cfg: dict, support: Optional[Interval] = None) -> Density1
         raise CliInputError(f"bad density config: {exc}") from exc
 
 
-def _model_from_cfg(cfg: dict, n_events: int) -> MixtureModel:
+def _model_from_cfg(cfg: dict) -> MixtureModel:
+    """The model of a config, checked; without 'yields', one per component
+    (:func:`_model_and_data` sets the default once the data are read)."""
     if not isinstance(cfg, dict):
         raise CliInputError("model config must be an object")
     support = Interval.from_pair(cfg.get("support"))
@@ -226,11 +228,23 @@ def _model_from_cfg(cfg: dict, n_events: int) -> MixtureModel:
         comps.append(MixtureComponent(c.get("label", f"c{i}"), dens, free))
     yields = cfg.get("yields")
     if yields is None:
-        yields = [n_events / len(comps)] * len(comps)
+        yields = [1.0] * len(comps)
     try:
         return MixtureModel(comps, np.asarray(yields, dtype=float))
     except (ConstructionError, TypeError, ValueError) as exc:
         raise CliInputError(f"bad model config: {exc}") from exc
+
+
+def _model_and_data(resolved: dict, min_cols: int):
+    """(column names, data, model) of a config with 'model' and 'data'.  The
+    model is checked before the data file is read; without 'yields' it gets
+    N/n events per component."""
+    model = _model_from_cfg(resolved["model"])
+    names, data = read_csv(resolved["data"], min_cols=min_cols)
+    if resolved["model"].get("yields") is None:
+        n = len(model.components)
+        model = model.replace(yields=[data.shape[0] / n] * n)
+    return names, data, model
 
 
 def _efficiency_from_path(path: Optional[str]) -> Optional[EfficiencyMap]:
@@ -250,8 +264,7 @@ FIT_DEFAULTS = {"data": None, "model": None, "out": None, "seed": 0}
 
 
 def cmd_fit(resolved: dict) -> int:
-    _, data = read_csv(resolved["data"], min_cols=1)
-    model = _model_from_cfg(resolved["model"], data.shape[0])
+    _, data, model = _model_and_data(resolved, min_cols=1)
     fit = fit_extended_ml(data[:, 0], model)
     out = {**_stamp(resolved), "fit": fit.to_dict()}
     _write_json(resolved["out"], out)
@@ -264,8 +277,7 @@ SWEIGHTS_DEFAULTS = {"data": None, "model": None, "variant": "B",
 
 def cmd_sweights(resolved: dict) -> int:
     spec = MethodSpec(f"sweights-{resolved['variant']}", variant=resolved["variant"])
-    names, data = read_csv(resolved["data"], min_cols=1)
-    model = _model_from_cfg(resolved["model"], data.shape[0])
+    names, data, model = _model_and_data(resolved, min_cols=1)
     fit = fit_extended_ml(data[:, 0], model)
     if not fit.converged:
         return EXIT_NONCONVERGENCE
@@ -429,9 +441,8 @@ def cmd_pipeline(resolved: dict) -> int:
     spec = _pipeline_method(method, cow_cfg)
     hs = _density_from_cfg(resolved["control_model"])
     eff = _efficiency_from_path(cow_cfg["efficiency"])
-    names, data = read_csv(resolved["data"], min_cols=2)
+    names, data, model = _model_and_data(resolved, min_cols=2)
     m, t = data[:, 0], data[:, 1]
-    model = _model_from_cfg(resolved["model"], len(m))
     fit = fit_extended_ml(m, model)
     if not fit.converged:
         return EXIT_NONCONVERGENCE

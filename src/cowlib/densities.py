@@ -213,9 +213,12 @@ class Density1D:
     def pdf(self, x, extrapolate: bool = False):
         """Density values at ``x``; zero outside the support unless ``extrapolate``."""
         xa = np.asarray(x, dtype=float)
-        out = self._raw(xa) / self._norm
-        if not extrapolate:
-            out = np.where(self.support.contains(xa), out, 0.0)
+        inside = extrapolate or self.support.contains(xa)
+        if np.all(inside):
+            out = self._raw(xa) / self._norm
+        else:   # the raw shape may overflow far outside the support
+            out = np.zeros(xa.shape)
+            out[inside] = self._raw(xa[inside]) / self._norm
         if np.isscalar(x):
             return float(out)
         return out

@@ -1,9 +1,11 @@
 """Extended and weighted unbinned maximum-likelihood fitting.
 
 The optimizer is a bounded quasi-Newton (scipy L-BFGS-B) followed by a Newton
-polish that drives the score to zero well below the convergence tolerance,
-so identities that hold exactly at the optimum (e.g. the extended-ML yield
-identity) are reproduced to near machine precision.
+polish (:func:`_polish_newton`, the one Newton iteration, which takes the
+Hessian as an argument) that drives the score below the convergence
+tolerance.  The extended-ML fit then polishes its yields on their
+closed-form block, so identities that hold exactly at the optimum (e.g. the
+extended-ML yield identity) are reproduced to near machine precision.
 """
 
 from __future__ import annotations
@@ -158,16 +160,21 @@ def _projected_grad(g, x, lower, upper):
     return g
 
 
-def _polish_newton(nll, grad, x, lower, upper, gtol, max_iter=40):
-    """Newton iterations on the score; clips steps to the bounds."""
+def _polish_newton(nll, grad, hessian, x, lower, upper, gtol, max_iter=40):
+    """Newton iterations on the score ``grad`` of ``nll``, whose Hessian at x
+    is ``hessian(x)``; steps are clipped to the bounds and halved until nll
+    does not rise.  Stops once the projected score is below ``gtol`` or is
+    no smaller than at the previous iteration."""
     fx = nll(x)
+    best = np.inf
     for _ in range(max_iter):
         g = grad(x)
-        if np.max(np.abs(_projected_grad(g, x, lower, upper))) < gtol:
+        worst = np.max(np.abs(_projected_grad(g, x, lower, upper)))
+        if worst >= best or worst < gtol:
             break
+        best = worst
         try:
-            H = numerical_hessian(nll, x)
-            step = -np.linalg.solve(H, g)
+            step = -np.linalg.solve(hessian(x), g)
         except _HESSIAN_ERRORS:
             break
         scale = 1.0
@@ -200,7 +207,8 @@ def _run_fit(nll, grad, x0, lower, upper, gtol):
     for _ in range(2):
         res = minimize(counted, x, jac=grad, method="L-BFGS-B", bounds=bounds,
                        options={"ftol": 1e-14, "gtol": 1e-10, "maxiter": 1000})
-        x = _polish_newton(counted, grad, res.x, lower, upper, gtol)
+        x = _polish_newton(counted, grad, lambda p: numerical_hessian(counted, p),
+                           res.x, lower, upper, gtol)
         g = _projected_grad(grad(x), x, lower, upper)
         converged = bool(np.max(np.abs(g)) < gtol)
         if converged:
@@ -208,31 +216,28 @@ def _run_fit(nll, grad, x0, lower, upper, gtol):
     return x, counted(x), converged, calls[0], counted
 
 
-def _shape_param_layout(model: MixtureModel):
-    """Indices of free shape parameters: list of (component index, n_params)."""
-    layout = []
-    for i, c in enumerate(model.components):
-        if c.free_shape:
-            layout.append((i, c.density.n_params))
-    return layout
+def _shape_slices(model: MixtureModel) -> List[slice]:
+    """Each component's slice of a fit's parameter vector, which holds the
+    yields and then the shape parameters of every free component in order;
+    the slice is empty when the shape is fixed."""
+    slices, off = [], len(model.components)
+    for c in model.components:
+        npar = c.density.n_params if c.free_shape else 0
+        slices.append(slice(off, off + npar))
+        off += npar
+    return slices
 
 
 def _model_at(model: MixtureModel, params: np.ndarray) -> MixtureModel:
-    n = len(model.components)
-    yields = params[:n]
-    shape_params = [None] * n
-    off = n
-    for i, npar in _shape_param_layout(model):
-        shape_params[i] = params[off:off + npar]
-        off += npar
-    return model.replace(yields=yields, shape_params=shape_params)
+    shape_params = [params[s] if c.free_shape else None
+                    for c, s in zip(model.components, _shape_slices(model))]
+    return model.replace(yields=params[:len(model.components)], shape_params=shape_params)
 
 
 def _param_names(model: MixtureModel):
     names = [f"N_{c.label}" for c in model.components]
-    for i, npar in _shape_param_layout(model):
-        label = model.components[i].label
-        names.extend(f"{label}_p{j}" for j in range(npar))
+    for c, s in zip(model.components, _shape_slices(model)):
+        names.extend(f"{c.label}_p{j}" for j in range(s.stop - s.start))
     return names
 
 
@@ -273,30 +278,23 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
     if np.any(~sup.contains(data)):
         raise EvaluationError("data outside the model support")
     n_comp = len(model.components)
-    layout = _shape_param_layout(model)
-    n_shape = sum(npar for _, npar in layout)
-    n_par = n_comp + n_shape
+    slices = _shape_slices(model)
+    n_par = slices[-1].stop
+    free = [c.density for c in model.components if c.free_shape]
 
     if init is None:
-        y0 = np.full(n_comp, len(data) / n_comp)
-        init = np.concatenate([y0] + [model.components[i].density.params for i, _ in layout])
+        init = np.concatenate([np.full(n_comp, len(data) / n_comp)] + [d.params for d in free])
     init = np.asarray(init, dtype=float)
     if bounds is None:
         bounds = [(0.0, np.inf)] * n_comp
-        for i, _ in layout:
-            bounds.extend(_default_shape_bounds(model.components[i].density))
+        for d in free:
+            bounds.extend(_default_shape_bounds(d))
     lower = np.array([b[0] for b in bounds])
     upper = np.array([b[1] for b in bounds])
     if np.any(init < lower) or np.any(init > upper):
         raise EvaluationError("init outside bounds")
 
-    # per component: its slice of the parameter vector (empty when the shape
-    # is fixed) and a memo of pdf(data) keyed by that slice
-    slices = [slice(0, 0)] * n_comp
-    off = n_comp
-    for i, npar in layout:
-        slices[i] = slice(off, off + npar)
-        off += npar
+    # per component: a memo of pdf(data) keyed by its slice of the parameters
     memos = [_pdf_memo(c.density, data, 2 * c.density.n_params ** 2 + 1 if c.free_shape else 1)
              for c in model.components]
 
@@ -328,12 +326,10 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
         f = np.maximum(f, 1e-300)
         out = np.empty(n_par)
         out[:n_comp] = 1.0 - g @ (1.0 / f)
-        for i, _ in layout:
-            s = slices[i]
-            dens = model.components[i].density
+        for i, (c, s) in enumerate(zip(model.components, slices)):
             for off in range(s.start, s.stop):
                 try:
-                    dgi = derivative(lambda theta: dens.with_params(theta).pdf(data),
+                    dgi = derivative(lambda theta: c.density.with_params(theta).pdf(data),
                                      params[s], off - s.start)
                 except ConstructionError:
                     out[off] = 0.0
@@ -341,42 +337,25 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
                 out[off] = -np.sum(params[i] * dgi / f)
         return out
 
-    def polish_yields(params):
-        """Newton on the yield scores at fixed shapes, to machine precision.
-
-        The yield block has an analytic score and Hessian, so identities
-        that hold exactly at the optimum (sum of yields = N, and the
-        weight-sum identities downstream) are reproduced far below the
-        optimizer tolerance.
-        """
-        p = params.copy()
-        g = comp_values(p)
-        best = np.inf
-        for _ in range(50):
-            y = p[:n_comp]
-            f = y @ g
-            if np.any(f <= 0):
-                break
-            S = g @ (1.0 / f) - 1.0
-            worst = np.max(np.abs(S))
-            if worst >= best or worst < 1e-14:
-                break
-            best = worst
-            J = -(g / f ** 2) @ g.T
-            try:
-                step = np.linalg.solve(J, -S)
-            except np.linalg.LinAlgError:
-                break
-            y_new = y + step
-            if np.any(y_new < 0):
-                break
-            p[:n_comp] = y_new
-        return p
-
     gtol = GRAD_TOL_PER_EVENT * max(len(data), 1.0)
     x, fval, converged, n_calls, counted = _run_fit(nll, grad, init, lower, upper, gtol)
     if converged and np.all(x[:n_comp] > 0):
-        x = polish_yields(x)
+        # Newton on the yields at the fitted shapes: their score 1 - g.(1/f)
+        # and Hessian (g/f^2).g^T are closed-form, so identities that hold
+        # exactly at the optimum (sum of yields = N, the weight sums
+        # downstream) hold far below gtol.  The nll, score and Hessian at
+        # one point share its mixture f = y.g.
+        g = comp_values(x)
+        mixture = functools.lru_cache(maxsize=1)(lambda key: np.frombuffer(key) @ g)
+
+        def block_nll(y):
+            f = mixture(y.tobytes())
+            return float(np.sum(y) - np.sum(np.log(f))) if np.all(f > 0) else 1e100
+
+        yields = _polish_newton(block_nll, lambda y: 1.0 - g @ (1.0 / mixture(y.tobytes())),
+                                lambda y: (g / mixture(y.tobytes()) ** 2) @ g.T,
+                                x[:n_comp], lower[:n_comp], upper[:n_comp], 1e-14)
+        x = np.concatenate([yields, x[n_comp:]])
         fval = counted(x)
 
     cov, hess, flags = _curvature(lambda p: -numerical_hessian(counted, p), x, converged)

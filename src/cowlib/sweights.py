@@ -101,31 +101,26 @@ def compute_W_variant_B(basis: Sequence[Density1D], z, data_m) -> WeightMatrix:
 
 def compute_W_variant_C(full_fit: FitResult, N: int, mode: str = "invert-full-cov",
                         *, n_components: int) -> WeightMatrix:
-    """W from a fit's covariance matrix, whose first ``n_components``
-    parameters are the component yields.
+    """W from a fit's Hessian or covariance matrix, whose first
+    ``n_components`` parameters are the component yields.
 
-    ``invert-full-cov`` (Ci): invert the full covariance, take the yields
-    n x n block of the resulting Hessian and scale by N.  Inversion must come
-    before extraction; the reverse order would not restore the derivatives.
+    ``invert-full-cov`` (Ci): the yields n x n block of minus the
+    log-likelihood Hessian of the full fit, scaled by N; that is the block of
+    the inverse covariance, not the inverse of the covariance block, which
+    would not restore the derivatives.
     ``yields-only-cov`` (Cii): for a yields-only fit the scaled covariance
     C/N is directly the coefficient matrix A.
     """
-    if not full_fit.converged or full_fit.covariance is None:
+    if not full_fit.converged or full_fit.covariance is None or full_fit.hessian is None:
         raise EvaluationError("variant C needs a converged fit with covariance")
-    cov = np.asarray(full_fit.covariance, dtype=float)
     n = n_components
     yields = np.asarray(full_fit.params[:n], dtype=float)
     z_hat = yields / yields.sum()
     if mode == "invert-full-cov":
-        try:
-            hess_full = np.linalg.inv(cov)
-        except np.linalg.LinAlgError as exc:
-            raise EvaluationError("covariance matrix is not invertible") from exc
-        W = N * hess_full[:n, :n]
-        W = 0.5 * (W + W.T)
+        W = -N * np.asarray(full_fit.hessian, dtype=float)[:n, :n]
         return WeightMatrix(W, _inverse(W), "Ci", z_hat)
     if mode == "yields-only-cov":
-        A = cov[:n, :n] / N
+        A = np.asarray(full_fit.covariance, dtype=float)[:n, :n] / N
         A = 0.5 * (A + A.T)
         return WeightMatrix(_inverse(A), A, "Cii", z_hat)
     raise ValueError(f"unknown variant C mode {mode!r}")

@@ -736,6 +736,31 @@ class TestSharedConfigLayer:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "density config" in err and "cannot read" not in err
 
+    @pytest.mark.parametrize("model,message", [
+        ({**MODEL_CFG, "components": [GS_CFG, {"kind": "normal", "params": [0.5]}]},
+         "error: bad density config: normal needs params"),
+        ({**MODEL_CFG, "yields": [1.0, 2.0, 3.0]}, "error: bad model config: one yield")],
+        ids=["component", "yields"])
+    @pytest.mark.parametrize("command", ["fit", "sweights", "pipeline"])
+    def test_model_parsed_before_the_data(self, tmp_path, data_csv, capsys, monkeypatch,
+                                          command, model, message):
+        def no_read(*args, **kwargs):
+            raise AssertionError("the data were read")
+
+        monkeypatch.setattr(cli, "read_csv", no_read)
+        cfg = {"data": data_csv, "model": model}
+        if command == "pipeline":
+            cfg["control_model"] = CONTROL_CFG
+        assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_default_yields_share_the_events(self, data_csv):
+        model_cfg = {k: v for k, v in MODEL_CFG.items() if k != "yields"}
+        _, data, model = cli._model_and_data({"data": data_csv, "model": model_cfg}, 1)
+        assert model.yields.tolist() == [len(data) / 2] * 2
+        _, _, model = cli._model_and_data({"data": data_csv, "model": MODEL_CFG}, 1)
+        assert model.yields.tolist() == MODEL_CFG["yields"]
+
     def test_pipeline_cow_block_checked_after_echo(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {"method": "sweights-B", "cow": "x"})
         assert cli.main(["pipeline", "--config", cfg, "--echo"]) == 0

@@ -8,6 +8,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cowlib import cli
 from cowlib.cli import CliInputError
@@ -188,3 +190,44 @@ def test_write_csv_one_dimensional_and_integer_input(tmp_path):
 def test_write_csv_unwritable_path(tmp_path):
     with pytest.raises(CliInputError, match="cannot write"):
         cli.write_csv(str(tmp_path / "no" / "such" / "dir.csv"), ["m"], np.zeros((2, 1)))
+
+
+# Property tests.  Files go to one directory per module, since hypothesis
+# runs many examples in one call of the test function.
+
+NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True).filter(
+    lambda s: not cli._is_numeric([s]))
+FINITE_TABLES = st.integers(1, 4).flatmap(lambda cols: st.tuples(
+    st.lists(NAMES, min_size=cols, max_size=cols),
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(cols)),
+               elements=st.floats(allow_nan=False, allow_infinity=False))))
+CSV_TEXT = st.lists(st.sampled_from(list("0123456789.,-+eE\" mtx") + ["nan", "\n", "\r\n"]),
+                    max_size=40).map("".join)
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv_properties")
+
+
+@settings(max_examples=150)
+@given(table=FINITE_TABLES)
+def test_finite_table_round_trips_exactly(csv_dir, table):
+    names, data = table
+    path = str(csv_dir / "table.csv")
+    cli.write_csv(path, names, data)
+    got_names, back = cli.read_csv(path)
+    assert got_names == names
+    assert back.shape == data.shape and back.tobytes() == data.tobytes()
+
+
+@settings(max_examples=400)
+@given(text=CSV_TEXT)
+def test_any_text_parses_or_is_an_input_error(csv_dir, text):
+    path = csv_dir / "text.csv"
+    path.write_bytes(text.encode())
+    try:
+        names, data = cli.read_csv(str(path))
+    except CliInputError:
+        return
+    assert data.ndim == 2 and data.shape[0] >= 1 and len(names) == data.shape[1]

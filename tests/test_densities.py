@@ -1,6 +1,7 @@
 """Density primitives, quadrature, histograms and efficiency maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,24 @@ class TestMakeDensity:
         d = make_density("normal", [0.5, 0.2], unit_interval)
         assert d.pdf(1.5) == 0.0
         assert d.pdf(1.5, extrapolate=True) > 0.0
+
+    def test_far_outside_point_is_not_evaluated(self):
+        # e^(200 x) overflows at x = 10: only points in the support are evaluated
+        d = Density1D("exponential", [-200.0], Interval(0.0, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.pdf(10.0) == 0.0
+            assert np.array_equal(d.pdf(np.array([-5.0, 1.0, 10.0])), [0.0, d.pdf(1.0), 0.0])
+
+    @pytest.mark.parametrize("kind,params", [("uniform", [0.2, 0.7]), ("normal", [0.4, 0.1]),
+                                             ("exponential", [1.7]), ("monomial", [3])])
+    def test_points_inside_and_outside(self, kind, params, unit_interval):
+        d = make_density(kind, params, unit_interval)
+        inside = np.linspace(0.0, 1.0, 37)
+        outside = [-1.0, 2.0, 1.0 + 1e-9, -1e300, 1e300, np.inf, -np.inf, np.nan]
+        out = d.pdf(np.concatenate([inside, outside]))
+        assert np.array_equal(out[:len(inside)], d.pdf(inside))   # bit for bit
+        assert np.all(out[len(inside):] == 0.0)
 
     def test_json_round_trip(self, unit_interval):
         d = make_density("normal", [0.5, 0.1], unit_interval)

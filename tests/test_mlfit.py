@@ -215,13 +215,43 @@ class TestNumericalHessian:
             numerical_hessian(lambda x: np.log(x[0]), np.array([1e-7]))
 
 
+class TestPolishNewton:
+    UNBOUNDED = (np.full(2, -np.inf), np.full(2, np.inf))
+
+    def test_steps_with_the_hessian_it_is_given(self):
+        A, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -2.0])
+        points = []
+
+        def hessian(x):
+            points.append(x)
+            return A
+
+        x = mlfit._polish_newton(lambda x: 0.5 * x @ A @ x - b @ x, lambda x: A @ x - b,
+                                 hessian, np.zeros(2), *self.UNBOUNDED, 1e-12)
+        assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-14, atol=0)
+        assert len(points) == 1
+
+    def test_stops_when_the_score_stops_falling(self):
+        # every step keeps the nll, and the score never falls
+        points = []
+
+        def hessian(x):
+            points.append(x)
+            return np.eye(2)
+
+        mlfit._polish_newton(lambda x: 0.0, lambda x: np.array([1.0, 0.0]), hessian,
+                             np.zeros(2), *self.UNBOUNDED, 1e-12)
+        assert len(points) == 1
+
+
 def reference_fit_extended_ml(data_m, model, init=None):
     """``fit_extended_ml`` as it was before the per-component pdf memo, kept
     as the reference: every objective and score call rebuilds the whole
     model and evaluates every density."""
     data = np.asarray(data_m, dtype=float)
     n_comp = len(model.components)
-    layout = mlfit._shape_param_layout(model)
+    slices = mlfit._shape_slices(model)
+    layout = [(i, s.stop - s.start) for i, s in enumerate(slices) if s.stop > s.start]
     n_par = n_comp + sum(npar for _, npar in layout)
     if init is None:
         y0 = np.full(n_comp, len(data) / n_comp)

@@ -176,8 +176,9 @@ class TestThreeComponents:
     def test_indefinite_W_rejected(self, mode):
         # det > 0 with two negative eigenvalues: a determinant test alone
         # rejects an indefinite W only for two components
-        fit = FitResult(params=np.array([1.0, 1.0, 1.0]), covariance=np.diag([1.0, -1.0, -1.0]),
-                        hessian=None, nll=0.0, converged=True, n_calls=0)
+        cov = np.diag([1.0, -1.0, -1.0])
+        fit = FitResult(params=np.array([1.0, 1.0, 1.0]), covariance=cov,
+                        hessian=-np.linalg.inv(cov), nll=0.0, converged=True, n_calls=0)
         with pytest.raises(SingularModelError, match="not positive definite"):
             compute_W_variant_C(fit, 10, mode, n_components=3)
 
@@ -366,8 +367,10 @@ def reference_W(variant, gs, gb, z, m, fit):
             [np.sum(s * b * inv2), np.sum(b * b * inv2)],
         ]) / len(m)
     elif variant == "Ci":
-        W = len(m) * np.linalg.inv(fit.covariance)[:2, :2]
-        W = 0.5 * (W + W.T)
+        W = -len(m) * fit.hessian[:2, :2]
+        # the block of the inverse covariance, to rounding
+        W_cov = len(m) * np.linalg.inv(fit.covariance)[:2, :2]
+        assert np.allclose(W, W_cov, rtol=1e-15, atol=0)
     else:
         A = fit.covariance[:2, :2] / len(m)
         A = 0.5 * (A + A.T)
