@@ -17,9 +17,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-from .densities import (Density1D, EfficiencyMap, Histogram1D, Interval,
-                        UNIT_EFFICIENCY, histogram_density, integrate,
-                        make_density, monomial_basis)
+from .densities import (Density1D, EfficiencyMap, Interval, histogram_density,
+                        integrate, make_density, monomial_basis)
 from .diagnostics import IndependenceReport, kendall_tau, pull
 from .errors import (ConstructionError, CowlibError, EvaluationError,
                      IllConditionedBasisError, IntegrationError,
@@ -28,10 +27,10 @@ from .mlfit import (FitResult, MixtureComponent, MixtureModel, fit_extended_ml,
                     fit_weighted_ml, numerical_hessian, yields_only_refit)
 from .sweights import (WeightMatrix, compute_W_variant_A, compute_W_variant_B,
                        compute_W_variant_C, weight_functions)
-from .cows import (CowSet, CowSpec, HistogramVariance, ImpliedVariance,
-                   MixtureVariance, UnityVariance, build_cow,
-                   efficiency_corrected_weights, estimate_fractions, implied_cow,
-                   variance_fn_ml_iterative, variance_fn_qm)
+from .cows import (CowSet, CowSpec, ImpliedVariance, MixtureVariance,
+                   UnityVariance, build_cow, efficiency_corrected_weights,
+                   estimate_fractions, implied_cow, variance_fn_ml_iterative,
+                   variance_fn_qm)
 from .wcov import (CorrectedCovariance, QuasiScoreSpec,
                    corrected_covariance_cow,
                    corrected_covariance_fixed_shapes, corrected_covariance_full,

@@ -29,7 +29,7 @@ from . import __version__
 from .cows import CowSpec, build_cow, efficiency_corrected_weights
 from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
 from .diagnostics import kendall_tau
-from .errors import ConstructionError, CowlibError
+from .errors import ConstructionError, CowlibError, EvaluationError
 from .methods import MAX_POLY_ORDER, MethodSpec, apply_method, as_integer, variance_function
 from .mlfit import MixtureComponent, MixtureModel, fit_extended_ml, fit_weighted_ml
 from .toygen import EnsembleConfig, ToySpec, generate, run_ensemble
@@ -315,6 +315,9 @@ def cmd_cow(resolved: dict) -> int:
     names, data = read_csv(resolved["data"], min_cols=1)
     if eff is not None and data.shape[1] < 2:
         raise CliInputError("an efficiency map needs (m, t) data; the data have one column")
+    if not np.all(support.contains(data[:, 0])):
+        # the class and exit code of fit_extended_ml's "data outside the model support"
+        raise EvaluationError(f"data outside the support {support.as_tuple()}")
 
     var = variance_function(resolved["variance"], basis, data[:, :2], eff,
                             qm_bins, support)

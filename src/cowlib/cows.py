@@ -14,14 +14,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .densities import (Density1D, EfficiencyMap, Histogram1D, Interval,
-                        ZERO_BIN_FLOOR, integrate)
+from .densities import (Density1D, EfficiencyMap, Interval, floor_empty_bins,
+                        integrate)
 from .errors import (ConstructionError, EvaluationError,
                      IllConditionedBasisError, NonConvergenceError)
 
 __all__ = [
     "UnityVariance",
-    "HistogramVariance",
     "MixtureVariance",
     "ImpliedVariance",
     "CowSpec",
@@ -49,33 +48,6 @@ class UnityVariance:
 
     def breakpoints(self):
         return []
-
-
-class HistogramVariance:
-    """Piecewise-constant variance function from a histogram of m."""
-
-    def __init__(self, hist):
-        if isinstance(hist, Density1D):
-            if hist.kind != "histogram":
-                raise ConstructionError("HistogramVariance needs a histogram density")
-            self.density = hist
-        elif isinstance(hist, Histogram1D):
-            contents = hist.contents.copy()
-            positive = contents[contents > 0]
-            if positive.size == 0:
-                raise ConstructionError("histogram variance function is empty")
-            contents[contents <= 0] = positive.min() * ZERO_BIN_FLOOR
-            support = Interval(hist.edges[0], hist.edges[-1])
-            self.density = Density1D("histogram", [], support,
-                                     {"edges": hist.edges, "contents": contents})
-        else:
-            raise ConstructionError("expected Histogram1D or histogram Density1D")
-
-    def __call__(self, m):
-        return self.density.pdf(m)
-
-    def breakpoints(self):
-        return self.density.breakpoints()
 
 
 class MixtureVariance:
@@ -280,28 +252,33 @@ def build_cow(spec: CowSpec, tol: float = 1e-9) -> CowSet:
     return CowSet(spec, W, A)
 
 
-def variance_fn_qm(data, eff: EfficiencyMap, bins: int,
-                   support: Optional[Interval] = None) -> Histogram1D:
-    """Histogram estimate of the 1/efficiency^2-weighted m marginal.
+def variance_fn_qm(data, eff: Optional[EfficiencyMap], bins: int,
+                   support: Interval) -> Density1D:
+    """Histogram estimate of the 1/efficiency^2-weighted m marginal on
+    ``support``, as a histogram density whose contents (and ``sumw2``) are
+    normalized by their total, the empty bins floored by
+    :func:`~cowlib.densities.floor_empty_bins`.
 
     This is the minimum-variance choice of I(m) under a non-uniform
-    efficiency; a single bin is equivalent to I(m) = 1.  ``support`` sets the
-    binning range (default: the observed range of m); pass the analysis
-    interval so the variance function is defined on all of it.
+    efficiency (``eff`` None is unit efficiency); a single bin is equivalent
+    to I(m) = 1.  Raises :class:`~cowlib.errors.ConstructionError` when no
+    event lies inside the support.
     """
     data = np.asarray(data, dtype=float)
     m, t = data[:, 0], data[:, 1]
-    e = efficiency_at(eff, m, t)
+    w = 1.0 / efficiency_at(eff, m, t) ** 2
     if bins < 1:
         raise ConstructionError("bins must be >= 1")
-    if support is not None:
-        lo, hi = support.as_tuple()
-    else:
-        lo, hi = float(np.min(m)), float(np.max(m))
-    edges = np.linspace(lo, hi, bins + 1)
-    hist = Histogram1D.fill(m, 1.0 / e ** 2, edges)
-    total = float(np.sum(hist.contents))
-    return Histogram1D(edges, hist.contents / total, hist.sumw2 / total ** 2)
+    edges = np.linspace(support.lo, support.hi, bins + 1)
+    contents, _ = np.histogram(m, bins=edges, weights=w)
+    sumw2, _ = np.histogram(m, bins=edges, weights=w ** 2)
+    total = float(np.sum(contents))
+    if not total > 0:
+        raise ConstructionError(
+            f"no event inside the support {support.as_tuple()}: the qm variance function is empty")
+    return Density1D("histogram", [], support,
+                     {"edges": edges, "contents": floor_empty_bins(contents / total),
+                      "sumw2": sumw2 / total ** 2})
 
 
 def efficiency_at(eff: Optional[EfficiencyMap], m, t) -> np.ndarray:

@@ -21,12 +21,12 @@ from .errors import ConstructionError, EvaluationError
 __all__ = [
     "Interval",
     "Density1D",
-    "Histogram1D",
     "EfficiencyMap",
     "integrate",
     "make_density",
     "monomial_basis",
     "histogram_density",
+    "floor_empty_bins",
 ]
 
 
@@ -358,48 +358,33 @@ def monomial_basis(n: int, support: Optional[Interval] = None) -> List[Density1D
     return [Density1D("monomial", [k], iv) for k in range(1, n + 1)]
 
 
-@dataclass
-class Histogram1D:
-    """Weighted histogram: bin contents with their sum-of-squared-weights."""
-
-    edges: np.ndarray
-    contents: np.ndarray
-    sumw2: np.ndarray
-
-    def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=float)
-        self.contents = np.asarray(self.contents, dtype=float)
-        self.sumw2 = np.asarray(self.sumw2, dtype=float)
-        if len(self.contents) != len(self.edges) - 1 or len(self.sumw2) != len(self.contents):
-            raise ConstructionError("inconsistent histogram array lengths")
-
-    @classmethod
-    def fill(cls, samples, weights, edges) -> "Histogram1D":
-        edges = np.asarray(edges, dtype=float)
-        contents, _ = np.histogram(samples, bins=edges, weights=weights)
-        w2, _ = np.histogram(samples, bins=edges, weights=np.asarray(weights) ** 2)
-        return cls(edges, contents, w2)
-
-    def to_dict(self) -> dict:
-        return {"edges": self.edges.tolist(), "contents": self.contents.tolist(),
-                "sumw2": self.sumw2.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Histogram1D":
-        return cls(d["edges"], d["contents"], d["sumw2"])
-
-
 # Relative floor applied to empty histogram bins so densities built from
 # histograms stay strictly positive (downstream code divides by them).
 ZERO_BIN_FLOOR = 1e-3
+
+
+def floor_empty_bins(contents) -> np.ndarray:
+    """Histogram contents with every bin <= 0 raised to ``ZERO_BIN_FLOOR``
+    times the smallest positive bin of its row (the last axis).
+
+    Raises :class:`~cowlib.errors.ConstructionError` when a row has no
+    positive bin.
+    """
+    contents = np.asarray(contents, dtype=float)
+    filled = contents > 0
+    if not np.all(filled.any(axis=-1)):
+        raise ConstructionError("histogram has no positive bin")
+    floor = np.where(filled, contents, np.inf).min(axis=-1, keepdims=True)
+    return np.where(filled, contents, floor * ZERO_BIN_FLOOR)
 
 
 def histogram_density(samples, weights, bins: int, support: Interval) -> Density1D:
     """Piecewise-constant density estimate from weighted samples.
 
     Out-of-range samples are dropped (count available as ``data['n_dropped']``).
-    Empty bins get the smallest positive bin value scaled by ``ZERO_BIN_FLOOR``
-    so the density is strictly positive everywhere on the support.
+    Empty bins are floored by :func:`floor_empty_bins`, so the density is
+    strictly positive everywhere on the support.  ``data['sumw2']`` holds the
+    sums of squared weights per bin.
     """
     samples = np.asarray(samples, dtype=float)
     weights = np.ones_like(samples) if weights is None else np.asarray(weights, dtype=float)
@@ -413,13 +398,10 @@ def histogram_density(samples, weights, bins: int, support: Interval) -> Density
     if weights.sum() <= 0:
         raise ConstructionError("total weight must be positive")
     edges = np.linspace(support.lo, support.hi, bins + 1)
-    hist = Histogram1D.fill(samples, weights, edges)
-    contents = hist.contents.copy()
-    positive = contents[contents > 0]
-    floor = positive.min() * ZERO_BIN_FLOOR
-    contents[contents <= 0] = floor
+    contents, _ = np.histogram(samples, bins=edges, weights=weights)
+    sumw2, _ = np.histogram(samples, bins=edges, weights=weights ** 2)
     return Density1D("histogram", [], support,
-                     {"edges": edges, "contents": contents, "sumw2": hist.sumw2,
+                     {"edges": edges, "contents": floor_empty_bins(contents), "sumw2": sumw2,
                       "n_dropped": n_dropped})
 
 
@@ -430,9 +412,8 @@ class EfficiencyMap:
     """
 
     def __init__(self, kind: str, *, m_edges=None, t_edges=None, values=None,
-                 fn: Optional[Callable] = None, tag: str = "custom"):
+                 fn: Optional[Callable] = None):
         self.kind = kind
-        self.tag = tag
         if kind == "grid":
             self.m_edges = np.asarray(m_edges, dtype=float)
             self.t_edges = np.asarray(t_edges, dtype=float)
@@ -454,8 +435,8 @@ class EfficiencyMap:
         return cls("grid", m_edges=m_edges, t_edges=t_edges, values=values)
 
     @classmethod
-    def from_function(cls, fn: Callable, tag: str = "custom") -> "EfficiencyMap":
-        return cls("formula", fn=fn, tag=tag)
+    def from_function(cls, fn: Callable) -> "EfficiencyMap":
+        return cls("formula", fn=fn)
 
     def __call__(self, m, t):
         m = np.asarray(m, dtype=float)
@@ -478,6 +459,3 @@ class EfficiencyMap:
     def from_dict(cls, d: dict) -> "EfficiencyMap":
         return cls.from_grid(d["m_edges"], d["t_edges"], d["values"])
 
-
-UNIT_EFFICIENCY = EfficiencyMap.from_function(
-    lambda m, t: np.ones(np.broadcast(m, t).shape), tag="unit")

@@ -12,10 +12,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cows import (CowSpec, HistogramVariance, UnityVariance, build_cow,
-                   efficiency_corrected_weights, variance_fn_ml_iterative,
-                   variance_fn_qm)
-from .densities import Density1D, EfficiencyMap, Interval, UNIT_EFFICIENCY, monomial_basis
+from .cows import (CowSpec, UnityVariance, build_cow, efficiency_corrected_weights,
+                   variance_fn_ml_iterative, variance_fn_qm)
+from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
 from .errors import ConstructionError
 from .mlfit import FitResult, yields_only_refit
 from .sweights import (WeightMatrix, compute_W_variant_A, compute_W_variant_B,
@@ -127,8 +126,7 @@ def variance_function(kind: str, basis: List[Density1D], data,
             raise ConstructionError("variance 'qm' needs (m, t) data")
         if qm_bins > len(data):
             raise ConstructionError(f"qm_bins {qm_bins} exceeds the {len(data)} events")
-        return HistogramVariance(
-            variance_fn_qm(data, eff or UNIT_EFFICIENCY, qm_bins, support=support))
+        return variance_fn_qm(data, eff, qm_bins, support=support)
     if kind == "mixture":
         return variance_fn_ml_iterative(basis, data, eff)[1]
     raise ConstructionError(f"unknown variance kind {kind!r}")

@@ -298,11 +298,18 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
     memos = [_pdf_memo(c.density, data, 2 * c.density.n_params ** 2 + 1 if c.free_shape else 1)
              for c in model.components]
 
+    # the (n_comp, N) stack of them, made once per shape point: a fit with
+    # every shape fixed stacks once
+    @functools.lru_cache(maxsize=1)
+    def stacked(shapes: bytes) -> np.ndarray:
+        theta = np.concatenate([np.zeros(n_comp), np.frombuffer(shapes)])
+        return np.stack([memo(theta[s]) for memo, s in zip(memos, slices)])
+
     def comp_values(params):
         # a negative yield (a Hessian probe past the bound) is infeasible too
         if np.any(params[:n_comp] < 0):
             raise ConstructionError("yields must be >= 0")
-        return np.stack([memo(params[s]) for memo, s in zip(memos, slices)])  # (n_comp, N)
+        return stacked(params[n_comp:].tobytes())
 
     def nll(params):
         # shape proposals inside the box bounds can still be infeasible

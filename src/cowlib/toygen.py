@@ -221,6 +221,16 @@ def generate_multicomponent(spec: ToySpec) -> ToyDataset:
                       ["m", "c", "u", "v"], c, truth=truth)
 
 
+def _rectangle_rule(n: int):
+    """Nodes M, T and weights of the n x n Gauss-Legendre rule on the (m, t)
+    rectangle; a sum of f(M, T) * weights integrates f over it."""
+    x, w = gauss_legendre(n)
+    mg = 0.5 * (M_SUPPORT.lo + M_SUPPORT.hi) + 0.5 * M_SUPPORT.width * x
+    tg = 0.5 * (T_SUPPORT.lo + T_SUPPORT.hi) + 0.5 * T_SUPPORT.width * x
+    M, T = np.meshgrid(mg, tg, indexing="ij")
+    return M, T, np.outer(w, w) * (0.25 * M_SUPPORT.width * T_SUPPORT.width)
+
+
 class _NonfactTruth:
     """Closed-form truth of the non-factorising study."""
 
@@ -242,13 +252,8 @@ class _NonfactTruth:
         return np.exp(-lam * m) * np.exp(-0.5 * ((t - mu) / sig) ** 2)
 
     def _compute_bkg_norm(self) -> float:
-        x, w = gauss_legendre(120)
-        mg = 0.5 * (M_SUPPORT.lo + M_SUPPORT.hi) + 0.5 * M_SUPPORT.width * x
-        tg = 0.5 * (T_SUPPORT.lo + T_SUPPORT.hi) + 0.5 * T_SUPPORT.width * x
-        M, T = np.meshgrid(mg, tg, indexing="ij")
-        vals = self.bkg_unnorm(M, T)
-        w2d = np.outer(w, w) * (0.25 * M_SUPPORT.width * T_SUPPORT.width)
-        return float(np.sum(vals * w2d))
+        M, T, w2d = _rectangle_rule(120)
+        return float(np.sum(self.bkg_unnorm(M, T) * w2d))
 
     def f_bkg(self, m, t):
         return self.bkg_unnorm(m, t) / self._bkg_norm
@@ -333,11 +338,7 @@ def _nonfact_setup(params, use_eff: bool) -> _NonfactSetup:
         return np.ones_like(np.asarray(m, dtype=float))
 
     # observed per-component normalizations under the efficiency
-    x, w = gauss_legendre(80)
-    mg = 0.5 * (M_SUPPORT.lo + M_SUPPORT.hi) + 0.5 * M_SUPPORT.width * x
-    tg = 0.5 * (T_SUPPORT.lo + T_SUPPORT.hi) + 0.5 * T_SUPPORT.width * x
-    M, T = np.meshgrid(mg, tg, indexing="ij")
-    w2d = np.outer(w, w) * (0.25 * M_SUPPORT.width * T_SUPPORT.width)
+    M, T, w2d = _rectangle_rule(80)
     det_sig = float(np.sum(eff(M, T) * truth.f_sig(M, T) * w2d))
     det_bkg = float(np.sum(eff(M, T) * truth.f_bkg(M, T) * w2d))
 
@@ -347,8 +348,7 @@ def _nonfact_setup(params, use_eff: bool) -> _NonfactSetup:
     def rho_bkg(m, t):
         return eff(m, t) * truth.f_bkg(m, t)
 
-    eff_map = (EfficiencyMap.from_function(truth.eff, tag="nonfactorising")
-               if use_eff else None)
+    eff_map = EfficiencyMap.from_function(truth.eff) if use_eff else None
     return _NonfactSetup(truth, eff, det_sig, det_bkg, rho_sig, rho_bkg,
                          1.2 * _grid_max(rho_sig), 1.2 * _grid_max(rho_bkg),
                          eff_map)

@@ -17,9 +17,8 @@ import numpy as np
 
 from ._numdiff import derivative
 from ._quadrature import gauss_legendre
-from .cows import (HistogramVariance, efficiency_at, from_upper, implied_cow,
-                   pair_products)
-from .densities import ZERO_BIN_FLOOR, Density1D
+from .cows import efficiency_at, from_upper, implied_cow, pair_products
+from .densities import Density1D, floor_empty_bins
 from .errors import EvaluationError
 from .mlfit import _covariance, _log_derivs1, _weighted_hessian
 
@@ -186,11 +185,11 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
 
     d1, Hinv, first, naive = _sandwich(hs_model, t, w, theta)
     var = cow.spec.variance_fn
-    if not isinstance(var, HistogramVariance):
+    if not (isinstance(var, Density1D) and var.kind == "histogram"):
         return CorrectedCovariance(theta_block=first, naive=naive, first_term=first)
     if n_boot < 2:
         raise EvaluationError("n_boot must be at least 2")
-    edges = np.asarray(var.density.data["edges"], dtype=float)
+    edges = np.asarray(var.data["edges"], dtype=float)
     nbins = len(edges) - 1
     widths = np.diff(edges)
 
@@ -285,11 +284,8 @@ def _replica_scores(X: np.ndarray, order: np.ndarray, bounds: np.ndarray,
         factor[:] = 0.0    # a replica that leaves bin j empty has M = 0 there
         np.divide(widths[j], acc, out=factor, where=acc > 0)
         T += M * factor
-    filled = raw > 0
-    keep = np.flatnonzero(filled.any(axis=1))  # a replica with no event is skipped
-    raw, filled = raw[keep], filled[keep]
-    floor = np.where(filled, raw, np.inf).min(axis=1, keepdims=True)
-    raw = np.where(filled, raw, floor * ZERO_BIN_FLOOR)
+    keep = np.flatnonzero((raw > 0).any(axis=1))  # a replica with no event is skipped
+    raw = floor_empty_bins(raw[keep])
     total = raw.sum(axis=1, keepdims=True)
     I_bins = raw / (widths * total)
     A, ok = _inverses(np.einsum("klj,rj->rkl", B, 1.0 / I_bins))

@@ -316,6 +316,34 @@ class TestOneColumnData:
         assert len(json.loads(ssum.read_text())["sum_w"]) == 2
 
 
+class TestCowSupport:
+    """`cow` rejects an event outside its support before the variance
+    function is built, whatever the variance, with the exit code of `fit`."""
+
+    def cow_cfg(self, tmp_path, data, variance):
+        path = tmp_path / "d.csv"
+        cli.write_csv(str(path), ["m", "t"], data)
+        return write_cfg(tmp_path, "c.json", {
+            "data": str(path), "support": [0.0, 1.0], "basis": [GS_CFG, GB_CFG],
+            "variance": variance, "qm_bins": 5, "out_summary": str(tmp_path / "s.json"),
+            "out_weights": str(tmp_path / "w.csv")})
+
+    @pytest.mark.parametrize("variance", ["unity", "qm", "mixture"])
+    def test_event_outside_the_support(self, tmp_path, capsys, variance):
+        ds = generate_simple(ToySpec(study="simple", n_events=300, z=0.3, seed=5))
+        data = np.vstack([ds.data, [[1.5, 1.0]]])
+        assert cli.main(["cow", "--config", self.cow_cfg(tmp_path, data, variance)]) == 2
+        assert "error: data outside the support" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists() and not (tmp_path / "w.csv").exists()
+
+    def test_qm_without_an_event_inside_the_support(self, tmp_path, capsys, recwarn):
+        # the data-range rule answers first: no 0/0 bin contents and no warning
+        data = np.column_stack([np.linspace(1.5, 2.5, 40), np.ones(40)])
+        assert cli.main(["cow", "--config", self.cow_cfg(tmp_path, data, "qm")]) == 2
+        assert "error: data outside the support" in capsys.readouterr().err
+        assert not recwarn.list
+
+
 class TestMethodResolution:
     """The method is resolved from the config before any data or toy."""
 

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from cowlib import (ConstructionError, Density1D, EfficiencyMap,
-                    EvaluationError, Histogram1D, IllConditionedBasisError,
-                    Interval, MixtureComponent, MixtureModel, UNIT_EFFICIENCY,
-                    fit_extended_ml, integrate, monomial_basis)
+                    EvaluationError, IllConditionedBasisError, Interval,
+                    MixtureComponent, MixtureModel, fit_extended_ml,
+                    histogram_density, integrate, monomial_basis)
 from cowlib import cows
-from cowlib.cows import (CowSet, CowSpec, HistogramVariance, MixtureVariance,
+from cowlib.cows import (CowSet, CowSpec, MixtureVariance,
                          UnityVariance, build_cow, efficiency_corrected_weights,
                          estimate_fractions, variance_fn_ml_iterative,
                          variance_fn_qm)
+from cowlib.densities import floor_empty_bins
 from cowlib.sweights import compute_W_variant_A, weight_functions
 from cowlib.wcov import corrected_covariance_cow
 from cowlib.toygen import (ToySpec, generate_nonfactorising, generate_simple,
@@ -24,6 +25,8 @@ from conftest import count_integrals, count_pdf_calls
 
 HALF_EFF = EfficiencyMap.from_function(
     lambda m, t: np.full(np.broadcast(m, t).shape, 0.5))
+# an explicit map of efficiency one, to compare with no map
+ONE_EFF = EfficiencyMap.from_function(lambda m, t: np.ones(np.broadcast(m, t).shape))
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +100,6 @@ class TestBuildCow:
         # function is normalized against the proxy and orthogonal to the
         # polynomial background terms
         ds, gs, gb = simple_toy
-        from cowlib import histogram_density
         proxy = histogram_density(ds.m, None, 40, unit_interval)
         basis = [gs] + monomial_basis(3, unit_interval)
         cow = build_cow(CowSpec(basis=basis, variance_fn=UnityVariance(),
@@ -121,7 +123,7 @@ class TestBuildCow:
             var = MixtureVariance(np.full(5, 0.2), basis)
         else:
             m = np.random.default_rng(2).random(500)
-            var = HistogramVariance(Histogram1D.fill(m, np.ones(500), np.linspace(0, 1, 21)))
+            var = histogram_density(m, np.ones(500), 20, unit_interval)
         spec = CowSpec(basis=basis, variance_fn=var, support=unit_interval)
         integrals = count_integrals(monkeypatch, cows)
         pdf_calls = count_pdf_calls(monkeypatch)
@@ -154,23 +156,22 @@ class TestVarianceFunctions:
         with pytest.raises(ConstructionError):
             MixtureVariance([0.5], [gs, gb])
 
-    def test_histogram_variance_floors_empty_bins(self):
-        h = Histogram1D([0.0, 0.5, 1.0], [10.0, 0.0], [10.0, 0.0])
-        var = HistogramVariance(h)
+    def test_histogram_variance_floors_empty_bins(self, unit_interval):
+        var = histogram_density(np.full(10, 0.25), None, 2, unit_interval)
         assert var(0.75) > 0
 
     def test_histogram_variance_empty_rejected(self):
         with pytest.raises(ConstructionError):
-            HistogramVariance(Histogram1D([0.0, 1.0], [0.0], [0.0]))
+            floor_empty_bins([0.0])
 
     def test_qm_single_bin_equals_unity(self, simple_toy, unit_interval):
         # a single-bin histogram variance function is a constant, and the
         # weights are invariant under constant rescaling of that function
         ds, gs, gb = simple_toy
-        hist = variance_fn_qm(ds.data, UNIT_EFFICIENCY, 1,
+        hist = variance_fn_qm(ds.data, None, 1,
                               support=unit_interval)
         cow_q = build_cow(CowSpec(basis=[gs, gb],
-                                  variance_fn=HistogramVariance(hist),
+                                  variance_fn=hist,
                                   support=unit_interval))
         cow_u = build_cow(CowSpec(basis=[gs, gb], variance_fn=UnityVariance(),
                                   support=unit_interval))
@@ -179,9 +180,9 @@ class TestVarianceFunctions:
 
     def test_qm_constant_efficiency_cancels(self, simple_toy, unit_interval):
         ds, _, _ = simple_toy
-        h1 = variance_fn_qm(ds.data, UNIT_EFFICIENCY, 25, support=unit_interval)
+        h1 = variance_fn_qm(ds.data, None, 25, support=unit_interval)
         h2 = variance_fn_qm(ds.data, HALF_EFF, 25, support=unit_interval)
-        assert np.allclose(h1.contents, h2.contents, rtol=1e-12)
+        assert np.allclose(h1.data["contents"], h2.data["contents"], rtol=1e-12)
 
     def test_qm_matches_generator_integral(self):
         # oracle: the expected bin fractions are the quadrature integral of
@@ -196,7 +197,7 @@ class TestVarianceFunctions:
         tg, wt = 1.5 + 1.5 * xg, 1.5 * wg
         expected = []
         for j in range(20):
-            a, b = hist.edges[j], hist.edges[j + 1]
+            a, b = hist.data["edges"][j], hist.data["edges"][j + 1]
             mg, wm = 0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg
             M, T = np.meshgrid(mg, tg, indexing="ij")
             F = (tr["z"] * tr["f_sig"](M, T)
@@ -204,13 +205,68 @@ class TestVarianceFunctions:
             expected.append(float(np.sum(np.outer(wm, wt) * F)))
         expected = np.asarray(expected)
         expected /= expected.sum()
-        dev = (hist.contents - expected) / np.sqrt(hist.sumw2)
+        dev = (hist.data["contents"] - expected) / np.sqrt(hist.data["sumw2"])
         assert np.max(np.abs(dev)) < 5.0
 
     def test_qm_invalid_inputs(self, simple_toy, unit_interval):
         ds, _, _ = simple_toy
         with pytest.raises(ConstructionError):
-            variance_fn_qm(ds.data, UNIT_EFFICIENCY, 0, support=unit_interval)
+            variance_fn_qm(ds.data, None, 0, support=unit_interval)
+
+    @pytest.mark.parametrize("eff", ["none", "map"])
+    @pytest.mark.parametrize("bins", [1, 7, 50])
+    def test_qm_is_the_reference_histogram_variance(self, simple_toy, unit_interval,
+                                                    eff, bins):
+        # an empty bin in the upper range tests the floor as well
+        ds, _, _ = simple_toy
+        data = ds.data[ds.m < 0.9]
+        emap = None if eff == "none" else EfficiencyMap.from_function(
+            lambda m, t: 0.3 + 0.5 * m * np.ones_like(t))
+        got = variance_fn_qm(data, emap, bins, support=unit_interval)
+        ref = reference_histogram_variance(data, emap, bins, unit_interval)
+        grid = np.concatenate([np.linspace(0, 1, 1001), ds.m, got.data["edges"]])
+        assert got.kind == "histogram"
+        assert np.array_equal(got.pdf(grid), ref.pdf(grid))
+        assert np.array_equal(got.breakpoints(), ref.breakpoints())
+
+    def test_qm_without_an_event_inside_the_support(self, simple_toy, recwarn):
+        ds, _, _ = simple_toy
+        with pytest.raises(ConstructionError, match="no event inside the support"):
+            variance_fn_qm(ds.data, None, 5, support=Interval(2.0, 3.0))
+        assert not recwarn.list
+
+
+def reference_histogram_variance(data, eff, bins, support):
+    """The qm variance function as it was built before it was a density:
+    a 1/efficiency^2-weighted fill, normalized by its total, the empty bins
+    floored at ZERO_BIN_FLOOR times the smallest filled bin, as a histogram
+    density."""
+    from cowlib.densities import ZERO_BIN_FLOOR
+
+    data = np.asarray(data, dtype=float)
+    m, t = data[:, 0], data[:, 1]
+    e = np.ones(len(m)) if eff is None else np.asarray(eff(m, t), dtype=float)
+    edges = np.linspace(support.lo, support.hi, bins + 1)
+    contents, _ = np.histogram(m, bins=edges, weights=1.0 / e ** 2)
+    contents = contents / float(np.sum(contents))
+    positive = contents[contents > 0]
+    contents[contents <= 0] = positive.min() * ZERO_BIN_FLOOR
+    return Density1D("histogram", [], Interval(edges[0], edges[-1]),
+                     {"edges": edges, "contents": contents})
+
+
+class TestFloorEmptyBins:
+    def test_rows_floored_at_their_own_smallest_bin(self):
+        got = floor_empty_bins([[4.0, 0.0, 2.0], [0.0, 8.0, 0.0], [1.0, 3.0, 5.0]])
+        assert np.array_equal(got, [[4.0, 2e-3, 2.0], [8e-3, 8.0, 8e-3], [1.0, 3.0, 5.0]])
+
+    def test_non_positive_bins_are_empty(self):
+        assert np.array_equal(floor_empty_bins([-1.0, 0.5]), [0.5e-3, 0.5])
+
+    @pytest.mark.parametrize("contents", [[0.0, 0.0], [[1.0, 0.0], [0.0, -2.0]]])
+    def test_a_row_without_a_positive_bin_rejected(self, contents):
+        with pytest.raises(ConstructionError, match="no positive bin"):
+            floor_empty_bins(contents)
 
 
 class TestImpliedVariance:
@@ -307,7 +363,7 @@ class TestEfficiencyCorrectedWeights:
         cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=UnityVariance(),
                                 support=unit_interval))
         w_none = efficiency_corrected_weights(cow, None, ds.data)
-        w_unit = efficiency_corrected_weights(cow, UNIT_EFFICIENCY, ds.data)
+        w_unit = efficiency_corrected_weights(cow, ONE_EFF, ds.data)
         assert np.allclose(w_none, cow.weights(ds.m))
         assert np.allclose(w_unit, w_none)
 
@@ -366,7 +422,7 @@ LOW_EVENT = 17   # the event given a low efficiency below
 EFFICIENCY_CONSUMERS = {
     "estimate_fractions": lambda data, cow, hs, eff: estimate_fractions(cow, data, eff)[0],
     "variance_fn_qm": lambda data, cow, hs, eff: variance_fn_qm(
-        data, eff, 10, cow.spec.support).contents,
+        data, eff, 10, cow.spec.support).data["contents"],
     "efficiency_corrected_weights": lambda data, cow, hs, eff: efficiency_corrected_weights(
         cow, eff, data),
     "corrected_covariance_cow": lambda data, cow, hs, eff: corrected_covariance_cow(
@@ -398,4 +454,4 @@ class TestEfficiencyCheck:
     def test_no_map_is_unit_efficiency(self, inputs, consumer):
         data, cow, hs = inputs
         got = EFFICIENCY_CONSUMERS[consumer](data, cow, hs, None)
-        assert np.array_equal(got, EFFICIENCY_CONSUMERS[consumer](data, cow, hs, UNIT_EFFICIENCY))
+        assert np.array_equal(got, EFFICIENCY_CONSUMERS[consumer](data, cow, hs, ONE_EFF))

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from cowlib import (ConstructionError, Density1D, EfficiencyMap,
-                    EvaluationError, Histogram1D, Interval, IntegrationError,
-                    UNIT_EFFICIENCY, histogram_density, integrate,
-                    make_density, monomial_basis)
+                    EvaluationError, Interval, IntegrationError,
+                    histogram_density, integrate, make_density, monomial_basis)
+from cowlib.cows import efficiency_at
 
 
 class TestInterval:
@@ -388,18 +388,17 @@ class TestHistogramDensity:
         assert integrate(d.pdf, unit_interval, 1e-9,
                          points=d.breakpoints()) == pytest.approx(1.0, abs=1e-8)
 
+    def test_fill_and_round_trip(self, unit_interval):
+        h = histogram_density([0.1, 0.2, 0.8], [1.0, 2.0, 3.0], 2, unit_interval)
+        assert np.allclose(h.data["contents"], [3.0, 3.0])
+        assert np.allclose(h.data["sumw2"], [5.0, 9.0])
+        h2 = Density1D.from_dict(h.to_dict())
+        assert np.allclose(h2.data["contents"], h.data["contents"])
 
-class TestHistogram1D:
-    def test_fill_and_round_trip(self):
-        h = Histogram1D.fill([0.1, 0.2, 0.8], [1.0, 2.0, 3.0], [0.0, 0.5, 1.0])
-        assert np.allclose(h.contents, [3.0, 3.0])
-        assert np.allclose(h.sumw2, [5.0, 9.0])
-        h2 = Histogram1D.from_dict(h.to_dict())
-        assert np.allclose(h2.contents, h.contents)
-
-    def test_length_mismatch_rejected(self):
+    def test_length_mismatch_rejected(self, unit_interval):
         with pytest.raises(ConstructionError):
-            Histogram1D([0.0, 1.0], [1.0, 2.0], [1.0, 2.0])
+            Density1D("histogram", [], unit_interval,
+                      {"edges": [0.0, 1.0], "contents": [1.0, 2.0]})
 
 
 class TestEfficiencyMap:
@@ -417,7 +416,7 @@ class TestEfficiencyMap:
 
     def test_unit_efficiency(self):
         m = np.linspace(0, 1, 5)
-        assert np.allclose(UNIT_EFFICIENCY(m, m), 1.0)
+        assert np.allclose(efficiency_at(None, m, m), 1.0)
 
     def test_grid_round_trip(self):
         em = EfficiencyMap.from_grid([0.0, 0.5, 1.0], [0.0, 1.0, 2.0],
@@ -427,7 +426,7 @@ class TestEfficiencyMap:
 
     def test_formula_not_serializable(self):
         with pytest.raises(EvaluationError):
-            UNIT_EFFICIENCY.to_dict()
+            EfficiencyMap.from_function(lambda m, t: np.ones(np.broadcast(m, t).shape)).to_dict()
 
 
 class TestPpfStaysInSupport:

@@ -4,10 +4,9 @@ the per-caller dispatch it replaced."""
 import numpy as np
 import pytest
 
-from cowlib import (ConstructionError, Density1D, EvaluationError, UNIT_EFFICIENCY,
-                    monomial_basis)
+from cowlib import ConstructionError, Density1D, EvaluationError, monomial_basis
 from cowlib import cows, sweights, toygen, wcov
-from cowlib.methods import MethodSpec, apply_method, sweights_matrix
+from cowlib.methods import MethodSpec, apply_method, sweights_matrix, variance_function
 from cowlib.mlfit import (MixtureComponent, MixtureModel, fit_extended_ml,
                           fit_weighted_ml, yields_only_refit)
 from cowlib.toygen import T_SUPPORT, ToySpec, generate, simple_truth_densities
@@ -64,9 +63,7 @@ def reference_run(method, ds, fits):
         if method.variance == "unity":
             var = cows.UnityVariance()
         elif method.variance == "qm":
-            var = cows.HistogramVariance(
-                cows.variance_fn_qm(data, eff or UNIT_EFFICIENCY, method.qm_bins,
-                                    support=gs_hat.support))
+            var = cows.variance_fn_qm(data, eff, method.qm_bins, support=gs_hat.support)
         elif method.variance == "mixture":
             _, var = cows.variance_fn_ml_iterative(basis, data, eff)
         else:
@@ -168,3 +165,12 @@ class TestVariantC:
         got = sweights_matrix("Ci", yfit, ds.m)
         want = sweights.compute_W_variant_C(yfit, len(ds.m), "invert-full-cov", n_components=2)
         assert np.array_equal(got.W, want.W)
+
+
+def test_qm_without_an_event_inside_the_support(recwarn):
+    # every event above the support: an input error, not 0/0 bin contents
+    gs, gb, _, _ = simple_truth_densities()
+    data = np.column_stack([np.linspace(1.5, 2.5, 40), np.ones(40)])
+    with pytest.raises(ConstructionError, match="no event inside the support"):
+        variance_function("qm", [gs, gb], data, None, 5, gs.support)
+    assert not recwarn.list

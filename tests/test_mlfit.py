@@ -212,7 +212,7 @@ class TestNumericalHessian:
 
     def test_nonfinite_objective_names_probe(self):
         with pytest.raises(EvaluationError, match="probe point"):
-            numerical_hessian(lambda x: np.log(x[0]), np.array([1e-7]))
+            numerical_hessian(lambda x: np.log(x[0]) if x[0] > 0 else np.nan, np.array([1e-7]))
 
 
 class TestPolishNewton:

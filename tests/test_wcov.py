@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cowlib import (Density1D, EvaluationError, Interval, MixtureComponent,
-                    MixtureModel, UNIT_EFFICIENCY, fit_extended_ml,
+                    MixtureModel, fit_extended_ml,
                     fit_weighted_ml, monomial_basis, wcov)
-from cowlib.cows import (CowSpec, HistogramVariance, MixtureVariance,
+from cowlib.cows import (CowSpec, MixtureVariance,
                          UnityVariance, build_cow, variance_fn_qm)
 from cowlib.sweights import compute_W_variant_B, weight_functions
 from cowlib.toygen import (TRUE_SLOPE, ToySpec, generate_nonfactorising,
@@ -152,10 +152,10 @@ class TestFixedShapeCorrection:
 @pytest.fixture(scope="module")
 def hist_cow(weighted_toy):
     d = weighted_toy
-    hist = variance_fn_qm(d["ds"].data, UNIT_EFFICIENCY, 30,
+    hist = variance_fn_qm(d["ds"].data, None, 30,
                           support=d["gs"].support)
     cow = build_cow(CowSpec(basis=[d["gs"], d["gb"]],
-                            variance_fn=HistogramVariance(hist),
+                            variance_fn=hist,
                             support=d["gs"].support))
     w = cow.weights(d["m"])[:, 0]
     tfit = fit_weighted_ml(d["t"], w, d["hs"], bounds=[(0.05, 20.0)])
@@ -297,7 +297,7 @@ def loop_bootstrap_covariance(cow, data, hs_model, theta, eff=None,
     H = _weighted_hessian(hs_model, t, w, theta)
     Hinv = np.linalg.inv(H)
 
-    edges = np.asarray(cow.spec.variance_fn.density.data["edges"], dtype=float)
+    edges = np.asarray(cow.spec.variance_fn.data["edges"], dtype=float)
     nbins = len(edges) - 1
     widths = np.diff(edges)
     x, gq = np.polynomial.legendre.leggauss(quad_points)
@@ -343,7 +343,7 @@ def nonfact_hist_cow(n_events, seed, poly_order, bins):
     hist = variance_fn_qm(ds.data, ds.efficiency, bins, support=gs.support)
     cow = build_cow(CowSpec(
         basis=[gs] + monomial_basis(poly_order + 1, gs.support),
-        variance_fn=HistogramVariance(hist), support=gs.support,
+        variance_fn=hist, support=gs.support,
         efficiency=ds.efficiency))
     return ds, cow, hs
 
@@ -463,7 +463,7 @@ def loop_histogram_weight_matrices(cow, data, eff, n_boot, boot_seed):
 
     m, t = data[:, 0], data[:, 1]
     fill = (1.0 / np.asarray(eff(m, t), dtype=float)) ** 2
-    edges = np.asarray(cow.spec.variance_fn.density.data["edges"], dtype=float)
+    edges = np.asarray(cow.spec.variance_fn.data["edges"], dtype=float)
     nbins = len(edges) - 1
     widths = np.diff(edges)
     x, gq = np.polynomial.legendre.leggauss(16)
