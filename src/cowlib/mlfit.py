@@ -5,17 +5,20 @@ polish (:func:`_polish_newton`, the one Newton iteration, which takes the
 Hessian as an argument) that drives the score below the convergence
 tolerance.  The extended-ML fit then polishes its yields on their
 closed-form block, so identities that hold exactly at the optimum (e.g. the
-extended-ML yield identity) are reproduced to near machine precision.
+extended-ML yield identity) are reproduced to near machine precision.  A
+weighted fit of an exponential needs no optimizer: its score depends on the
+data through two weighted sums, and its root is found by bracketing.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from ._numdiff import LOG_HESSIAN_STEP, derivative, numerical_hessian
 from .densities import Density1D, Interval
@@ -35,6 +38,8 @@ __all__ = [
 ]
 
 GRAD_TOL_PER_EVENT = 1e-6  # converged when |score| < tol * max(N, 1)
+_ROOT_RTOL = 4 * np.finfo(float).eps   # the smallest relative tolerance brentq takes
+_SERIES_LIMIT = 0.05   # |lam W| below which the exponential mean is a series
 
 
 @dataclass
@@ -407,10 +412,83 @@ def _weighted_hessian(hs: Density1D, t, weights, theta) -> np.ndarray:
     return np.einsum("i,kli->kl", weights, d2)
 
 
+def _exponential_mean(lam: float, width: float) -> float:
+    """E[t - lo] under the exponential of slope ``lam`` truncated to a
+    support [lo, lo + width]: 1/lam - W/expm1(lam W).
+
+    Below |lam W| = ``_SERIES_LIMIT`` the two terms cancel, and their
+    series W (1/2 - x/12 + x^3/720 - x^5/30240), x = lam W, is used instead
+    (truncation error < 2e-15 relative).  Where expm1 overflows the second
+    term is below 1e-300 and the mean is 1/lam.
+    """
+    x = lam * width
+    if abs(x) < _SERIES_LIMIT:
+        x2 = x * x
+        return width * (0.5 - x / 12.0 * (1.0 - x2 / 60.0 * (1.0 - x2 / 42.0)))
+    try:
+        return 1.0 / lam - width / math.expm1(x)
+    except OverflowError:
+        return 1.0 / lam
+
+
+def _decreasing_root(f, x0: float, lower: float, upper: float, xtol: float):
+    """The root of the decreasing scalar function ``f``, clamped to [lower,
+    upper], bracketed by steps out from ``x0`` that double in length; None
+    when ``f`` keeps its sign out to an infinite bound."""
+    a, fa = x0, f(x0)
+    if fa == 0:
+        return x0
+    sign = 1.0 if fa > 0 else -1.0    # the root lies on this side of x0
+    bound = upper if fa > 0 else lower
+    step = max(abs(x0), 1.0)
+    while True:
+        b = x0 + sign * step
+        if sign * (b - bound) >= 0:
+            b = bound
+        if not math.isfinite(b):
+            return None
+        if sign * f(b) <= 0:
+            return brentq(f, min(a, b), max(a, b), xtol=xtol, rtol=_ROOT_RTOL)
+        if b == bound:
+            return bound
+        a, step = b, 2.0 * step
+
+
+def _fit_exponential(t, w, density: Density1D, init, lower, upper, gtol):
+    """(params, nll, converged, n_calls) of the weighted fit of an
+    exponential.  Its log-likelihood is -lam S1 - S0 ln Z(lam), with
+    S0 = sum w and S1 = sum w (t - lo), so the fit is the root of the score
+    S0 (E_lam[t - lo] - S1/S0); ``n_calls`` counts the score evaluations."""
+    lo_t, width = density.support.lo, density.support.width
+    s0, s1 = float(np.sum(w)), float(np.sum(w * (t - lo_t)))
+    calls = [0]
+
+    def score(lam):   # decreasing in lam, since s0 > 0
+        calls[0] += 1
+        return s0 * (_exponential_mean(lam, width) - s1 / s0)
+
+    lo, hi = float(lower[0]), float(upper[0])
+    x0 = min(max(float(init[0]), lo), hi)
+    # the absolute tolerance resolves a slope near 0 on its natural scale 1/W
+    lam = _decreasing_root(score, x0, lo, hi, _ROOT_RTOL / width)
+    found = lam is not None
+    lam = x0 if lam is None else lam
+    try:
+        log_norm = -density.with_params([lam]).logpdf(lo_t)   # h(lo) = 1/Z
+    except ConstructionError:
+        found, log_norm = False, math.inf
+    x = np.array([lam])
+    g = _projected_grad(np.array([-score(lam)]), x, lower, upper)
+    converged = found and bool(abs(g[0]) < gtol)
+    return x, lam * s1 + s0 * log_norm, converged, calls[0]
+
+
 def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None) -> FitResult:
     """Solve the weighted score equations for the shape parameters of ``density``.
 
-    Weights may be negative (sWeights are).  The hessian field holds
+    Weights may be negative (sWeights are).  An exponential is fitted as the
+    root of its score over two weighted sums (:func:`_fit_exponential`),
+    every other kind by L-BFGS-B and the Newton polish.  The hessian field holds
     :func:`_weighted_hessian` over the events of nonzero weight, and the
     covariance field the naive inverse of it, which is *not* a valid
     covariance for weighted data; use the wcov module to correct it.  It is
@@ -464,7 +542,10 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
 
     # score scales with sum|w|; point estimate is scale-invariant
     gtol = GRAD_TOL_PER_EVENT * max(np.sum(np.abs(w)), 1.0)
-    x, fval, converged, n_calls, _ = _run_fit(nll, grad, init, lower, upper, gtol)
+    if density.kind == "exponential":
+        x, fval, converged, n_calls = _fit_exponential(t, w, density, init, lower, upper, gtol)
+    else:
+        x, fval, converged, n_calls, _ = _run_fit(nll, grad, init, lower, upper, gtol)
     cov, hess, flags = _curvature(
         lambda th: _weighted_hessian(density, t, w, th), x, converged)
     names = [f"theta_{j}" for j in range(n_par)]

@@ -685,6 +685,19 @@ class TestConfigShape:
         assert cli.main(["correct", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
         assert not (tmp_path / "o.json").exists()
 
+    def test_correct_where_the_weighted_mean_has_no_slope(self, tmp_path, capsys):
+        # negative weights put sum w t / sum w at 20.5, beyond the support
+        # width 3, where no slope has that mean: exit 2 with a message
+        data, weights = tmp_path / "d.csv", tmp_path / "w.csv"
+        t = np.repeat([0.5, 2.5], 100)
+        cli.write_csv(str(data), ["m", "t"], np.column_stack([np.full_like(t, 0.5), t]))
+        cli.write_csv(str(weights), ["w_s"], np.repeat([-0.9, 1.0], 100)[:, None])
+        cfg = {"data": str(data), "weights": str(weights), "out": str(tmp_path / "o.json"),
+               "control_model": CONTROL_CFG}
+        assert cli.main(["correct", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: the weighted fit")
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestSharedConfigLayer:
     """One support rule, densities parsed before the data, the pipeline cow

@@ -9,6 +9,7 @@ from cowlib import (ConstructionError, Density1D, EvaluationError, Interval,
                     fit_weighted_ml, make_density, numerical_hessian,
                     yields_only_refit)
 from cowlib import mlfit
+from cowlib.densities import integrate
 from cowlib.methods import MethodSpec, apply_method
 from cowlib.toygen import ToySpec, generate_simple, simple_truth_densities
 
@@ -180,6 +181,111 @@ class TestWeightedML:
         t = np.array([0.0, 0.5, 0.7])
         with pytest.raises(EvaluationError):
             fit_weighted_ml(t, np.ones(3), d)
+
+
+class TestExponentialRoot:
+    """The weighted exponential fit is the root of S0 (E_lam[t - lo] - S1/S0)."""
+
+    IV = Interval(1.0, 4.0)
+    LIMIT = mlfit._SERIES_LIMIT / IV.width   # the slope where the mean switches to its series
+
+    @pytest.mark.parametrize("lam", [-200.0, -2.0, -1e-9, 0.0, 1e-9, 2.0, 200.0,
+                                     LIMIT * (1 - 1e-6), LIMIT * (1 + 1e-6),
+                                     -LIMIT * (1 - 1e-6), -LIMIT * (1 + 1e-6)])
+    def test_mean_matches_quadrature(self, lam):
+        # the quadrature of t h(t) is divided by that of h, so the rounding
+        # of the density's own normalization near lam = 0 cancels
+        h = Density1D("exponential", [lam], self.IV)
+        q1, q0 = integrate(lambda x: np.stack([x * h.pdf(x), h.pdf(x)]), self.IV, tol=1e-14)
+        expected = q1 / q0 - self.IV.lo
+        assert mlfit._exponential_mean(lam, self.IV.width) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("edge", [LIMIT, -LIMIT, 709.0 / IV.width, 710.0 / IV.width])
+    def test_mean_monotone_and_continuous_across_branches(self, edge):
+        # the series limit on both sides, and where expm1 starts to overflow
+        lams = edge + np.linspace(-1e-3, 1e-3, 2001) * abs(edge)
+        width = self.IV.width
+        means = np.array([mlfit._exponential_mean(lam, width) for lam in lams])
+        assert np.all(np.diff(means) < 0)
+        below = mlfit._exponential_mean(np.nextafter(edge, -np.inf), width)
+        assert below == pytest.approx(mlfit._exponential_mean(edge, width), rel=1e-13, abs=0)
+
+    def test_mean_at_extreme_slopes(self):
+        assert mlfit._exponential_mean(1e300, 3.0) == 1e-300
+        assert mlfit._exponential_mean(-1e300, 3.0) == 3.0
+        assert mlfit._exponential_mean(1e-300, 3.0) == 1.5
+
+    @pytest.mark.parametrize("bounds, at", [([(3.0, 5.0)], 3.0), ([(0.05, 1.0)], 1.0)],
+                             ids=["lower", "upper"])
+    def test_root_beyond_a_finite_bound_clamps_to_it(self, exp_data, bounds, at):
+        d, t = exp_data
+        fit = fit_weighted_ml(t, np.ones_like(t), d, bounds=bounds)
+        assert fit.converged and fit.params[0] == at
+        assert fit.covariance is not None
+
+    @pytest.mark.parametrize("slope", [2.0, 0.3, -1.0])
+    def test_default_infinite_bounds(self, slope):
+        # the control model of the CLI: slope 1.5 on [0, 3], no bounds; the
+        # root is bracketed by doubling steps away from 1.5, through 0 when
+        # the slope is negative
+        hs = Density1D("exponential", [1.5], Interval(0.0, 3.0))
+        t = Density1D("exponential", [slope], hs.support).sample(np.random.default_rng(8), 3000)
+        fit = fit_weighted_ml(t, np.ones_like(t), hs)
+        assert fit.converged
+
+        def nll(lam):
+            return -np.sum(Density1D("exponential", [lam], hs.support).logpdf(t))
+
+        res = minimize_scalar(nll, bracket=(slope - 0.5, slope + 0.5), tol=1e-12)
+        assert fit.params[0] == pytest.approx(res.x, abs=1e-6)
+        assert fit.nll == pytest.approx(nll(fit.params[0]), rel=1e-12)
+
+    @pytest.mark.parametrize("w_low, w_high, bounds, at",
+                             [(-0.9, 1.0, [(-5.0, 20.0)], -5.0),
+                              (1.0, -0.9, [(-5.0, 20.0)], 20.0)],
+                             ids=["mean-above-W", "mean-below-0"])
+    def test_no_root_under_negative_weights(self, w_low, w_high, bounds, at):
+        # S1/S0 outside (0, W) = (0, 3), where E_lam[t - lo] never reaches:
+        # not converged within infinite bounds, clamped by a finite one
+        d = Density1D("exponential", [1.5], Interval(0.0, 3.0))
+        t = np.repeat([0.5, 2.5], 100)
+        w = np.repeat([w_low, w_high], 100)
+        assert not 0.0 < np.sum(w * t) / w.sum() < 3.0
+        fit = fit_weighted_ml(t, w, d)
+        assert not fit.converged and fit.flags == ["not_converged"]
+        clamped = fit_weighted_ml(t, w, d, bounds=bounds)
+        assert clamped.converged and clamped.params[0] == at
+
+    def test_last_bit_weight_changes_barely_move_the_slope(self, yields_fit_2000, toy_2000):
+        # the root depends on the weights through S0 and S1 alone, so its
+        # value and its count of score evaluations barely move
+        w = apply_method(MethodSpec("swB"), yields_fit_2000, toy_2000.data).w
+        hs = Density1D("exponential", [1.5], Interval(0.0, 3.0))
+        t = toy_2000.column("t")
+        ref = fit_weighted_ml(t, w, hs)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            fit = fit_weighted_ml(t, w * (1.0 + 1e-15 * rng.uniform(-1, 1, len(w))), hs)
+            assert fit.converged
+            assert fit.params[0] == pytest.approx(ref.params[0], rel=1e-12, abs=0)
+            assert abs(fit.n_calls - ref.n_calls) <= 1
+
+    @pytest.mark.parametrize("weights", ["unit", "swB"])
+    def test_fixed_work_per_fit(self, yields_fit_2000, toy_2000, monkeypatch, weights):
+        # no optimizer, and five pdf calls at N = 2000 whatever the weights:
+        # the support check, ln Z at the root and the three-point stencil of
+        # the Hessian
+        t = toy_2000.column("t")
+        w = (np.ones_like(t) if weights == "unit"
+             else apply_method(MethodSpec("swB"), yields_fit_2000, toy_2000.data).w)
+
+        def no_optimizer(*args, **kwargs):
+            raise AssertionError("the optimizer ran")
+
+        monkeypatch.setattr(mlfit, "minimize", no_optimizer)
+        calls = count_pdf_calls(monkeypatch)
+        fit = fit_weighted_ml(t, w, Density1D("exponential", [1.5], Interval(0.0, 3.0)))
+        assert fit.converged and len(calls) == 5
 
 
 class TestNumericalHessian:
