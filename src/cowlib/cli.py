@@ -253,7 +253,7 @@ def _efficiency_from_path(path: Optional[str]) -> Optional[EfficiencyMap]:
     d = _load_json(path)
     try:
         return EfficiencyMap.from_dict(d)
-    except (ConstructionError, KeyError, TypeError) as exc:
+    except (ConstructionError, KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"bad efficiency map {path}: {exc}") from exc
 
 
@@ -279,8 +279,6 @@ def cmd_sweights(resolved: dict) -> int:
     spec = MethodSpec(f"sweights-{resolved['variant']}", variant=resolved["variant"])
     names, data, model = _model_and_data(resolved, min_cols=1)
     fit = fit_extended_ml(data[:, 0], model)
-    if not fit.converged:
-        return EXIT_NONCONVERGENCE
     weights = apply_method(spec, fit, data)
     wnames, w = weights.columns()
     if resolved["out_weights"]:
@@ -455,8 +453,6 @@ def cmd_pipeline(resolved: dict) -> int:
     names, data, model = _model_and_data(resolved, min_cols=2)
     m, t = data[:, 0], data[:, 1]
     fit = fit_extended_ml(m, model)
-    if not fit.converged:
-        return EXIT_NONCONVERGENCE
     weights = apply_method(spec, fit, data[:, :2], eff)
     w = weights.w
 

@@ -81,6 +81,16 @@ def integrate(f: Callable, iv: Interval, tol: float = 1e-9,
     return _integrate_raw(f, iv.lo, iv.hi, tol=tol, points=points)
 
 
+def _bin_edges(edges, what: str) -> np.ndarray:
+    """``edges`` as an array of bin edges: 1-D, at least two, finite and
+    strictly increasing, else :class:`ConstructionError` naming ``what``."""
+    edges = np.asarray(edges, dtype=float)
+    if (edges.ndim != 1 or len(edges) < 2 or not np.all(np.isfinite(edges))
+            or np.any(np.diff(edges) <= 0)):
+        raise ConstructionError(f"{what} must be finite and strictly increasing")
+    return edges
+
+
 class Density1D:
     """A normalized probability density on a finite interval.
 
@@ -125,10 +135,8 @@ class Density1D:
             if p.size != 1 or p[0] < 1:
                 raise ConstructionError("monomial needs degree parameter k >= 1")
         elif k == "histogram":
-            edges = np.asarray(self.data["edges"], dtype=float)
+            edges = _bin_edges(self.data["edges"], "histogram edges")
             contents = np.asarray(self.data["contents"], dtype=float)
-            if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-                raise ConstructionError("histogram edges must be strictly increasing")
             if len(contents) != len(edges) - 1:
                 raise ConstructionError("len(contents) must equal len(edges) - 1")
             if np.any(contents < 0) or contents.sum() <= 0:
@@ -415,12 +423,12 @@ class EfficiencyMap:
                  fn: Optional[Callable] = None):
         self.kind = kind
         if kind == "grid":
-            self.m_edges = np.asarray(m_edges, dtype=float)
-            self.t_edges = np.asarray(t_edges, dtype=float)
+            self.m_edges = _bin_edges(m_edges, "m_edges")
+            self.t_edges = _bin_edges(t_edges, "t_edges")
             self.values = np.asarray(values, dtype=float)
             if self.values.shape != (len(self.m_edges) - 1, len(self.t_edges) - 1):
                 raise ConstructionError("grid values shape must match the edges")
-            if np.any(self.values <= 0) or np.any(self.values > 1):
+            if not np.all((self.values > 0) & (self.values <= 1)):   # nan fails too
                 raise ConstructionError("efficiency values must lie in (0, 1]")
             self._fn = None
         elif kind == "formula":

@@ -15,7 +15,7 @@ import numpy as np
 from .cows import (CowSpec, UnityVariance, build_cow, efficiency_corrected_weights,
                    variance_fn_ml_iterative, variance_fn_qm)
 from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
-from .errors import ConstructionError
+from .errors import ConstructionError, NonConvergenceError
 from .mlfit import FitResult, yields_only_refit
 from .sweights import (WeightMatrix, compute_W_variant_A, compute_W_variant_B,
                        compute_W_variant_C, weight_functions)
@@ -170,7 +170,10 @@ def apply_method(spec: MethodSpec, fit: FitResult, data,
                  eff: Optional[EfficiencyMap] = None) -> MethodWeights:
     """Weights of ``spec`` at the shapes and yields of the m fit ``fit``, on
     the (m, t) columns ``data``.  Classic weights ignore ``eff`` on purpose:
-    on an efficiency-distorted sample they expose the bias."""
+    on an efficiency-distorted sample they expose the bias.  Raises
+    :class:`~cowlib.errors.NonConvergenceError` when ``fit`` did not converge."""
+    if not fit.converged:
+        raise NonConvergenceError("the extended fit of m did not converge")
     data = np.asarray(data, dtype=float)
     if spec.kind == "sweights":
         wm = sweights_matrix(spec.variant, fit, data[:, 0])

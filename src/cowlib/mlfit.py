@@ -431,48 +431,38 @@ def _exponential_mean(lam: float, width: float) -> float:
         return 1.0 / lam
 
 
-def _decreasing_root(f, x0: float, lower: float, upper: float, xtol: float):
-    """The root of the decreasing scalar function ``f``, clamped to [lower,
-    upper], bracketed by steps out from ``x0`` that double in length; None
-    when ``f`` keeps its sign out to an infinite bound."""
-    a, fa = x0, f(x0)
-    if fa == 0:
-        return x0
-    sign = 1.0 if fa > 0 else -1.0    # the root lies on this side of x0
-    bound = upper if fa > 0 else lower
-    step = max(abs(x0), 1.0)
-    while True:
-        b = x0 + sign * step
-        if sign * (b - bound) >= 0:
-            b = bound
-        if not math.isfinite(b):
-            return None
-        if sign * f(b) <= 0:
-            return brentq(f, min(a, b), max(a, b), xtol=xtol, rtol=_ROOT_RTOL)
-        if b == bound:
-            return bound
-        a, step = b, 2.0 * step
-
-
-def _fit_exponential(t, w, density: Density1D, init, lower, upper, gtol):
+def _fit_exponential(t, w, density: Density1D, lower, upper, gtol):
     """(params, nll, converged, n_calls) of the weighted fit of an
     exponential.  Its log-likelihood is -lam S1 - S0 ln Z(lam), with
     S0 = sum w and S1 = sum w (t - lo), so the fit is the root of the score
     S0 (E_lam[t - lo] - S1/S0); ``n_calls`` counts the score evaluations."""
-    lo_t, width = density.support.lo, density.support.width
+    lo_t, width = density.support.lo, float(density.support.width)   # lam W overflows quietly
     s0, s1 = float(np.sum(w)), float(np.sum(w * (t - lo_t)))
+    mean = s1 / s0
     calls = [0]
 
     def score(lam):   # decreasing in lam, since s0 > 0
         calls[0] += 1
-        return s0 * (_exponential_mean(lam, width) - s1 / s0)
+        return s0 * (_exponential_mean(lam, width) - mean)
 
+    # E_lam[t - lo] falls from W through W/2 at lam = 0 to 0, below 1/lam for
+    # lam > 0 and above W - 1/|lam| for lam < 0; so these bracket the root,
+    # which is infinite when the mean is outside (0, W)
+    if mean <= width / 2:
+        a, b = 0.0, (1.0 / mean if mean > 0 else math.inf)
+    else:
+        a, b = (-1.0 / (width - mean) if mean < width else -math.inf), 0.0
     lo, hi = float(lower[0]), float(upper[0])
-    x0 = min(max(float(init[0]), lo), hi)
-    # the absolute tolerance resolves a slope near 0 on its natural scale 1/W
-    lam = _decreasing_root(score, x0, lo, hi, _ROOT_RTOL / width)
-    found = lam is not None
-    lam = x0 if lam is None else lam
+    a, b = min(max(a, lo), hi), min(max(b, lo), hi)
+    found = math.isfinite(a) and math.isfinite(b)
+    if not found:   # the root is beyond an infinite bound; keep the finite end
+        lam = a if math.isfinite(a) else b
+    elif score(a) <= 0:   # no sign change inside: clamp to the root's side
+        lam = a
+    elif score(b) >= 0:
+        lam = b
+    else:   # the absolute tolerance resolves a slope near 0 on its scale 1/W
+        lam = brentq(score, a, b, xtol=_ROOT_RTOL / width, rtol=_ROOT_RTOL)
     try:
         log_norm = -density.with_params([lam]).logpdf(lo_t)   # h(lo) = 1/Z
     except ConstructionError:
@@ -487,9 +477,9 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
     """Solve the weighted score equations for the shape parameters of ``density``.
 
     Weights may be negative (sWeights are).  An exponential is fitted as the
-    root of its score over two weighted sums (:func:`_fit_exponential`),
-    every other kind by L-BFGS-B and the Newton polish.  The hessian field holds
-    :func:`_weighted_hessian` over the events of nonzero weight, and the
+    root of its score over two weighted sums (:func:`_fit_exponential`, which
+    needs no ``init``), every other kind by L-BFGS-B and the Newton polish.
+    The hessian field holds :func:`_weighted_hessian` over the events of nonzero weight, and the
     covariance field the naive inverse of it, which is *not* a valid
     covariance for weighted data; use the wcov module to correct it.  It is
     ``CorrectedCovariance.naive`` bit for bit when no weight is 0 (else to
@@ -543,7 +533,7 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
     # score scales with sum|w|; point estimate is scale-invariant
     gtol = GRAD_TOL_PER_EVENT * max(np.sum(np.abs(w)), 1.0)
     if density.kind == "exponential":
-        x, fval, converged, n_calls = _fit_exponential(t, w, density, init, lower, upper, gtol)
+        x, fval, converged, n_calls = _fit_exponential(t, w, density, lower, upper, gtol)
     else:
         x, fval, converged, n_calls, _ = _run_fit(nll, grad, init, lower, upper, gtol)
     cov, hess, flags = _curvature(

@@ -16,7 +16,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,17 +232,28 @@ def _rectangle_rule(n: int):
 
 
 class _NonfactTruth:
-    """Closed-form truth of the non-factorising study."""
+    """Closed-form truth of the non-factorising study, with the
+    seed-independent set-up of its generator: the normalizations of the
+    observed components under the efficiency applied (unity without
+    ``use_eff``), their accept-reject envelopes and the efficiency map."""
 
-    def __init__(self, params: Dict[str, float]):
+    def __init__(self, params: Dict[str, float], use_eff: bool):
         p = dict(NONFACT_DEFAULTS)
         p.update(params)
         self.p = p
+        self.use_eff = use_eff
         self.gs, _, self.hs, _ = simple_truth_densities()
         self.lam0 = SIMPLE_TRUTH["bkg_m"][1][0]
         self.mu0 = SIMPLE_TRUTH["bkg_t"][1][0]
         self.sig0 = SIMPLE_TRUTH["bkg_t"][1][1]
-        self._bkg_norm = self._compute_bkg_norm()
+        M, T, w2d = _rectangle_rule(120)
+        self._bkg_norm = float(np.sum(self.bkg_unnorm(M, T) * w2d))
+        M, T, w2d = _rectangle_rule(80)
+        self.det_sig = float(np.sum(self.rho_sig(M, T) * w2d))
+        self.det_bkg = float(np.sum(self.rho_bkg(M, T) * w2d))
+        self.env_sig = 1.2 * _grid_max(self.rho_sig)
+        self.env_bkg = 1.2 * _grid_max(self.rho_bkg)
+        self.eff_map = EfficiencyMap.from_function(self.eff) if use_eff else None
 
     def bkg_unnorm(self, m, t):
         p = self.p
@@ -251,24 +262,27 @@ class _NonfactTruth:
         sig = self.sig0 + p["bkg_width_m"] * m
         return np.exp(-lam * m) * np.exp(-0.5 * ((t - mu) / sig) ** 2)
 
-    def _compute_bkg_norm(self) -> float:
-        M, T, w2d = _rectangle_rule(120)
-        return float(np.sum(self.bkg_unnorm(M, T) * w2d))
-
     def f_bkg(self, m, t):
         return self.bkg_unnorm(m, t) / self._bkg_norm
 
     def f_sig(self, m, t):
         return self.gs.pdf(m) * self.hs.pdf(t)
 
-    def f_total(self, m, t, z):
-        return z * self.f_sig(m, t) + (1.0 - z) * self.f_bkg(m, t)
-
     def eff(self, m, t):
         p = self.p
         tau = (np.asarray(t, dtype=float) - T_SUPPORT.lo) / T_SUPPORT.width
         return (p["eff_base"] + p["eff_m"] * np.asarray(m, dtype=float)
                 + p["eff_t"] * tau + p["eff_mt"] * np.asarray(m, dtype=float) * tau)
+
+    def applied_eff(self, m, t):
+        """The efficiency the generator applies: ``eff``, or 1 without it."""
+        return self.eff(m, t) if self.use_eff else np.ones_like(np.asarray(m, dtype=float))
+
+    def rho_sig(self, m, t):
+        return self.applied_eff(m, t) * self.f_sig(m, t)
+
+    def rho_bkg(self, m, t):
+        return self.applied_eff(m, t) * self.f_bkg(m, t)
 
 
 def _grid_max(fn, n=201) -> float:
@@ -314,57 +328,12 @@ def _accept_reject_2d(rng, fn, n, envelope) -> Tuple[np.ndarray, np.ndarray]:
     return out_m[:n], out_t[:n]
 
 
-@dataclass(frozen=True)
-class _NonfactSetup:
-    """The seed-independent part of :func:`generate_nonfactorising`."""
-
-    truth: _NonfactTruth
-    eff: Callable
-    det_sig: float
-    det_bkg: float
-    rho_sig: Callable
-    rho_bkg: Callable
-    env_sig: float
-    env_bkg: float
-    eff_map: Optional[EfficiencyMap]
-
-
-def _nonfact_setup(params, use_eff: bool) -> _NonfactSetup:
-    truth = _NonfactTruth(params)
-
-    def eff(m, t):
-        if use_eff:
-            return truth.eff(m, t)
-        return np.ones_like(np.asarray(m, dtype=float))
-
-    # observed per-component normalizations under the efficiency
-    M, T, w2d = _rectangle_rule(80)
-    det_sig = float(np.sum(eff(M, T) * truth.f_sig(M, T) * w2d))
-    det_bkg = float(np.sum(eff(M, T) * truth.f_bkg(M, T) * w2d))
-
-    def rho_sig(m, t):
-        return eff(m, t) * truth.f_sig(m, t)
-
-    def rho_bkg(m, t):
-        return eff(m, t) * truth.f_bkg(m, t)
-
-    eff_map = EfficiencyMap.from_function(truth.eff) if use_eff else None
-    return _NonfactSetup(truth, eff, det_sig, det_bkg, rho_sig, rho_bkg,
-                         1.2 * _grid_max(rho_sig), 1.2 * _grid_max(rho_bkg),
-                         eff_map)
-
-
 @functools.lru_cache(maxsize=8)
-def _cached_nonfact_setup(params: frozenset, use_eff: bool) -> _NonfactSetup:
-    return _nonfact_setup(dict((k, v) for k, _, v in params), use_eff)
-
-
-def _nonfact_setup_for(params, use_eff: bool) -> _NonfactSetup:
-    """The set-up of a study, made once per process for every (params,
-    efficiency); every toy of an ensemble shares it, truth object and
-    efficiency map included, so they are read-only."""
-    key = frozenset((k, type(v), v) for k, v in dict(params).items())
-    return _cached_nonfact_setup(key, bool(use_eff))
+def _nonfact_truth(params: frozenset, use_eff: bool) -> _NonfactTruth:
+    """The truth of a study, made once per process for every (params,
+    efficiency) key; every toy of an ensemble shares it, efficiency map
+    included, so it is read-only."""
+    return _NonfactTruth(dict((k, v) for k, _, v in params), use_eff)
 
 
 def generate_nonfactorising(spec: ToySpec) -> ToyDataset:
@@ -374,25 +343,26 @@ def generate_nonfactorising(spec: ToySpec) -> ToyDataset:
     callables, so tests can integrate the generator density directly.
     """
     rng = _rng(spec.seed)
-    st = _nonfact_setup_for(spec.params, spec.efficiency)
+    # an int and a float of the same value are separate keys
+    tr = _nonfact_truth(frozenset((k, type(v), v) for k, v in dict(spec.params).items()),
+                        spec.efficiency)
     z = spec.z
-    z_obs = z * st.det_sig / (z * st.det_sig + (1 - z) * st.det_bkg)
+    z_obs = z * tr.det_sig / (z * tr.det_sig + (1 - z) * tr.det_bkg)
 
     n = spec.n_events
     is_sig = rng.random(n) < z_obs
     n_sig = int(np.sum(is_sig))
     m = np.empty(n)
     t = np.empty(n)
-    m[is_sig], t[is_sig] = _accept_reject_2d(rng, st.rho_sig, n_sig, st.env_sig)
-    m[~is_sig], t[~is_sig] = _accept_reject_2d(rng, st.rho_bkg, n - n_sig, st.env_bkg)
+    m[is_sig], t[is_sig] = _accept_reject_2d(rng, tr.rho_sig, n_sig, tr.env_sig)
+    m[~is_sig], t[~is_sig] = _accept_reject_2d(rng, tr.rho_bkg, n - n_sig, tr.env_bkg)
 
-    D = z * st.det_sig + (1 - z) * st.det_bkg
-    truth = st.truth
-    info = {"z": z, "z_obs": z_obs, "slope": TRUE_SLOPE, "gs": truth.gs,
-            "hs": truth.hs, "f_sig": truth.f_sig, "f_bkg": truth.f_bkg,
-            "eff": st.eff, "D": D, "nonfact": truth}
+    D = z * tr.det_sig + (1 - z) * tr.det_bkg
+    info = {"z": z, "z_obs": z_obs, "slope": TRUE_SLOPE, "gs": tr.gs,
+            "hs": tr.hs, "f_sig": tr.f_sig, "f_bkg": tr.f_bkg,
+            "eff": tr.applied_eff, "D": D, "nonfact": tr}
     return ToyDataset(np.column_stack([m, t]), ["m", "t"],
-                      np.where(is_sig, 0, 1), efficiency=st.eff_map, truth=info)
+                      np.where(is_sig, 0, 1), efficiency=tr.eff_map, truth=info)
 
 
 def generate(spec: ToySpec) -> ToyDataset:
@@ -467,11 +437,9 @@ def _fit_models(ds: ToyDataset, fit_shapes: set) -> Dict[bool, FitResult]:
 
 
 def _run_method(method: MethodSpec, ds: ToyDataset, fits: Dict[bool, FitResult]) -> dict:
-    fit = fits[method.fit_shapes]
-    if not fit.converged:
-        raise EvaluationError("m fit did not converge")
     t = ds.column("t")
-    weights = apply_method(method, fit, np.column_stack([ds.m, t]), ds.efficiency)
+    weights = apply_method(method, fits[method.fit_shapes], np.column_stack([ds.m, t]),
+                           ds.efficiency)
     w = weights.w
     truth_slope = ds.truth.get("slope", TRUE_SLOPE)
 

@@ -178,10 +178,11 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     theta = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     n_sig = cow.spec.n_signal
 
-    inv_e = 1.0 / efficiency_at(eff, m, t)
+    e = efficiency_at(eff, m, t)
+    inv_e = 1.0 / e
     G = cow.basis_values(m)                        # (nb, N)
     w_m = cow.weights(m, G)[:, :n_sig].sum(axis=1)  # weight function values
-    w = w_m * inv_e                                # fit weights
+    w = w_m / e           # fit weights, divided as efficiency_corrected_weights does
 
     d1, Hinv, first, naive = _sandwich(hs_model, t, w, theta)
     var = cow.spec.variance_fn

@@ -1,5 +1,6 @@
 """End-to-end command-line interface tests (run in-process)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -675,8 +676,9 @@ class TestConfigShape:
 
 
     def test_correct_where_the_slope_fit_overflows(self, tmp_path, capsys):
-        # every event sits at the top of the support, so the slope fit walks
-        # towards -inf until exp(-slope * 3) overflows: not converged, exit 2
+        # every event sits at the top of the support, so the slope is the
+        # root near -1/(3 - 2.999) = -1000, where exp(-slope * 3) overflows:
+        # not converged, exit 2
         data, weights = tmp_path / "d.csv", tmp_path / "w.csv"
         cli.write_csv(str(data), ["m", "t"], np.column_stack([np.full(50, 0.5), np.full(50, 2.999)]))
         cli.write_csv(str(weights), ["w_s"], np.ones((50, 1)))
@@ -697,6 +699,48 @@ class TestConfigShape:
         assert cli.main(["correct", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: the weighted fit")
         assert not (tmp_path / "o.json").exists()
+
+
+    @pytest.mark.parametrize("grid", [
+        {"m_edges": [0.0, 1.0], "t_edges": [0.0, 3.0], "values": [["x"]]},
+        {"m_edges": [0.0, 1.0, 0.5], "t_edges": [0.0, 3.0], "values": [[0.5], [0.5]]},
+        {"m_edges": [0.0, 1.0], "t_edges": [0.0, float("nan"), 3.0], "values": [[0.5, 0.5]]}],
+        ids=["string-value", "unsorted-edges", "nan-edge"])
+    @pytest.mark.parametrize("command", ["cow", "pipeline"])
+    def test_malformed_efficiency_map(self, tmp_path, data_csv, capsys, command, grid):
+        eff = write_cfg(tmp_path, "eff.json", grid)
+        out = tmp_path / "s.json"
+        if command == "cow":
+            cfg = {"data": data_csv, "support": [0.0, 1.0], "basis": [GS_CFG, GB_CFG],
+                   "efficiency": eff, "out_summary": str(out)}
+        else:
+            cfg = {"data": data_csv, "model": MODEL_CFG, "method": "cow",
+                   "cow": {"efficiency": eff}, "control_model": CONTROL_CFG,
+                   "out_summary": str(out)}
+        assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: bad efficiency map {eff}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "sweights", "pipeline"])
+    def test_m_fit_that_does_not_converge(self, tmp_path, data_csv, capsys, monkeypatch,
+                                          command):
+        # exit 2 with an error line; only `fit` writes its (failed) result
+        fit_extended_ml = cli.fit_extended_ml
+        monkeypatch.setattr(cli, "fit_extended_ml", lambda *args: dataclasses.replace(
+            fit_extended_ml(*args), converged=False))
+        out = tmp_path / "s.json"
+        cfg = {"data": data_csv, "model": MODEL_CFG, "out_summary": str(out)}
+        if command == "fit":
+            cfg = {"data": data_csv, "model": MODEL_CFG, "out": str(out)}
+        elif command == "pipeline":
+            cfg["control_model"] = CONTROL_CFG
+        assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        if command == "fit":
+            assert err == "" and json.loads(out.read_text())["fit"]["converged"] is False
+        else:
+            assert err == "error: the extended fit of m did not converge\n"
+            assert not out.exists()
 
 
 class TestSharedConfigLayer:

@@ -414,6 +414,24 @@ class TestEfficiencyMap:
         with pytest.raises(ConstructionError):
             EfficiencyMap.from_grid([0.0, 1.0], [0.0, 1.0], [[1.5]])
 
+    @pytest.mark.parametrize("m_edges, t_edges, values", [
+        ([0.0, 1.0, 0.5], [0.0, 1.0], [[0.5], [0.5]]),
+        ([0.0, np.nan, 1.0], [0.0, 1.0], [[0.5], [0.5]]),
+        ([0.0, 1.0], [0.0, np.inf], [[0.5]]),
+        ([0.0, 1.0], [[0.0, 1.0]], [[0.5]]),
+        ([0.0, 1.0], [0.0, 1.0], [[np.nan]])],
+        ids=["unsorted", "nan-edge", "infinite-edge", "2-d-edges", "nan-value"])
+    def test_malformed_grid_rejected(self, m_edges, t_edges, values):
+        # edges out of order would put events in the wrong bins
+        with pytest.raises(ConstructionError, match="edges must be finite and strictly "
+                                                    "increasing|values must lie in"):
+            EfficiencyMap.from_grid(m_edges, t_edges, values)
+
+    def test_histogram_shares_the_edge_rule(self, unit_interval):
+        with pytest.raises(ConstructionError, match="histogram edges must be finite"):
+            Density1D("histogram", [], unit_interval,
+                      {"edges": [0.0, np.nan, 1.0], "contents": [1.0, 2.0]})
+
     def test_unit_efficiency(self):
         m = np.linspace(0, 1, 5)
         assert np.allclose(efficiency_at(None, m, m), 1.0)

@@ -1,8 +1,11 @@
 """Extended and weighted maximum-likelihood fits and numerical Hessians."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
 from cowlib import (ConstructionError, Density1D, EvaluationError, Interval,
                     MixtureComponent, MixtureModel, fit_extended_ml,
@@ -183,6 +186,79 @@ class TestWeightedML:
             fit_weighted_ml(t, np.ones(3), d)
 
 
+def reference_decreasing_root(f, x0, lower, upper, xtol):
+    """The root of the decreasing scalar function ``f``, clamped to [lower,
+    upper], bracketed by steps out from ``x0`` that double in length; None
+    when ``f`` keeps its sign out to an infinite bound.  The bracket search
+    of the exponential fit before its bracket was written in closed form."""
+    a, fa = x0, f(x0)
+    if fa == 0:
+        return x0
+    sign = 1.0 if fa > 0 else -1.0
+    bound = upper if fa > 0 else lower
+    step = max(abs(x0), 1.0)
+    while True:
+        b = x0 + sign * step
+        if sign * (b - bound) >= 0:
+            b = bound
+        if not math.isfinite(b):
+            return None
+        if sign * f(b) <= 0:
+            return brentq(f, min(a, b), max(a, b), xtol=xtol, rtol=mlfit._ROOT_RTOL)
+        if b == bound:
+            return bound
+        a, step = b, 2.0 * step
+
+
+def reference_fit_exponential(t, w, density, init, lower, upper, gtol):
+    """(params, nll, converged) of the exponential fit with the bracket
+    searched from ``init`` by :func:`reference_decreasing_root`."""
+    lo_t, width = density.support.lo, density.support.width
+    s0, s1 = float(np.sum(w)), float(np.sum(w * (t - lo_t)))
+
+    def score(lam):
+        return s0 * (mlfit._exponential_mean(lam, width) - s1 / s0)
+
+    lo, hi = float(lower[0]), float(upper[0])
+    x0 = min(max(float(init[0]), lo), hi)
+    lam = reference_decreasing_root(score, x0, lo, hi, mlfit._ROOT_RTOL / width)
+    found = lam is not None
+    lam = x0 if lam is None else lam
+    try:
+        log_norm = -density.with_params([lam]).logpdf(lo_t)
+    except ConstructionError:
+        found, log_norm = False, math.inf
+    x = np.array([lam])
+    g = mlfit._projected_grad(np.array([-score(lam)]), x, lower, upper)
+    return x, lam * s1 + s0 * log_norm, found and bool(abs(g[0]) < gtol)
+
+
+# bounds on the slope in units of 1/W: none, both finite, and one of each
+SLOPE_BOUNDS = [(-math.inf, math.inf), (0.05, 20.0), (-5.0, 20.0), (-math.inf, 3.0),
+                (0.5, math.inf)]
+
+
+def assert_root_matches_reference(fracs, w, width, lo, bounds):
+    """The closed-form bracket keeps the reference's converged flag, and its
+    slope within 1e-12 of max(|lam|, 1/W): a root at lam = 0 is resolved to
+    the absolute tolerance 4 eps / W of both."""
+    d = Density1D("exponential", [1.5], Interval(lo, lo + width))
+    t = lo + width * np.asarray(fracs, dtype=float)
+    w = np.asarray(w, dtype=float)
+    lower, upper = (np.array([b / width]) for b in bounds)
+    gtol = mlfit.GRAD_TOL_PER_EVENT * max(np.sum(np.abs(w)), 1.0)
+    x, _, converged, _ = mlfit._fit_exponential(t, w, d, lower, upper, gtol)
+    rx, _, rconverged = reference_fit_exponential(t, w, d, d.params, lower, upper, gtol)
+    if rconverged != converged:
+        # the reference's brentq stopped at a slope of |lam W| < 1e-16 next
+        # to a root at 0, where the normalization 1 - exp(-lam W) of the
+        # density rounds to 0; the closed-form bracket lands on 0 exactly
+        assert converged and x[0] == 0.0 and abs(rx[0] * width) < 1e-16
+        return
+    if converged:   # a fit that failed keeps no estimate
+        assert abs(x[0] - rx[0]) <= 1e-12 * max(abs(rx[0]), 1.0 / width)
+
+
 class TestExponentialRoot:
     """The weighted exponential fit is the root of S0 (E_lam[t - lo] - S1/S0)."""
 
@@ -215,6 +291,36 @@ class TestExponentialRoot:
         assert mlfit._exponential_mean(-1e300, 3.0) == 3.0
         assert mlfit._exponential_mean(1e-300, 3.0) == 1.5
 
+    # weights of either sign, 0 or of order one as event weights are: a
+    # subnormal weight sum leaves the score no bits to find a root with
+    WEIGHTS = st.just(0.0) | st.floats(1e-3, 2.0) | st.floats(-1.0, -1e-3)
+
+    @settings(max_examples=300)
+    @given(log_width=st.floats(-3.0, 3.0), lo=st.sampled_from([0.0, -1.0, 2.5]),
+           events=st.lists(st.tuples(st.floats(0.0, 1.0), WEIGHTS), min_size=2, max_size=12),
+           bounds=st.sampled_from(SLOPE_BOUNDS))
+    def test_bracket_matches_the_doubling_search(self, log_width, lo, events, bounds):
+        fracs, w = zip(*events)
+        assume(sum(w) > 1e-3)
+        assert_root_matches_reference(fracs, w, 10.0 ** log_width, lo, bounds)
+
+    @pytest.mark.parametrize("bounds", SLOPE_BOUNDS)
+    @pytest.mark.parametrize("width", [1e-3, 3.0, 1e3])
+    @pytest.mark.parametrize("fracs", [[0.0, 1.0], [1e-9, 1e-12], [1e-3, 0.0],
+                                       [0.99, 0.99], [1.0, 1.0 - 1e-9], [0.0, 0.0], [1.0, 1.0]],
+                             ids=["half", "near-0", "small", "near-W", "nearer-W", "at-0", "at-W"])
+    def test_bracket_at_the_edges_of_the_mean(self, fracs, width, bounds):
+        # S1/S0 = W/2 exactly (the root is lam = 0), towards 0 and W from
+        # inside, and at 0 and W, where no finite root exists
+        assert_root_matches_reference(fracs, [1.0, 1.0], width, 0.0, bounds)
+
+    @pytest.mark.parametrize("init", [-50.0, 0.0, 1.5, 1e6])
+    def test_init_is_ignored(self, exp_data, init):
+        d, t = exp_data
+        ref = fit_weighted_ml(t, np.ones_like(t), d)
+        fit = fit_weighted_ml(t, np.ones_like(t), d, init=[init])
+        assert fit.params[0] == ref.params[0] and fit.n_calls == ref.n_calls
+
     @pytest.mark.parametrize("bounds, at", [([(3.0, 5.0)], 3.0), ([(0.05, 1.0)], 1.0)],
                              ids=["lower", "upper"])
     def test_root_beyond_a_finite_bound_clamps_to_it(self, exp_data, bounds, at):
@@ -226,8 +332,8 @@ class TestExponentialRoot:
     @pytest.mark.parametrize("slope", [2.0, 0.3, -1.0])
     def test_default_infinite_bounds(self, slope):
         # the control model of the CLI: slope 1.5 on [0, 3], no bounds; the
-        # root is bracketed by doubling steps away from 1.5, through 0 when
-        # the slope is negative
+        # root is bracketed by [0, 1/mean] or, for a negative slope, by
+        # [-1/(W - mean), 0]
         hs = Density1D("exponential", [1.5], Interval(0.0, 3.0))
         t = Density1D("exponential", [slope], hs.support).sample(np.random.default_rng(8), 3000)
         fit = fit_weighted_ml(t, np.ones_like(t), hs)

@@ -184,20 +184,20 @@ def toy():
 def captured_scores(monkeypatch):
     """The nll gradients the fits solve: the closures handed to the
     optimizer, and theta -> -score(theta_0) for the closed-form score the
-    exponential weighted fit hands to its root finder."""
+    exponential weighted fit hands to ``brentq``."""
     grads = []
-    run, root = mlfit._run_fit, mlfit._decreasing_root
+    run, root = mlfit._run_fit, mlfit.brentq
 
     def capture(nll, grad, *args):
         grads.append(grad)
         return run(nll, grad, *args)
 
-    def capture_root(score, *args):
+    def capture_root(score, *args, **kwargs):
         grads.append(lambda theta: np.array([-score(theta[0])]))
-        return root(score, *args)
+        return root(score, *args, **kwargs)
 
     monkeypatch.setattr(mlfit, "_run_fit", capture)
-    monkeypatch.setattr(mlfit, "_decreasing_root", capture_root)
+    monkeypatch.setattr(mlfit, "brentq", capture_root)
     return grads
 
 

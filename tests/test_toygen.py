@@ -1,5 +1,6 @@
 """Pseudo-experiment generators and the ensemble runner."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -136,6 +137,21 @@ class TestNonfactorisingGenerator:
                               generate_nonfactorising(spec).data)
 
 
+def test_m_fit_that_does_not_converge_fails_each_method(monkeypatch):
+    fit_extended_ml = toygen.fit_extended_ml
+    monkeypatch.setattr(toygen, "fit_extended_ml", lambda *args: dataclasses.replace(
+        fit_extended_ml(*args), converged=False))
+    cfg = EnsembleConfig(toy=ToySpec(study="simple", n_events=500, z=0.3),
+                         methods=[MethodSpec(name="swB"),
+                                  MethodSpec(name="cow", kind="cow", fit_shapes=True)],
+                         n_toys=1)
+    record = toygen.run_toy(cfg, 0)
+    assert not record["ok"]
+    assert record["methods"] == {
+        name: {"ok": False, "error": "the extended fit of m did not converge"}
+        for name in ("swB", "cow")}
+
+
 class TestNonfactSetupCache:
     """The seed-independent set-up of the non-factorising study is made
     once per process for each (params, efficiency)."""
@@ -158,10 +174,10 @@ class TestNonfactSetupCache:
         return out
 
     def test_cached_toys_equal_freshly_set_up_ones(self, monkeypatch):
-        toygen._cached_nonfact_setup.cache_clear()
+        toygen._nonfact_truth.cache_clear()
         cached = self._toys(self.SPECS, range(4))
-        monkeypatch.setattr(toygen, "_cached_nonfact_setup",
-                            lambda key, use_eff: toygen._nonfact_setup(
+        monkeypatch.setattr(toygen, "_nonfact_truth",
+                            lambda key, use_eff: toygen._NonfactTruth(
                                 dict((k, v) for k, _, v in key), use_eff))
         fresh = self._toys(self.SPECS, range(4))
         for a, b in zip(cached, fresh):
@@ -169,15 +185,15 @@ class TestNonfactSetupCache:
                 assert np.array_equal(x, y)
 
     def test_set_up_once_per_params_and_efficiency(self, monkeypatch):
-        toygen._cached_nonfact_setup.cache_clear()
+        toygen._nonfact_truth.cache_clear()
         made = []
-        setup = toygen._nonfact_setup
+        truth = toygen._NonfactTruth
 
         def counted(params, use_eff):
             made.append((dict(params), use_eff))
-            return setup(params, use_eff)
+            return truth(params, use_eff)
 
-        monkeypatch.setattr(toygen, "_nonfact_setup", counted)
+        monkeypatch.setattr(toygen, "_NonfactTruth", counted)
         self._toys(self.SPECS, range(3))
         self._toys(self.SPECS, range(3, 5))
         assert len(made) == 3
@@ -187,13 +203,16 @@ class TestNonfactSetupCache:
         assert len(made) == 5
 
     def test_pairs_share_the_mapping_cache_entry(self):
-        toygen._cached_nonfact_setup.cache_clear()
+        toygen._nonfact_truth.cache_clear()
         spec = dict(study="nonfactorising", n_events=80, z=0.5, seed=3,
                     efficiency=True)
         got = generate_nonfactorising(ToySpec(params=[("eff_base", 0.3)], **spec))
         ref = generate_nonfactorising(ToySpec(params={"eff_base": 0.3}, **spec))
-        assert toygen._cached_nonfact_setup.cache_info().currsize == 1
+        assert toygen._nonfact_truth.cache_info().currsize == 1
         assert np.array_equal(got.data, ref.data)
+        # one object is both the generator's set-up and the toys' truth
+        assert got.truth["nonfact"] is ref.truth["nonfact"]
+        assert got.efficiency is got.truth["nonfact"].eff_map
 
     @pytest.mark.parametrize("value", ["x", [0.3], [1, 2], True, None, float("nan"),
                                        float("inf"), 10 ** 400],

@@ -7,9 +7,10 @@ import pytest
 
 from cowlib import (Density1D, EvaluationError, Interval, MixtureComponent,
                     MixtureModel, fit_extended_ml,
-                    fit_weighted_ml, monomial_basis, wcov)
+                    fit_weighted_ml, monomial_basis, toygen, wcov)
 from cowlib.cows import (CowSpec, MixtureVariance,
                          UnityVariance, build_cow, variance_fn_qm)
+from cowlib.methods import MethodSpec, apply_method
 from cowlib.sweights import compute_W_variant_B, weight_functions
 from cowlib.toygen import (TRUE_SLOPE, ToySpec, generate_nonfactorising,
                            generate_simple, simple_truth_densities)
@@ -19,6 +20,7 @@ from cowlib.wcov import (QuasiScoreSpec, corrected_covariance_cow,
                          variance_sum_weights)
 
 T_IV = Interval(0.0, 3.0)
+HS_TOY = Density1D("exponential", [1.5], T_IV)   # the control model the toys fit
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +209,21 @@ class TestCowCorrection:
                                         tfit.params)
         ratio = corr.theta_block[0, 0] / corr.first_term[0, 0]
         assert 0.4 < ratio < 2.5
+
+    @pytest.mark.parametrize("seed", [20260830, 20260832])
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_naive_is_the_fit_covariance_under_an_efficiency(self, seed, order):
+        # the correction weights each event by w / eps, as the fit does; a
+        # product w * (1/eps) differs in the last bit for about 1 in 4 events
+        ds = toygen.generate(ToySpec(study="nonfactorising", n_events=2000, z=0.5,
+                                     efficiency=True, seed=seed))
+        ms = MethodSpec(name=f"cow{order}", kind="cow", variance="qm", qm_bins=50,
+                        poly_order=order)
+        weights = apply_method(ms, toygen._fit_models(ds, {False})[False], ds.data,
+                               ds.efficiency)
+        tfit = fit_weighted_ml(ds.column("t"), weights.w, HS_TOY, bounds=[(0.05, 20.0)])
+        assert tfit.converged
+        assert np.array_equal(weights.covariance(HS_TOY, tfit.params).naive, tfit.covariance)
 
     def test_invalid_inputs(self, weighted_toy, hist_cow):
         d = weighted_toy
