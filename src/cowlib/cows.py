@@ -333,12 +333,14 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
                              eff: Optional[EfficiencyMap] = None,
                              max_iter: Optional[int] = None,
                              tol: float = 1e-8,
+                             start=None,
                              ) -> Tuple[np.ndarray, MixtureVariance]:
     """Iterate I(m) = sum z_k g_k with fractions re-estimated each step.
 
-    Starts from equal fractions; a handful of steps (about the number of
-    components) normally suffices.  Fractions leaving [0, 1] are clipped and
-    renormalized.  Raises :class:`~cowlib.errors.NonConvergenceError` with
+    Starts from the fractions ``start`` (say, those of a fit of m, when the
+    basis is its components) or else from equal fractions; from equal ones
+    a handful of steps (about the number of components) normally suffices.
+    Fractions leaving [0, 1] are clipped and renormalized.  Raises :class:`~cowlib.errors.NonConvergenceError` with
     the iteration trace if the tolerance is not reached.
     """
     basis = list(basis)
@@ -348,7 +350,7 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
         max_iter = 2 * n + 10
     if max_iter < 1:
         raise ConstructionError("max_iter must be >= 1")
-    z = np.full(n, 1.0 / n)
+    z = np.full(n, 1.0 / n) if start is None else np.array(start, dtype=float)
     trace = [z.copy()]
     clipped = False
     for _ in range(max_iter):

@@ -194,10 +194,7 @@ class Density1D:
             return p[1] - p[0]
         if k == "normal":
             mu, sigma = p
-            a, b = (lo - mu) / sigma, (hi - mu) / sigma
-            # in the upper tail the CDF difference cancels to 0: use the survival function
-            mass = ndtr(-a) - ndtr(-b) if a > 0 else ndtr(b) - ndtr(a)
-            return sigma * math.sqrt(2 * math.pi) * mass
+            return sigma * _SQRT_2PI * _normal_mass((lo - mu) / sigma, (hi - mu) / sigma)
         if k == "exponential":
             lam = p[0]
             if lam == 0:
@@ -238,6 +235,59 @@ class Density1D:
 
     def __call__(self, x, extrapolate: bool = False):
         return self.pdf(x, extrapolate=extrapolate)
+
+    # -- closed-form parameter derivatives of ln pdf ---------------------------
+    # ``normal`` and ``exponential`` only (None for every other kind), valid
+    # at points inside the support.  A normal's ln pdf is -z^2/2 - ln(sigma) -
+    # ln(sqrt(2 pi) M) with z = (x - mu)/sigma and M the mass on the support;
+    # an exponential's is -lam u - ln Z(lam) with u = x - lo, whose score is
+    # E_lam[u] - u and whose second derivative is -Var_lam(u).
+
+    @property
+    def closed_form_derivatives(self) -> bool:
+        """Whether :meth:`dlogpdf` and :meth:`d2logpdf` exist for this kind."""
+        return self.kind in ("normal", "exponential")
+
+    def _normal_ends(self):
+        """(sigma, a, b, r_a, r_b): the standardized support ends and phi at
+        each over the mass between them."""
+        mu, sigma = self.params
+        a, b = (self.support.lo - mu) / sigma, (self.support.hi - mu) / sigma
+        log_c = math.log(_SQRT_2PI * _normal_mass(a, b))
+        return sigma, a, b, math.exp(-0.5 * a * a - log_c), math.exp(-0.5 * b * b - log_c)
+
+    def dlogpdf(self, x) -> Optional[np.ndarray]:
+        """d ln pdf / d params at ``x``, shape (n_params,) + x.shape."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == "exponential":
+            lo, width = self.support.lo, self.support.width
+            return (_exponential_mean(self.params[0], width) - (x - lo))[None]
+        if self.kind != "normal":
+            return None
+        sigma, a, b, ra, rb = self._normal_ends()
+        z = (x - self.params[0]) / sigma
+        return np.stack([(z - (ra - rb)) / sigma, (z * z - 1.0 - (a * ra - b * rb)) / sigma])
+
+    def d2logpdf(self, x) -> Optional[np.ndarray]:
+        """d^2 ln pdf / d params^2 at ``x``, shape (n_params, n_params) + x.shape."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == "exponential":
+            var = _exponential_variance(self.params[0], self.support.width)
+            return np.full((1, 1) + x.shape, -var)
+        if self.kind != "normal":
+            return None
+        sigma, a, b, ra, rb = self._normal_ends()
+        # sigma times the mass's log-derivatives, then sigma^2 times its second ones
+        l_mu, l_s = ra - rb, a * ra - b * rb
+        l_mumu = l_s - l_mu * l_mu
+        l_mus = a * a * ra - b * b * rb - l_mu - l_mu * l_s
+        l_ss = a ** 3 * ra - b ** 3 * rb - 2.0 * l_s - l_s * l_s
+        z = (x - self.params[0]) / sigma
+        out = np.empty((2, 2) + x.shape)
+        out[0, 0] = -(1.0 + l_mumu) / sigma ** 2
+        out[0, 1] = out[1, 0] = -(2.0 * z + l_mus) / sigma ** 2
+        out[1, 1] = (1.0 - 3.0 * z * z - l_ss) / sigma ** 2
+        return out
 
     def breakpoints(self) -> List[float]:
         """Interior points where the density is non-smooth."""
@@ -348,6 +398,53 @@ class Density1D:
             data = {"weights": d["weights"],
                     "components": [cls.from_dict(c) for c in d["components"]]}
         return cls(kind, d.get("params", []), support, data)
+
+
+_SQRT_2PI = math.sqrt(2 * math.pi)
+_SERIES_LIMIT = 0.05   # |lam W| below which the exponential moments are series
+
+
+def _normal_mass(a: float, b: float) -> float:
+    """Standard normal mass on [a, b]."""
+    # in the upper tail the CDF difference cancels to 0: use the survival function
+    return ndtr(-a) - ndtr(-b) if a > 0 else ndtr(b) - ndtr(a)
+
+
+def _exponential_mean(lam: float, width: float) -> float:
+    """E[t - lo] under the exponential of slope ``lam`` truncated to a
+    support [lo, lo + width]: 1/lam - W/expm1(lam W).
+
+    Below |lam W| = ``_SERIES_LIMIT`` the two terms cancel, and their
+    series W (1/2 - x/12 + x^3/720 - x^5/30240), x = lam W, is used instead
+    (truncation error < 2e-15 relative).  Where expm1 overflows the second
+    term is below 1e-300 and the mean is 1/lam.
+    """
+    x = lam * width
+    if abs(x) < _SERIES_LIMIT:
+        x2 = x * x
+        return width * (0.5 - x / 12.0 * (1.0 - x2 / 60.0 * (1.0 - x2 / 42.0)))
+    try:
+        return 1.0 / lam - width / math.expm1(x)
+    except OverflowError:
+        return 1.0 / lam
+
+
+def _exponential_variance(lam: float, width: float) -> float:
+    """Var[t - lo] under the same exponential: 1/lam^2 - W^2 e^x/expm1(x)^2.
+
+    Below |x| = ``_SERIES_LIMIT`` it is the series W^2 (1/12 - x^2/240 +
+    x^4/6048 - x^6/172800) (truncation error < 1e-16 relative); above, the
+    two terms cancel to at most 4800 eps relative.  Where expm1 overflows
+    the variance is 1/lam^2.
+    """
+    x = lam * width
+    if abs(x) < _SERIES_LIMIT:
+        x2 = x * x
+        return width * width / 12.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 25.2 * (1.0 - x2 * 0.035)))
+    try:
+        return 1.0 / (lam * lam) - width * width / (math.expm1(x) * -math.expm1(-x))
+    except OverflowError:
+        return 1.0 / (lam * lam)
 
 
 def make_density(kind: str, params, support: Interval, data: Optional[dict] = None) -> Density1D:

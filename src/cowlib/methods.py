@@ -117,8 +117,10 @@ def fitted_basis(fit: FitResult, poly_order: int) -> List[Density1D]:
 
 
 def variance_function(kind: str, basis: List[Density1D], data,
-                      eff: Optional[EfficiencyMap], qm_bins: int, support: Interval):
-    """The variance function I(m) named ``kind`` for this basis and sample."""
+                      eff: Optional[EfficiencyMap], qm_bins: int, support: Interval,
+                      start=None):
+    """The variance function I(m) named ``kind`` for this basis and sample;
+    the "mixture" iteration starts from the fractions ``start`` if given."""
     if kind == "unity":
         return UnityVariance()
     if kind == "qm":
@@ -128,7 +130,7 @@ def variance_function(kind: str, basis: List[Density1D], data,
             raise ConstructionError(f"qm_bins {qm_bins} exceeds the {len(data)} events")
         return variance_fn_qm(data, eff, qm_bins, support=support)
     if kind == "mixture":
-        return variance_fn_ml_iterative(basis, data, eff)[1]
+        return variance_fn_ml_iterative(basis, data, eff, start=start)[1]
     raise ConstructionError(f"unknown variance kind {kind!r}")
 
 
@@ -150,20 +152,21 @@ class MethodWeights:
             return ["w_s", "w_b"] + [f"w_b{k}" for k in range(2, n)], self._columns
         return [f"w_{k}" for k in range(n)], self._columns
 
-    def covariance(self, hs: Density1D, theta) -> Optional[CorrectedCovariance]:
-        """Corrected covariance of the weighted fit of ``hs`` at ``theta``, or
+    def covariance(self, hs: Density1D, theta, hessian=None) -> Optional[CorrectedCovariance]:
+        """Corrected covariance of the weighted fit of ``hs`` at ``theta``
+        (whose log-likelihood Hessian ``hessian`` is reused if given), or
         None under correction "none".  Classic weights subtract the reduction
         term of the estimated W under "fixed" only; cows ignore the choice."""
         if self.spec.correction == "none":
             return None
         if self.spec.kind == "cow":
             return corrected_covariance_cow(self.cow, self.data, hs, theta,
-                                            eff=self.cow.spec.efficiency)
+                                            eff=self.cow.spec.efficiency, hessian=hessian)
         m = self.data[:, 0]
         dW = self.cow.dw_dW(m) if self.spec.correction == "fixed" else None
         return corrected_covariance_fixed_shapes(
             self.data[:, 1], self.w, dW, hs, theta, basis=self.cow.spec.basis,
-            yields=self.fit.model.yields, data_m=m)
+            yields=self.fit.model.yields, data_m=m, hessian=hessian)
 
 
 def apply_method(spec: MethodSpec, fit: FitResult, data,
@@ -181,7 +184,10 @@ def apply_method(spec: MethodSpec, fit: FitResult, data,
         return MethodWeights(spec, fit, data, cow, wm.to_dict())
     basis = fitted_basis(fit, spec.poly_order)
     support = basis[0].support
-    var = variance_function(spec.variance, basis, data, eff, spec.qm_bins, support)
+    # a basis of the fitted components starts the mixture iteration at the
+    # fit's fractions (efficiency-corrected ones differ: a start point only)
+    start = fit.model.fractions if spec.poly_order == 0 else None
+    var = variance_function(spec.variance, basis, data, eff, spec.qm_bins, support, start)
     cow = build_cow(CowSpec(basis=basis, variance_fn=var, support=support,
                             n_signal=1, efficiency=eff))
     return MethodWeights(spec, fit, data, cow, cow.W)

@@ -5,9 +5,12 @@ polish (:func:`_polish_newton`, the one Newton iteration, which takes the
 Hessian as an argument) that drives the score below the convergence
 tolerance.  The extended-ML fit then polishes its yields on their
 closed-form block, so identities that hold exactly at the optimum (e.g. the
-extended-ML yield identity) are reproduced to near machine precision.  A
-weighted fit of an exponential needs no optimizer: its score depends on the
-data through two weighted sums, and its root is found by bracketing.
+extended-ML yield identity) are reproduced to near machine precision; with
+every shape fixed that Newton iteration is the whole fit.  Scores and
+Hessians are closed-form for normal and exponential densities and central
+differences for the other kinds.  A weighted fit of an exponential needs no
+optimizer: its score depends on the data through two weighted sums, and its
+root is found by bracketing.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from ._numdiff import LOG_HESSIAN_STEP, derivative, numerical_hessian
-from .densities import Density1D, Interval
+from .densities import Density1D, Interval, _exponential_mean
 from .errors import ConstructionError, EvaluationError
 
 # failure modes of a numerical Hessian at (or probing past) a bound
@@ -39,7 +42,6 @@ __all__ = [
 
 GRAD_TOL_PER_EVENT = 1e-6  # converged when |score| < tol * max(N, 1)
 _ROOT_RTOL = 4 * np.finfo(float).eps   # the smallest relative tolerance brentq takes
-_SERIES_LIMIT = 0.05   # |lam W| below which the exponential mean is a series
 
 
 @dataclass
@@ -156,38 +158,58 @@ def _curvature(hessian, x, converged: bool):
     return cov, H, [] if cov is not None else ["hessian_singular"]
 
 
+def _pinned(g, x, lower, upper):
+    """The parameters at a bound that their score ``g`` pushes against."""
+    return (((x <= lower + 1e-12) & (g > 0)) | ((x >= upper - 1e-12) & (g < 0)))
+
+
 def _projected_grad(g, x, lower, upper):
-    g = g.copy()
-    at_lo = (x <= lower + 1e-12) & (g > 0)
-    at_hi = (x >= upper - 1e-12) & (g < 0)
-    g[at_lo] = 0.0
-    g[at_hi] = 0.0
-    return g
+    return np.where(_pinned(g, x, lower, upper), 0.0, g)
 
 
-def _polish_newton(nll, grad, hessian, x, lower, upper, gtol, max_iter=40):
+def _polish_newton(nll, grad, hessian, x, lower, upper, gtol, max_iter=40, convex=False):
     """Newton iterations on the score ``grad`` of ``nll``, whose Hessian at x
     is ``hessian(x)``; steps are clipped to the bounds and halved until nll
     does not rise.  Stops once the projected score is below ``gtol`` or is
-    no smaller than at the previous iteration."""
+    no smaller than at the previous iteration.
+
+    For a ``convex`` nll the iteration reaches the optimum from afar: a
+    parameter pinned at a bound that its score pushes against stays out of
+    the step, a singular Hessian (a flat direction, e.g. two proportional
+    components) takes the least-squares step, and since the score may rise
+    while nll falls, a rise stops it only after an iteration that lowered
+    nll by no more than its rounding.
+    """
     fx = nll(x)
-    best = np.inf
+    best, fell = np.inf, False
     for _ in range(max_iter):
         g = grad(x)
-        worst = np.max(np.abs(_projected_grad(g, x, lower, upper)))
-        if worst >= best or worst < gtol:
+        pinned = _pinned(g, x, lower, upper)
+        worst = np.max(np.abs(np.where(pinned, 0.0, g)))
+        if worst < gtol or (worst >= best and not fell):
             break
         best = worst
         try:
-            step = -np.linalg.solve(hessian(x), g)
+            H = hessian(x)
         except _HESSIAN_ERRORS:
             break
+        free = ~pinned if convex else np.full(len(x), True)
+        block = H[np.ix_(free, free)]
+        step = np.zeros_like(x)
+        try:
+            step[free] = -np.linalg.solve(block, g[free])
+        except np.linalg.LinAlgError:
+            if not convex:
+                break
+            step[free] = -np.linalg.lstsq(block, g[free], rcond=None)[0]
+        slack = 1e-12 * max(1.0, abs(fx))
         scale = 1.0
         improved = False
         for _ in range(20):
             xn = np.clip(x + scale * step, lower, upper)
             fn = nll(xn)
-            if np.isfinite(fn) and fn <= fx + 1e-12 * max(1.0, abs(fx)):
+            if np.isfinite(fn) and fn <= fx + slack:
+                fell = convex and fn < fx - slack
                 x, fx = xn, fn
                 improved = True
                 break
@@ -197,13 +219,23 @@ def _polish_newton(nll, grad, hessian, x, lower, upper, gtol, max_iter=40):
     return x
 
 
+class _Counting:
+    """``f``, counting its calls in ``calls``."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, p):
+        self.calls += 1
+        return self.f(p)
+
+
 def _run_fit(nll, grad, x0, lower, upper, gtol):
-    calls = [0]
-
-    def counted(p):
-        calls[0] += 1
-        return nll(p)
-
+    """L-BFGS-B and the Newton polish, restarted once if not converged.  The
+    polish takes ``nll.hessian`` (params -> Hessian of nll) when the
+    objective carries a closed form, else central differences of nll."""
+    counted = _Counting(nll)
+    hessian = getattr(nll, "hessian", None) or (lambda p: numerical_hessian(counted, p))
     bounds = list(zip(lower, upper))
     x = np.asarray(x0, dtype=float)
     converged = False
@@ -212,13 +244,12 @@ def _run_fit(nll, grad, x0, lower, upper, gtol):
     for _ in range(2):
         res = minimize(counted, x, jac=grad, method="L-BFGS-B", bounds=bounds,
                        options={"ftol": 1e-14, "gtol": 1e-10, "maxiter": 1000})
-        x = _polish_newton(counted, grad, lambda p: numerical_hessian(counted, p),
-                           res.x, lower, upper, gtol)
+        x = _polish_newton(counted, grad, hessian, res.x, lower, upper, gtol)
         g = _projected_grad(grad(x), x, lower, upper)
         converged = bool(np.max(np.abs(g)) < gtol)
         if converged:
             break
-    return x, counted(x), converged, calls[0], counted
+    return x, counted(x), converged, counted.calls, counted
 
 
 def _shape_slices(model: MixtureModel) -> List[slice]:
@@ -255,8 +286,8 @@ def _default_shape_bounds(density: Density1D):
 
 
 def _pdf_memo(density: Density1D, data: np.ndarray, size: int):
-    """``theta -> pdf(data)`` of one mixture component at shape parameters
-    ``theta``, keeping the ``size`` most recently used results.
+    """``theta -> (density, pdf(data))`` of one mixture component at shape
+    parameters ``theta``, keeping the ``size`` most recently used results.
 
     A free component with n shape parameters gets 2n^2 + 1 entries: the
     center and every point of the central-difference Hessian stencil in its
@@ -264,11 +295,30 @@ def _pdf_memo(density: Density1D, data: np.ndarray, size: int):
     reuse the stored values.  An empty ``theta`` means the shape is fixed.
     """
     @functools.lru_cache(maxsize=size)
-    def values(key: bytes) -> np.ndarray:
+    def values(key: bytes):
         theta = np.frombuffer(key)
-        return (density.with_params(theta) if theta.size else density).pdf(data)
+        dens = density.with_params(theta) if theta.size else density
+        return dens, dens.pdf(data)
 
     return lambda theta: values(theta.tobytes())
+
+
+def _yields_newton(g: np.ndarray, y0, lower, upper, gtol):
+    """(yields, nll evaluations) of the extended fit at fixed component values
+    ``g`` (n_comp, N), by Newton from ``y0``.  The nll sum(y) - sum ln f,
+    f = y.g, is convex in the yields, with score 1 - g.(1/f) and Hessian
+    (g/f^2).g^T; the nll, score and Hessian at one point share its f."""
+    mixture = functools.lru_cache(maxsize=1)(lambda key: np.frombuffer(key) @ g)
+
+    @_Counting
+    def block_nll(y):
+        f = mixture(y.tobytes())
+        return float(np.sum(y) - np.sum(np.log(f))) if np.all(f > 0) else 1e100
+
+    yields = _polish_newton(block_nll, lambda y: 1.0 - g @ (1.0 / mixture(y.tobytes())),
+                            lambda y: (g / mixture(y.tobytes()) ** 2) @ g.T,
+                            np.asarray(y0, dtype=float), lower, upper, gtol, convex=True)
+    return yields, block_nll.calls
 
 
 def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitResult:
@@ -277,6 +327,15 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
     Constant terms of the likelihood are dropped.  At the optimum the yield
     scores vanish, which implies sum(yields) == len(data) when all shapes are
     fixed.
+
+    With every shape fixed the problem is convex in the yields and is solved
+    by Newton on their closed-form block.  Free shapes are fitted by L-BFGS-B
+    and the Newton polish; when every free shape is a normal or an
+    exponential, the score and the Hessian are closed-form (through
+    :meth:`Density1D.dlogpdf` and :meth:`Density1D.d2logpdf`), and a fit
+    that ends without a covariance is refitted by Newton from the optimum of
+    the yields at the model's own shapes (flag ``nested_refit``).  Other
+    kinds take central differences.  ``n_calls`` counts nll evaluations.
     """
     data = np.asarray(data_m, dtype=float)
     sup = model.support
@@ -285,30 +344,34 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
     n_comp = len(model.components)
     slices = _shape_slices(model)
     n_par = slices[-1].stop
-    free = [c.density for c in model.components if c.free_shape]
+    free = [(i, s) for i, s in enumerate(slices) if s.stop > s.start]
+    closed = all(model.components[i].density.closed_form_derivatives for i, _ in free)
+    shapes0 = [model.components[i].density.params for i, _ in free]
 
     if init is None:
-        init = np.concatenate([np.full(n_comp, len(data) / n_comp)] + [d.params for d in free])
+        init = np.concatenate([np.full(n_comp, len(data) / n_comp)] + shapes0)
     init = np.asarray(init, dtype=float)
     if bounds is None:
         bounds = [(0.0, np.inf)] * n_comp
-        for d in free:
-            bounds.extend(_default_shape_bounds(d))
+        for i, _ in free:
+            bounds.extend(_default_shape_bounds(model.components[i].density))
     lower = np.array([b[0] for b in bounds])
     upper = np.array([b[1] for b in bounds])
     if np.any(init < lower) or np.any(init > upper):
         raise EvaluationError("init outside bounds")
 
-    # per component: a memo of pdf(data) keyed by its slice of the parameters
+    # per component: a memo of (density, pdf(data)) keyed by its slice of the
+    # parameters
     memos = [_pdf_memo(c.density, data, 2 * c.density.n_params ** 2 + 1 if c.free_shape else 1)
              for c in model.components]
 
-    # the (n_comp, N) stack of them, made once per shape point: a fit with
-    # every shape fixed stacks once
+    # the densities and the (n_comp, N) stack of their values, made once per
+    # shape point: a fit with every shape fixed stacks once
     @functools.lru_cache(maxsize=1)
-    def stacked(shapes: bytes) -> np.ndarray:
+    def stacked(shapes: bytes):
         theta = np.concatenate([np.zeros(n_comp), np.frombuffer(shapes)])
-        return np.stack([memo(theta[s]) for memo, s in zip(memos, slices)])
+        dens, values = zip(*(memo(theta[s]) for memo, s in zip(memos, slices)))
+        return dens, np.stack(values)
 
     def comp_values(params):
         # a negative yield (a Hessian probe past the bound) is infeasible too
@@ -321,7 +384,7 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
         # (e.g. a truncated density with vanishing mass on the support);
         # treat them as a flat plateau the line search backs away from
         try:
-            g = comp_values(params)
+            g = comp_values(params)[1]
         except ConstructionError:
             return 1e100
         f = params[:n_comp] @ g
@@ -331,17 +394,21 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
 
     def grad(params):
         try:
-            g = comp_values(params)
+            dens, g = comp_values(params)
         except ConstructionError:
             return np.zeros(n_par)
         f = params[:n_comp] @ g
         f = np.maximum(f, 1e-300)
         out = np.empty(n_par)
         out[:n_comp] = 1.0 - g @ (1.0 / f)
-        for i, (c, s) in enumerate(zip(model.components, slices)):
+        for i, s in free:
+            if closed:   # dg/dtheta = g dln g/dtheta
+                out[s] = -params[i] * (dens[i].dlogpdf(data) @ (g[i] / f))
+                continue
+            density = model.components[i].density
             for off in range(s.start, s.stop):
                 try:
-                    dgi = derivative(lambda theta: c.density.with_params(theta).pdf(data),
+                    dgi = derivative(lambda theta: density.with_params(theta).pdf(data),
                                      params[s], off - s.start)
                 except ConstructionError:
                     out[off] = 0.0
@@ -349,28 +416,76 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
                 out[off] = -np.sum(params[i] * dgi / f)
         return out
 
+    def nll_hessian(params):
+        # with D the rows df/dp (g for a yield, y g dln g/dtheta for a shape),
+        # H = (D/f^2).D^T - sum (d^2 f/dp dp')/f, where d^2 f is g dln g/dtheta
+        # between a yield and its own shape and y g (s s^T + ds) within a shape
+        dens, g = comp_values(params)
+        y = params[:n_comp]
+        f = y @ g
+        if np.any(f <= 0):
+            raise EvaluationError("mixture density non-positive at an event")
+        D = g
+        scores = {}
+        if free:
+            D = np.empty((n_par, len(data)))
+            D[:n_comp] = g
+            for i, s in free:
+                scores[i] = dens[i].dlogpdf(data)
+                D[s] = y[i] * g[i] * scores[i]
+        D = D / f
+        H = D @ D.T
+        for i, s in free:
+            r = g[i] / f
+            cross = scores[i] @ r
+            H[i, s] -= cross
+            H[s, i] -= cross
+            H[s, s] -= y[i] * ((scores[i] * r) @ scores[i].T + dens[i].d2logpdf(data) @ r)
+        return H
+
+    def converged_at(x):
+        return bool(np.max(np.abs(_projected_grad(grad(x), x, lower, upper))) < gtol)
+
+    def settle(x, converged):
+        """(x, nll, covariance, hessian, flags) at the end of a fit."""
+        if free and converged and np.all(x[:n_comp] > 0):
+            # Newton on the yields at the fitted shapes, so identities that
+            # hold exactly at the optimum (sum of yields = N, the weight sums
+            # downstream) hold far below gtol
+            yields, _ = _yields_newton(comp_values(x)[1], x[:n_comp],
+                                       lower[:n_comp], upper[:n_comp], 1e-14)
+            x = np.concatenate([yields, x[n_comp:]])
+        if closed:
+            curvature = _curvature(lambda p: -nll_hessian(p), x, converged)
+        else:
+            curvature = _curvature(lambda p: -numerical_hessian(nll, p), x, converged)
+        return (x, nll(x)) + curvature
+
     gtol = GRAD_TOL_PER_EVENT * max(len(data), 1.0)
-    x, fval, converged, n_calls, counted = _run_fit(nll, grad, init, lower, upper, gtol)
-    if converged and np.all(x[:n_comp] > 0):
-        # Newton on the yields at the fitted shapes: their score 1 - g.(1/f)
-        # and Hessian (g/f^2).g^T are closed-form, so identities that hold
-        # exactly at the optimum (sum of yields = N, the weight sums
-        # downstream) hold far below gtol.  The nll, score and Hessian at
-        # one point share its mixture f = y.g.
-        g = comp_values(x)
-        mixture = functools.lru_cache(maxsize=1)(lambda key: np.frombuffer(key) @ g)
+    if free:
+        if closed:
+            nll.hessian = nll_hessian
+        x, _, converged, n_calls, _ = _run_fit(nll, grad, init, lower, upper, gtol)
+    else:
+        x, n_calls = _yields_newton(comp_values(init)[1], init, lower, upper, 1e-14)
+        converged = converged_at(x)
+    x, fval, cov, hess, flags = settle(x, converged)
 
-        def block_nll(y):
-            f = mixture(y.tobytes())
-            return float(np.sum(y) - np.sum(np.log(f))) if np.all(f > 0) else 1e100
+    if free and closed and cov is None:
+        # refit by Newton in every parameter from the optimum of the yields
+        # at the model's own shapes, which the free model nests
+        start = np.concatenate([np.zeros(n_comp)] + shapes0)
+        yields, calls = _yields_newton(comp_values(start)[1], init[:n_comp],
+                                       lower[:n_comp], upper[:n_comp], 1e-14)
+        start[:n_comp] = yields
+        counted = _Counting(nll)
+        x = _polish_newton(counted, grad, nll_hessian, np.clip(start, lower, upper),
+                           lower, upper, gtol)
+        converged = converged_at(x)
+        x, fval, cov, hess, flags = settle(x, converged)
+        flags.append("nested_refit")
+        n_calls += calls + counted.calls
 
-        yields = _polish_newton(block_nll, lambda y: 1.0 - g @ (1.0 / mixture(y.tobytes())),
-                                lambda y: (g / mixture(y.tobytes()) ** 2) @ g.T,
-                                x[:n_comp], lower[:n_comp], upper[:n_comp], 1e-14)
-        x = np.concatenate([yields, x[n_comp:]])
-        fval = counted(x)
-
-    cov, hess, flags = _curvature(lambda p: -numerical_hessian(counted, p), x, converged)
     return FitResult(params=x, covariance=cov, hessian=hess, nll=fval,
                      converged=converged, n_calls=n_calls,
                      param_names=_param_names(model), flags=flags,
@@ -395,7 +510,10 @@ def _log_deriv1(density: Density1D, t: np.ndarray, theta: np.ndarray, k: int) ->
 
 
 def _log_derivs1(density: Density1D, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """First derivatives of ln density wrt its parameters; shape (p, N)."""
+    """First derivatives of ln density wrt its parameters; shape (p, N).
+    Closed-form for a normal or an exponential, else central differences."""
+    if density.closed_form_derivatives:
+        return density.with_params(theta).dlogpdf(t)
     out = np.empty((len(theta), len(t)))
     for k in range(len(theta)):
         out[k] = _log_deriv1(density, t, theta, k)
@@ -403,32 +521,21 @@ def _log_derivs1(density: Density1D, t: np.ndarray, theta: np.ndarray) -> np.nda
 
 
 def _weighted_hessian(hs: Density1D, t, weights, theta) -> np.ndarray:
-    """Hessian of the weighted log-likelihood sum_i w_i ln hs(t_i; theta).
+    """Hessian of the weighted log-likelihood sum_i w_i ln hs(t_i; theta):
+    closed-form for a normal or an exponential, else the log-density
+    stencil.
 
     Raises :class:`~cowlib.errors.EvaluationError` if ln hs is non-finite at
-    any event on the stencil, even one of weight 0.
+    any event (on the stencil), even one of weight 0.
     """
-    d2 = numerical_hessian(lambda th: hs.with_params(th).logpdf(t), theta, LOG_HESSIAN_STEP)
+    if hs.closed_form_derivatives:
+        dens = hs.with_params(theta)
+        if not np.all(np.isfinite(dens.logpdf(t))):
+            raise EvaluationError("ln h is non-finite at an event")
+        d2 = dens.d2logpdf(t)
+    else:
+        d2 = numerical_hessian(lambda th: hs.with_params(th).logpdf(t), theta, LOG_HESSIAN_STEP)
     return np.einsum("i,kli->kl", weights, d2)
-
-
-def _exponential_mean(lam: float, width: float) -> float:
-    """E[t - lo] under the exponential of slope ``lam`` truncated to a
-    support [lo, lo + width]: 1/lam - W/expm1(lam W).
-
-    Below |lam W| = ``_SERIES_LIMIT`` the two terms cancel, and their
-    series W (1/2 - x/12 + x^3/720 - x^5/30240), x = lam W, is used instead
-    (truncation error < 2e-15 relative).  Where expm1 overflows the second
-    term is below 1e-300 and the mean is 1/lam.
-    """
-    x = lam * width
-    if abs(x) < _SERIES_LIMIT:
-        x2 = x * x
-        return width * (0.5 - x / 12.0 * (1.0 - x2 / 60.0 * (1.0 - x2 / 42.0)))
-    try:
-        return 1.0 / lam - width / math.expm1(x)
-    except OverflowError:
-        return 1.0 / lam
 
 
 def _fit_exponential(t, w, density: Density1D, lower, upper, gtol):
@@ -522,6 +629,11 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
         return float(-np.sum(w * np.log(p)))
 
     def grad(theta):
+        if density.closed_form_derivatives:
+            try:
+                return -(density.with_params(theta).dlogpdf(t) @ w)
+            except ConstructionError:
+                return np.zeros(n_par)
         out = np.empty(n_par)
         for j in range(n_par):
             try:
@@ -529,6 +641,9 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
             except ConstructionError:
                 out[j] = 0.0
         return out
+
+    if density.closed_form_derivatives:
+        nll.hessian = lambda theta: -_weighted_hessian(density, t, w, theta)
 
     # score scales with sum|w|; point estimate is scale-invariant
     gtol = GRAD_TOL_PER_EVENT * max(np.sum(np.abs(w)), 1.0)

@@ -180,6 +180,22 @@ class TestHappyPaths:
         assert res["n_equivalent"] > 0
         assert res["sum_w"] == pytest.approx(summary["sum_w_s"], rel=1e-12)
 
+    def test_pipeline_reports_the_nested_refit(self, tmp_path):
+        # toy seed 1015: the free-shape fit is refitted from the fixed-shape
+        # optimum, which the summary's m fit flags; its weights still sum to
+        # the fitted signal yield
+        ds = generate_simple(ToySpec(study="simple", n_events=2000, z=0.2, seed=1015))
+        data = tmp_path / "toy.csv"
+        cli.write_csv(str(data), ["m", "t"], ds.data)
+        free = [{**c, "free_shape": True} for c in (GS_CFG, GB_CFG)]
+        out = tmp_path / "s.json"
+        cfg = {"data": str(data), "model": {"support": [0.0, 1.0], "components": free},
+               "control_model": CONTROL_CFG, "out_summary": str(out)}
+        assert cli.main(["pipeline", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
+        res = json.loads(out.read_text())
+        assert res["m_fit"]["converged"] and res["m_fit"]["flags"] == ["nested_refit"]
+        assert res["sum_w"] == pytest.approx(res["m_fit"]["params"][0], rel=1e-9)
+
     @pytest.mark.parametrize("command", ["pipeline-sweights-B", "pipeline-cow", "correct"])
     def test_fit_covariance_is_the_naive_covariance(self, tmp_path, data_csv, command):
         # the weighted fit and the correction invert one weighted Hessian

@@ -317,6 +317,22 @@ class TestIterativeFractions:
         assert z_it[0] == pytest.approx(z_ml, abs=1e-6)
         assert isinstance(var, MixtureVariance)
 
+    def test_start_at_the_fit_fractions(self, simple_toy, monkeypatch):
+        # started at the fit's fractions, the iteration is at its fixed point
+        # after one cow (five or six from equal fractions) and agrees with
+        # the one started there to its tolerance
+        ds, gs, gb = simple_toy
+        fit = fit_extended_ml(ds.m, MixtureModel(
+            [MixtureComponent("s", gs, False), MixtureComponent("b", gb, False)],
+            np.array([1000.0, 1000.0])))
+        z_equal, _ = variance_fn_ml_iterative([gs, gb], ds.data)
+        calls = []
+        monkeypatch.setattr(cows, "build_cow", lambda spec: calls.append(spec) or build_cow(spec))
+        z_fit, var = variance_fn_ml_iterative([gs, gb], ds.data, start=fit.model.fractions)
+        assert len(calls) == 1
+        assert np.allclose(z_fit, z_equal, rtol=0, atol=1e-8)
+        assert np.array_equal(var.fractions, z_fit)
+
     def test_pure_component_data(self, unit_interval):
         # data purely from the background component (bounded away from zero,
         # so the iterated variance function stays well conditioned)

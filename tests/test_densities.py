@@ -501,3 +501,88 @@ class TestGaussLegendre:
         assert np.array_equal(x, xr) and np.array_equal(w, wr)
         assert not x.flags.writeable and not w.flags.writeable
         assert gauss_legendre(80)[0] is x
+
+
+class TestClosedFormDerivatives:
+    """``dlogpdf`` and ``d2logpdf`` against the central differences of
+    ``_numdiff`` at its own steps (h = 1e-6 for the first derivative, 1e-4
+    for the second).  These round by about eps |ln g| / h and eps |ln g| /
+    h^2, and truncate by h^2 times the next-but-one derivative, which is up
+    to ~h^2/sigma^2 of the derivative itself for a normal of width sigma
+    < 1; hence the tolerances 1e-8 and 1e-5 of 1 + |ln g| plus 1e-7 and 1e-4
+    of the derivative."""
+
+    X = np.linspace(0.0, 1.0, 11)
+
+    @staticmethod
+    def stencils(d, x, scale=None):
+        from cowlib._numdiff import LOG_HESSIAN_STEP, derivative, numerical_hessian
+        theta = d.params
+        d1 = np.stack([derivative(lambda th: d.with_params(th).logpdf(x), theta, k, scale)
+                       for k in range(len(theta))])
+        d2 = numerical_hessian(lambda th: d.with_params(th).logpdf(x), theta, LOG_HESSIAN_STEP)
+        return d1, d2
+
+    def check(self, d, x):
+        d1, d2 = d.dlogpdf(x), d.d2logpdf(x)
+        n1, n2 = self.stencils(d, x)
+        scale = 1.0 + np.abs(d.logpdf(x))
+        assert d1.shape == (d.n_params, len(x)) and d2.shape == (d.n_params,) * 2 + (len(x),)
+        assert np.all(np.abs(d1 - n1) <= 1e-8 * scale + 1e-7 * np.abs(n1))
+        assert np.all(np.abs(d2 - n2) <= 1e-5 * scale + 1e-4 * np.abs(n2))
+        assert np.array_equal(d2, np.swapaxes(d2, 0, 1))
+        return d1, d2
+
+    @pytest.mark.parametrize("params", [
+        [0.5, 0.08], [0.1, 0.3], [0.0, 2.0],   # a <= 0: the CDF difference
+        [-1.0, 0.2], [-0.2, 0.05],             # a > 0: the survival-function branch
+        [2.0, 0.2]])                           # b < 0: the lower tail
+    def test_normal(self, params):
+        self.check(Density1D("normal", params, Interval(0.0, 1.0)), self.X)
+
+    # slopes on [0, 1] below and above the series limit |lam W| = 0.05 and
+    # of order one (nearer 0 and where expm1 overflows: below)
+    @pytest.mark.parametrize("lam", [-0.03, 0.049, 0.051, -0.051, 2.0, -7.0, 30.0])
+    def test_exponential(self, lam):
+        self.check(Density1D("exponential", [lam], Interval(0.0, 1.0)), self.X)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-9])
+    def test_exponential_at_zero_slope(self, lam):
+        # the score is W/2 - u and its derivative -W^2/12 to rounding; the
+        # density's normalization rounds by eps/|lam W| near lam = 0, so the
+        # stencil needs a 100 times larger step there
+        d = Density1D("exponential", [lam], Interval(1.0, 4.0))
+        x = 1.0 + 3.0 * self.X
+        assert np.allclose(d.dlogpdf(x)[0], 1.5 - (x - 1.0), rtol=0, atol=1e-8)
+        assert np.allclose(d.d2logpdf(x), -0.75, rtol=1e-15, atol=0)
+        n1, _ = self.stencils(d, x, scale=100.0)
+        assert np.allclose(d.dlogpdf(x), n1, rtol=0, atol=1e-7)
+
+    def test_exponential_where_expm1_overflows(self):
+        # lam W = 900: the mean is 1/lam and the variance 1/lam^2 to rounding
+        d = Density1D("exponential", [300.0], Interval(0.0, 3.0))
+        x = np.linspace(0.0, 2.0, 5)
+        assert np.array_equal(d.dlogpdf(x)[0], 1.0 / 300.0 - x)
+        assert np.all(d.d2logpdf(x) == -1.0 / 300.0 ** 2)
+        n1, n2 = self.stencils(d, x)
+        assert np.allclose(d.dlogpdf(x), n1, rtol=1e-6, atol=0)
+        assert np.allclose(d.d2logpdf(x), n2, rtol=1e-4, atol=0)
+
+    @pytest.mark.parametrize("lam", [-200.0, -2.0, -1e-9, 0.0, 1e-9, 2.0, 200.0,
+                                     0.05 / 3.0 * (1 - 1e-6), 0.05 / 3.0 * (1 + 1e-6)])
+    def test_exponential_variance_matches_quadrature(self, lam):
+        # at most 4800 eps relative where the closed form cancels
+        from cowlib.densities import _exponential_variance
+        iv = Interval(1.0, 4.0)
+        h = Density1D("exponential", [lam], iv)
+        q1, q0 = integrate(lambda x: np.stack([x * h.pdf(x), h.pdf(x)]), iv, tol=1e-14)
+        mean = q1 / q0   # the central moment does not cancel
+        tol = 1e-13 * q0 * min(1.0, lam ** -2 if lam else 1.0)   # Var < 1/lam^2
+        expected = integrate(lambda x: (x - mean) ** 2 * h.pdf(x), iv, tol=tol) / q0
+        assert _exponential_variance(lam, iv.width) == pytest.approx(expected, rel=2e-12, abs=0)
+
+    @pytest.mark.parametrize("kind,params", [("uniform", [0.2, 0.7]), ("monomial", [2.0])])
+    def test_other_kinds_have_none(self, kind, params):
+        d = Density1D(kind, params, Interval(0.0, 1.0))
+        assert not d.closed_form_derivatives
+        assert d.dlogpdf(self.X) is None and d.d2logpdf(self.X) is None

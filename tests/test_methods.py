@@ -65,7 +65,10 @@ def reference_run(method, ds, fits):
         elif method.variance == "qm":
             var = cows.variance_fn_qm(data, eff, method.qm_bins, support=gs_hat.support)
         elif method.variance == "mixture":
-            _, var = cows.variance_fn_ml_iterative(basis, data, eff)
+            # the iteration starts at the fit's fractions when the basis is
+            # the fitted components
+            start = z_hat if method.poly_order == 0 else None
+            _, var = cows.variance_fn_ml_iterative(basis, data, eff, start=start)
         else:
             raise ConstructionError(f"unknown variance {method.variance!r}")
         spec = cows.CowSpec(basis=basis, variance_fn=var,

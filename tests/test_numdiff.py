@@ -1,8 +1,8 @@
 """The shared finite-difference stencils against the hand-written ones they
 replaced.  Each reference below is one of the seven former copies, kept as
-it was; every result must be equal bit for bit, except the score of the
-weighted exponential fit, which is closed-form and is held to the accuracy
-of the finite difference."""
+it was; every result must be equal bit for bit, except the derivatives of a
+normal or an exponential, which are closed-form and are held to the
+accuracy of the finite difference."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,9 @@ from cowlib.wcov import QuasiScoreSpec, corrected_covariance_full
 T_IV = Interval(0.0, 3.0)
 T_DENSITIES = {"normal": Density1D("normal", [1.5, 0.5], T_IV),
                "exponential": Density1D("exponential", [2.0], T_IV)}
+# a kind without closed-form derivatives, which keeps the stencils
+STENCIL_DENSITY = Density1D("monomial", [2.5], T_IV)
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +214,27 @@ def free_model(n):
 # the shared stencils reproduce every former copy
 
 
-@pytest.mark.parametrize("kind", sorted(T_DENSITIES))
+@pytest.mark.parametrize("kind", sorted(T_DENSITIES) + ["monomial"])
 @pytest.mark.parametrize("shift", [1.0, 0.9, 1.3])
 def test_log_derivatives(toy, kind, shift):
-    d = T_DENSITIES[kind]
+    d = T_DENSITIES.get(kind, STENCIL_DENSITY)
     t = toy.data[:, 1]
     theta = d.params * shift
-    assert np.array_equal(wcov._log_derivs1(d, t, theta), ref_log_derivs1(d, t, theta))
     w = np.linspace(-0.5, 1.5, len(t))
-    assert np.array_equal(wcov._weighted_hessian(d, t, w, theta),
-                          np.einsum("i,kli->kl", w, ref_log_derivs2(d, t, theta)))
+    d1, ref1 = wcov._log_derivs1(d, t, theta), ref_log_derivs1(d, t, theta)
+    H, ref2 = (wcov._weighted_hessian(d, t, w, theta),
+               np.einsum("i,kli->kl", w, ref_log_derivs2(d, t, theta)))
+    if kind == "monomial":
+        assert np.array_equal(d1, ref1)
+        assert np.array_equal(H, ref2)
+        return
+    # the closed forms against the stencils: the step-1e-6 first derivative rounds by eps |ln h| / h
+    # (measured <= 2.3e-10 (1 + |ln h|)); the step-1e-4 Hessian is off by
+    # its truncation, h^2/12 of the fourth derivative (measured <= 1.1e-7
+    # relative)
+    log_h = np.abs(d.with_params(theta).logpdf(t))
+    assert np.all(np.abs(d1 - ref1) <= 1e-9 * (1.0 + log_h))
+    assert np.allclose(H, ref2, rtol=1e-6, atol=0)
 
 
 def test_objective_hessian(toy):
@@ -241,12 +255,33 @@ def test_extended_fit_score(toy, captured_scores):
     grad = captured_scores[0]
     x = fit.params
     # the last point puts the signal width within one step of 0, where the
-    # lower probe cannot be built and that component of the score is 0
+    # reference's lower probe cannot be built and that component is 0
     probes = [x, x * 1.01, np.concatenate([x[:2], [0.45, 5e-7], x[4:]])]
+    # the reference's central difference at step 1e-6 rounds by up to
+    # eps N / 1e-6 (measured <= 6.3e-8 at N = 1500); the yield components
+    # are the same expression
     for p in probes:
+        got, ref = grad(p), ref_extended_grad(model, toy.m, p)
+        assert np.array_equal(got[:2], ref[:2])
+        assert np.all(np.abs(got - ref) <= 2 * EPS * len(toy.m) / 1e-6)
+    # the signal density underflows at every event: no signal shape score
+    assert got[2] == got[3] == 0.0
+
+
+def test_extended_fit_score_without_closed_form(toy, captured_scores):
+    # a monomial background keeps the stencil score, bit for bit, including
+    # 0 where a probe cannot be built (the degree must stay >= 1)
+    gs, _, _, _ = simple_truth_densities()
+    model = MixtureModel([MixtureComponent("s", gs, True),
+                          MixtureComponent("b", Density1D("monomial", [1.5], gs.support), True)],
+                         np.array([750.0, 750.0]))
+    fit_extended_ml(toy.m, model)
+    grad = captured_scores[0]
+    x = np.array([450.0, 1050.0, 0.5, 0.08, 1.2])
+    for p in (x, np.concatenate([x[:4], [1.0 + 5e-7]])):
         got = grad(p)
         assert np.array_equal(got, ref_extended_grad(model, toy.m, p))
-    assert got[3] == 0.0
+    assert got[4] == 0.0
 
 
 @pytest.mark.parametrize("kind", sorted(T_DENSITIES))
@@ -260,15 +295,14 @@ def test_weighted_fit_score(toy, captured_scores, kind):
     grad = captured_scores[0]
     for theta in (fit.params, fit.params * 1.02):
         ref = ref_weighted_grad(d, t, w, theta)
-        if kind == "exponential":
-            # the closed form S1 - S0 E_lam[t - lo] is not a finite
-            # difference; the central one at step 1e-6 rounds by ~eps/1e-6
-            # of each |w ln h|, so they agree to 1e-9 of sum|w| W (measured:
-            # 3e-12 at the fit point, 3e-13 at 1.02x, where the score is 2.45)
-            tol = 1e-9 * np.sum(np.abs(w)) * d.support.width
-            assert np.all(np.abs(grad(theta) - ref) <= tol)
-        else:
-            assert np.array_equal(grad(theta), ref)
+        # the closed forms (S1 - S0 E_lam[t - lo] for the exponential) are
+        # not finite differences; the
+        # central one at step 1e-6 rounds by ~eps/1e-6 of each |w ln h|, so
+        # they agree to 1e-9 of sum|w| W (measured: exponential 3e-12 at the
+        # fit point and 3e-13 at 1.02x, where the score is 2.45; normal
+        # 7.3e-8 and 2.6e-8)
+        tol = 1e-9 * np.sum(np.abs(w)) * d.support.width
+        assert np.all(np.abs(grad(theta) - ref) <= tol)
 
 
 def test_dphi(toy):
