@@ -366,7 +366,7 @@ def cmd_correct(resolved: dict) -> int:
         raise CliInputError("weights and data have different lengths")
     t = data[:, 1]
     tfit = _control_fit(t, w, hs)
-    corr = corrected_covariance_fixed_shapes(t, w, None, hs, tfit.params, hessian=tfit.hessian)
+    corr = corrected_covariance_fixed_shapes(t, w, None, hs, tfit.params)
     out = {**_stamp(resolved), "fit": tfit.to_dict(),
            "covariance": corr.to_dict(),
            "sum_w": float(w.sum()), "sum_w2": float((w ** 2).sum()),
@@ -457,7 +457,7 @@ def cmd_pipeline(resolved: dict) -> int:
     w = weights.w
 
     tfit = _control_fit(t, w, hs)
-    corr = weights.covariance(hs, tfit.params, tfit.hessian)
+    corr = weights.covariance(hs, tfit.params)
 
     tau = kendall_tau(m, t)
     stamp = _stamp(resolved)

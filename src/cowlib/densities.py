@@ -237,7 +237,7 @@ class Density1D:
         return self.pdf(x, extrapolate=extrapolate)
 
     # -- closed-form parameter derivatives of ln pdf ---------------------------
-    # ``normal`` and ``exponential`` only (None for every other kind), valid
+    # ``normal`` and ``exponential`` only (they raise for every other kind), valid
     # at points inside the support.  A normal's ln pdf is -z^2/2 - ln(sigma) -
     # ln(sqrt(2 pi) M) with z = (x - mu)/sigma and M the mass on the support;
     # an exponential's is -lam u - ln Z(lam) with u = x - lo, whose score is
@@ -256,26 +256,26 @@ class Density1D:
         log_c = math.log(_SQRT_2PI * _normal_mass(a, b))
         return sigma, a, b, math.exp(-0.5 * a * a - log_c), math.exp(-0.5 * b * b - log_c)
 
-    def dlogpdf(self, x) -> Optional[np.ndarray]:
+    def dlogpdf(self, x) -> np.ndarray:
         """d ln pdf / d params at ``x``, shape (n_params,) + x.shape."""
         x = np.asarray(x, dtype=float)
         if self.kind == "exponential":
             lo, width = self.support.lo, self.support.width
             return (_exponential_mean(self.params[0], width) - (x - lo))[None]
         if self.kind != "normal":
-            return None
+            raise EvaluationError(f"no closed-form derivatives for a {self.kind} density")
         sigma, a, b, ra, rb = self._normal_ends()
         z = (x - self.params[0]) / sigma
         return np.stack([(z - (ra - rb)) / sigma, (z * z - 1.0 - (a * ra - b * rb)) / sigma])
 
-    def d2logpdf(self, x) -> Optional[np.ndarray]:
+    def d2logpdf(self, x) -> np.ndarray:
         """d^2 ln pdf / d params^2 at ``x``, shape (n_params, n_params) + x.shape."""
         x = np.asarray(x, dtype=float)
         if self.kind == "exponential":
             var = _exponential_variance(self.params[0], self.support.width)
             return np.full((1, 1) + x.shape, -var)
         if self.kind != "normal":
-            return None
+            raise EvaluationError(f"no closed-form derivatives for a {self.kind} density")
         sigma, a, b, ra, rb = self._normal_ends()
         # sigma times the mass's log-derivatives, then sigma^2 times its second ones
         l_mu, l_s = ra - rb, a * ra - b * rb

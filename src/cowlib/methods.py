@@ -152,21 +152,20 @@ class MethodWeights:
             return ["w_s", "w_b"] + [f"w_b{k}" for k in range(2, n)], self._columns
         return [f"w_{k}" for k in range(n)], self._columns
 
-    def covariance(self, hs: Density1D, theta, hessian=None) -> Optional[CorrectedCovariance]:
-        """Corrected covariance of the weighted fit of ``hs`` at ``theta``
-        (whose log-likelihood Hessian ``hessian`` is reused if given), or
+    def covariance(self, hs: Density1D, theta) -> Optional[CorrectedCovariance]:
+        """Corrected covariance of the weighted fit of ``hs`` at ``theta``, or
         None under correction "none".  Classic weights subtract the reduction
         term of the estimated W under "fixed" only; cows ignore the choice."""
         if self.spec.correction == "none":
             return None
         if self.spec.kind == "cow":
             return corrected_covariance_cow(self.cow, self.data, hs, theta,
-                                            eff=self.cow.spec.efficiency, hessian=hessian)
+                                            eff=self.cow.spec.efficiency)
         m = self.data[:, 0]
         dW = self.cow.dw_dW(m) if self.spec.correction == "fixed" else None
         return corrected_covariance_fixed_shapes(
             self.data[:, 1], self.w, dW, hs, theta, basis=self.cow.spec.basis,
-            yields=self.fit.model.yields, data_m=m, hessian=hessian)
+            yields=self.fit.model.yields, data_m=m)
 
 
 def apply_method(spec: MethodSpec, fit: FitResult, data,

@@ -230,12 +230,12 @@ class _Counting:
         return self.f(p)
 
 
-def _run_fit(nll, grad, x0, lower, upper, gtol):
+def _run_fit(nll, grad, x0, lower, upper, gtol, hessian=None):
     """L-BFGS-B and the Newton polish, restarted once if not converged.  The
-    polish takes ``nll.hessian`` (params -> Hessian of nll) when the
-    objective carries a closed form, else central differences of nll."""
+    polish takes ``hessian`` (params -> Hessian of nll) when given, else
+    central differences of nll."""
     counted = _Counting(nll)
-    hessian = getattr(nll, "hessian", None) or (lambda p: numerical_hessian(counted, p))
+    hessian = hessian or (lambda p: numerical_hessian(counted, p))
     bounds = list(zip(lower, upper))
     x = np.asarray(x0, dtype=float)
     converged = False
@@ -249,7 +249,7 @@ def _run_fit(nll, grad, x0, lower, upper, gtol):
         converged = bool(np.max(np.abs(g)) < gtol)
         if converged:
             break
-    return x, counted(x), converged, counted.calls, counted
+    return x, counted(x), converged, counted.calls
 
 
 def _shape_slices(model: MixtureModel) -> List[slice]:
@@ -334,8 +334,9 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
     exponential, the score and the Hessian are closed-form (through
     :meth:`Density1D.dlogpdf` and :meth:`Density1D.d2logpdf`), and a fit
     that ends without a covariance is refitted by Newton from the optimum of
-    the yields at the model's own shapes (flag ``nested_refit``).  Other
-    kinds take central differences.  ``n_calls`` counts nll evaluations.
+    the yields at the model's own shapes (flag ``nested_refit``, set whether
+    or not the refit is kept).  Other kinds take central differences.
+    ``n_calls`` counts nll evaluations.
     """
     data = np.asarray(data_m, dtype=float)
     sup = model.support
@@ -463,9 +464,8 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
 
     gtol = GRAD_TOL_PER_EVENT * max(len(data), 1.0)
     if free:
-        if closed:
-            nll.hessian = nll_hessian
-        x, _, converged, n_calls, _ = _run_fit(nll, grad, init, lower, upper, gtol)
+        x, _, converged, n_calls = _run_fit(nll, grad, init, lower, upper, gtol,
+                                            nll_hessian if closed else None)
     else:
         x, n_calls = _yields_newton(comp_values(init)[1], init, lower, upper, 1e-14)
         converged = converged_at(x)
@@ -473,18 +473,22 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
 
     if free and closed and cov is None:
         # refit by Newton in every parameter from the optimum of the yields
-        # at the model's own shapes, which the free model nests
+        # at the model's own shapes, which the free model nests; the refit
+        # replaces the fit only if it converges with a covariance, where the
+        # fit did not converge, or at an nll no higher
         start = np.concatenate([np.zeros(n_comp)] + shapes0)
         yields, calls = _yields_newton(comp_values(start)[1], init[:n_comp],
                                        lower[:n_comp], upper[:n_comp], 1e-14)
         start[:n_comp] = yields
         counted = _Counting(nll)
-        x = _polish_newton(counted, grad, nll_hessian, np.clip(start, lower, upper),
-                           lower, upper, gtol)
-        converged = converged_at(x)
-        x, fval, cov, hess, flags = settle(x, converged)
-        flags.append("nested_refit")
+        x_re = _polish_newton(counted, grad, nll_hessian, np.clip(start, lower, upper),
+                              lower, upper, gtol)
         n_calls += calls + counted.calls
+        if converged_at(x_re):
+            refit = settle(x_re, True)
+            if refit[2] is not None or not converged or refit[1] <= fval:
+                (x, fval, cov, hess, flags), converged = refit, True
+        flags.append("nested_refit")
 
     return FitResult(params=x, covariance=cov, hessian=hess, nll=fval,
                      converged=converged, n_calls=n_calls,
@@ -642,15 +646,14 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
                 out[j] = 0.0
         return out
 
-    if density.closed_form_derivatives:
-        nll.hessian = lambda theta: -_weighted_hessian(density, t, w, theta)
-
     # score scales with sum|w|; point estimate is scale-invariant
     gtol = GRAD_TOL_PER_EVENT * max(np.sum(np.abs(w)), 1.0)
     if density.kind == "exponential":
         x, fval, converged, n_calls = _fit_exponential(t, w, density, lower, upper, gtol)
     else:
-        x, fval, converged, n_calls, _ = _run_fit(nll, grad, init, lower, upper, gtol)
+        hessian = ((lambda theta: -_weighted_hessian(density, t, w, theta))
+                   if density.closed_form_derivatives else None)
+        x, fval, converged, n_calls = _run_fit(nll, grad, init, lower, upper, gtol, hessian)
     cov, hess, flags = _curvature(
         lambda th: _weighted_hessian(density, t, w, th), x, converged)
     names = [f"theta_{j}" for j in range(n_par)]

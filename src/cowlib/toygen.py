@@ -450,7 +450,7 @@ def _run_method(method: MethodSpec, ds: ToyDataset, fits: Dict[bool, FitResult])
     theta = tfit.params
 
     sigma_naive = float(np.sqrt(tfit.covariance[0, 0])) if tfit.covariance is not None else np.nan
-    corr = weights.covariance(hs, theta, tfit.hessian)
+    corr = weights.covariance(hs, theta)
     sigma_corr = sigma_naive if corr is None else float(np.sqrt(corr.theta_block[0, 0]))
 
     est = float(theta[0])

@@ -87,15 +87,12 @@ class CorrectedCovariance:
                 "reduction_term": arr(self.reduction_term)}
 
 
-def _sandwich(hs_model: Density1D, t, w, theta, hessian=None):
+def _sandwich(hs_model: Density1D, t, w, theta):
     """What every correction of the weighted fit of ``hs_model`` starts from:
     the per-event scores d1 (p, N), the inverse H^-1 of the weighted
     log-likelihood Hessian, the plain sandwich H^-1 (sum w^2 d1 d1^T) H^-T
-    (symmetrized) and the naive covariance.  H is the fit's ``hessian``
-    when given and no weight is 0 (the fit's leaves those events out)."""
-    if hessian is None or not np.all(w):
-        hessian = _weighted_hessian(hs_model, t, w, theta)   # raises where ln h is not finite
-    H = np.asarray(hessian, dtype=float)
+    (symmetrized) and the naive covariance."""
+    H = _weighted_hessian(hs_model, t, w, theta)   # raises where ln h is not finite
     d1 = _log_derivs1(hs_model, t, theta)
     try:
         Hinv = np.linalg.inv(H)
@@ -115,7 +112,6 @@ def corrected_covariance_fixed_shapes(
     basis: Optional[Sequence[Density1D]] = None,
     yields: Optional[Sequence[float]] = None,
     data_m=None,
-    hessian=None,
 ) -> CorrectedCovariance:
     """Covariance correction when the shapes in m are known.
 
@@ -123,15 +119,14 @@ def corrected_covariance_fixed_shapes(
     triangle of the n x n W, shape (N, n(n+1)/2), as ``CowSet.dw_dW`` gives
     them; pass None for externally supplied fixed weights, which reduces the
     result to the plain sandwich.  Otherwise the C' matrix is built from the
-    n ``basis`` densities, their ``yields`` and ``data_m``.  ``hessian`` is
-    the weighted fit's (``FitResult.hessian``), reused when no weight is 0.
+    n ``basis`` densities, their ``yields`` and ``data_m``.
     """
     t = np.asarray(data_t, dtype=float)
     w = np.asarray(weights, dtype=float)
     theta = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     p = len(theta)
 
-    d1, Hinv, first, naive = _sandwich(hs_model, t, w, theta, hessian)
+    d1, Hinv, first, naive = _sandwich(hs_model, t, w, theta)
     if dW is None:
         reduction = np.zeros((p, p))
     else:
@@ -155,7 +150,7 @@ def corrected_covariance_fixed_shapes(
 
 def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
                              eff=None, quad_points: int = 16,
-                             n_boot: int = 400, boot_seed: int = 0, hessian=None,
+                             n_boot: int = 400, boot_seed: int = 0,
                              ) -> CorrectedCovariance:
     """Sandwich covariance for a fit weighted with orthogonal weight functions.
 
@@ -173,8 +168,7 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     matrix product per bin gives for all replicas at once.  The Poisson
     multiplicities depend only on (N, n_boot, boot_seed), so a small set
     of them is drawn once per process and reused.  ``boot_kept`` of the
-    result counts the replicas used.  ``hessian`` is the weighted fit's, as
-    in :func:`corrected_covariance_fixed_shapes`.
+    result counts the replicas used.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
@@ -190,7 +184,7 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     w_m = cow.weights(m, G)[:, :n_sig].sum(axis=1)  # weight function values
     w = w_m / e           # fit weights, divided as efficiency_corrected_weights does
 
-    d1, Hinv, first, naive = _sandwich(hs_model, t, w, theta, hessian)
+    d1, Hinv, first, naive = _sandwich(hs_model, t, w, theta)
     var = cow.spec.variance_fn
     if not (isinstance(var, Density1D) and var.kind == "histogram"):
         return CorrectedCovariance(theta_block=first, naive=naive, first_term=first)

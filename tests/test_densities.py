@@ -582,7 +582,10 @@ class TestClosedFormDerivatives:
         assert _exponential_variance(lam, iv.width) == pytest.approx(expected, rel=2e-12, abs=0)
 
     @pytest.mark.parametrize("kind,params", [("uniform", [0.2, 0.7]), ("monomial", [2.0])])
-    def test_other_kinds_have_none(self, kind, params):
+    def test_other_kinds_raise(self, kind, params):
         d = Density1D(kind, params, Interval(0.0, 1.0))
         assert not d.closed_form_derivatives
-        assert d.dlogpdf(self.X) is None and d.d2logpdf(self.X) is None
+        with pytest.raises(EvaluationError):
+            d.dlogpdf(self.X)
+        with pytest.raises(EvaluationError):
+            d.d2logpdf(self.X)

@@ -839,6 +839,32 @@ class TestNestedRefit:
         plain = fit_extended_ml(toy_2000.m, two_component_model(2000, free=True))
         assert plain.flags == [] and plain.converged
 
+    def test_stalled_refit_keeps_the_converged_fit(self, monkeypatch):
+        # the free fit of seed 2069 converges with a singular Hessian and is
+        # refitted; a refit that stalls at its start does not converge and
+        # is dropped, so the fit stays converged and sWeights can still be
+        # built from it
+        run, polish = mlfit._run_fit, mlfit._polish_newton
+        first = []
+
+        def run_then_stall(*args):
+            first.append(run(*args))
+            return first[-1]
+
+        def stalling_polish(nll, grad, hessian, x, *args, **kwargs):
+            if first and not kwargs.get("convex"):
+                return x
+            return polish(nll, grad, hessian, x, *args, **kwargs)
+
+        monkeypatch.setattr(mlfit, "_run_fit", run_then_stall)
+        monkeypatch.setattr(mlfit, "_polish_newton", stalling_polish)
+        ds = generate(ToySpec(study="simple", n_events=2000, z=0.2, seed=2069))
+        fit = fit_extended_ml(ds.data[:, 0], two_component_model(2000, free=True))
+        assert fit.converged and fit.flags == ["hessian_singular", "nested_refit"]
+        assert np.array_equal(fit.params[2:], first[0][0][2:])
+        w = apply_method(MethodSpec("swB", fit_shapes=True), fit, ds.data).w
+        assert w.sum() == pytest.approx(fit.params[0], rel=1e-9)
+
     def test_no_refit_without_closed_form(self):
         # a fit on central differences keeps the reference's outcome
         m, model = monomial_background(2000, 5)

@@ -150,24 +150,6 @@ class TestFixedShapeCorrection:
                  for th in (theta, np.nextafter(theta, np.inf), np.nextafter(theta, -np.inf))]
         assert np.all(np.abs(np.array(sigma[1:]) / sigma[0] - 1.0) <= 1e-13)
 
-    @pytest.mark.parametrize("zeros", [False, True])
-    def test_fit_hessian_reused_when_no_weight_is_zero(self, weighted_toy, monkeypatch, zeros):
-        # the fit's Hessian leaves out the events of weight 0, so it stands
-        # in for the correction's only when there are none; bit-identical
-        d = weighted_toy
-        w = np.where(np.arange(len(d["w"])) % 7 == 0, 0.0, d["w"]) if zeros else d["w"]
-        fit = fit_weighted_ml(d["t"], w, d["hs"], bounds=[(0.05, 20.0)])
-        plain = corrected_covariance_fixed_shapes(d["t"], w, None, d["hs"], fit.params)
-        calls = []
-        hessian = wcov._weighted_hessian
-        monkeypatch.setattr(wcov, "_weighted_hessian",
-                            lambda *args: calls.append(args) or hessian(*args))
-        got = corrected_covariance_fixed_shapes(d["t"], w, None, d["hs"], fit.params,
-                                                hessian=fit.hessian)
-        assert len(calls) == int(zeros)
-        assert np.array_equal(got.theta_block, plain.theta_block)
-        assert np.array_equal(got.naive, plain.naive)
-
     def test_zero_weight_event_where_the_density_underflows(self):
         # the fit ignores the event at t = 0, which has weight 0, but ln h(0)
         # is -inf: the weighted Hessian is undefined there, so the correction
