@@ -1,5 +1,6 @@
-"""Central finite differences, the derivative fallback wherever no closed
-form is coded.  A step along parameter k is a constant times max(|x_k|, 1)."""
+"""Central finite differences: the Jacobian of the joint quasi-score
+(``wcov.corrected_covariance_full``) and a public objective Hessian.  A step
+along parameter k is a constant times max(|x_k|, 1)."""
 
 from __future__ import annotations
 
@@ -7,8 +8,7 @@ import numpy as np
 
 from .errors import EvaluationError
 
-DERIV_STEP = 1e-6        # every first derivative
-LOG_HESSIAN_STEP = 1e-4  # log-density Hessians; objective Hessians take rel_step's default
+DERIV_STEP = 1e-6   # every first derivative
 
 
 def derivative(f, x, k: int, scale=None):

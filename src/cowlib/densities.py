@@ -237,16 +237,13 @@ class Density1D:
         return self.pdf(x, extrapolate=extrapolate)
 
     # -- closed-form parameter derivatives of ln pdf ---------------------------
-    # ``normal`` and ``exponential`` only (they raise for every other kind), valid
-    # at points inside the support.  A normal's ln pdf is -z^2/2 - ln(sigma) -
-    # ln(sqrt(2 pi) M) with z = (x - mu)/sigma and M the mass on the support;
-    # an exponential's is -lam u - ln Z(lam) with u = x - lo, whose score is
-    # E_lam[u] - u and whose second derivative is -Var_lam(u).
-
-    @property
-    def closed_form_derivatives(self) -> bool:
-        """Whether :meth:`dlogpdf` and :meth:`d2logpdf` exist for this kind."""
-        return self.kind in ("normal", "exponential")
+    # ``_DIFFERENTIABLE_KINDS`` only (they raise for every other kind), valid
+    # at points inside the support.  A normal's ln pdf is -z^2/2 -
+    # ln(sigma) - ln(sqrt(2 pi) M) with z = (x - mu)/sigma and M the mass on
+    # the support; an exponential's is -lam u - ln Z(lam) with u = x - lo,
+    # whose score is E_lam[u] - u and whose second derivative is -Var_lam(u);
+    # a monomial's is ln k + (k - 1) ln u - ln W with u = (x - lo)/W, whose
+    # score is 1/k + ln u and whose second derivative is -1/k^2.
 
     def _normal_ends(self):
         """(sigma, a, b, r_a, r_b): the standardized support ends and phi at
@@ -259,11 +256,17 @@ class Density1D:
     def dlogpdf(self, x) -> np.ndarray:
         """d ln pdf / d params at ``x``, shape (n_params,) + x.shape."""
         x = np.asarray(x, dtype=float)
+        if self.kind not in _DIFFERENTIABLE_KINDS:
+            raise EvaluationError(f"no closed-form derivatives for a {self.kind} density")
         if self.kind == "exponential":
             lo, width = self.support.lo, self.support.width
             return (_exponential_mean(self.params[0], width) - (x - lo))[None]
-        if self.kind != "normal":
-            raise EvaluationError(f"no closed-form derivatives for a {self.kind} density")
+        if self.kind == "monomial":
+            # ln u is taken as 0 at u = 0, where the pdf is 0 for k > 1, so the
+            # score stays finite and pdf * score is 0, not nan
+            u = (x - self.support.lo) / self.support.width
+            log_u = np.log(u, out=np.zeros_like(u), where=u > 0)
+            return (1.0 / self.params[0] + log_u)[None]
         sigma, a, b, ra, rb = self._normal_ends()
         z = (x - self.params[0]) / sigma
         return np.stack([(z - (ra - rb)) / sigma, (z * z - 1.0 - (a * ra - b * rb)) / sigma])
@@ -271,11 +274,13 @@ class Density1D:
     def d2logpdf(self, x) -> np.ndarray:
         """d^2 ln pdf / d params^2 at ``x``, shape (n_params, n_params) + x.shape."""
         x = np.asarray(x, dtype=float)
+        if self.kind not in _DIFFERENTIABLE_KINDS:
+            raise EvaluationError(f"no closed-form derivatives for a {self.kind} density")
         if self.kind == "exponential":
             var = _exponential_variance(self.params[0], self.support.width)
             return np.full((1, 1) + x.shape, -var)
-        if self.kind != "normal":
-            raise EvaluationError(f"no closed-form derivatives for a {self.kind} density")
+        if self.kind == "monomial":
+            return np.full((1, 1) + x.shape, -1.0 / self.params[0] ** 2)
         sigma, a, b, ra, rb = self._normal_ends()
         # sigma times the mass's log-derivatives, then sigma^2 times its second ones
         l_mu, l_s = ra - rb, a * ra - b * rb
@@ -401,6 +406,7 @@ class Density1D:
 
 
 _SQRT_2PI = math.sqrt(2 * math.pi)
+_DIFFERENTIABLE_KINDS = ("normal", "exponential", "monomial")   # have dlogpdf, d2logpdf
 _SERIES_LIMIT = 0.05   # |lam W| below which the exponential moments are series
 
 

@@ -6,11 +6,12 @@ Hessian as an argument) that drives the score below the convergence
 tolerance.  The extended-ML fit then polishes its yields on their
 closed-form block, so identities that hold exactly at the optimum (e.g. the
 extended-ML yield identity) are reproduced to near machine precision; with
-every shape fixed that Newton iteration is the whole fit.  Scores and
-Hessians are closed-form for normal and exponential densities and central
-differences for the other kinds.  A weighted fit of an exponential needs no
-optimizer: its score depends on the data through two weighted sums, and its
-root is found by bracketing.
+every shape fixed that Newton iteration is the whole fit.  Every score and
+Hessian is closed-form, from :meth:`Density1D.dlogpdf` and
+:meth:`Density1D.d2logpdf`, so only normal, exponential and monomial
+parameters can be fitted; a uniform's range cannot.  A weighted fit of an
+exponential needs no optimizer: its score depends on the data through two
+weighted sums, and its root is found by bracketing.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from ._numdiff import LOG_HESSIAN_STEP, derivative, numerical_hessian
-from .densities import Density1D, Interval, _exponential_mean
+from ._numdiff import numerical_hessian   # re-exported
+from .densities import _DIFFERENTIABLE_KINDS, Density1D, Interval, _exponential_mean
 from .errors import ConstructionError, EvaluationError
 
-# failure modes of a numerical Hessian at (or probing past) a bound
+# failure modes of a Hessian at (or past) a bound
 _HESSIAN_ERRORS = (np.linalg.LinAlgError, EvaluationError, ConstructionError)
 
 __all__ = [
@@ -230,12 +231,10 @@ class _Counting:
         return self.f(p)
 
 
-def _run_fit(nll, grad, x0, lower, upper, gtol, hessian=None):
-    """L-BFGS-B and the Newton polish, restarted once if not converged.  The
-    polish takes ``hessian`` (params -> Hessian of nll) when given, else
-    central differences of nll."""
+def _run_fit(nll, grad, x0, lower, upper, gtol, hessian):
+    """L-BFGS-B and the Newton polish on ``hessian`` (params -> Hessian of
+    nll), restarted once if not converged."""
     counted = _Counting(nll)
-    hessian = hessian or (lambda p: numerical_hessian(counted, p))
     bounds = list(zip(lower, upper))
     x = np.asarray(x0, dtype=float)
     converged = False
@@ -277,30 +276,20 @@ def _param_names(model: MixtureModel):
     return names
 
 
+def _check_fittable(density: Density1D):
+    """Raise :class:`ConstructionError` unless the parameters of ``density``
+    have closed-form scores; a uniform's range has none (the likelihood is
+    flat in it between the events)."""
+    if density.kind not in _DIFFERENTIABLE_KINDS:
+        raise ConstructionError(f"the parameters of a {density.kind} density cannot be fitted")
+
+
 def _default_shape_bounds(density: Density1D):
     if density.kind == "normal":
         lo, hi = density.support.as_tuple()
         width = hi - lo
         return [(lo - width, hi + width), (1e-4 * width, 10 * width)]
     return [(-np.inf, np.inf)] * density.n_params
-
-
-def _pdf_memo(density: Density1D, data: np.ndarray, size: int):
-    """``theta -> (density, pdf(data))`` of one mixture component at shape
-    parameters ``theta``, keeping the ``size`` most recently used results.
-
-    A free component with n shape parameters gets 2n^2 + 1 entries: the
-    center and every point of the central-difference Hessian stencil in its
-    own parameters, so probes that move only the yields or another component
-    reuse the stored values.  An empty ``theta`` means the shape is fixed.
-    """
-    @functools.lru_cache(maxsize=size)
-    def values(key: bytes):
-        theta = np.frombuffer(key)
-        dens = density.with_params(theta) if theta.size else density
-        return dens, dens.pdf(data)
-
-    return lambda theta: values(theta.tobytes())
 
 
 def _yields_newton(g: np.ndarray, y0, lower, upper, gtol):
@@ -330,23 +319,23 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
 
     With every shape fixed the problem is convex in the yields and is solved
     by Newton on their closed-form block.  Free shapes are fitted by L-BFGS-B
-    and the Newton polish; when every free shape is a normal or an
-    exponential, the score and the Hessian are closed-form (through
-    :meth:`Density1D.dlogpdf` and :meth:`Density1D.d2logpdf`), and a fit
-    that ends without a covariance is refitted by Newton from the optimum of
-    the yields at the model's own shapes (flag ``nested_refit``, set whether
-    or not the refit is kept).  Other kinds take central differences.
+    and the Newton polish on the closed-form score and Hessian (through
+    :meth:`Density1D.dlogpdf` and :meth:`Density1D.d2logpdf`); a free shape
+    of another kind than normal, exponential or monomial raises
+    :class:`ConstructionError`.  A fit that ends without a covariance is
+    refitted by Newton from the optimum of the yields at the model's own
+    shapes (flag ``nested_refit``, set whether or not the refit is kept).
     ``n_calls`` counts nll evaluations.
     """
-    data = np.asarray(data_m, dtype=float)
-    sup = model.support
-    if np.any(~sup.contains(data)):
-        raise EvaluationError("data outside the model support")
     n_comp = len(model.components)
     slices = _shape_slices(model)
     n_par = slices[-1].stop
     free = [(i, s) for i, s in enumerate(slices) if s.stop > s.start]
-    closed = all(model.components[i].density.closed_form_derivatives for i, _ in free)
+    for i, _ in free:
+        _check_fittable(model.components[i].density)
+    data = np.asarray(data_m, dtype=float)
+    if np.any(~model.support.contains(data)):
+        raise EvaluationError("data outside the model support")
     shapes0 = [model.components[i].density.params for i, _ in free]
 
     if init is None:
@@ -361,21 +350,23 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
     if np.any(init < lower) or np.any(init > upper):
         raise EvaluationError("init outside bounds")
 
-    # per component: a memo of (density, pdf(data)) keyed by its slice of the
-    # parameters
-    memos = [_pdf_memo(c.density, data, 2 * c.density.n_params ** 2 + 1 if c.free_shape else 1)
-             for c in model.components]
+    # each component's density and pdf(data): a fixed one's computed once,
+    # the free ones' once per shape point, where they are stacked (n_comp, N)
+    fixed = [(c.density, c.density.pdf(data)) if s.stop == s.start else None
+             for c, s in zip(model.components, slices)]
 
-    # the densities and the (n_comp, N) stack of their values, made once per
-    # shape point: a fit with every shape fixed stacks once
     @functools.lru_cache(maxsize=1)
     def stacked(shapes: bytes):
         theta = np.concatenate([np.zeros(n_comp), np.frombuffer(shapes)])
-        dens, values = zip(*(memo(theta[s]) for memo, s in zip(memos, slices)))
+        pairs = list(fixed)
+        for i, s in free:
+            dens = model.components[i].density.with_params(theta[s])
+            pairs[i] = dens, dens.pdf(data)
+        dens, values = zip(*pairs)
         return dens, np.stack(values)
 
     def comp_values(params):
-        # a negative yield (a Hessian probe past the bound) is infeasible too
+        # a negative yield (which a caller's bounds may allow) is infeasible too
         if np.any(params[:n_comp] < 0):
             raise ConstructionError("yields must be >= 0")
         return stacked(params[n_comp:].tobytes())
@@ -402,19 +393,8 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
         f = np.maximum(f, 1e-300)
         out = np.empty(n_par)
         out[:n_comp] = 1.0 - g @ (1.0 / f)
-        for i, s in free:
-            if closed:   # dg/dtheta = g dln g/dtheta
-                out[s] = -params[i] * (dens[i].dlogpdf(data) @ (g[i] / f))
-                continue
-            density = model.components[i].density
-            for off in range(s.start, s.stop):
-                try:
-                    dgi = derivative(lambda theta: density.with_params(theta).pdf(data),
-                                     params[s], off - s.start)
-                except ConstructionError:
-                    out[off] = 0.0
-                    continue
-                out[off] = -np.sum(params[i] * dgi / f)
+        for i, s in free:   # dg/dtheta = g dln g/dtheta
+            out[s] = -params[i] * (dens[i].dlogpdf(data) @ (g[i] / f))
         return out
 
     def nll_hessian(params):
@@ -456,22 +436,17 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
             yields, _ = _yields_newton(comp_values(x)[1], x[:n_comp],
                                        lower[:n_comp], upper[:n_comp], 1e-14)
             x = np.concatenate([yields, x[n_comp:]])
-        if closed:
-            curvature = _curvature(lambda p: -nll_hessian(p), x, converged)
-        else:
-            curvature = _curvature(lambda p: -numerical_hessian(nll, p), x, converged)
-        return (x, nll(x)) + curvature
+        return (x, nll(x)) + _curvature(lambda p: -nll_hessian(p), x, converged)
 
     gtol = GRAD_TOL_PER_EVENT * max(len(data), 1.0)
     if free:
-        x, _, converged, n_calls = _run_fit(nll, grad, init, lower, upper, gtol,
-                                            nll_hessian if closed else None)
+        x, _, converged, n_calls = _run_fit(nll, grad, init, lower, upper, gtol, nll_hessian)
     else:
         x, n_calls = _yields_newton(comp_values(init)[1], init, lower, upper, 1e-14)
         converged = converged_at(x)
     x, fval, cov, hess, flags = settle(x, converged)
 
-    if free and closed and cov is None:
+    if free and cov is None:
         # refit by Newton in every parameter from the optimum of the yields
         # at the model's own shapes, which the free model nests; the refit
         # replaces the fit only if it converges with a covariance, where the
@@ -505,41 +480,19 @@ def yields_only_refit(data_m, model: MixtureModel, init=None) -> FitResult:
 
 
 # The weighted log-likelihood sum_i w_i ln h(t_i; theta): its per-event
-# scores and its Hessian serve the weighted fit and every covariance
-# correction of it (cowlib.wcov).
-
-def _log_deriv1(density: Density1D, t: np.ndarray, theta: np.ndarray, k: int) -> np.ndarray:
-    """Derivative of ln density at each of ``t`` wrt parameter k."""
-    return derivative(lambda th: density.with_params(th).logpdf(t), theta, k)
-
-
-def _log_derivs1(density: Density1D, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """First derivatives of ln density wrt its parameters; shape (p, N).
-    Closed-form for a normal or an exponential, else central differences."""
-    if density.closed_form_derivatives:
-        return density.with_params(theta).dlogpdf(t)
-    out = np.empty((len(theta), len(t)))
-    for k in range(len(theta)):
-        out[k] = _log_deriv1(density, t, theta, k)
-    return out
-
+# scores (Density1D.dlogpdf) and its Hessian serve the weighted fit and every
+# covariance correction of it (cowlib.wcov).
 
 def _weighted_hessian(hs: Density1D, t, weights, theta) -> np.ndarray:
-    """Hessian of the weighted log-likelihood sum_i w_i ln hs(t_i; theta):
-    closed-form for a normal or an exponential, else the log-density
-    stencil.
+    """Hessian of the weighted log-likelihood sum_i w_i ln hs(t_i; theta).
 
     Raises :class:`~cowlib.errors.EvaluationError` if ln hs is non-finite at
-    any event (on the stencil), even one of weight 0.
+    any event, even one of weight 0.
     """
-    if hs.closed_form_derivatives:
-        dens = hs.with_params(theta)
-        if not np.all(np.isfinite(dens.logpdf(t))):
-            raise EvaluationError("ln h is non-finite at an event")
-        d2 = dens.d2logpdf(t)
-    else:
-        d2 = numerical_hessian(lambda th: hs.with_params(th).logpdf(t), theta, LOG_HESSIAN_STEP)
-    return np.einsum("i,kli->kl", weights, d2)
+    dens = hs.with_params(theta)
+    if not np.all(np.isfinite(dens.logpdf(t))):
+        raise EvaluationError("ln h is non-finite at an event")
+    return np.einsum("i,kli->kl", weights, dens.d2logpdf(t))
 
 
 def _fit_exponential(t, w, density: Density1D, lower, upper, gtol):
@@ -589,13 +542,18 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
 
     Weights may be negative (sWeights are).  An exponential is fitted as the
     root of its score over two weighted sums (:func:`_fit_exponential`, which
-    needs no ``init``), every other kind by L-BFGS-B and the Newton polish.
+    needs no ``init``), a normal or a monomial by L-BFGS-B and the Newton
+    polish; any other kind raises :class:`ConstructionError`.
     The hessian field holds :func:`_weighted_hessian` over the events of nonzero weight, and the
     covariance field the naive inverse of it, which is *not* a valid
     covariance for weighted data; use the wcov module to correct it.  It is
     ``CorrectedCovariance.naive`` bit for bit when no weight is 0 (else to
     rounding; the correction raises where ln h is infinite at a w = 0 event).
     """
+    n_par = density.n_params
+    if n_par == 0:
+        raise ConstructionError(f"{density.kind} density has no parameters to fit")
+    _check_fittable(density)
     t = np.asarray(data_t, dtype=float)
     w = np.asarray(weights, dtype=float)
     if t.shape != w.shape:
@@ -609,9 +567,6 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
         i = int(np.where(active & (density.pdf(t) <= 0))[0][0])
         raise EvaluationError(f"density non-positive at weighted observation index {i}")
 
-    n_par = density.n_params
-    if n_par == 0:
-        raise ConstructionError(f"{density.kind} density has no parameters to fit")
     if init is None:
         init = density.params.copy()
     init = np.asarray(init, dtype=float)
@@ -633,27 +588,19 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
         return float(-np.sum(w * np.log(p)))
 
     def grad(theta):
-        if density.closed_form_derivatives:
-            try:
-                return -(density.with_params(theta).dlogpdf(t) @ w)
-            except ConstructionError:
-                return np.zeros(n_par)
-        out = np.empty(n_par)
-        for j in range(n_par):
-            try:
-                out[j] = -np.sum(w * _log_deriv1(density, t, theta, j))
-            except ConstructionError:
-                out[j] = 0.0
-        return out
+        try:
+            return -(density.with_params(theta).dlogpdf(t) @ w)
+        except ConstructionError:
+            return np.zeros(n_par)
 
     # score scales with sum|w|; point estimate is scale-invariant
     gtol = GRAD_TOL_PER_EVENT * max(np.sum(np.abs(w)), 1.0)
     if density.kind == "exponential":
         x, fval, converged, n_calls = _fit_exponential(t, w, density, lower, upper, gtol)
     else:
-        hessian = ((lambda theta: -_weighted_hessian(density, t, w, theta))
-                   if density.closed_form_derivatives else None)
-        x, fval, converged, n_calls = _run_fit(nll, grad, init, lower, upper, gtol, hessian)
+        x, fval, converged, n_calls = _run_fit(
+            nll, grad, init, lower, upper, gtol,
+            lambda theta: -_weighted_hessian(density, t, w, theta))
     cov, hess, flags = _curvature(
         lambda th: _weighted_hessian(density, t, w, th), x, converged)
     names = [f"theta_{j}" for j in range(n_par)]

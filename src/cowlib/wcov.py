@@ -20,7 +20,7 @@ from ._quadrature import gauss_legendre
 from .cows import efficiency_at, from_upper, implied_cow, pair_products
 from .densities import Density1D, floor_empty_bins
 from .errors import EvaluationError
-from .mlfit import _covariance, _log_derivs1, _weighted_hessian
+from .mlfit import _covariance, _weighted_hessian
 
 __all__ = [
     "QuasiScoreSpec",
@@ -93,7 +93,7 @@ def _sandwich(hs_model: Density1D, t, w, theta):
     log-likelihood Hessian, the plain sandwich H^-1 (sum w^2 d1 d1^T) H^-T
     (symmetrized) and the naive covariance."""
     H = _weighted_hessian(hs_model, t, w, theta)   # raises where ln h is not finite
-    d1 = _log_derivs1(hs_model, t, theta)
+    d1 = hs_model.with_params(theta).dlogpdf(t)
     try:
         Hinv = np.linalg.inv(H)
     except np.linalg.LinAlgError as exc:
@@ -410,7 +410,7 @@ class QuasiScoreSpec:
         out = np.empty((self.n_phi, len(m)))
         for k, (comp, idx) in enumerate(self.phi_free):
             dens = gs if comp == "s" else gb
-            dg = derivative(lambda p: dens.with_params(p).pdf(m), dens.params, idx)
+            dg = dens.pdf(m) * dens.dlogpdf(m)[idx]
             out[k] = (ns if comp == "s" else nb) * dg / f
         return out
 
@@ -423,8 +423,7 @@ class QuasiScoreSpec:
         f = ns * g[0] + nb * g[1]
         if np.any(f <= 0):
             raise EvaluationError("mixture density non-positive at a data point")
-        d1 = _log_derivs1(self.hs.with_params(theta), np.asarray(t, dtype=float),
-                          np.asarray(theta, dtype=float))
+        d1 = self.hs.with_params(theta).dlogpdf(np.asarray(t, dtype=float))
         rows = [g / f, self._dphi(lam, m)] if self.n_phi else [g / f]
         return np.concatenate(rows + [pair_products(g) / f ** 2, self.weight_s(m, lam) * d1])
 

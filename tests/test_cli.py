@@ -809,6 +809,39 @@ class TestSharedConfigLayer:
         assert err.startswith("error:") and "no parameters" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("params", [[0.0, 3.0], [0.2, 0.7]])
+    @pytest.mark.parametrize("command", ["correct", "pipeline"])
+    def test_uniform_control_model(self, tmp_path, data_csv, capsys, command, params):
+        # a uniform's range has no score, so it cannot be fitted
+        out = tmp_path / "o.json"
+        cfg = {"data": data_csv,
+               "control_model": {"kind": "uniform", "params": params, "support": [0, 3]}}
+        if command == "correct":
+            weights = tmp_path / "w.csv"
+            cli.write_csv(str(weights), ["w_s"], np.ones((2000, 1)))
+            cfg.update(weights=str(weights), out=str(out))
+        else:
+            cfg.update(model=MODEL_CFG, out_summary=str(out))
+        assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err == "error: the parameters of a uniform density cannot be fitted\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "sweights", "pipeline"])
+    def test_free_uniform_component(self, tmp_path, data_csv, capsys, command):
+        out = tmp_path / "o.json"
+        model = {**MODEL_CFG, "components": [
+            GS_CFG, {"kind": "uniform", "label": "b", "free_shape": True}]}
+        cfg = {"data": data_csv, "model": model}
+        if command == "fit":
+            cfg["out"] = str(out)
+        else:
+            cfg["out_summary"] = str(out)
+        if command == "pipeline":
+            cfg["control_model"] = CONTROL_CFG
+        assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err == "error: the parameters of a uniform density cannot be fitted\n"
+        assert not out.exists()
+
     def test_two_dimensional_params(self, tmp_path, data_csv, capsys):
         model = {**MODEL_CFG, "components": [{**GS_CFG, "params": [[0.5, 0.08]]}, GB_CFG]}
         cfg = {"data": data_csv, "model": model, "out": str(tmp_path / "s.json")}

@@ -504,9 +504,9 @@ class TestGaussLegendre:
 
 
 class TestClosedFormDerivatives:
-    """``dlogpdf`` and ``d2logpdf`` against the central differences of
-    ``_numdiff`` at its own steps (h = 1e-6 for the first derivative, 1e-4
-    for the second).  These round by about eps |ln g| / h and eps |ln g| /
+    """``dlogpdf`` and ``d2logpdf`` against central differences (h = 1e-6
+    for the first derivative, the ``_numdiff`` step, and 1e-4 for the
+    second).  These round by about eps |ln g| / h and eps |ln g| /
     h^2, and truncate by h^2 times the next-but-one derivative, which is up
     to ~h^2/sigma^2 of the derivative itself for a normal of width sigma
     < 1; hence the tolerances 1e-8 and 1e-5 of 1 + |ln g| plus 1e-7 and 1e-4
@@ -516,11 +516,11 @@ class TestClosedFormDerivatives:
 
     @staticmethod
     def stencils(d, x, scale=None):
-        from cowlib._numdiff import LOG_HESSIAN_STEP, derivative, numerical_hessian
+        from cowlib._numdiff import derivative, numerical_hessian
         theta = d.params
         d1 = np.stack([derivative(lambda th: d.with_params(th).logpdf(x), theta, k, scale)
                        for k in range(len(theta))])
-        d2 = numerical_hessian(lambda th: d.with_params(th).logpdf(x), theta, LOG_HESSIAN_STEP)
+        d2 = numerical_hessian(lambda th: d.with_params(th).logpdf(x), theta, 1e-4)
         return d1, d2
 
     def check(self, d, x):
@@ -581,10 +581,44 @@ class TestClosedFormDerivatives:
         expected = integrate(lambda x: (x - mean) ** 2 * h.pdf(x), iv, tol=tol) / q0
         assert _exponential_variance(lam, iv.width) == pytest.approx(expected, rel=2e-12, abs=0)
 
-    @pytest.mark.parametrize("kind,params", [("uniform", [0.2, 0.7]), ("monomial", [2.0])])
+    @pytest.mark.parametrize("k", [2.5, 1.7, 30.0])
+    def test_monomial(self, k):
+        # ln g = ln k + (k - 1) ln u - ln W is -inf at u = 0: the stencils
+        # start inside
+        d = Density1D("monomial", [k], Interval(0.0, 1.0))
+        d1, d2 = self.check(d, self.X[1:])
+        assert np.allclose(d1[0], 1.0 / k + np.log(self.X[1:]), rtol=1e-15, atol=1e-15)
+        assert np.all(d2 == -1.0 / k ** 2)
+
+    def test_monomial_at_degree_one(self):
+        # k >= 1, so no central difference exists at k = 1: a forward one,
+        # which is off by h/2 |d2| = h/2
+        iv = Interval(1.0, 3.0)
+        d = Density1D("monomial", [1.0], iv)
+        x = 1.0 + 2.0 * self.X[1:]
+        h = 1e-6
+        forward = (d.with_params([1.0 + h]).logpdf(x) - d.logpdf(x)) / h
+        assert np.allclose(d.dlogpdf(x)[0], 1.0 + np.log((x - 1.0) / 2.0), rtol=0, atol=1e-15)
+        assert np.allclose(d.dlogpdf(x), forward, rtol=0, atol=1e-6)
+        assert np.all(d.d2logpdf(x) == -1.0)
+
+    @pytest.mark.parametrize("k", [1.0, 2.5])
+    def test_monomial_at_the_lower_end(self, k):
+        # ln g has no finite derivative at u = 0; the score is kept finite
+        # there (ln u taken as 0), so pdf * score, the pdf's derivative, is
+        # 0 where the pdf is, with no RuntimeWarning
+        d = Density1D("monomial", [k], Interval(0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d1, d2 = d.dlogpdf(self.X), d.d2logpdf(self.X)
+            dpdf = d.pdf(self.X) * d1
+        assert np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
+        assert d1[0, 0] == 1.0 / k
+        assert dpdf[0, 0] == (0.0 if k > 1 else 1.0)
+
+    @pytest.mark.parametrize("kind,params", [("uniform", [0.2, 0.7])])
     def test_other_kinds_raise(self, kind, params):
         d = Density1D(kind, params, Interval(0.0, 1.0))
-        assert not d.closed_form_derivatives
         with pytest.raises(EvaluationError):
             d.dlogpdf(self.X)
         with pytest.raises(EvaluationError):

@@ -3,6 +3,7 @@
 import gzip
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,38 @@ class TestExtendedML:
         assert "hessian_singular" in fit.flags
         assert fit.covariance is None
 
+    def test_free_monomial_with_an_event_at_the_lower_end(self):
+        # the monomial is 0 at m = lo and its log-density score -inf; the
+        # fit stays finite and converges near the truth (500 signal events,
+        # k = 2), with no RuntimeWarning.  Central differences ended with a
+        # singular Hessian at the start yields, N_s 1000.6
+        gs, _, _, _ = simple_truth_densities()
+        gb = Density1D("monomial", [2.0], gs.support)
+        rng = np.random.default_rng(11)
+        m = np.concatenate([gs.sample(rng, 500), gb.sample(rng, 1500), [gs.support.lo]])
+        model = MixtureModel([MixtureComponent("s", gs, True),
+                              MixtureComponent("b", gb.with_params([1.5]), True)],
+                             np.array([1000.0, 1000.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_extended_ml(m, model)
+        assert fit.converged and fit.covariance is not None
+        assert np.all(np.isfinite(fit.params)) and np.all(np.isfinite(fit.hessian))
+        assert abs(fit.params[0] - 500) < 4 * math.sqrt(fit.covariance[0, 0])
+        assert abs(fit.params[4] - 2.0) < 4 * math.sqrt(fit.covariance[4, 4])
+
+    def test_free_uniform_rejected(self):
+        # a uniform's range has no score: the likelihood is flat in it
+        # between the events
+        gs, _, _, _ = simple_truth_densities()
+        flat = Density1D("uniform", [], gs.support)
+        m = gs.sample(np.random.default_rng(2), 200)
+        model = MixtureModel([MixtureComponent("s", gs, False),
+                              MixtureComponent("b", flat, True)], np.array([100.0, 100.0]))
+        with pytest.raises(ConstructionError, match="uniform density cannot be fitted"):
+            fit_extended_ml(m, model)
+        assert fit_extended_ml(m, model.fix_shapes()).converged
+
 
 class TestYieldsOnlyRefit:
     def test_tighter_than_free_fit(self, toy_2000):
@@ -159,6 +192,24 @@ class TestWeightedML:
         bad[0] = np.inf
         with pytest.raises(EvaluationError):
             fit_weighted_ml(t, bad, d)                   # non-finite weight
+
+    @pytest.mark.parametrize("params", [[0.0, 3.0], [0.2, 0.7]])
+    def test_uniform_range_rejected(self, exp_data, params):
+        _, t = exp_data
+        d = Density1D("uniform", params, Interval(0.0, 3.0))
+        with pytest.raises(ConstructionError, match="uniform density cannot be fitted"):
+            fit_weighted_ml(t, np.ones_like(t), d)
+
+    def test_monomial_in_closed_form(self):
+        # with unit weights the score sum(1/k + ln u) vanishes at
+        # k = -N / sum ln u; the Hessian is -N/k^2
+        d = Density1D("monomial", [3.0], Interval(1.0, 3.0))
+        t = d.sample(np.random.default_rng(8), 1000)
+        fit = fit_weighted_ml(t, np.ones_like(t), d.with_params([1.5]))
+        k = -len(t) / np.sum(np.log((t - 1.0) / 2.0))
+        assert fit.converged and fit.flags == []
+        assert fit.params[0] == pytest.approx(k, rel=1e-12)
+        assert fit.hessian[0, 0] == pytest.approx(-len(t) / fit.params[0] ** 2, rel=1e-14)
 
     def test_density_without_parameters_rejected(self):
         d = Density1D("histogram", [], Interval(0.0, 3.0),
@@ -675,7 +726,7 @@ def pure_signal(n, seed):
 
 def monomial_background(n, seed):
     """A normal signal on a rising k = 2 monomial background, and the model
-    with both shapes free: the monomial has no closed-form derivatives."""
+    with both shapes free, the monomial's starting at k = 1.5."""
     gs, _, _, _ = simple_truth_densities()
     gb = Density1D("monomial", [2.0], gs.support)
     rng = np.random.default_rng(seed)
@@ -687,20 +738,30 @@ def monomial_background(n, seed):
 
 
 class TestPdfMemo:
-    """Each density is evaluated once per parameter point.  A fit whose free
-    shapes have no closed-form derivatives is bit-identical to the reference
-    (the unmemoized fit); the closed-form fits agree with it to the accuracy
-    of its central differences."""
+    """Each density is evaluated once per parameter point, and the fits on
+    closed-form derivatives agree with the reference (the unmemoized fit on
+    central differences) to the accuracy of its central differences."""
 
-    def test_bit_identical_to_reference_without_closed_form(self):
-        m, model = monomial_background(2000, 5)
+    @pytest.mark.parametrize("seed", [5, 6, 7, 8])
+    def test_monomial_matches_reference(self, seed):
+        # every parameter to 1e-7 relative (measured 2.6e-8) and the Hessian
+        # to the reference stencil's rounding (measured 2.5e-4 relative;
+        # 1e-3 allowed).  On seed 7 the reference ends with a singular
+        # Hessian; the fit takes the nested refit to a lower nll, with a
+        # covariance, at shapes near the truth (N_s 543 of 500, k 2.0)
+        m, model = monomial_background(2000, seed)
         got = fit_extended_ml(m, model)
         ref = reference_fit_extended_ml(m, model)
-        assert got.converged and got.flags == []
-        assert np.array_equal(got.params, ref.params)
-        assert got.nll == ref.nll
-        assert got.n_calls == ref.n_calls
-        assert np.array_equal(got.hessian, ref.hessian)
+        assert got.converged and ref.converged and got.covariance is not None
+        if seed == 7:
+            assert ref.flags == ["hessian_singular"] and got.flags == ["nested_refit"]
+            assert got.nll < ref.nll - 30
+            assert got.params[4] == pytest.approx(2.0, abs=0.01)
+            return
+        assert got.flags == ref.flags == []
+        assert np.allclose(got.params, ref.params, rtol=1e-7, atol=0)
+        assert got.nll == pytest.approx(ref.nll, rel=1e-12)
+        assert np.allclose(got.hessian, ref.hessian, rtol=1e-3, atol=0)
 
     @pytest.mark.parametrize("case", [
         "fixed", "free", "seed-1015-free", "yield-at-bound-fixed", "yield-at-bound-free"])
@@ -768,37 +829,27 @@ class TestPdfMemo:
         gs, gb = (c.density for c in fit.model.components)
         assert len(calls) == 2
         assert calls[0] is gs and calls[1] is gb
-
-    def test_hessian_evaluates_each_stencil_point_once(self, monkeypatch):
-        # a free component with n shape parameters has 2n^2 + 1 distinct
-        # parameter points on the Hessian stencil; probes that move only the
-        # yields or the other component reuse them.  The stencil serves the
-        # kinds without closed-form derivatives
-        pdf_calls = count_pdf_calls(monkeypatch)
-        per_hessian = []
-        hessian = mlfit.numerical_hessian
-
-        def counted(objective, params, *args, **kwargs):
-            before = len(pdf_calls)
-            out = hessian(objective, params, *args, **kwargs)
-            per_hessian.append(len(pdf_calls) - before)
-            return out
-
-        monkeypatch.setattr(mlfit, "numerical_hessian", counted)
-        m, model = monomial_background(2000, 5)
-        fit = fit_extended_ml(m, model)
-        assert fit.converged and per_hessian
-        stencil = sum(2 * c.density.n_params ** 2 + 1 for c in model.components)
-        assert max(per_hessian) <= stencil
+        # a free normal and a fixed exponential: the fixed density's pdf
+        # runs once in the whole fit
+        calls.clear()
+        model = two_component_model(2000)
+        model.components[0].free_shape = True
+        fit = fit_extended_ml(toy_2000.m, model)
+        assert fit.converged and fit.covariance is not None
+        gb = model.components[1].density
+        assert sum(d is gb for d in calls) == 1
 
     def test_closed_form_hessian_evaluates_no_pdf(self, toy_2000, monkeypatch):
-        # with closed-form derivatives no stencil runs, and the fit evaluates
-        # each density at most once per nll evaluation
+        # no stencil runs, and the fit evaluates each density at most once
+        # per nll evaluation, on a normal and an exponential or a monomial
         monkeypatch.setattr(mlfit, "numerical_hessian", None)
         calls = count_pdf_calls(monkeypatch)
-        fit = fit_extended_ml(toy_2000.m, two_component_model(2000, free=True))
-        assert fit.converged and fit.covariance is not None
-        assert len(calls) <= 2 * fit.n_calls
+        for m, model in ((toy_2000.m, two_component_model(2000, free=True)),
+                         monomial_background(2000, 5)):
+            calls.clear()
+            fit = fit_extended_ml(m, model)
+            assert fit.converged and fit.covariance is not None
+            assert len(calls) <= 2 * fit.n_calls
 
 
 # toy seeds of the simple study (N = 2000, z = 0.2) whose free-shape fit
@@ -865,11 +916,13 @@ class TestNestedRefit:
         w = apply_method(MethodSpec("swB", fit_shapes=True), fit, ds.data).w
         assert w.sum() == pytest.approx(fit.params[0], rel=1e-9)
 
-    def test_no_refit_without_closed_form(self):
-        # a fit on central differences keeps the reference's outcome
+    def test_far_monomial_start_recovers(self):
+        # from k = 1e6 the reference does not converge; the fit is refitted
+        # from the nested optimum and converges near the truth k = 2
         m, model = monomial_background(2000, 5)
         init = np.array([1000.0, 1000.0, 0.5, 0.08, 1e6])
         got = fit_extended_ml(m, model, init=init)
         ref = reference_fit_extended_ml(m, model, init=init)
-        assert got.flags == ref.flags == ["not_converged"]
-        assert np.array_equal(got.params, ref.params)
+        assert ref.flags == ["not_converged"]
+        assert got.converged and got.flags == ["nested_refit"] and got.covariance is not None
+        assert got.params[4] == pytest.approx(2.0, abs=0.1)

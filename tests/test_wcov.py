@@ -313,7 +313,7 @@ def loop_bootstrap_covariance(cow, data, hs_model, theta, eff=None,
     """The histogram-variance bootstrap one replica at a time: the reference
     for the batched version (theta_block only)."""
     from cowlib.densities import ZERO_BIN_FLOOR
-    from cowlib.wcov import _log_derivs1, _weighted_hessian
+    from cowlib.wcov import _weighted_hessian
 
     data = np.asarray(data, dtype=float)
     m, t = data[:, 0], data[:, 1]
@@ -322,7 +322,7 @@ def loop_bootstrap_covariance(cow, data, hs_model, theta, eff=None,
     n_sig = cow.spec.n_signal
     inv_e = np.ones(n) if eff is None else 1.0 / np.asarray(eff(m, t), dtype=float)
     w = cow.weights(m)[:, :n_sig].sum(axis=1) * inv_e
-    d1 = _log_derivs1(hs_model, t, theta)
+    d1 = hs_model.with_params(theta).dlogpdf(t)
     H = _weighted_hessian(hs_model, t, w, theta)
     Hinv = np.linalg.inv(H)
 
