@@ -851,6 +851,27 @@ class TestPdfMemo:
             assert fit.converged and fit.covariance is not None
             assert len(calls) <= 2 * fit.n_calls
 
+    def test_hessian_evaluates_each_stencil_point_once(self, monkeypatch):
+        # the closed-form Hessian's only point is the optimum, so it evaluates
+        # each free density at most once there, where a stencil of 2n^2 + 1
+        # points per component used to run
+        monkeypatch.setattr(mlfit, "numerical_hessian", None)
+        pdf_calls = count_pdf_calls(monkeypatch)
+        per_hessian = []
+        curvature = mlfit._curvature
+
+        def counted(hessian, x, converged):
+            before = len(pdf_calls)
+            out = curvature(hessian, x, converged)
+            per_hessian.append(len(pdf_calls) - before)
+            return out
+
+        monkeypatch.setattr(mlfit, "_curvature", counted)
+        m, model = monomial_background(2000, 5)
+        fit = fit_extended_ml(m, model)
+        assert fit.converged and fit.covariance is not None and per_hessian
+        assert max(per_hessian) <= len(model.components)   # both shapes free
+
 
 # toy seeds of the simple study (N = 2000, z = 0.2) whose free-shape fit
 # ended not converged or without a covariance under the central-difference
