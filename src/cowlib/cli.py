@@ -29,9 +29,10 @@ from . import __version__
 from .cows import CowSpec, build_cow, efficiency_corrected_weights
 from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
 from .diagnostics import kendall_tau
-from .errors import ConstructionError, CowlibError, EvaluationError, NonConvergenceError
-from .methods import MAX_POLY_ORDER, MethodSpec, apply_method, as_integer, variance_function
-from .mlfit import MixtureComponent, MixtureModel, fit_extended_ml, fit_weighted_ml
+from .errors import ConstructionError, CowlibError, EvaluationError
+from .methods import (MAX_POLY_ORDER, MethodSpec, apply_method, as_integer, control_fit,
+                      variance_function)
+from .mlfit import MixtureComponent, MixtureModel, fit_extended_ml
 from .toygen import EnsembleConfig, ToySpec, generate, run_ensemble
 from .wcov import corrected_covariance_fixed_shapes, equivalent_events
 
@@ -336,16 +337,6 @@ CORRECT_DEFAULTS = {"data": None, "weights": None, "weight_column": "w_s",
                     "control_model": None, "out": None, "seed": 0}
 
 
-def _control_fit(t, w, hs: Density1D):
-    """The weighted fit of the control model; raises
-    :class:`~cowlib.errors.NonConvergenceError` (exit 2) when it fails."""
-    tfit = fit_weighted_ml(t, w, hs)
-    if not tfit.converged:
-        raise NonConvergenceError(f"the weighted fit of the {hs.kind} control model "
-                                  "did not converge")
-    return tfit
-
-
 def cmd_correct(resolved: dict) -> int:
     """Weighted control-variable fit with the plain sandwich correction.
 
@@ -365,7 +356,7 @@ def cmd_correct(resolved: dict) -> int:
     if len(w) != data.shape[0]:
         raise CliInputError("weights and data have different lengths")
     t = data[:, 1]
-    tfit = _control_fit(t, w, hs)
+    tfit = control_fit(t, w, hs)
     corr = corrected_covariance_fixed_shapes(t, w, None, hs, tfit.params)
     out = {**_stamp(resolved), "fit": tfit.to_dict(),
            "covariance": corr.to_dict(),
@@ -456,7 +447,7 @@ def cmd_pipeline(resolved: dict) -> int:
     weights = apply_method(spec, fit, data[:, :2], eff)
     w = weights.w
 
-    tfit = _control_fit(t, w, hs)
+    tfit = control_fit(t, w, hs)
     corr = weights.covariance(hs, tfit.params)
 
     tau = kendall_tau(m, t)

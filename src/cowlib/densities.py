@@ -200,7 +200,7 @@ class Density1D:
             if lam == 0:
                 return hi - lo
             try:
-                return (1.0 - math.exp(-lam * (hi - lo))) / lam
+                return _exponential_mass(lam * (hi - lo)) / lam
             except OverflowError:   # beyond the float range: caught in __init__
                 return math.inf
         if k == "monomial":
@@ -346,8 +346,7 @@ class Density1D:
             lam = p[0]
             if lam == 0:
                 return lo + u * (hi - lo)
-            c = 1.0 - math.exp(-lam * (hi - lo))
-            return lo - np.log1p(-u * c) / lam
+            return lo - np.log1p(-u * _exponential_mass(lam * (hi - lo))) / lam
         if k == "monomial":
             return lo + (hi - lo) * u ** (1.0 / p[0])
         if k == "histogram":
@@ -414,6 +413,12 @@ def _normal_mass(a: float, b: float) -> float:
     """Standard normal mass on [a, b]."""
     # in the upper tail the CDF difference cancels to 0: use the survival function
     return ndtr(-a) - ndtr(-b) if a > 0 else ndtr(b) - ndtr(a)
+
+
+def _exponential_mass(x: float) -> float:
+    """1 - e^-x, with x = lam W: through expm1 below |x| = ``_SERIES_LIMIT``,
+    where the difference cancels (to 0 at |x| < 1.1e-16)."""
+    return -math.expm1(-x) if abs(x) < _SERIES_LIMIT else 1.0 - math.exp(-x)
 
 
 def _exponential_mean(lam: float, width: float) -> float:

@@ -16,14 +16,14 @@ from .cows import (CowSpec, UnityVariance, build_cow, efficiency_corrected_weigh
                    variance_fn_ml_iterative, variance_fn_qm)
 from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
 from .errors import ConstructionError, NonConvergenceError
-from .mlfit import FitResult, yields_only_refit
+from .mlfit import FitResult, fit_weighted_ml, yields_only_refit
 from .sweights import (WeightMatrix, compute_W_variant_A, compute_W_variant_B,
                        compute_W_variant_C, weight_functions)
 from .wcov import (CorrectedCovariance, corrected_covariance_cow,
                    corrected_covariance_fixed_shapes)
 
 __all__ = ["MAX_POLY_ORDER", "MethodSpec", "MethodWeights", "apply_method", "as_integer",
-           "fitted_basis", "sweights_matrix", "variance_function"]
+           "control_fit", "fitted_basis", "sweights_matrix", "variance_function"]
 
 # The highest monomial order of a cow basis: a cap on the W quadrature's cost
 # that lets an order-25 ensemble still fail in build_cow, not where W turns
@@ -190,3 +190,13 @@ def apply_method(spec: MethodSpec, fit: FitResult, data,
     cow = build_cow(CowSpec(basis=basis, variance_fn=var, support=support,
                             n_signal=1, efficiency=eff))
     return MethodWeights(spec, fit, data, cow, cow.W)
+
+
+def control_fit(t, w, hs: Density1D, bounds=None) -> FitResult:
+    """The weighted fit of the control model ``hs`` (within ``bounds``, if
+    given); raises :class:`~cowlib.errors.NonConvergenceError` when it fails."""
+    tfit = fit_weighted_ml(t, w, hs, bounds=bounds)
+    if not tfit.converged:
+        raise NonConvergenceError(f"the weighted fit of the {hs.kind} control model "
+                                  "did not converge")
+    return tfit

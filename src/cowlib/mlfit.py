@@ -427,15 +427,24 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
     def converged_at(x):
         return bool(np.max(np.abs(_projected_grad(grad(x), x, lower, upper))) < gtol)
 
+    def settle_yields(x):
+        yields, _ = _yields_newton(comp_values(x)[1], x[:n_comp],
+                                   lower[:n_comp], upper[:n_comp], 1e-14)
+        return np.concatenate([yields, x[n_comp:]])
+
     def settle(x, converged):
         """(x, nll, covariance, hessian, flags) at the end of a fit."""
         if free and converged and np.all(x[:n_comp] > 0):
             # Newton on the yields at the fitted shapes, so identities that
             # hold exactly at the optimum (sum of yields = N, the weight sums
             # downstream) hold far below gtol
-            yields, _ = _yields_newton(comp_values(x)[1], x[:n_comp],
-                                       lower[:n_comp], upper[:n_comp], 1e-14)
-            x = np.concatenate([yields, x[n_comp:]])
+            x = settle_yields(x)
+            if not converged_at(x):
+                # along a nearly flat direction of the yields that Newton
+                # moves the yields far, and the shapes off their optimum:
+                # polish every parameter, then settle the yields again
+                x = settle_yields(_polish_newton(nll, grad, nll_hessian, x,
+                                                 lower, upper, gtol))
         return (x, nll(x)) + _curvature(lambda p: -nll_hessian(p), x, converged)
 
     gtol = GRAD_TOL_PER_EVENT * max(len(data), 1.0)

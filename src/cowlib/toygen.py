@@ -24,9 +24,8 @@ from . import wcov
 from ._quadrature import gauss_legendre
 from .densities import Density1D, EfficiencyMap, Interval
 from .errors import CowlibError, ConstructionError, EvaluationError
-from .methods import MethodSpec, apply_method, as_integer
-from .mlfit import (FitResult, MixtureComponent, MixtureModel, fit_extended_ml,
-                    fit_weighted_ml)
+from .methods import MethodSpec, apply_method, as_integer, control_fit
+from .mlfit import FitResult, MixtureComponent, MixtureModel, fit_extended_ml
 
 __all__ = [
     "ToySpec",
@@ -444,9 +443,7 @@ def _run_method(method: MethodSpec, ds: ToyDataset, fits: Dict[bool, FitResult])
     truth_slope = ds.truth.get("slope", TRUE_SLOPE)
 
     hs = Density1D("exponential", [1.5], T_SUPPORT)
-    tfit = fit_weighted_ml(t, w, hs, bounds=[(0.05, 20.0)])
-    if not tfit.converged:
-        raise EvaluationError("weighted t fit did not converge")
+    tfit = control_fit(t, w, hs, bounds=[(0.05, 20.0)])
     theta = tfit.params
 
     sigma_naive = float(np.sqrt(tfit.covariance[0, 0])) if tfit.covariance is not None else np.nan

@@ -20,7 +20,8 @@ from ._quadrature import gauss_legendre
 from .cows import efficiency_at, from_upper, implied_cow, pair_products
 from .densities import Density1D, floor_empty_bins
 from .errors import EvaluationError
-from .mlfit import _covariance, _weighted_hessian
+from .mlfit import (MixtureModel, _covariance, _model_at, _param_names, _shape_slices,
+                    _weighted_hessian)
 
 __all__ = [
     "QuasiScoreSpec",
@@ -341,104 +342,87 @@ def _multiplicity_blocks(n: int, n_boot: int, seed: int):
 class QuasiScoreSpec:
     """Ingredients of the joint quasi-score for two-step M-estimation.
 
-    Parameter vector ordering: (N_s, N_b, phi..., W_ss, W_sb, W_bb, theta...)
-    where phi lists the free shape parameters declared in ``phi_free`` as
-    ("s"|"b", param index) pairs and theta are all parameters of ``hs``.
-    The W block lives on the Hessian scale (variant-B W divided by N); the
-    weight function is scale-invariant in W so this is a pure convention.
+    The parameter vector lambda holds the ``FitResult.params`` of the m fit
+    of ``model`` (the n yields, then the free shape parameters component by
+    component), the n(n+1)/2 elements of W in :func:`upper_pairs` order and
+    the parameters theta of ``hs``.  The W block lives on the Hessian scale
+    (variant-B W divided by N); the weight function is scale-invariant in W
+    so this is a pure convention.  Component 0 is the signal.
     """
 
-    gs: Density1D
-    gb: Density1D
+    model: MixtureModel
     hs: Density1D
-    phi_free: Tuple[Tuple[str, int], ...] = ()
 
     @property
-    def n_phi(self) -> int:
-        return len(self.phi_free)
-
-    @property
-    def n_theta(self) -> int:
-        return self.hs.n_params
+    def _w_slice(self) -> slice:
+        n, n_m = len(self.model.components), _shape_slices(self.model)[-1].stop
+        return slice(n_m, n_m + n * (n + 1) // 2)
 
     @property
     def dim(self) -> int:
-        return 2 + self.n_phi + 3 + self.n_theta
+        return self._w_slice.stop + self.hs.n_params
 
     def unpack(self, lam: np.ndarray):
-        n = self.n_phi
-        ns, nb = lam[0], lam[1]
-        phi = lam[2:2 + n]
-        Wv = lam[2 + n:5 + n]
-        theta = lam[5 + n:]
-        dens = {"s": self.gs, "b": self.gb}
-        for val, (comp, idx) in zip(phi, self.phi_free):
-            params = dens[comp].params.copy()
-            params[idx] = val
-            dens[comp] = dens[comp].with_params(params)
-        return ns, nb, dens["s"], dens["b"], Wv, theta
+        """(the mixture model, the W elements, theta) of ``lam``."""
+        lam = np.asarray(lam, dtype=float)
+        iw = self._w_slice
+        return _model_at(self.model, lam[:iw.start]), lam[iw], lam[iw.stop:]
 
     def lambda_from_fits(self, data_m, mfit, tfit) -> np.ndarray:
         """Assemble the parameter vector from an m fit and a weighted t fit."""
-        m = np.asarray(data_m, dtype=float)
-        ns, nb = mfit.params[0], mfit.params[1]
-        # the fitted free shape params, mapped through phi_free
-        fitted = {}
-        if mfit.model is not None:
-            for ci, comp in enumerate(mfit.model.components):
-                if comp.free_shape:
-                    fitted["s" if ci == 0 else "b"] = comp.density.params
-        phi_vals = [fitted[comp][idx] for comp, idx in self.phi_free]
-        _, _, gs, gb, _, _ = self.unpack(
-            np.concatenate([[ns, nb], phi_vals, np.zeros(3), np.zeros(self.n_theta)]))
-        s = gs.pdf(m)
-        b = gb.pdf(m)
-        Wv = (pair_products(np.stack([s, b])) / (ns * s + nb * b) ** 2).sum(axis=1)
-        return np.concatenate([[ns, nb], phi_vals, Wv, tfit.params])
+        if list(mfit.param_names) != _param_names(self.model):
+            raise EvaluationError(f"the m fit's parameters {mfit.param_names} are not "
+                                  f"those of the model, {_param_names(self.model)}")
+        _, g, f = _mixture(_model_at(self.model, mfit.params), data_m)
+        Wv = (pair_products(g) / f ** 2).sum(axis=1)
+        return np.concatenate([mfit.params, Wv, tfit.params])
 
     def weight_s(self, m, lam) -> np.ndarray:
         """The classic signal weight of the W block of ``lam`` at m."""
-        _, _, gs, gb, Wv, _ = self.unpack(np.asarray(lam, dtype=float))
-        W = from_upper(Wv, 2)
-        return implied_cow(W, np.linalg.inv(W), [gs, gb]).weights(m)[:, 0]
-
-    def _dphi(self, lam, m):
-        """Per-event (N_s dgs/dphi + N_b dgb/dphi) / f; shape (n_phi, N)."""
-        lam = np.asarray(lam, dtype=float)
-        ns, nb, gs, gb, _, _ = self.unpack(lam)
-        f = ns * gs.pdf(m) + nb * gb.pdf(m)
-        out = np.empty((self.n_phi, len(m)))
-        for k, (comp, idx) in enumerate(self.phi_free):
-            dens = gs if comp == "s" else gb
-            dg = dens.pdf(m) * dens.dlogpdf(m)[idx]
-            out[k] = (ns if comp == "s" else nb) * dg / f
-        return out
+        model, Wv, _ = self.unpack(lam)
+        return _signal_weight(Wv, model.densities(), m)
 
     def _per_event(self, lam, m, t) -> np.ndarray:
-        """Per-event terms of the quasi-score, shape (dim, N)."""
-        lam = np.asarray(lam, dtype=float)
+        """Per-event terms of the quasi-score, shape (dim, N): g_k / f for
+        the yields, y_k g_k dln g_k/dphi / f for the free shapes of component
+        k, g_k g_l / f^2 for W and the signal weight times the score of hs."""
         m = np.asarray(m, dtype=float)
-        ns, nb, gs, gb, _, theta = self.unpack(lam)
-        g = np.stack([gs.pdf(m), gb.pdf(m)])
-        f = ns * g[0] + nb * g[1]
-        if np.any(f <= 0):
-            raise EvaluationError("mixture density non-positive at a data point")
+        model, Wv, theta = self.unpack(lam)
+        dens, g, f = _mixture(model, m)
+        shapes = [model.yields[k] * (g[k] * dens[k].dlogpdf(m)) / f
+                  for k, c in enumerate(model.components) if c.free_shape]
         d1 = self.hs.with_params(theta).dlogpdf(np.asarray(t, dtype=float))
-        rows = [g / f, self._dphi(lam, m)] if self.n_phi else [g / f]
-        return np.concatenate(rows + [pair_products(g) / f ** 2, self.weight_s(m, lam) * d1])
+        return np.concatenate([g / f, *shapes, pair_products(g) / f ** 2,
+                               _signal_weight(Wv, dens, m) * d1])
 
     def score(self, lam, m, t) -> np.ndarray:
         """The quasi-score vector S(lambda) summed over the sample."""
         S = self._per_event(lam, m, t).sum(axis=1)
-        iw = 2 + self.n_phi
-        S[:2] -= 1.0
-        S[iw:iw + 3] -= np.asarray(lam, dtype=float)[iw:iw + 3]
+        iw = self._w_slice
+        S[:len(self.model.components)] -= 1.0
+        S[iw] -= np.asarray(lam, dtype=float)[iw]
         return S
 
     def score_covariance(self, lam, m, t) -> np.ndarray:
         """Sample estimate of E[S S^T] under Poisson sample-size fluctuations."""
         V = self._per_event(lam, m, t)
         return V @ V.T
+
+
+def _mixture(model: MixtureModel, m):
+    """The densities of ``model``, their values g at m and f = sum_k y_k g_k."""
+    dens = model.densities()
+    g = np.stack([d.pdf(np.asarray(m, dtype=float)) for d in dens])
+    f = sum(y * gk for y, gk in zip(model.yields, g))   # not BLAS's (fused) sum
+    if np.any(f <= 0):
+        raise EvaluationError("mixture density non-positive at a data point")
+    return dens, g, f
+
+
+def _signal_weight(Wv, basis: Sequence[Density1D], m) -> np.ndarray:
+    """The signal weight at m of the W with upper triangle ``Wv``."""
+    W = from_upper(Wv, len(basis))
+    return implied_cow(W, np.linalg.inv(W), basis).weights(m)[:, 0]
 
 
 def corrected_covariance_full(data, spec: QuasiScoreSpec, lam_hat,
@@ -467,10 +451,10 @@ def corrected_covariance_full(data, spec: QuasiScoreSpec, lam_hat,
     # FD steps must stay small relative to each block's own scale; the W
     # block shrinks like 1/N, so the usual max(|x|, 1) floor would swamp it
     scales = np.maximum(np.abs(lam), 1.0)
-    iw = 2 + spec.n_phi
-    w_scale = float(np.max(np.abs(lam[iw:iw + 3])))
+    iw = spec._w_slice
+    w_scale = float(np.max(np.abs(lam[iw])))
     if w_scale > 0:
-        scales[iw:iw + 3] = np.maximum(np.abs(lam[iw:iw + 3]), w_scale)
+        scales[iw] = np.maximum(np.abs(lam[iw]), w_scale)
     J = np.empty((dim, dim))
     for j in range(dim):
         J[:, j] = derivative(lambda l: spec.score(l, m, t), lam, j, scales[j])
@@ -483,9 +467,6 @@ def corrected_covariance_full(data, spec: QuasiScoreSpec, lam_hat,
         raise EvaluationError("score Jacobian is singular") from exc
     C = 0.5 * (C + C.T)
 
-    ith = slice(2 + spec.n_phi + 3, dim)
-    theta_block = C[ith, ith]
-    theta = lam[ith]
-    w = spec.weight_s(m, lam)
-    H = _weighted_hessian(spec.hs.with_params(theta), t, w, theta)
-    return CorrectedCovariance(theta_block=theta_block, naive=_covariance(H), full=C)
+    ith = slice(iw.stop, dim)
+    H = _weighted_hessian(spec.hs, t, spec.weight_s(m, lam), lam[ith])
+    return CorrectedCovariance(theta_block=C[ith, ith], naive=_covariance(H), full=C)

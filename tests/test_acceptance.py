@@ -198,8 +198,8 @@ def test_criterion_06_sandwich_cross_validation():
     the joint-score and fixed-shape covariance paths agree within 1e-3
     relative when the shapes are known."""
     gs, gb, hs, _ = simple_truth_densities()
-    spec = QuasiScoreSpec(gs=gs, gb=gb, hs=hs)
     n0, z = 500, 0.3
+    spec = QuasiScoreSpec(_yields_only_model(n0), hs)
 
     # population root of the score at truth
     x, gq = np.polynomial.legendre.leggauss(400)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cowlib import Density1D, Interval, cli
+from cowlib import Density1D, Interval, cli, methods
 from cowlib.methods import MAX_POLY_ORDER
 from cowlib.toygen import ToySpec, generate_simple
 
@@ -757,6 +757,27 @@ class TestConfigShape:
         else:
             assert err == "error: the extended fit of m did not converge\n"
             assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["correct", "pipeline"])
+    def test_control_fit_that_does_not_converge(self, tmp_path, data_csv, capsys, monkeypatch,
+                                                command):
+        fit_weighted_ml = methods.fit_weighted_ml
+        monkeypatch.setattr(methods, "fit_weighted_ml", lambda *args, **kwargs: dataclasses.replace(
+            fit_weighted_ml(*args, **kwargs), converged=False))
+        out = tmp_path / "s.json"
+        if command == "correct":
+            wcsv = tmp_path / "w.csv"
+            cli.write_csv(str(wcsv), ["w_s"], np.ones((2000, 1)))
+            cfg = {"data": data_csv, "weights": str(wcsv), "control_model": CONTROL_CFG,
+                   "out": str(out)}
+        else:
+            cfg = {"data": data_csv, "model": MODEL_CFG, "control_model": CONTROL_CFG,
+                   "out_summary": str(out)}
+        assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
+        assert capsys.readouterr().err == ("error: the weighted fit of the exponential "
+                                           "control model did not converge\n")
+        assert not out.exists()
 
 
 class TestSharedConfigLayer:

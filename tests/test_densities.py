@@ -243,6 +243,27 @@ class TestMakeDensity:
             Density1D("exponential", [-1000.0], Interval(0.0, 3.0))
         assert Density1D("exponential", [-200.0], Interval(0.0, 3.0)).pdf(3.0) == pytest.approx(200.0, rel=1e-12)
 
+    def test_exponential_near_zero_slope(self):
+        # 1 - e^(-lam W) cancels as lam W -> 0: to 0 at lam W = 1e-17, which
+        # made the norm 0, and to 8e-8 relative at lam W = 1e-10
+        iv = Interval(0.0, 1000.0)
+        assert Density1D("exponential", [1e-20], iv).pdf(1.0) == pytest.approx(1e-3, rel=1e-15)
+        d = Density1D("exponential", [1e-13], iv)
+        # 1e-3 (1 + lam (W/2 - 1)) and W/2 (1 - lam W/4) to first order in lam
+        assert d.pdf(1.0) == pytest.approx(1e-3 * (1.0 + 499e-13), rel=1e-15)
+        assert d.ppf(0.5) == pytest.approx(500.0 * (1.0 - 250e-13), rel=1e-15)
+
+    @pytest.mark.parametrize("lam", [-50.0, -1.0, -0.05, 0.05, 0.5, 2.3, 40.0])
+    def test_exponential_unchanged_away_from_zero_slope(self, unit_interval, lam):
+        # above |lam W| = _SERIES_LIMIT the norm and the inverse CDF keep the
+        # closed form 1 - e^(-lam W), bit for bit
+        d = make_density("exponential", [lam], unit_interval)
+        x = np.linspace(0.0, 1.0, 11)
+        c = 1.0 - math.exp(-lam)
+        assert np.array_equal(d.pdf(x), np.exp(-lam * x) / (c / lam))
+        with np.errstate(divide="ignore"):   # at u = 1 where e^(-lam W) < eps/2
+            assert np.array_equal(d.ppf(x), np.clip(-np.log1p(-x * c) / lam, 0.0, 1.0))
+
     @pytest.mark.parametrize("kind,params", [("normal", [[0.5, 0.08]]),
                                              ("exponential", [[1.0]]),
                                              ("uniform", [[0.0], [1.0]])])

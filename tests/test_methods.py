@@ -6,7 +6,8 @@ import pytest
 
 from cowlib import ConstructionError, Density1D, EvaluationError, monomial_basis
 from cowlib import cows, sweights, toygen, wcov
-from cowlib.methods import MethodSpec, apply_method, sweights_matrix, variance_function
+from cowlib.methods import (MethodSpec, apply_method, control_fit, sweights_matrix,
+                            variance_function)
 from cowlib.mlfit import (MixtureComponent, MixtureModel, fit_extended_ml,
                           fit_weighted_ml, yields_only_refit)
 from cowlib.toygen import T_SUPPORT, ToySpec, generate, simple_truth_densities
@@ -177,3 +178,14 @@ def test_qm_without_an_event_inside_the_support(recwarn):
     with pytest.raises(ConstructionError, match="no event inside the support"):
         variance_function("qm", [gs, gb], data, None, 5, gs.support)
     assert not recwarn.list
+
+
+def test_control_fit_within_bounds():
+    # the signal events' slope (truth 2) is above the upper bound 0.1: the
+    # bounded fit stops at the bound and converges there
+    ds = generate(ToySpec(study="simple", n_events=2000, z=0.3, seed=5))
+    hs = Density1D("exponential", [1.5], T_SUPPORT)
+    t, w = ds.column("t"), (ds.labels == 0).astype(float)
+    assert abs(control_fit(t, w, hs).params[0] - 2.0) < 0.2
+    bounded = control_fit(t, w, hs, bounds=[(0.05, 0.1)])
+    assert bounded.converged and bounded.params[0] == 0.1

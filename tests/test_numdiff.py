@@ -137,29 +137,34 @@ def ref_weighted_grad(density, t, w, theta):
     return out
 
 
-def ref_dphi(spec, lam, m):
-    ns, nb, gs, gb, _, _ = spec.unpack(lam)
-    f = ns * gs.pdf(m) + nb * gb.pdf(m)
-    out = np.empty((spec.n_phi, len(m)))
-    for k, (comp, idx) in enumerate(spec.phi_free):
-        dens = gs if comp == "s" else gb
-        h = 1e-6 * max(abs(dens.params[idx]), 1.0)
-        pp, pm = dens.params.copy(), dens.params.copy()
-        pp[idx] += h
-        pm[idx] -= h
-        dg = (dens.with_params(pp).pdf(m) - dens.with_params(pm).pdf(m)) / (2 * h)
-        out[k] = (ns if comp == "s" else nb) * dg / f
-    return out
+def ref_shape_rows(spec, lam, m):
+    """The per-event shape rows y_k (dg_k/dphi) / f of the joint quasi-score
+    by step-1e-6 central differences of each free component's pdf."""
+    model, _, _ = spec.unpack(lam)
+    y, dens = model.yields, model.densities()
+    f = sum(yk * d.pdf(m) for yk, d in zip(y, dens))
+    rows = []
+    for k, c in enumerate(model.components):
+        if not c.free_shape:
+            continue
+        for idx in range(dens[k].n_params):
+            h = 1e-6 * max(abs(dens[k].params[idx]), 1.0)
+            pp, pm = dens[k].params.copy(), dens[k].params.copy()
+            pp[idx] += h
+            pm[idx] -= h
+            dg = (dens[k].with_params(pp).pdf(m) - dens[k].with_params(pm).pdf(m)) / (2 * h)
+            rows.append(y[k] * dg / f)
+    return np.array(rows)
 
 
 def ref_full_covariance(spec, lam, m, t):
     """``corrected_covariance_full``'s joint covariance with its Jacobian loop."""
     dim = spec.dim
     scales = np.maximum(np.abs(lam), 1.0)
-    iw = 2 + spec.n_phi
-    w_scale = float(np.max(np.abs(lam[iw:iw + 3])))
+    iw = spec._w_slice
+    w_scale = float(np.max(np.abs(lam[iw])))
     if w_scale > 0:
-        scales[iw:iw + 3] = np.maximum(np.abs(lam[iw:iw + 3]), w_scale)
+        scales[iw] = np.maximum(np.abs(lam[iw]), w_scale)
     J = np.empty((dim, dim))
     for j in range(dim):
         h = 1e-6 * scales[j]
@@ -310,31 +315,44 @@ def test_weighted_fit_score(toy, captured_scores, kind):
 
 
 def test_dphi(toy):
+    # the shape rows y_k g_k dln g_k/dphi / f in closed form against the
+    # step-1e-6 central difference of g, which is off by its truncation,
+    # h^2/6 of the third derivative (measured <= 3.1e-8 where |row| <= 20.5,
+    # at the narrow third peak); a free third component after a fixed one
+    # checks that the rows follow the layout of the m fit's parameters,
+    # mlfit._shape_slices
     gs, gb, hs, _ = simple_truth_densities()
-    spec = QuasiScoreSpec(gs=gs, gb=gb, hs=hs, phi_free=(("s", 0), ("s", 1), ("b", 0)))
-    lam = np.array([450.0, 1050.0, 0.51, 0.079, 1.1, 0.2, 0.1, 0.05, 2.0])
-    # g dln g/dphi in closed form against the step-1e-6 central difference
-    # of g, which is off by its truncation, h^2/6 of the third derivative
-    # (measured <= 3e-9 where |dphi| <= 10.3, and 1.2e-7 relative)
-    got, ref = spec._dphi(lam, toy.m), ref_dphi(spec, lam, toy.m)
-    assert np.all(np.abs(got - ref) <= 1e-7 * (1.0 + np.abs(ref)))
+    peak = Density1D("normal", [0.25, 0.03], gs.support)
+    shapes = [[0.51, 0.079], [1.1], [0.26, 0.031]]
+    for free in ((True, False, True), (False, True, True)):
+        model = MixtureModel([MixtureComponent(lab, d, fr) for lab, d, fr
+                              in zip("sbp", (gs, gb, peak), free)], np.full(3, 500.0))
+        spec = QuasiScoreSpec(model, hs)
+        lam = np.concatenate([[450.0, 900.0, 150.0]]
+                             + [p for p, fr in zip(shapes, free) if fr]
+                             + [[0.3, 0.1, 0.05, 0.2, 0.05, 0.25], [2.0]])
+        n_m = spec._w_slice.start
+        got = spec._per_event(lam, toy.m, toy.column("t"))[3:n_m]
+        ref = ref_shape_rows(spec, lam, toy.m)
+        assert got.shape == ref.shape == (n_m - 3, len(toy.m))
+        assert np.all(np.abs(got - ref) <= 1e-7 * (1.0 + np.abs(ref)))
 
 
-@pytest.mark.parametrize("phi_free", [(), (("s", 0), ("s", 1))], ids=["fixed", "free"])
-def test_full_sandwich_jacobian(toy, phi_free):
+@pytest.mark.parametrize("free", [(False, False), (True, False), (True, True)],
+                         ids=["fixed", "free", "both-free"])
+def test_full_sandwich_jacobian(toy, free):
     gs, gb, hs, _ = simple_truth_densities()
     m, t = toy.data[:, 0], toy.data[:, 1]
-    free = bool(phi_free)
-    mfit = fit_extended_ml(m, MixtureModel(
-        [MixtureComponent("s", gs, free), MixtureComponent("b", gb, False)],
-        np.array([750.0, 750.0])))
+    model = MixtureModel([MixtureComponent("s", gs, free[0]),
+                          MixtureComponent("b", gb, free[1])], np.array([750.0, 750.0]))
+    mfit = fit_extended_ml(m, model)
     assert mfit.converged
-    gs_hat = mfit.model.components[0].density
-    z = float(mfit.params[0] / mfit.params[:2].sum())
-    w = weight_functions(compute_W_variant_B([gs_hat, gb], [z, 1 - z], m), [gs_hat, gb]).w_k(0, m)
+    dens = mfit.model.densities()
+    z = mfit.model.fractions
+    w = weight_functions(compute_W_variant_B(dens, z, m), dens).w_k(0, m)
     tfit = fit_weighted_ml(t, w, hs, bounds=[(0.05, 20.0)])
     assert tfit.converged
-    spec = QuasiScoreSpec(gs=gs, gb=gb, hs=hs, phi_free=phi_free)
+    spec = QuasiScoreSpec(model, hs)
     lam = spec.lambda_from_fits(m, mfit, tfit)
     corr = corrected_covariance_full(toy.data, spec, lam)
     assert np.array_equal(corr.full, ref_full_covariance(spec, lam, m, t))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cowlib import ConstructionError, EvaluationError, kendall_tau
-from cowlib import toygen
+from cowlib import methods, toygen
 from cowlib.toygen import (EnsembleConfig, MethodSpec, ToySpec,
                            generate_multicomponent, generate_nonfactorising,
                            generate_simple, run_ensemble, run_toy,
@@ -150,6 +150,19 @@ def test_m_fit_that_does_not_converge_fails_each_method(monkeypatch):
     assert record["methods"] == {
         name: {"ok": False, "error": "the extended fit of m did not converge"}
         for name in ("swB", "cow")}
+
+
+def test_t_fit_that_does_not_converge_fails_the_method(monkeypatch):
+    # the toys record the control fit's failure as the CLI reports it
+    fit_weighted_ml = methods.fit_weighted_ml
+    monkeypatch.setattr(methods, "fit_weighted_ml", lambda *args, **kwargs: dataclasses.replace(
+        fit_weighted_ml(*args, **kwargs), converged=False))
+    cfg = EnsembleConfig(toy=ToySpec(study="simple", n_events=500, z=0.3),
+                         methods=[MethodSpec(name="swB")], n_toys=1)
+    record = toygen.run_toy(cfg, 0)
+    assert not record["ok"]
+    assert record["methods"] == {"swB": {
+        "ok": False, "error": "the weighted fit of the exponential control model did not converge"}}
 
 
 class TestNonfactSetupCache:

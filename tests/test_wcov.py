@@ -179,7 +179,7 @@ def hist_cow(weighted_toy):
 @pytest.fixture(scope="module")
 def spec_and_root(weighted_toy):
     d = weighted_toy
-    spec = QuasiScoreSpec(gs=d["gs"], gb=d["gb"], hs=d["hs"])
+    spec = QuasiScoreSpec(d["mfit"].model, d["hs"])
     lam = spec.lambda_from_fits(d["m"], d["mfit"], d["tfit"])
     return spec, lam
 
@@ -275,22 +275,22 @@ class TestFullSandwich:
             corrected_covariance_full(d["ds"].data, spec, bad)
 
     def test_free_signal_shape(self, weighted_toy):
-        # phi_free: the fitted signal mean and width enter the joint score
+        # the fitted signal mean and width enter the joint score
         d = weighted_toy
-        mfit = fit_extended_ml(d["m"], MixtureModel(
+        model = MixtureModel(
             [MixtureComponent("s", d["gs"], True), MixtureComponent("b", d["gb"], False)],
-            np.array([1500.0, 1500.0])))
+            np.array([1500.0, 1500.0]))
+        mfit = fit_extended_ml(d["m"], model)
         assert mfit.converged
         gs_hat = mfit.model.components[0].density
         z = float(mfit.params[0] / mfit.params[:2].sum())
         w = weight_functions(compute_W_variant_B([gs_hat, d["gb"]], [z, 1 - z], d["m"]),
                              [gs_hat, d["gb"]]).w_k(0, d["m"])
         tfit = fit_weighted_ml(d["t"], w, d["hs"], bounds=[(0.05, 20.0)])
-        spec = QuasiScoreSpec(gs=d["gs"], gb=d["gb"], hs=d["hs"],
-                              phi_free=(("s", 0), ("s", 1)))
+        spec = QuasiScoreSpec(model, d["hs"])
         lam = spec.lambda_from_fits(d["m"], mfit, tfit)
-        assert np.array_equal(lam[2:4], gs_hat.params)
-        assert np.array_equal(spec.unpack(lam)[2].params, gs_hat.params)
+        assert np.array_equal(lam[:4], mfit.params)
+        assert np.array_equal(spec.unpack(lam)[0].components[0].density.params, gs_hat.params)
         assert np.allclose(spec.weight_s(d["m"], lam), w, rtol=1e-9, atol=1e-12)
         assert np.max(np.abs(spec.score(lam, d["m"], d["t"]))) < 1e-4 * len(d["m"])
         corr = corrected_covariance_full(d["ds"].data, spec, lam)
@@ -302,6 +302,68 @@ class TestFullSandwich:
         spec, _ = spec_and_root
         with pytest.raises(EvaluationError):
             corrected_covariance_full(d["ds"].data, spec, np.zeros(4))
+
+
+def three_components(n, seed, free):
+    """(data, model, m fit, control fit, signal weights) of a simple-study
+    sample of n events plus n/4 events of a narrow peak in m, normal in t,
+    the components' shapes free as ``free`` says; the weights are swB's."""
+    ds = generate_simple(ToySpec(study="simple", n_events=n, z=0.3, seed=seed))
+    gs, gb, hs, _ = simple_truth_densities()
+    gp = Density1D("normal", [0.25, 0.03], gs.support)
+    u = np.random.default_rng(seed).random((n // 4, 2))
+    data = np.vstack([ds.data, np.column_stack([
+        gp.ppf(u[:, 0]), Density1D("normal", [1.0, 0.3], T_IV).ppf(u[:, 1])])])
+    model = MixtureModel([MixtureComponent(lab, g, f) for lab, g, f
+                          in zip("sbp", (gs, gb, gp), free)], np.full(3, len(data) / 3))
+    mfit = fit_extended_ml(data[:, 0], model)
+    assert mfit.converged
+    w = apply_method(MethodSpec("swB"), mfit, data).w
+    tfit = fit_weighted_ml(data[:, 1], w, hs, bounds=[(0.05, 20.0)])
+    assert tfit.converged
+    return data, model, mfit, tfit, w
+
+
+class TestThreeComponents:
+    def test_known_shapes_match_the_fixed_shape_correction(self):
+        # the joint quasi-score of n = 3 components, with its six-element W
+        # block, against the fixed-shape C' path (criterion 06 for n = 2);
+        # measured 5.4e-4 relative at N = 2e5
+        data, model, mfit, tfit, w = three_components(160_000, 41, (False, False, False))
+        m, t = data[:, 0], data[:, 1]
+        spec = QuasiScoreSpec(model, HS_TOY)
+        assert spec.dim == 3 + 6 + 1
+        lam = spec.lambda_from_fits(m, mfit, tfit)
+        full = corrected_covariance_full(data, spec, lam)
+        basis = model.densities()
+        wfs = weight_functions(compute_W_variant_B(basis, mfit.model.fractions, m), basis)
+        assert np.array_equal(wfs.w_k(0, m), w)
+        fixed = corrected_covariance_fixed_shapes(
+            t, w, wfs.dw_dW(m), HS_TOY, tfit.params,
+            basis=basis, yields=mfit.params[:3], data_m=m)
+        rel = abs(full.theta_block[0, 0] / fixed.theta_block[0, 0] - 1.0)
+        assert rel < 1e-3
+
+    def test_free_signal_and_background_shapes(self):
+        # lambda is laid out as the m fit's parameters: yields, the signal's
+        # mean and width, the background slope (the peak is fixed), then W
+        data, model, mfit, tfit, w = three_components(6000, 42, (True, True, False))
+        m = data[:, 0]
+        spec = QuasiScoreSpec(model, HS_TOY)
+        lam = spec.lambda_from_fits(m, mfit, tfit)
+        assert len(lam) == spec.dim == 6 + 6 + 1
+        assert np.array_equal(lam[:6], mfit.params)
+        # the weight of the W block equals apply_method's (measured 1e-12)
+        assert np.allclose(spec.weight_s(m, lam), w, rtol=1e-9, atol=0)
+        corr = corrected_covariance_full(data, spec, lam)   # passes the root check
+        assert corr.full.shape == (13, 13)
+        assert corr.theta_block[0, 0] > 0
+
+    def test_fit_of_another_layout_rejected(self):
+        data, model, mfit, tfit, _ = three_components(3000, 43, (True, False, False))
+        fixed = model.fix_shapes()
+        with pytest.raises(EvaluationError, match="parameters"):
+            QuasiScoreSpec(fixed, HS_TOY).lambda_from_fits(data[:, 0], mfit, tfit)
 
 
 # ---------------------------------------------------------------------------
