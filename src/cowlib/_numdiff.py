@@ -1,6 +1,7 @@
 """Central finite differences: the Jacobian of the joint quasi-score
 (``wcov.corrected_covariance_full``) and a public objective Hessian.  A step
-along parameter k is a constant times max(|x_k|, 1)."""
+is a constant times a scale: the caller's for a first derivative, max(|x_k|,
+1) for the Hessian."""
 
 from __future__ import annotations
 
@@ -11,12 +12,11 @@ from .errors import EvaluationError
 DERIV_STEP = 1e-6   # every first derivative
 
 
-def derivative(f, x, k: int, scale=None):
-    """``(f(x + h e_k) - f(x - h e_k)) / 2h`` with ``h = DERIV_STEP * scale``,
-    ``scale`` defaulting to ``max(|x_k|, 1)``.  ``f`` may return an array;
-    its finiteness is left to the caller."""
+def derivative(f, x, k: int, scale: float):
+    """``(f(x + h e_k) - f(x - h e_k)) / 2h`` with ``h = DERIV_STEP * scale``.
+    ``f`` may return an array; its finiteness is left to the caller."""
     x = np.asarray(x, dtype=float)
-    h = DERIV_STEP * (max(abs(x[k]), 1.0) if scale is None else scale)
+    h = DERIV_STEP * scale
     xp, xm = x.copy(), x.copy()
     xp[k] += h
     xm[k] -= h

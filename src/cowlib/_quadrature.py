@@ -3,8 +3,7 @@
 The integrand is evaluated on whole arrays of abscissae at once, which makes
 the scheme fast for numpy-vectorized densities.  A vector integrand (k rows
 of values) gets k integrals from one shared partition, so each density in it
-is evaluated once per node.  Scalar-only callables are wrapped
-transparently.
+is evaluated once per node.
 """
 
 from __future__ import annotations
@@ -60,26 +59,6 @@ def gauss_legendre(n: int):
     return x, w
 
 
-def _vectorized(f: Callable, x: np.ndarray):
-    """``f`` as a callable on node arrays, and its values at the nodes ``x``.
-
-    ``f`` may map an array of nodes to one value per node, or to k rows of
-    them (a vector integrand).  Anything else, such as a scalar-only
-    callable, is evaluated point by point.
-    """
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.ndim in (1, 2) and y.shape[-1] == len(x):
-            return f, y
-    except Exception:
-        pass
-
-    def pointwise(xs):
-        return np.array([f(v) for v in xs], dtype=float).T
-
-    return pointwise, pointwise(x)
-
-
 def _nodes(lo: np.ndarray, hi: np.ndarray):
     """Half-widths of a batch of intervals and their GK15 nodes, flattened."""
     half = 0.5 * (hi - lo)
@@ -123,15 +102,17 @@ def integrate(
 ) -> Union[float, np.ndarray]:
     """Integrate ``f`` over [lo, hi] to absolute accuracy ``tol``.
 
-    ``f`` returns one value per node, or an array of shape (k, len(x)) for
-    a vector integrand; then all k integrals share one adaptive partition,
-    each must meet ``tol``, and the result is an array of k values (a float
-    for a scalar integrand).  ``points`` lists known breakpoints (e.g.
+    ``f`` is called on arrays of nodes x and returns one value per node, or
+    an array of shape (k, len(x)) for a vector integrand; then all k
+    integrals share one adaptive partition, each must meet ``tol``, and the
+    result is an array of k values (a float for a scalar integrand).  ``points`` lists known breakpoints (e.g.
     density discontinuities); the initial subdivision is split there so
     each cell is smooth.
 
     Raises
     ------
+    ValueError
+        If ``f`` returns another shape on its first call.
     IntegrationError
         If the error target is not met after the subdivision budget, or
         cannot be met because it lies below the error floor of
@@ -148,7 +129,10 @@ def integrate(
         edges.extend(p for p in points if lo < p < hi)
     edges = np.array(sorted(set(edges)))
     half, x = _nodes(edges[:-1], edges[1:])
-    fv, y = _vectorized(f, x)
+    y = np.asarray(f(x), dtype=float)
+    if not (y.ndim in (1, 2) and y.shape[-1] == len(x)):
+        raise ValueError(f"integrand returned shape {y.shape} for {len(x)} nodes; "
+                         f"expected ({len(x)},) or (k, {len(x)})")
     vector = y.ndim == 2
     v0, e0 = _gk15(y, x, half)
 
@@ -179,7 +163,7 @@ def integrate(
         if not (a < m < b):
             break  # interval exhausted at machine precision
         half, x = _nodes(np.array([a, m]), np.array([m, b]))
-        nv, ne = _gk15(fv(x), x, half)
+        nv, ne = _gk15(f(x), x, half)
         if n == cap:  # grow by doubling: most integrals need few intervals
             cap *= 2
             los, his = np.resize(los, cap), np.resize(his, cap)

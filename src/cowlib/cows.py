@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e12
+GRAM_TOL = 1e-9       # absolute quadrature tolerance of each Gram matrix element
+FRACTION_TOL = 1e-8   # the fraction iteration stops once no fraction moves by more
 MIN_EFFICIENCY = 1e-6
 POSITIVITY_PROBE_POINTS = 2001
 
@@ -208,10 +210,10 @@ def from_upper(v, n: int) -> np.ndarray:
     return M
 
 
-def gram_matrix(basis: Sequence[Density1D], variance_fn, support: Interval,
-                tol: float = 1e-9) -> np.ndarray:
+def gram_matrix(basis: Sequence[Density1D], variance_fn, support: Interval) -> np.ndarray:
     """W_kl = integral over ``support`` of g_k g_l / I for the basis g and
-    the variance function I, split at the breakpoints of both."""
+    the variance function I, split at the breakpoints of both, each to
+    ``GRAM_TOL``."""
     pts = set(variance_fn.breakpoints()).union(*(g.breakpoints() for g in basis))
     at = {id(g): i for i, g in enumerate(basis)}
     rows = ([at.get(id(g)) for g in variance_fn.basis]
@@ -226,17 +228,17 @@ def gram_matrix(basis: Sequence[Density1D], variance_fn, support: Interval,
             return pair_products(gv) / variance_fn(m)
         return pair_products(gv) / sum(z * gv[i] for z, i in zip(variance_fn.fractions, rows))
 
-    return from_upper(integrate(f, support, tol, points=sorted(pts)), len(basis))
+    return from_upper(integrate(f, support, GRAM_TOL, points=sorted(pts)), len(basis))
 
 
-def build_cow(spec: CowSpec, tol: float = 1e-9) -> CowSet:
+def build_cow(spec: CowSpec) -> CowSet:
     """Compute the W matrix by quadrature and invert it.
 
     Raises :class:`~cowlib.errors.IllConditionedBasisError` when the Gram
     matrix condition number exceeds 1e12 (typically too many polynomial
     terms for the sample).
     """
-    W = gram_matrix(spec.effective_basis(), spec.variance_fn, spec.support, tol)
+    W = gram_matrix(spec.effective_basis(), spec.variance_fn, spec.support)
     n = len(W)
     cond = np.linalg.cond(W)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
@@ -332,7 +334,6 @@ def estimate_fractions(cow: CowSet, data, eff: Optional[EfficiencyMap] = None
 def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
                              eff: Optional[EfficiencyMap] = None,
                              max_iter: Optional[int] = None,
-                             tol: float = 1e-8,
                              start=None,
                              ) -> Tuple[np.ndarray, MixtureVariance]:
     """Iterate I(m) = sum z_k g_k with fractions re-estimated each step.
@@ -340,8 +341,9 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
     Starts from the fractions ``start`` (say, those of a fit of m, when the
     basis is its components) or else from equal fractions; from equal ones
     a handful of steps (about the number of components) normally suffices.
-    Fractions leaving [0, 1] are clipped and renormalized.  Raises :class:`~cowlib.errors.NonConvergenceError` with
-    the iteration trace if the tolerance is not reached.
+    Fractions leaving [0, 1] are clipped and renormalized.  Raises
+    :class:`~cowlib.errors.NonConvergenceError` with the iteration trace if
+    no step moves every fraction by less than ``FRACTION_TOL``.
     """
     basis = list(basis)
     n = len(basis)
@@ -352,24 +354,19 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
         raise ConstructionError("max_iter must be >= 1")
     z = np.full(n, 1.0 / n) if start is None else np.array(start, dtype=float)
     trace = [z.copy()]
-    clipped = False
     for _ in range(max_iter):
         var = MixtureVariance(z, basis)
         spec = CowSpec(basis=basis, variance_fn=var, support=support)
         cow = build_cow(spec)
         z_new, _ = estimate_fractions(cow, data, eff)
-        if np.any(z_new < 0) or np.any(z_new > 1):
-            clipped = True
-            z_new = np.clip(z_new, 0.0, 1.0)
+        z_new = np.clip(z_new, 0.0, 1.0)
         s = z_new.sum()
         if s <= 0:
             raise NonConvergenceError("all fractions clipped to zero", trace)
         z_new = z_new / s
         trace.append(z_new.copy())
-        if np.max(np.abs(z_new - z)) < tol:
-            var = MixtureVariance(z_new, basis)
-            var.clipped = clipped
-            return z_new, var
+        if np.max(np.abs(z_new - z)) < FRACTION_TOL:
+            return z_new, MixtureVariance(z_new, basis)
         z = z_new
     raise NonConvergenceError(
         f"fraction iteration did not converge in {max_iter} steps", trace)

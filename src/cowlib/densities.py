@@ -95,9 +95,11 @@ class Density1D:
     """A normalized probability density on a finite interval.
 
     Supported kinds: ``uniform``, ``normal``, ``exponential``, ``monomial``,
-    ``histogram``, ``mixture`` and ``table``.  All shapes are truncated and
-    renormalized to their support.  Instances are immutable; use
-    :meth:`with_params` to obtain a re-parameterized copy.
+    ``histogram`` and ``mixture``.  The parametric shapes are truncated and
+    renormalized to their support; a histogram's edges must run from one
+    end of the support to the other, and a mixture's components must have
+    its support.  Instances are immutable; use :meth:`with_params` to
+    obtain a re-parameterized copy.
     """
 
     def __init__(self, kind: str, params, support: Interval, data: Optional[dict] = None):
@@ -132,10 +134,13 @@ class Density1D:
             if p.size != 1 or not np.isfinite(p[0]):
                 raise ConstructionError("exponential needs a single finite slope")
         elif k == "monomial":
-            if p.size != 1 or p[0] < 1:
-                raise ConstructionError("monomial needs degree parameter k >= 1")
+            if p.size != 1 or not 1 <= p[0] < math.inf:
+                raise ConstructionError(f"monomial needs a finite degree k >= 1, got {p.tolist()}")
         elif k == "histogram":
             edges = _bin_edges(self.data["edges"], "histogram edges")
+            if edges[0] != lo or edges[-1] != hi:
+                raise ConstructionError(f"histogram edges run from {edges[0]:g} to {edges[-1]:g},"
+                                        f" not over the support {self.support.as_tuple()}")
             contents = np.asarray(self.data["contents"], dtype=float)
             if len(contents) != len(edges) - 1:
                 raise ConstructionError("len(contents) must equal len(edges) - 1")
@@ -146,13 +151,9 @@ class Density1D:
             w = np.asarray(self.data["weights"], dtype=float)
             if len(comps) != len(w) or np.any(w < 0) or w.sum() <= 0:
                 raise ConstructionError("mixture needs matching nonnegative weights")
-        elif k == "table":
-            xs = np.asarray(self.data["xs"], dtype=float)
-            ys = np.asarray(self.data["ys"], dtype=float)
-            if len(xs) != len(ys) or len(xs) < 2 or np.any(np.diff(xs) <= 0):
-                raise ConstructionError("table needs increasing xs with matching ys")
-            if np.any(ys < 0):
-                raise ConstructionError("table values must be >= 0")
+            if any(c.support != self.support for c in comps):
+                raise ConstructionError("mixture components must have the mixture's 'support'"
+                                        f" {self.support.as_tuple()}")
         else:
             raise ConstructionError(f"unknown density kind {k!r}")
 
@@ -183,8 +184,6 @@ class Density1D:
         if k == "mixture":
             w = np.asarray(self.data["weights"], dtype=float)
             return sum(wi * c.pdf(x) for wi, c in zip(w, self.data["components"]))
-        if k == "table":
-            return np.interp(x, self.data["xs"], self.data["ys"])
         raise AssertionError(k)
 
     def _raw_norm(self) -> float:
@@ -209,16 +208,14 @@ class Density1D:
             return float(np.sum(self.data["contents"]))
         if k == "mixture":
             return float(np.sum(self.data["weights"]))
-        if k == "table":
-            return float(np.trapezoid(self.data["ys"], self.data["xs"]))
         raise AssertionError(k)
 
     # -- evaluation -----------------------------------------------------------
 
-    def pdf(self, x, extrapolate: bool = False):
-        """Density values at ``x``; zero outside the support unless ``extrapolate``."""
+    def pdf(self, x):
+        """Density values at ``x``; zero outside the support."""
         xa = np.asarray(x, dtype=float)
-        inside = extrapolate or self.support.contains(xa)
+        inside = self.support.contains(xa)
         if np.all(inside):
             out = self._raw(xa) / self._norm
         else:   # the raw shape may overflow far outside the support
@@ -233,8 +230,8 @@ class Density1D:
         with np.errstate(divide="ignore"):
             return np.log(p)
 
-    def __call__(self, x, extrapolate: bool = False):
-        return self.pdf(x, extrapolate=extrapolate)
+    def __call__(self, x):
+        return self.pdf(x)
 
     # -- closed-form parameter derivatives of ln pdf ---------------------------
     # ``_DIFFERENTIABLE_KINDS`` only (they raise for every other kind), valid
@@ -301,8 +298,6 @@ class Density1D:
             return [p for p in self.params if lo < p < hi]
         if self.kind == "histogram":
             return [e for e in self.data["edges"] if lo < e < hi]
-        if self.kind == "table":
-            return [x for x in self.data["xs"] if lo < x < hi]
         if self.kind == "mixture":
             pts: List[float] = []
             for c in self.data["components"]:
@@ -374,37 +369,27 @@ class Density1D:
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "params": self.params.tolist(),
              "support": list(self.support.as_tuple())}
-        if self.kind == "histogram":
-            d["edges"] = np.asarray(self.data["edges"]).tolist()
-            d["contents"] = np.asarray(self.data["contents"]).tolist()
-            if "sumw2" in self.data:
-                d["sumw2"] = np.asarray(self.data["sumw2"]).tolist()
-        elif self.kind == "table":
-            d["xs"] = np.asarray(self.data["xs"]).tolist()
-            d["ys"] = np.asarray(self.data["ys"]).tolist()
-        elif self.kind == "mixture":
-            d["weights"] = np.asarray(self.data["weights"]).tolist()
-            d["components"] = [c.to_dict() for c in self.data["components"]]
+        for key in _DATA_KEYS.get(self.kind, ()):
+            if key == "components":
+                d[key] = [c.to_dict() for c in self.data[key]]
+            elif key in self.data:
+                d[key] = np.asarray(self.data[key]).tolist()
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Density1D":
         support = Interval.from_pair(d["support"])
         kind = d["kind"]
-        data = None
-        if kind == "histogram":
-            data = {"edges": d["edges"], "contents": d["contents"]}
-            if "sumw2" in d:
-                data["sumw2"] = d["sumw2"]
-        elif kind == "table":
-            data = {"xs": d["xs"], "ys": d["ys"]}
-        elif kind == "mixture":
-            data = {"weights": d["weights"],
-                    "components": [cls.from_dict(c) for c in d["components"]]}
+        keys = _DATA_KEYS.get(kind, ()) if isinstance(kind, str) else ()
+        data = {key: d[key] for key in keys if key in d}
+        if "components" in data:
+            data["components"] = [cls.from_dict(c) for c in data["components"]]
         return cls(kind, d.get("params", []), support, data)
 
 
 _SQRT_2PI = math.sqrt(2 * math.pi)
+# the data keys of each data-defined kind, in their serialized order
+_DATA_KEYS = {"histogram": ("edges", "contents", "sumw2"), "mixture": ("weights", "components")}
 _DIFFERENTIABLE_KINDS = ("normal", "exponential", "monomial")   # have dlogpdf, d2logpdf
 _SERIES_LIMIT = 0.05   # |lam W| below which the exponential moments are series
 

@@ -80,11 +80,6 @@ class MixtureModel:
     def densities(self) -> List[Density1D]:
         return [c.density for c in self.components]
 
-    def pdf(self, x) -> np.ndarray:
-        """Normalized mixture density at the current yields."""
-        z = self.fractions
-        return sum(zk * c.density.pdf(x) for zk, c in zip(z, self.components))
-
     def replace(self, yields=None, shape_params: Optional[Sequence] = None) -> "MixtureModel":
         """Copy with new yields and/or per-component shape parameter vectors."""
         comps = []
@@ -310,7 +305,7 @@ def _yields_newton(g: np.ndarray, y0, lower, upper, gtol):
     return yields, block_nll.calls
 
 
-def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitResult:
+def fit_extended_ml(data_m, model: MixtureModel, init=None) -> FitResult:
     """Maximize the extended log-likelihood over yields and free shape params.
 
     Constant terms of the likelihood are dropped.  At the optimum the yield
@@ -341,10 +336,9 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
     if init is None:
         init = np.concatenate([np.full(n_comp, len(data) / n_comp)] + shapes0)
     init = np.asarray(init, dtype=float)
-    if bounds is None:
-        bounds = [(0.0, np.inf)] * n_comp
-        for i, _ in free:
-            bounds.extend(_default_shape_bounds(model.components[i].density))
+    bounds = [(0.0, np.inf)] * n_comp
+    for i, _ in free:
+        bounds.extend(_default_shape_bounds(model.components[i].density))
     lower = np.array([b[0] for b in bounds])
     upper = np.array([b[1] for b in bounds])
     if np.any(init < lower) or np.any(init > upper):
@@ -366,9 +360,6 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
         return dens, np.stack(values)
 
     def comp_values(params):
-        # a negative yield (which a caller's bounds may allow) is infeasible too
-        if np.any(params[:n_comp] < 0):
-            raise ConstructionError("yields must be >= 0")
         return stacked(params[n_comp:].tobytes())
 
     def nll(params):
@@ -480,12 +471,9 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None, bounds=None) -> FitR
                      model=_model_at(model, x))
 
 
-def yields_only_refit(data_m, model: MixtureModel, init=None) -> FitResult:
+def yields_only_refit(data_m, model: MixtureModel) -> FitResult:
     """Extended-ML fit with every shape fixed at its current value."""
-    fixed = model.fix_shapes()
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-    return fit_extended_ml(data_m, fixed, init=init)
+    return fit_extended_ml(data_m, model.fix_shapes())
 
 
 # The weighted log-likelihood sum_i w_i ln h(t_i; theta): its per-event

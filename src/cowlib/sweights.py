@@ -73,12 +73,11 @@ def _check_fractions(z, n: int) -> np.ndarray:
     return z
 
 
-def compute_W_variant_A(basis: Sequence[Density1D], z, iv: Interval,
-                        tol: float = 1e-9) -> WeightMatrix:
+def compute_W_variant_A(basis: Sequence[Density1D], z, iv: Interval) -> WeightMatrix:
     """W from quadrature: the Gram matrix of the basis g_k under the variance
     function sum_k z_k g_k."""
     z = _check_fractions(z, len(basis))
-    W = gram_matrix(basis, MixtureVariance(z, basis), iv, tol)
+    W = gram_matrix(basis, MixtureVariance(z, basis), iv)
     return WeightMatrix(W, _inverse(W), "A", z)
 
 

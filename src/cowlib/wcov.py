@@ -39,6 +39,7 @@ ROOT_TOL_PER_EVENT = 1e-4
 # in memory for the next one only up to this many
 BOOT_BLOCK_ELEMENTS = 2 ** 16
 BOOT_CACHE_ELEMENTS = 2 ** 23
+BOOT_QUAD_POINTS = 16   # Gauss-Legendre nodes per bin of each basis integral
 
 
 def variance_sum_weights(weights) -> float:
@@ -150,8 +151,7 @@ def corrected_covariance_fixed_shapes(
 
 
 def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
-                             eff=None, quad_points: int = 16,
-                             n_boot: int = 400, boot_seed: int = 0,
+                             eff=None, n_boot: int = 400, boot_seed: int = 0,
                              ) -> CorrectedCovariance:
     """Sandwich covariance for a fit weighted with orthogonal weight functions.
 
@@ -197,12 +197,12 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
 
     # per-bin basis integrals B_klj of g_k g_l by Gauss-Legendre; the
     # weight matrix for any bin contents is then W_kl = sum_j B_klj / I_j
-    x, gq = gauss_legendre(quad_points)
+    x, gq = gauss_legendre(BOOT_QUAD_POINTS)
     half = 0.5 * widths
     nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x[None, :]
     gv = cow.basis_values(nodes.ravel())
     nb = gv.shape[0]
-    gv = gv.reshape(nb, nbins, quad_points)
+    gv = gv.reshape(nb, nbins, BOOT_QUAD_POINTS)
     B = np.einsum("kjq,ljq,q,j->klj", gv, gv, gq, half)
 
     # events sorted by bin (stably, so each bin keeps event order); the

@@ -90,9 +90,9 @@ def count_pdf_calls(monkeypatch):
     calls = []
     pdf = Density1D.pdf
 
-    def counted(self, x, extrapolate=False):
+    def counted(self, x):
         calls.append(self)
-        return pdf(self, x, extrapolate)
+        return pdf(self, x)
 
     monkeypatch.setattr(Density1D, "pdf", counted)
     return calls

@@ -780,6 +780,10 @@ class TestConfigShape:
         assert not out.exists()
 
 
+BAD_SUPPORTS = {"bool": [0, True], "nested": [[0, 1], 1], "nan": [0, float("nan")],
+                "empty": [1, 1]}
+
+
 class TestSharedConfigLayer:
     """One support rule, densities parsed before the data, the pipeline cow
     block checked after ``--echo``, and the input errors of the fits."""
@@ -787,10 +791,12 @@ class TestSharedConfigLayer:
     HISTOGRAM = {"kind": "histogram", "support": [0, 3], "edges": [0, 1, 2, 3],
                  "contents": [3, 2, 1]}
 
-    @pytest.mark.parametrize("support", [[0, True], [[0, 1], 1], [0, float("nan")], [1, 1]],
-                             ids=["bool", "nested", "nan", "empty"])
-    @pytest.mark.parametrize("where", ["model", "component", "control_model", "cow",
-                                       "mixture-component"])
+    # every malformed support, and a mixture component on another valid one
+    @pytest.mark.parametrize("where, support", [
+        pytest.param(where, support, id=f"{where}-{name}")
+        for where in ("model", "component", "control_model", "cow", "mixture-component")
+        for name, support in BAD_SUPPORTS.items()]
+        + [pytest.param("mixture-component", [0, 2], id="mixture-component-other")])
     def test_one_support_rule(self, tmp_path, data_csv, capsys, where, support):
         out = str(tmp_path / "s.json")
         if where == "cow":
@@ -861,6 +867,28 @@ class TestSharedConfigLayer:
             cfg["control_model"] = CONTROL_CFG
         assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
         assert capsys.readouterr().err == "error: the parameters of a uniform density cannot be fitted\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("background, message", [
+        ({"kind": "table", "xs": [0, 1], "ys": [1, 1]}, "unknown density kind 'table'"),
+        ({"kind": "histogram", "edges": [0.1, 0.5, 0.9], "contents": [1, 1]},
+         "histogram edges run from 0.1 to 0.9, not over the support (0.0, 1.0)"),
+        ({"kind": "mixture", "weights": [1, 1],
+          "components": [{**GB_CFG, "support": [0, 2]},
+                         {"kind": "uniform", "params": [], "support": [0, 1]}]},
+         "mixture components must have the mixture's 'support' (0.0, 1.0)"),
+        ({"kind": "monomial", "params": [float("nan")]}, "finite degree k >= 1, got [nan]"),
+        ({"kind": "monomial", "params": [float("inf")]}, "finite degree k >= 1, got [inf]")],
+        ids=["table", "histogram-edges", "mixture-support", "monomial-nan", "monomial-inf"])
+    def test_density_not_normalized_on_the_support(self, tmp_path, data_csv, capsys,
+                                                   background, message):
+        # unchecked, the histogram fit exited 0 with N_s 424.9 (601.6 with edges 0 to 1)
+        out = tmp_path / "s.json"
+        model = {**MODEL_CFG, "components": [GS_CFG, {**background, "label": "b"}]}
+        cfg = {"data": data_csv, "model": model, "out": str(out)}
+        assert cli.main(["fit", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad density config:") and message in err
         assert not out.exists()
 
     def test_two_dimensional_params(self, tmp_path, data_csv, capsys):

@@ -1,6 +1,7 @@
 """Density primitives, quadrature, histograms and efficiency maps."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -186,10 +187,26 @@ class TestVectorIntegrate:
         assert isinstance(one, np.ndarray) and one.shape == (1,)
         assert one[0] == pytest.approx(1.0, abs=1e-10)
 
-    def test_scalar_only_vector_integrand(self, unit_interval):
-        # a callable that only takes one point at a time, returning k values
-        val = integrate(lambda x: [1.0, 2.0 * float(x)], unit_interval, 1e-10)
-        assert np.allclose(val, [1.0, 1.0], atol=1e-10)
+    @pytest.mark.parametrize("f, shape", [
+        (lambda x: 1.0, "()"),
+        (lambda x: np.ones((2, len(x) - 1)), "(2, 14)"),
+        (lambda x: np.ones((2, 3, len(x))), "(2, 3, 15)"),
+    ], ids=["scalar", "short-rows", "3-d"])
+    def test_wrong_shape_names_it(self, unit_interval, f, shape):
+        with pytest.raises(ValueError, match=re.escape(f"returned shape {shape} for 15 nodes")):
+            integrate(f, unit_interval, 1e-10)
+
+    def test_integrand_error_reaches_the_caller(self, unit_interval):
+        # called once, on the node array: its own error is not swallowed
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            raise TypeError("only scalars accepted")
+
+        with pytest.raises(TypeError, match="only scalars accepted"):
+            integrate(f, unit_interval, 1e-10)
+        assert len(calls) == 1 and np.shape(calls[0]) == (15,)
 
     def test_failure_carries_array_estimate(self, monkeypatch):
         import cowlib._quadrature as quadrature
@@ -236,6 +253,24 @@ class TestMakeDensity:
             make_density("uniform", [0.7, 0.2], unit_interval)
         with pytest.raises(ConstructionError):
             make_density("nosuchkind", [], unit_interval)
+
+    def test_table_kind_is_unknown(self, unit_interval):
+        with pytest.raises(ConstructionError, match="unknown density kind 'table'"):
+            Density1D("table", [], unit_interval, {"xs": [0.0, 1.0], "ys": [1.0, 1.0]})
+
+    @pytest.mark.parametrize("degree", [math.nan, math.inf, 0.5])
+    def test_monomial_degree_finite_and_at_least_one(self, unit_interval, degree):
+        # the monomial norm is the constant 1, so nothing else would catch nan
+        with pytest.raises(ConstructionError, match="finite degree k >= 1"):
+            Density1D("monomial", [degree], unit_interval)
+
+    def test_mixture_components_have_its_support(self, unit_interval):
+        # with the normal normalized on [0, 2], the mixture would integrate
+        # to 0.75 on [0, 1]
+        comps = [Density1D("normal", [1.0, 0.5], Interval(0.0, 2.0)),
+                 Density1D("uniform", [], unit_interval)]
+        with pytest.raises(ConstructionError, match="mixture's 'support'"):
+            Density1D("mixture", [], unit_interval, {"weights": [1, 1], "components": comps})
 
     def test_exponential_whose_norm_overflows(self):
         # (1 - e^3000) / -1000 is beyond the float range
@@ -287,7 +322,6 @@ class TestMakeDensity:
     def test_zero_outside_support(self, unit_interval):
         d = make_density("normal", [0.5, 0.2], unit_interval)
         assert d.pdf(1.5) == 0.0
-        assert d.pdf(1.5, extrapolate=True) > 0.0
 
     def test_far_outside_point_is_not_evaluated(self):
         # e^(200 x) overflows at x = 10: only points in the support are evaluated
@@ -312,6 +346,21 @@ class TestMakeDensity:
         d2 = Density1D.from_dict(d.to_dict())
         x = np.linspace(0, 1, 31)
         assert np.allclose(d.pdf(x), d2.pdf(x))
+
+    def test_mixture_json_round_trip(self, unit_interval):
+        h = histogram_density([0.1, 0.2, 0.8], [1.0, 2.0, 3.0], 2, unit_interval)
+        d = Density1D("mixture", [], unit_interval,
+                      {"weights": np.array([1.0, 3.0]),
+                       "components": [h, make_density("normal", [0.5, 0.1], unit_interval)]})
+        spec = d.to_dict()
+        assert list(spec) == ["kind", "params", "support", "weights", "components"]
+        assert list(spec["components"][0]) == ["kind", "params", "support", "edges",
+                                               "contents", "sumw2"]
+        d2 = Density1D.from_dict(spec)
+        assert d2.to_dict() == spec
+        x = np.linspace(0, 1, 31)
+        assert np.array_equal(d.pdf(x), d2.pdf(x))
+        assert d2.breakpoints() == [0.5]
 
     @pytest.mark.parametrize("mu,sigma", [(-1.0, 0.1), (-0.2, 0.1), (-2.0, 0.1),
                                           (-0.05, 0.3)])
@@ -415,6 +464,13 @@ class TestHistogramDensity:
         assert np.allclose(h.data["sumw2"], [5.0, 9.0])
         h2 = Density1D.from_dict(h.to_dict())
         assert np.allclose(h2.data["contents"], h.data["contents"])
+
+    @pytest.mark.parametrize("edges", [[0.2, 0.5, 0.8], [-1.0, 0.5, 2.0], [0.0, 0.5, 0.9]])
+    def test_edges_span_the_support(self, unit_interval, edges):
+        # normalized on its own edges, the first would integrate to 1.667 on
+        # [0, 1] and the second to 0.333
+        with pytest.raises(ConstructionError, match="not over the support"):
+            Density1D("histogram", [], unit_interval, {"edges": edges, "contents": [1.0, 1.0]})
 
     def test_length_mismatch_rejected(self, unit_interval):
         with pytest.raises(ConstructionError):
@@ -537,9 +593,12 @@ class TestClosedFormDerivatives:
 
     @staticmethod
     def stencils(d, x, scale=None):
+        """The stencils, the first one's step scaled by ``scale`` or else
+        by max(|theta_k|, 1) as the Hessian's is."""
         from cowlib._numdiff import derivative, numerical_hessian
         theta = d.params
-        d1 = np.stack([derivative(lambda th: d.with_params(th).logpdf(x), theta, k, scale)
+        d1 = np.stack([derivative(lambda th: d.with_params(th).logpdf(x), theta, k,
+                                  scale or max(abs(theta[k]), 1.0))
                        for k in range(len(theta))])
         d2 = numerical_hessian(lambda th: d.with_params(th).logpdf(x), theta, 1e-4)
         return d1, d2

@@ -364,7 +364,7 @@ def test_full_sandwich_jacobian(toy, free):
 
 def test_derivative_step():
     x = np.array([0.3, 2.5])
-    for k, scale, h in ((0, None, 1e-6), (1, None, 1e-6 * 2.5), (1, 7.0, 1e-6 * 7.0)):
+    for k, scale, h in ((0, 1.0, 1e-6), (1, 2.5, 1e-6 * 2.5), (1, 7.0, 1e-6 * 7.0)):
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
