@@ -382,8 +382,9 @@ class Density1D:
         kind = d["kind"]
         keys = _DATA_KEYS.get(kind, ()) if isinstance(kind, str) else ()
         data = {key: d[key] for key in keys if key in d}
-        if "components" in data:
-            data["components"] = [cls.from_dict(c) for c in data["components"]]
+        if "components" in data:   # on the mixture's support unless they name it
+            data["components"] = [cls.from_dict({"support": d["support"], **c})
+                                  for c in data["components"]]
         return cls(kind, d.get("params", []), support, data)
 
 

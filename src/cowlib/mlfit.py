@@ -3,15 +3,15 @@
 The optimizer is a bounded quasi-Newton (scipy L-BFGS-B) followed by a Newton
 polish (:func:`_polish_newton`, the one Newton iteration, which takes the
 Hessian as an argument) that drives the score below the convergence
-tolerance.  The extended-ML fit then polishes its yields on their
-closed-form block, so identities that hold exactly at the optimum (e.g. the
-extended-ML yield identity) are reproduced to near machine precision; with
-every shape fixed that Newton iteration is the whole fit.  Every score and
-Hessian is closed-form, from :meth:`Density1D.dlogpdf` and
-:meth:`Density1D.d2logpdf`, so only normal, exponential and monomial
-parameters can be fitted; a uniform's range cannot.  A weighted fit of an
-exponential needs no optimizer: its score depends on the data through two
-weighted sums, and its root is found by bracketing.
+tolerance; the extended-ML fit then polishes its yields on their closed-form
+block, so identities that hold exactly at the optimum (e.g. the yield
+identity) are reproduced to near machine precision.  Every score and Hessian
+is closed-form, from :meth:`Density1D.dlogpdf` and :meth:`Density1D.d2logpdf`,
+so only normal, exponential and monomial parameters can be fitted; the
+extended-ML Hessian (:func:`_nll_hessian`) is also the m block of the joint
+quasi-score's Jacobian in :mod:`cowlib.wcov`.  A weighted fit of an
+exponential is the root of its score over two weighted sums.  The one finite
+difference, :func:`numerical_hessian`, is public and used by no fit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from ._numdiff import numerical_hessian   # re-exported
 from .densities import _DIFFERENTIABLE_KINDS, Density1D, Interval, _exponential_mean
 from .errors import ConstructionError, EvaluationError
 
@@ -271,6 +270,34 @@ def _param_names(model: MixtureModel):
     return names
 
 
+def _mixture_rows(dens, g, yields, slices, data):
+    """(D, s): the rows D = df/dp of f = y.g over the parameters laid out by
+    ``slices`` (g_k for yield k, y_k g_k s_k for a free shape of component k),
+    where g are the values of ``dens`` at ``data``, and the s_k = dln g_k/dphi
+    of the free components by index k."""
+    s = {k: dens[k].dlogpdf(data) for k, sl in enumerate(slices) if sl.stop > sl.start}
+    return np.concatenate([g] + [yields[k] * g[k] * sk for k, sk in s.items()]), s
+
+
+def _nll_hessian(dens, g, f, yields, slices, data):
+    """(H, D, s): the Hessian H = (D/f^2).D^T - sum (d^2 f/dp dp')/f of the
+    extended nll sum(y) - sum ln f, with (D, s) of :func:`_mixture_rows`;
+    d^2 f is g_k s_k between yield k and its own shape and y_k g_k (s_k s_k^T
+    + ds_k) within the shape."""
+    if np.any(f <= 0):
+        raise EvaluationError("mixture density non-positive at an event")
+    D, scores = _mixture_rows(dens, g, yields, slices, data)
+    Df = D / f
+    H = Df @ Df.T
+    for k, sk in scores.items():
+        s, r = slices[k], g[k] / f
+        cross = sk @ r
+        H[k, s] -= cross
+        H[s, k] -= cross
+        H[s, s] -= yields[k] * ((sk * r) @ sk.T + dens[k].d2logpdf(data) @ r)
+    return H, D, scores
+
+
 def _check_fittable(density: Density1D):
     """Raise :class:`ConstructionError` unless the parameters of ``density``
     have closed-form scores; a uniform's range has none (the likelihood is
@@ -389,31 +416,8 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None) -> FitResult:
         return out
 
     def nll_hessian(params):
-        # with D the rows df/dp (g for a yield, y g dln g/dtheta for a shape),
-        # H = (D/f^2).D^T - sum (d^2 f/dp dp')/f, where d^2 f is g dln g/dtheta
-        # between a yield and its own shape and y g (s s^T + ds) within a shape
         dens, g = comp_values(params)
-        y = params[:n_comp]
-        f = y @ g
-        if np.any(f <= 0):
-            raise EvaluationError("mixture density non-positive at an event")
-        D = g
-        scores = {}
-        if free:
-            D = np.empty((n_par, len(data)))
-            D[:n_comp] = g
-            for i, s in free:
-                scores[i] = dens[i].dlogpdf(data)
-                D[s] = y[i] * g[i] * scores[i]
-        D = D / f
-        H = D @ D.T
-        for i, s in free:
-            r = g[i] / f
-            cross = scores[i] @ r
-            H[i, s] -= cross
-            H[s, i] -= cross
-            H[s, s] -= y[i] * ((scores[i] * r) @ scores[i].T + dens[i].d2logpdf(data) @ r)
-        return H
+        return _nll_hessian(dens, g, params[:n_comp] @ g, params[:n_comp], slices, data)[0]
 
     def converged_at(x):
         return bool(np.max(np.abs(_projected_grad(grad(x), x, lower, upper))) < gtol)
@@ -604,3 +608,30 @@ def fit_weighted_ml(data_t, weights, density: Density1D, init=None, bounds=None)
     return FitResult(params=x, covariance=cov, hessian=hess, nll=fval,
                      converged=converged, n_calls=n_calls,
                      param_names=names, flags=flags)
+
+
+def numerical_hessian(objective, params, rel_step: float = 1e-5) -> np.ndarray:
+    """Symmetric central-difference Hessian (n, n) + value shape of ``objective``
+    at ``params``, step ``rel_step`` max(|x_k|, 1); raises EvaluationError naming
+    a probe point where the objective is non-finite.  Used by no fit; kept
+    public because the benchmark's tracer and reference recorder name it."""
+    x = np.asarray(params, dtype=float)
+    n = len(x)
+    steps = rel_step * np.maximum(np.abs(x), 1.0)
+
+    def f(p):
+        v = np.asarray(objective(p), dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise EvaluationError(f"objective non-finite at probe point {p.tolist()}")
+        return v
+
+    f0 = f(x)
+    H = np.empty((n, n) + f0.shape)
+    e = np.diag(steps)  # row i: the step along parameter i
+    for i in range(n):
+        H[i, i] = (f(x + e[i]) - 2.0 * f0 + f(x - e[i])) / steps[i] ** 2
+        for j in range(i + 1, n):
+            H[i, j] = H[j, i] = (
+                f(x + e[i] + e[j]) - f(x + e[i] - e[j]) - f(x - e[i] + e[j]) + f(x - e[i] - e[j])
+            ) / (4.0 * steps[i] * steps[j])
+    return H

@@ -15,13 +15,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numdiff import derivative
 from ._quadrature import gauss_legendre
-from .cows import efficiency_at, from_upper, implied_cow, pair_products
+from .cows import efficiency_at, from_upper, implied_cow, pair_products, upper_pairs
 from .densities import Density1D, floor_empty_bins
 from .errors import EvaluationError
-from .mlfit import (MixtureModel, _covariance, _model_at, _param_names, _shape_slices,
-                    _weighted_hessian)
+from .mlfit import (MixtureModel, _covariance, _mixture_rows, _model_at, _nll_hessian,
+                    _param_names, _shape_slices, _weighted_hessian)
 
 __all__ = [
     "QuasiScoreSpec",
@@ -87,6 +86,14 @@ class CorrectedCovariance:
         return {"theta_block": arr(self.theta_block), "naive": arr(self.naive),
                 "full": arr(self.full), "first_term": arr(self.first_term),
                 "reduction_term": arr(self.reduction_term)}
+
+
+def _columns(data) -> Tuple[np.ndarray, np.ndarray]:
+    """The columns m and t of an (N, >= 2) data array."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[1] < 2:
+        raise EvaluationError("data must have columns (m, t)")
+    return data[:, 0], data[:, 1]
 
 
 def _sandwich(hs_model: Density1D, t, w, theta):
@@ -171,10 +178,7 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     of them is drawn once per process and reused.  ``boot_kept`` of the
     result counts the replicas used.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise EvaluationError("data must have columns (m, t)")
-    m, t = data[:, 0], data[:, 1]
+    m, t = _columns(data)
     n = len(m)
     theta = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     n_sig = cow.spec.n_signal
@@ -380,20 +384,19 @@ class QuasiScoreSpec:
     def weight_s(self, m, lam) -> np.ndarray:
         """The classic signal weight of the W block of ``lam`` at m."""
         model, Wv, _ = self.unpack(lam)
-        return _signal_weight(Wv, model.densities(), m)
+        return _implied(Wv, model.densities()).weights(m)[:, 0]
 
     def _per_event(self, lam, m, t) -> np.ndarray:
-        """Per-event terms of the quasi-score, shape (dim, N): g_k / f for
-        the yields, y_k g_k dln g_k/dphi / f for the free shapes of component
-        k, g_k g_l / f^2 for W and the signal weight times the score of hs."""
+        """Per-event terms of the quasi-score, shape (dim, N): D/f for the m
+        fit's parameters (:func:`mlfit._mixture_rows`), g_k g_l / f^2 for W
+        and the signal weight times the score of hs."""
         m = np.asarray(m, dtype=float)
         model, Wv, theta = self.unpack(lam)
         dens, g, f = _mixture(model, m)
-        shapes = [model.yields[k] * (g[k] * dens[k].dlogpdf(m)) / f
-                  for k, c in enumerate(model.components) if c.free_shape]
+        D = _mixture_rows(dens, g, model.yields, _shape_slices(model), m)[0]
         d1 = self.hs.with_params(theta).dlogpdf(np.asarray(t, dtype=float))
-        return np.concatenate([g / f, *shapes, pair_products(g) / f ** 2,
-                               _signal_weight(Wv, dens, m) * d1])
+        return np.concatenate([D / f, pair_products(g) / f ** 2,
+                               _implied(Wv, dens).weights(m, g)[:, 0] * d1])
 
     def score(self, lam, m, t) -> np.ndarray:
         """The quasi-score vector S(lambda) summed over the sample."""
@@ -408,6 +411,36 @@ class QuasiScoreSpec:
         V = self._per_event(lam, m, t)
         return V @ V.T
 
+    def jacobian(self, lam, m, t) -> np.ndarray:
+        """dS/dlambda in closed form.  With D = df/dp over the m fit's
+        parameters p, P = g_k g_l / f^2, s_c = dln g_c/dphi_c of a free shape,
+        A = W^-1, I = (A 1).g and d1 the scores of hs: the m block is minus
+        the extended-ML Hessian, W row kl is -2 (P_kl/f) D^T + (d_kc + d_lc)
+        P_kl s_c^T on p and -1 on W_kl, and the theta rows are the weighted
+        Hessian of hs, d1 dw_s/dW and d1 ((A_0c - w_s (A 1)_c) g_c s_c / I)^T."""
+        model, Wv, theta = self.unpack(lam)
+        dens, g, f = _mixture(model, m)
+        slices = _shape_slices(model)
+        iw, ith = self._w_slice, slice(self._w_slice.stop, self.dim)
+        H, D, scores = _nll_hessian(dens, g, f, model.yields, slices, m)
+        cow = _implied(Wv, dens)
+        w_s = cow.weights(m, g)[:, 0]
+        d1 = self.hs.with_params(theta).dlogpdf(t)
+        P = pair_products(g) / f ** 2
+        a1 = cow.A.sum(axis=1)
+        J = np.zeros((self.dim, self.dim))
+        J[:iw.start, :iw.start] = -H
+        J[iw, :iw.start] = -2.0 * (P / f) @ D.T
+        J[iw, iw] = -np.eye(iw.stop - iw.start)
+        J[ith, iw] = d1 @ cow.dw_dW(m)
+        J[ith, ith] = _weighted_hessian(self.hs, t, w_s, theta)
+        for c, sc in scores.items():
+            s = slices[c]
+            hits = np.array([(k == c) + (l == c) for k, l in upper_pairs(len(dens))])
+            J[iw, s] += hits[:, None] * (P @ sc.T)
+            J[ith, s] = d1 @ ((cow.A[0, c] - w_s * a1[c]) * g[c] / (a1 @ g) * sc).T
+        return J
+
 
 def _mixture(model: MixtureModel, m):
     """The densities of ``model``, their values g at m and f = sum_k y_k g_k."""
@@ -419,46 +452,34 @@ def _mixture(model: MixtureModel, m):
     return dens, g, f
 
 
-def _signal_weight(Wv, basis: Sequence[Density1D], m) -> np.ndarray:
-    """The signal weight at m of the W with upper triangle ``Wv``."""
+def _implied(Wv, basis: Sequence[Density1D]):
+    """The classic weight functions of the W with upper triangle ``Wv``."""
     W = from_upper(Wv, len(basis))
-    return implied_cow(W, np.linalg.inv(W), basis).weights(m)[:, 0]
+    return implied_cow(W, np.linalg.inv(W), basis)
 
 
 def corrected_covariance_full(data, spec: QuasiScoreSpec, lam_hat,
                               ) -> CorrectedCovariance:
-    """Sandwich covariance over the joint quasi-score.
+    """Sandwich covariance J^-1 E[S S^T] J^-T over the joint quasi-score S.
 
-    ``lam_hat`` must be a root of the score (each component below
-    1e-4 per event); the Jacobian is obtained by central differences of the
-    analytic score components.
+    ``data`` is (N, >= 2) with columns (m, t), and ``lam_hat`` must be a
+    root of the score (each component below 1e-4 per event).  The Jacobian
+    J is closed-form (:meth:`QuasiScoreSpec.jacobian`), and ``naive`` is
+    the inverse of its theta block, the weighted Hessian of the control fit.
     """
-    data = np.asarray(data, dtype=float)
-    m, t = data[:, 0], data[:, 1]
-    n = len(m)
+    m, t = _columns(data)
     lam = np.asarray(lam_hat, dtype=float)
     if len(lam) != spec.dim:
         raise EvaluationError(f"lambda has length {len(lam)}, expected {spec.dim}")
 
     S = spec.score(lam, m, t)
-    tol = ROOT_TOL_PER_EVENT * max(n, 1)
+    tol = ROOT_TOL_PER_EVENT * max(len(m), 1)
     if np.max(np.abs(S)) > tol:
         raise EvaluationError(
             f"lambda is not a root of the quasi-score: max |S_j| = {np.max(np.abs(S)):.3g}"
             f" exceeds {tol:.3g}")
 
-    dim = spec.dim
-    # FD steps must stay small relative to each block's own scale; the W
-    # block shrinks like 1/N, so the usual max(|x|, 1) floor would swamp it
-    scales = np.maximum(np.abs(lam), 1.0)
-    iw = spec._w_slice
-    w_scale = float(np.max(np.abs(lam[iw])))
-    if w_scale > 0:
-        scales[iw] = np.maximum(np.abs(lam[iw]), w_scale)
-    J = np.empty((dim, dim))
-    for j in range(dim):
-        J[:, j] = derivative(lambda l: spec.score(l, m, t), lam, j, scales[j])
-
+    J = spec.jacobian(lam, m, t)
     CS = spec.score_covariance(lam, m, t)
     try:
         X = np.linalg.solve(J, CS)
@@ -467,6 +488,5 @@ def corrected_covariance_full(data, spec: QuasiScoreSpec, lam_hat,
         raise EvaluationError("score Jacobian is singular") from exc
     C = 0.5 * (C + C.T)
 
-    ith = slice(iw.stop, dim)
-    H = _weighted_hessian(spec.hs, t, spec.weight_s(m, lam), lam[ith])
-    return CorrectedCovariance(theta_block=C[ith, ith], naive=_covariance(H), full=C)
+    ith = slice(spec._w_slice.stop, spec.dim)
+    return CorrectedCovariance(theta_block=C[ith, ith], naive=_covariance(J[ith, ith]), full=C)

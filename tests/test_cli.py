@@ -891,6 +891,21 @@ class TestSharedConfigLayer:
         assert err.startswith("error: bad density config:") and message in err
         assert not out.exists()
 
+    def test_mixture_component_takes_the_mixture_support(self, tmp_path, data_csv, capsys):
+        # a component without a 'support' was a bare KeyError text, exit 1
+        fits = []
+        for support in ({}, {"support": [0, 1]}):
+            background = {"kind": "mixture", "weights": [1, 1], "label": "b",
+                          "components": [{**GB_CFG, **support},
+                                         {"kind": "uniform", "params": []}]}
+            out = tmp_path / f"fit{len(fits)}.json"
+            cfg = {"data": data_csv, "out": str(out),
+                   "model": {**MODEL_CFG, "components": [GS_CFG, background]}}
+            assert cli.main(["fit", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
+            fits.append(json.loads(out.read_text())["fit"])
+        assert capsys.readouterr().err == ""
+        assert fits[0] == fits[1]
+
     def test_two_dimensional_params(self, tmp_path, data_csv, capsys):
         model = {**MODEL_CFG, "components": [{**GS_CFG, "params": [[0.5, 0.08]]}, GB_CFG]}
         cfg = {"data": data_csv, "model": model, "out": str(tmp_path / "s.json")}

@@ -582,8 +582,8 @@ class TestGaussLegendre:
 
 class TestClosedFormDerivatives:
     """``dlogpdf`` and ``d2logpdf`` against central differences (h = 1e-6
-    for the first derivative, the ``_numdiff`` step, and 1e-4 for the
-    second).  These round by about eps |ln g| / h and eps |ln g| /
+    for the first derivative, and 1e-4 for the second through
+    ``numerical_hessian``).  These round by about eps |ln g| / h and eps |ln g| /
     h^2, and truncate by h^2 times the next-but-one derivative, which is up
     to ~h^2/sigma^2 of the derivative itself for a normal of width sigma
     < 1; hence the tolerances 1e-8 and 1e-5 of 1 + |ln g| plus 1e-7 and 1e-4
@@ -595,11 +595,15 @@ class TestClosedFormDerivatives:
     def stencils(d, x, scale=None):
         """The stencils, the first one's step scaled by ``scale`` or else
         by max(|theta_k|, 1) as the Hessian's is."""
-        from cowlib._numdiff import derivative, numerical_hessian
+        from cowlib import numerical_hessian
         theta = d.params
-        d1 = np.stack([derivative(lambda th: d.with_params(th).logpdf(x), theta, k,
-                                  scale or max(abs(theta[k]), 1.0))
-                       for k in range(len(theta))])
+        d1 = np.empty((len(theta), len(x)))
+        for k in range(len(theta)):
+            h = 1e-6 * (scale or max(abs(theta[k]), 1.0))
+            tp, tm = theta.copy(), theta.copy()
+            tp[k] += h
+            tm[k] -= h
+            d1[k] = (d.with_params(tp).logpdf(x) - d.with_params(tm).logpdf(x)) / (2 * h)
         d2 = numerical_hessian(lambda th: d.with_params(th).logpdf(x), theta, 1e-4)
         return d1, d2
 

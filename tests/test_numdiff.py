@@ -1,7 +1,8 @@
-"""The shared finite-difference stencils against the hand-written ones they
-replaced.  Each reference below is one of the seven former copies, kept as
-it was; every result must be equal bit for bit, except the derivatives of a
-density's parameters, which are closed-form and are held to the accuracy of
+"""The closed-form derivatives and the one remaining stencil against the
+hand-written finite differences they replaced.  Each reference below is one
+of the former copies, kept as it was.  ``numerical_hessian`` must equal its
+reference bit for bit; the closed forms (the scores of the fits, the shape
+rows and the Jacobian of the joint quasi-score) are held to the accuracy of
 the finite difference."""
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from cowlib import (ConstructionError, Density1D, EvaluationError, Interval,
                     MixtureComponent, MixtureModel, fit_extended_ml,
                     fit_weighted_ml, mlfit, wcov)
-from cowlib._numdiff import derivative, numerical_hessian
+from cowlib.mlfit import numerical_hessian
 from cowlib.sweights import compute_W_variant_B, weight_functions
 from cowlib.toygen import ToySpec, generate_simple, simple_truth_densities
 from cowlib.wcov import QuasiScoreSpec, corrected_covariance_full
@@ -157,8 +158,10 @@ def ref_shape_rows(spec, lam, m):
     return np.array(rows)
 
 
-def ref_full_covariance(spec, lam, m, t):
-    """``corrected_covariance_full``'s joint covariance with its Jacobian loop."""
+def ref_jacobian(spec, lam, m, t):
+    """The Jacobian of the joint quasi-score by the central differences that
+    ``corrected_covariance_full`` took: step 1e-6 times max(|lam_j|, 1), and
+    on the W block, which shrinks like 1/N, max(|lam_j|, max |W|)."""
     dim = spec.dim
     scales = np.maximum(np.abs(lam), 1.0)
     iw = spec._w_slice
@@ -172,6 +175,13 @@ def ref_full_covariance(spec, lam, m, t):
         lp[j] += h
         lm[j] -= h
         J[:, j] = (spec.score(lp, m, t) - spec.score(lm, m, t)) / (2 * h)
+    return J
+
+
+def ref_full_covariance(spec, lam, m, t):
+    """``corrected_covariance_full``'s joint covariance with the Jacobian
+    :func:`ref_jacobian`."""
+    J = ref_jacobian(spec, lam, m, t)
     CS = spec.score_covariance(lam, m, t)
     X = np.linalg.solve(J, CS)
     C = np.linalg.solve(J, X.T).T
@@ -215,7 +225,7 @@ def free_model(n):
 
 
 # ---------------------------------------------------------------------------
-# the shared stencils reproduce every former copy
+# the closed forms and the objective Hessian against the former copies
 
 
 @pytest.mark.parametrize("kind", sorted(T_DENSITIES) + ["monomial"])
@@ -314,6 +324,31 @@ def test_weighted_fit_score(toy, captured_scores, kind):
         assert np.all(np.abs(grad(theta) - ref) <= tol)
 
 
+def assert_columns_close(J, ref, bound=1e-8):
+    """Each column of ``J`` within ``bound`` of the largest |element| of the
+    same column of ``ref``."""
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.all(scale > 0)
+    assert np.all(np.max(np.abs(J - ref), axis=0) <= bound * scale)
+
+
+THREE_SHAPES = [[0.51, 0.079], [1.1], [0.26, 0.031]]
+THREE_LAYOUTS = [(True, False, True), (False, True, True)]
+
+
+def three_component_spec(free):
+    """A signal, background and narrow-peak model with the shapes ``free``
+    says, and a lambda off the root of its quasi-score in that layout."""
+    gs, gb, hs, _ = simple_truth_densities()
+    peak = Density1D("normal", [0.25, 0.03], gs.support)
+    model = MixtureModel([MixtureComponent(lab, d, fr) for lab, d, fr
+                          in zip("sbp", (gs, gb, peak), free)], np.full(3, 500.0))
+    lam = np.concatenate([[450.0, 900.0, 150.0]]
+                         + [p for p, fr in zip(THREE_SHAPES, free) if fr]
+                         + [[0.3, 0.1, 0.05, 0.2, 0.05, 0.25], [2.0]])
+    return QuasiScoreSpec(model, hs), lam
+
+
 def test_dphi(toy):
     # the shape rows y_k g_k dln g_k/dphi / f in closed form against the
     # step-1e-6 central difference of g, which is off by its truncation,
@@ -321,21 +356,23 @@ def test_dphi(toy):
     # at the narrow third peak); a free third component after a fixed one
     # checks that the rows follow the layout of the m fit's parameters,
     # mlfit._shape_slices
-    gs, gb, hs, _ = simple_truth_densities()
-    peak = Density1D("normal", [0.25, 0.03], gs.support)
-    shapes = [[0.51, 0.079], [1.1], [0.26, 0.031]]
-    for free in ((True, False, True), (False, True, True)):
-        model = MixtureModel([MixtureComponent(lab, d, fr) for lab, d, fr
-                              in zip("sbp", (gs, gb, peak), free)], np.full(3, 500.0))
-        spec = QuasiScoreSpec(model, hs)
-        lam = np.concatenate([[450.0, 900.0, 150.0]]
-                             + [p for p, fr in zip(shapes, free) if fr]
-                             + [[0.3, 0.1, 0.05, 0.2, 0.05, 0.25], [2.0]])
+    for free in THREE_LAYOUTS:
+        spec, lam = three_component_spec(free)
         n_m = spec._w_slice.start
         got = spec._per_event(lam, toy.m, toy.column("t"))[3:n_m]
         ref = ref_shape_rows(spec, lam, toy.m)
         assert got.shape == ref.shape == (n_m - 3, len(toy.m))
         assert np.all(np.abs(got - ref) <= 1e-7 * (1.0 + np.abs(ref)))
+
+
+@pytest.mark.parametrize("free", THREE_LAYOUTS, ids=["free-fixed-free", "fixed-free-free"])
+def test_three_component_jacobian(toy, free):
+    # the closed-form Jacobian against the stencil, at a lambda off the
+    # root and with a free component after a fixed one; the stencil rounds
+    # by ~eps |S| / h (measured <= 7.3e-10 of each column's largest element)
+    spec, lam = three_component_spec(free)
+    m, t = toy.m, toy.column("t")
+    assert_columns_close(spec.jacobian(lam, m, t), ref_jacobian(spec, lam, m, t))
 
 
 @pytest.mark.parametrize("free", [(False, False), (True, False), (True, True)],
@@ -354,22 +391,21 @@ def test_full_sandwich_jacobian(toy, free):
     assert tfit.converged
     spec = QuasiScoreSpec(model, hs)
     lam = spec.lambda_from_fits(m, mfit, tfit)
+    # the closed-form Jacobian is the stencil's to its rounding (measured
+    # <= 3.5e-10 of each column's largest element), and so is the sandwich
+    # (measured <= 1.2e-9 of sqrt(C_ii C_jj))
+    assert_columns_close(spec.jacobian(lam, m, t), ref_jacobian(spec, lam, m, t))
     corr = corrected_covariance_full(toy.data, spec, lam)
-    assert np.array_equal(corr.full, ref_full_covariance(spec, lam, m, t))
+    ref = ref_full_covariance(spec, lam, m, t)
+    sd = np.sqrt(np.diag(ref))
+    assert np.all(np.abs(corr.full - ref) <= 1e-8 * np.outer(sd, sd))
+    # naive is the inverse weighted Hessian at the signal weight of lambda
+    H = wcov._weighted_hessian(hs, t, spec.weight_s(m, lam), lam[-1:])
+    assert np.array_equal(corr.naive, mlfit._covariance(H))
 
 
 # ---------------------------------------------------------------------------
-# the shared stencils themselves
-
-
-def test_derivative_step():
-    x = np.array([0.3, 2.5])
-    for k, scale, h in ((0, 1.0, 1e-6), (1, 2.5, 1e-6 * 2.5), (1, 7.0, 1e-6 * 7.0)):
-        xp, xm = x.copy(), x.copy()
-        xp[k] += h
-        xm[k] -= h
-        assert np.array_equal(derivative(np.exp, x, k, scale),
-                              (np.exp(xp) - np.exp(xm)) / (2 * h))
+# the objective Hessian itself
 
 
 def test_array_hessian_is_the_hessian_of_each_element():

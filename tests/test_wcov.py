@@ -18,6 +18,7 @@ from cowlib.wcov import (QuasiScoreSpec, corrected_covariance_cow,
                          corrected_covariance_fixed_shapes,
                          corrected_covariance_full, equivalent_events,
                          variance_sum_weights)
+from conftest import count_pdf_calls
 
 T_IV = Interval(0.0, 3.0)
 HS_TOY = Density1D("exponential", [1.5], T_IV)   # the control model the toys fit
@@ -302,6 +303,26 @@ class TestFullSandwich:
         spec, _ = spec_and_root
         with pytest.raises(EvaluationError):
             corrected_covariance_full(d["ds"].data, spec, np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 1), (2, 3, 2)])
+    def test_data_without_two_columns_rejected(self, spec_and_root, shape):
+        # 1-D data was a bare IndexError
+        spec, lam = spec_and_root
+        with pytest.raises(EvaluationError, match="columns"):
+            corrected_covariance_full(np.zeros(shape), spec, lam)
+
+    def test_pdf_calls(self, weighted_toy, monkeypatch, spec_and_root):
+        # the Jacobian is closed-form: each component's pdf is evaluated at
+        # the data by the score, the score covariance and the Jacobian, and
+        # once more by the weights' dw/dW, and the control density once for
+        # its weighted Hessian; a central difference of the score would take
+        # 2 dim n more
+        d = weighted_toy
+        spec, lam = spec_and_root
+        calls = count_pdf_calls(monkeypatch)
+        corrected_covariance_full(d["ds"].data, spec, lam)
+        n = len(spec.model.components)
+        assert len(calls) == 4 * n + 1
 
 
 def three_components(n, seed, free):
