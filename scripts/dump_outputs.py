@@ -1,4 +1,4 @@
-"""Dump a fixed set of cowlib outputs to one canonical JSON file.
+"""Dump a fixed set of cowlib outputs to one canonical JSON file, or compare two.
 
 Changes meant to leave the numbers alone are checked by running this on
 two source checkouts and comparing the files byte for byte:
@@ -7,20 +7,36 @@ two source checkouts and comparing the files byte for byte:
     python3 scripts/dump_outputs.py .               change.json
     cmp parent.json change.json
 
+A change that moves numbers by rounding states its tolerance from
+
+    python3 scripts/dump_outputs.py --compare parent.json change.json
+
+which prints, for each top-level section, the largest relative difference
+|a - b| / max(|a|, |b|) over its floats and where it occurs, how many
+floats and how many integers (such as a fit's call count) differ, and how
+many entries differ in anything else (a key, a string, a flag, a length);
+it exits 1 if any such entry does.
+
 The file holds the ``run_ensemble`` records of 60 simple-study toys (seeds
 1000-1059; methods swB, swA, swCi, cowmix and free-shape swB), those of 20
 non-factorising toys with efficiency (seeds from 20260824; swB and cow of
-polynomial order 1, 3 and 5 with the qm variance function), and six
+polynomial order 1, 3 and 5 with the qm variance function), six
 ``cowlib pipeline`` summaries (N = 20000, seed 7; sweights-B, sweights-A
 and cow, each with fixed and with free shapes) without their
-``config_hash``, which depends on the file paths.  The cowlib package is
-imported from ``CHECKOUT/src``; a run takes about 4 s on a 2-core machine.
+``config_hash``, which depends on the file paths, and the
+``corrected_covariance_full`` results (``full``, ``theta_block``,
+``naive``) of 10 simple-study toys (N = 2000, seeds 3000-3009), each with
+fixed and with free shapes, at the root of the joint quasi-score whose
+control fit takes the signal weight of the W block of lambda.  The cowlib
+package is imported from ``CHECKOUT/src``; a run takes about 5 s on a
+2-core machine.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -43,6 +59,7 @@ ENSEMBLES = {
 }
 PIPELINE_EVENTS, PIPELINE_SEED = 20000, 7
 PIPELINE_METHODS = ("sweights-B", "sweights-A", "cow")
+FULL_EVENTS, FULL_SEEDS = 2000, range(3000, 3010)
 
 
 def _model(free: bool) -> dict:
@@ -91,11 +108,98 @@ def pipeline_summaries(workdir: str) -> dict:
     return out
 
 
+def full_covariances() -> dict:
+    from types import SimpleNamespace
+
+    from cowlib import CowlibError, MixtureComponent, MixtureModel
+    from cowlib.mlfit import fit_extended_ml, fit_weighted_ml
+    from cowlib.toygen import ToySpec, generate, simple_truth_densities
+    from cowlib.wcov import QuasiScoreSpec, corrected_covariance_full
+    gs, gb, hs, _ = simple_truth_densities()
+    out = {}
+    for seed in FULL_SEEDS:
+        ds = generate(ToySpec(study="simple", n_events=FULL_EVENTS, z=0.2, seed=seed))
+        m, t = ds.data[:, 0], ds.data[:, 1]
+        for free in (False, True):
+            name = f"{seed}-{'free' if free else 'fixed'}"
+            model = MixtureModel([MixtureComponent("s", gs, free), MixtureComponent("b", gb, free)],
+                                 [FULL_EVENTS / 2] * 2)
+            spec = QuasiScoreSpec(model, hs)
+            try:
+                # theta stands at hs's until the control fit, which takes the
+                # signal weight of lambda's W block: lambda is then a root
+                lam = spec.lambda_from_fits(m, fit_extended_ml(m, model),
+                                            SimpleNamespace(params=hs.params))
+                tfit = fit_weighted_ml(t, spec.weight_s(m, lam), hs, bounds=[(0.05, 20.0)])
+                lam[-len(tfit.params):] = tfit.params
+                corr = corrected_covariance_full(ds.data, spec, lam)
+            except CowlibError as exc:
+                out[name] = {"error": f"{type(exc).__name__}: {exc}"}
+                continue
+            out[name] = {"full": corr.full, "theta_block": corr.theta_block, "naive": corr.naive}
+    return out
+
+
+def _differences(a, b, path, acc):
+    """Walk ``a`` and ``b`` together, gathering into ``acc`` the largest
+    relative difference of two floats and its path, the floats and the
+    integers that differ and the other entries that differ."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        acc["other"] += a != b
+    elif isinstance(a, int) and isinstance(b, int):
+        acc["integers"] += a != b
+    elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return
+        scale = max(abs(a), abs(b))
+        rel = abs(a - b) / scale if math.isfinite(scale) else math.inf
+        acc["floats"] += 1
+        if not rel <= acc["max"]:
+            acc["max"], acc["at"] = rel, path
+    elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for k in a:
+            _differences(a[k], b[k], f"{path}/{k}", acc)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            _differences(x, y, f"{path}/{i}", acc)
+    else:
+        acc["other"] += a != b
+
+
+def compare(path_a: str, path_b: str) -> int:
+    with open(path_a) as fh:
+        a = json.load(fh)
+    with open(path_b) as fh:
+        b = json.load(fh)
+    other = 0
+    for section in sorted(set(a) | set(b)):
+        if section not in a or section not in b:
+            print(f"{section}: only in {path_a if section in a else path_b}")
+            other += 1
+            continue
+        acc = {"max": 0.0, "at": None, "floats": 0, "integers": 0, "other": 0}
+        _differences(a[section], b[section], section, acc)
+        where = f" at {acc['at']}" if acc["at"] else ""
+        print(f"{section}: max relative difference {acc['max']:.3g}{where}; "
+              f"{acc['floats']} floats, {acc['integers']} integers and "
+              f"{acc['other']} other entries differ")
+        other += acc["other"]
+    return 1 if other else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("checkout", help="root of the cowlib source checkout to run")
-    parser.add_argument("out", help="path of the JSON file to write")
+    parser.add_argument("checkout", nargs="?", help="root of the cowlib source checkout to run")
+    parser.add_argument("out", nargs="?", help="path of the JSON file to write")
+    parser.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
+                        help="compare two dumps instead of writing one")
     args = parser.parse_args(argv)
+    if args.compare:
+        if args.checkout is not None:
+            parser.error("--compare takes no checkout")
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("need a checkout and an output file, or --compare")
     src = os.path.join(os.path.abspath(args.checkout), "src")
     sys.path.insert(0, src)
     import cowlib
@@ -105,6 +209,7 @@ def main(argv=None) -> int:
     dump = {name: ensemble_records(*spec) for name, spec in ENSEMBLES.items()}
     with tempfile.TemporaryDirectory() as workdir:
         dump["pipeline"] = pipeline_summaries(workdir)
+    dump["full"] = full_covariances()
     with open(args.out, "w") as fh:
         fh.write(cli.canonical_json(dump) + "\n")
     return 0

@@ -8,6 +8,7 @@ reduces to the classic (sPlot) weights.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -178,10 +179,10 @@ class CowSet:
         c = self.A[:n_sig].sum(axis=0)[:, None]
         if isinstance(self.spec.variance_fn, ImpliedVariance):
             c = c - u[:n_sig].sum(axis=0) / I * self.A.sum(axis=1)[:, None]
-        pairs = upper_pairs(len(self._basis))
-        out = np.empty((len(pairs), len(m)))
-        for j, (k, l) in enumerate(pairs):
-            out[j] = c[k] * u[l] if k == l else c[k] * u[l] + c[l] * u[k]
+        k, l = upper_pairs(len(self._basis))
+        out = c[k] * u[l]
+        off = k != l
+        out[off] += c[l[off]] * u[k[off]]
         out /= -I
         return out.T
 
@@ -191,22 +192,41 @@ def implied_cow(W: np.ndarray, A: np.ndarray, basis: Sequence[Density1D]) -> Cow
     return CowSet(CowSpec(list(basis), ImpliedVariance(A, basis), basis[0].support), W, A)
 
 
-def upper_pairs(n: int) -> List[Tuple[int, int]]:
-    """The index pairs (k, l), k <= l, of an n x n upper triangle in
-    ``np.triu_indices`` order: (ss, sb, bb) for two components."""
-    return [(k, l) for k in range(n) for l in range(k, n)]
+@functools.lru_cache(maxsize=16)
+def upper_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The row and column indices (k, l), k <= l, of an n x n upper triangle
+    in row-major (``np.triu_indices``) order: (ss, sb, bb) for two components.
+    Read-only and cached per n, as every quadrature node batch of a W uses them."""
+    k, l = np.triu_indices(n)
+    k.flags.writeable = l.flags.writeable = False
+    return k, l
 
 
 def pair_products(g: np.ndarray) -> np.ndarray:
     """Products g_k g_l of the rows of ``g`` over :func:`upper_pairs`."""
-    return np.stack([g[k] * g[l] for k, l in upper_pairs(len(g))])
+    k, l = upper_pairs(len(g))
+    return g[k] * g[l]
+
+
+def mixture_pairs(basis: Sequence[Density1D], coeffs, m) -> Tuple[np.ndarray, ...]:
+    """(g, f, P) at the events m: the stacked values g of the ``basis``, the
+    mixture f = sum_k c_k g_k summed in component order (not by BLAS's fused
+    sum) and P = g_k g_l / f^2 over :func:`upper_pairs`.  Raises
+    :class:`~cowlib.errors.EvaluationError` naming the first event where f <= 0."""
+    m = np.asarray(m, dtype=float)
+    g = np.stack([d.pdf(m) for d in basis])
+    f = sum(c * gk for c, gk in zip(coeffs, g))
+    if np.any(f <= 0):
+        i = int(np.argmax(f <= 0))
+        raise EvaluationError(f"mixture density vanishes at observation {i} (m={m[i]!r})")
+    return g, f, pair_products(g) / f ** 2
 
 
 def from_upper(v, n: int) -> np.ndarray:
     """The symmetric n x n matrix with upper triangle ``v`` (pair order)."""
+    k, l = upper_pairs(n)
     M = np.empty((n, n))
-    for x, (k, l) in zip(v, upper_pairs(n)):
-        M[k, l] = M[l, k] = x
+    M[k, l] = M[l, k] = v
     return M
 
 
@@ -333,7 +353,6 @@ def estimate_fractions(cow: CowSet, data, eff: Optional[EfficiencyMap] = None
 
 def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
                              eff: Optional[EfficiencyMap] = None,
-                             max_iter: Optional[int] = None,
                              start=None,
                              ) -> Tuple[np.ndarray, MixtureVariance]:
     """Iterate I(m) = sum z_k g_k with fractions re-estimated each step.
@@ -343,15 +362,13 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
     a handful of steps (about the number of components) normally suffices.
     Fractions leaving [0, 1] are clipped and renormalized.  Raises
     :class:`~cowlib.errors.NonConvergenceError` with the iteration trace if
-    no step moves every fraction by less than ``FRACTION_TOL``.
+    none of the first 2 n + 10 steps, for n components, moves every fraction
+    by less than ``FRACTION_TOL``.
     """
     basis = list(basis)
     n = len(basis)
     support = basis[0].support
-    if max_iter is None:
-        max_iter = 2 * n + 10
-    if max_iter < 1:
-        raise ConstructionError("max_iter must be >= 1")
+    max_iter = 2 * n + 10
     z = np.full(n, 1.0 / n) if start is None else np.array(start, dtype=float)
     trace = [z.copy()]
     for _ in range(max_iter):

@@ -42,6 +42,7 @@ __all__ = [
 
 GRAD_TOL_PER_EVENT = 1e-6  # converged when |score| < tol * max(N, 1)
 _ROOT_RTOL = 4 * np.finfo(float).eps   # the smallest relative tolerance brentq takes
+NEWTON_MAX_ITER = 40       # iterations of one _polish_newton call
 
 
 @dataclass
@@ -162,7 +163,7 @@ def _projected_grad(g, x, lower, upper):
     return np.where(_pinned(g, x, lower, upper), 0.0, g)
 
 
-def _polish_newton(nll, grad, hessian, x, lower, upper, gtol, max_iter=40, convex=False):
+def _polish_newton(nll, grad, hessian, x, lower, upper, gtol, convex=False):
     """Newton iterations on the score ``grad`` of ``nll``, whose Hessian at x
     is ``hessian(x)``; steps are clipped to the bounds and halved until nll
     does not rise.  Stops once the projected score is below ``gtol`` or is
@@ -177,7 +178,7 @@ def _polish_newton(nll, grad, hessian, x, lower, upper, gtol, max_iter=40, conve
     """
     fx = nll(x)
     best, fell = np.inf, False
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         g = grad(x)
         pinned = _pinned(g, x, lower, upper)
         worst = np.max(np.abs(np.where(pinned, 0.0, g)))

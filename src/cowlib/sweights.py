@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cows import CowSet, MixtureVariance, from_upper, gram_matrix, implied_cow, pair_products
+from .cows import CowSet, MixtureVariance, from_upper, gram_matrix, implied_cow, mixture_pairs
 from .densities import Density1D, Interval
 from .errors import EvaluationError, SingularModelError
 from .mlfit import FitResult
@@ -88,13 +88,7 @@ def compute_W_variant_B(basis: Sequence[Density1D], z, data_m) -> WeightMatrix:
     m = np.asarray(data_m, dtype=float)
     if m.size == 0:
         raise EvaluationError("variant B requires a nonempty data sample")
-    G = np.stack([g.pdf(m) for g in basis])
-    f = sum(zk * gk for zk, gk in zip(z, G))   # MixtureVariance's sum, not BLAS's
-    if np.any(f <= 0):
-        i = int(np.argmax(f <= 0))
-        raise EvaluationError(
-            f"mixture density vanishes at observation {i} (m={m[i]!r})")
-    W = from_upper((pair_products(G) * (1.0 / f ** 2)).sum(axis=1), len(G)) / len(m)
+    W = from_upper(mixture_pairs(basis, z, m)[2].sum(axis=1), len(basis)) / len(m)
     return WeightMatrix(W, _inverse(W), "B", z)
 
 

@@ -46,6 +46,7 @@ __all__ = [
 M_SUPPORT = Interval(0.0, 1.0)
 T_SUPPORT = Interval(0.0, 3.0)
 TRUE_SLOPE = 2.0
+GRID_MAX_POINTS = 201   # coarse grid points per axis of _grid_max
 
 # simple-study truth: signal peaks in m and falls exponentially in t,
 # background falls exponentially in m and is normal in t
@@ -114,14 +115,15 @@ class ToySpec:
         self.seed = as_integer(self.seed, "seed")
         if not isinstance(self.efficiency, bool):
             raise ConstructionError(f"efficiency must be true or false, got {self.efficiency!r}")
-        if not (isinstance(self.z, numbers.Real) and 0.0 <= self.z <= 1.0):
+        if not (_is_finite_real(self.z) and 0.0 <= self.z <= 1.0):
             raise ConstructionError(f"z must be a number in [0, 1], got {self.z!r}")
         if self.fractions is not None:
-            try:
-                f = np.asarray(self.fractions, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ConstructionError(f"fractions must be a list of numbers: {exc}") from exc
-            if f.ndim != 1 or not np.all(f >= 0) or abs(f.sum() - 1.0) > 1e-9:
+            if not (isinstance(self.fractions, (list, tuple, np.ndarray))
+                    and all(map(_is_finite_real, self.fractions))):
+                raise ConstructionError(
+                    f"fractions must be a list of finite numbers, got {self.fractions!r}")
+            f = np.asarray(self.fractions, dtype=float)
+            if not np.all(f >= 0) or abs(f.sum() - 1.0) > 1e-9:
                 raise ConstructionError("fractions must be >= 0 and sum to 1")
         try:
             params = dict(self.params)   # a mapping or (key, value) pairs
@@ -284,10 +286,10 @@ class _NonfactTruth:
         return self.applied_eff(m, t) * self.f_bkg(m, t)
 
 
-def _grid_max(fn, n=201) -> float:
+def _grid_max(fn) -> float:
     """Maximum of fn over the (m, t) rectangle, refined around the coarse peak."""
-    mg = np.linspace(M_SUPPORT.lo, M_SUPPORT.hi, n)
-    tg = np.linspace(T_SUPPORT.lo, T_SUPPORT.hi, n)
+    mg = np.linspace(M_SUPPORT.lo, M_SUPPORT.hi, GRID_MAX_POINTS)
+    tg = np.linspace(T_SUPPORT.lo, T_SUPPORT.hi, GRID_MAX_POINTS)
     M, T = np.meshgrid(mg, tg, indexing="ij")
     V = fn(M, T)
     i, j = np.unravel_index(np.argmax(V), V.shape)

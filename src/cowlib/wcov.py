@@ -16,10 +16,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._quadrature import gauss_legendre
-from .cows import efficiency_at, from_upper, implied_cow, pair_products, upper_pairs
+from .cows import efficiency_at, from_upper, implied_cow, mixture_pairs, upper_pairs
 from .densities import Density1D, floor_empty_bins
 from .errors import EvaluationError
-from .mlfit import (MixtureModel, _covariance, _mixture_rows, _model_at, _nll_hessian,
+from .mlfit import (MixtureModel, _covariance, _model_at, _nll_hessian,
                     _param_names, _shape_slices, _weighted_hessian)
 
 __all__ = [
@@ -147,9 +147,7 @@ def corrected_covariance_fixed_shapes(
         # to; the weight is scale-invariant in W, so rescaling dW by N puts
         # both factors of the quadratic form on the same convention.
         E = len(t) * (d1 @ dW)                      # (p, n(n+1)/2)
-        G = np.stack([g.pdf(data_m) for g in basis])
-        f = sum(float(y) * g for y, g in zip(yields, G))   # not BLAS's (fused) sum
-        P = pair_products(G) / f ** 2               # (n(n+1)/2, N)
+        P = mixture_pairs(basis, yields, data_m)[2]
         reduction = Hinv @ E @ (P @ P.T) @ E.T @ Hinv.T
 
     reduction = 0.5 * (reduction + reduction.T)
@@ -377,8 +375,8 @@ class QuasiScoreSpec:
         if list(mfit.param_names) != _param_names(self.model):
             raise EvaluationError(f"the m fit's parameters {mfit.param_names} are not "
                                   f"those of the model, {_param_names(self.model)}")
-        _, g, f = _mixture(_model_at(self.model, mfit.params), data_m)
-        Wv = (pair_products(g) / f ** 2).sum(axis=1)
+        model = _model_at(self.model, mfit.params)
+        Wv = mixture_pairs(model.densities(), model.yields, data_m)[2].sum(axis=1)
         return np.concatenate([mfit.params, Wv, tfit.params])
 
     def weight_s(self, m, lam) -> np.ndarray:
@@ -386,47 +384,30 @@ class QuasiScoreSpec:
         model, Wv, _ = self.unpack(lam)
         return _implied(Wv, model.densities()).weights(m)[:, 0]
 
-    def _per_event(self, lam, m, t) -> np.ndarray:
-        """Per-event terms of the quasi-score, shape (dim, N): D/f for the m
-        fit's parameters (:func:`mlfit._mixture_rows`), g_k g_l / f^2 for W
-        and the signal weight times the score of hs."""
-        m = np.asarray(m, dtype=float)
+    def evaluate(self, lam, m, t) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S, V, J) at ``lam``: the quasi-score S summed over the sample, its
+        per-event terms V (dim, N) and J = dS/dlambda in closed form.  V holds
+        D/f for the m fit's parameters p, with D = df/dp, P = g_k g_l / f^2
+        for W and the signal weight w_s times the scores d1 of hs; S is its
+        sum less 1 on the yields and lambda on W.  With s_c = dln g_c/dphi_c of
+        a free shape, A = W^-1 and I = (A 1).g: the m block of J is minus the
+        extended-ML Hessian, W row kl is -2 (P_kl/f) D^T + (d_kc + d_lc) P_kl
+        s_c^T on p and -1 on W_kl, and the theta rows are the weighted Hessian
+        of hs, d1 dw_s/dW and d1 ((A_0c - w_s (A 1)_c) g_c s_c / I)^T."""
+        m, t = np.asarray(m, dtype=float), np.asarray(t, dtype=float)
         model, Wv, theta = self.unpack(lam)
-        dens, g, f = _mixture(model, m)
-        D = _mixture_rows(dens, g, model.yields, _shape_slices(model), m)[0]
-        d1 = self.hs.with_params(theta).dlogpdf(np.asarray(t, dtype=float))
-        return np.concatenate([D / f, pair_products(g) / f ** 2,
-                               _implied(Wv, dens).weights(m, g)[:, 0] * d1])
-
-    def score(self, lam, m, t) -> np.ndarray:
-        """The quasi-score vector S(lambda) summed over the sample."""
-        S = self._per_event(lam, m, t).sum(axis=1)
-        iw = self._w_slice
-        S[:len(self.model.components)] -= 1.0
-        S[iw] -= np.asarray(lam, dtype=float)[iw]
-        return S
-
-    def score_covariance(self, lam, m, t) -> np.ndarray:
-        """Sample estimate of E[S S^T] under Poisson sample-size fluctuations."""
-        V = self._per_event(lam, m, t)
-        return V @ V.T
-
-    def jacobian(self, lam, m, t) -> np.ndarray:
-        """dS/dlambda in closed form.  With D = df/dp over the m fit's
-        parameters p, P = g_k g_l / f^2, s_c = dln g_c/dphi_c of a free shape,
-        A = W^-1, I = (A 1).g and d1 the scores of hs: the m block is minus
-        the extended-ML Hessian, W row kl is -2 (P_kl/f) D^T + (d_kc + d_lc)
-        P_kl s_c^T on p and -1 on W_kl, and the theta rows are the weighted
-        Hessian of hs, d1 dw_s/dW and d1 ((A_0c - w_s (A 1)_c) g_c s_c / I)^T."""
-        model, Wv, theta = self.unpack(lam)
-        dens, g, f = _mixture(model, m)
+        dens = model.densities()
+        g, f, P = mixture_pairs(dens, model.yields, m)
         slices = _shape_slices(model)
         iw, ith = self._w_slice, slice(self._w_slice.stop, self.dim)
         H, D, scores = _nll_hessian(dens, g, f, model.yields, slices, m)
         cow = _implied(Wv, dens)
         w_s = cow.weights(m, g)[:, 0]
         d1 = self.hs.with_params(theta).dlogpdf(t)
-        P = pair_products(g) / f ** 2
+        V = np.concatenate([D / f, P, w_s * d1])
+        S = V.sum(axis=1)
+        S[:len(dens)] -= 1.0
+        S[iw] -= Wv
         a1 = cow.A.sum(axis=1)
         J = np.zeros((self.dim, self.dim))
         J[:iw.start, :iw.start] = -H
@@ -434,22 +415,26 @@ class QuasiScoreSpec:
         J[iw, iw] = -np.eye(iw.stop - iw.start)
         J[ith, iw] = d1 @ cow.dw_dW(m)
         J[ith, ith] = _weighted_hessian(self.hs, t, w_s, theta)
+        k, l = upper_pairs(len(dens))
         for c, sc in scores.items():
             s = slices[c]
-            hits = np.array([(k == c) + (l == c) for k, l in upper_pairs(len(dens))])
+            hits = (k == c).astype(int) + (l == c)
             J[iw, s] += hits[:, None] * (P @ sc.T)
             J[ith, s] = d1 @ ((cow.A[0, c] - w_s * a1[c]) * g[c] / (a1 @ g) * sc).T
-        return J
+        return S, V, J
 
+    def score(self, lam, m, t) -> np.ndarray:
+        """The quasi-score vector S(lambda) summed over the sample."""
+        return self.evaluate(lam, m, t)[0]
 
-def _mixture(model: MixtureModel, m):
-    """The densities of ``model``, their values g at m and f = sum_k y_k g_k."""
-    dens = model.densities()
-    g = np.stack([d.pdf(np.asarray(m, dtype=float)) for d in dens])
-    f = sum(y * gk for y, gk in zip(model.yields, g))   # not BLAS's (fused) sum
-    if np.any(f <= 0):
-        raise EvaluationError("mixture density non-positive at a data point")
-    return dens, g, f
+    def score_covariance(self, lam, m, t) -> np.ndarray:
+        """Sample estimate of E[S S^T] under Poisson sample-size fluctuations."""
+        V = self.evaluate(lam, m, t)[1]
+        return V @ V.T
+
+    def jacobian(self, lam, m, t) -> np.ndarray:
+        """dS/dlambda in closed form (see :meth:`evaluate`)."""
+        return self.evaluate(lam, m, t)[2]
 
 
 def _implied(Wv, basis: Sequence[Density1D]):
@@ -464,25 +449,24 @@ def corrected_covariance_full(data, spec: QuasiScoreSpec, lam_hat,
 
     ``data`` is (N, >= 2) with columns (m, t), and ``lam_hat`` must be a
     root of the score (each component below 1e-4 per event).  The Jacobian
-    J is closed-form (:meth:`QuasiScoreSpec.jacobian`), and ``naive`` is
-    the inverse of its theta block, the weighted Hessian of the control fit.
+    J is closed-form, from the one :meth:`QuasiScoreSpec.evaluate` that
+    also gives S and its per-event terms, and ``naive`` is the inverse of
+    its theta block, the weighted Hessian of the control fit.
     """
     m, t = _columns(data)
     lam = np.asarray(lam_hat, dtype=float)
     if len(lam) != spec.dim:
         raise EvaluationError(f"lambda has length {len(lam)}, expected {spec.dim}")
 
-    S = spec.score(lam, m, t)
+    S, V, J = spec.evaluate(lam, m, t)
     tol = ROOT_TOL_PER_EVENT * max(len(m), 1)
     if np.max(np.abs(S)) > tol:
         raise EvaluationError(
             f"lambda is not a root of the quasi-score: max |S_j| = {np.max(np.abs(S)):.3g}"
             f" exceeds {tol:.3g}")
 
-    J = spec.jacobian(lam, m, t)
-    CS = spec.score_covariance(lam, m, t)
     try:
-        X = np.linalg.solve(J, CS)
+        X = np.linalg.solve(J, V @ V.T)
         C = np.linalg.solve(J, X.T).T
     except np.linalg.LinAlgError as exc:
         raise EvaluationError("score Jacobian is singular") from exc

@@ -420,8 +420,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("change,named", [
         ({"toy": {"study": "multicomponent", "n_events": 300}}, "multicomponent"),
-        ({"n_toys": "x"}, "'x'"), ({"base_seed": "x"}, "'x'")],
-        ids=["multicomponent", "n_toys", "base_seed"])
+        ({"n_toys": "x"}, "'x'"), ({"base_seed": "x"}, "'x'"),
+        ({"toy": {"study": "simple", "n_events": 300, "z": True}}, "z must"),
+        ({"toy": {"study": "simple", "n_events": 300, "fractions": [True, False]}},
+         "fractions must")],
+        ids=["multicomponent", "n_toys", "base_seed", "z-bool", "fractions-bool"])
     def test_bad_toys_setting(self, tmp_path, capsys, monkeypatch, change, named):
         def no_toys(config):
             raise AssertionError("a toy ran")

@@ -342,11 +342,6 @@ class TestIterativeFractions:
         z, _ = variance_fn_ml_iterative([gs, gb], m)
         assert z[1] > 0.95
 
-    def test_invalid_max_iter(self, simple_toy):
-        ds, gs, gb = simple_toy
-        with pytest.raises(ConstructionError):
-            variance_fn_ml_iterative([gs, gb], ds.data, max_iter=0)
-
 
 class TestEstimateFractions:
     def test_single_component_in_span(self, unit_interval):

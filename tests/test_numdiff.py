@@ -359,7 +359,7 @@ def test_dphi(toy):
     for free in THREE_LAYOUTS:
         spec, lam = three_component_spec(free)
         n_m = spec._w_slice.start
-        got = spec._per_event(lam, toy.m, toy.column("t"))[3:n_m]
+        got = spec.evaluate(lam, toy.m, toy.column("t"))[1][3:n_m]
         ref = ref_shape_rows(spec, lam, toy.m)
         assert got.shape == ref.shape == (n_m - 3, len(toy.m))
         assert np.all(np.abs(got - ref) <= 1e-7 * (1.0 + np.abs(ref)))

@@ -28,6 +28,26 @@ class TestSpecs:
             ToySpec(study="multicomponent", n_events=10,
                     fractions=[0.5, 0.2, 0.2])
 
+    @pytest.mark.parametrize("change,named", [
+        (dict(z=True), "z"), (dict(z=False), "z"),
+        (dict(fractions=[True, False, False]), "fractions"),
+        (dict(fractions=[0.5, 0.5, False]), "fractions"),
+        (dict(fractions=[0.5, 0.5, float("nan")]), "fractions"),
+        (dict(fractions=0.5), "fractions")],
+        ids=["z-true", "z-false", "fractions-bools", "fractions-one-bool", "fractions-nan",
+             "fractions-scalar"])
+    def test_non_numeric_z_and_fractions_rejected(self, change, named):
+        # JSON true/false would otherwise pass as 1/0: z = true makes every
+        # event signal
+        with pytest.raises(ConstructionError, match=named):
+            ToySpec(study="multicomponent", n_events=10, **change)
+
+    def test_numeric_z_and_fractions_accepted(self):
+        assert ToySpec(study="simple", n_events=10, z=1).z == 1
+        assert ToySpec(study="simple", n_events=10, z=np.float64(0.25)).z == 0.25
+        spec = ToySpec(study="multicomponent", n_events=10, fractions=np.array([0.3, 0.3, 0.4]))
+        assert spec.to_dict()["fractions"] == [0.3, 0.3, 0.4]
+
     @pytest.mark.parametrize("study,params", [
         ("nonfactorising", {"bkg_slop_t": 5.0}),
         ("nonfactorising", [("eff_base", 0.3), ("eff_bse", 0.3)]),

@@ -163,6 +163,21 @@ class TestFixedShapeCorrection:
         with pytest.raises(EvaluationError, match="non-finite"):
             corrected_covariance_fixed_shapes(t, w, None, d, fit.params)
 
+    def test_mixture_vanishing_at_an_event(self):
+        # with a zero background yield the mixture is 0 at every m above the
+        # signal's range: C' is undefined there, so the correction raises
+        # instead of returning a NaN theta block
+        iv = Interval(0.0, 1.0)
+        basis = [Density1D("uniform", [0.0, 0.5], iv), Density1D("normal", [0.5, 0.2], iv)]
+        rng = np.random.default_rng(5)
+        m = np.linspace(0.0, 1.0, 500)
+        t = HS_TOY.sample(rng, 500)
+        w = np.ones(500)
+        fit = fit_weighted_ml(t, w, HS_TOY, bounds=[(0.05, 20.0)])
+        with pytest.raises(EvaluationError, match=r"vanishes at observation 250 "):
+            corrected_covariance_fixed_shapes(t, w, np.ones((500, 3)), HS_TOY, fit.params,
+                                              basis=basis, yields=[250.0, 0.0], data_m=m)
+
 
 @pytest.fixture(scope="module")
 def hist_cow(weighted_toy):
@@ -312,17 +327,17 @@ class TestFullSandwich:
             corrected_covariance_full(np.zeros(shape), spec, lam)
 
     def test_pdf_calls(self, weighted_toy, monkeypatch, spec_and_root):
-        # the Jacobian is closed-form: each component's pdf is evaluated at
-        # the data by the score, the score covariance and the Jacobian, and
-        # once more by the weights' dw/dW, and the control density once for
-        # its weighted Hessian; a central difference of the score would take
-        # 2 dim n more
+        # one evaluation gives the score, its per-event terms and the
+        # closed-form Jacobian: each component's pdf is evaluated at the data
+        # once there and once more by the weights' dw/dW, and the control
+        # density once for its weighted Hessian; a central difference of the
+        # score would take 2 dim n more
         d = weighted_toy
         spec, lam = spec_and_root
         calls = count_pdf_calls(monkeypatch)
         corrected_covariance_full(d["ds"].data, spec, lam)
         n = len(spec.model.components)
-        assert len(calls) == 4 * n + 1
+        assert len(calls) == 2 * n + 1
 
 
 def three_components(n, seed, free):
