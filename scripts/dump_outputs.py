@@ -23,18 +23,23 @@ non-factorising toys with efficiency (seeds from 20260824; swB and cow of
 polynomial order 1, 3 and 5 with the qm variance function), six
 ``cowlib pipeline`` summaries (N = 20000, seed 7; sweights-B, sweights-A
 and cow, each with fixed and with free shapes) without their
-``config_hash``, which depends on the file paths, and the
+``config_hash``, which depends on the file paths, the SHA-256 and size
+of every CSV the command-line interface writes here (the pipeline's input
+``data.csv`` and weights files; the weights of ``cowlib sweights`` and
+``cowlib cow`` and the dataset of ``cowlib toys`` on the same sample or
+seed), so that ``--compare`` flags any byte that differs, and the
 ``corrected_covariance_full`` results (``full``, ``theta_block``,
 ``naive``) of 10 simple-study toys (N = 2000, seeds 3000-3009), each with
 fixed and with free shapes, at the root of the joint quasi-score whose
 control fit takes the signal weight of the W block of lambda.  The cowlib
-package is imported from ``CHECKOUT/src``; a run takes about 5 s on a
+package is imported from ``CHECKOUT/src``; a run takes about 6 s on a
 2-core machine.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -77,27 +82,39 @@ def ensemble_records(toy: dict, methods, n_toys: int, base_seed: int):
     return run_ensemble(config).records
 
 
+def file_digest(path: str) -> dict:
+    with open(path, "rb") as fh:
+        content = fh.read()
+    return {"sha256": hashlib.sha256(content).hexdigest(), "bytes": len(content)}
+
+
+def _run(cli, workdir: str, command: str, name: str, cfg: dict) -> int:
+    cfg_path = os.path.join(workdir, name + ".json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    return cli.main([command, "--config", cfg_path])
+
+
 def pipeline_summaries(workdir: str) -> dict:
+    """The pipeline summaries, and the digests of every CSV written."""
     from cowlib import cli
     from cowlib.toygen import ToySpec, generate
     ds = generate(ToySpec(study="simple", n_events=PIPELINE_EVENTS, z=0.2, seed=PIPELINE_SEED))
     data = os.path.join(workdir, "data.csv")
     cli.write_csv(data, ["m", "t"], ds.data)
-    out = {}
+    out, files = {}, {"data.csv": file_digest(data)}
     for free in (False, True):
         for method in PIPELINE_METHODS:
             name = f"{method}-{'free' if free else 'fixed'}"
-            cfg_path = os.path.join(workdir, name + ".json")
             summary = os.path.join(workdir, name + "-summary.json")
+            weights = os.path.join(workdir, name + "-weights.csv")
             cfg = {"data": data, "model": _model(free), "method": method,
                    "control_model": {"kind": "exponential", "params": [1.5],
                                      "support": [0.0, 3.0]},
-                   "out_summary": summary}
+                   "out_summary": summary, "out_weights": weights}
             if method == "cow":
                 cfg["cow"] = {"variance": "mixture"}
-            with open(cfg_path, "w") as fh:
-                json.dump(cfg, fh)
-            rc = cli.main(["pipeline", "--config", cfg_path])
+            rc = _run(cli, workdir, "pipeline", name, cfg)
             if rc != 0:
                 out[name] = {"exit": rc}
                 continue
@@ -105,6 +122,28 @@ def pipeline_summaries(workdir: str) -> dict:
                 result = json.load(fh)
             result.pop("config_hash")
             out[name] = result
+            files[name + "-weights.csv"] = file_digest(weights)
+
+    model = _model(False)
+    csv_runs = {
+        "sweights": {"data": data, "model": model, "out_weights": "sweights.csv",
+                     "out_summary": "sweights-summary.json"},
+        "cow": {"data": data, "support": model["support"],
+                "basis": model["components"], "variance": "unity",
+                "out_weights": "cow.csv", "out_summary": "cow-summary.json"},
+        "toys": {"toy": {"study": "nonfactorising", "n_events": 2000, "z": 0.5,
+                         "efficiency": True},
+                 "methods": [], "base_seed": PIPELINE_SEED, "out": "toys-report.json",
+                 "export_dataset": "toys.csv"},
+    }
+    for command, cfg in csv_runs.items():
+        cfg = {k: os.path.join(workdir, v) if k.startswith(("out", "export")) else v
+               for k, v in cfg.items()}
+        csv_path = cfg.get("out_weights", cfg.get("export_dataset"))
+        rc = _run(cli, workdir, command, command, cfg)
+        name = os.path.basename(csv_path)
+        files[name] = file_digest(csv_path) if rc == 0 else {"exit": rc}
+    out["csv_files"] = files
     return out
 
 

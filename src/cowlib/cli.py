@@ -26,6 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__
+from ._g17 import format_rows
 from .cows import CowSpec, build_cow, efficiency_corrected_weights
 from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
 from .diagnostics import kendall_tau
@@ -151,20 +152,18 @@ def read_csv(path: str, min_cols: int = 1) -> Tuple[List[str], np.ndarray]:
 
 
 # Rows formatted per write: large enough to amortize the call, small enough
-# that the text of one block stays far below the size of the array.
+# that the records of one block stay a few MB.
 WRITE_BLOCK_ROWS = 4096
 
 
 def write_csv(path: str, names: List[str], data: np.ndarray):
     """Write a header row and every value as ``%.17g`` (exact round trip), CRLF ends."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    row_fmt = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
     try:
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(names)
             for start in range(0, data.shape[0], WRITE_BLOCK_ROWS):
-                block = data[start:start + WRITE_BLOCK_ROWS]
-                fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+                fh.write(format_rows(data[start:start + WRITE_BLOCK_ROWS]).decode("ascii"))
     except OSError as exc:
         raise CliInputError(f"cannot write {path}: {exc}") from exc
 

@@ -164,15 +164,17 @@ class CowSet:
     def w_k(self, k: int, m) -> np.ndarray:
         return self.weights(m)[:, k]
 
-    def dw_dW(self, m) -> np.ndarray:
+    def dw_dW(self, m, gv: Optional[np.ndarray] = None) -> np.ndarray:
         """Derivative of the signal weight w_s at m wrt the upper triangle of
         W in :func:`upper_pairs` order ((W_ss, W_sb, W_bb) for two components),
         shape (len(m), n(n+1)/2).  Through dA = -A dW A, with u = A g and c_k
         the signal rows of A summed at column k, less w_s (A 1)_k when I is
         implied: dw_s/dW_kl = -(c_k u_l + c_l u_k) / I, dw_s/dW_kk = -c_k u_k / I.
+        ``gv`` may pass in ``basis_values(m)`` when the caller has it.
         """
         m = np.atleast_1d(np.asarray(m, dtype=float))
-        gv = self.basis_values(m)
+        if gv is None:
+            gv = self.basis_values(m)
         I = self._variance(m, gv)
         u = self.A @ gv                                    # (n, N)
         n_sig = self.spec.n_signal
@@ -208,13 +210,16 @@ def pair_products(g: np.ndarray) -> np.ndarray:
     return g[k] * g[l]
 
 
-def mixture_pairs(basis: Sequence[Density1D], coeffs, m) -> Tuple[np.ndarray, ...]:
-    """(g, f, P) at the events m: the stacked values g of the ``basis``, the
-    mixture f = sum_k c_k g_k summed in component order (not by BLAS's fused
-    sum) and P = g_k g_l / f^2 over :func:`upper_pairs`.  Raises
-    :class:`~cowlib.errors.EvaluationError` naming the first event where f <= 0."""
+def mixture_pairs(basis: Sequence[Density1D], coeffs, m,
+                  g: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ...]:
+    """(g, f, P) at the events m: the stacked values g of the ``basis``
+    (computed unless passed in), the mixture f = sum_k c_k g_k summed in
+    component order (not by BLAS's fused sum) and P = g_k g_l / f^2 over
+    :func:`upper_pairs`.  Raises :class:`~cowlib.errors.EvaluationError`
+    naming the first event where f <= 0."""
     m = np.asarray(m, dtype=float)
-    g = np.stack([d.pdf(m) for d in basis])
+    if g is None:
+        g = np.stack([d.pdf(m) for d in basis])
     f = sum(c * gk for c, gk in zip(coeffs, g))
     if np.any(f <= 0):
         i = int(np.argmax(f <= 0))
@@ -390,8 +395,9 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
 
 
 def efficiency_corrected_weights(cow: CowSet, eff: Optional[EfficiencyMap],
-                                 data) -> np.ndarray:
-    """Per-event weights w_k(m_i) / efficiency(m_i, t_i), shape (N, n)."""
+                                 data, gv: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-event weights w_k(m_i) / efficiency(m_i, t_i), shape (N, n);
+    ``gv`` may pass in ``cow.basis_values(m)``."""
     m, t = _split_m_t(data, eff)
-    w = cow.weights(m)
+    w = cow.weights(m, gv)
     return w if eff is None else w / efficiency_at(eff, m, t)[:, None]

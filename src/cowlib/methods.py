@@ -85,8 +85,10 @@ class MethodSpec:
         return asdict(self)
 
 
-def sweights_matrix(variant: str, fit: FitResult, data_m) -> WeightMatrix:
-    """W of the classic weights at the shapes of ``fit``.
+def sweights_matrix(variant: str, fit: FitResult, data_m,
+                    gv: Optional[np.ndarray] = None) -> WeightMatrix:
+    """W of the classic weights at the shapes of ``fit``; variant B may be
+    passed the stacked values ``gv`` of the fit's components at the events.
 
     Variant C takes W from the fit whose shapes the weights use: Ci inverts
     its full covariance, Cii reads its yields covariance, which is A only when
@@ -97,7 +99,7 @@ def sweights_matrix(variant: str, fit: FitResult, data_m) -> WeightMatrix:
     if variant == "A":
         return compute_W_variant_A(basis, z, basis[0].support)
     if variant == "B":
-        return compute_W_variant_B(basis, z, m)
+        return compute_W_variant_B(basis, z, m, gv)
     if variant == "Ci":
         return compute_W_variant_C(fit, len(m), "invert-full-cov", n_components=len(basis))
     if variant == "Cii":
@@ -138,11 +140,14 @@ class MethodWeights:
     """The weights of one method on one sample: the weight functions ``cow``
     (for classic weights the set :func:`weight_functions` returns), the
     signal weight ``w`` per event and ``W``, the classic ``WeightMatrix`` as
-    a dict or the cow W matrix."""
+    a dict or the cow W matrix.  ``gv`` may pass in the basis values of
+    ``cow`` at the events, which the weights and the covariance then reuse."""
 
-    def __init__(self, spec: MethodSpec, fit: FitResult, data: np.ndarray, cow, W):
+    def __init__(self, spec: MethodSpec, fit: FitResult, data: np.ndarray, cow, W,
+                 gv: Optional[np.ndarray] = None):
         self.spec, self.fit, self.data, self.cow, self.W = spec, fit, data, cow, W
-        self._columns = efficiency_corrected_weights(cow, cow.spec.efficiency, data)
+        self._gv = gv
+        self._columns = efficiency_corrected_weights(cow, cow.spec.efficiency, data, gv)
         self.w = self._columns[:, 0]
 
     def columns(self) -> Tuple[List[str], np.ndarray]:
@@ -162,10 +167,10 @@ class MethodWeights:
             return corrected_covariance_cow(self.cow, self.data, hs, theta,
                                             eff=self.cow.spec.efficiency)
         m = self.data[:, 0]
-        dW = self.cow.dw_dW(m) if self.spec.correction == "fixed" else None
+        dW = self.cow.dw_dW(m, self._gv) if self.spec.correction == "fixed" else None
         return corrected_covariance_fixed_shapes(
             self.data[:, 1], self.w, dW, hs, theta, basis=self.cow.spec.basis,
-            yields=self.fit.model.yields, data_m=m)
+            yields=self.fit.model.yields, data_m=m, basis_values=self._gv)
 
 
 def apply_method(spec: MethodSpec, fit: FitResult, data,
@@ -178,9 +183,11 @@ def apply_method(spec: MethodSpec, fit: FitResult, data,
         raise NonConvergenceError("the extended fit of m did not converge")
     data = np.asarray(data, dtype=float)
     if spec.kind == "sweights":
-        wm = sweights_matrix(spec.variant, fit, data[:, 0])
-        cow = weight_functions(wm, fit.model.densities())
-        return MethodWeights(spec, fit, data, cow, wm.to_dict())
+        m, basis = data[:, 0], fit.model.densities()
+        gv = np.stack([g.pdf(m) for g in basis])
+        wm = sweights_matrix(spec.variant, fit, m, gv)
+        cow = weight_functions(wm, basis)
+        return MethodWeights(spec, fit, data, cow, wm.to_dict(), gv)
     basis = fitted_basis(fit, spec.poly_order)
     support = basis[0].support
     # a basis of the fitted components starts the mixture iteration at the

@@ -280,14 +280,13 @@ def _mixture_rows(dens, g, yields, slices, data):
     return np.concatenate([g] + [yields[k] * g[k] * sk for k, sk in s.items()]), s
 
 
-def _nll_hessian(dens, g, f, yields, slices, data):
-    """(H, D, s): the Hessian H = (D/f^2).D^T - sum (d^2 f/dp dp')/f of the
-    extended nll sum(y) - sum ln f, with (D, s) of :func:`_mixture_rows`;
-    d^2 f is g_k s_k between yield k and its own shape and y_k g_k (s_k s_k^T
-    + ds_k) within the shape."""
+def _nll_hessian(dens, g, f, yields, slices, data, D, scores):
+    """The Hessian H = (D/f^2).D^T - sum (d^2 f/dp dp')/f of the extended
+    nll sum(y) - sum ln f, from the (D, s) of :func:`_mixture_rows`; d^2 f
+    is g_k s_k between yield k and its own shape and y_k g_k (s_k s_k^T +
+    ds_k) within the shape."""
     if np.any(f <= 0):
         raise EvaluationError("mixture density non-positive at an event")
-    D, scores = _mixture_rows(dens, g, yields, slices, data)
     Df = D / f
     H = Df @ Df.T
     for k, sk in scores.items():
@@ -296,7 +295,7 @@ def _nll_hessian(dens, g, f, yields, slices, data):
         H[k, s] -= cross
         H[s, k] -= cross
         H[s, s] -= yields[k] * ((sk * r) @ sk.T + dens[k].d2logpdf(data) @ r)
-    return H, D, scores
+    return H
 
 
 def _check_fittable(density: Density1D):
@@ -418,7 +417,9 @@ def fit_extended_ml(data_m, model: MixtureModel, init=None) -> FitResult:
 
     def nll_hessian(params):
         dens, g = comp_values(params)
-        return _nll_hessian(dens, g, params[:n_comp] @ g, params[:n_comp], slices, data)[0]
+        y = params[:n_comp]
+        return _nll_hessian(dens, g, y @ g, y, slices, data,
+                            *_mixture_rows(dens, g, y, slices, data))
 
     def converged_at(x):
         return bool(np.max(np.abs(_projected_grad(grad(x), x, lower, upper))) < gtol)

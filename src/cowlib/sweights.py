@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,14 +81,16 @@ def compute_W_variant_A(basis: Sequence[Density1D], z, iv: Interval) -> WeightMa
     return WeightMatrix(W, _inverse(W), "A", z)
 
 
-def compute_W_variant_B(basis: Sequence[Density1D], z, data_m) -> WeightMatrix:
+def compute_W_variant_B(basis: Sequence[Density1D], z, data_m,
+                        gv: Optional[np.ndarray] = None) -> WeightMatrix:
     """W from the per-event sample sum (the recommended, self-consistent
-    choice): the mean over the events of g_k g_l / (z . g)^2."""
+    choice): the mean over the events of g_k g_l / (z . g)^2.  ``gv`` may
+    pass in the stacked values of ``basis`` at the events."""
     z = _check_fractions(z, len(basis))
     m = np.asarray(data_m, dtype=float)
     if m.size == 0:
         raise EvaluationError("variant B requires a nonempty data sample")
-    W = from_upper(mixture_pairs(basis, z, m)[2].sum(axis=1), len(basis)) / len(m)
+    W = from_upper(mixture_pairs(basis, z, m, gv)[2].sum(axis=1), len(basis)) / len(m)
     return WeightMatrix(W, _inverse(W), "B", z)
 
 

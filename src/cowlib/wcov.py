@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._quadrature import gauss_legendre
-from .cows import efficiency_at, from_upper, implied_cow, mixture_pairs, upper_pairs
+from .cows import CowSet, efficiency_at, from_upper, implied_cow, mixture_pairs, upper_pairs
 from .densities import Density1D, floor_empty_bins
 from .errors import EvaluationError
-from .mlfit import (MixtureModel, _covariance, _model_at, _nll_hessian,
+from .mlfit import (MixtureModel, _covariance, _mixture_rows, _model_at, _nll_hessian,
                     _param_names, _shape_slices, _weighted_hessian)
 
 __all__ = [
@@ -121,6 +121,7 @@ def corrected_covariance_fixed_shapes(
     basis: Optional[Sequence[Density1D]] = None,
     yields: Optional[Sequence[float]] = None,
     data_m=None,
+    basis_values: Optional[np.ndarray] = None,
 ) -> CorrectedCovariance:
     """Covariance correction when the shapes in m are known.
 
@@ -128,7 +129,8 @@ def corrected_covariance_fixed_shapes(
     triangle of the n x n W, shape (N, n(n+1)/2), as ``CowSet.dw_dW`` gives
     them; pass None for externally supplied fixed weights, which reduces the
     result to the plain sandwich.  Otherwise the C' matrix is built from the
-    n ``basis`` densities, their ``yields`` and ``data_m``.
+    n ``basis`` densities, their ``yields`` and ``data_m``; ``basis_values``
+    may pass in the stacked values of ``basis`` at ``data_m``.
     """
     t = np.asarray(data_t, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -147,7 +149,7 @@ def corrected_covariance_fixed_shapes(
         # to; the weight is scale-invariant in W, so rescaling dW by N puts
         # both factors of the quadratic form on the same convention.
         E = len(t) * (d1 @ dW)                      # (p, n(n+1)/2)
-        P = mixture_pairs(basis, yields, data_m)[2]
+        P = mixture_pairs(basis, yields, data_m, basis_values)[2]
         reduction = Hinv @ E @ (P @ P.T) @ E.T @ Hinv.T
 
     reduction = 0.5 * (reduction + reduction.T)
@@ -384,6 +386,24 @@ class QuasiScoreSpec:
         model, Wv, _ = self.unpack(lam)
         return _implied(Wv, model.densities()).weights(m)[:, 0]
 
+    def _terms(self, lam, m, t) -> "_ScoreTerms":
+        """The per-event terms of the quasi-score at ``lam`` and the values
+        they are made of (see :meth:`evaluate`)."""
+        m, t = np.asarray(m, dtype=float), np.asarray(t, dtype=float)
+        model, Wv, theta = self.unpack(lam)
+        dens = model.densities()
+        g, f, P = mixture_pairs(dens, model.yields, m)
+        slices = _shape_slices(model)
+        D, scores = _mixture_rows(dens, g, model.yields, slices, m)
+        cow = _implied(Wv, dens)
+        w_s = cow.weights(m, g)[:, 0]
+        d1 = self.hs.with_params(theta).dlogpdf(t)
+        V = np.concatenate([D / f, P, w_s * d1])
+        S = V.sum(axis=1)
+        S[:len(dens)] -= 1.0
+        S[self._w_slice] -= Wv
+        return _ScoreTerms(S, V, model, theta, g, f, P, slices, D, scores, cow, w_s, d1)
+
     def evaluate(self, lam, m, t) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(S, V, J) at ``lam``: the quasi-score S summed over the sample, its
         per-event terms V (dim, N) and J = dS/dlambda in closed form.  V holds
@@ -395,46 +415,59 @@ class QuasiScoreSpec:
         s_c^T on p and -1 on W_kl, and the theta rows are the weighted Hessian
         of hs, d1 dw_s/dW and d1 ((A_0c - w_s (A 1)_c) g_c s_c / I)^T."""
         m, t = np.asarray(m, dtype=float), np.asarray(t, dtype=float)
-        model, Wv, theta = self.unpack(lam)
-        dens = model.densities()
-        g, f, P = mixture_pairs(dens, model.yields, m)
-        slices = _shape_slices(model)
+        x = self._terms(lam, m, t)
+        dens, g, f, P, D, d1, cow, w_s = (x.model.densities(), x.g, x.f, x.P, x.D, x.d1,
+                                          x.cow, x.w_s)
         iw, ith = self._w_slice, slice(self._w_slice.stop, self.dim)
-        H, D, scores = _nll_hessian(dens, g, f, model.yields, slices, m)
-        cow = _implied(Wv, dens)
-        w_s = cow.weights(m, g)[:, 0]
-        d1 = self.hs.with_params(theta).dlogpdf(t)
-        V = np.concatenate([D / f, P, w_s * d1])
-        S = V.sum(axis=1)
-        S[:len(dens)] -= 1.0
-        S[iw] -= Wv
         a1 = cow.A.sum(axis=1)
         J = np.zeros((self.dim, self.dim))
-        J[:iw.start, :iw.start] = -H
+        J[:iw.start, :iw.start] = -_nll_hessian(dens, g, f, x.model.yields, x.slices, m,
+                                                D, x.scores)
         J[iw, :iw.start] = -2.0 * (P / f) @ D.T
         J[iw, iw] = -np.eye(iw.stop - iw.start)
         J[ith, iw] = d1 @ cow.dw_dW(m)
-        J[ith, ith] = _weighted_hessian(self.hs, t, w_s, theta)
+        J[ith, ith] = _weighted_hessian(self.hs, t, w_s, x.theta)
         k, l = upper_pairs(len(dens))
-        for c, sc in scores.items():
-            s = slices[c]
+        for c, sc in x.scores.items():
+            s = x.slices[c]
             hits = (k == c).astype(int) + (l == c)
             J[iw, s] += hits[:, None] * (P @ sc.T)
             J[ith, s] = d1 @ ((cow.A[0, c] - w_s * a1[c]) * g[c] / (a1 @ g) * sc).T
-        return S, V, J
+        return x.S, x.V, J
 
     def score(self, lam, m, t) -> np.ndarray:
         """The quasi-score vector S(lambda) summed over the sample."""
-        return self.evaluate(lam, m, t)[0]
+        return self._terms(lam, m, t).S
 
     def score_covariance(self, lam, m, t) -> np.ndarray:
         """Sample estimate of E[S S^T] under Poisson sample-size fluctuations."""
-        V = self.evaluate(lam, m, t)[1]
+        V = self._terms(lam, m, t).V
         return V @ V.T
 
     def jacobian(self, lam, m, t) -> np.ndarray:
         """dS/dlambda in closed form (see :meth:`evaluate`)."""
         return self.evaluate(lam, m, t)[2]
+
+
+class _ScoreTerms(NamedTuple):
+    """What :meth:`QuasiScoreSpec._terms` gives: S and V, the model and
+    theta they were taken at, the stacked values g, mixture f and pairs P,
+    the m fit's rows D and shape scores, the implied weights ``cow``, the
+    signal weights w_s and the scores d1 of hs."""
+
+    S: np.ndarray
+    V: np.ndarray
+    model: MixtureModel
+    theta: np.ndarray
+    g: np.ndarray
+    f: np.ndarray
+    P: np.ndarray
+    slices: list
+    D: np.ndarray
+    scores: dict
+    cow: CowSet
+    w_s: np.ndarray
+    d1: np.ndarray
 
 
 def _implied(Wv, basis: Sequence[Density1D]):

@@ -1,17 +1,22 @@
 """CSV reading and writing of the command-line interface.
 
 The numpy-based ``read_csv``/``write_csv`` are checked against the
-per-value loop versions they replaced, kept here as references.
+per-value loop versions they replaced, kept here as references; the
+writer's vectorised ``%.17g`` must give the reference's bytes for every
+float64, including where it hands values over to Python's formatting.
 """
 
 import csv
+import decimal
+import fractions
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cowlib import cli
+from cowlib import _g17, cli
 from cowlib.cli import CliInputError
 
 
@@ -187,6 +192,84 @@ def test_write_csv_one_dimensional_and_integer_input(tmp_path):
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _write_both(directory, data):
+    """The bytes of ``write_csv`` and of the reference writer for ``data``."""
+    names = [f"c{i}" for i in range(np.atleast_2d(data).shape[1])]
+    cli.write_csv(str(directory / "new.csv"), names, data)
+    reference_write_csv(str(directory / "ref.csv"), names, data)
+    return (directory / "new.csv").read_bytes(), (directory / "ref.csv").read_bytes()
+
+
+def _ulps_around(x, k=5):
+    """x and its k neighbours on each side."""
+    up = down = np.float64(x)
+    out = [up]
+    for _ in range(k):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return out
+
+
+def test_write_csv_range_ends_and_powers_of_ten(tmp_path):
+    # where the vectorised encoder hands over to Python's formatting, and
+    # next to every power of ten, where a float log10 can land one off
+    anchors = [1e-10, 1e15] + [10.0 ** k for k in range(-11, 17)] + [
+        float(f"1e{k}") for k in range(-11, 17)]
+    values = np.array([v for x in anchors for v in _ulps_around(x)])
+    new, ref = _write_both(tmp_path, np.column_stack([values, -values]))
+    assert new == ref
+
+
+@pytest.mark.parametrize("shift", [-0.4, 0.4])
+def test_write_csv_corrects_a_decimal_exponent_one_off(tmp_path, monkeypatch, shift):
+    # a log10 off by up to 0.4 puts many values one decade off; the
+    # exponent is corrected from their digits
+    monkeypatch.setattr(_g17, "_log10", lambda a: np.log10(a) + shift)
+    values = 10.0 ** np.random.default_rng(5).uniform(-10, 15, 4000)
+    anchors = [1e-10, 1e15] + [float(f"1e{k}") for k in range(-10, 16)]
+    values = np.concatenate([values, [v for x in anchors for v in _ulps_around(x)]])
+    new, ref = _write_both(tmp_path, np.column_stack([values, -values]))
+    assert new == ref
+
+
+def _dyadic_ties(rng, per_exponent=8):
+    """Dyadic values whose exact decimal expansion has 18 significant digits,
+    the last a 5: the 17-digit rounding is a tie, broken to even.  In
+    [10**x, 10**(x+1)) these are the j / 2**(17 - x) of odd j; below 1e-8
+    there are none."""
+    out = []
+    for x in range(-8, 15):
+        p = 17 - x
+        lo = math.ceil(fractions.Fraction(10) ** x * 2 ** p)
+        hi = math.ceil(fractions.Fraction(10) ** (x + 1) * 2 ** p)
+        k = rng.integers(lo // 2, hi // 2, per_exponent)  # lo <= 2k + 1 < hi
+        out += [(2 * int(j) + 1) / 2 ** p for j in k]
+    return np.array(out)
+
+
+def test_write_csv_ties_in_the_18th_digit(tmp_path):
+    values = _dyadic_ties(np.random.default_rng(18))
+    for v in values:
+        digits = decimal.Decimal(float(v)).normalize().as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    new, ref = _write_both(tmp_path, np.column_stack([values, -values]))
+    assert new == ref
+
+
+@pytest.mark.parametrize("column", [
+    [0.0] * 6,                                   # falls back entirely
+    [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+    [1e300, -1e-300, 5e-324, np.nan, np.inf, -np.inf],
+    [0.0, 0.5, -0.0, -2.5, 1e20, 3.0],           # falls back in part
+    [1e15, 1e-10, 9.999999999999999e14, 9.9999999999999994e-11, 1.0, -0.25],
+])
+def test_write_csv_columns_that_fall_back(tmp_path, column):
+    mixed = np.random.default_rng(4).normal(size=len(column))
+    for data in (np.array(column)[:, None], np.column_stack([mixed, column, mixed])):
+        new, ref = _write_both(tmp_path, data)
+        assert new == ref
+
+
 def test_write_csv_unwritable_path(tmp_path):
     with pytest.raises(CliInputError, match="cannot write"):
         cli.write_csv(str(tmp_path / "no" / "such" / "dir.csv"), ["m"], np.zeros((2, 1)))
@@ -219,6 +302,20 @@ def test_finite_table_round_trips_exactly(csv_dir, table):
     got_names, back = cli.read_csv(path)
     assert got_names == names
     assert back.shape == data.shape and back.tobytes() == data.tobytes()
+
+
+ANY_FLOATS = st.one_of(
+    hnp.arrays(np.uint64, st.tuples(st.integers(1, 30), st.integers(1, 4)),
+               elements=st.integers(0, 2 ** 64 - 1)).map(lambda a: a.view(np.float64)),
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 4)),
+               elements=st.floats(width=64)))
+
+
+@settings(max_examples=300)
+@given(data=ANY_FLOATS)
+def test_any_float64_is_written_as_the_reference(csv_dir, data):
+    new, ref = _write_both(csv_dir, data)
+    assert new == ref
 
 
 @settings(max_examples=400)

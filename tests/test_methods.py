@@ -1,9 +1,12 @@
 """The method recipe: spec validation, the variant-C rule, and parity with
 the per-caller dispatch it replaced."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from conftest import count_pdf_calls
 from cowlib import ConstructionError, Density1D, EvaluationError, monomial_basis
 from cowlib import cows, sweights, toygen, wcov
 from cowlib.methods import (MethodSpec, apply_method, control_fit, sweights_matrix,
@@ -133,6 +136,20 @@ def test_recipe_matches_reference_dispatch(toy, fields):
         record = toygen._run_method(ms, ds, {True: fits["free"], False: fits["yields_only"]})
         assert record["estimate"] == est
         assert record["sigma_corr"] == sigma
+
+
+def test_classic_weights_evaluate_each_component_once(monkeypatch):
+    # swB's W, weights, dw/dW and the C' pairs of the fixed-shape correction
+    # all take the components' values at the events from one evaluation; the
+    # other is weight_functions' check of the variance on a grid
+    ds = generate(ToySpec(study="simple", n_events=2000, z=0.2, seed=1001))
+    fit = _fits(ds)["yields_only"]
+    hs = Density1D("exponential", [1.5], T_SUPPORT)
+    calls = count_pdf_calls(monkeypatch)
+    weights = apply_method(MethodSpec("swB"), fit, ds.data)
+    weights.covariance(hs, control_fit(ds.column("t"), weights.w, hs).params)
+    counts = Counter(id(d) for d in calls)
+    assert [counts[id(d)] for d in weights.cow.spec.basis] == [2, 2]
 
 
 class TestMethodSpec:
