@@ -27,7 +27,11 @@ and cow, each with fixed and with free shapes) without their
 of every CSV the command-line interface writes here (the pipeline's input
 ``data.csv`` and weights files; the weights of ``cowlib sweights`` and
 ``cowlib cow`` and the dataset of ``cowlib toys`` on the same sample or
-seed), so that ``--compare`` flags any byte that differs, and the
+seed), so that ``--compare`` flags any byte that differs, two ``cowlib
+cow`` runs on 2000 events of the same seed (the unity variance function on
+the support [-0.5, 1.0], of width 1.5, and the mixture one with a
+``signal_proxy``), each as its summary without ``config_hash``, its
+weights and the digest of its weights CSV, and the
 ``corrected_covariance_full`` results (``full``, ``theta_block``,
 ``naive``) of 10 simple-study toys (N = 2000, seeds 3000-3009), each with
 fixed and with free shapes, at the root of the joint quasi-score whose
@@ -65,6 +69,12 @@ ENSEMBLES = {
 PIPELINE_EVENTS, PIPELINE_SEED = 20000, 7
 PIPELINE_METHODS = ("sweights-B", "sweights-A", "cow")
 FULL_EVENTS, FULL_SEEDS = 2000, range(3000, 3010)
+COW_EVENTS = 2000
+COW_RUNS = {
+    "unity-wide": {"support": [-0.5, 1.0], "variance": "unity"},
+    "mixture-proxy": {"support": [0.0, 1.0], "variance": "mixture",
+                      "signal_proxy": {"kind": "normal", "params": [0.52, 0.09]}},
+}
 
 
 def _model(free: bool) -> dict:
@@ -144,6 +154,32 @@ def pipeline_summaries(workdir: str) -> dict:
         name = os.path.basename(csv_path)
         files[name] = file_digest(csv_path) if rc == 0 else {"exit": rc}
     out["csv_files"] = files
+    return out
+
+
+def cow_runs(workdir: str) -> dict:
+    """The ``cowlib cow`` runs of ``COW_RUNS``: summary, weights and digest."""
+    from cowlib import cli
+    from cowlib.toygen import ToySpec, generate
+    ds = generate(ToySpec(study="simple", n_events=COW_EVENTS, z=0.2, seed=PIPELINE_SEED))
+    data = os.path.join(workdir, "cow-data.csv")
+    cli.write_csv(data, ["m", "t"], ds.data)
+    out = {}
+    for name, run in COW_RUNS.items():
+        summary = os.path.join(workdir, name + "-summary.json")
+        weights = os.path.join(workdir, name + "-weights.csv")
+        cfg = {"data": data, "basis": _model(False)["components"], **run,
+               "out_summary": summary, "out_weights": weights}
+        rc = _run(cli, workdir, "cow", name, cfg)
+        if rc != 0:
+            out[name] = {"exit": rc}
+            continue
+        with open(summary) as fh:
+            result = json.load(fh)
+        result.pop("config_hash")
+        result["weights"] = cli.read_csv(weights)[1][:, 2:].tolist()
+        result["weights.csv"] = file_digest(weights)
+        out[name] = result
     return out
 
 
@@ -248,6 +284,7 @@ def main(argv=None) -> int:
     dump = {name: ensemble_records(*spec) for name, spec in ENSEMBLES.items()}
     with tempfile.TemporaryDirectory() as workdir:
         dump["pipeline"] = pipeline_summaries(workdir)
+        dump["cow_runs"] = cow_runs(workdir)
     dump["full"] = full_covariances()
     with open(args.out, "w") as fh:
         fh.write(cli.canonical_json(dump) + "\n")

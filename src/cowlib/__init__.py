@@ -27,8 +27,7 @@ from .mlfit import (FitResult, MixtureComponent, MixtureModel, fit_extended_ml,
                     fit_weighted_ml, numerical_hessian, yields_only_refit)
 from .sweights import (WeightMatrix, compute_W_variant_A, compute_W_variant_B,
                        compute_W_variant_C, weight_functions)
-from .cows import (CowSet, CowSpec, ImpliedVariance, MixtureVariance,
-                   UnityVariance, build_cow, efficiency_corrected_weights,
+from .cows import (CowSet, CowSpec, build_cow, efficiency_corrected_weights,
                    estimate_fractions, implied_cow, variance_fn_ml_iterative,
                    variance_fn_qm)
 from .wcov import (CorrectedCovariance, QuasiScoreSpec,

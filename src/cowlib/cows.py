@@ -21,9 +21,6 @@ from .errors import (ConstructionError, EvaluationError,
                      IllConditionedBasisError, NonConvergenceError)
 
 __all__ = [
-    "UnityVariance",
-    "MixtureVariance",
-    "ImpliedVariance",
     "CowSpec",
     "CowSet",
     "implied_cow",
@@ -43,63 +40,21 @@ MIN_EFFICIENCY = 1e-6
 POSITIVITY_PROBE_POINTS = 2001
 
 
-class UnityVariance:
-    """Constant variance function I(m) = 1."""
-
-    def __call__(self, m):
-        return np.ones_like(np.asarray(m, dtype=float))
-
-    def breakpoints(self):
-        return []
-
-
-class MixtureVariance:
-    """I(m) as a linear combination of the basis densities (in-span choice)."""
-
-    def __init__(self, fractions, basis: Sequence[Density1D]):
-        self.fractions = np.asarray(fractions, dtype=float)
-        self.basis = list(basis)
-        if len(self.fractions) != len(self.basis):
-            raise ConstructionError("one fraction per basis element required")
-        if np.any(self.fractions < 0):
-            # negative fitted fractions can make I(m) change sign; rejected
-            raise ConstructionError("mixture variance function needs fractions >= 0")
-        if self.fractions.sum() <= 0:
-            raise ConstructionError("mixture variance function needs a positive sum")
-
-    def __call__(self, m):
-        return sum(z * g.pdf(m) for z, g in zip(self.fractions, self.basis))
-
-    def breakpoints(self):
-        pts = []
-        for g in self.basis:
-            pts.extend(g.breakpoints())
-        return sorted(set(pts))
-
-
-class ImpliedVariance(MixtureVariance):
-    """I(m) = (A 1) . g(m), the variance function that a W matrix with inverse
-    A implies for the basis g; its weights (A g) / I are the classic (sPlot)
-    weights.  A valid W can imply negative fractions and an I(m) that changes
-    sign, so neither is rejected: the weights are undefined only where
-    I(m) = 0, which includes every m outside the support."""
-
-    def __init__(self, A, basis: Sequence[Density1D]):
-        self.fractions = np.asarray(A, dtype=float).sum(axis=1)
-        self.basis = list(basis)
-
-
 @dataclass
 class CowSpec:
     """Recipe for a set of custom orthogonal weight functions.
 
     ``basis`` lists the component densities with the signal block first
-    (``n_signal`` elements).  ``signal_proxy`` optionally replaces the first
-    basis element when only the signal shape in the control variable matters.
+    (``n_signal`` elements), each on ``support``.  ``signal_proxy``
+    optionally replaces the first basis element when only the signal shape
+    in the control variable matters.  The variance function I(m) is a
+    density strictly positive on the support, or None for the one that
+    the W of a :class:`CowSet` implies, I = (A 1) . g, which may take
+    either sign and has no W of its own to build.
     """
 
     basis: List[Density1D]
-    variance_fn: object
+    variance_fn: Optional[Density1D]
     support: Interval
     n_signal: int = 1
     signal_proxy: Optional[Density1D] = None
@@ -110,10 +65,16 @@ class CowSpec:
             raise ConstructionError("basis must contain at least one density")
         if not 1 <= self.n_signal <= len(self.basis):
             raise ConstructionError("n_signal must lie in [1, len(basis)]")
-        if isinstance(self.variance_fn, ImpliedVariance):
-            return      # an implied I may take either sign
+        named = [(f"basis element {i}", g) for i, g in enumerate(self.basis)]
+        for what, g in named + [("signal_proxy", self.signal_proxy)]:
+            if g is not None and g.support != self.support:
+                # not normalized on the support: the weights would not sum to N
+                raise ConstructionError(f"{what} is on {g.support.as_tuple()}, "
+                                        f"not on the support {self.support.as_tuple()}")
+        if self.variance_fn is None:
+            return
         grid = np.linspace(self.support.lo, self.support.hi, POSITIVITY_PROBE_POINTS)
-        if np.any(np.asarray(self.variance_fn(grid)) <= 0):
+        if np.any(self.variance_fn.pdf(grid) <= 0):
             raise ConstructionError(
                 "variance function must be strictly positive on the support")
 
@@ -139,14 +100,13 @@ class CowSet:
         return np.stack([g.pdf(m) for g in self._basis])  # (n, len(m))
 
     def _variance(self, m, gv: np.ndarray) -> np.ndarray:
-        """I at m; an implied I is taken from the basis values ``gv``."""
-        var = self.spec.variance_fn
-        if isinstance(var, ImpliedVariance):
-            I = var.fractions @ gv
+        """I at m from the basis values ``gv``."""
+        if self.spec.variance_fn is None:
+            I = self.A.sum(axis=1) @ gv
             if np.any(I == 0):
                 raise EvaluationError("weight-function denominator is exactly zero")
             return I
-        I = np.asarray(var(m), dtype=float)
+        I = _variance_at(self.spec.variance_fn, self._basis, gv, m)
         if np.any(I <= 0):
             raise EvaluationError("variance function non-positive at evaluation point")
         return I
@@ -179,7 +139,7 @@ class CowSet:
         u = self.A @ gv                                    # (n, N)
         n_sig = self.spec.n_signal
         c = self.A[:n_sig].sum(axis=0)[:, None]
-        if isinstance(self.spec.variance_fn, ImpliedVariance):
+        if self.spec.variance_fn is None:
             c = c - u[:n_sig].sum(axis=0) / I * self.A.sum(axis=1)[:, None]
         k, l = upper_pairs(len(self._basis))
         out = c[k] * u[l]
@@ -190,8 +150,32 @@ class CowSet:
 
 
 def implied_cow(W: np.ndarray, A: np.ndarray, basis: Sequence[Density1D]) -> CowSet:
-    """The weights of ``W`` (inverse ``A``) and the variance function it implies."""
-    return CowSet(CowSpec(list(basis), ImpliedVariance(A, basis), basis[0].support), W, A)
+    """The weights of ``W`` (inverse ``A``) and the variance function it implies,
+    I = (A 1) . g: the classic (sPlot) weights of any W.  A valid W can imply
+    an I that changes sign, so the weights are undefined only where I = 0,
+    which includes every m outside the support."""
+    return CowSet(CowSpec(list(basis), None, basis[0].support), W, A)
+
+
+def _mixture(fractions, basis: Sequence[Density1D]) -> Density1D:
+    """The mixture density of the ``basis`` with weights ``fractions``, as
+    a variance function: on the support of the first element, with
+    fractions >= 0 and a positive sum."""
+    return Density1D("mixture", [], basis[0].support,
+                     {"weights": np.array(fractions, dtype=float), "components": list(basis)})
+
+
+def _variance_at(var: Density1D, basis: Sequence[Density1D], gv: np.ndarray, m) -> np.ndarray:
+    """The variance function ``var`` at m, given the values ``gv`` of the
+    ``basis`` there.  A mixture is sum_j w_j h_j, summed in component order
+    and not divided by sum_j w_j (I matters only up to a constant factor),
+    with h_j read from ``gv`` where it is a basis element; any other
+    density is its pdf."""
+    if var.kind != "mixture":
+        return var.pdf(m)
+    rows = {id(g): row for g, row in zip(basis, gv)}
+    return sum(w * (rows[id(h)] if id(h) in rows else h.pdf(m))
+               for w, h in zip(var.data["weights"], var.data["components"]))
 
 
 @functools.lru_cache(maxsize=16)
@@ -235,23 +219,17 @@ def from_upper(v, n: int) -> np.ndarray:
     return M
 
 
-def gram_matrix(basis: Sequence[Density1D], variance_fn, support: Interval) -> np.ndarray:
+def gram_matrix(basis: Sequence[Density1D], variance_fn: Density1D,
+                support: Interval) -> np.ndarray:
     """W_kl = integral over ``support`` of g_k g_l / I for the basis g and
     the variance function I, split at the breakpoints of both, each to
     ``GRAM_TOL``."""
     pts = set(variance_fn.breakpoints()).union(*(g.breakpoints() for g in basis))
-    at = {id(g): i for i, g in enumerate(basis)}
-    rows = ([at.get(id(g)) for g in variance_fn.basis]
-            if isinstance(variance_fn, MixtureVariance) else [None])
 
-    # the upper triangle of W in one pass, each density once per node batch: a
-    # MixtureVariance over basis densities is summed from their values, in the
-    # order of its __call__ so that W is the same bits
+    # the upper triangle of W in one pass, each basis density once per node batch
     def f(m):
         gv = np.stack([gk.pdf(m) for gk in basis])
-        if None in rows:
-            return pair_products(gv) / variance_fn(m)
-        return pair_products(gv) / sum(z * gv[i] for z, i in zip(variance_fn.fractions, rows))
+        return pair_products(gv) / _variance_at(variance_fn, basis, gv, m)
 
     return from_upper(integrate(f, support, GRAM_TOL, points=sorted(pts)), len(basis))
 
@@ -261,8 +239,12 @@ def build_cow(spec: CowSpec) -> CowSet:
 
     Raises :class:`~cowlib.errors.IllConditionedBasisError` when the Gram
     matrix condition number exceeds 1e12 (typically too many polynomial
-    terms for the sample).
+    terms for the sample), and :class:`~cowlib.errors.ConstructionError` for
+    a spec without a variance function, whose W only a :class:`CowSet` holds.
     """
+    if spec.variance_fn is None:
+        raise ConstructionError("a cow without a variance function has no W to compute; "
+                                "implied_cow takes its W")
     W = gram_matrix(spec.effective_basis(), spec.variance_fn, spec.support)
     n = len(W)
     cond = np.linalg.cond(W)
@@ -281,18 +263,17 @@ def build_cow(spec: CowSpec) -> CowSet:
 
 def variance_fn_qm(data, eff: Optional[EfficiencyMap], bins: int,
                    support: Interval) -> Density1D:
-    """Histogram estimate of the 1/efficiency^2-weighted m marginal on
-    ``support``, as a histogram density whose contents (and ``sumw2``) are
-    normalized by their total, the empty bins floored by
-    :func:`~cowlib.densities.floor_empty_bins`.
+    """Histogram estimate of the 1/efficiency^2-weighted m marginal of the
+    (m, t) ``data`` (m alone without an efficiency) on ``support``, as a
+    histogram density whose contents (and ``sumw2``) are normalized by their
+    total, the empty bins floored by :func:`~cowlib.densities.floor_empty_bins`.
 
     This is the minimum-variance choice of I(m) under a non-uniform
     efficiency (``eff`` None is unit efficiency); a single bin is equivalent
     to I(m) = 1.  Raises :class:`~cowlib.errors.ConstructionError` when no
     event lies inside the support.
     """
-    data = np.asarray(data, dtype=float)
-    m, t = data[:, 0], data[:, 1]
+    m, t = _split_m_t(data, eff)
     w = 1.0 / efficiency_at(eff, m, t) ** 2
     if bins < 1:
         raise ConstructionError("bins must be >= 1")
@@ -359,8 +340,9 @@ def estimate_fractions(cow: CowSet, data, eff: Optional[EfficiencyMap] = None
 def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
                              eff: Optional[EfficiencyMap] = None,
                              start=None,
-                             ) -> Tuple[np.ndarray, MixtureVariance]:
-    """Iterate I(m) = sum z_k g_k with fractions re-estimated each step.
+                             ) -> Tuple[np.ndarray, Density1D]:
+    """Iterate I(m) = sum z_k g_k, the mixture density of the basis, with
+    fractions re-estimated each step.
 
     Starts from the fractions ``start`` (say, those of a fit of m, when the
     basis is its components) or else from equal fractions; from equal ones
@@ -377,8 +359,7 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
     z = np.full(n, 1.0 / n) if start is None else np.array(start, dtype=float)
     trace = [z.copy()]
     for _ in range(max_iter):
-        var = MixtureVariance(z, basis)
-        spec = CowSpec(basis=basis, variance_fn=var, support=support)
+        spec = CowSpec(basis=basis, variance_fn=_mixture(z, basis), support=support)
         cow = build_cow(spec)
         z_new, _ = estimate_fractions(cow, data, eff)
         z_new = np.clip(z_new, 0.0, 1.0)
@@ -388,7 +369,7 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
         z_new = z_new / s
         trace.append(z_new.copy())
         if np.max(np.abs(z_new - z)) < FRACTION_TOL:
-            return z_new, MixtureVariance(z_new, basis)
+            return z_new, _mixture(z_new, basis)
         z = z_new
     raise NonConvergenceError(
         f"fraction iteration did not converge in {max_iter} steps", trace)

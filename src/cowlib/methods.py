@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cows import (CowSpec, UnityVariance, build_cow, efficiency_corrected_weights,
+from .cows import (CowSpec, build_cow, efficiency_corrected_weights,
                    variance_fn_ml_iterative, variance_fn_qm)
 from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
 from .errors import ConstructionError, NonConvergenceError
@@ -120,14 +120,13 @@ def fitted_basis(fit: FitResult, poly_order: int) -> List[Density1D]:
 
 def variance_function(kind: str, basis: List[Density1D], data,
                       eff: Optional[EfficiencyMap], qm_bins: int, support: Interval,
-                      start=None):
-    """The variance function I(m) named ``kind`` for this basis and sample;
-    the "mixture" iteration starts from the fractions ``start`` if given."""
+                      start=None) -> Density1D:
+    """The variance function I(m) named ``kind`` for this basis and sample:
+    a density on the ``support``, uniform for "unity"; the "mixture"
+    iteration starts from the fractions ``start`` if given."""
     if kind == "unity":
-        return UnityVariance()
+        return Density1D("uniform", [], support)
     if kind == "qm":
-        if data.shape[1] < 2:
-            raise ConstructionError("variance 'qm' needs (m, t) data")
         if qm_bins > len(data):
             raise ConstructionError(f"qm_bins {qm_bins} exceeds the {len(data)} events")
         return variance_fn_qm(data, eff, qm_bins, support=support)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cows import CowSet, MixtureVariance, from_upper, gram_matrix, implied_cow, mixture_pairs
+from .cows import CowSet, _mixture, from_upper, gram_matrix, implied_cow, mixture_pairs
 from .densities import Density1D, Interval
 from .errors import EvaluationError, SingularModelError
 from .mlfit import FitResult
@@ -77,7 +77,7 @@ def compute_W_variant_A(basis: Sequence[Density1D], z, iv: Interval) -> WeightMa
     """W from quadrature: the Gram matrix of the basis g_k under the variance
     function sum_k z_k g_k."""
     z = _check_fractions(z, len(basis))
-    W = gram_matrix(basis, MixtureVariance(z, basis), iv)
+    W = gram_matrix(basis, _mixture(z, basis), iv)
     return WeightMatrix(W, _inverse(W), "A", z)
 
 
@@ -132,7 +132,7 @@ def weight_functions(wm: WeightMatrix, basis: Sequence[Density1D]) -> CowSet:
     """
     cow = implied_cow(wm.W, wm.A, basis)
     grid = np.linspace(*basis[0].support.as_tuple(), GRID_PROBE_POINTS)
-    if np.any(np.linalg.det(wm.W) * cow.spec.variance_fn(grid) <= 0):
+    if np.any(np.linalg.det(wm.W) * (wm.A.sum(axis=1) @ cow.basis_values(grid)) <= 0):
         msg = "weight-function denominator non-positive on part of the support"
         cow.warnings.append(msg)
         warnings.warn(msg, RuntimeWarning, stacklevel=2)

@@ -191,7 +191,7 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
 
     d1, Hinv, first, naive = _sandwich(hs_model, t, w, theta)
     var = cow.spec.variance_fn
-    if not (isinstance(var, Density1D) and var.kind == "histogram"):
+    if var is None or var.kind != "histogram":
         return CorrectedCovariance(theta_block=first, naive=naive, first_term=first)
     if n_boot < 2:
         raise EvaluationError("n_boot must be at least 2")
@@ -425,7 +425,7 @@ class QuasiScoreSpec:
                                                 D, x.scores)
         J[iw, :iw.start] = -2.0 * (P / f) @ D.T
         J[iw, iw] = -np.eye(iw.stop - iw.start)
-        J[ith, iw] = d1 @ cow.dw_dW(m)
+        J[ith, iw] = d1 @ cow.dw_dW(m, g)
         J[ith, ith] = _weighted_hessian(self.hs, t, w_s, x.theta)
         k, l = upper_pairs(len(dens))
         for c, sc in x.scores.items():

@@ -10,12 +10,12 @@ import pytest
 
 from functools import partial
 
-from cowlib import (FitResult, Interval, MixtureComponent, MixtureModel,
+from cowlib import (Density1D, FitResult, Interval, MixtureComponent, MixtureModel,
                     compute_W_variant_A, compute_W_variant_B,
                     compute_W_variant_C, fit_extended_ml, fit_weighted_ml,
                     integrate, kendall_tau, make_density, monomial_basis,
                     weight_functions, yields_only_refit)
-from cowlib.cows import (CowSpec, MixtureVariance, UnityVariance, build_cow)
+from cowlib.cows import CowSpec, _mixture, build_cow
 from cowlib.sweights import WeightMatrix
 from cowlib.toygen import (EnsembleConfig, MethodSpec, ToySpec,
                            generate_simple, run_ensemble, run_toy,
@@ -112,8 +112,8 @@ def test_criterion_02_orthonormality_and_unit_sum():
 
     # generalized weights with an in-span variance function
     for variance, basis in (
-            (MixtureVariance([z, 1 - z], [gs, gb]), [gs, gb]),
-            (UnityVariance(), monomial_basis(3, UNIT))):
+            (_mixture([z, 1 - z], [gs, gb]), [gs, gb]),
+            (Density1D("uniform", [], UNIT), monomial_basis(3, UNIT))):
         cow = build_cow(CowSpec(basis=basis, variance_fn=variance,
                                 support=UNIT))
         w = cow.weights(grid)
@@ -257,7 +257,7 @@ def test_criterion_07_generalized_weights_reduce_to_classic():
     wm = compute_W_variant_A([gs, gb], [z, 1 - z], UNIT)
     wfs = weight_functions(wm, [gs, gb])
     cow = build_cow(CowSpec(basis=[gs, gb],
-                            variance_fn=MixtureVariance([z, 1 - z], [gs, gb]),
+                            variance_fn=_mixture([z, 1 - z], [gs, gb]),
                             support=UNIT))
     pts = np.concatenate([np.linspace(0.001, 0.999, 10_000),
                           generate_simple(ToySpec(study="simple",

@@ -321,7 +321,7 @@ class TestOneColumnData:
         assert "(m, t)" in err
         assert not (tmp_path / "s.json").exists()
 
-    @pytest.mark.parametrize("variance", ["unity", "mixture"])
+    @pytest.mark.parametrize("variance", ["unity", "mixture", "qm"])
     def test_cow_without_efficiency_runs(self, tmp_path, one_column_csv,
                                          variance):
         ssum = tmp_path / "s.json"
@@ -359,6 +359,22 @@ class TestCowSupport:
         assert cli.main(["cow", "--config", self.cow_cfg(tmp_path, data, "qm")]) == 2
         assert "error: data outside the support" in capsys.readouterr().err
         assert not recwarn.list
+
+    @pytest.mark.parametrize("off", ["basis", "signal_proxy"])
+    def test_density_on_another_support(self, tmp_path, capsys, off):
+        # a density normalized on [0, 2] would keep the weights on [0, 1]
+        # from summing to N
+        ds = generate_simple(ToySpec(study="simple", n_events=300, z=0.3, seed=5))
+        cfg_path = self.cow_cfg(tmp_path, ds.data, "unity")
+        with open(cfg_path) as fh:
+            cfg = json.load(fh)
+        if off == "basis":
+            cfg["basis"] = [GS_CFG, {**GB_CFG, "support": [0.0, 2.0]}]
+        else:
+            cfg["signal_proxy"] = {**GS_CFG, "support": [0.0, 2.0]}
+        assert cli.main(["cow", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        assert "not on the support (0.0, 1.0)" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists() and not (tmp_path / "w.csv").exists()
 
 
 class TestMethodResolution:

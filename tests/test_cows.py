@@ -11,10 +11,9 @@ from cowlib import (ConstructionError, Density1D, EfficiencyMap,
                     MixtureComponent, MixtureModel, fit_extended_ml,
                     histogram_density, integrate, monomial_basis)
 from cowlib import cows
-from cowlib.cows import (CowSet, CowSpec, MixtureVariance,
-                         UnityVariance, build_cow, efficiency_corrected_weights,
-                         estimate_fractions, variance_fn_ml_iterative,
-                         variance_fn_qm)
+from cowlib.cows import (CowSet, CowSpec, _mixture, build_cow,
+                         efficiency_corrected_weights, estimate_fractions,
+                         variance_fn_ml_iterative, variance_fn_qm)
 from cowlib.densities import floor_empty_bins
 from cowlib.sweights import compute_W_variant_A, weight_functions
 from cowlib.wcov import corrected_covariance_cow
@@ -27,6 +26,11 @@ HALF_EFF = EfficiencyMap.from_function(
     lambda m, t: np.full(np.broadcast(m, t).shape, 0.5))
 # an explicit map of efficiency one, to compare with no map
 ONE_EFF = EfficiencyMap.from_function(lambda m, t: np.ones(np.broadcast(m, t).shape))
+
+
+def unity(support):
+    """The variance function I = 1 / width of the support."""
+    return Density1D("uniform", [], support)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +47,7 @@ class TestBuildCow:
         wm = compute_W_variant_A([gs, gb], [z, 1 - z], unit_interval)
         wfs = weight_functions(wm, [gs, gb])
         cow = build_cow(CowSpec(basis=[gs, gb],
-                                variance_fn=MixtureVariance([z, 1 - z], [gs, gb]),
+                                variance_fn=_mixture([z, 1 - z], [gs, gb]),
                                 support=unit_interval))
         grid = np.linspace(0, 1, 2001)
         w = cow.weights(grid)
@@ -52,7 +56,7 @@ class TestBuildCow:
 
     def test_monomial_basis_orthonormality(self, unit_interval):
         basis = monomial_basis(3, unit_interval)
-        cow = build_cow(CowSpec(basis=basis, variance_fn=UnityVariance(),
+        cow = build_cow(CowSpec(basis=basis, variance_fn=unity(unit_interval),
                                 support=unit_interval))
         for k in range(3):
             for l in range(3):
@@ -62,13 +66,13 @@ class TestBuildCow:
 
     def test_inverse_identity(self, unit_interval):
         basis = monomial_basis(4, unit_interval)
-        cow = build_cow(CowSpec(basis=basis, variance_fn=UnityVariance(),
+        cow = build_cow(CowSpec(basis=basis, variance_fn=unity(unit_interval),
                                 support=unit_interval))
         assert np.allclose(cow.A @ cow.W, np.eye(4), atol=1e-10)
 
     def test_sum_to_unity_for_in_span_variance(self, unit_interval):
         gs, gb, _, _ = simple_truth_densities()
-        var = MixtureVariance([0.25, 0.75], [gs, gb])
+        var = _mixture([0.25, 0.75], [gs, gb])
         cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=var,
                                 support=unit_interval))
         grid = np.linspace(0, 1, 10_000)
@@ -77,23 +81,31 @@ class TestBuildCow:
     def test_duplicate_basis_ill_conditioned(self, unit_interval):
         gs, gb, _, _ = simple_truth_densities()
         with pytest.raises(IllConditionedBasisError):
-            build_cow(CowSpec(basis=[gs, gs, gb], variance_fn=UnityVariance(),
+            build_cow(CowSpec(basis=[gs, gs, gb], variance_fn=unity(unit_interval),
                               support=unit_interval))
 
     def test_nonpositive_variance_fn_rejected(self, unit_interval):
+        # a density that is zero on part of the support
         gs, gb, _, _ = simple_truth_densities()
+        bad = Density1D("uniform", [0.2, 0.8], unit_interval)
+        with pytest.raises(ConstructionError, match="strictly positive"):
+            CowSpec(basis=[gs, gb], variance_fn=bad, support=unit_interval)
 
-        class BadVar:
-            in_span = False
+    def test_spec_without_a_variance_function_not_built(self, unit_interval):
+        gs, gb, _, _ = simple_truth_densities()
+        with pytest.raises(ConstructionError, match="no W to compute"):
+            build_cow(CowSpec(basis=[gs, gb], variance_fn=None, support=unit_interval))
 
-            def __call__(self, m):
-                return -np.ones_like(np.asarray(m, dtype=float))
-
-            def breakpoints(self):
-                return []
-
-        with pytest.raises(ConstructionError):
-            CowSpec(basis=[gs, gb], variance_fn=BadVar(), support=unit_interval)
+    @pytest.mark.parametrize("off", ["basis", "signal_proxy"])
+    def test_density_on_another_support_rejected(self, unit_interval, off):
+        # not normalized on the support, such a density would keep the
+        # weights from summing to N
+        gs, gb, _, _ = simple_truth_densities()
+        other = Density1D(gb.kind, gb.params, Interval(0.0, 2.0))
+        basis, proxy = ([gs, other], None) if off == "basis" else ([gs, gb], other)
+        with pytest.raises(ConstructionError, match=r"on \(0.0, 2.0\), not on the support"):
+            CowSpec(basis=basis, variance_fn=unity(unit_interval), support=unit_interval,
+                    signal_proxy=proxy)
 
     def test_signal_proxy_orthogonality(self, simple_toy, unit_interval):
         # with a data-driven proxy for the signal shape, the first weight
@@ -102,7 +114,7 @@ class TestBuildCow:
         ds, gs, gb = simple_toy
         proxy = histogram_density(ds.m, None, 40, unit_interval)
         basis = [gs] + monomial_basis(3, unit_interval)
-        cow = build_cow(CowSpec(basis=basis, variance_fn=UnityVariance(),
+        cow = build_cow(CowSpec(basis=basis, variance_fn=unity(unit_interval),
                                 support=unit_interval, signal_proxy=proxy))
         pts = proxy.breakpoints()
         val = integrate(lambda x: cow.w_k(0, x) * proxy.pdf(x), unit_interval,
@@ -120,7 +132,7 @@ class TestBuildCow:
         gs, _, _, _ = simple_truth_densities()
         basis = [gs] + monomial_basis(4, unit_interval)
         if variance == "mixture":
-            var = MixtureVariance(np.full(5, 0.2), basis)
+            var = _mixture(np.full(5, 0.2), basis)
         else:
             m = np.random.default_rng(2).random(500)
             var = histogram_density(m, np.ones(500), 20, unit_interval)
@@ -141,20 +153,43 @@ class TestBuildCow:
         z = [0.4, 0.1, 0.3, 0.2]
         W = {}
         for route, var_basis in (("values", basis), ("call", [copy.copy(g) for g in basis])):
-            W[route] = build_cow(CowSpec(basis=basis, variance_fn=MixtureVariance(z, var_basis),
+            W[route] = build_cow(CowSpec(basis=basis, variance_fn=_mixture(z, var_basis),
                                          support=unit_interval)).W
         assert np.array_equal(W["values"], W["call"])
+
+    def test_variance_at_is_the_pdf_times_the_weight_sum(self, unit_interval):
+        # a mixture I is summed from the basis values where its components
+        # are basis elements, from their pdf elsewhere, and not normalized
+        gs, gb, _, _ = simple_truth_densities()
+        basis = [gs] + monomial_basis(2, unit_interval)
+        m = np.linspace(0.0, 1.0, 301)
+        gv = np.stack([g.pdf(m) for g in basis])
+        z = [0.4, 0.9, 0.3]
+        for var in (_mixture(z, [basis[0], gb, basis[2]]), _mixture(z, basis)):
+            assert np.allclose(cows._variance_at(var, basis, gv, m), var.pdf(m) * 1.6,
+                               rtol=1e-14, atol=0)
+        hist = histogram_density(m, None, 7, unit_interval)
+        assert np.array_equal(cows._variance_at(hist, basis, gv, m), hist.pdf(m))
+
+    def test_mixture_weights_evaluate_each_basis_pdf_once(self, simple_toy, monkeypatch):
+        # I is read from the basis values the weights already hold
+        ds, gs, gb = simple_toy
+        _, var = variance_fn_ml_iterative([gs, gb], ds.data)
+        cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=var, support=gs.support))
+        calls = count_pdf_calls(monkeypatch)
+        cow.weights(ds.m)
+        assert calls == [gs, gb]
 
 
 class TestVarianceFunctions:
     def test_mixture_variance_validation(self):
         gs, gb, _, _ = simple_truth_densities()
         with pytest.raises(ConstructionError):
-            MixtureVariance([0.5, -0.1], [gs, gb])
+            _mixture([0.5, -0.1], [gs, gb])
         with pytest.raises(ConstructionError):
-            MixtureVariance([0.0, 0.0], [gs, gb])
+            _mixture([0.0, 0.0], [gs, gb])
         with pytest.raises(ConstructionError):
-            MixtureVariance([0.5], [gs, gb])
+            _mixture([0.5], [gs, gb])
 
     def test_histogram_variance_floors_empty_bins(self, unit_interval):
         var = histogram_density(np.full(10, 0.25), None, 2, unit_interval)
@@ -164,19 +199,18 @@ class TestVarianceFunctions:
         with pytest.raises(ConstructionError):
             floor_empty_bins([0.0])
 
-    def test_qm_single_bin_equals_unity(self, simple_toy, unit_interval):
+    def test_qm_single_bin_equals_unity(self, simple_toy):
         # a single-bin histogram variance function is a constant, and the
-        # weights are invariant under constant rescaling of that function
+        # weights are invariant under constant rescaling of that function;
+        # both are 1 / width of the support
         ds, gs, gb = simple_toy
-        hist = variance_fn_qm(ds.data, None, 1,
-                              support=unit_interval)
-        cow_q = build_cow(CowSpec(basis=[gs, gb],
-                                  variance_fn=hist,
-                                  support=unit_interval))
-        cow_u = build_cow(CowSpec(basis=[gs, gb], variance_fn=UnityVariance(),
-                                  support=unit_interval))
-        grid = np.linspace(0, 1, 501)
-        assert np.allclose(cow_q.weights(grid), cow_u.weights(grid), atol=1e-9)
+        for iv in (Interval(0.0, 1.0), Interval(-0.5, 1.0)):
+            basis = [Density1D(g.kind, g.params, iv) for g in (gs, gb)]
+            hist = variance_fn_qm(ds.data, None, 1, support=iv)
+            cow_q = build_cow(CowSpec(basis=basis, variance_fn=hist, support=iv))
+            cow_u = build_cow(CowSpec(basis=basis, variance_fn=unity(iv), support=iv))
+            grid = np.linspace(iv.lo, iv.hi, 501)
+            assert np.allclose(cow_q.weights(grid), cow_u.weights(grid), atol=1e-9)
 
     def test_qm_constant_efficiency_cancels(self, simple_toy, unit_interval):
         ds, _, _ = simple_toy
@@ -273,7 +307,7 @@ class TestImpliedVariance:
     @pytest.mark.parametrize("implied", [True, False], ids=["implied", "unity"])
     def test_dw_dW_matches_finite_differences(self, unit_interval, implied):
         basis = monomial_basis(3, unit_interval)
-        cow = build_cow(CowSpec(basis=basis, variance_fn=UnityVariance(),
+        cow = build_cow(CowSpec(basis=basis, variance_fn=unity(unit_interval),
                                 support=unit_interval))
         if implied:
             cow = cows.implied_cow(cow.W, cow.A, basis)
@@ -297,13 +331,14 @@ class TestImpliedVariance:
         gs, gb, _, _ = simple_truth_densities()
         W = np.array([[1.0, 0.5], [0.5, 0.2]])     # A 1 = (6, -10)
         cow = cows.implied_cow(W, np.linalg.inv(W), [gs, gb])
-        assert np.allclose(cow.spec.variance_fn.fractions, [6.0, -10.0])
+        assert cow.spec.variance_fn is None
+        assert np.allclose(cow.A.sum(axis=1), [6.0, -10.0])
         w = cow.weights(np.linspace(0.01, 0.99, 99))
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
         with pytest.raises(EvaluationError):
             cow.weights([1.5])                    # I = 0 outside the support
         with pytest.raises(ConstructionError):
-            MixtureVariance(cow.spec.variance_fn.fractions, [gs, gb])
+            _mixture(cow.A.sum(axis=1), [gs, gb])
 
 
 class TestIterativeFractions:
@@ -315,7 +350,8 @@ class TestIterativeFractions:
         z_ml = fit.params[0] / fit.params[:2].sum()
         z_it, var = variance_fn_ml_iterative([gs, gb], ds.data)
         assert z_it[0] == pytest.approx(z_ml, abs=1e-6)
-        assert isinstance(var, MixtureVariance)
+        assert var.kind == "mixture" and var.data["components"] == [gs, gb]
+        assert np.array_equal(var.data["weights"], z_it)
 
     def test_start_at_the_fit_fractions(self, simple_toy, monkeypatch):
         # started at the fit's fractions, the iteration is at its fixed point
@@ -331,7 +367,7 @@ class TestIterativeFractions:
         z_fit, var = variance_fn_ml_iterative([gs, gb], ds.data, start=fit.model.fractions)
         assert len(calls) == 1
         assert np.allclose(z_fit, z_equal, rtol=0, atol=1e-8)
-        assert np.array_equal(var.fractions, z_fit)
+        assert np.array_equal(var.data["weights"], z_fit)
 
     def test_pure_component_data(self, unit_interval):
         # data purely from the background component (bounded away from zero,
@@ -348,7 +384,7 @@ class TestEstimateFractions:
         gs, _, _, _ = simple_truth_densities()
         rng = np.random.default_rng(2)
         m = gs.sample(rng, 500)
-        var = MixtureVariance([1.0], [gs])
+        var = _mixture([1.0], [gs])
         cow = build_cow(CowSpec(basis=[gs], variance_fn=var,
                                 support=unit_interval))
         z, d_hat = estimate_fractions(cow, m)
@@ -357,7 +393,7 @@ class TestEstimateFractions:
 
     def test_unit_efficiency_harmonic_mean(self, simple_toy, unit_interval):
         ds, gs, gb = simple_toy
-        var = MixtureVariance([0.35, 0.65], [gs, gb])
+        var = _mixture([0.35, 0.65], [gs, gb])
         cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=var,
                                 support=unit_interval))
         z_unit, d_unit = estimate_fractions(cow, ds.data)
@@ -371,7 +407,7 @@ class TestEstimateFractions:
 class TestEfficiencyCorrectedWeights:
     def test_unit_efficiency_identity(self, simple_toy, unit_interval):
         ds, gs, gb = simple_toy
-        cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=UnityVariance(),
+        cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=unity(unit_interval),
                                 support=unit_interval))
         w_none = efficiency_corrected_weights(cow, None, ds.data)
         w_unit = efficiency_corrected_weights(cow, ONE_EFF, ds.data)
@@ -380,7 +416,7 @@ class TestEfficiencyCorrectedWeights:
 
     def test_constant_half_doubles(self, simple_toy, unit_interval):
         ds, gs, gb = simple_toy
-        cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=UnityVariance(),
+        cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=unity(unit_interval),
                                 support=unit_interval))
         w1 = efficiency_corrected_weights(cow, None, ds.data)
         w2 = efficiency_corrected_weights(cow, HALF_EFF, ds.data)
@@ -388,7 +424,7 @@ class TestEfficiencyCorrectedWeights:
 
     def test_tiny_efficiency_rejected(self, simple_toy, unit_interval):
         ds, gs, gb = simple_toy
-        cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=UnityVariance(),
+        cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=unity(unit_interval),
                                 support=unit_interval))
         tiny = EfficiencyMap.from_function(
             lambda m, t: np.full(np.broadcast(m, t).shape, 1e-9))
@@ -400,7 +436,7 @@ class TestOneColumnWithEfficiency:
     @pytest.fixture
     def unity_cow(self, unit_interval):
         gs, gb, _, _ = simple_truth_densities()
-        return build_cow(CowSpec(basis=[gs, gb], variance_fn=UnityVariance(),
+        return build_cow(CowSpec(basis=[gs, gb], variance_fn=unity(unit_interval),
                                  support=unit_interval))
 
     @pytest.mark.parametrize("shape", ["1d", "column"])
@@ -414,6 +450,8 @@ class TestOneColumnWithEfficiency:
         gs, gb, _, _ = simple_truth_densities()
         with pytest.raises(EvaluationError, match="one column"):
             variance_fn_ml_iterative([gs, gb], m, HALF_EFF)
+        with pytest.raises(EvaluationError, match="one column"):
+            variance_fn_qm(m, HALF_EFF, 10, gs.support)
 
     @pytest.mark.parametrize("shape", ["1d", "column"])
     def test_without_efficiency_uses_m(self, simple_toy, unity_cow, shape):
@@ -425,6 +463,9 @@ class TestOneColumnWithEfficiency:
         assert np.array_equal(z, z2)
         assert np.array_equal(efficiency_corrected_weights(unity_cow, None, m),
                               unity_cow.weights(ds.m))
+        iv = unity_cow.spec.support
+        assert np.array_equal(variance_fn_qm(m, None, 10, iv).data["contents"],
+                              variance_fn_qm(ds.data, None, 10, iv).data["contents"])
 
 
 LOW_EVENT = 17   # the event given a low efficiency below
@@ -448,7 +489,7 @@ class TestEfficiencyCheck:
     @pytest.fixture(scope="class")
     def inputs(self, simple_toy, unit_interval):
         ds, gs, gb = simple_toy
-        cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=UnityVariance(),
+        cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=unity(unit_interval),
                                 support=unit_interval))
         return ds.data[:300], cow, simple_truth_densities()[2]
 

@@ -65,7 +65,7 @@ def reference_run(method, ds, fits):
         else:
             basis = [gs_hat, gb_hat]
         if method.variance == "unity":
-            var = cows.UnityVariance()
+            var = Density1D("uniform", [], gs_hat.support)
         elif method.variance == "qm":
             var = cows.variance_fn_qm(data, eff, method.qm_bins, support=gs_hat.support)
         elif method.variance == "mixture":

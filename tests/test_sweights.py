@@ -8,11 +8,12 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from cowlib import (CowSpec, Density1D, EvaluationError, FitResult, Interval,
-                    MixtureComponent, MixtureModel, MixtureVariance,
+                    MixtureComponent, MixtureModel,
                     SingularModelError, build_cow, compute_W_variant_A,
                     compute_W_variant_B, compute_W_variant_C, fit_extended_ml,
                     integrate, monomial_basis, weight_functions)
 from cowlib import cows
+from cowlib.cows import _mixture
 from cowlib.sweights import WeightMatrix
 from cowlib.toygen import ToySpec, generate_simple, simple_truth_densities
 
@@ -431,16 +432,18 @@ class TestClosedFormReference:
 
     def test_cow_matrices(self, toy_fit, unit_interval):
         m, gs, gb, fit, z = toy_fit
-        for basis, var in (([gs, gb], MixtureVariance([z, 1 - z], [gs, gb])),
-                           ([gs] + monomial_basis(4, unit_interval), MixtureVariance(
+        for basis, var in (([gs, gb], _mixture([z, 1 - z], [gs, gb])),
+                           ([gs] + monomial_basis(4, unit_interval), _mixture(
                                [0.2] * 5, [gs] + monomial_basis(4, unit_interval)))):
             cow = build_cow(CowSpec(basis=basis, variance_fn=var, support=unit_interval))
             n = len(basis)
             rows, cols = np.triu_indices(n)
 
             def f(x):
+                # I is the mixture's weighted sum, not divided by the weights' sum
                 g = np.stack([gk.pdf(x) for gk in basis])
-                return g[rows] * g[cols] / var(x)
+                return g[rows] * g[cols] / sum(
+                    zk * hk.pdf(x) for zk, hk in zip(var.data["weights"], var.data["components"]))
 
             pts = set(var.breakpoints())
             for g in basis:

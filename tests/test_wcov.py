@@ -8,8 +8,7 @@ import pytest
 from cowlib import (Density1D, EvaluationError, Interval, MixtureComponent,
                     MixtureModel, fit_extended_ml,
                     fit_weighted_ml, monomial_basis, toygen, wcov)
-from cowlib.cows import (CowSpec, MixtureVariance,
-                         UnityVariance, build_cow, variance_fn_qm)
+from cowlib.cows import CowSpec, _mixture, build_cow, variance_fn_qm
 from cowlib.methods import MethodSpec, apply_method
 from cowlib.sweights import compute_W_variant_B, weight_functions
 from cowlib.toygen import (TRUE_SLOPE, ToySpec, generate_nonfactorising,
@@ -206,7 +205,7 @@ class TestCowCorrection:
         z = float(d["mfit"].params[0] / d["mfit"].params[:2].sum())
         cow = build_cow(CowSpec(
             basis=[d["gs"], d["gb"]],
-            variance_fn=MixtureVariance([z, 1 - z], [d["gs"], d["gb"]]),
+            variance_fn=_mixture([z, 1 - z], [d["gs"], d["gb"]]),
             support=d["gs"].support))
         w = cow.weights(d["m"])[:, 0]
         tfit = fit_weighted_ml(d["t"], w, d["hs"], bounds=[(0.05, 20.0)])
@@ -329,7 +328,7 @@ class TestFullSandwich:
     def test_pdf_calls(self, weighted_toy, monkeypatch, spec_and_root):
         # one evaluation gives the score, its per-event terms and the
         # closed-form Jacobian: each component's pdf is evaluated at the data
-        # once there and once more by the weights' dw/dW, and the control
+        # once, its values shared with the weights' dw/dW, and the control
         # density once for its weighted Hessian; a central difference of the
         # score would take 2 dim n more
         d = weighted_toy
@@ -337,7 +336,7 @@ class TestFullSandwich:
         calls = count_pdf_calls(monkeypatch)
         corrected_covariance_full(d["ds"].data, spec, lam)
         n = len(spec.model.components)
-        assert len(calls) == 2 * n + 1
+        assert len(calls) == n + 1
 
 
 def three_components(n, seed, free):
@@ -724,7 +723,7 @@ class TestBootstrapLayout:
         assert got.boot_kept == kept < 400
         assert "boot_kept" not in got.to_dict()
         unity = corrected_covariance_cow(
-            build_cow(CowSpec(basis=cow.spec.basis, variance_fn=UnityVariance(),
+            build_cow(CowSpec(basis=cow.spec.basis, variance_fn=Density1D("uniform", [], cow.spec.support),
                               support=cow.spec.support)),
             ds.data, hs, theta)
         assert unity.boot_kept is None
