@@ -15,14 +15,18 @@ which prints, for each top-level section, the largest relative difference
 |a - b| / max(|a|, |b|) over its floats and where it occurs, how many
 floats and how many integers (such as a fit's call count) differ, and how
 many entries differ in anything else (a key, a string, a flag, a length);
-it exits 1 if any such entry does.
+it exits 1 if any such entry does.  Under a section that differs, one
+indented line gives the same for each of its entries that differs: each
+method of an ensemble (the rest of its toy records as "(toy)") and each
+key of the other sections.
 
 The file holds the ``run_ensemble`` records of 60 simple-study toys (seeds
-1000-1059; methods swB, swA, swCi, cowmix and free-shape swB), those of 20
-non-factorising toys with efficiency (seeds from 20260824; swB and cow of
-polynomial order 1, 3 and 5 with the qm variance function), six
-``cowlib pipeline`` summaries (N = 20000, seed 7; sweights-B, sweights-A
-and cow, each with fixed and with free shapes) without their
+1000-1059; methods swB, swA, swCi, cowmix, free-shape swB and cowmix2, the
+mixture cow of polynomial order 2), those of 20 non-factorising toys with
+efficiency (seeds from 20260824; swB and cow of polynomial order 1, 3 and
+5 with the qm variance function), ten ``cowlib pipeline`` summaries
+(N = 20000, seed 7; sweights-B, -A, -Ci and -Cii and cow, each with fixed
+and with free shapes) without their
 ``config_hash``, which depends on the file paths, the SHA-256 and size
 of every CSV the command-line interface writes here (the pipeline's input
 ``data.csv`` and weights files; the weights of ``cowlib sweights`` and
@@ -56,6 +60,7 @@ SIMPLE_METHODS = [
     {"name": "swCi", "kind": "sweights", "variant": "Ci", "fit_shapes": True},
     {"name": "cowmix", "kind": "cow", "variance": "mixture"},
     {"name": "swB_free", "kind": "sweights", "variant": "B", "fit_shapes": True},
+    {"name": "cowmix2", "kind": "cow", "variance": "mixture", "poly_order": 2},
 ]
 NONFACT_METHODS = [{"name": "swB", "kind": "sweights", "variant": "B"}] + [
     {"name": f"cow{order}", "kind": "cow", "variance": "qm", "qm_bins": 50, "poly_order": order}
@@ -67,7 +72,7 @@ ENSEMBLES = {
                      NONFACT_METHODS, 20, 20260824),
 }
 PIPELINE_EVENTS, PIPELINE_SEED = 20000, 7
-PIPELINE_METHODS = ("sweights-B", "sweights-A", "cow")
+PIPELINE_METHODS = ("sweights-B", "sweights-A", "sweights-Ci", "sweights-Cii", "cow")
 FULL_EVENTS, FULL_SEEDS = 2000, range(3000, 3010)
 COW_EVENTS = 2000
 COW_RUNS = {
@@ -241,6 +246,32 @@ def _differences(a, b, path, acc):
         acc["other"] += a != b
 
 
+def _entries(section) -> dict:
+    """The parts of a section that ``--compare`` also reports one by one:
+    the entries of a dict, and for an ensemble the records of each method
+    with the rest of the toy records as "(toy)"."""
+    if isinstance(section, dict):
+        return section
+    if isinstance(section, list) and all(isinstance(r, dict) for r in section):
+        names = sorted({name for r in section for name in r.get("methods", {})})
+        out = {name: [r.get("methods", {}).get(name) for r in section] for name in names}
+        out["(toy)"] = [{k: v for k, v in r.items() if k != "methods"} for r in section]
+        return out
+    return {}
+
+
+def _report(label: str, a, b) -> dict:
+    """The differences of ``a`` and ``b``, with the line that states them."""
+    acc = {"max": 0.0, "at": None, "floats": 0, "integers": 0, "other": 0}
+    _differences(a, b, label, acc)
+    where = f" at {acc['at']}" if acc["at"] else ""
+    acc["line"] = (f"{label}: max relative difference {acc['max']:.3g}{where}; "
+                   f"{acc['floats']} floats, {acc['integers']} integers and "
+                   f"{acc['other']} other entries differ")
+    acc["differs"] = bool(acc["floats"] or acc["integers"] or acc["other"])
+    return acc
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a) as fh:
         a = json.load(fh)
@@ -252,13 +283,15 @@ def compare(path_a: str, path_b: str) -> int:
             print(f"{section}: only in {path_a if section in a else path_b}")
             other += 1
             continue
-        acc = {"max": 0.0, "at": None, "floats": 0, "integers": 0, "other": 0}
-        _differences(a[section], b[section], section, acc)
-        where = f" at {acc['at']}" if acc["at"] else ""
-        print(f"{section}: max relative difference {acc['max']:.3g}{where}; "
-              f"{acc['floats']} floats, {acc['integers']} integers and "
-              f"{acc['other']} other entries differ")
+        acc = _report(section, a[section], b[section])
+        print(acc["line"])
         other += acc["other"]
+        if acc["differs"]:
+            ea, eb = _entries(a[section]), _entries(b[section])
+            for name in sorted(set(ea) & set(eb)):
+                entry = _report(f"{section}/{name}", ea[name], eb[name])
+                if entry["differs"]:
+                    print("  " + entry["line"])
     return 1 if other else 0
 
 

@@ -27,12 +27,12 @@ import numpy as np
 
 from . import __version__
 from ._g17 import format_rows
-from .cows import CowSpec, build_cow, efficiency_corrected_weights
+from .cows import efficiency_corrected_weights
 from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
 from .diagnostics import kendall_tau
 from .errors import ConstructionError, CowlibError, EvaluationError
 from .methods import (MAX_POLY_ORDER, MethodSpec, apply_method, as_integer, control_fit,
-                      variance_function)
+                      variance_cow)
 from .mlfit import MixtureComponent, MixtureModel, fit_extended_ml
 from .toygen import EnsembleConfig, ToySpec, generate, run_ensemble
 from .wcov import corrected_covariance_fixed_shapes, equivalent_events
@@ -317,10 +317,8 @@ def cmd_cow(resolved: dict) -> int:
         # the class and exit code of fit_extended_ml's "data outside the model support"
         raise EvaluationError(f"data outside the support {support.as_tuple()}")
 
-    var = variance_function(resolved["variance"], basis, data[:, :2], eff,
-                            qm_bins, support)
-    cow = build_cow(CowSpec(basis=basis, variance_fn=var, support=support,
-                            n_signal=n_signal, signal_proxy=proxy, efficiency=eff))
+    cow = variance_cow(resolved["variance"], basis, data[:, :2], eff, qm_bins, support,
+                       n_signal=n_signal, signal_proxy=proxy)
     w = efficiency_corrected_weights(cow, eff, data[:, :2])
     if resolved["out_weights"]:
         wnames = [f"w_{k}" for k in range(w.shape[1])]

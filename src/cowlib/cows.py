@@ -15,8 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .densities import (Density1D, EfficiencyMap, Interval, floor_empty_bins,
-                        integrate)
+from .densities import Density1D, EfficiencyMap, Interval, histogram_density, integrate
 from .errors import (ConstructionError, EvaluationError,
                      IllConditionedBasisError, NonConvergenceError)
 
@@ -265,8 +264,7 @@ def variance_fn_qm(data, eff: Optional[EfficiencyMap], bins: int,
                    support: Interval) -> Density1D:
     """Histogram estimate of the 1/efficiency^2-weighted m marginal of the
     (m, t) ``data`` (m alone without an efficiency) on ``support``, as a
-    histogram density whose contents (and ``sumw2``) are normalized by their
-    total, the empty bins floored by :func:`~cowlib.densities.floor_empty_bins`.
+    :func:`~cowlib.densities.histogram_density` normalized by its total.
 
     This is the minimum-variance choice of I(m) under a non-uniform
     efficiency (``eff`` None is unit efficiency); a single bin is equivalent
@@ -275,18 +273,10 @@ def variance_fn_qm(data, eff: Optional[EfficiencyMap], bins: int,
     """
     m, t = _split_m_t(data, eff)
     w = 1.0 / efficiency_at(eff, m, t) ** 2
-    if bins < 1:
-        raise ConstructionError("bins must be >= 1")
-    edges = np.linspace(support.lo, support.hi, bins + 1)
-    contents, _ = np.histogram(m, bins=edges, weights=w)
-    sumw2, _ = np.histogram(m, bins=edges, weights=w ** 2)
-    total = float(np.sum(contents))
-    if not total > 0:
+    if not np.any(support.contains(m)):
         raise ConstructionError(
             f"no event inside the support {support.as_tuple()}: the qm variance function is empty")
-    return Density1D("histogram", [], support,
-                     {"edges": edges, "contents": floor_empty_bins(contents / total),
-                      "sumw2": sumw2 / total ** 2})
+    return histogram_density(m, w, bins, support, normalize=True)
 
 
 def efficiency_at(eff: Optional[EfficiencyMap], m, t) -> np.ndarray:
@@ -339,18 +329,18 @@ def estimate_fractions(cow: CowSet, data, eff: Optional[EfficiencyMap] = None
 
 def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
                              eff: Optional[EfficiencyMap] = None,
-                             start=None,
-                             ) -> Tuple[np.ndarray, Density1D]:
+                             start=None) -> Tuple[np.ndarray, CowSet]:
     """Iterate I(m) = sum z_k g_k, the mixture density of the basis, with
-    fractions re-estimated each step.
+    fractions re-estimated each step; returns the last fractions and the
+    :class:`CowSet` of the step that converged, built at its start fractions.
 
     Starts from the fractions ``start`` (say, those of a fit of m, when the
-    basis is its components) or else from equal fractions; from equal ones
-    a handful of steps (about the number of components) normally suffices.
-    Fractions leaving [0, 1] are clipped and renormalized.  Raises
-    :class:`~cowlib.errors.NonConvergenceError` with the iteration trace if
-    none of the first 2 n + 10 steps, for n components, moves every fraction
-    by less than ``FRACTION_TOL``.
+    basis is its components: the fixed point) or else from equal fractions;
+    from equal ones a handful of steps (about the number of components)
+    normally suffices.  Fractions leaving [0, 1] are clipped and
+    renormalized.  Raises :class:`~cowlib.errors.NonConvergenceError` with
+    the iteration trace if none of the first 2 n + 10 steps, for n
+    components, moves every fraction by less than ``FRACTION_TOL``.
     """
     basis = list(basis)
     n = len(basis)
@@ -359,8 +349,7 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
     z = np.full(n, 1.0 / n) if start is None else np.array(start, dtype=float)
     trace = [z.copy()]
     for _ in range(max_iter):
-        spec = CowSpec(basis=basis, variance_fn=_mixture(z, basis), support=support)
-        cow = build_cow(spec)
+        cow = build_cow(CowSpec(basis=basis, variance_fn=_mixture(z, basis), support=support))
         z_new, _ = estimate_fractions(cow, data, eff)
         z_new = np.clip(z_new, 0.0, 1.0)
         s = z_new.sum()
@@ -369,7 +358,7 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
         z_new = z_new / s
         trace.append(z_new.copy())
         if np.max(np.abs(z_new - z)) < FRACTION_TOL:
-            return z_new, _mixture(z_new, basis)
+            return z_new, cow
         z = z_new
     raise NonConvergenceError(
         f"fraction iteration did not converge in {max_iter} steps", trace)

@@ -480,13 +480,15 @@ def floor_empty_bins(contents) -> np.ndarray:
     return np.where(filled, contents, floor * ZERO_BIN_FLOOR)
 
 
-def histogram_density(samples, weights, bins: int, support: Interval) -> Density1D:
+def histogram_density(samples, weights, bins: int, support: Interval,
+                      normalize: bool = False) -> Density1D:
     """Piecewise-constant density estimate from weighted samples.
 
     Out-of-range samples are dropped (count available as ``data['n_dropped']``).
-    Empty bins are floored by :func:`floor_empty_bins`, so the density is
-    strictly positive everywhere on the support.  ``data['sumw2']`` holds the
-    sums of squared weights per bin.
+    ``data['sumw2']`` holds the sums of squared weights per bin; ``normalize``
+    divides the contents by their total and ``sumw2`` by its square.  Then
+    empty bins are floored by :func:`floor_empty_bins`, so the density is
+    strictly positive everywhere on the support.
     """
     samples = np.asarray(samples, dtype=float)
     weights = np.ones_like(samples) if weights is None else np.asarray(weights, dtype=float)
@@ -502,6 +504,9 @@ def histogram_density(samples, weights, bins: int, support: Interval) -> Density
     edges = np.linspace(support.lo, support.hi, bins + 1)
     contents, _ = np.histogram(samples, bins=edges, weights=weights)
     sumw2, _ = np.histogram(samples, bins=edges, weights=weights ** 2)
+    if normalize:
+        total = float(np.sum(contents))
+        contents, sumw2 = contents / total, sumw2 / total ** 2
     return Density1D("histogram", [], support,
                      {"edges": edges, "contents": floor_empty_bins(contents), "sumw2": sumw2,
                       "n_dropped": n_dropped})

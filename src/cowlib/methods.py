@@ -12,18 +12,18 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cows import (CowSpec, build_cow, efficiency_corrected_weights,
+from .cows import (CowSet, CowSpec, build_cow, efficiency_corrected_weights,
                    variance_fn_ml_iterative, variance_fn_qm)
 from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
 from .errors import ConstructionError, NonConvergenceError
-from .mlfit import FitResult, fit_weighted_ml, yields_only_refit
+from .mlfit import FitResult, fit_weighted_ml
 from .sweights import (WeightMatrix, compute_W_variant_A, compute_W_variant_B,
-                       compute_W_variant_C, weight_functions)
+                       weight_functions)
 from .wcov import (CorrectedCovariance, corrected_covariance_cow,
                    corrected_covariance_fixed_shapes)
 
 __all__ = ["MAX_POLY_ORDER", "MethodSpec", "MethodWeights", "apply_method", "as_integer",
-           "control_fit", "fitted_basis", "sweights_matrix", "variance_function"]
+           "control_fit", "fitted_basis", "sweights_matrix", "variance_cow"]
 
 # The highest monomial order of a cow basis: a cap on the W quadrature's cost
 # that lets an order-25 ensemble still fail in build_cow, not where W turns
@@ -87,25 +87,22 @@ class MethodSpec:
 
 def sweights_matrix(variant: str, fit: FitResult, data_m,
                     gv: Optional[np.ndarray] = None) -> WeightMatrix:
-    """W of the classic weights at the shapes of ``fit``; variant B may be
-    passed the stacked values ``gv`` of the fit's components at the events.
+    """W of the classic weights ``variant`` at the shapes of ``fit``; ``gv``
+    may pass in the stacked values of its components at the events.
 
-    Variant C takes W from the fit whose shapes the weights use: Ci inverts
-    its full covariance, Cii reads its yields covariance, which is A only when
-    no shape floats; a fit with free shapes is refitted for the yields first.
+    B, Ci and Cii take variant B's sum.  The paper's C scales by N the yields
+    block of the fit's inverse covariance, sum_i g_k g_l / f^2 for f = sum_k
+    N_k g_k: that is W_B (N / sum_k N_k)^2, W_B at a converged extended fit,
+    and a scale of W leaves the weights alone.
     """
     m = np.asarray(data_m, dtype=float)
     basis, z = fit.model.densities(), fit.model.fractions
     if variant == "A":
         return compute_W_variant_A(basis, z, basis[0].support)
-    if variant == "B":
-        return compute_W_variant_B(basis, z, m, gv)
-    if variant == "Ci":
-        return compute_W_variant_C(fit, len(m), "invert-full-cov", n_components=len(basis))
-    if variant == "Cii":
-        if any(c.free_shape for c in fit.model.components):
-            fit = yields_only_refit(m, fit.model)
-        return compute_W_variant_C(fit, len(m), "yields-only-cov", n_components=len(basis))
+    if variant in ("B", "Ci", "Cii"):
+        wm = compute_W_variant_B(basis, z, m, gv)
+        wm.variant = variant
+        return wm
     raise ConstructionError(f"unknown sweights variant {variant!r}")
 
 
@@ -118,21 +115,31 @@ def fitted_basis(fit: FitResult, poly_order: int) -> List[Density1D]:
     return basis
 
 
-def variance_function(kind: str, basis: List[Density1D], data,
-                      eff: Optional[EfficiencyMap], qm_bins: int, support: Interval,
-                      start=None) -> Density1D:
-    """The variance function I(m) named ``kind`` for this basis and sample:
-    a density on the ``support``, uniform for "unity"; the "mixture"
-    iteration starts from the fractions ``start`` if given."""
+def variance_cow(kind: str, basis: List[Density1D], data, eff: Optional[EfficiencyMap],
+                 qm_bins: int, support: Interval, *, n_signal: int = 1,
+                 signal_proxy: Optional[Density1D] = None, start=None) -> CowSet:
+    """The cow of ``basis`` under the variance function I(m) named ``kind``,
+    built once: uniform on the ``support`` for "unity", the histogram of
+    :func:`~cowlib.cows.variance_fn_qm` in ``qm_bins`` bins for "qm", and for
+    "mixture" the step of :func:`~cowlib.cows.variance_fn_ml_iterative`
+    (started from the fractions ``start`` if given) that converged, whose W
+    is rebuilt only when ``signal_proxy`` replaces the first basis element."""
     if kind == "unity":
-        return Density1D("uniform", [], support)
-    if kind == "qm":
+        var = Density1D("uniform", [], support)
+    elif kind == "qm":
         if qm_bins > len(data):
             raise ConstructionError(f"qm_bins {qm_bins} exceeds the {len(data)} events")
-        return variance_fn_qm(data, eff, qm_bins, support=support)
-    if kind == "mixture":
-        return variance_fn_ml_iterative(basis, data, eff, start=start)[1]
-    raise ConstructionError(f"unknown variance kind {kind!r}")
+        var = variance_fn_qm(data, eff, qm_bins, support=support)
+    elif kind == "mixture":
+        fixed_point = variance_fn_ml_iterative(basis, data, eff, start=start)[1]
+        var = fixed_point.spec.variance_fn
+    else:
+        raise ConstructionError(f"unknown variance kind {kind!r}")
+    spec = CowSpec(basis=basis, variance_fn=var, support=support, n_signal=n_signal,
+                   signal_proxy=signal_proxy, efficiency=eff)
+    if kind == "mixture" and signal_proxy is None:
+        return CowSet(spec, fixed_point.W, fixed_point.A)
+    return build_cow(spec)
 
 
 class MethodWeights:
@@ -188,13 +195,11 @@ def apply_method(spec: MethodSpec, fit: FitResult, data,
         cow = weight_functions(wm, basis)
         return MethodWeights(spec, fit, data, cow, wm.to_dict(), gv)
     basis = fitted_basis(fit, spec.poly_order)
-    support = basis[0].support
     # a basis of the fitted components starts the mixture iteration at the
     # fit's fractions (efficiency-corrected ones differ: a start point only)
     start = fit.model.fractions if spec.poly_order == 0 else None
-    var = variance_function(spec.variance, basis, data, eff, spec.qm_bins, support, start)
-    cow = build_cow(CowSpec(basis=basis, variance_fn=var, support=support,
-                            n_signal=1, efficiency=eff))
+    cow = variance_cow(spec.variance, basis, data, eff, spec.qm_bins, basis[0].support,
+                       start=start)
     return MethodWeights(spec, fit, data, cow, cow.W)
 
 

@@ -3,7 +3,8 @@
 Three estimators of the W matrix of the component densities are provided:
 quadrature of the density ratios (variant A), a per-event sample sum
 (variant B) and rescaling of the fitted yields block of the Hessian or
-covariance (variant C, modes Ci and Cii).  The weights of a W are the
+covariance (variant C, modes Ci and Cii: at a converged fit, variant B's W
+to rounding and a scale that leaves the weights alone).  The weights of a W are the
 :class:`~cowlib.cows.CowSet` whose variance function is the one W implies,
 I(m) = (A 1) . g(m) with A = W^-1; the first component is the signal.
 """

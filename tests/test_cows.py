@@ -174,8 +174,7 @@ class TestBuildCow:
     def test_mixture_weights_evaluate_each_basis_pdf_once(self, simple_toy, monkeypatch):
         # I is read from the basis values the weights already hold
         ds, gs, gb = simple_toy
-        _, var = variance_fn_ml_iterative([gs, gb], ds.data)
-        cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=var, support=gs.support))
+        _, cow = variance_fn_ml_iterative([gs, gb], ds.data)
         calls = count_pdf_calls(monkeypatch)
         cow.weights(ds.m)
         assert calls == [gs, gb]
@@ -348,10 +347,15 @@ class TestIterativeFractions:
             [MixtureComponent("s", gs, False), MixtureComponent("b", gb, False)],
             np.array([1000.0, 1000.0])))
         z_ml = fit.params[0] / fit.params[:2].sum()
-        z_it, var = variance_fn_ml_iterative([gs, gb], ds.data)
+        z_it, cow = variance_fn_ml_iterative([gs, gb], ds.data)
         assert z_it[0] == pytest.approx(z_ml, abs=1e-6)
+        # the CowSet of the last step: built at the fractions it started
+        # from, which the estimate moved by less than FRACTION_TOL
+        var = cow.spec.variance_fn
         assert var.kind == "mixture" and var.data["components"] == [gs, gb]
-        assert np.array_equal(var.data["weights"], z_it)
+        assert np.max(np.abs(var.data["weights"] - z_it)) < cows.FRACTION_TOL
+        rebuilt = build_cow(CowSpec(basis=[gs, gb], variance_fn=var, support=gs.support))
+        assert np.array_equal(cow.W, rebuilt.W) and np.array_equal(cow.A, rebuilt.A)
 
     def test_start_at_the_fit_fractions(self, simple_toy, monkeypatch):
         # started at the fit's fractions, the iteration is at its fixed point
@@ -364,10 +368,10 @@ class TestIterativeFractions:
         z_equal, _ = variance_fn_ml_iterative([gs, gb], ds.data)
         calls = []
         monkeypatch.setattr(cows, "build_cow", lambda spec: calls.append(spec) or build_cow(spec))
-        z_fit, var = variance_fn_ml_iterative([gs, gb], ds.data, start=fit.model.fractions)
-        assert len(calls) == 1
+        z_fit, cow = variance_fn_ml_iterative([gs, gb], ds.data, start=fit.model.fractions)
+        assert len(calls) == 1 and cow.spec is calls[0]
         assert np.allclose(z_fit, z_equal, rtol=0, atol=1e-8)
-        assert np.array_equal(var.data["weights"], z_fit)
+        assert np.array_equal(cow.spec.variance_fn.data["weights"], fit.model.fractions)
 
     def test_pure_component_data(self, unit_interval):
         # data purely from the background component (bounded away from zero,

@@ -8,12 +8,12 @@ import pytest
 
 from conftest import count_pdf_calls
 from cowlib import ConstructionError, Density1D, EvaluationError, monomial_basis
-from cowlib import cows, sweights, toygen, wcov
+from cowlib import cows, methods, sweights, toygen, wcov
 from cowlib.methods import (MethodSpec, apply_method, control_fit, sweights_matrix,
-                            variance_function)
+                            variance_cow)
 from cowlib.mlfit import (MixtureComponent, MixtureModel, fit_extended_ml,
                           fit_weighted_ml, yields_only_refit)
-from cowlib.toygen import T_SUPPORT, ToySpec, generate, simple_truth_densities
+from cowlib.toygen import M_SUPPORT, T_SUPPORT, ToySpec, generate, simple_truth_densities
 
 
 def _fits(ds):
@@ -45,15 +45,9 @@ def reference_run(method, ds, fits):
     if method.kind == "sweights":
         if method.variant == "A":
             wm = sweights.compute_W_variant_A([gs_hat, gb_hat], z_hat, gs_hat.support)
-        elif method.variant == "B":
+        elif method.variant in ("B", "Ci", "Cii"):
+            # variant C's W is variant B's (see TestVariantC)
             wm = sweights.compute_W_variant_B([gs_hat, gb_hat], z_hat, m)
-        elif method.variant == "Ci":
-            wm = sweights.compute_W_variant_C(fits["free"], n, "invert-full-cov", n_components=2)
-        elif method.variant == "Cii":
-            yfit = fits.get("yields_only")
-            if yfit is None:
-                yfit = yields_only_refit(m, fits["free"].model)
-            wm = sweights.compute_W_variant_C(yfit, n, "yields-only-cov", n_components=2)
         else:
             raise ConstructionError(f"unknown variant {method.variant!r}")
         wfs = sweights.weight_functions(wm, [gs_hat, gb_hat])
@@ -72,7 +66,8 @@ def reference_run(method, ds, fits):
             # the iteration starts at the fit's fractions when the basis is
             # the fitted components
             start = z_hat if method.poly_order == 0 else None
-            _, var = cows.variance_fn_ml_iterative(basis, data, eff, start=start)
+            _, fixed_point = cows.variance_fn_ml_iterative(basis, data, eff, start=start)
+            var = fixed_point.spec.variance_fn
         else:
             raise ConstructionError(f"unknown variance {method.variance!r}")
         spec = cows.CowSpec(basis=basis, variance_fn=var,
@@ -164,9 +159,18 @@ class TestMethodSpec:
         assert toygen.MethodSpec is MethodSpec
 
 
+def _three_component_m():
+    """2000 simple-study m values plus 600 of a narrow peak at 0.25, and the
+    peak's density."""
+    gp = Density1D("normal", [0.25, 0.03], M_SUPPORT)
+    ds = generate(ToySpec(study="simple", n_events=2000, z=0.3, seed=77))
+    return np.concatenate([ds.m, gp.ppf(np.random.default_rng(3).random(600))]), gp
+
+
 class TestVariantC:
     """Variant C takes W from the fit whose shapes the weights use (free
-    shapes: see ``test_cli.py::TestMethodResolution``)."""
+    shapes: see ``test_cli.py::TestMethodResolution``): variant B's sample
+    sum at that fit, labelled with its own variant."""
 
     @pytest.fixture(scope="class")
     def sample(self):
@@ -177,15 +181,106 @@ class TestVariantC:
         ds, fits = sample
         yfit = fits["yields_only"]
         got = sweights_matrix("Cii", yfit, ds.m)
-        want = sweights.compute_W_variant_C(yfit, len(ds.m), "yields-only-cov", n_components=2)
+        want = sweights.compute_W_variant_B(yfit.model.densities(), yfit.model.fractions, ds.m)
+        assert got.variant == "Cii"
         assert np.array_equal(got.A, want.A)
 
     def test_ci_uses_the_fit_it_is_given(self, sample):
         ds, fits = sample
         yfit = fits["yields_only"]
         got = sweights_matrix("Ci", yfit, ds.m)
-        want = sweights.compute_W_variant_C(yfit, len(ds.m), "invert-full-cov", n_components=2)
+        want = sweights.compute_W_variant_B(yfit.model.densities(), yfit.model.fractions, ds.m)
+        assert got.variant == "Ci"
         assert np.array_equal(got.W, want.W)
+
+
+def _three_component_m():
+    """2000 simple-study m values plus 600 of a narrow peak at 0.25, and the
+    peak's density."""
+    gp = Density1D("normal", [0.25, 0.03], M_SUPPORT)
+    ds = generate(ToySpec(study="simple", n_events=2000, z=0.3, seed=77))
+    return np.concatenate([ds.m, gp.ppf(np.random.default_rng(3).random(600))]), gp
+
+
+class TestOneW:
+    """Variants B, Ci and Cii compute one W.  The paper's C reads it from the
+    fit (``compute_W_variant_C``, after a yields-only refit for Cii when a
+    shape floats), which gives the same signal weights to rounding."""
+
+    @pytest.fixture(scope="class", params=[2, 3], ids=["2comp", "3comp"])
+    def sample(self, request):
+        gs, gb, _, _ = simple_truth_densities()
+        m, gp = _three_component_m()
+        densities = [gs, gb, gp][:request.param]
+        if request.param == 2:
+            m = m[:2000]
+        fits = {free: fit_extended_ml(m, MixtureModel(
+                    [MixtureComponent(f"c{k}", g, free) for k, g in enumerate(densities)],
+                    np.full(len(densities), len(m) / len(densities))))
+                for free in (False, True)}
+        assert all(fit.converged for fit in fits.values())
+        return m, fits
+
+    @pytest.mark.parametrize("free", [False, True], ids=["fixed", "free"])
+    def test_b_ci_and_cii_agree_with_variant_c(self, sample, free):
+        m, fits = sample
+        fit = fits[free]
+        b = sweights_matrix("B", fit, m)
+        for variant, mode in (("Ci", "invert-full-cov"), ("Cii", "yields-only-cov")):
+            got = sweights_matrix(variant, fit, m)
+            assert got.variant == variant
+            assert np.array_equal(got.W, b.W) and np.array_equal(got.A, b.A)
+            ref_fit = yields_only_refit(m, fit.model) if free and variant == "Cii" else fit
+            want = sweights.compute_W_variant_C(ref_fit, len(m), mode,
+                                                n_components=len(b.W))
+            basis = fit.model.densities()
+            w = sweights.weight_functions(got, basis).w_k(0, m)
+            w_c = sweights.weight_functions(want, basis).w_k(0, m)
+            # relative to the largest weight: w crosses zero
+            assert np.max(np.abs(w - w_c)) <= 1e-12 * np.max(np.abs(w_c))
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    """The ``build_cow`` calls and the fraction-iteration steps (one
+    ``estimate_fractions`` each) made from here on."""
+    counts = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: counts.update([name]) or real(*a, **k))
+
+    for module in (cows, methods):
+        counted(module, "build_cow")
+    counted(cows, "estimate_fractions")
+    return counts
+
+
+@pytest.mark.parametrize("toy_name,poly_order", [
+    ("simple", 0), ("simple", 2), ("nonfact-eff", 0), ("nonfact-eff", 2)])
+def test_mixture_cow_builds_once_per_iteration_step(count_builds, toy_name, poly_order):
+    # the cow is the CowSet of the step that converged, not a rebuild: at
+    # order 0 without efficiency the fit's fractions are the fixed point
+    ds = generate(PARITY_TOYS[toy_name])
+    fit = _fits(ds)["yields_only"]
+    apply_method(MethodSpec("cowmix", kind="cow", variance="mixture", poly_order=poly_order),
+                 fit, ds.data, ds.efficiency)
+    steps = count_builds["estimate_fractions"]
+    assert count_builds["build_cow"] == steps
+    assert (steps == 1) if (toy_name, poly_order) == ("simple", 0) else (steps > 1)
+
+
+def test_mixture_cow_with_a_proxy_rebuilds_once(count_builds):
+    # a signal proxy changes the basis the W is built on, so the cow is
+    # rebuilt once after the iteration, at the mixture of its last step
+    gs, gb, _, _ = simple_truth_densities()
+    ds = generate(PARITY_TOYS["simple"])
+    proxy = Density1D("normal", [0.52, 0.09], gs.support)
+    cow = variance_cow("mixture", [gs, gb], ds.data, None, 50, gs.support, signal_proxy=proxy)
+    assert count_builds["build_cow"] == count_builds["estimate_fractions"] + 1
+    assert cow.spec.signal_proxy is proxy
+    assert cow.spec.variance_fn.data["components"] == [gs, gb]
 
 
 def test_qm_without_an_event_inside_the_support(recwarn):
@@ -193,7 +288,7 @@ def test_qm_without_an_event_inside_the_support(recwarn):
     gs, gb, _, _ = simple_truth_densities()
     data = np.column_stack([np.linspace(1.5, 2.5, 40), np.ones(40)])
     with pytest.raises(ConstructionError, match="no event inside the support"):
-        variance_function("qm", [gs, gb], data, None, 5, gs.support)
+        variance_cow("qm", [gs, gb], data, None, 5, gs.support)
     assert not recwarn.list
 
 
