@@ -272,11 +272,7 @@ def variance_fn_qm(data, eff: Optional[EfficiencyMap], bins: int,
     event lies inside the support.
     """
     m, t = _split_m_t(data, eff)
-    w = 1.0 / efficiency_at(eff, m, t) ** 2
-    if not np.any(support.contains(m)):
-        raise ConstructionError(
-            f"no event inside the support {support.as_tuple()}: the qm variance function is empty")
-    return histogram_density(m, w, bins, support, normalize=True)
+    return histogram_density(m, 1.0 / efficiency_at(eff, m, t) ** 2, bins, support)
 
 
 def efficiency_at(eff: Optional[EfficiencyMap], m, t) -> np.ndarray:

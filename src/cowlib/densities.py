@@ -480,15 +480,15 @@ def floor_empty_bins(contents) -> np.ndarray:
     return np.where(filled, contents, floor * ZERO_BIN_FLOOR)
 
 
-def histogram_density(samples, weights, bins: int, support: Interval,
-                      normalize: bool = False) -> Density1D:
+def histogram_density(samples, weights, bins: int, support: Interval) -> Density1D:
     """Piecewise-constant density estimate from weighted samples.
 
     Out-of-range samples are dropped (count available as ``data['n_dropped']``).
-    ``data['sumw2']`` holds the sums of squared weights per bin; ``normalize``
-    divides the contents by their total and ``sumw2`` by its square.  Then
-    empty bins are floored by :func:`floor_empty_bins`, so the density is
-    strictly positive everywhere on the support.
+    The contents are divided by their total and ``data['sumw2']``, the sums
+    of squared weights per bin, by its square; then empty bins are floored by
+    :func:`floor_empty_bins`, so the density is strictly positive everywhere
+    on the support.  Raises :class:`~cowlib.errors.ConstructionError` when
+    the weights inside the support do not sum to a positive total.
     """
     samples = np.asarray(samples, dtype=float)
     weights = np.ones_like(samples) if weights is None else np.asarray(weights, dtype=float)
@@ -500,16 +500,15 @@ def histogram_density(samples, weights, bins: int, support: Interval,
     n_dropped = int(np.sum(~inside))
     samples, weights = samples[inside], weights[inside]
     if weights.sum() <= 0:
-        raise ConstructionError("total weight must be positive")
+        raise ConstructionError(f"no event inside the support {support.as_tuple()}, or their "
+                                "total weight is not positive: the histogram is empty")
     edges = np.linspace(support.lo, support.hi, bins + 1)
     contents, _ = np.histogram(samples, bins=edges, weights=weights)
     sumw2, _ = np.histogram(samples, bins=edges, weights=weights ** 2)
-    if normalize:
-        total = float(np.sum(contents))
-        contents, sumw2 = contents / total, sumw2 / total ** 2
+    total = float(np.sum(contents))
     return Density1D("histogram", [], support,
-                     {"edges": edges, "contents": floor_empty_bins(contents), "sumw2": sumw2,
-                      "n_dropped": n_dropped})
+                     {"edges": edges, "contents": floor_empty_bins(contents / total),
+                      "sumw2": sumw2 / total ** 2, "n_dropped": n_dropped})
 
 
 class EfficiencyMap:

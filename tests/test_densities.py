@@ -460,8 +460,9 @@ class TestHistogramDensity:
 
     def test_fill_and_round_trip(self, unit_interval):
         h = histogram_density([0.1, 0.2, 0.8], [1.0, 2.0, 3.0], 2, unit_interval)
-        assert np.allclose(h.data["contents"], [3.0, 3.0])
-        assert np.allclose(h.data["sumw2"], [5.0, 9.0])
+        # the contents divided by their total, sumw2 by its square
+        assert np.allclose(h.data["contents"], [0.5, 0.5])
+        assert np.allclose(h.data["sumw2"], np.array([5.0, 9.0]) / 36.0)
         h2 = Density1D.from_dict(h.to_dict())
         assert np.allclose(h2.data["contents"], h.data["contents"])
 

@@ -194,14 +194,6 @@ class TestVariantC:
         assert np.array_equal(got.W, want.W)
 
 
-def _three_component_m():
-    """2000 simple-study m values plus 600 of a narrow peak at 0.25, and the
-    peak's density."""
-    gp = Density1D("normal", [0.25, 0.03], M_SUPPORT)
-    ds = generate(ToySpec(study="simple", n_events=2000, z=0.3, seed=77))
-    return np.concatenate([ds.m, gp.ppf(np.random.default_rng(3).random(600))]), gp
-
-
 class TestOneW:
     """Variants B, Ci and Cii compute one W.  The paper's C reads it from the
     fit (``compute_W_variant_C``, after a yields-only refit for Cii when a
