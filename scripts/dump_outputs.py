@@ -31,11 +31,14 @@ and with free shapes) without their
 of every CSV the command-line interface writes here (the pipeline's input
 ``data.csv`` and weights files; the weights of ``cowlib sweights`` and
 ``cowlib cow`` and the dataset of ``cowlib toys`` on the same sample or
-seed), so that ``--compare`` flags any byte that differs, two ``cowlib
-cow`` runs on 2000 events of the same seed (the unity variance function on
-the support [-0.5, 1.0], of width 1.5, and the mixture one with a
-``signal_proxy``), each as its summary without ``config_hash``, its
-weights and the digest of its weights CSV, and the
+seed), so that ``--compare`` flags any byte that differs, three ``cowlib
+cow`` runs on 2000 events of the same seed (on a simple-study sample, the
+unity variance function on the support [-0.5, 1.0], of width 1.5, and the
+mixture one with a ``signal_proxy``; on a non-factorising sample with
+efficiency, the qm variance function in 50 bins with a polynomial basis of
+order 3 under a grid efficiency map read from JSON, the command-line path
+of the efficiency-corrected cows), each as its summary without
+``config_hash``, its weights and the digest of its weights CSV, and the
 ``corrected_covariance_full`` results (``full``, ``theta_block``,
 ``naive``) of 10 simple-study toys (N = 2000, seeds 3000-3009), each with
 fixed and with free shapes, at the root of the joint quasi-score whose
@@ -75,10 +78,21 @@ PIPELINE_EVENTS, PIPELINE_SEED = 20000, 7
 PIPELINE_METHODS = ("sweights-B", "sweights-A", "sweights-Ci", "sweights-Cii", "cow")
 FULL_EVENTS, FULL_SEEDS = 2000, range(3000, 3010)
 COW_EVENTS = 2000
+# the efficiency of the non-factorising study at the centres of a 5 x 3 grid
+# of its (m, t) plane, [0, 1] x [0, 3], as the JSON of an EfficiencyMap
+COW_EFFICIENCY = {
+    "m_edges": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], "t_edges": [0.0, 1.0, 2.0, 3.0],
+    "values": [[0.3 + 0.25 * m + 0.15 * tau + 0.25 * m * tau for tau in (1 / 6, 1 / 2, 5 / 6)]
+               for m in (0.1, 0.3, 0.5, 0.7, 0.9)]}
+# each run's sample study and its config; "efficiency" is a file name
 COW_RUNS = {
-    "unity-wide": {"support": [-0.5, 1.0], "variance": "unity"},
-    "mixture-proxy": {"support": [0.0, 1.0], "variance": "mixture",
-                      "signal_proxy": {"kind": "normal", "params": [0.52, 0.09]}},
+    "unity-wide": ("simple", {"support": [-0.5, 1.0], "variance": "unity"}),
+    "mixture-proxy": ("simple", {"support": [0.0, 1.0], "variance": "mixture",
+                                 "signal_proxy": {"kind": "normal", "params": [0.52, 0.09]}}),
+    "qm-efficiency": ("nonfactorising", {
+        "support": [0.0, 1.0], "variance": "qm", "qm_bins": 50, "poly_order": 3,
+        "basis": [{"kind": "normal", "params": [0.5, 0.08]}],
+        "efficiency": "efficiency.json"}),
 }
 
 
@@ -166,15 +180,23 @@ def cow_runs(workdir: str) -> dict:
     """The ``cowlib cow`` runs of ``COW_RUNS``: summary, weights and digest."""
     from cowlib import cli
     from cowlib.toygen import ToySpec, generate
-    ds = generate(ToySpec(study="simple", n_events=COW_EVENTS, z=0.2, seed=PIPELINE_SEED))
-    data = os.path.join(workdir, "cow-data.csv")
-    cli.write_csv(data, ["m", "t"], ds.data)
+    toys = {"simple": {"z": 0.2},
+            "nonfactorising": {"z": 0.5, "efficiency": True}}
+    data = {}
+    for study, spec in toys.items():
+        ds = generate(ToySpec(study=study, n_events=COW_EVENTS, seed=PIPELINE_SEED, **spec))
+        data[study] = os.path.join(workdir, f"cow-data-{study}.csv")
+        cli.write_csv(data[study], ["m", "t"], ds.data)
+    with open(os.path.join(workdir, "efficiency.json"), "w") as fh:
+        json.dump(COW_EFFICIENCY, fh)
     out = {}
-    for name, run in COW_RUNS.items():
+    for name, (study, run) in COW_RUNS.items():
         summary = os.path.join(workdir, name + "-summary.json")
         weights = os.path.join(workdir, name + "-weights.csv")
-        cfg = {"data": data, "basis": _model(False)["components"], **run,
+        cfg = {"data": data[study], "basis": _model(False)["components"], **run,
                "out_summary": summary, "out_weights": weights}
+        if "efficiency" in cfg:
+            cfg["efficiency"] = os.path.join(workdir, cfg["efficiency"])
         rc = _run(cli, workdir, "cow", name, cfg)
         if rc != 0:
             out[name] = {"exit": rc}

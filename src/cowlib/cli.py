@@ -319,7 +319,7 @@ def cmd_cow(resolved: dict) -> int:
 
     cow = variance_cow(resolved["variance"], basis, data[:, :2], eff, qm_bins, support,
                        n_signal=n_signal, signal_proxy=proxy)
-    w = efficiency_corrected_weights(cow, eff, data[:, :2])
+    w = efficiency_corrected_weights(cow, data[:, :2])
     if resolved["out_weights"]:
         wnames = [f"w_{k}" for k in range(w.shape[1])]
         write_csv(resolved["out_weights"], names[: data.shape[1]] + wnames,
@@ -530,6 +530,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CowlibError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except MemoryError as exc:   # the last resort for a config larger than the machine
+        print(f"error: out of memory: {str(exc) or 'the config asks for too much'}",
+              file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -49,7 +49,8 @@ class CowSpec:
     in the control variable matters.  The variance function I(m) is a
     density strictly positive on the support, or None for the one that
     the W of a :class:`CowSet` implies, I = (A 1) . g, which may take
-    either sign and has no W of its own to build.
+    either sign and has no W of its own to build.  ``efficiency`` is the one
+    map every consumer of the cow divides by (None: unit, as classic weights).
     """
 
     basis: List[Density1D]
@@ -236,28 +237,30 @@ def gram_matrix(basis: Sequence[Density1D], variance_fn: Density1D,
 def build_cow(spec: CowSpec) -> CowSet:
     """Compute the W matrix by quadrature and invert it.
 
-    Raises :class:`~cowlib.errors.IllConditionedBasisError` when the Gram
-    matrix condition number exceeds 1e12 (typically too many polynomial
-    terms for the sample), and :class:`~cowlib.errors.ConstructionError` for
-    a spec without a variance function, whose W only a :class:`CowSet` holds.
+    Raises :class:`~cowlib.errors.IllConditionedBasisError` when :func:`_inverse`
+    rejects W (typically too many polynomial terms for the sample), and
+    :class:`~cowlib.errors.ConstructionError` for a spec without a variance
+    function, whose W only a :class:`CowSet` holds.
     """
     if spec.variance_fn is None:
         raise ConstructionError("a cow without a variance function has no W to compute; "
                                 "implied_cow takes its W")
     W = gram_matrix(spec.effective_basis(), spec.variance_fn, spec.support)
-    n = len(W)
-    cond = np.linalg.cond(W)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    return CowSet(spec, W, _inverse(W))
+
+
+def _inverse(W: np.ndarray) -> np.ndarray:
+    """W^-1 by Cholesky, symmetrized: the one check of every W (or a variant Cii A).
+    Raises :class:`~cowlib.errors.IllConditionedBasisError` unless W is finite and
+    positive definite with condition number at most ``CONDITION_LIMIT``."""
+    ev = np.linalg.eigvalsh(W)
+    if not (np.all(np.isfinite(W)) and ev[0] > 0 and ev[-1] <= CONDITION_LIMIT * ev[0]):
         raise IllConditionedBasisError(
-            f"W matrix condition number {cond:.3g} exceeds {CONDITION_LIMIT:g}; "
-            "try fewer polynomial terms")
-    try:
-        c, low = cho_factor(W)
-        A = cho_solve((c, low), np.eye(n))
-    except np.linalg.LinAlgError:
-        A = np.linalg.solve(W, np.eye(n))
-    A = 0.5 * (A + A.T)
-    return CowSet(spec, W, A)
+            f"W matrix is singular or not positive definite, or its condition number "
+            f"exceeds {CONDITION_LIMIT:g} (eigenvalues {ev[0]:.3g} to {ev[-1]:.3g}): the "
+            "component shapes may be linearly dependent; try fewer polynomial terms")
+    A = cho_solve(cho_factor(W), np.eye(len(W)))
+    return 0.5 * (A + A.T)
 
 
 def variance_fn_qm(data, eff: Optional[EfficiencyMap], bins: int,
@@ -307,19 +310,18 @@ def _split_m_t(data, eff) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     return (data[:, 0] if data.ndim == 2 else data), None
 
 
-def estimate_fractions(cow: CowSet, data, eff: Optional[EfficiencyMap] = None
-                       ) -> Tuple[np.ndarray, float]:
-    """Component fractions from efficiency-corrected sample averages.
+def estimate_fractions(cow: CowSet, data) -> Tuple[np.ndarray, float]:
+    """Component fractions from sample averages divided by the cow's efficiency.
 
     Returns (fractions, D_hat) with D_hat the harmonic mean of the
     efficiencies; D_hat = 1 for unit efficiency.
     """
+    eff = cow.spec.efficiency
     m, t = _split_m_t(data, eff)
-    n = len(m)
     inv_e = 1.0 / efficiency_at(eff, m, t)
     d_hat = 1.0 / float(np.mean(inv_e))
     w = cow.weights(m)  # (n, n_comp)
-    z = d_hat / n * (w * inv_e[:, None]).sum(axis=0)
+    z = d_hat / len(m) * (w * inv_e[:, None]).sum(axis=0)
     return z, d_hat
 
 
@@ -327,8 +329,9 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
                              eff: Optional[EfficiencyMap] = None,
                              start=None) -> Tuple[np.ndarray, CowSet]:
     """Iterate I(m) = sum z_k g_k, the mixture density of the basis, with
-    fractions re-estimated each step; returns the last fractions and the
-    :class:`CowSet` of the step that converged, built at its start fractions.
+    fractions re-estimated each step under the efficiency ``eff``; returns the
+    last fractions and the :class:`CowSet` (with ``eff``) of the step that
+    converged, built at its start fractions.
 
     Starts from the fractions ``start`` (say, those of a fit of m, when the
     basis is its components: the fixed point) or else from equal fractions;
@@ -345,8 +348,9 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
     z = np.full(n, 1.0 / n) if start is None else np.array(start, dtype=float)
     trace = [z.copy()]
     for _ in range(max_iter):
-        cow = build_cow(CowSpec(basis=basis, variance_fn=_mixture(z, basis), support=support))
-        z_new, _ = estimate_fractions(cow, data, eff)
+        cow = build_cow(CowSpec(basis=basis, variance_fn=_mixture(z, basis), support=support,
+                                efficiency=eff))
+        z_new, _ = estimate_fractions(cow, data)
         z_new = np.clip(z_new, 0.0, 1.0)
         s = z_new.sum()
         if s <= 0:
@@ -360,10 +364,11 @@ def variance_fn_ml_iterative(basis: Sequence[Density1D], data,
         f"fraction iteration did not converge in {max_iter} steps", trace)
 
 
-def efficiency_corrected_weights(cow: CowSet, eff: Optional[EfficiencyMap],
-                                 data, gv: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-event weights w_k(m_i) / efficiency(m_i, t_i), shape (N, n);
-    ``gv`` may pass in ``cow.basis_values(m)``."""
+def efficiency_corrected_weights(cow: CowSet, data,
+                                 gv: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-event weights w_k(m_i) / efficiency(m_i, t_i) under the cow's
+    efficiency, shape (N, n); ``gv`` may pass in ``cow.basis_values(m)``."""
+    eff = cow.spec.efficiency
     m, t = _split_m_t(data, eff)
     w = cow.weights(m, gv)
     return w if eff is None else w / efficiency_at(eff, m, t)[:, None]

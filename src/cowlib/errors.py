@@ -23,11 +23,11 @@ class ConstructionError(CowlibError):
 
 
 class SingularModelError(CowlibError):
-    """The component densities are (numerically) linearly dependent."""
+    """The component densities are (numerically) linearly dependent, or a W unusable."""
 
 
-class IllConditionedBasisError(CowlibError):
-    """The W matrix of a COW basis is too ill-conditioned to invert."""
+class IllConditionedBasisError(SingularModelError):
+    """A W matrix, classic or cow, is not positive definite or past ``cows.CONDITION_LIMIT``."""
 
 
 class EvaluationError(CowlibError):

@@ -153,7 +153,7 @@ class MethodWeights:
                  gv: Optional[np.ndarray] = None):
         self.spec, self.fit, self.data, self.cow, self.W = spec, fit, data, cow, W
         self._gv = gv
-        self._columns = efficiency_corrected_weights(cow, cow.spec.efficiency, data, gv)
+        self._columns = efficiency_corrected_weights(cow, data, gv)
         self.w = self._columns[:, 0]
 
     def columns(self) -> Tuple[List[str], np.ndarray]:
@@ -170,8 +170,7 @@ class MethodWeights:
         if self.spec.correction == "none":
             return None
         if self.spec.kind == "cow":
-            return corrected_covariance_cow(self.cow, self.data, hs, theta,
-                                            eff=self.cow.spec.efficiency)
+            return corrected_covariance_cow(self.cow, self.data, hs, theta)
         m = self.data[:, 0]
         dW = self.cow.dw_dW(m, self._gv) if self.spec.correction == "fixed" else None
         return corrected_covariance_fixed_shapes(

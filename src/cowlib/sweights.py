@@ -6,7 +6,8 @@ quadrature of the density ratios (variant A), a per-event sample sum
 covariance (variant C, modes Ci and Cii: at a converged fit, variant B's W
 to rounding and a scale that leaves the weights alone).  The weights of a W are the
 :class:`~cowlib.cows.CowSet` whose variance function is the one W implies,
-I(m) = (A 1) . g(m) with A = W^-1; the first component is the signal.
+I(m) = (A 1) . g(m) with A = W^-1 from :func:`cowlib.cows._inverse`; the
+first component is the signal.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cows import CowSet, _mixture, from_upper, gram_matrix, implied_cow, mixture_pairs
+from .cows import CowSet, _inverse, _mixture, from_upper, gram_matrix, implied_cow, mixture_pairs
 from .densities import Density1D, Interval
-from .errors import EvaluationError, SingularModelError
+from .errors import EvaluationError
 from .mlfit import FitResult
 
 __all__ = [
@@ -31,16 +32,6 @@ __all__ = [
 ]
 
 GRID_PROBE_POINTS = 10_000
-
-
-def _inverse(W: np.ndarray) -> np.ndarray:
-    """W^-1, symmetrized; SingularModelError unless det(W) > 1e-14 (sum W^2)^(n/2)
-    and W is positive definite (which a positive det implies only for n = 2)."""
-    if np.linalg.det(W) <= 1e-14 * np.sum(W * W) ** (len(W) / 2) or np.linalg.eigvalsh(W)[0] <= 0:
-        raise SingularModelError("W matrix is singular or not positive definite: "
-                                 "the component shapes may be linearly dependent")
-    A = np.linalg.inv(W)
-    return 0.5 * (A + A.T)
 
 
 @dataclass

@@ -16,7 +16,8 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ._quadrature import gauss_legendre
-from .cows import CowSet, efficiency_at, from_upper, implied_cow, mixture_pairs, upper_pairs
+from .cows import (CowSet, _inverse, efficiency_at, from_upper, implied_cow, mixture_pairs,
+                   upper_pairs)
 from .densities import Density1D, floor_empty_bins
 from .errors import EvaluationError
 from .mlfit import (MixtureModel, _covariance, _mixture_rows, _model_at, _nll_hessian,
@@ -158,7 +159,7 @@ def corrected_covariance_fixed_shapes(
 
 
 def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
-                             eff=None, n_boot: int = 400, boot_seed: int = 0,
+                             n_boot: int = 400, boot_seed: int = 0,
                              ) -> CorrectedCovariance:
     """Sandwich covariance for a fit weighted with orthogonal weight functions.
 
@@ -183,11 +184,10 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     theta = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     n_sig = cow.spec.n_signal
 
-    e = efficiency_at(eff, m, t)
+    e = efficiency_at(cow.spec.efficiency, m, t)
     inv_e = 1.0 / e
     G = cow.basis_values(m)                        # (nb, N)
-    w_m = cow.weights(m, G)[:, :n_sig].sum(axis=1)  # weight function values
-    w = w_m / e           # fit weights, divided as efficiency_corrected_weights does
+    w = cow.weights(m, G)[:, :n_sig].sum(axis=1) / e  # as efficiency_corrected_weights
 
     d1, Hinv, first, naive = _sandwich(hs_model, t, w, theta)
     var = cow.spec.variance_fn
@@ -473,7 +473,7 @@ class _ScoreTerms(NamedTuple):
 def _implied(Wv, basis: Sequence[Density1D]):
     """The classic weight functions of the W with upper triangle ``Wv``."""
     W = from_upper(Wv, len(basis))
-    return implied_cow(W, np.linalg.inv(W), basis)
+    return implied_cow(W, _inverse(W), basis)
 
 
 def corrected_covariance_full(data, spec: QuasiScoreSpec, lam_hat,

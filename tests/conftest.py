@@ -1,12 +1,13 @@
 """Shared fixtures and helpers for the test suite."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from cowlib import Interval, make_density
+from cowlib import CowSet, Interval, make_density
 
 # property tests draw the same examples on every run and have no time limit
 settings.register_profile("cowlib", derandomize=True, deadline=None)
@@ -96,3 +97,8 @@ def count_pdf_calls(monkeypatch):
 
     monkeypatch.setattr(Density1D, "pdf", counted)
     return calls
+
+
+def with_efficiency(cow, eff):
+    """``cow`` with the efficiency map ``eff`` in its spec, and its W and A."""
+    return CowSet(dataclasses.replace(cow.spec, efficiency=eff), cow.W, cow.A)

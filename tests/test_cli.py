@@ -119,6 +119,25 @@ class TestNumericalFailures:
             "n_toys": 2, "out": str(tmp_path / "r.json")})
         assert cli.main(["toys", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 72.8 TiB", ""])
+    def test_memory_exhaustion_is_an_error_line(self, tmp_path, capsys, monkeypatch,
+                                                message):
+        # stands in for a toy of 1e13 events: nothing is allocated for real
+        def exhausted(ens):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_ensemble", exhausted)
+        out = tmp_path / "r.json"
+        cfg = write_cfg(tmp_path, "c.json", {
+            "toy": {"study": "simple", "n_events": 10_000_000_000_000, "z": 0.3},
+            "methods": [{"name": "swB", "kind": "sweights"}], "n_toys": 1,
+            "out": str(out)})
+        assert cli.main(["toys", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEchoAndSeeds:
     def test_echo_idempotent(self, tmp_path, data_csv, capsys):

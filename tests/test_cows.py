@@ -20,7 +20,7 @@ from cowlib.wcov import corrected_covariance_cow
 from cowlib.toygen import (ToySpec, generate_nonfactorising, generate_simple,
                            simple_truth_densities)
 
-from conftest import count_integrals, count_pdf_calls
+from conftest import count_integrals, count_pdf_calls, with_efficiency
 
 HALF_EFF = EfficiencyMap.from_function(
     lambda m, t: np.full(np.broadcast(m, t).shape, 0.5))
@@ -82,6 +82,17 @@ class TestBuildCow:
         gs, gb, _, _ = simple_truth_densities()
         with pytest.raises(IllConditionedBasisError):
             build_cow(CowSpec(basis=[gs, gs, gb], variance_fn=unity(unit_interval),
+                              support=unit_interval))
+
+    @pytest.mark.parametrize("W", [np.diag([1.0, -1.0]), np.array([[1.0, 0.5], [0.5, np.nan]])],
+                             ids=["indefinite", "nan"])
+    def test_unusable_W_rejected(self, unit_interval, monkeypatch, W):
+        # perfectly conditioned but indefinite: it has no Cholesky factor,
+        # and no other inverse stands in for one; a nan is never inverted
+        gs, gb, _, _ = simple_truth_densities()
+        monkeypatch.setattr(cows, "gram_matrix", lambda *args: W)
+        with pytest.raises(IllConditionedBasisError, match="not positive definite"):
+            build_cow(CowSpec(basis=[gs, gb], variance_fn=unity(unit_interval),
                               support=unit_interval))
 
     def test_nonpositive_variance_fn_rejected(self, unit_interval):
@@ -401,7 +412,7 @@ class TestEstimateFractions:
         cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=var,
                                 support=unit_interval))
         z_unit, d_unit = estimate_fractions(cow, ds.data)
-        z_half, d_half = estimate_fractions(cow, ds.data, HALF_EFF)
+        z_half, d_half = estimate_fractions(with_efficiency(cow, HALF_EFF), ds.data)
         assert d_unit == 1.0
         assert d_half == pytest.approx(0.5, rel=1e-12)
         # constant efficiency cancels between D-hat and the 1/eff weights
@@ -413,8 +424,8 @@ class TestEfficiencyCorrectedWeights:
         ds, gs, gb = simple_toy
         cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=unity(unit_interval),
                                 support=unit_interval))
-        w_none = efficiency_corrected_weights(cow, None, ds.data)
-        w_unit = efficiency_corrected_weights(cow, ONE_EFF, ds.data)
+        w_none = efficiency_corrected_weights(cow, ds.data)
+        w_unit = efficiency_corrected_weights(with_efficiency(cow, ONE_EFF), ds.data)
         assert np.allclose(w_none, cow.weights(ds.m))
         assert np.allclose(w_unit, w_none)
 
@@ -422,8 +433,8 @@ class TestEfficiencyCorrectedWeights:
         ds, gs, gb = simple_toy
         cow = build_cow(CowSpec(basis=[gs, gb], variance_fn=unity(unit_interval),
                                 support=unit_interval))
-        w1 = efficiency_corrected_weights(cow, None, ds.data)
-        w2 = efficiency_corrected_weights(cow, HALF_EFF, ds.data)
+        w1 = efficiency_corrected_weights(cow, ds.data)
+        w2 = efficiency_corrected_weights(with_efficiency(cow, HALF_EFF), ds.data)
         assert np.allclose(w2, 2.0 * w1, rtol=1e-12)
 
     def test_tiny_efficiency_rejected(self, simple_toy, unit_interval):
@@ -433,7 +444,7 @@ class TestEfficiencyCorrectedWeights:
         tiny = EfficiencyMap.from_function(
             lambda m, t: np.full(np.broadcast(m, t).shape, 1e-9))
         with pytest.raises(EvaluationError):
-            efficiency_corrected_weights(cow, tiny, ds.data)
+            efficiency_corrected_weights(with_efficiency(cow, tiny), ds.data)
 
 
 class TestOneColumnWithEfficiency:
@@ -448,9 +459,9 @@ class TestOneColumnWithEfficiency:
         ds = simple_toy[0]
         m = ds.m if shape == "1d" else ds.data[:, :1]
         with pytest.raises(EvaluationError, match="one column"):
-            estimate_fractions(unity_cow, m, HALF_EFF)
+            estimate_fractions(with_efficiency(unity_cow, HALF_EFF), m)
         with pytest.raises(EvaluationError, match="one column"):
-            efficiency_corrected_weights(unity_cow, HALF_EFF, m)
+            efficiency_corrected_weights(with_efficiency(unity_cow, HALF_EFF), m)
         gs, gb, _, _ = simple_truth_densities()
         with pytest.raises(EvaluationError, match="one column"):
             variance_fn_ml_iterative([gs, gb], m, HALF_EFF)
@@ -465,7 +476,7 @@ class TestOneColumnWithEfficiency:
         z2, _ = estimate_fractions(unity_cow, ds.data)
         assert d_hat == 1.0
         assert np.array_equal(z, z2)
-        assert np.array_equal(efficiency_corrected_weights(unity_cow, None, m),
+        assert np.array_equal(efficiency_corrected_weights(unity_cow, m),
                               unity_cow.weights(ds.m))
         iv = unity_cow.spec.support
         assert np.array_equal(variance_fn_qm(m, None, 10, iv).data["contents"],
@@ -474,15 +485,17 @@ class TestOneColumnWithEfficiency:
 
 LOW_EVENT = 17   # the event given a low efficiency below
 
-# each consumer of 1/efficiency, reduced to an array
+# each consumer of 1/efficiency, reduced to an array; a cow's consumers
+# read the map from the cow
 EFFICIENCY_CONSUMERS = {
-    "estimate_fractions": lambda data, cow, hs, eff: estimate_fractions(cow, data, eff)[0],
+    "estimate_fractions": lambda data, cow, hs, eff: estimate_fractions(
+        with_efficiency(cow, eff), data)[0],
     "variance_fn_qm": lambda data, cow, hs, eff: variance_fn_qm(
         data, eff, 10, cow.spec.support).data["contents"],
     "efficiency_corrected_weights": lambda data, cow, hs, eff: efficiency_corrected_weights(
-        cow, eff, data),
+        with_efficiency(cow, eff), data),
     "corrected_covariance_cow": lambda data, cow, hs, eff: corrected_covariance_cow(
-        cow, data, hs, [2.0], eff=eff).theta_block,
+        with_efficiency(cow, eff), data, hs, [2.0]).theta_block,
 }
 
 

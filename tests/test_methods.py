@@ -73,7 +73,7 @@ def reference_run(method, ds, fits):
         spec = cows.CowSpec(basis=basis, variance_fn=var,
                             support=gs_hat.support, n_signal=1, efficiency=eff)
         cow = cows.build_cow(spec)
-        w = cows.efficiency_corrected_weights(cow, eff, data)[:, 0]
+        w = cows.efficiency_corrected_weights(cow, data)[:, 0]
     else:
         raise ConstructionError(f"unknown method kind {method.kind!r}")
 
@@ -87,7 +87,7 @@ def reference_run(method, ds, fits):
     if method.correction == "none":
         sigma_corr = sigma_naive
     elif method.kind == "cow":
-        corr = wcov.corrected_covariance_cow(cow, data, hs, theta, eff=eff)
+        corr = wcov.corrected_covariance_cow(cow, data, hs, theta)
         sigma_corr = float(np.sqrt(corr.theta_block[0, 0]))
     else:
         use_dw = dW if method.correction == "fixed" else None

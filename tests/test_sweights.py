@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from cowlib import (CowSpec, Density1D, EvaluationError, FitResult, Interval,
-                    MixtureComponent, MixtureModel,
+from cowlib import (CowSpec, Density1D, EvaluationError, FitResult,
+                    IllConditionedBasisError, Interval, MixtureComponent, MixtureModel,
                     SingularModelError, build_cow, compute_W_variant_A,
                     compute_W_variant_B, compute_W_variant_C, fit_extended_ml,
                     integrate, monomial_basis, weight_functions)
@@ -182,6 +182,22 @@ class TestThreeComponents:
                         hessian=-np.linalg.inv(cov), nll=0.0, converged=True, n_calls=0)
         with pytest.raises(SingularModelError, match="not positive definite"):
             compute_W_variant_C(fit, 10, mode, n_components=3)
+
+    @pytest.mark.parametrize("mode", ["invert-full-cov", "yields-only-cov"])
+    def test_condition_number_past_the_limit_rejected(self, mode):
+        # positive definite, with det(W) = 4e-13 above 1e-14 sum(W^2) (and
+        # likewise for A): only the condition number, 1e13, rules it out
+        c, s = np.cos(0.5), np.sin(0.5)
+        R = np.array([[c, -s], [s, c]])
+        H = -R @ np.diag([2.0, 2e-13]) @ R.T
+        fit = FitResult(params=np.array([1.0, 1.0]), covariance=-np.linalg.inv(H),
+                        hessian=H, nll=0.0, converged=True, n_calls=0)
+        with pytest.raises(IllConditionedBasisError, match="condition number exceeds 1e"):
+            compute_W_variant_C(fit, 1, mode, n_components=2)
+
+    def test_ill_conditioned_is_a_singular_model_error(self):
+        # one rejection for every W: each except clause on either class catches it
+        assert issubclass(IllConditionedBasisError, SingularModelError)
 
     def test_one_fraction_per_component(self, fit3):
         m, basis, z = fit3

@@ -241,7 +241,8 @@ class TestCowCorrection:
     @pytest.mark.parametrize("order", [3, 5])
     def test_naive_is_the_fit_covariance_under_an_efficiency(self, seed, order):
         # the correction weights each event by w / eps, as the fit does; a
-        # product w * (1/eps) differs in the last bit for about 1 in 4 events
+        # product w * (1/eps) differs in the last bit for about 1 in 4 events.
+        # A direct call reads eps from the cow, as the method does
         ds = toygen.generate(ToySpec(study="nonfactorising", n_events=2000, z=0.5,
                                      efficiency=True, seed=seed))
         ms = MethodSpec(name=f"cow{order}", kind="cow", variance="qm", qm_bins=50,
@@ -250,7 +251,11 @@ class TestCowCorrection:
                                ds.efficiency)
         tfit = fit_weighted_ml(ds.column("t"), weights.w, HS_TOY, bounds=[(0.05, 20.0)])
         assert tfit.converged
-        assert np.array_equal(weights.covariance(HS_TOY, tfit.params).naive, tfit.covariance)
+        via_method = weights.covariance(HS_TOY, tfit.params)
+        assert np.array_equal(via_method.naive, tfit.covariance)
+        direct = corrected_covariance_cow(weights.cow, ds.data, HS_TOY, tfit.params)
+        assert np.array_equal(direct.naive, tfit.covariance)
+        assert np.array_equal(direct.theta_block, via_method.theta_block)
 
     def test_invalid_inputs(self, weighted_toy, hist_cow):
         d = weighted_toy
@@ -479,7 +484,7 @@ class TestBatchedBootstrap:
     def test_matches_replica_loop(self, poly_order):
         ds, cow, hs = nonfact_hist_cow(2000, 808, poly_order, 50)
         theta = np.array([TRUE_SLOPE])
-        got = corrected_covariance_cow(cow, ds.data, hs, theta, eff=ds.efficiency)
+        got = corrected_covariance_cow(cow, ds.data, hs, theta)
         ref, kept = loop_bootstrap_covariance(cow, ds.data, hs, theta,
                                               eff=ds.efficiency)
         assert kept == 400
@@ -490,7 +495,7 @@ class TestBatchedBootstrap:
         ds, cow, _ = nonfact_hist_cow(2000, 808, 3, 50)
         hs = Density1D("normal", [1.5, 0.5], T_IV)
         theta = np.array([1.4, 0.6])
-        got = corrected_covariance_cow(cow, ds.data, hs, theta, eff=ds.efficiency)
+        got = corrected_covariance_cow(cow, ds.data, hs, theta)
         ref, _ = loop_bootstrap_covariance(cow, ds.data, hs, theta,
                                            eff=ds.efficiency)
         assert got.theta_block.shape == (2, 2)
@@ -504,8 +509,7 @@ class TestBatchedBootstrap:
         ds, cow, hs = nonfact_hist_cow(n_events, 4, 1, bins)
         theta = np.array([TRUE_SLOPE])
         for seed in (0, 3):
-            got = corrected_covariance_cow(cow, ds.data, hs, theta,
-                                           eff=ds.efficiency, boot_seed=seed)
+            got = corrected_covariance_cow(cow, ds.data, hs, theta, boot_seed=seed)
             ref, kept = loop_bootstrap_covariance(cow, ds.data, hs, theta,
                                                   eff=ds.efficiency,
                                                   boot_seed=seed)
@@ -517,8 +521,7 @@ class TestBatchedBootstrap:
         ds, cow, hs = nonfact_hist_cow(1, 0, 1, 2)
         with pytest.raises(EvaluationError, match="bootstrap"):
             corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]),
-                                     eff=ds.efficiency, n_boot=3,
-                                     boot_seed=22)
+                                     n_boot=3, boot_seed=22)
 
     def test_blocks_and_uncached_path_match_cached(self, monkeypatch):
         ds, cow, hs = nonfact_hist_cow(500, 17, 3, 20)
@@ -526,7 +529,6 @@ class TestBatchedBootstrap:
 
         def run():
             return corrected_covariance_cow(cow, ds.data, hs, theta,
-                                            eff=ds.efficiency,
                                             boot_seed=11).theta_block
 
         one_block = run()
@@ -573,8 +575,7 @@ class TestBatchedBootstrap:
             return real_inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", flaky_inv)
-        got = corrected_covariance_cow(cow, ds.data, hs, theta,
-                                       eff=ds.efficiency)
+        got = corrected_covariance_cow(cow, ds.data, hs, theta)
         calls["n"] = 0
         ref, kept = loop_bootstrap_covariance(cow, ds.data, hs, theta,
                                               eff=ds.efficiency)
@@ -629,8 +630,7 @@ class TestBootstrapLayout:
             return real(W)
 
         monkeypatch.setattr(wcov, "_inverses", spy)
-        corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]),
-                                 eff=ds.efficiency, boot_seed=3)
+        corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]), boot_seed=3)
         ref, counts = loop_histogram_weight_matrices(cow, ds.data, ds.efficiency,
                                                      400, 3)
         assert counts.min() > 7
@@ -644,8 +644,7 @@ class TestBootstrapLayout:
         monkeypatch.setattr(wcov, "BOOT_BLOCK_ELEMENTS", 7 * 400 + 3)
         if not cache:
             monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 0)
-        got = corrected_covariance_cow(cow, ds.data, hs, theta,
-                                       eff=ds.efficiency, boot_seed=11)
+        got = corrected_covariance_cow(cow, ds.data, hs, theta, boot_seed=11)
         ref, kept = loop_bootstrap_covariance(cow, ds.data, hs, theta,
                                               eff=ds.efficiency, boot_seed=11)
         assert got.boot_kept == kept == 400
@@ -658,7 +657,6 @@ class TestBootstrapLayout:
         def run():
             return corrected_covariance_cow(cow, ds.data, hs,
                                             np.array([TRUE_SLOPE]),
-                                            eff=ds.efficiency,
                                             boot_seed=11).theta_block
 
         run()
@@ -702,12 +700,11 @@ class TestBootstrapLayout:
         peaks = []
         for n in (1000, 8000):
             ds, cow, hs = nonfact_hist_cow(n, 808, 3, 20)
-            corrected_covariance_cow(cow, ds.data, hs, theta, eff=ds.efficiency)
+            corrected_covariance_cow(cow, ds.data, hs, theta)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                corrected_covariance_cow(cow, ds.data, hs, theta,
-                                         eff=ds.efficiency)
+                corrected_covariance_cow(cow, ds.data, hs, theta)
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
@@ -716,8 +713,7 @@ class TestBootstrapLayout:
     def test_boot_kept_counts_the_replicas_like_the_loop(self, monkeypatch):
         ds, cow, hs = nonfact_hist_cow(3, 4, 1, 4)
         theta = np.array([TRUE_SLOPE])
-        got = corrected_covariance_cow(cow, ds.data, hs, theta,
-                                       eff=ds.efficiency)
+        got = corrected_covariance_cow(cow, ds.data, hs, theta)
         _, kept = loop_bootstrap_covariance(cow, ds.data, hs, theta,
                                             eff=ds.efficiency)
         assert got.boot_kept == kept < 400
@@ -746,8 +742,7 @@ class TestBootstrapLayout:
             return real_inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", flaky_inv)
-        got = corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]),
-                                       eff=ds.efficiency)
+        got = corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]))
         assert got.boot_kept == 320
 
     def test_basis_evaluated_once_at_the_data(self, monkeypatch):
@@ -761,6 +756,5 @@ class TestBootstrapLayout:
             return basis_values(self, m)
 
         monkeypatch.setattr(CowSet, "basis_values", counted)
-        corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]),
-                                 eff=ds.efficiency)
+        corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]))
         assert sizes.count(500) == 1
