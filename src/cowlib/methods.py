@@ -8,22 +8,23 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cows import (CowSet, CowSpec, build_cow, efficiency_corrected_weights,
-                   variance_fn_ml_iterative, variance_fn_qm)
+from .cows import (CowSet, CowSpec, _inverse, build_cow, efficiency_corrected_weights,
+                   gram_matrix, variance_fn_ml_iterative, variance_fn_qm)
 from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
-from .errors import ConstructionError, NonConvergenceError
+from .errors import ConstructionError, CowlibError, NonConvergenceError
 from .mlfit import FitResult, fit_weighted_ml
 from .sweights import (WeightMatrix, compute_W_variant_A, compute_W_variant_B,
                        weight_functions)
-from .wcov import (CorrectedCovariance, corrected_covariance_cow,
+from .wcov import (CorrectedCovariance, corrected_covariance_cow, corrected_covariance_cows,
                    corrected_covariance_fixed_shapes)
 
-__all__ = ["MAX_POLY_ORDER", "MethodSpec", "MethodWeights", "apply_method", "as_integer",
-           "control_fit", "fitted_basis", "sweights_matrix", "variance_cow"]
+__all__ = ["MAX_POLY_ORDER", "MethodSpec", "MethodWeights", "apply_method", "apply_methods",
+           "as_integer", "control_fit", "covariances", "fitted_basis", "method_families",
+           "sweights_matrix", "variance_cow", "variance_cows"]
 
 # The highest monomial order of a cow basis: a cap on the W quadrature's cost
 # that lets an order-25 ensemble still fail in build_cow, not where W turns
@@ -124,22 +125,96 @@ def variance_cow(kind: str, basis: List[Density1D], data, eff: Optional[Efficien
     "mixture" the step of :func:`~cowlib.cows.variance_fn_ml_iterative`
     (started from the fractions ``start`` if given) that converged, whose W
     is rebuilt only when ``signal_proxy`` replaces the first basis element."""
-    if kind == "unity":
-        var = Density1D("uniform", [], support)
-    elif kind == "qm":
-        if qm_bins > len(data):
-            raise ConstructionError(f"qm_bins {qm_bins} exceeds the {len(data)} events")
-        var = variance_fn_qm(data, eff, qm_bins, support=support)
-    elif kind == "mixture":
-        fixed_point = variance_fn_ml_iterative(basis, data, eff, start=start)[1]
-        var = fixed_point.spec.variance_fn
-    else:
-        raise ConstructionError(f"unknown variance kind {kind!r}")
-    spec = CowSpec(basis=basis, variance_fn=var, support=support, n_signal=n_signal,
-                   signal_proxy=signal_proxy, efficiency=eff)
-    if kind == "mixture" and signal_proxy is None:
+    if kind != "mixture":
+        return _one(variance_cows(kind, [basis], data, eff, qm_bins, support,
+                                  n_signal=n_signal, signal_proxy=signal_proxy))
+    fixed_point = variance_fn_ml_iterative(basis, data, eff, start=start)[1]
+    spec = CowSpec(basis=basis, variance_fn=fixed_point.spec.variance_fn, support=support,
+                   n_signal=n_signal, signal_proxy=signal_proxy, efficiency=eff)
+    if signal_proxy is None:
         return CowSet(spec, fixed_point.W, fixed_point.A)
     return build_cow(spec)
+
+
+def variance_cows(kind: str, bases: Sequence[List[Density1D]], data,
+                  eff: Optional[EfficiencyMap], qm_bins: int, support: Interval, *,
+                  n_signal: int = 1, signal_proxy: Optional[Density1D] = None) -> list:
+    """:func:`variance_cow` of each of the nested ``bases``, each the leading
+    elements of the longest, under the one variance function "unity" or "qm".
+
+    I(m) is made once, and so is the W of the longest basis whose W
+    :func:`~cowlib.cows._inverse` accepts: a longer one that it rejects fails
+    alone, and the next longer basis's W is built.  Each shorter cow takes the
+    leading block of that W and its own checked inverse; a principal block of
+    a positive definite W is positive definite and no worse conditioned.
+    Returns, in order, each basis's :class:`~cowlib.cows.CowSet`, or the
+    :class:`~cowlib.errors.CowlibError` that its own call raises.
+    """
+    longest = max(bases, key=len)
+    if any(any(g is not h for g, h in zip(b, longest)) for b in bases):
+        raise ValueError("variance_cows takes nested bases")
+    try:
+        if kind == "unity":
+            var = Density1D("uniform", [], support)
+        elif kind == "qm":
+            if qm_bins > len(data):
+                raise ConstructionError(f"qm_bins {qm_bins} exceeds the {len(data)} events")
+            var = variance_fn_qm(data, eff, qm_bins, support=support)
+        else:
+            raise ConstructionError(f"unknown variance kind {kind!r}")
+    except CowlibError as exc:   # what every cow of the family shares
+        return [exc] * len(bases)
+    out = [_attempt(CowSpec, basis=b, variance_fn=var, support=support, n_signal=n_signal,
+                    signal_proxy=signal_proxy, efficiency=eff) for b in bases]
+    live = sorted((i for i, spec in enumerate(out) if isinstance(spec, CowSpec)),
+                  key=lambda i: len(bases[i]))
+    while live:   # the W of the longest basis whose W is usable
+        top = live.pop()
+        try:
+            W = gram_matrix(out[top].effective_basis(), var, support)
+            out[top] = CowSet(out[top], W, _inverse(W))
+        except CowlibError as exc:
+            out[top] = exc
+            continue
+        for i in live:
+            k = len(bases[i])
+            try:
+                out[i] = CowSet(out[i], W[:k, :k], _inverse(W[:k, :k]))
+            except CowlibError as exc:
+                out[i] = exc
+        break
+    return out
+
+
+def _attempt(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the :class:`~cowlib.errors.CowlibError` it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except CowlibError as exc:
+        return exc
+
+
+def _one(results: list):
+    """The one result of a family of one, raised if it is an error."""
+    result, = results
+    if isinstance(result, CowlibError):
+        raise result
+    return result
+
+
+def method_families(specs: Sequence[MethodSpec]) -> List[List[MethodSpec]]:
+    """``specs`` grouped by the work they share, in the order of each
+    group's first method.  The cows with the qm variance function and a
+    monomial basis (``poly_order`` >= 1) that use one fit and the same
+    ``qm_bins`` are one family: their bases are nested and they share
+    I(m), so :func:`apply_methods` and :func:`covariances` build its
+    histogram, W and bootstrap once.  Every other method is a family of
+    its own."""
+    families: Dict[object, List[MethodSpec]] = {}
+    for i, spec in enumerate(specs):
+        shared = spec.kind == "cow" and spec.variance == "qm" and spec.poly_order > 0
+        families.setdefault((spec.fit_shapes, spec.qm_bins) if shared else i, []).append(spec)
+    return list(families.values())
 
 
 class MethodWeights:
@@ -147,7 +222,8 @@ class MethodWeights:
     (for classic weights the set :func:`weight_functions` returns), the
     signal weight ``w`` per event and ``W``, the classic ``WeightMatrix`` as
     a dict or the cow W matrix.  ``gv`` may pass in the basis values of
-    ``cow`` at the events, which the weights and the covariance then reuse."""
+    ``cow`` at the events, which the weights and a classic covariance then
+    reuse."""
 
     def __init__(self, spec: MethodSpec, fit: FitResult, data: np.ndarray, cow, W,
                  gv: Optional[np.ndarray] = None):
@@ -184,22 +260,60 @@ def apply_method(spec: MethodSpec, fit: FitResult, data,
     the (m, t) columns ``data``.  Classic weights ignore ``eff`` on purpose:
     on an efficiency-distorted sample they expose the bias.  Raises
     :class:`~cowlib.errors.NonConvergenceError` when ``fit`` did not converge."""
-    if not fit.converged:
-        raise NonConvergenceError("the extended fit of m did not converge")
-    data = np.asarray(data, dtype=float)
-    if spec.kind == "sweights":
-        m, basis = data[:, 0], fit.model.densities()
+    return _one(apply_methods([spec], fit, data, eff))
+
+
+def apply_methods(specs: Sequence[MethodSpec], fit: FitResult, data,
+                  eff: Optional[EfficiencyMap] = None) -> list:
+    """:func:`apply_method` of each method of one family of
+    :func:`method_families`, sharing its work: a family of qm cows takes the
+    basis of its highest order, builds I(m) and W once (:func:`variance_cows`)
+    and evaluates the basis at the events once, each method reading the
+    leading elements.  Returns, in order, each method's :class:`MethodWeights`,
+    or the :class:`~cowlib.errors.CowlibError` that its own call raises."""
+    if len(method_families(specs)) != 1:
+        raise ValueError("apply_methods takes the methods of one family")
+    spec = specs[0]
+    try:
+        if not fit.converged:
+            raise NonConvergenceError("the extended fit of m did not converge")
+        data = np.asarray(data, dtype=float)
+        m = data[:, 0]
+        if spec.kind == "sweights":
+            basis = fit.model.densities()
+            gv = np.stack([g.pdf(m) for g in basis])
+            wm = sweights_matrix(spec.variant, fit, m, gv)
+            return [MethodWeights(spec, fit, data, weight_functions(wm, basis), wm.to_dict(), gv)]
+        basis = fitted_basis(fit, max(s.poly_order for s in specs))
+        support = basis[0].support
+        if spec.variance == "mixture":
+            # a basis of the fitted components starts the iteration at the
+            # fit's fractions (efficiency-corrected ones differ: a start point only)
+            start = fit.model.fractions if spec.poly_order == 0 else None
+            cows = [variance_cow("mixture", basis, data, eff, spec.qm_bins, support,
+                                 start=start)]
+        else:
+            bases = [basis[:s.poly_order + 2] for s in specs] if len(specs) > 1 else [basis]
+            cows = variance_cows(spec.variance, bases, data, eff, spec.qm_bins, support)
         gv = np.stack([g.pdf(m) for g in basis])
-        wm = sweights_matrix(spec.variant, fit, m, gv)
-        cow = weight_functions(wm, basis)
-        return MethodWeights(spec, fit, data, cow, wm.to_dict(), gv)
-    basis = fitted_basis(fit, spec.poly_order)
-    # a basis of the fitted components starts the mixture iteration at the
-    # fit's fractions (efficiency-corrected ones differ: a start point only)
-    start = fit.model.fractions if spec.poly_order == 0 else None
-    cow = variance_cow(spec.variance, basis, data, eff, spec.qm_bins, basis[0].support,
-                       start=start)
-    return MethodWeights(spec, fit, data, cow, cow.W)
+    except CowlibError as exc:   # what every method of the family shares
+        return [exc] * len(specs)
+    return [_attempt(MethodWeights, s, fit, data, cow, cow.W, gv[:len(cow.A)])
+            if isinstance(cow, CowSet) else cow for s, cow in zip(specs, cows)]
+
+
+def covariances(weights: Sequence[MethodWeights], hs: Density1D, thetas) -> list:
+    """:meth:`MethodWeights.covariance` of each of the ``weights`` of one
+    family at its theta of ``thetas``, the cows' in one pass of
+    :func:`~cowlib.wcov.corrected_covariance_cows`.  Returns, in order, each
+    :class:`~cowlib.wcov.CorrectedCovariance` (None under correction
+    "none"), or the :class:`~cowlib.errors.CowlibError` its own call raises."""
+    cows = [i for i, w in enumerate(weights)
+            if w.spec.kind == "cow" and w.spec.correction != "none"]
+    shared = iter(corrected_covariance_cows([weights[i].cow for i in cows], weights[0].data,
+                                            hs, [thetas[i] for i in cows]) if cows else ())
+    return [next(shared) if i in cows else _attempt(w.covariance, hs, theta)
+            for i, (w, theta) in enumerate(zip(weights, thetas))]
 
 
 def control_fit(t, w, hs: Density1D, bounds=None) -> FitResult:

@@ -121,11 +121,25 @@ def weight_functions(wm: WeightMatrix, basis: Sequence[Density1D]) -> CowSet:
     Warns (and records in ``warnings``) when det(W) I(m) = (adj(W) 1) . g(m),
     the denominator of the weights in adjugate form, is non-positive anywhere
     on the support; for two components it is (W_bb - W_sb) g_s + (W_ss - W_sb) g_b.
+    It is probed on a grid unless it is positive by construction: det(W) > 0,
+    every (A 1)_k > 0 and some g_k positive on the whole support, as at a
+    converged fit, where A 1 is the fitted fractions.
     """
     cow = implied_cow(wm.W, wm.A, basis)
+    det, a1 = np.linalg.det(wm.W), wm.A.sum(axis=1)
+    if det > 0 and np.all(a1 > 0) and any(map(_positive_on_support, basis)):
+        return cow
     grid = np.linspace(*basis[0].support.as_tuple(), GRID_PROBE_POINTS)
-    if np.any(np.linalg.det(wm.W) * (wm.A.sum(axis=1) @ cow.basis_values(grid)) <= 0):
+    if np.any(det * (a1 @ cow.basis_values(grid)) <= 0):
         msg = "weight-function denominator non-positive on part of the support"
         cow.warnings.append(msg)
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
     return cow
+
+
+def _positive_on_support(g: Density1D) -> bool:
+    """Whether ``g`` is positive on the whole of its support: a uniform,
+    normal or exponential, whose smallest value there is at one of its
+    ends, positive at both."""
+    return (g.kind in ("uniform", "normal", "exponential")
+            and bool(np.all(g.pdf(np.array(g.support.as_tuple())) > 0)))

@@ -24,7 +24,8 @@ from . import wcov
 from ._quadrature import gauss_legendre
 from .densities import Density1D, EfficiencyMap, Interval
 from .errors import CowlibError, ConstructionError, EvaluationError
-from .methods import MethodSpec, apply_method, as_integer, control_fit
+from .methods import (MethodSpec, apply_methods, as_integer, control_fit, covariances,
+                      method_families)
 from .mlfit import FitResult, MixtureComponent, MixtureModel, fit_extended_ml
 
 __all__ = [
@@ -437,19 +438,39 @@ def _fit_models(ds: ToyDataset, fit_shapes: set) -> Dict[bool, FitResult]:
             for free in sorted(fit_shapes, reverse=True)}
 
 
-def _run_method(method: MethodSpec, ds: ToyDataset, fits: Dict[bool, FitResult]) -> dict:
+def _run_family(family: List[MethodSpec], ds: ToyDataset,
+                fits: Dict[bool, FitResult]) -> Dict[str, dict]:
+    """The record of each method of one family of ``method_families`` on the
+    toy ``ds``.  The family shares the work of its weights and covariances;
+    a method that fails gets the error text of its own run."""
     t = ds.column("t")
-    weights = apply_method(method, fits[method.fit_shapes], np.column_stack([ds.m, t]),
-                           ds.efficiency)
-    w = weights.w
-    truth_slope = ds.truth.get("slope", TRUE_SLOPE)
-
     hs = Density1D("exponential", [1.5], T_SUPPORT)
-    tfit = control_fit(t, w, hs, bounds=[(0.05, 20.0)])
-    theta = tfit.params
+    out, runs = {}, []
+    for ms, weights in zip(family, apply_methods(family, fits[family[0].fit_shapes],
+                                                 np.column_stack([ds.m, t]), ds.efficiency)):
+        try:
+            if isinstance(weights, CowlibError):
+                raise weights
+            runs.append((ms, weights, control_fit(t, weights.w, hs, bounds=[(0.05, 20.0)])))
+        except (CowlibError, np.linalg.LinAlgError) as exc:
+            out[ms.name] = {"ok": False, "error": str(exc)}
+    corrs = covariances([w for _, w, _ in runs], hs, [tfit.params for _, _, tfit in runs])
+    for (ms, weights, tfit), corr in zip(runs, corrs):
+        try:
+            if isinstance(corr, CowlibError):
+                raise corr
+            out[ms.name] = _method_record(weights.w, tfit, corr,
+                                          ds.truth.get("slope", TRUE_SLOPE))
+        except CowlibError as exc:
+            out[ms.name] = {"ok": False, "error": str(exc)}
+    return out
 
+
+def _method_record(w, tfit: FitResult, corr, truth_slope: float) -> dict:
+    """The record of one method run: the weights ``w``, the control fit and
+    its corrected covariance ``corr`` (None: the fit's own)."""
+    theta = tfit.params
     sigma_naive = float(np.sqrt(tfit.covariance[0, 0])) if tfit.covariance is not None else np.nan
-    corr = weights.covariance(hs, theta)
     sigma_corr = sigma_naive if corr is None else float(np.sqrt(corr.theta_block[0, 0]))
 
     est = float(theta[0])
@@ -491,11 +512,10 @@ def run_toy(config: EnsembleConfig, index: int) -> dict:
         record["fit_free"] = _fit_summary(fits.get(True))
         record["fit_yields_only"] = _fit_summary(fits.get(False))
         record["n"] = spec.n_events
-        for ms in config.methods:
-            try:
-                record["methods"][ms.name] = _run_method(ms, ds, fits)
-            except (CowlibError, np.linalg.LinAlgError) as exc:
-                record["methods"][ms.name] = {"ok": False, "error": str(exc)}
+        results = {}
+        for family in method_families(config.methods):
+            results.update(_run_family(family, ds, fits))
+        record["methods"] = {ms.name: results[ms.name] for ms in config.methods}
         if not all(v.get("ok") for v in record["methods"].values()):
             record["ok"] = False
     except (CowlibError, np.linalg.LinAlgError) as exc:

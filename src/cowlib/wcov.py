@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ._quadrature import gauss_legendre
 from .cows import (CowSet, _inverse, efficiency_at, from_upper, implied_cow, mixture_pairs,
                    upper_pairs)
 from .densities import Density1D, floor_empty_bins
-from .errors import EvaluationError
+from .errors import CowlibError, EvaluationError
 from .mlfit import (MixtureModel, _covariance, _mixture_rows, _model_at, _nll_hessian,
                     _param_names, _shape_slices, _weighted_hessian)
 
@@ -29,6 +29,7 @@ __all__ = [
     "corrected_covariance_full",
     "corrected_covariance_fixed_shapes",
     "corrected_covariance_cow",
+    "corrected_covariance_cows",
     "variance_sum_weights",
     "equivalent_events",
 ]
@@ -177,36 +178,84 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     matrix product per bin gives for all replicas at once.  The Poisson
     multiplicities depend only on (N, n_boot, boot_seed), so a small set
     of them is drawn once per process and reused.  ``boot_kept`` of the
-    result counts the replicas used.
+    result counts the replicas used.  This is
+    :func:`corrected_covariance_cows` for a family of one.
     """
-    m, t = _columns(data)
-    n = len(m)
-    theta = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    n_sig = cow.spec.n_signal
+    result, = corrected_covariance_cows([cow], data, hs_model, [theta_hat], n_boot, boot_seed)
+    if isinstance(result, CowlibError):
+        raise result
+    return result
 
-    e = efficiency_at(cow.spec.efficiency, m, t)
+
+def corrected_covariance_cows(cows: Sequence[CowSet], data, hs_model: Density1D, thetas,
+                              n_boot: int = 400, boot_seed: int = 0) -> list:
+    """:func:`corrected_covariance_cow` of each of a family of ``cows``, each
+    at its own theta of ``thetas``, in one pass.
+
+    The cows of a family share the efficiency, the variance function and
+    ``n_signal``, and each basis is the leading elements of the longest
+    one, as the nested monomial bases of one histogram are.  The
+    efficiency, the basis values at the events and at the bin nodes, the
+    per-bin integrals B and the bootstrap's pass over the bins, which
+    gathers and fills each chunk of multiplicities, are made once; each cow
+    multiplies its own score rows by the gathered multiplicities and keeps
+    its own sandwich, replica weight matrices (from the leading block of B),
+    inverses, kept replicas and score covariance, so its result is bit for
+    bit that of its own call.  Returns, in order, each cow's
+    :class:`CorrectedCovariance`, or the :class:`~cowlib.errors.CowlibError`
+    that its own call raises.
+    """
+    cows = list(cows)
+    top = max(cows, key=lambda cow: len(cow.A))
+    spec = top.spec
+    basis = spec.effective_basis()
+    for cow in cows:
+        if (cow.spec.variance_fn is not spec.variance_fn
+                or cow.spec.efficiency is not spec.efficiency
+                or cow.spec.n_signal != spec.n_signal
+                or any(g is not h for g, h in zip(cow.spec.effective_basis(), basis))):
+            raise ValueError("the cows of a family must share the efficiency, the variance "
+                             "function and n_signal, and have nested bases")
+    try:
+        m, t = _columns(data)
+        e = efficiency_at(spec.efficiency, m, t)
+    except EvaluationError as exc:   # what every cow of the family shares
+        return [exc] * len(cows)
+    n, n_sig = len(m), spec.n_signal
     inv_e = 1.0 / e
-    G = cow.basis_values(m)                        # (nb, N)
-    w = cow.weights(m, G)[:, :n_sig].sum(axis=1) / e  # as efficiency_corrected_weights
-
-    d1, Hinv, first, naive = _sandwich(hs_model, t, w, theta)
-    var = cow.spec.variance_fn
-    if var is None or var.kind != "histogram":
-        return CorrectedCovariance(theta_block=first, naive=naive, first_term=first)
+    G = top.basis_values(m)                        # (nb, N) of the longest basis
+    out: list = []
+    live = []                                      # (index, nb, d1, Hinv) of each sandwich
+    for cow, theta in zip(cows, thetas):
+        nb = len(cow.A)
+        try:
+            # as efficiency_corrected_weights
+            w = cow.weights(m, G[:nb])[:, :n_sig].sum(axis=1) / e
+            d1, Hinv, first, naive = _sandwich(hs_model, t, w,
+                                               np.atleast_1d(np.asarray(theta, dtype=float)))
+        except CowlibError as exc:
+            out.append(exc)
+            continue
+        live.append((len(out), nb, d1, Hinv))
+        out.append(CorrectedCovariance(theta_block=first, naive=naive, first_term=first))
+    var = spec.variance_fn
+    if var is None or var.kind != "histogram" or not live:
+        return out
     if n_boot < 2:
-        raise EvaluationError("n_boot must be at least 2")
+        for i, *_ in live:
+            out[i] = EvaluationError("n_boot must be at least 2")
+        return out
     edges = np.asarray(var.data["edges"], dtype=float)
     nbins = len(edges) - 1
     widths = np.diff(edges)
 
     # per-bin basis integrals B_klj of g_k g_l by Gauss-Legendre; the
-    # weight matrix for any bin contents is then W_kl = sum_j B_klj / I_j
+    # weight matrix for any bin contents is then W_kl = sum_j B_klj / I_j,
+    # and that of a shorter basis is the leading block of B
     x, gq = gauss_legendre(BOOT_QUAD_POINTS)
     half = 0.5 * widths
     nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x[None, :]
-    gv = cow.basis_values(nodes.ravel())
-    nb = gv.shape[0]
-    gv = gv.reshape(nb, nbins, BOOT_QUAD_POINTS)
+    gv = top.basis_values(nodes.ravel()).reshape(len(G), nbins, BOOT_QUAD_POINTS)
     B = np.einsum("kjq,ljq,q,j->klj", gv, gv, gq, half)
 
     # events sorted by bin (stably, so each bin keeps event order); the
@@ -217,19 +266,24 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     fill = (inv_e ** 2)[order]                 # histogram fill weights
     # the score of replica r is sum_i mult_ri w_r(m_i) d1_i / eff_i with
     # w_r(m) = a_r . g(m) / I_r(m); summed bin by bin, 1/I_r is a factor
-    # of the per-bin sums of the rows of Y = g d1 / eff, shape (N, nb p)
-    Y = (G[:, None, :] * (inv_e * d1)).reshape(-1, n).T[order]
+    # of the per-bin sums of the rows of Y = g d1 / eff, shape (N, nb p),
+    # one such array per cow
+    Y = [(G[:nb, None, :] * (inv_e * d1)).reshape(-1, n).T[order] for _, nb, d1, _ in live]
     rows = max(1, BOOT_BLOCK_ELEMENTS // n_boot)  # events per chunk
-    scores = np.concatenate([
-        _replica_scores(mult, order, bounds, fill, Y, B, widths, n_sig, rows)
-        for mult in _multiplicity_blocks(n, n_boot, boot_seed)])
-    boot_kept = len(scores)
-    if boot_kept < 2:
-        raise EvaluationError("bootstrap score covariance unavailable")
-    CS = np.cov(scores.T, ddof=1).reshape(len(theta), len(theta))
-    theta_block = Hinv @ CS @ Hinv.T
-    return CorrectedCovariance(theta_block=0.5 * (theta_block + theta_block.T),
-                               naive=naive, first_term=first, boot_kept=boot_kept)
+    p = hs_model.n_params
+    parts = [_replica_scores(mult, order, bounds, fill, Y, B, widths, n_sig, rows, p)
+             for mult in _multiplicity_blocks(n, n_boot, boot_seed)]
+    for (i, _, _, Hinv), scores in zip(live, map(np.concatenate, zip(*parts))):
+        boot_kept = len(scores)
+        if boot_kept < 2:
+            out[i] = EvaluationError("bootstrap score covariance unavailable")
+            continue
+        CS = np.cov(scores.T, ddof=1).reshape(p, p)
+        theta_block = Hinv @ CS @ Hinv.T
+        out[i] = CorrectedCovariance(theta_block=0.5 * (theta_block + theta_block.T),
+                                     naive=out[i].naive, first_term=out[i].first_term,
+                                     boot_kept=boot_kept)
+    return out
 
 
 def _inverses(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -253,16 +307,19 @@ def _inverses(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _replica_scores(X: np.ndarray, order: np.ndarray, bounds: np.ndarray,
-                    fill: np.ndarray, Y: np.ndarray, B: np.ndarray,
-                    widths: np.ndarray, n_sig: int, rows: int) -> np.ndarray:
-    """Bootstrap scores of the replicas in the columns of ``X``.
+                    fill: np.ndarray, Y: List[np.ndarray], B: np.ndarray,
+                    widths: np.ndarray, n_sig: int, rows: int, p: int) -> List[np.ndarray]:
+    """Bootstrap scores of the replicas in the columns of ``X``, for each
+    cow of a family.
 
     ``X`` holds the multiplicities, one row per event; ``order`` sorts the
     events by bin, and the sorted events of bin j, at positions
-    bounds[j]:bounds[j+1], have fill weights ``fill`` and score rows ``Y``
-    (N, nb p).  Bins are taken in chunks of at most ``rows`` events.
-    Replicas that draw no event or whose weight matrix is singular are left
-    out; returns (kept, p).
+    bounds[j]:bounds[j+1], have fill weights ``fill`` and, for each cow,
+    score rows ``Y[i]`` of shape (N, nb p) for its basis of nb elements, the
+    first nb of ``B``.  Bins are taken in chunks of at most ``rows`` events,
+    each gathered once for every cow.  Replicas that draw no event, or whose
+    weight matrix for a cow is singular, are left out of that cow's scores;
+    returns one (kept, p) array per cow.
     """
     r = X.shape[1]
     nbins = len(bounds) - 1
@@ -270,17 +327,18 @@ def _replica_scores(X: np.ndarray, order: np.ndarray, bounds: np.ndarray,
     raw = np.zeros((r, nbins))
     # 1/I_rj = widths_j S_r / raw_rj in a bin that replica r fills, where S_r
     # is its total bin content; T_r gathers sum_j (Y_j^T X_j)_r widths_j / raw_rj
-    T = np.zeros((Y.shape[1], r))
+    T = [np.zeros((Yi.shape[1], r)) for Yi in Y]
     factor = np.empty(r)
     for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         if a == b:
             continue
-        M = acc = 0.0
+        M = [0.0] * len(Y)
+        acc = 0.0
         for c in range(a, b, rows):
             ev = slice(c, min(c + rows, b))
             Xf = buf[:ev.stop - c]
             Xf[...] = X[order[ev]]
-            M = M + Y[ev].T @ Xf
+            M = [Mi + Yi[ev].T @ Xf for Mi, Yi in zip(M, Y)]
             # the bin contents are summed event by event, as np.bincount
             # does, so they reproduce a per-replica histogram fill exactly
             Xf *= fill[ev, None]
@@ -289,15 +347,19 @@ def _replica_scores(X: np.ndarray, order: np.ndarray, bounds: np.ndarray,
         raw[:, j] = acc
         factor[:] = 0.0    # a replica that leaves bin j empty has M = 0 there
         np.divide(widths[j], acc, out=factor, where=acc > 0)
-        T += M * factor
+        for Ti, Mi in zip(T, M):
+            Ti += Mi * factor
     keep = np.flatnonzero((raw > 0).any(axis=1))  # a replica with no event is skipped
     raw = floor_empty_bins(raw[keep])
     total = raw.sum(axis=1, keepdims=True)
-    I_bins = raw / (widths * total)
-    A, ok = _inverses(np.einsum("klj,rj->rkl", B, 1.0 / I_bins))
-    nb = len(B)
-    T = T[:, keep[ok]].reshape(nb, Y.shape[1] // nb, -1) * total[ok, 0]
-    return np.einsum("rk,kpr->rp", A[ok][:, :n_sig].sum(axis=1), T)
+    inv_I = 1.0 / (raw / (widths * total))
+    out = []
+    for Ti in T:
+        nb = len(Ti) // p
+        A, ok = _inverses(np.einsum("klj,rj->rkl", B[:nb, :nb], inv_I))
+        Tc = Ti[:, keep[ok]].reshape(nb, p, -1) * total[ok, 0]
+        out.append(np.einsum("rk,kpr->rp", A[ok][:, :n_sig].sum(axis=1), Tc))
+    return out
 
 
 def _poisson_rows(n: int, n_boot: int, seed: int):

@@ -6,7 +6,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import count_pdf_calls
 from cowlib import ConstructionError, Density1D, EvaluationError, monomial_basis
 from cowlib import cows, methods, sweights, toygen, wcov
 from cowlib.methods import (MethodSpec, apply_method, control_fit, sweights_matrix,
@@ -26,7 +25,7 @@ def _fits(ds):
 
 
 def reference_run(method, ds, fits):
-    """The method dispatch of ``toygen._run_method`` before the recipe
+    """The method dispatch of the toy runner before the recipe
     existed, kept as the reference: returns (w, dW, estimate, sigma_corr)."""
     m, t = ds.m, ds.column("t")
     n = len(m)
@@ -128,23 +127,32 @@ def test_recipe_matches_reference_dispatch(toy, fields):
         assert np.array_equal(weights.w, w)
         if dW is not None:
             assert np.array_equal(weights.cow.dw_dW(ds.m), dW)
-        record = toygen._run_method(ms, ds, {True: fits["free"], False: fits["yields_only"]})
+        record, = toygen._run_family([ms], ds, {True: fits["free"],
+                                                False: fits["yields_only"]}).values()
         assert record["estimate"] == est
         assert record["sigma_corr"] == sigma
 
 
 def test_classic_weights_evaluate_each_component_once(monkeypatch):
     # swB's W, weights, dw/dW and the C' pairs of the fixed-shape correction
-    # all take the components' values at the events from one evaluation; the
-    # other is weight_functions' check of the variance on a grid
+    # all take the components' values at the events from one evaluation, and
+    # at a converged fit weight_functions has no grid to probe
     ds = generate(ToySpec(study="simple", n_events=2000, z=0.2, seed=1001))
     fit = _fits(ds)["yields_only"]
     hs = Density1D("exponential", [1.5], T_SUPPORT)
-    calls = count_pdf_calls(monkeypatch)
+    sizes = []
+    pdf = Density1D.pdf
+
+    def counted(self, x):
+        sizes.append((id(self), np.size(x)))
+        return pdf(self, x)
+
+    monkeypatch.setattr(Density1D, "pdf", counted)
     weights = apply_method(MethodSpec("swB"), fit, ds.data)
     weights.covariance(hs, control_fit(ds.column("t"), weights.w, hs).params)
-    counts = Counter(id(d) for d in calls)
-    assert [counts[id(d)] for d in weights.cow.spec.basis] == [2, 2]
+    counts = Counter(sizes)
+    assert [counts[id(d), 2000] for d in weights.cow.spec.basis] == [1, 1]
+    assert not any(size == sweights.GRID_PROBE_POINTS for _, size in sizes)
 
 
 class TestMethodSpec:

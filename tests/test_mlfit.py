@@ -930,8 +930,8 @@ class TestNestedRefit:
         free = fits[True]
         assert free.converged and free.covariance is not None
         assert free.nll < fits[False].nll   # the free model nests the fixed one
-        record = toygen._run_method(
-            MethodSpec("swCi", variant="Ci", fit_shapes=True), ds, fits)
+        record = toygen._run_family(
+            [MethodSpec("swCi", variant="Ci", fit_shapes=True)], ds, fits)["swCi"]
         ref = simple_reference[str(seed)]["swCi"]
         if not isinstance(ref, str):   # else the reference's fit failed
             assert abs(record["estimate"] - ref[0]) <= 0.02 * ref[1]

@@ -12,7 +12,7 @@ from cowlib import (CowSpec, Density1D, EvaluationError, FitResult,
                     SingularModelError, build_cow, compute_W_variant_A,
                     compute_W_variant_B, compute_W_variant_C, fit_extended_ml,
                     integrate, monomial_basis, weight_functions)
-from cowlib import cows
+from cowlib import cows, sweights
 from cowlib.cows import _mixture
 from cowlib.sweights import WeightMatrix
 from cowlib.toygen import ToySpec, generate_simple, simple_truth_densities
@@ -313,6 +313,53 @@ class TestWeightFunctions:
         w = wfs.weights([0.25, 0.75])
         assert np.allclose(w[:, 0], w_s, rtol=1e-12, atol=1e-12)
         assert np.allclose(w[:, 1], w_b, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["A", "B", "Ci", "Cii"])
+    def test_no_probe_where_the_denominator_is_positive(self, toy_fit, monkeypatch, variant):
+        # at a converged fit det W > 0, A 1 > 0 and the normal and the
+        # exponential are positive on the whole support: nothing to probe
+        m, gs, gb, fit, z = toy_fit
+        wm = estimate(variant, gs, gb, z, m, fit)
+        assert np.linalg.det(wm.W) > 0 and np.all(wm.A.sum(axis=1) > 0)
+        sizes = []
+        monkeypatch.setattr(sweights, "implied_cow",
+                            lambda W, A, basis: spy_basis_values(cows.implied_cow(W, A, basis),
+                                                                 sizes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wfs = weight_functions(wm, [gs, gb])
+        assert sizes == [] and wfs.warnings == []
+        grid = np.linspace(0.0, 1.0, sweights.GRID_PROBE_POINTS)
+        assert np.all(wm.A.sum(axis=1) @ np.stack([gs.pdf(grid), gb.pdf(grid)]) > 0)
+
+    def test_probe_without_a_density_positive_everywhere(self, unit_interval, monkeypatch):
+        # det W > 0 and A 1 > 0, but both shapes vanish at m = 0: 2m, and a
+        # uniform on [0.5, 1]; the probe runs and finds I(0) = 0
+        g1 = Density1D("monomial", [2], unit_interval)
+        g2 = Density1D("uniform", [0.5, 1.0], unit_interval)
+        W = np.array([[1.0, 0.2], [0.2, 1.0]])
+        wm = WeightMatrix(W, np.linalg.inv(W), "A", np.array([0.5, 0.5]))
+        assert np.linalg.det(W) > 0 and np.all(wm.A.sum(axis=1) > 0)
+        sizes = []
+        monkeypatch.setattr(sweights, "implied_cow",
+                            lambda W, A, basis: spy_basis_values(cows.implied_cow(W, A, basis),
+                                                                 sizes))
+        with pytest.warns(RuntimeWarning, match="denominator non-positive"):
+            wfs = weight_functions(wm, [g1, g2])
+        assert sizes == [sweights.GRID_PROBE_POINTS]
+        assert wfs.warnings == ["weight-function denominator non-positive on part of the support"]
+
+
+def spy_basis_values(cow, sizes):
+    """``cow`` with its ``basis_values`` recording the size of each call."""
+    basis_values = cow.basis_values
+
+    def counted(m):
+        sizes.append(np.size(m))
+        return basis_values(m)
+
+    cow.basis_values = counted
+    return cow
 
 
 @pytest.fixture(scope="module")

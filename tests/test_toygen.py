@@ -1,13 +1,14 @@
 """Pseudo-experiment generators and the ensemble runner."""
 
 import dataclasses
+import json
 import os
 
 import numpy as np
 import pytest
 
 from cowlib import ConstructionError, EvaluationError, kendall_tau
-from cowlib import methods, toygen
+from cowlib import methods, toygen, wcov
 from cowlib.toygen import (EnsembleConfig, MethodSpec, ToySpec,
                            generate_multicomponent, generate_nonfactorising,
                            generate_simple, run_ensemble, run_toy,
@@ -183,6 +184,100 @@ def test_t_fit_that_does_not_converge_fails_the_method(monkeypatch):
     assert not record["ok"]
     assert record["methods"] == {"swB": {
         "ok": False, "error": "the weighted fit of the exponential control model did not converge"}}
+
+
+def qm_cow(order, name=None, **fields):
+    return MethodSpec(**{"name": name or f"cow{order}", "kind": "cow", "variance": "qm",
+                         "qm_bins": 50, "poly_order": order, **fields})
+
+
+def criterion_08_methods(methods, seed=20260824):
+    """The method records of one criterion-08 toy (non-factorising, with
+    efficiency, N = 2000) analysed with ``methods``, as JSON text per method,
+    which tells every float apart bit for bit."""
+    toy = ToySpec(study="nonfactorising", n_events=2000, z=0.5, efficiency=True)
+    record = run_toy(EnsembleConfig(toy=toy, methods=methods, n_toys=1, base_seed=seed), 0)
+    return {name: json.dumps(res, sort_keys=True) for name, res in record["methods"].items()}
+
+
+class TestMethodFamilies:
+    """qm cows of one fit and binning share their work; each still gets
+    the record of its own run."""
+
+    def test_grouping(self):
+        specs = [MethodSpec(name="swB"), qm_cow(1), MethodSpec(name="mix", kind="cow"),
+                 qm_cow(3), qm_cow(3, "bins40", qm_bins=40), qm_cow(5, "free", fit_shapes=True),
+                 qm_cow(0), qm_cow(2, "unity", variance="unity"), qm_cow(5)]
+        families = [[ms.name for ms in f] for f in methods.method_families(specs)]
+        assert families == [["swB"], ["cow1", "cow3", "cow5"], ["mix"], ["bins40"],
+                            ["free"], ["cow0"], ["unity"]]
+
+    def test_one_histogram_w_and_bootstrap_per_family(self, monkeypatch):
+        calls = {"qm": 0, "gram": 0, "cov": []}
+        variance_fn_qm, gram_matrix = methods.variance_fn_qm, methods.gram_matrix
+        cows = methods.corrected_covariance_cows
+
+        def count(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(methods, "variance_fn_qm", count("qm", variance_fn_qm))
+        monkeypatch.setattr(methods, "gram_matrix", count("gram", gram_matrix))
+        monkeypatch.setattr(methods, "corrected_covariance_cows",
+                            lambda c, *a: calls["cov"].append(len(c)) or cows(c, *a))
+        criterion_08_methods([qm_cow(1), qm_cow(3), qm_cow(5)])
+        assert calls == {"qm": 1, "gram": 1, "cov": [3]}
+
+    def test_family_records_are_solo_records(self):
+        # each record is within 1e-10 sigma of the method's own run (the W of
+        # order 1 and 3 is a block of order 5's, whose quadrature may split
+        # the support more finely); the binning and fit keep families apart
+        methods_ = [MethodSpec(name="swB"), qm_cow(1), qm_cow(3), qm_cow(3, "bins40", qm_bins=40),
+                    qm_cow(5)]
+        family = criterion_08_methods(methods_)
+        assert list(family) == [ms.name for ms in methods_]
+        for ms in methods_:
+            got = json.loads(family[ms.name])
+            solo = json.loads(criterion_08_methods([ms])[ms.name])
+            assert got.keys() == solo.keys() and got["ok"]
+            for key in ("estimate", "sigma_corr", "sigma_naive"):
+                assert abs(got[key] - solo[key]) <= 1e-10 * solo["sigma_corr"]
+            if ms.name in ("swB", "bins40", "cow5"):
+                assert family[ms.name] == criterion_08_methods([ms])[ms.name]
+
+    def test_rejected_high_order_fails_alone(self):
+        # order 8's W is past cows.CONDITION_LIMIT; orders 1 and 3 then
+        # share the W of order 3, as without it (on this toy, the leading
+        # block of order 5's W moves cow3's record)
+        seed = 20260829
+        got = criterion_08_methods([MethodSpec(name="swB"), qm_cow(1), qm_cow(8), qm_cow(3)],
+                                   seed)
+        assert list(got) == ["swB", "cow1", "cow8", "cow3"]
+        assert got["cow8"] == criterion_08_methods([qm_cow(8)], seed)["cow8"]
+        assert "condition number exceeds" in json.loads(got["cow8"])["error"]
+        without = criterion_08_methods([MethodSpec(name="swB"), qm_cow(1), qm_cow(3)], seed)
+        assert without["cow3"] != criterion_08_methods([qm_cow(3), qm_cow(5)], seed)["cow3"]
+        assert {k: v for k, v in got.items() if k != "cow8"} == without
+
+    def test_singular_weighted_hessian_fails_alone(self, monkeypatch):
+        theta = json.loads(criterion_08_methods([qm_cow(1), qm_cow(3), qm_cow(5)])["cow3"])
+        weighted_hessian = wcov._weighted_hessian
+
+        def singular_for_cow3(hs, t, w, th):
+            # cow3's own run fits a theta within 1e-9 of the family's
+            H = weighted_hessian(hs, t, w, th)
+            return np.zeros_like(H) if np.isclose(th[0], theta["estimate"], rtol=1e-9,
+                                                  atol=0.0) else H
+
+        monkeypatch.setattr(wcov, "_weighted_hessian", singular_for_cow3)
+        got = criterion_08_methods([qm_cow(1), qm_cow(3), qm_cow(5)])
+        failed = {"ok": False, "error": "weighted Hessian is singular"}
+        assert json.loads(got["cow3"]) == failed
+        assert json.loads(criterion_08_methods([qm_cow(3)])["cow3"]) == failed
+        assert criterion_08_methods([qm_cow(1), qm_cow(5)]) == {
+            k: v for k, v in got.items() if k != "cow3"}
 
 
 class TestNonfactSetupCache:

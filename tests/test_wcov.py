@@ -17,7 +17,7 @@ from cowlib.wcov import (QuasiScoreSpec, corrected_covariance_cow,
                          corrected_covariance_fixed_shapes,
                          corrected_covariance_full, equivalent_events,
                          variance_sum_weights)
-from conftest import count_pdf_calls
+from conftest import count_pdf_calls, with_efficiency
 
 T_IV = Interval(0.0, 3.0)
 HS_TOY = Density1D("exponential", [1.5], T_IV)   # the control model the toys fit
@@ -758,3 +758,102 @@ class TestBootstrapLayout:
         monkeypatch.setattr(CowSet, "basis_values", counted)
         corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]))
         assert sizes.count(500) == 1
+
+
+def nonfact_family(n_events, seed, orders, bins):
+    """Criterion-08-style histogram-variance cows of several polynomial
+    orders on one histogram, their bases the leading elements of one."""
+    ds = generate_nonfactorising(ToySpec(study="nonfactorising", n_events=n_events, z=0.5,
+                                         efficiency=True, seed=seed))
+    gs, _, hs, _ = simple_truth_densities()
+    hist = variance_fn_qm(ds.data, ds.efficiency, bins, support=gs.support)
+    top = [gs] + monomial_basis(max(orders) + 1, gs.support)
+    cows = [build_cow(CowSpec(basis=top[:p + 2], variance_fn=hist, support=gs.support,
+                              efficiency=ds.efficiency)) for p in orders]
+    return ds, cows, hs
+
+
+def assert_same_covariance(got, want):
+    for key in ("theta_block", "naive", "first_term"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+    assert got.boot_kept == want.boot_kept
+
+
+class TestFamilyPass:
+    """Histogram-variance cows of nested bases share one bootstrap pass, and
+    each gets what its own call gives."""
+
+    THETAS = [np.array([1.9]), np.array([2.0]), np.array([2.1])]
+
+    @pytest.mark.parametrize("layout", ["cached", "uncached", "chunked", "chunked-uncached"])
+    def test_family_is_solo_bit_for_bit(self, monkeypatch, layout):
+        ds, cows, hs = nonfact_family(2000, 808, (1, 3, 5), 50)
+        if layout.startswith("chunked"):
+            # 8 events per chunk of a bin, and 3 replica rows per fresh draw
+            monkeypatch.setattr(wcov, "BOOT_BLOCK_ELEMENTS", 8 * 400 + 3)
+        if layout.endswith("uncached"):
+            monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 0)
+            wcov._multiplicities.cache_clear()
+        family = wcov.corrected_covariance_cows(cows, ds.data, hs, self.THETAS, boot_seed=5)
+        for cow, theta, got in zip(cows, self.THETAS, family):
+            assert got.boot_kept == 400
+            assert_same_covariance(got, corrected_covariance_cow(cow, ds.data, hs, theta,
+                                                                 boot_seed=5))
+        if layout.endswith("uncached"):
+            assert wcov._multiplicities.cache_info().currsize == 0
+
+    def test_order_of_the_family_does_not_matter(self):
+        ds, cows, hs = nonfact_family(500, 17, (3, 1, 5), 20)
+        family = wcov.corrected_covariance_cows(cows, ds.data, hs, self.THETAS)
+        for cow, theta, got in zip(cows, self.THETAS, family):
+            assert_same_covariance(got, corrected_covariance_cow(cow, ds.data, hs, theta))
+
+    def test_one_pass_over_the_bins(self, monkeypatch):
+        ds, cows, hs = nonfact_family(500, 17, (1, 3, 5), 20)
+        calls = []
+        replica_scores = wcov._replica_scores
+
+        def counted(*args):
+            calls.append([y.shape[1] for y in args[4]])
+            return replica_scores(*args)
+
+        monkeypatch.setattr(wcov, "_replica_scores", counted)
+        wcov.corrected_covariance_cows(cows, ds.data, hs, self.THETAS)
+        assert calls == [[3, 5, 7]]   # one call, with the score rows of each cow
+
+    def test_a_member_fails_alone(self, monkeypatch):
+        # the weighted Hessian of the order-3 cow at its theta is singular
+        ds, cows, hs = nonfact_family(500, 17, (1, 3, 5), 20)
+        weighted_hessian = wcov._weighted_hessian
+
+        def singular_at_2(hs_model, t, w, theta):
+            H = weighted_hessian(hs_model, t, w, theta)
+            return np.zeros_like(H) if theta[0] == 2.0 else H
+
+        monkeypatch.setattr(wcov, "_weighted_hessian", singular_at_2)
+        family = wcov.corrected_covariance_cows(cows, ds.data, hs, self.THETAS)
+        assert isinstance(family[1], EvaluationError)
+        assert str(family[1]) == "weighted Hessian is singular"
+        with pytest.raises(EvaluationError, match="weighted Hessian is singular"):
+            corrected_covariance_cow(cows[1], ds.data, hs, self.THETAS[1])
+        pair = wcov.corrected_covariance_cows([cows[0], cows[2]], ds.data, hs,
+                                              [self.THETAS[0], self.THETAS[2]])
+        for got, want in zip((family[0], family[2]), pair):
+            assert_same_covariance(got, want)
+
+    def test_shared_errors_reach_every_member(self):
+        ds, cows, hs = nonfact_family(500, 17, (1, 3), 20)
+        family = wcov.corrected_covariance_cows(cows, ds.data, hs, self.THETAS[:2], n_boot=1)
+        assert [str(e) for e in family] == ["n_boot must be at least 2"] * 2
+        family = wcov.corrected_covariance_cows(cows, ds.data[:, :1], hs, self.THETAS[:2])
+        assert [str(e) for e in family] == ["data must have columns (m, t)"] * 2
+
+    def test_cows_that_share_no_pass_are_rejected(self):
+        ds, cows, hs = nonfact_family(500, 17, (1, 3), 20)
+        other_bins = nonfact_family(500, 17, (1, 3), 10)[1]
+        other_basis = nonfact_family(500, 17, (1, 3), 20)[1]
+        for pair in ([cows[0], with_efficiency(cows[1], None)],
+                     [cows[0], other_bins[1]],
+                     [cows[0], other_basis[1]]):
+            with pytest.raises(ValueError, match="family"):
+                wcov.corrected_covariance_cows(pair, ds.data, hs, self.THETAS[:2])
