@@ -42,9 +42,15 @@ of the efficiency-corrected cows), each as its summary without
 ``corrected_covariance_full`` results (``full``, ``theta_block``,
 ``naive``) of 10 simple-study toys (N = 2000, seeds 3000-3009), each with
 fixed and with free shapes, at the root of the joint quasi-score whose
-control fit takes the signal weight of the W block of lambda.  The cowlib
-package is imported from ``CHECKOUT/src``; a run takes about 6 s on a
-2-core machine.
+control fit takes the signal weight of the W block of lambda, and the
+``corrected_covariance_cow`` result (``theta_block``, ``naive``,
+``first_term``, ``boot_kept``) of one cow of polynomial order 3 with the qm
+variance function in 50 bins on a non-factorising sample with efficiency of
+N = 30000 events (seed 1), at the true slope: its N x 400 bootstrap
+multiplicities exceed ``wcov.BOOT_CACHE_ELEMENTS``, so it covers the layout
+that streams them in blocks, where every other output reads the cached one.
+The cowlib package is imported from ``CHECKOUT/src``; a run takes about 6 s
+on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ PIPELINE_EVENTS, PIPELINE_SEED = 20000, 7
 PIPELINE_METHODS = ("sweights-B", "sweights-A", "sweights-Ci", "sweights-Cii", "cow")
 FULL_EVENTS, FULL_SEEDS = 2000, range(3000, 3010)
 COW_EVENTS = 2000
+STREAMED_EVENTS, STREAMED_SEED = 30000, 1
 # the efficiency of the non-factorising study at the centres of a 5 x 3 grid
 # of its (m, t) plane, [0, 1] x [0, 3], as the JSON of an EfficiencyMap
 COW_EFFICIENCY = {
@@ -242,6 +249,23 @@ def full_covariances() -> dict:
     return out
 
 
+def streamed_covariance() -> dict:
+    """The bootstrap covariance of a qm cow on a sample too large for the
+    cached multiplicities."""
+    from cowlib import CowSpec, build_cow, monomial_basis, variance_fn_qm
+    from cowlib.toygen import ToySpec, generate, simple_truth_densities
+    from cowlib.wcov import corrected_covariance_cow
+    ds = generate(ToySpec(study="nonfactorising", n_events=STREAMED_EVENTS, z=0.5,
+                          efficiency=True, seed=STREAMED_SEED))
+    gs, _, hs, _ = simple_truth_densities()
+    qm = variance_fn_qm(ds.data, ds.efficiency, 50, support=gs.support)
+    cow = build_cow(CowSpec(basis=[gs] + monomial_basis(4, gs.support), variance_fn=qm,
+                            support=gs.support, efficiency=ds.efficiency))
+    corr = corrected_covariance_cow(cow, ds.data, hs, hs.params)
+    return {"theta_block": corr.theta_block, "naive": corr.naive,
+            "first_term": corr.first_term, "boot_kept": corr.boot_kept}
+
+
 def _differences(a, b, path, acc):
     """Walk ``a`` and ``b`` together, gathering into ``acc`` the largest
     relative difference of two floats and its path, the floats and the
@@ -341,6 +365,7 @@ def main(argv=None) -> int:
         dump["pipeline"] = pipeline_summaries(workdir)
         dump["cow_runs"] = cow_runs(workdir)
     dump["full"] = full_covariances()
+    dump["streamed"] = streamed_covariance()
     with open(args.out, "w") as fh:
         fh.write(cli.canonical_json(dump) + "\n")
     return 0

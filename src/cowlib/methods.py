@@ -119,28 +119,24 @@ def fitted_basis(fit: FitResult, poly_order: int) -> List[Density1D]:
 def variance_cow(kind: str, basis: List[Density1D], data, eff: Optional[EfficiencyMap],
                  qm_bins: int, support: Interval, *, n_signal: int = 1,
                  signal_proxy: Optional[Density1D] = None, start=None) -> CowSet:
-    """The cow of ``basis`` under the variance function I(m) named ``kind``,
-    built once: uniform on the ``support`` for "unity", the histogram of
-    :func:`~cowlib.cows.variance_fn_qm` in ``qm_bins`` bins for "qm", and for
-    "mixture" the step of :func:`~cowlib.cows.variance_fn_ml_iterative`
-    (started from the fractions ``start`` if given) that converged, whose W
-    is rebuilt only when ``signal_proxy`` replaces the first basis element."""
-    if kind != "mixture":
-        return _one(variance_cows(kind, [basis], data, eff, qm_bins, support,
-                                  n_signal=n_signal, signal_proxy=signal_proxy))
-    fixed_point = variance_fn_ml_iterative(basis, data, eff, start=start)[1]
-    spec = CowSpec(basis=basis, variance_fn=fixed_point.spec.variance_fn, support=support,
-                   n_signal=n_signal, signal_proxy=signal_proxy, efficiency=eff)
-    if signal_proxy is None:
-        return CowSet(spec, fixed_point.W, fixed_point.A)
-    return build_cow(spec)
+    """The cow of ``basis`` under the variance function I(m) named ``kind``:
+    :func:`variance_cows` of one basis, raising its error."""
+    return _one(variance_cows(kind, [basis], data, eff, qm_bins, support, n_signal=n_signal,
+                              signal_proxy=signal_proxy, start=start))
 
 
 def variance_cows(kind: str, bases: Sequence[List[Density1D]], data,
                   eff: Optional[EfficiencyMap], qm_bins: int, support: Interval, *,
-                  n_signal: int = 1, signal_proxy: Optional[Density1D] = None) -> list:
-    """:func:`variance_cow` of each of the nested ``bases``, each the leading
-    elements of the longest, under the one variance function "unity" or "qm".
+                  n_signal: int = 1, signal_proxy: Optional[Density1D] = None,
+                  start=None) -> list:
+    """The cows of the nested ``bases``, each the leading elements of the
+    longest, under the one variance function I(m) named ``kind``, built once:
+    uniform on the ``support`` for "unity", the histogram of
+    :func:`~cowlib.cows.variance_fn_qm` in ``qm_bins`` bins for "qm", and for
+    "mixture", of a single basis, the step of
+    :func:`~cowlib.cows.variance_fn_ml_iterative` (started from the fractions
+    ``start`` if given) that converged, whose W is rebuilt only when
+    ``signal_proxy`` replaces the first basis element.
 
     I(m) is made once, and so is the W of the longest basis whose W
     :func:`~cowlib.cows._inverse` accepts: a longer one that it rejects fails
@@ -153,6 +149,8 @@ def variance_cows(kind: str, bases: Sequence[List[Density1D]], data,
     longest = max(bases, key=len)
     if any(any(g is not h for g, h in zip(b, longest)) for b in bases):
         raise ValueError("variance_cows takes nested bases")
+    if kind == "mixture" and len(bases) > 1:
+        raise ValueError("variance_cows takes a single basis for a mixture")
     try:
         if kind == "unity":
             var = Density1D("uniform", [], support)
@@ -160,6 +158,13 @@ def variance_cows(kind: str, bases: Sequence[List[Density1D]], data,
             if qm_bins > len(data):
                 raise ConstructionError(f"qm_bins {qm_bins} exceeds the {len(data)} events")
             var = variance_fn_qm(data, eff, qm_bins, support=support)
+        elif kind == "mixture":
+            fixed_point = variance_fn_ml_iterative(longest, data, eff, start=start)[1]
+            spec = CowSpec(basis=longest, variance_fn=fixed_point.spec.variance_fn,
+                           support=support, n_signal=n_signal, signal_proxy=signal_proxy,
+                           efficiency=eff)
+            return [CowSet(spec, fixed_point.W, fixed_point.A) if signal_proxy is None
+                    else build_cow(spec)]
         else:
             raise ConstructionError(f"unknown variance kind {kind!r}")
     except CowlibError as exc:   # what every cow of the family shares
@@ -286,15 +291,11 @@ def apply_methods(specs: Sequence[MethodSpec], fit: FitResult, data,
             return [MethodWeights(spec, fit, data, weight_functions(wm, basis), wm.to_dict(), gv)]
         basis = fitted_basis(fit, max(s.poly_order for s in specs))
         support = basis[0].support
-        if spec.variance == "mixture":
-            # a basis of the fitted components starts the iteration at the
-            # fit's fractions (efficiency-corrected ones differ: a start point only)
-            start = fit.model.fractions if spec.poly_order == 0 else None
-            cows = [variance_cow("mixture", basis, data, eff, spec.qm_bins, support,
-                                 start=start)]
-        else:
-            bases = [basis[:s.poly_order + 2] for s in specs] if len(specs) > 1 else [basis]
-            cows = variance_cows(spec.variance, bases, data, eff, spec.qm_bins, support)
+        bases = [basis[:s.poly_order + 2] for s in specs] if len(specs) > 1 else [basis]
+        # a basis of the fitted components starts a mixture's iteration at the
+        # fit's fractions (efficiency-corrected ones differ: a start point only)
+        start = fit.model.fractions if spec.poly_order == 0 else None
+        cows = variance_cows(spec.variance, bases, data, eff, spec.qm_bins, support, start=start)
         gv = np.stack([g.pdf(m) for g in basis])
     except CowlibError as exc:   # what every method of the family shares
         return [exc] * len(specs)

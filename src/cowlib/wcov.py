@@ -35,9 +35,9 @@ __all__ = [
 ]
 
 ROOT_TOL_PER_EVENT = 1e-4
-# the histogram-variance bootstrap works on blocks of at most this many
-# (replica, event) pairs, and keeps the Poisson multiplicities of a call
-# in memory for the next one only up to this many
+# the histogram-variance bootstrap draws and sums at most this many
+# (replica, event) pairs at a time, and holds its Poisson multiplicities in
+# blocks of at most this many, kept for the next call when one holds them all
 BOOT_BLOCK_ELEMENTS = 2 ** 16
 BOOT_CACHE_ELEMENTS = 2 ** 23
 BOOT_QUAD_POINTS = 16   # Gauss-Legendre nodes per bin of each basis integral
@@ -271,8 +271,10 @@ def corrected_covariance_cows(cows: Sequence[CowSet], data, hs_model: Density1D,
     Y = [(G[:nb, None, :] * (inv_e * d1)).reshape(-1, n).T[order] for _, nb, d1, _ in live]
     rows = max(1, BOOT_BLOCK_ELEMENTS // n_boot)  # events per chunk
     p = hs_model.n_params
-    parts = [_replica_scores(mult, order, bounds, fill, Y, B, widths, n_sig, rows, p)
-             for mult in _multiplicity_blocks(n, n_boot, boot_seed)]
+    blocks = (_poisson_blocks(n, n_boot, boot_seed) if n * n_boot > BOOT_CACHE_ELEMENTS
+              else [_multiplicities(n, n_boot, boot_seed)])
+    parts = [_replica_scores(X, order, bounds, fill, Y, B, widths, n_sig, rows, p)
+             for X in blocks]
     for (i, _, _, Hinv), scores in zip(live, map(np.concatenate, zip(*parts))):
         boot_kept = len(scores)
         if boot_kept < 2:
@@ -362,46 +364,38 @@ def _replica_scores(X: np.ndarray, order: np.ndarray, bounds: np.ndarray,
     return out
 
 
-def _poisson_rows(n: int, n_boot: int, seed: int):
-    """The (n_boot, n) Poisson(1) multiplicities of ``default_rng(seed)`` in
-    row blocks of at most BOOT_BLOCK_ELEMENTS; the blocks concatenate to the
-    stream of n_boot separate ``poisson(1.0, size=n)`` draws."""
+def _poisson_blocks(n: int, n_boot: int, seed: int):
+    """The stream of n_boot ``poisson(1.0, size=n)`` draws of
+    ``default_rng(seed)`` in the fewest read-only (n, r) blocks of at most
+    BOOT_CACHE_ELEMENTS (or of one replica), their widths r equal to within
+    one; drawn BOOT_BLOCK_ELEMENTS at a time, and stored event-major, so that
+    gathering the events of a bin copies whole rows, as uint8 unless a count
+    exceeds 255."""
     rng = np.random.default_rng(seed)
-    rows = max(1, BOOT_BLOCK_ELEMENTS // max(n, 1))
-    for r0 in range(0, n_boot, rows):
-        yield rng.poisson(1.0, size=(min(rows, n_boot - r0), n))
+    rows = max(1, BOOT_BLOCK_ELEMENTS // n)    # replicas per draw
+    cols = min(n, BOOT_BLOCK_ELEMENTS)         # events per draw
+    n_blocks = -(-n_boot // max(1, BOOT_CACHE_ELEMENTS // n))
+    width, wider = divmod(n_boot, n_blocks)
+    for b in range(n_blocks):
+        r = width + (b < wider)
+        block = np.empty((n, r), dtype=np.uint8)
+        for r0 in range(0, r, rows):
+            for e0 in range(0, n, cols):
+                draw = rng.poisson(1.0, size=(min(rows, r - r0), min(cols, n - e0)))
+                if draw.max() > np.iinfo(block.dtype).max:
+                    block = block.astype(np.int64)
+                block[e0:e0 + cols, r0:r0 + rows] = draw.T
+        block.flags.writeable = False
+        yield block
 
 
 @functools.lru_cache(maxsize=1)
 def _multiplicities(n: int, n_boot: int, seed: int) -> np.ndarray:
-    """All multiplicities of :func:`_poisson_rows` as one read-only
-    (n_boot, n) matrix.
-
+    """The one block of :func:`_poisson_blocks` that holds every replica.
     Every toy of an ensemble and every method of a toy bootstraps with the
-    same (n, n_boot, seed), so the draw is made once per process.  Stored
-    event-major (the result is the transpose of a C-contiguous (n, n_boot)
-    array), so that gathering the events of a bin copies whole rows, and as
-    uint8 unless a count exceeds 255.
-    """
-    out = np.empty((n, n_boot), dtype=np.uint8)
-    r0 = 0
-    for block in _poisson_rows(n, n_boot, seed):
-        if block.max() > np.iinfo(out.dtype).max:
-            out = out.astype(np.int64)
-        out[:, r0:r0 + len(block)] = block.T
-        r0 += len(block)
-    out.flags.writeable = False
-    return out.T
-
-
-def _multiplicity_blocks(n: int, n_boot: int, seed: int):
-    """Event-major (n, r) blocks of the bootstrap multiplicities: the whole
-    per-process cache when it is small, row blocks drawn afresh otherwise."""
-    if n * n_boot > BOOT_CACHE_ELEMENTS:
-        for block in _poisson_rows(n, n_boot, seed):
-            yield block.T
-        return
-    yield _multiplicities(n, n_boot, seed).T
+    same (n, n_boot, seed), so the draw is made once per process."""
+    block, = _poisson_blocks(n, n_boot, seed)
+    return block
 
 
 @dataclass

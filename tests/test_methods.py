@@ -283,6 +283,19 @@ def test_mixture_cow_with_a_proxy_rebuilds_once(count_builds):
     assert cow.spec.variance_fn.data["components"] == [gs, gb]
 
 
+def test_variance_cows_takes_a_mixture_of_one_basis():
+    # "mixture" goes through the one dispatch of every variance kind; its
+    # I(m) belongs to its basis, so nested bases share none
+    gs, gb, _, _ = simple_truth_densities()
+    ds = generate(PARITY_TOYS["simple"])
+    cow, = methods.variance_cows("mixture", [[gs, gb]], ds.data, None, 50, gs.support)
+    solo = variance_cow("mixture", [gs, gb], ds.data, None, 50, gs.support)
+    assert np.array_equal(cow.W, solo.W) and np.array_equal(cow.A, solo.A)
+    assert cow.spec.variance_fn.data["components"] == [gs, gb]
+    with pytest.raises(ValueError, match="single basis"):
+        methods.variance_cows("mixture", [[gs], [gs, gb]], ds.data, None, 50, gs.support)
+
+
 def test_qm_without_an_event_inside_the_support(recwarn):
     # every event above the support: an input error, not 0/0 bin contents
     gs, gb, _, _ = simple_truth_densities()

@@ -534,7 +534,7 @@ class TestBatchedBootstrap:
         one_block = run()
         monkeypatch.setattr(wcov, "BOOT_BLOCK_ELEMENTS", 7 * 500 + 3)
         cached = run()
-        monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 0)
+        monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 7 * 500)   # blocks of 7 replicas
         wcov._multiplicities.cache_clear()
         uncached = run()
         assert wcov._multiplicities.cache_info().currsize == 0
@@ -552,8 +552,40 @@ class TestBatchedBootstrap:
             mult[0, 0] = 1
         rng = np.random.default_rng(9)
         ref = np.stack([rng.poisson(1.0, size=300) for _ in range(40)])
-        assert np.array_equal(mult, ref)
+        assert np.array_equal(mult, ref.T)
         assert wcov._multiplicities(300, 40, 9) is mult
+
+    @pytest.mark.parametrize("draw", [300 * 3 + 7, 128])
+    def test_blocks_are_the_replica_stream(self, monkeypatch, draw):
+        # 40 replicas in the fewest blocks of at most 7 of them: six blocks of
+        # 7 or 6, each drawn 3 replicas, or 128 events of one, at a time
+        monkeypatch.setattr(wcov, "BOOT_BLOCK_ELEMENTS", draw)
+        monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 7 * 300 + 5)
+        blocks = list(wcov._poisson_blocks(300, 40, 9))
+        assert [b.shape for b in blocks] == [(300, 7)] * 4 + [(300, 6)] * 2
+        assert all(b.dtype == np.uint8 and not b.flags.writeable for b in blocks)
+        rng = np.random.default_rng(9)
+        ref = np.stack([rng.poisson(1.0, size=300) for _ in range(40)])
+        assert np.array_equal(np.concatenate(blocks, axis=1), ref.T)
+
+    def test_counts_above_255_are_kept(self, monkeypatch):
+        # a block holding a count that uint8 cannot is promoted to int64
+        real = np.random.default_rng
+
+        class Large:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def poisson(self, lam, size):
+                return self.rng.poisson(lam, size=size) * 100
+
+        monkeypatch.setattr(np.random, "default_rng", Large)
+        monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 7 * 300)
+        blocks = list(wcov._poisson_blocks(300, 40, 9))
+        assert all(b.dtype == np.int64 for b in blocks)
+        rng = real(9)
+        ref = np.stack([rng.poisson(1.0, size=300) for _ in range(40)]) * 100
+        assert np.array_equal(np.concatenate(blocks, axis=1), ref.T)
 
     def test_singular_replicas_skipped_like_the_loop(self, monkeypatch):
         # make the batched inverse fail, and every fifth replica's weight
@@ -669,18 +701,18 @@ class TestBootstrapLayout:
             cached = run()
             held_cached = tracemalloc.get_traced_memory()[0] - before
 
-            monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 0)
+            monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 7 * n)   # blocks of 7 replicas
             wcov._multiplicities.cache_clear()
             monkeypatch.setattr(wcov, "_multiplicities", None)
             drawn = []
-            poisson_rows = wcov._poisson_rows
+            poisson_blocks = wcov._poisson_blocks
 
-            def counted_rows(*args):
-                for block in poisson_rows(*args):
-                    drawn.append(len(block))
+            def counted_blocks(*args):
+                for block in poisson_blocks(*args):
+                    drawn.append(block.shape[1])
                     yield block
 
-            monkeypatch.setattr(wcov, "_poisson_rows", counted_rows)
+            monkeypatch.setattr(wcov, "_poisson_blocks", counted_blocks)
             before = tracemalloc.get_traced_memory()[0]
             uncached = run()
             held_uncached = tracemalloc.get_traced_memory()[0] - before
@@ -691,14 +723,18 @@ class TestBootstrapLayout:
         assert held_uncached < n * n_boot // 4
         assert np.array_equal(cached, uncached)
 
-    def test_memory_per_call_does_not_grow_with_n_times_n_boot(self):
+    @pytest.mark.parametrize("layout", ["cached", "streamed"])
+    def test_memory_per_call_does_not_grow_with_n_times_n_boot(self, monkeypatch, layout):
         # from 1000 to 8000 events the peak memory of a call grows by less
         # than one byte per (replica, event): no copy of the multiplicity
-        # matrix, let alone a float one, is made per call
+        # matrix, let alone a float one, is made per call, and the streamed
+        # layout holds one block of 7 replicas at a time
         n_boot = 400
         theta = np.array([TRUE_SLOPE])
         peaks = []
         for n in (1000, 8000):
+            if layout == "streamed":
+                monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 7 * n)
             ds, cow, hs = nonfact_hist_cow(n, 808, 3, 20)
             corrected_covariance_cow(cow, ds.data, hs, theta)
             tracemalloc.start()
@@ -709,6 +745,29 @@ class TestBootstrapLayout:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < (8000 - 1000) * n_boot
+
+    def test_streamed_blocks_hold_many_replicas(self, monkeypatch):
+        # with draws of fewer events than a sample and blocks of 50
+        # replicas, the bins are passed once per block, not once per replica
+        n = 500
+        ds, cow, hs = nonfact_hist_cow(n, 17, 3, 20)
+        theta = np.array([TRUE_SLOPE])
+        monkeypatch.setattr(wcov, "BOOT_BLOCK_ELEMENTS", 400)
+        monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 50 * n)
+        widths = []
+        replica_scores = wcov._replica_scores
+
+        def counted(X, *args):
+            widths.append(X.shape[1])
+            return replica_scores(X, *args)
+
+        monkeypatch.setattr(wcov, "_replica_scores", counted)
+        got = corrected_covariance_cow(cow, ds.data, hs, theta, boot_seed=11)
+        assert widths == [50] * 8
+        ref, kept = loop_bootstrap_covariance(cow, ds.data, hs, theta,
+                                              eff=ds.efficiency, boot_seed=11)
+        assert got.boot_kept == kept == 400
+        assert np.allclose(got.theta_block, ref, rtol=1e-10, atol=0.0)
 
     def test_boot_kept_counts_the_replicas_like_the_loop(self, monkeypatch):
         ds, cow, hs = nonfact_hist_cow(3, 4, 1, 4)
@@ -789,10 +848,12 @@ class TestFamilyPass:
     def test_family_is_solo_bit_for_bit(self, monkeypatch, layout):
         ds, cows, hs = nonfact_family(2000, 808, (1, 3, 5), 50)
         if layout.startswith("chunked"):
-            # 8 events per chunk of a bin, and 3 replica rows per fresh draw
+            # 8 events per chunk of a bin, and one replica per draw
             monkeypatch.setattr(wcov, "BOOT_BLOCK_ELEMENTS", 8 * 400 + 3)
         if layout.endswith("uncached"):
-            monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS", 0)
+            # blocks of 7 replicas (to within one), or chunked of one
+            monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS",
+                                0 if layout.startswith("chunked") else 7 * 2000)
             wcov._multiplicities.cache_clear()
         family = wcov.corrected_covariance_cows(cows, ds.data, hs, self.THETAS, boot_seed=5)
         for cow, theta, got in zip(cows, self.THETAS, family):
