@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e12
-GRAM_TOL = 1e-9       # absolute quadrature tolerance of each Gram matrix element
+GRAM_TOL = 1e-9       # quadrature tolerance of each Gram element, relative above 1
 FRACTION_TOL = 1e-8   # the fraction iteration stops once no fraction moves by more
 MIN_EFFICIENCY = 1e-6
 POSITIVITY_PROBE_POINTS = 2001
@@ -222,8 +222,8 @@ def from_upper(v, n: int) -> np.ndarray:
 def gram_matrix(basis: Sequence[Density1D], variance_fn: Density1D,
                 support: Interval) -> np.ndarray:
     """W_kl = integral over ``support`` of g_k g_l / I for the basis g and
-    the variance function I, split at the breakpoints of both, each to
-    ``GRAM_TOL``."""
+    the variance function I, on the panels between the breakpoints of both,
+    each to ``GRAM_TOL``."""
     pts = set(variance_fn.breakpoints()).union(*(g.breakpoints() for g in basis))
 
     # the upper triangle of W in one pass, each basis density once per node batch

@@ -70,13 +70,15 @@ class Interval:
 
 def integrate(f: Callable, iv: Interval, tol: float = 1e-9,
               points: Optional[Sequence[float]] = None):
-    """Adaptive Gauss-Kronrod integral of ``f`` over ``iv``.
+    """Integral of ``f`` over ``iv`` by the fixed Gauss-Legendre panel rule
+    of :func:`cowlib._quadrature.integrate`, on the panels between ``points``
+    (pass the :meth:`Density1D.breakpoints` of the densities in ``f``).
 
     A vector integrand, returning shape (k, len(x)), gives an array of k
-    integrals from one shared partition.  Deterministic for identical
-    inputs; raises
-    :class:`~cowlib.errors.IntegrationError` (carrying the best estimate) if
-    the absolute error target is not met.
+    integrals from the same nodes.  Deterministic for identical inputs;
+    raises :class:`~cowlib.errors.IntegrationError` (carrying the estimate)
+    if halving every panel moves an integral by more than
+    ``tol * max(1, |integral|)``.
     """
     return _integrate_raw(f, iv.lo, iv.hi, tol=tol, points=points)
 
@@ -292,18 +294,34 @@ class Density1D:
         return out
 
     def breakpoints(self) -> List[float]:
-        """Interior points where the density is non-smooth."""
+        """The interior points a quadrature panel must end at, so that no
+        panel misses a narrow peak: where the density is non-smooth, a
+        normal's mu + k sigma, and multiples of 1/|lam| from the steep end of
+        an exponential, or of a normal's tail when mu lies outside."""
         lo, hi = self.support.lo, self.support.hi
-        if self.kind == "uniform":
-            return [p for p in self.params if lo < p < hi]
-        if self.kind == "histogram":
-            return [e for e in self.data["edges"] if lo < e < hi]
-        if self.kind == "mixture":
-            pts: List[float] = []
-            for c in self.data["components"]:
-                pts.extend(c.breakpoints())
-            return sorted(set(pts))
-        return []
+        k, p = self.kind, self.params
+        pts: Sequence[float] = []
+        if k == "uniform":
+            pts = p
+        elif k == "histogram":
+            pts = self.data["edges"]
+        elif k == "normal":
+            mu, sigma = p
+            pts = np.append(mu + sigma * _NORMAL_PANEL_STEPS,
+                            self._steep_end((min(max(mu, lo), hi) - mu) / sigma ** 2))
+        elif k == "exponential":
+            pts = self._steep_end(p[0])
+        elif k == "mixture":
+            pts = [q for c in self.data["components"] for q in c.breakpoints()]
+        return sorted({float(q) for q in pts if lo < q < hi})
+
+    def _steep_end(self, lam: float) -> np.ndarray:
+        """Panel ends for a shape that falls like e^(-lam (x - lo)), from
+        the end it is steep at (none for lam = 0)."""
+        if lam == 0:
+            return np.empty(0)
+        steps = _EXPONENTIAL_PANEL_STEPS / abs(lam)
+        return self.support.lo + steps if lam > 0 else self.support.hi - steps
 
     def with_params(self, params) -> "Density1D":
         return Density1D(self.kind, params, self.support, self.data)
@@ -392,6 +410,10 @@ _SQRT_2PI = math.sqrt(2 * math.pi)
 # the data keys of each data-defined kind, in their serialized order
 _DATA_KEYS = {"histogram": ("edges", "contents", "sumw2"), "mixture": ("weights", "components")}
 _DIFFERENTIABLE_KINDS = ("normal", "exponential", "monomial")   # have dlogpdf, d2logpdf
+# quadrature panel ends, in sigmas from a normal's mean and in 1/|lam| from
+# an exponential's steep end
+_NORMAL_PANEL_STEPS = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
+_EXPONENTIAL_PANEL_STEPS = 2.0 ** np.arange(-1, 7)
 _SERIES_LIMIT = 0.05   # |lam W| below which the exponential moments are series
 
 

@@ -6,10 +6,10 @@ class CowlibError(Exception):
 
 
 class IntegrationError(CowlibError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """Quadrature did not resolve an integral to the requested tolerance.
 
-    Carries the best estimate obtained so far in ``estimate`` and the
-    estimated absolute error in ``error``.
+    Carries the estimate in ``estimate`` and its estimated absolute error
+    (what halving every panel moved it by) in ``error``.
     """
 
     def __init__(self, message, estimate, error):

@@ -26,10 +26,11 @@ __all__ = ["MAX_POLY_ORDER", "MethodSpec", "MethodWeights", "apply_method", "app
            "as_integer", "control_fit", "covariances", "fitted_basis", "method_families",
            "sweights_matrix", "variance_cow", "variance_cows"]
 
-# The highest monomial order of a cow basis: a cap on the W quadrature's cost
-# that lets an order-25 ensemble still fail in build_cow, not where W turns
-# ill-conditioned (a normal(0.5, 0.08) signal plus monomials, I = 1 on [0, 1],
-# is past cows.CONDITION_LIMIT from order 9: 5.3e12 at 9, 9.5e17 at 20).
+# The highest monomial order of a cow basis: a bound on the basis size a
+# config may ask for.  The orders below it whose W is past
+# cows.CONDITION_LIMIT (a normal(0.5, 0.08) signal plus monomials, I = 1 on
+# [0, 1], from order 9: 5.3e12 at 9, 9.5e17 at 20) fail in build_cow as
+# ill-conditioned; the quadrature of an order-30 W takes 2-10 ms.
 MAX_POLY_ORDER = 30
 
 

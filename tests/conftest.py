@@ -65,6 +65,18 @@ def sample_box_mixture(rng, n, z=0.5):
     return m
 
 
+def quad(f, iv, *densities):
+    """The integral of the vectorized ``f`` over the interval ``iv`` by
+    scipy's adaptive QUADPACK rule, split at the breakpoints of
+    ``densities``: an oracle independent of cowlib's own quadrature."""
+    # imported here, after cowlib has set one BLAS thread for scipy's BLAS too
+    import scipy.integrate
+    pts = sorted({p for d in densities for p in d.breakpoints()})
+    return scipy.integrate.quad(lambda x: float(f(np.array([x]))[0]), iv.lo, iv.hi,
+                                points=pts or None, epsabs=1e-12, epsrel=1e-12,
+                                limit=500)[0]
+
+
 def count_integrals(monkeypatch, module):
     """Wrap ``module.integrate``; returns one entry per call, each a list
     that gets one entry per integrand evaluation (the node batch size)."""

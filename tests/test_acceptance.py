@@ -13,7 +13,7 @@ from functools import partial
 from cowlib import (Density1D, FitResult, Interval, MixtureComponent, MixtureModel,
                     compute_W_variant_A, compute_W_variant_B,
                     compute_W_variant_C, fit_extended_ml, fit_weighted_ml,
-                    integrate, kendall_tau, make_density, monomial_basis,
+                    kendall_tau, make_density, monomial_basis,
                     weight_functions, yields_only_refit)
 from cowlib.cows import CowSpec, _mixture, build_cow
 from cowlib.sweights import WeightMatrix
@@ -23,7 +23,7 @@ from cowlib.toygen import (EnsembleConfig, MethodSpec, ToySpec,
 from cowlib.wcov import (QuasiScoreSpec, corrected_covariance_fixed_shapes,
                          corrected_covariance_full)
 
-from conftest import BOX_W, sample_box_mixture
+from conftest import BOX_W, quad, sample_box_mixture
 
 UNIT = Interval(0.0, 1.0)
 
@@ -82,7 +82,7 @@ def test_criterion_02_orthonormality_and_unit_sum():
     wfs_a = weight_functions(wm_a, [gs, gb])
     for i, wfn in enumerate((partial(wfs_a.w_k, 0), partial(wfs_a.w_k, 1))):
         for j, gfn in enumerate((gs, gb)):
-            val = integrate(lambda x: wfn(x) * gfn.pdf(x), UNIT, 1e-9)
+            val = quad(lambda x: wfn(x) * gfn.pdf(x), UNIT, gs, gb)
             assert val == pytest.approx(float(i == j), abs=1e-6)
     assert np.allclose(wfs_a.w_k(0, grid) + wfs_a.w_k(1, grid), 1.0, atol=1e-9)
 
@@ -119,8 +119,8 @@ def test_criterion_02_orthonormality_and_unit_sum():
         w = cow.weights(grid)
         for k, gk in enumerate(basis):
             for l, gl in enumerate(basis):
-                val = integrate(lambda x: cow.weights(x)[:, k] * gl.pdf(x),
-                                UNIT, 1e-9)
+                val = quad(lambda x: cow.weights(x)[:, k] * gl.pdf(x),
+                           UNIT, variance, *basis)
                 assert val == pytest.approx(float(k == l), abs=1e-6)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
 

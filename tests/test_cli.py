@@ -255,6 +255,28 @@ class TestHappyPaths:
         assert abs(res["t_fit"]["params"][0] - 2.0) < 5 * sigma
         assert res["sum_w"] == pytest.approx(res["m_fit"]["params"][0], rel=rtol)
 
+    @pytest.mark.parametrize("method", ["sweights-A", "sweights-B"])
+    def test_pipeline_narrow_peak(self, tmp_path, method):
+        # 1500 events of a normal(0.45, 0.007) peak on 3500 of exponential(1):
+        # variant A's quadrature W must see the peak as variant B's event sum does
+        u = np.random.default_rng(5).random((5000, 2))
+        m_iv, t_iv = Interval(0.0, 1.0), Interval(0.0, 3.0)
+        m = np.concatenate([Density1D("normal", [0.45, 0.007], m_iv).ppf(u[:1500, 0]),
+                            Density1D("exponential", [1.0], m_iv).ppf(u[1500:, 0])])
+        t = np.concatenate([Density1D("exponential", [2.0], t_iv).ppf(u[:1500, 1]),
+                            Density1D("uniform", [], t_iv).ppf(u[1500:, 1])])
+        data = tmp_path / "peak.csv"
+        cli.write_csv(str(data), ["m", "t"], np.column_stack([m, t]))
+        out = tmp_path / "s.json"
+        model = {"support": [0.0, 1.0], "yields": [1500.0, 3500.0],
+                 "components": [{"kind": "normal", "params": [0.45, 0.007], "label": "s"},
+                                GB_CFG]}
+        cfg = {"data": str(data), "model": model, "method": method,
+               "control_model": CONTROL_CFG, "out_summary": str(out)}
+        assert cli.main(["pipeline", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
+        res = json.loads(out.read_text())
+        assert res["sum_w"] == pytest.approx(res["m_fit"]["params"][0], rel=1e-9)
+
     def test_cow(self, tmp_path, data_csv):
         ssum = tmp_path / "cow.json"
         cfg = write_cfg(tmp_path, "c.json",

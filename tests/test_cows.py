@@ -9,18 +9,19 @@ import pytest
 from cowlib import (ConstructionError, Density1D, EfficiencyMap,
                     EvaluationError, IllConditionedBasisError, Interval,
                     MixtureComponent, MixtureModel, fit_extended_ml,
-                    histogram_density, integrate, monomial_basis)
+                    histogram_density, make_density, monomial_basis)
 from cowlib import cows
 from cowlib.cows import (CowSet, CowSpec, _mixture, build_cow,
                          efficiency_corrected_weights, estimate_fractions,
                          variance_fn_ml_iterative, variance_fn_qm)
 from cowlib.densities import floor_empty_bins
+from cowlib.methods import MAX_POLY_ORDER
 from cowlib.sweights import compute_W_variant_A, weight_functions
 from cowlib.wcov import corrected_covariance_cow
 from cowlib.toygen import (ToySpec, generate_nonfactorising, generate_simple,
                            simple_truth_densities)
 
-from conftest import count_integrals, count_pdf_calls, with_efficiency
+from conftest import count_integrals, count_pdf_calls, quad, with_efficiency
 
 HALF_EFF = EfficiencyMap.from_function(
     lambda m, t: np.full(np.broadcast(m, t).shape, 0.5))
@@ -60,8 +61,8 @@ class TestBuildCow:
                                 support=unit_interval))
         for k in range(3):
             for l in range(3):
-                val = integrate(lambda x, k=k: cow.w_k(k, x) * basis[l].pdf(x),
-                                unit_interval, 1e-10)
+                val = quad(lambda x, k=k: cow.w_k(k, x) * basis[l].pdf(x),
+                           unit_interval, *basis)
                 assert val == pytest.approx(float(k == l), abs=1e-8)
 
     def test_inverse_identity(self, unit_interval):
@@ -83,6 +84,18 @@ class TestBuildCow:
         with pytest.raises(IllConditionedBasisError):
             build_cow(CowSpec(basis=[gs, gs, gb], variance_fn=unity(unit_interval),
                               support=unit_interval))
+
+    @pytest.mark.parametrize("variance", ["unity", "qm"])
+    def test_high_orders_fail_as_ill_conditioned(self, unit_interval, variance):
+        # up to MAX_POLY_ORDER the quadrature resolves W, and its condition
+        # number is what rejects it
+        gs, _, _, _ = simple_truth_densities()
+        var = (unity(unit_interval) if variance == "unity" else histogram_density(
+            np.random.default_rng(1).random(2000), None, 50, unit_interval))
+        for order in range(20, MAX_POLY_ORDER + 1):
+            with pytest.raises(IllConditionedBasisError, match="condition number"):
+                build_cow(CowSpec(basis=[gs] + monomial_basis(order + 1, unit_interval),
+                                  variance_fn=var, support=unit_interval))
 
     @pytest.mark.parametrize("W", [np.diag([1.0, -1.0]), np.array([[1.0, 0.5], [0.5, np.nan]])],
                              ids=["indefinite", "nan"])
@@ -127,13 +140,11 @@ class TestBuildCow:
         basis = [gs] + monomial_basis(3, unit_interval)
         cow = build_cow(CowSpec(basis=basis, variance_fn=unity(unit_interval),
                                 support=unit_interval, signal_proxy=proxy))
-        pts = proxy.breakpoints()
-        val = integrate(lambda x: cow.w_k(0, x) * proxy.pdf(x), unit_interval,
-                        1e-9, points=pts)
+        val = quad(lambda x: cow.w_k(0, x) * proxy.pdf(x), unit_interval, proxy, *basis)
         assert val == pytest.approx(1.0, abs=1e-7)
         for l in range(1, 4):
-            val = integrate(lambda x, l=l: cow.w_k(0, x) * basis[l].pdf(x),
-                            unit_interval, 1e-9, points=pts)
+            val = quad(lambda x, l=l: cow.w_k(0, x) * basis[l].pdf(x),
+                       unit_interval, proxy, *basis)
             assert val == pytest.approx(0.0, abs=1e-7)
 
     @pytest.mark.parametrize("variance", ["mixture", "histogram"])
@@ -189,6 +200,39 @@ class TestBuildCow:
         calls = count_pdf_calls(monkeypatch)
         cow.weights(ds.m)
         assert calls == [gs, gb]
+
+
+class TestNarrowPeak:
+    """A normal peak much narrower than the support: the Gram matrix's
+    panels end at its mu + k sigma, so no peak falls between the nodes."""
+
+    SIGMA = 0.007
+
+    def test_gram_matrix_meets_the_closed_form(self, unit_interval):
+        peak = make_density("normal", [0.45, self.SIGMA], unit_interval)
+        W = cows.gram_matrix([peak], unity(unit_interval), unit_interval)
+        assert W[0, 0] == pytest.approx(1.0 / (2.0 * np.sqrt(np.pi) * self.SIGMA), rel=1e-12)
+
+    def test_one_element_cow_weight(self, unit_interval):
+        # w = g / W with W = 1 / (2 sqrt(pi) sigma): sqrt(2) at the mean
+        peak = make_density("normal", [0.45, self.SIGMA], unit_interval)
+        cow = build_cow(CowSpec(basis=[peak], variance_fn=unity(unit_interval),
+                                support=unit_interval))
+        assert cow.w_k(0, np.array([0.45]))[0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("variance", ["unity", "mixture"])
+    @pytest.mark.parametrize("mu", [0.05, 0.3, 0.45, 0.55, 0.95])
+    @pytest.mark.parametrize("sigma", [7e-3, 1e-3, 1e-4, 1e-5])
+    def test_scan_matches_an_independent_rule(self, unit_interval, sigma, mu, variance):
+        basis = [make_density("normal", [mu, sigma], unit_interval),
+                 make_density("exponential", [1.0], unit_interval)]
+        var = unity(unit_interval) if variance == "unity" else _mixture([0.2, 0.8], basis)
+        W = cows.gram_matrix(basis, var, unit_interval)
+        for k in range(2):
+            for l in range(k, 2):
+                ref = quad(lambda x: basis[k].pdf(x) * basis[l].pdf(x) / var.pdf(x),
+                           unit_interval, var, *basis)
+                assert W[k, l] == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
 class TestVarianceFunctions:

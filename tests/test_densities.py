@@ -75,67 +75,66 @@ class TestIntegrate:
         assert a == b
 
     def test_failure_carries_estimate(self):
-        # below the machine-precision error floor the target cannot be met;
-        # the exception must still carry the best estimate
-        with pytest.raises(IntegrationError) as exc:
-            integrate(np.exp, Interval(0.0, 1.0), 1e-300)
-        assert exc.value.estimate == pytest.approx(math.e - 1.0, rel=1e-12)
-        assert exc.value.error >= 0
+        # sqrt's derivative is unbounded at 0: halving the one panel moves the
+        # estimate by more than tol, and the move bounds the estimate's error
+        with pytest.raises(IntegrationError, match="unresolved") as exc:
+            integrate(np.sqrt, Interval(0.0, 1.0), 1e-9)
+        assert 0 < abs(exc.value.estimate - 2.0 / 3.0) <= exc.value.error < 1e-4
 
 
-class TestIntegrateErrorFloor:
-    """A tol below the error floor (1e-15 of the summed |integral|) raises
-    once the estimates are good enough to show it, not after the whole
-    subdivision budget."""
+class TestPanelRule:
+    """One Gauss-Legendre rule on the panels between the densities'
+    breakpoints, checked against the same rule on every panel halved."""
 
-    @staticmethod
-    def counted(f):
-        calls = []
+    def test_narrow_peak_resolved_on_its_points(self, unit_interval):
+        # without points no node lands near the peak; with its own points
+        # its integral, and that of its square, meet the closed forms
+        d = make_density("normal", [0.45, 1e-5], unit_interval)
+        assert integrate(d.pdf, unit_interval, 1e-9) < 1e-100
+        assert integrate(d.pdf, unit_interval, 1e-9, points=d.breakpoints()) == \
+            pytest.approx(1.0, rel=1e-12)
+        sq = integrate(lambda x: d.pdf(x) ** 2, unit_interval, 1e-9, points=d.breakpoints())
+        assert sq == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi) * 1e-5), rel=1e-12)
 
-        def g(x):
-            calls.append(len(x))
-            return f(x)
+    def test_tol_is_absolute_up_to_one_and_relative_above(self, unit_interval):
+        # halving the one panel moves the integral of a normal(0.5, 0.15)
+        # by 2.8e-12 of it: 8.5e-8 at 3e4 times its pdf, 2.8e-15 at 1e-3
+        d = make_density("normal", [0.5, 0.15], unit_interval)
+        assert integrate(lambda x: 3e4 * d.pdf(x), unit_interval, 1e-11) == \
+            pytest.approx(3e4, rel=1e-14)
+        assert integrate(lambda x: 1e-3 * d.pdf(x), unit_interval, 1e-14) == \
+            pytest.approx(1e-3, rel=1e-14)
+        with pytest.raises(IntegrationError, match="unresolved"):
+            integrate(d.pdf, unit_interval, 1e-12)
 
-        return g, calls
+    @pytest.mark.parametrize("mu", [0.05, 0.45, 0.951])
+    def test_normal_points(self, unit_interval, mu):
+        d = make_density("normal", [mu, 0.007], unit_interval)
+        k = np.array([-8, -4, -2, -1, 0, 1, 2, 4, 8])
+        assert d.breakpoints() == sorted(p for p in (mu + 0.007 * k).tolist() if 0 < p < 1)
 
-    def test_smooth_integrand_raises_at_once(self):
-        from cowlib._quadrature import integrate as raw_integrate
-        f, calls = self.counted(np.exp)
-        with pytest.raises(IntegrationError) as exc:
-            raw_integrate(f, 0.0, 1.0, 1e-300)
-        assert len(calls) == 1
-        assert exc.value.estimate == pytest.approx(math.e - 1.0, rel=1e-12)
+    def test_exponential_points_start_at_the_steep_end(self):
+        iv = Interval(1.0, 4.0)
+        steps = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        assert Density1D("exponential", [200.0], iv).breakpoints() == \
+            [1.0 + j / 200.0 for j in steps]
+        assert Density1D("exponential", [-200.0], iv).breakpoints() == \
+            sorted(4.0 - j / 200.0 for j in steps)
+        assert Density1D("exponential", [1.0], iv).breakpoints() == [1.5, 2.0, 3.0]
+        assert Density1D("exponential", [0.0], iv).breakpoints() == []
 
-    def test_vector_integrand_raises_at_once(self):
-        from cowlib._quadrature import integrate as raw_integrate
-        f, calls = self.counted(lambda x: np.stack([np.exp(x), x]))
-        with pytest.raises(IntegrationError) as exc:
-            raw_integrate(f, 0.0, 1.0, 1e-300)
-        assert len(calls) == 1
-        assert exc.value.estimate == pytest.approx([math.e - 1.0, 0.5], rel=1e-12)
-
-    def test_unresolved_peak_is_refined_before_raising(self):
-        # the first rule misses most of a narrow peak; its floor only shows
-        # once some splits have found the peak, far inside the budget
-        from cowlib._quadrature import MAX_SUBDIVISIONS
-        from cowlib._quadrature import integrate as raw_integrate
-        peak = lambda x: np.exp(-0.5 * ((x - 0.3) / 1e-3) ** 2) / (1e-3 * math.sqrt(2 * math.pi))
-        f, calls = self.counted(peak)
-        with pytest.raises(IntegrationError) as exc:
-            raw_integrate(f, 0.0, 1.0, 1e-17)
-        assert 1 < len(calls) < MAX_SUBDIVISIONS // 100
-        assert abs(exc.value.estimate - 1.0) <= exc.value.error
-
-    def test_target_just_above_the_floor_still_met(self):
-        from cowlib._quadrature import integrate as raw_integrate
-        peak = lambda x: np.exp(-0.5 * ((x - 0.3) / 1e-3) ** 2) / (1e-3 * math.sqrt(2 * math.pi))
-        assert raw_integrate(peak, 0.0, 1.0, 1e-13) == pytest.approx(1.0, abs=1e-13)
-        assert raw_integrate(np.exp, 0.0, 1.0, 1e-14) == pytest.approx(math.e - 1.0,
-                                                                       abs=1e-14)
+    def test_normal_tail_points_from_the_nearer_end(self, unit_interval):
+        # normal(-1, 0.1) falls from m = 0 like e^(-100 m)
+        d = make_density("normal", [-1.0, 0.1], unit_interval)
+        assert d.breakpoints() == pytest.approx([j / 100.0 for j in
+                                                 (0.5, 1, 2, 4, 8, 16, 32, 64)], rel=1e-12)
+        m = make_density("normal", [2.0, 0.1], unit_interval)
+        assert m.breakpoints() == pytest.approx(sorted(1.0 - p for p in d.breakpoints()),
+                                                rel=1e-12)
 
 
 class TestVectorIntegrate:
-    """k integrals on one shared adaptive partition."""
+    """k integrals from the same nodes, each checked."""
 
     def test_agrees_with_scalar_calls(self, unit_interval):
         # the cow basis at polynomial order 5 with a 50-bin histogram
@@ -159,26 +158,13 @@ class TestVectorIntegrate:
                             unit_interval, tol, points=pts)
             assert abs(got[e] - ref) <= tol
 
-    def test_every_element_meets_tol(self, unit_interval):
-        # an easy element first and a narrow peak after it: the partition
-        # must keep refining for the peak after the easy element has converged
-        peak = make_density("normal", [0.37, 0.02], unit_interval)
-        batches = {"vector": 0, "peak": 0}
-
-        def f(x):
-            batches["vector"] += 1
-            return np.stack([np.ones_like(x), peak.pdf(x), 2.0 * x])
-
-        def g(x):
-            batches["peak"] += 1
-            return peak.pdf(x)
-
-        val = integrate(f, unit_interval, 1e-10)
-        assert np.all(np.abs(val - 1.0) <= 1e-10)
-        # only the element over tol drives the splits: the same partition
-        # as the peak alone
-        assert abs(integrate(g, unit_interval, 1e-10) - val[1]) <= 1e-15
-        assert batches["vector"] == batches["peak"] > 1
+    def test_every_element_is_checked(self, unit_interval):
+        # two resolved elements before an unresolved one: the error names it
+        with pytest.raises(IntegrationError, match="element 2 ") as exc:
+            integrate(lambda x: np.stack([np.ones_like(x), 2.0 * x, np.sqrt(x)]),
+                      unit_interval, 1e-9)
+        assert exc.value.estimate[:2] == pytest.approx([1.0, 1.0], rel=1e-14)
+        assert exc.value.error[2] > 1e-9
 
     def test_result_types(self, unit_interval):
         scalar = integrate(lambda x: 2.0 * x, unit_interval, 1e-10)
@@ -189,11 +175,12 @@ class TestVectorIntegrate:
 
     @pytest.mark.parametrize("f, shape", [
         (lambda x: 1.0, "()"),
-        (lambda x: np.ones((2, len(x) - 1)), "(2, 14)"),
-        (lambda x: np.ones((2, 3, len(x))), "(2, 3, 15)"),
+        (lambda x: np.ones((2, len(x) - 1)), "(2, 47)"),
+        (lambda x: np.ones((2, 3, len(x))), "(2, 3, 48)"),
     ], ids=["scalar", "short-rows", "3-d"])
     def test_wrong_shape_names_it(self, unit_interval, f, shape):
-        with pytest.raises(ValueError, match=re.escape(f"returned shape {shape} for 15 nodes")):
+        # one panel: 16 nodes on it and 32 on its halves
+        with pytest.raises(ValueError, match=re.escape(f"returned shape {shape} for 48 nodes")):
             integrate(f, unit_interval, 1e-10)
 
     def test_integrand_error_reaches_the_caller(self, unit_interval):
@@ -206,17 +193,14 @@ class TestVectorIntegrate:
 
         with pytest.raises(TypeError, match="only scalars accepted"):
             integrate(f, unit_interval, 1e-10)
-        assert len(calls) == 1 and np.shape(calls[0]) == (15,)
+        assert len(calls) == 1 and np.shape(calls[0]) == (48,)
 
-    def test_failure_carries_array_estimate(self, monkeypatch):
-        import cowlib._quadrature as quadrature
-        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 40)
+    def test_failure_carries_array_estimate(self):
         with pytest.raises(IntegrationError) as exc:
-            integrate(lambda x: np.stack([np.exp(x), 2.0 * x]),
-                      Interval(0.0, 1.0), 1e-300)
+            integrate(lambda x: np.stack([np.sqrt(x), 2.0 * x]), Interval(0.0, 1.0), 1e-9)
         est, err = exc.value.estimate, exc.value.error
         assert isinstance(est, np.ndarray) and est.shape == (2,)
-        assert np.allclose(est, [math.e - 1.0, 1.0], rtol=1e-12)
+        assert np.allclose(est, [2.0 / 3.0, 1.0], rtol=1e-4)
         assert isinstance(err, np.ndarray) and np.all(err >= 0)
 
     def test_nonfinite_element_names_point(self, unit_interval):
@@ -316,7 +300,7 @@ class TestMakeDensity:
     ])
     def test_unit_normalization(self, kind, params, unit_interval):
         d = make_density(kind, params, unit_interval)
-        total = integrate(d.pdf, unit_interval, 1e-9)
+        total = integrate(d.pdf, unit_interval, 1e-9, points=d.breakpoints())
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_outside_support(self, unit_interval):
@@ -360,7 +344,9 @@ class TestMakeDensity:
         assert d2.to_dict() == spec
         x = np.linspace(0, 1, 31)
         assert np.array_equal(d.pdf(x), d2.pdf(x))
-        assert d2.breakpoints() == [0.5]
+        # the histogram's edge and the normal's mu + k sigma
+        assert d2.breakpoints() == d.breakpoints() == sorted(
+            {0.5, *make_density("normal", [0.5, 0.1], unit_interval).breakpoints()})
 
     @pytest.mark.parametrize("mu,sigma", [(-1.0, 0.1), (-0.2, 0.1), (-2.0, 0.1),
                                           (-0.05, 0.3)])
@@ -371,7 +357,8 @@ class TestMakeDensity:
         m = make_density("normal", [1.0 - mu, sigma], unit_interval)
         x = np.linspace(0.0, 0.05, 11)
         assert np.allclose(d.pdf(x), m.pdf(1.0 - x), rtol=1e-9, atol=0.0)
-        assert integrate(d.pdf, unit_interval, 1e-9) == pytest.approx(1.0, abs=1e-8)
+        assert integrate(d.pdf, unit_interval, 1e-9,
+                         points=d.breakpoints()) == pytest.approx(1.0, abs=1e-8)
         u = np.array([0.0, 1e-12, 0.1, 0.5, 0.9, 1.0 - 1e-12, 1.0])
         lower, upper = d.ppf(u), m.ppf(1.0 - u)
         assert np.allclose(lower, 1.0 - upper, rtol=0.0, atol=1e-12)
@@ -660,10 +647,12 @@ class TestClosedFormDerivatives:
         from cowlib.densities import _exponential_variance
         iv = Interval(1.0, 4.0)
         h = Density1D("exponential", [lam], iv)
-        q1, q0 = integrate(lambda x: np.stack([x * h.pdf(x), h.pdf(x)]), iv, tol=1e-14)
+        q1, q0 = integrate(lambda x: np.stack([x * h.pdf(x), h.pdf(x)]), iv, tol=1e-14,
+                           points=h.breakpoints())
         mean = q1 / q0   # the central moment does not cancel
         tol = 1e-13 * q0 * min(1.0, lam ** -2 if lam else 1.0)   # Var < 1/lam^2
-        expected = integrate(lambda x: (x - mean) ** 2 * h.pdf(x), iv, tol=tol) / q0
+        expected = integrate(lambda x: (x - mean) ** 2 * h.pdf(x), iv, tol=tol,
+                             points=h.breakpoints()) / q0
         assert _exponential_variance(lam, iv.width) == pytest.approx(expected, rel=2e-12, abs=0)
 
     @pytest.mark.parametrize("k", [2.5, 1.7, 30.0])

@@ -361,7 +361,8 @@ class TestExponentialRoot:
         # the quadrature of t h(t) is divided by that of h, so the rounding
         # of the density's own normalization near lam = 0 cancels
         h = Density1D("exponential", [lam], self.IV)
-        q1, q0 = integrate(lambda x: np.stack([x * h.pdf(x), h.pdf(x)]), self.IV, tol=1e-14)
+        q1, q0 = integrate(lambda x: np.stack([x * h.pdf(x), h.pdf(x)]), self.IV, tol=1e-14,
+                           points=h.breakpoints())
         expected = q1 / q0 - self.IV.lo
         assert mlfit._exponential_mean(lam, self.IV.width) == pytest.approx(expected, rel=1e-12, abs=0)
 

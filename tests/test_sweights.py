@@ -17,7 +17,7 @@ from cowlib.cows import _mixture
 from cowlib.sweights import WeightMatrix
 from cowlib.toygen import ToySpec, generate_simple, simple_truth_densities
 
-from conftest import count_integrals, count_pdf_calls, sample_box_mixture
+from conftest import count_integrals, count_pdf_calls, quad, sample_box_mixture
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +268,7 @@ class TestWeightFunctions:
         for (wx, gy), expected in pairs.items():
             wfn = partial(wfs.w_k, 0 if wx == "s" else 1)
             gfn = gs if gy == "s" else gb
-            val = integrate(lambda x: wfn(x) * gfn.pdf(x), unit_interval, 1e-9)
+            val = quad(lambda x: wfn(x) * gfn.pdf(x), unit_interval, gs, gb)
             assert val == pytest.approx(expected, abs=1e-8)
 
     def test_orthonormality_empirical_measure(self, toy_fit):
@@ -420,8 +420,12 @@ def reference_W(variant, gs, gb, z, m, fit):
             s, b = gs.pdf(x), gb.pdf(x)
             den = z * s + (1.0 - z) * b
             return np.stack([s * s, s * b, b * b]) / den
-        ss, sb, bb = integrate(f, gs.support, 1e-9,
-                               points=sorted(set(gs.breakpoints()) | set(gb.breakpoints())))
+        ss, sb, bb = upper = integrate(f, gs.support, 1e-9,
+                                       points=sorted(set(gs.breakpoints()) | set(gb.breakpoints())))
+        # the same integrals by an independent rule, to the quadrature's tol
+        for e, got in enumerate(upper):
+            assert got == pytest.approx(quad(lambda x: f(x)[e], gs.support, gs, gb),
+                                        rel=1e-9, abs=1e-9)
         W = np.array([[ss, sb], [sb, bb]])
     elif variant == "B":
         s, b = gs.pdf(m), gb.pdf(m)
@@ -516,4 +520,8 @@ class TestClosedFormReference:
                                                       points=sorted(pts))
             A = cho_solve(cho_factor(W), np.eye(n))
             assert np.array_equal(cow.W, W)
+            # the same integrals by an independent rule, to the quadrature's tol
+            for e, got in enumerate(W[rows, cols]):
+                assert got == pytest.approx(quad(lambda x: f(x)[e], unit_interval, var, *basis),
+                                            rel=1e-9, abs=1e-9)
             assert np.array_equal(cow.A, 0.5 * (A + A.T))

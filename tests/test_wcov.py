@@ -846,20 +846,36 @@ class TestFamilyPass:
 
     @pytest.mark.parametrize("layout", ["cached", "uncached", "chunked", "chunked-uncached"])
     def test_family_is_solo_bit_for_bit(self, monkeypatch, layout):
-        ds, cows, hs = nonfact_family(2000, 808, (1, 3, 5), 50)
+        # one-replica blocks make a pass over the bins per replica: a smaller
+        # sample and fewer replicas
+        n, bins, n_boot = (500, 20, 100) if layout == "chunked-uncached" else (2000, 50, 400)
+        ds, cows, hs = nonfact_family(n, 808, (1, 3, 5), bins)
         if layout.startswith("chunked"):
-            # 8 events per chunk of a bin, and one replica per draw
-            monkeypatch.setattr(wcov, "BOOT_BLOCK_ELEMENTS", 8 * 400 + 3)
+            # 8 events per chunk of a bin
+            monkeypatch.setattr(wcov, "BOOT_BLOCK_ELEMENTS", 8 * n_boot + 3)
         if layout.endswith("uncached"):
             # blocks of 7 replicas (to within one), or chunked of one
             monkeypatch.setattr(wcov, "BOOT_CACHE_ELEMENTS",
-                                0 if layout.startswith("chunked") else 7 * 2000)
+                                0 if layout.startswith("chunked") else 7 * n)
             wcov._multiplicities.cache_clear()
-        family = wcov.corrected_covariance_cows(cows, ds.data, hs, self.THETAS, boot_seed=5)
+        widths = []
+        replica_scores = wcov._replica_scores
+
+        def counted(X, *args):
+            widths.append(X.shape[1])
+            return replica_scores(X, *args)
+
+        monkeypatch.setattr(wcov, "_replica_scores", counted)
+        family = wcov.corrected_covariance_cows(cows, ds.data, hs, self.THETAS,
+                                                n_boot=n_boot, boot_seed=5)
+        # the replicas in the blocks of the layout
+        assert sum(widths) == n_boot
+        assert max(widths) == {"cached": 400, "chunked": 400, "uncached": 7,
+                               "chunked-uncached": 1}[layout]
         for cow, theta, got in zip(cows, self.THETAS, family):
-            assert got.boot_kept == 400
+            assert got.boot_kept == n_boot
             assert_same_covariance(got, corrected_covariance_cow(cow, ds.data, hs, theta,
-                                                                 boot_seed=5))
+                                                                 n_boot=n_boot, boot_seed=5))
         if layout.endswith("uncached"):
             assert wcov._multiplicities.cache_info().currsize == 0
 
