@@ -1,10 +1,9 @@
 """Fixed-panel Gauss-Legendre quadrature with vectorized integrand evaluation.
 
-The integrand is evaluated on whole arrays of abscissae at once, which makes
-the rule fast for numpy-vectorized densities.  A vector integrand (k rows
-of values) gets k integrals from the same nodes, so each density in it is
-evaluated once per node.  The panels come from the caller, who knows where
-the integrand changes: :meth:`cowlib.densities.Density1D.breakpoints`.
+The integrand is evaluated on whole arrays of nodes at once, and a vector
+integrand (k rows of values) gets k integrals from the same nodes.  The
+panels come from the caller, who knows where the integrand changes:
+:meth:`cowlib.densities.Density1D.breakpoints`.
 """
 
 from __future__ import annotations
@@ -32,13 +31,8 @@ def gauss_legendre(n: int):
     return x, w
 
 
-def integrate(
-    f: Callable,
-    lo: float,
-    hi: float,
-    tol: float = 1e-9,
-    points: Optional[Iterable[float]] = None,
-) -> Union[float, np.ndarray]:
+def integrate(f: Callable, lo: float, hi: float, tol: float = 1e-9,
+              points: Optional[Iterable[float]] = None) -> Union[float, np.ndarray]:
     """Integrate ``f`` over [lo, hi] by the 16-node Gauss-Legendre rule on
     the panels between lo, the ``points`` inside (lo, hi), and hi.
 
@@ -50,6 +44,10 @@ def integrate(
     one value per node, or an array of shape (k, len(x)) for a vector
     integrand; then each of the k integrals must pass the check, and the
     result is an array of k values (a float for a scalar integrand).
+
+    The check cannot see a feature narrower than a panel that no node lands
+    near: it is missed, not reported.  So pass in ``points`` every place where
+    the integrand changes; without them the one panel is [lo, hi].
 
     Raises
     ------

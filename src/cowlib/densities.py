@@ -70,15 +70,15 @@ class Interval:
 
 def integrate(f: Callable, iv: Interval, tol: float = 1e-9,
               points: Optional[Sequence[float]] = None):
-    """Integral of ``f`` over ``iv`` by the fixed Gauss-Legendre panel rule
-    of :func:`cowlib._quadrature.integrate`, on the panels between ``points``
-    (pass the :meth:`Density1D.breakpoints` of the densities in ``f``).
-
-    A vector integrand, returning shape (k, len(x)), gives an array of k
-    integrals from the same nodes.  Deterministic for identical inputs;
-    raises :class:`~cowlib.errors.IntegrationError` (carrying the estimate)
-    if halving every panel moves an integral by more than
-    ``tol * max(1, |integral|)``.
+    """Integral of ``f`` over ``iv`` by :func:`cowlib._quadrature.integrate`:
+    the fixed Gauss-Legendre rule on the panels between ``points``, checked
+    against every panel halved (an :class:`~cowlib.errors.IntegrationError`,
+    carrying the estimate, if that moves an integral by more than
+    ``tol * max(1, |integral|)``).  A vector integrand, returning shape
+    (k, len(x)), gives k integrals from the same nodes.  The check cannot see
+    a feature narrower than a panel that no node lands near, so pass the
+    :meth:`Density1D.breakpoints` of the densities in ``f``: without
+    ``points``, a narrow peak in ``iv`` may integrate to 0 with no error.
     """
     return _integrate_raw(f, iv.lo, iv.hi, tol=tol, points=points)
 
@@ -296,8 +296,9 @@ class Density1D:
     def breakpoints(self) -> List[float]:
         """The interior points a quadrature panel must end at, so that no
         panel misses a narrow peak: where the density is non-smooth, a
-        normal's mu + k sigma, and multiples of 1/|lam| from the steep end of
-        an exponential, or of a normal's tail when mu lies outside."""
+        normal's mu + k sigma, multiples of 1/|lam| from the steep end of an
+        exponential (or a normal's tail when mu lies outside), and panels
+        halving toward lo for a monomial of non-integer degree."""
         lo, hi = self.support.lo, self.support.hi
         k, p = self.kind, self.params
         pts: Sequence[float] = []
@@ -311,6 +312,8 @@ class Density1D:
                             self._steep_end((min(max(mu, lo), hi) - mu) / sigma ** 2))
         elif k == "exponential":
             pts = self._steep_end(p[0])
+        elif k == "monomial" and p[0] % 1:
+            pts = lo + (hi - lo) * _MONOMIAL_PANEL_STEPS
         elif k == "mixture":
             pts = [q for c in self.data["components"] for q in c.breakpoints()]
         return sorted({float(q) for q in pts if lo < q < hi})
@@ -410,10 +413,11 @@ _SQRT_2PI = math.sqrt(2 * math.pi)
 # the data keys of each data-defined kind, in their serialized order
 _DATA_KEYS = {"histogram": ("edges", "contents", "sumw2"), "mixture": ("weights", "components")}
 _DIFFERENTIABLE_KINDS = ("normal", "exponential", "monomial")   # have dlogpdf, d2logpdf
-# quadrature panel ends, in sigmas from a normal's mean and in 1/|lam| from
-# an exponential's steep end
+# quadrature panel ends, in sigmas from a normal's mean, in 1/|lam| from an
+# exponential's steep end and in widths from a monomial's lower end
 _NORMAL_PANEL_STEPS = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
 _EXPONENTIAL_PANEL_STEPS = 2.0 ** np.arange(-1, 7)
+_MONOMIAL_PANEL_STEPS = 2.0 ** -np.arange(1, 51)
 _SERIES_LIMIT = 0.05   # |lam W| below which the exponential moments are series
 
 

@@ -235,6 +235,30 @@ class TestNarrowPeak:
                 assert W[k, l] == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
+class TestNonIntegerMonomial:
+    """A monomial of non-integer degree k: u^(k-1) has an unbounded
+    derivative at lo, so its panels halve toward lo."""
+
+    def test_with_a_uniform(self, unit_interval):
+        basis = [unity(unit_interval), make_density("monomial", [1.5], unit_interval)]
+        W = cows.gram_matrix(basis, unity(unit_interval), unit_interval)
+        np.testing.assert_allclose(W, [[1.0, 1.0], [1.0, 1.125]], rtol=1e-12)
+
+    @pytest.mark.parametrize("variance", ["unity", "mixture"])
+    @pytest.mark.parametrize("degree", [1.01, 1.5, 2.5, 7.3])
+    def test_matches_an_independent_rule(self, unit_interval, degree, variance):
+        basis = [make_density("normal", [0.45, 0.05], unit_interval),
+                 make_density("monomial", [degree], unit_interval),
+                 make_density("monomial", [1.0], unit_interval),
+                 make_density("monomial", [2.0], unit_interval)]
+        var = unity(unit_interval) if variance == "unity" else _mixture([0.3, 0.7], basis[:2])
+        W = cows.gram_matrix(basis, var, unit_interval)
+        for l in range(4):   # the row of the monomial of non-integer degree
+            ref = quad(lambda x: basis[1].pdf(x) * basis[l].pdf(x) / var.pdf(x),
+                       unit_interval, var, *basis)
+            assert W[1, l] == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
 class TestVarianceFunctions:
     def test_mixture_variance_validation(self):
         gs, gb, _, _ = simple_truth_densities()

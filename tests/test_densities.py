@@ -87,7 +87,8 @@ class TestPanelRule:
     breakpoints, checked against the same rule on every panel halved."""
 
     def test_narrow_peak_resolved_on_its_points(self, unit_interval):
-        # without points no node lands near the peak; with its own points
+        # without points no node lands near the peak, and the check cannot
+        # report it (the documented limit of the rule); with its own points
         # its integral, and that of its square, meet the closed forms
         d = make_density("normal", [0.45, 1e-5], unit_interval)
         assert integrate(d.pdf, unit_interval, 1e-9) < 1e-100
@@ -122,6 +123,15 @@ class TestPanelRule:
             sorted(4.0 - j / 200.0 for j in steps)
         assert Density1D("exponential", [1.0], iv).breakpoints() == [1.5, 2.0, 3.0]
         assert Density1D("exponential", [0.0], iv).breakpoints() == []
+
+    def test_monomial_points_halve_toward_lo_at_non_integer_degree(self):
+        # k u^(k-1) has an unbounded derivative at u = 0 unless k is an integer
+        iv = Interval(1.0, 3.0)
+        assert Density1D("monomial", [1.5], iv).breakpoints() == \
+            [1.0 + 2.0 * 2.0 ** -j for j in range(50, 0, -1)]
+        assert Density1D("monomial", [3.0], iv).breakpoints() == []
+        d = Density1D("monomial", [1.5], iv)
+        assert integrate(d.pdf, iv, 1e-9, points=d.breakpoints()) == pytest.approx(1.0, rel=1e-14)
 
     def test_normal_tail_points_from_the_nearer_end(self, unit_interval):
         # normal(-1, 0.1) falls from m = 0 like e^(-100 m)
