@@ -48,7 +48,13 @@ control fit takes the signal weight of the W block of lambda, and the
 variance function in 50 bins on a non-factorising sample with efficiency of
 N = 30000 events (seed 1), at the true slope: its N x 400 bootstrap
 multiplicities exceed ``wcov.BOOT_CACHE_ELEMENTS``, so it covers the layout
-that streams them in blocks, where every other output reads the cached one.
+that streams them in blocks, where every other output reads the cached one,
+and the same result (``narrow_qm``) of a qm cow in 50 bins on [0, 1] with a
+basis much narrower than a bin, a normal(0.45, 3e-4) peak and
+``monomial_basis(2)``, on N = 20000 events without efficiency (6000 of the
+peak with t from exponential(2.0) and 14000 uniform ones with t from
+exponential(0.5), on [0, 3], seed 1), at t slope 2.0: its bootstrap replicas
+read the per-bin Gram array B that the peak's own panels resolve.
 The cowlib package is imported from ``CHECKOUT/src``; a run takes about 6 s
 on a 2-core machine.
 """
@@ -85,6 +91,7 @@ PIPELINE_METHODS = ("sweights-B", "sweights-A", "sweights-Ci", "sweights-Cii", "
 FULL_EVENTS, FULL_SEEDS = 2000, range(3000, 3010)
 COW_EVENTS = 2000
 STREAMED_EVENTS, STREAMED_SEED = 30000, 1
+NARROW_SIGMA, NARROW_SEED = 3e-4, 1
 # the efficiency of the non-factorising study at the centres of a 5 x 3 grid
 # of its (m, t) plane, [0, 1] x [0, 3], as the JSON of an EfficiencyMap
 COW_EFFICIENCY = {
@@ -266,6 +273,26 @@ def streamed_covariance() -> dict:
             "first_term": corr.first_term, "boot_kept": corr.boot_kept}
 
 
+def narrow_qm_covariance() -> dict:
+    """The bootstrap covariance of a qm cow whose signal peak is narrower
+    than a bin."""
+    import numpy as np
+    from cowlib import CowSpec, Density1D, Interval, build_cow, monomial_basis, variance_fn_qm
+    from cowlib.wcov import corrected_covariance_cow
+    rng = np.random.default_rng(NARROW_SEED)
+    iv, t_iv = Interval(0.0, 1.0), Interval(0.0, 3.0)
+    peak = Density1D("normal", [0.45, NARROW_SIGMA], iv)
+    m = np.concatenate([peak.sample(rng, 6000), rng.random(14000)])
+    t = np.concatenate([Density1D("exponential", [2.0], t_iv).sample(rng, 6000),
+                        Density1D("exponential", [0.5], t_iv).sample(rng, 14000)])
+    data = np.column_stack([m, t])
+    cow = build_cow(CowSpec(basis=[peak] + monomial_basis(2, iv),
+                            variance_fn=variance_fn_qm(data, None, 50, iv), support=iv))
+    corr = corrected_covariance_cow(cow, data, Density1D("exponential", [2.0], t_iv), [2.0])
+    return {"theta_block": corr.theta_block, "naive": corr.naive,
+            "first_term": corr.first_term, "boot_kept": corr.boot_kept}
+
+
 def _differences(a, b, path, acc):
     """Walk ``a`` and ``b`` together, gathering into ``acc`` the largest
     relative difference of two floats and its path, the floats and the
@@ -366,6 +393,7 @@ def main(argv=None) -> int:
         dump["cow_runs"] = cow_runs(workdir)
     dump["full"] = full_covariances()
     dump["streamed"] = streamed_covariance()
+    dump["narrow_qm"] = narrow_qm_covariance()
     with open(args.out, "w") as fh:
         fh.write(cli.canonical_json(dump) + "\n")
     return 0

@@ -37,26 +37,19 @@ def integrate(f: Callable, lo: float, hi: float, tol: float = 1e-9,
     the panels between lo, the ``points`` inside (lo, hi), and hi.
 
     The same rule on every panel halved is the check and the result: if the
-    two estimates differ by more than ``tol * max(1, |estimate|)``, the
-    rule is unresolved.  So ``tol`` is absolute for integrals up to 1 and
-    relative above, where an absolute target would lie below the rounding
-    of the sum.  ``f`` is called once, on an array of nodes x, and returns
-    one value per node, or an array of shape (k, len(x)) for a vector
-    integrand; then each of the k integrals must pass the check, and the
-    result is an array of k values (a float for a scalar integrand).
-
-    The check cannot see a feature narrower than a panel that no node lands
-    near: it is missed, not reported.  So pass in ``points`` every place where
+    two estimates differ by more than ``tol * max(1, |estimate|)`` (absolute
+    up to 1, relative above, where an absolute target would lie below the
+    rounding of the sum), the rule is unresolved.  ``f`` is called once, on
+    an array of nodes x, and returns one value per node, or shape
+    (k, len(x)) for a vector integrand, whose k integrals are each checked
+    and returned as an array.  A feature narrower than a panel that no node
+    lands near is missed, not reported: pass in ``points`` every place where
     the integrand changes; without them the one panel is [lo, hi].
 
-    Raises
-    ------
-    ValueError
-        If ``f`` returns another shape.
-    IntegrationError
-        If ``f`` is non-finite at a node, or the halved panels move an
-        integral by more than the check allows; the exception carries the
-        halved-panel estimate and the move (arrays for a vector integrand).
+    Raises ``ValueError`` if ``f`` returns another shape, and
+    :class:`~cowlib.errors.IntegrationError` if ``f`` is non-finite at a
+    node or the check fails; it carries the halved-panel estimate and the
+    move (arrays for a vector integrand).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -64,6 +57,18 @@ def integrate(f: Callable, lo: float, hi: float, tol: float = 1e-9,
         raise ValueError(f"invalid interval [{lo}, {hi}]")
     edges = np.array(sorted({lo, hi}.union(p for p in (points if points is not None else ())
                                               if lo < p < hi)))
+    estimate, _, vector = panel_rule(f, edges, tol)
+    return estimate if vector else float(estimate[0])
+
+
+def panel_rule(f: Callable, edges: np.ndarray, tol: float,
+               total: Callable = lambda s, halved: s.sum(axis=1)):
+    """The checked rule of :func:`integrate` on the panels between the
+    sorted ``edges``.  With s the integrals of each row of ``f`` on every
+    panel, (k, panels), or halved panel, (k, 2 panels), ``total(s, halved)``
+    is checked between the two; returns the halved total, the halved s and
+    whether ``f`` is a vector integrand.  No sum is a matrix product, so no
+    bit of a row depends on the others."""
     halves = np.empty(2 * len(edges) - 1)
     halves[::2], halves[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
     t, w = gauss_legendre(PANEL_NODES)
@@ -81,9 +86,10 @@ def integrate(f: Callable, lo: float, hi: float, tol: float = 1e-9,
     if not np.all(finite):
         bad = float(x[~finite.all(axis=0)][0])
         raise IntegrationError(f"integrand non-finite at m={bad!r}", np.nan, np.inf)
-    n = PANEL_NODES * len(half[0])
-    whole = (y[:, :n].reshape(len(y), -1, PANEL_NODES) @ w) @ half[0]
-    estimate = (y[:, n:].reshape(len(y), -1, PANEL_NODES) @ w) @ half[1]
+    s = np.einsum("kpq,q->kp", y.reshape(len(y), -1, PANEL_NODES), w)
+    n = len(half[0])
+    halved = s[:, n:] * half[1]
+    whole, estimate = total(s[:, :n] * half[0], False), total(halved, True)
     move = np.abs(estimate - whole)
     over = move > tol * np.maximum(1.0, np.abs(estimate))
     if np.any(over):
@@ -93,4 +99,4 @@ def integrate(f: Callable, lo: float, hi: float, tol: float = 1e-9,
             f" on the halved panels and {float(whole[e])!r} on the whole ones",
             estimate if vector else float(estimate[0]),
             move if vector else float(move[0]))
-    return estimate if vector else float(estimate[0])
+    return estimate, halved, vector

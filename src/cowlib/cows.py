@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from ._quadrature import panel_rule
 from .densities import Density1D, EfficiencyMap, Interval, histogram_density, integrate
 from .errors import (ConstructionError, EvaluationError,
                      IllConditionedBasisError, NonConvergenceError)
@@ -86,12 +87,15 @@ class CowSpec:
 
 class CowSet:
     """Built weight functions w_k(m) = sum_l A_kl g_l(m) / I(m), with the
-    ``warnings`` their construction raised."""
+    ``warnings`` their construction raised; for a histogram I, ``B`` is the
+    per-bin Gram array of :func:`_bin_gram` that W is summed from."""
 
-    def __init__(self, spec: CowSpec, W: np.ndarray, A: np.ndarray):
+    def __init__(self, spec: CowSpec, W: np.ndarray, A: np.ndarray,
+                 B: Optional[np.ndarray] = None):
         self.spec = spec
         self.W = W
         self.A = A
+        self.B = B
         self._basis = spec.effective_basis()
         self.warnings: List[str] = []
 
@@ -212,9 +216,10 @@ def mixture_pairs(basis: Sequence[Density1D], coeffs, m,
 
 
 def from_upper(v, n: int) -> np.ndarray:
-    """The symmetric n x n matrix with upper triangle ``v`` (pair order)."""
+    """The symmetric n x n matrix with upper triangle ``v`` (pair order), or
+    their stack (n, n, ...) for rows ``v`` of shape (pairs, ...)."""
     k, l = upper_pairs(n)
-    M = np.empty((n, n))
+    M = np.empty((n, n) + np.shape(v)[1:])
     M[k, l] = M[l, k] = v
     return M
 
@@ -223,7 +228,9 @@ def gram_matrix(basis: Sequence[Density1D], variance_fn: Density1D,
                 support: Interval) -> np.ndarray:
     """W_kl = integral over ``support`` of g_k g_l / I for the basis g and
     the variance function I, on the panels between the breakpoints of both,
-    each to ``GRAM_TOL``."""
+    each to ``GRAM_TOL``; for a histogram I, by :func:`_bin_gram`."""
+    if variance_fn.kind == "histogram":
+        return _bin_gram(basis, variance_fn)[0]
     pts = set(variance_fn.breakpoints()).union(*(g.breakpoints() for g in basis))
 
     # the upper triangle of W in one pass, each basis density once per node batch
@@ -234,8 +241,33 @@ def gram_matrix(basis: Sequence[Density1D], variance_fn: Density1D,
     return from_upper(integrate(f, support, GRAM_TOL, points=sorted(pts)), len(basis))
 
 
+def _bin_gram(basis: Sequence[Density1D], hist: Density1D) -> Tuple[np.ndarray, np.ndarray]:
+    """(W, B) for the ``basis`` g and a histogram I: B_klj = integral over
+    bin j of g_k g_l, shape (n, n, bins), and W = sum_j B_klj / I_j, by the
+    rule of :func:`~cowlib._quadrature.panel_rule` on the panels between the
+    bin edges and the basis breakpoints, checked on W at ``GRAM_TOL``."""
+    edges = np.asarray(hist.data["edges"], dtype=float)
+    ends = np.array(sorted(set(edges).union(*(g.breakpoints() for g in basis))))
+    first = np.searchsorted(ends, edges[:-1])      # the first panel of each bin
+    I = hist.pdf(0.5 * (edges[:-1] + edges[1:]))
+
+    def per_bin(s, halved):   # B from the integrals on the panels, each element on its own
+        return np.add.reduceat(s, first * (1 + halved), axis=1)
+    W, s, _ = panel_rule(lambda x: pair_products(np.stack([g.pdf(x) for g in basis])), ends,
+                         GRAM_TOL, lambda s, halved: (per_bin(s, halved) / I).sum(axis=1))
+    return from_upper(W, len(basis)), from_upper(per_bin(s, True), len(basis))
+
+
+def _gram(basis: Sequence[Density1D], variance_fn: Density1D,
+          support: Interval) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """(W, B): :func:`gram_matrix`, with the B of :func:`_bin_gram` for a histogram I."""
+    if variance_fn.kind == "histogram":
+        return _bin_gram(basis, variance_fn)
+    return gram_matrix(basis, variance_fn, support), None
+
+
 def build_cow(spec: CowSpec) -> CowSet:
-    """Compute the W matrix by quadrature and invert it.
+    """Compute the W matrix (and, for a histogram I, B) by quadrature and invert it.
 
     Raises :class:`~cowlib.errors.IllConditionedBasisError` when :func:`_inverse`
     rejects W (typically too many polynomial terms for the sample), and
@@ -245,8 +277,8 @@ def build_cow(spec: CowSpec) -> CowSet:
     if spec.variance_fn is None:
         raise ConstructionError("a cow without a variance function has no W to compute; "
                                 "implied_cow takes its W")
-    W = gram_matrix(spec.effective_basis(), spec.variance_fn, spec.support)
-    return CowSet(spec, W, _inverse(W))
+    W, B = _gram(spec.effective_basis(), spec.variance_fn, spec.support)
+    return CowSet(spec, W, _inverse(W), B)
 
 
 def _inverse(W: np.ndarray) -> np.ndarray:

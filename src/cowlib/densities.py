@@ -70,16 +70,11 @@ class Interval:
 
 def integrate(f: Callable, iv: Interval, tol: float = 1e-9,
               points: Optional[Sequence[float]] = None):
-    """Integral of ``f`` over ``iv`` by :func:`cowlib._quadrature.integrate`:
-    the fixed Gauss-Legendre rule on the panels between ``points``, checked
-    against every panel halved (an :class:`~cowlib.errors.IntegrationError`,
-    carrying the estimate, if that moves an integral by more than
-    ``tol * max(1, |integral|)``).  A vector integrand, returning shape
-    (k, len(x)), gives k integrals from the same nodes.  The check cannot see
-    a feature narrower than a panel that no node lands near, so pass the
-    :meth:`Density1D.breakpoints` of the densities in ``f``: without
-    ``points``, a narrow peak in ``iv`` may integrate to 0 with no error.
-    """
+    """Integral of ``f`` over ``iv`` by :func:`cowlib._quadrature.integrate`,
+    the fixed rule on the panels between ``points``, checked against every
+    panel halved.  Pass the :meth:`Density1D.breakpoints` of the densities
+    in ``f``: without ``points``, a narrow peak in ``iv`` may integrate to 0
+    with no error."""
     return _integrate_raw(f, iv.lo, iv.hi, tol=tol, points=points)
 
 

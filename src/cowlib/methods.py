@@ -12,8 +12,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cows import (CowSet, CowSpec, _inverse, build_cow, efficiency_corrected_weights,
-                   gram_matrix, variance_fn_ml_iterative, variance_fn_qm)
+from .cows import (CowSet, CowSpec, _gram, _inverse, build_cow, efficiency_corrected_weights,
+                   variance_fn_ml_iterative, variance_fn_qm)
 from .densities import Density1D, EfficiencyMap, Interval, monomial_basis
 from .errors import ConstructionError, CowlibError, NonConvergenceError
 from .mlfit import FitResult, fit_weighted_ml
@@ -139,12 +139,13 @@ def variance_cows(kind: str, bases: Sequence[List[Density1D]], data,
     ``start`` if given) that converged, whose W is rebuilt only when
     ``signal_proxy`` replaces the first basis element.
 
-    I(m) is made once, and so is the W of the longest basis whose W
-    :func:`~cowlib.cows._inverse` accepts: a longer one that it rejects fails
-    alone, and the next longer basis's W is built.  Each shorter cow takes the
-    leading block of that W and its own checked inverse; a principal block of
-    a positive definite W is positive definite and no worse conditioned.
-    Returns, in order, each basis's :class:`~cowlib.cows.CowSet`, or the
+    I(m) and the W of the longest basis (for "qm" with its per-bin Gram
+    array B, :func:`~cowlib.cows._gram`) are made once, and an error in that
+    W reaches every cow.  Each basis takes their leading blocks, bit for bit
+    its own W and B when the longer elements add no breakpoint (as
+    monomials), and its own checked inverse: a longer basis whose W
+    :func:`~cowlib.cows._inverse` rejects fails alone.  Returns, in order,
+    each basis's :class:`~cowlib.cows.CowSet`, or the
     :class:`~cowlib.errors.CowlibError` that its own call raises.
     """
     longest = max(bases, key=len)
@@ -172,24 +173,20 @@ def variance_cows(kind: str, bases: Sequence[List[Density1D]], data,
         return [exc] * len(bases)
     out = [_attempt(CowSpec, basis=b, variance_fn=var, support=support, n_signal=n_signal,
                     signal_proxy=signal_proxy, efficiency=eff) for b in bases]
-    live = sorted((i for i, spec in enumerate(out) if isinstance(spec, CowSpec)),
-                  key=lambda i: len(bases[i]))
-    while live:   # the W of the longest basis whose W is usable
-        top = live.pop()
-        try:
-            W = gram_matrix(out[top].effective_basis(), var, support)
-            out[top] = CowSet(out[top], W, _inverse(W))
-        except CowlibError as exc:
-            out[top] = exc
-            continue
-        for i in live:
-            k = len(bases[i])
-            try:
-                out[i] = CowSet(out[i], W[:k, :k], _inverse(W[:k, :k]))
-            except CowlibError as exc:
-                out[i] = exc
-        break
-    return out
+    live = [i for i, spec in enumerate(out) if isinstance(spec, CowSpec)]
+    if not live:
+        return out
+    try:
+        W, B = _gram(out[max(live, key=lambda i: len(bases[i]))].effective_basis(), var,
+                     support)
+    except CowlibError as exc:   # what every cow of the family shares
+        return [exc if i in live else o for i, o in enumerate(out)]
+
+    def block(spec: CowSpec) -> CowSet:   # copies of the leading blocks
+        k = len(spec.basis)
+        Wk = W[:k, :k].copy()
+        return CowSet(spec, Wk, _inverse(Wk), None if B is None else B[:k, :k].copy())
+    return [_attempt(block, o) if i in live else o for i, o in enumerate(out)]
 
 
 def _attempt(fn, *args, **kwargs):

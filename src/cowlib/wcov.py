@@ -15,7 +15,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._quadrature import gauss_legendre
 from .cows import (CowSet, _inverse, efficiency_at, from_upper, implied_cow, mixture_pairs,
                    upper_pairs)
 from .densities import Density1D, floor_empty_bins
@@ -40,7 +39,6 @@ ROOT_TOL_PER_EVENT = 1e-4
 # blocks of at most this many, kept for the next call when one holds them all
 BOOT_BLOCK_ELEMENTS = 2 ** 16
 BOOT_CACHE_ELEMENTS = 2 ** 23
-BOOT_QUAD_POINTS = 16   # Gauss-Legendre nodes per bin of each basis integral
 
 
 def variance_sum_weights(weights) -> float:
@@ -166,19 +164,18 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
 
     For a deterministic variance function this is the plain weighted-score
     sandwich H^-1 H' H^-T, the ``first_term``.  When the variance function
-    of ``cow`` is a histogram that was filled from this same sample with
-    1/efficiency^2 event weights, the weight functions carry sampling noise
-    from the estimated bin contents; the score covariance is then estimated with a
-    one-step Poisson bootstrap that refills the histogram and rebuilds the
-    weight matrix per replica, which captures the (strongly nonlinear)
-    response of the weights to the bin contents.  Replicas are cheap
-    because the histogram variance function is piecewise constant, so the
-    weight matrix is an exact sum of per-bin basis integrals, and each
-    replica's score is a sum over bins of per-bin score sums, which one
-    matrix product per bin gives for all replicas at once.  The Poisson
-    multiplicities depend only on (N, n_boot, boot_seed), so a small set
-    of them is drawn once per process and reused.  ``boot_kept`` of the
-    result counts the replicas used.  This is
+    of ``cow`` is a histogram filled from this same sample with
+    1/efficiency^2 event weights, the weights carry the sampling noise of
+    the bin contents; the score covariance is then estimated by a one-step
+    Poisson bootstrap that refills the histogram and rebuilds the weight
+    matrix per replica, which captures the (strongly nonlinear) response of
+    the weights to the bin contents.  As I is constant on each bin, a
+    replica's W is sum_j B_j / I_j over the per-bin Gram array ``cow.B`` of
+    :func:`~cowlib.cows.build_cow` (nothing is integrated here), and its
+    score a sum of per-bin score sums, one matrix product per bin for all
+    replicas.  The Poisson multiplicities depend only on (N, n_boot,
+    boot_seed), so a small set of them is drawn once per process.
+    ``boot_kept`` counts the replicas used.  This is
     :func:`corrected_covariance_cows` for a family of one.
     """
     result, = corrected_covariance_cows([cow], data, hs_model, [theta_hat], n_boot, boot_seed)
@@ -193,29 +190,30 @@ def corrected_covariance_cows(cows: Sequence[CowSet], data, hs_model: Density1D,
     at its own theta of ``thetas``, in one pass.
 
     The cows of a family share the efficiency, the variance function and
-    ``n_signal``, and each basis is the leading elements of the longest
-    one, as the nested monomial bases of one histogram are.  The
-    efficiency, the basis values at the events and at the bin nodes, the
-    per-bin integrals B and the bootstrap's pass over the bins, which
-    gathers and fills each chunk of multiplicities, are made once; each cow
-    multiplies its own score rows by the gathered multiplicities and keeps
-    its own sandwich, replica weight matrices (from the leading block of B),
+    ``n_signal``, and each basis is the leading elements of the longest, as
+    the nested monomial bases of one histogram are (else ``ValueError``).
+    The efficiency, the basis values at the events and the bootstrap's pass
+    over the bins, which gathers and fills each chunk of multiplicities, are
+    made once; each cow multiplies its own score rows by the gathered
+    multiplicities and keeps its own sandwich, replica W (from its own B),
     inverses, kept replicas and score covariance, so its result is bit for
-    bit that of its own call.  Returns, in order, each cow's
-    :class:`CorrectedCovariance`, or the :class:`~cowlib.errors.CowlibError`
-    that its own call raises.
+    bit that of its own call: in order, its :class:`CorrectedCovariance`, or
+    the :class:`~cowlib.errors.CowlibError` that its own call raises.
     """
     cows = list(cows)
     top = max(cows, key=lambda cow: len(cow.A))
-    spec = top.spec
+    spec, var = top.spec, top.spec.variance_fn
     basis = spec.effective_basis()
+    hist = var is not None and var.kind == "histogram"
     for cow in cows:
-        if (cow.spec.variance_fn is not spec.variance_fn
+        if (cow.spec.variance_fn is not var
                 or cow.spec.efficiency is not spec.efficiency
                 or cow.spec.n_signal != spec.n_signal
-                or any(g is not h for g, h in zip(cow.spec.effective_basis(), basis))):
+                or any(g is not h for g, h in zip(cow.spec.effective_basis(), basis))
+                or (hist and cow.B is None)):
             raise ValueError("the cows of a family must share the efficiency, the variance "
-                             "function and n_signal, and have nested bases")
+                             "function and n_signal, and have nested bases (and the B of "
+                             "build_cow for a histogram variance function)")
     try:
         m, t = _columns(data)
         e = efficiency_at(spec.efficiency, m, t)
@@ -225,7 +223,7 @@ def corrected_covariance_cows(cows: Sequence[CowSet], data, hs_model: Density1D,
     inv_e = 1.0 / e
     G = top.basis_values(m)                        # (nb, N) of the longest basis
     out: list = []
-    live = []                                      # (index, nb, d1, Hinv) of each sandwich
+    live = []                                      # (index, cow, d1, Hinv) of each sandwich
     for cow, theta in zip(cows, thetas):
         nb = len(cow.A)
         try:
@@ -236,10 +234,9 @@ def corrected_covariance_cows(cows: Sequence[CowSet], data, hs_model: Density1D,
         except CowlibError as exc:
             out.append(exc)
             continue
-        live.append((len(out), nb, d1, Hinv))
+        live.append((len(out), cow, d1, Hinv))
         out.append(CorrectedCovariance(theta_block=first, naive=naive, first_term=first))
-    var = spec.variance_fn
-    if var is None or var.kind != "histogram" or not live:
+    if not (hist and live):
         return out
     if n_boot < 2:
         for i, *_ in live:
@@ -248,15 +245,6 @@ def corrected_covariance_cows(cows: Sequence[CowSet], data, hs_model: Density1D,
     edges = np.asarray(var.data["edges"], dtype=float)
     nbins = len(edges) - 1
     widths = np.diff(edges)
-
-    # per-bin basis integrals B_klj of g_k g_l by Gauss-Legendre; the
-    # weight matrix for any bin contents is then W_kl = sum_j B_klj / I_j,
-    # and that of a shorter basis is the leading block of B
-    x, gq = gauss_legendre(BOOT_QUAD_POINTS)
-    half = 0.5 * widths
-    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x[None, :]
-    gv = top.basis_values(nodes.ravel()).reshape(len(G), nbins, BOOT_QUAD_POINTS)
-    B = np.einsum("kjq,ljq,q,j->klj", gv, gv, gq, half)
 
     # events sorted by bin (stably, so each bin keeps event order); the
     # events of bin j are rows bounds[j]:bounds[j+1]
@@ -268,7 +256,9 @@ def corrected_covariance_cows(cows: Sequence[CowSet], data, hs_model: Density1D,
     # w_r(m) = a_r . g(m) / I_r(m); summed bin by bin, 1/I_r is a factor
     # of the per-bin sums of the rows of Y = g d1 / eff, shape (N, nb p),
     # one such array per cow
-    Y = [(G[:nb, None, :] * (inv_e * d1)).reshape(-1, n).T[order] for _, nb, d1, _ in live]
+    Y = [(G[:len(cow.A), None, :] * (inv_e * d1)).reshape(-1, n).T[order]
+         for _, cow, d1, _ in live]
+    B = [cow.B for _, cow, _, _ in live]
     rows = max(1, BOOT_BLOCK_ELEMENTS // n_boot)  # events per chunk
     p = hs_model.n_params
     blocks = (_poisson_blocks(n, n_boot, boot_seed) if n * n_boot > BOOT_CACHE_ELEMENTS
@@ -309,7 +299,7 @@ def _inverses(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _replica_scores(X: np.ndarray, order: np.ndarray, bounds: np.ndarray,
-                    fill: np.ndarray, Y: List[np.ndarray], B: np.ndarray,
+                    fill: np.ndarray, Y: List[np.ndarray], B: List[np.ndarray],
                     widths: np.ndarray, n_sig: int, rows: int, p: int) -> List[np.ndarray]:
     """Bootstrap scores of the replicas in the columns of ``X``, for each
     cow of a family.
@@ -317,9 +307,9 @@ def _replica_scores(X: np.ndarray, order: np.ndarray, bounds: np.ndarray,
     ``X`` holds the multiplicities, one row per event; ``order`` sorts the
     events by bin, and the sorted events of bin j, at positions
     bounds[j]:bounds[j+1], have fill weights ``fill`` and, for each cow,
-    score rows ``Y[i]`` of shape (N, nb p) for its basis of nb elements, the
-    first nb of ``B``.  Bins are taken in chunks of at most ``rows`` events,
-    each gathered once for every cow.  Replicas that draw no event, or whose
+    score rows ``Y[i]`` of shape (N, nb p) and per-bin Gram array ``B[i]``
+    for its basis of nb elements.  Bins are taken in chunks of at most
+    ``rows`` events, each gathered once for every cow.  Replicas that draw no event, or whose
     weight matrix for a cow is singular, are left out of that cow's scores;
     returns one (kept, p) array per cow.
     """
@@ -356,9 +346,9 @@ def _replica_scores(X: np.ndarray, order: np.ndarray, bounds: np.ndarray,
     total = raw.sum(axis=1, keepdims=True)
     inv_I = 1.0 / (raw / (widths * total))
     out = []
-    for Ti in T:
-        nb = len(Ti) // p
-        A, ok = _inverses(np.einsum("klj,rj->rkl", B[:nb, :nb], inv_I))
+    for Ti, Bi in zip(T, B):
+        nb = len(Bi)
+        A, ok = _inverses(np.einsum("klj,rj->rkl", Bi, inv_I))
         Tc = Ti[:, keep[ok]].reshape(nb, p, -1) * total[ok, 0]
         out.append(np.einsum("rk,kpr->rp", A[ok][:, :n_sig].sum(axis=1), Tc))
     return out

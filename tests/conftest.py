@@ -68,10 +68,11 @@ def sample_box_mixture(rng, n, z=0.5):
 def quad(f, iv, *densities):
     """The integral of the vectorized ``f`` over the interval ``iv`` by
     scipy's adaptive QUADPACK rule, split at the breakpoints of
-    ``densities``: an oracle independent of cowlib's own quadrature."""
+    ``densities`` inside ``iv``: an oracle independent of cowlib's own
+    quadrature."""
     # imported here, after cowlib has set one BLAS thread for scipy's BLAS too
     import scipy.integrate
-    pts = sorted({p for d in densities for p in d.breakpoints()})
+    pts = sorted({p for d in densities for p in d.breakpoints() if iv.lo < p < iv.hi})
     return scipy.integrate.quad(lambda x: float(f(np.array([x]))[0]), iv.lo, iv.hi,
                                 points=pts or None, epsabs=1e-12, epsrel=1e-12,
                                 limit=500)[0]
@@ -112,5 +113,5 @@ def count_pdf_calls(monkeypatch):
 
 
 def with_efficiency(cow, eff):
-    """``cow`` with the efficiency map ``eff`` in its spec, and its W and A."""
-    return CowSet(dataclasses.replace(cow.spec, efficiency=eff), cow.W, cow.A)
+    """``cow`` with the efficiency map ``eff`` in its spec, and its W, A and B."""
+    return CowSet(dataclasses.replace(cow.spec, efficiency=eff), cow.W, cow.A, cow.B)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cowlib import (ConstructionError, Density1D, EfficiencyMap,
-                    EvaluationError, IllConditionedBasisError, Interval,
+                    EvaluationError, IllConditionedBasisError, IntegrationError, Interval,
                     MixtureComponent, MixtureModel, fit_extended_ml,
                     histogram_density, make_density, monomial_basis)
 from cowlib import cows
@@ -149,8 +149,10 @@ class TestBuildCow:
 
     @pytest.mark.parametrize("variance", ["mixture", "histogram"])
     def test_one_integral_pass(self, unit_interval, monkeypatch, variance):
-        # W is one vector integral; every basis density is evaluated once
-        # per node batch, a mixture I(m) being summed from the basis values
+        # W is one vector integral, or for a histogram I one pass of the
+        # per-bin Gram array B that the cow keeps; every basis density is
+        # evaluated once per node batch, a mixture I(m) being summed from
+        # the basis values
         gs, _, _, _ = simple_truth_densities()
         basis = [gs] + monomial_basis(4, unit_interval)
         if variance == "mixture":
@@ -160,11 +162,16 @@ class TestBuildCow:
             var = histogram_density(m, np.ones(500), 20, unit_interval)
         spec = CowSpec(basis=basis, variance_fn=var, support=unit_interval)
         integrals = count_integrals(monkeypatch, cows)
+        bin_grams = []
+        bin_gram = cows._bin_gram
+        monkeypatch.setattr(cows, "_bin_gram", lambda *a: bin_grams.append(a) or bin_gram(*a))
         pdf_calls = count_pdf_calls(monkeypatch)
         cow = build_cow(spec)
-        assert len(integrals) == 1
+        histogram = variance == "histogram"
+        assert (len(integrals), len(bin_grams)) == ((0, 1) if histogram else (1, 0))
         for g in basis:
-            assert sum(d is g for d in pdf_calls) == len(integrals[0])
+            assert sum(d is g for d in pdf_calls) == (1 if histogram else len(integrals[0]))
+        assert (cow.B is not None) == histogram
         assert np.allclose(cow.A @ cow.W, np.eye(5), atol=1e-8)
 
     def test_mixture_variance_from_basis_values_is_bit_identical(self, unit_interval):
@@ -257,6 +264,48 @@ class TestNonIntegerMonomial:
             ref = quad(lambda x: basis[1].pdf(x) * basis[l].pdf(x) / var.pdf(x),
                        unit_interval, var, *basis)
             assert W[1, l] == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
+class TestBinGram:
+    """The per-bin Gram array B of a histogram variance function, from which
+    a qm cow's W and its bootstrap replicas' are summed."""
+
+    @pytest.mark.parametrize("sigma", [1e-3, 3e-4, 1e-4])
+    def test_each_bin_matches_an_independent_rule(self, unit_interval, sigma):
+        # a peak at a bin edge (0.45 in 20 bins), down to sigma = 1e-4
+        basis = [make_density("normal", [0.45, sigma], unit_interval)] + monomial_basis(
+            2, unit_interval)
+        hist = histogram_density(np.random.default_rng(4).random(300), None, 20, unit_interval)
+        W, B = cows._bin_gram(basis, hist)
+        edges = hist.data["edges"]
+        assert B.shape == (3, 3, 20)
+        for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            for k, l in zip(*np.triu_indices(3)):
+                ref = quad(lambda x: basis[k].pdf(x) * basis[l].pdf(x), Interval(a, b), *basis)
+                assert B[k, l, j] == B[l, k, j] == pytest.approx(ref, rel=cows.GRAM_TOL,
+                                                                abs=cows.GRAM_TOL)
+        I = hist.pdf(0.5 * (edges[:-1] + edges[1:]))
+        np.testing.assert_allclose(W, (B / I).sum(axis=-1), rtol=1e-15, atol=0)
+        assert np.array_equal(cows.gram_matrix(basis, hist, unit_interval), W)
+
+    def test_leading_block_is_the_shorter_basis_own(self, unit_interval):
+        # every element is summed on its own, so no bit depends on the
+        # basis length
+        basis = [make_density("normal", [0.45, 3e-4], unit_interval)] + monomial_basis(
+            6, unit_interval)
+        hist = histogram_density(np.random.default_rng(4).random(300), None, 50, unit_interval)
+        W, B = cows._bin_gram(basis, hist)
+        for k in range(1, 7):
+            Wk, Bk = cows._bin_gram(basis[:k], hist)
+            assert np.array_equal(W[:k, :k], Wk) and np.array_equal(B[:k, :k], Bk)
+
+    def test_unresolved_bin_raises(self, unit_interval, monkeypatch):
+        # the halved panels are the check, as for every other W
+        basis = monomial_basis(2, unit_interval)
+        hist = histogram_density(np.random.default_rng(4).random(300), None, 5, unit_interval)
+        monkeypatch.setattr(cows, "GRAM_TOL", 1e-300)
+        with pytest.raises(IntegrationError, match="unresolved"):
+            cows._bin_gram(basis + [make_density("normal", [0.45, 0.3], unit_interval)], hist)
 
 
 class TestVarianceFunctions:

@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+import cowlib._quadrature
+import cowlib.cows
 from cowlib import ConstructionError, EvaluationError, kendall_tau
 from cowlib import methods, toygen, wcov
 from cowlib.toygen import (EnsembleConfig, MethodSpec, ToySpec,
@@ -213,8 +215,11 @@ class TestMethodFamilies:
                             ["free"], ["cow0"], ["unity"]]
 
     def test_one_histogram_w_and_bootstrap_per_family(self, monkeypatch):
-        calls = {"qm": 0, "gram": 0, "cov": []}
-        variance_fn_qm, gram_matrix = methods.variance_fn_qm, methods.gram_matrix
+        # one histogram, one pass of the per-bin Gram array B and of the
+        # quadrature rule (the bootstrap reads B and integrates nothing) and
+        # one bootstrap pass
+        calls = {"qm": 0, "gram": 0, "rule": 0, "cov": []}
+        variance_fn_qm, bin_gram = methods.variance_fn_qm, cowlib.cows._bin_gram
         cows = methods.corrected_covariance_cows
 
         def count(key, fn):
@@ -224,33 +229,38 @@ class TestMethodFamilies:
             return counted
 
         monkeypatch.setattr(methods, "variance_fn_qm", count("qm", variance_fn_qm))
-        monkeypatch.setattr(methods, "gram_matrix", count("gram", gram_matrix))
+        monkeypatch.setattr(cowlib.cows, "_bin_gram", count("gram", bin_gram))
+        for module in (cowlib._quadrature, cowlib.cows):
+            monkeypatch.setattr(module, "panel_rule", count("rule", module.panel_rule))
         monkeypatch.setattr(methods, "corrected_covariance_cows",
                             lambda c, *a: calls["cov"].append(len(c)) or cows(c, *a))
         criterion_08_methods([qm_cow(1), qm_cow(3), qm_cow(5)])
-        assert calls == {"qm": 1, "gram": 1, "cov": [3]}
+        assert calls == {"qm": 1, "gram": 1, "rule": 1, "cov": [3]}
 
     def test_family_records_are_solo_records(self):
-        # each record is within 1e-10 sigma of the method's own run (the W of
-        # order 1 and 3 is a block of order 5's, whose quadrature may split
-        # the support more finely); the binning and fit keep families apart
+        # each record is byte for byte the method's own run (the W and B of
+        # order 1 and 3 are blocks of order 5's); the binning and fit keep
+        # families apart
         methods_ = [MethodSpec(name="swB"), qm_cow(1), qm_cow(3), qm_cow(3, "bins40", qm_bins=40),
                     qm_cow(5)]
         family = criterion_08_methods(methods_)
         assert list(family) == [ms.name for ms in methods_]
         for ms in methods_:
-            got = json.loads(family[ms.name])
-            solo = json.loads(criterion_08_methods([ms])[ms.name])
-            assert got.keys() == solo.keys() and got["ok"]
-            for key in ("estimate", "sigma_corr", "sigma_naive"):
-                assert abs(got[key] - solo[key]) <= 1e-10 * solo["sigma_corr"]
-            if ms.name in ("swB", "bins40", "cow5"):
-                assert family[ms.name] == criterion_08_methods([ms])[ms.name]
+            assert json.loads(family[ms.name])["ok"]
+            assert family[ms.name] == criterion_08_methods([ms])[ms.name]
+
+    def test_family_is_solo_on_several_toys(self):
+        # on seed 20260841 the leading block of a W summed by matrix products
+        # moved cow3's estimate by 6.6e-10 sigma from its own run's
+        family = [qm_cow(1), qm_cow(3), qm_cow(5)]
+        for seed in (20260824, 20260829, 20260835, 20260838, 20260841):
+            got = criterion_08_methods(family, seed)
+            assert got == {ms.name: criterion_08_methods([ms], seed)[ms.name] for ms in family}
 
     def test_rejected_high_order_fails_alone(self):
-        # order 8's W is past cows.CONDITION_LIMIT; orders 1 and 3 then
-        # share the W of order 3, as without it (on this toy, the leading
-        # block of order 5's W moves cow3's record)
+        # order 8's W is past cows.CONDITION_LIMIT and fails alone; orders 1
+        # and 3 take their blocks of its W, which are their own W, so the
+        # records are those of any family, or of none
         seed = 20260829
         got = criterion_08_methods([MethodSpec(name="swB"), qm_cow(1), qm_cow(8), qm_cow(3)],
                                    seed)
@@ -258,7 +268,7 @@ class TestMethodFamilies:
         assert got["cow8"] == criterion_08_methods([qm_cow(8)], seed)["cow8"]
         assert "condition number exceeds" in json.loads(got["cow8"])["error"]
         without = criterion_08_methods([MethodSpec(name="swB"), qm_cow(1), qm_cow(3)], seed)
-        assert without["cow3"] != criterion_08_methods([qm_cow(3), qm_cow(5)], seed)["cow3"]
+        assert without["cow3"] == criterion_08_methods([qm_cow(3), qm_cow(5)], seed)["cow3"]
         assert {k: v for k, v in got.items() if k != "cow8"} == without
 
     def test_singular_weighted_hessian_fails_alone(self, monkeypatch):

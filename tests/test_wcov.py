@@ -8,7 +8,7 @@ import pytest
 from cowlib import (Density1D, EvaluationError, Interval, MixtureComponent,
                     MixtureModel, fit_extended_ml,
                     fit_weighted_ml, monomial_basis, toygen, wcov)
-from cowlib.cows import CowSpec, _mixture, build_cow, variance_fn_qm
+from cowlib.cows import CowSet, CowSpec, _mixture, build_cow, variance_fn_qm
 from cowlib.methods import MethodSpec, apply_method
 from cowlib.sweights import compute_W_variant_B, weight_functions
 from cowlib.toygen import (TRUE_SLOPE, ToySpec, generate_nonfactorising,
@@ -411,9 +411,10 @@ class TestThreeComponents:
 
 
 def loop_bootstrap_covariance(cow, data, hs_model, theta, eff=None,
-                              quad_points=16, n_boot=400, boot_seed=0):
-    """The histogram-variance bootstrap one replica at a time: the reference
-    for the batched version (theta_block only)."""
+                              n_boot=400, boot_seed=0):
+    """The histogram-variance bootstrap one replica at a time, on the cow's
+    per-bin Gram array B: the reference for the batched version
+    (theta_block only)."""
     from cowlib.densities import ZERO_BIN_FLOOR
     from cowlib.wcov import _weighted_hessian
 
@@ -431,13 +432,8 @@ def loop_bootstrap_covariance(cow, data, hs_model, theta, eff=None,
     edges = np.asarray(cow.spec.variance_fn.data["edges"], dtype=float)
     nbins = len(edges) - 1
     widths = np.diff(edges)
-    x, gq = np.polynomial.legendre.leggauss(quad_points)
-    half = 0.5 * widths
-    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x[None, :]
-    gv = cow.basis_values(nodes.ravel())
-    nb = gv.shape[0]
-    gv = gv.reshape(nb, nbins, quad_points)
-    B = np.einsum("kjq,ljq,q,j->klj", gv, gv, gq, half)
+    B = cow.B
+    nb = len(B)
     G = cow.basis_values(m)
     jidx = np.clip(np.searchsorted(edges, m, side="right") - 1, 0, nbins - 1)
     fill = inv_e ** 2
@@ -616,8 +612,9 @@ class TestBatchedBootstrap:
 
 
 def loop_histogram_weight_matrices(cow, data, eff, n_boot, boot_seed):
-    """Per-replica weight matrices of the bootstrap, from np.bincount bin
-    contents and one replica at a time (the empty replicas left out)."""
+    """Per-replica weight matrices of the bootstrap, from the cow's per-bin
+    Gram array B and np.bincount bin contents, one replica at a time (the
+    empty replicas left out)."""
     from cowlib.densities import ZERO_BIN_FLOOR
 
     m, t = data[:, 0], data[:, 1]
@@ -625,12 +622,6 @@ def loop_histogram_weight_matrices(cow, data, eff, n_boot, boot_seed):
     edges = np.asarray(cow.spec.variance_fn.data["edges"], dtype=float)
     nbins = len(edges) - 1
     widths = np.diff(edges)
-    x, gq = np.polynomial.legendre.leggauss(16)
-    half = 0.5 * widths
-    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x[None, :]
-    gv = cow.basis_values(nodes.ravel())
-    gv = gv.reshape(len(gv), nbins, 16)
-    B = np.einsum("kjq,ljq,q,j->klj", gv, gv, gq, half)
     jidx = np.clip(np.searchsorted(edges, m, side="right") - 1, 0, nbins - 1)
     rng = np.random.default_rng(boot_seed)
     inv_I = []
@@ -641,7 +632,49 @@ def loop_histogram_weight_matrices(cow, data, eff, n_boot, boot_seed):
         if pos.size:
             raw = np.where(raw > 0, raw, pos.min() * ZERO_BIN_FLOOR)
             inv_I.append(1.0 / (raw / (widths * raw.sum())))
-    return np.einsum("klj,rj->rkl", B, np.array(inv_I)), np.bincount(jidx)
+    return np.einsum("klj,rj->rkl", cow.B, np.array(inv_I)), np.bincount(jidx)
+
+
+def narrow_peak_cow(sigma, seed=1):
+    """A qm cow (50 bins, no efficiency) with basis a normal(0.45, sigma)
+    peak and monomial_basis(2) on [0, 1], and its sample: 6000 events of the
+    peak with t from exponential(2.0) and 14 000 uniform ones with t from
+    exponential(0.5), on [0, 3]."""
+    rng = np.random.default_rng(seed)
+    iv = Interval(0.0, 1.0)
+    peak = Density1D("normal", [0.45, sigma], iv)
+    m = np.concatenate([peak.sample(rng, 6000), rng.random(14000)])
+    t = np.concatenate([Density1D("exponential", [2.0], T_IV).sample(rng, 6000),
+                        Density1D("exponential", [0.5], T_IV).sample(rng, 14000)])
+    data = np.column_stack([m, t])
+    cow = build_cow(CowSpec(basis=[peak] + monomial_basis(2, iv),
+                            variance_fn=variance_fn_qm(data, None, 50, iv), support=iv))
+    return cow, data
+
+
+class TestNarrowPeakBootstrap:
+    """The replica weight matrices are summed from the cow's own per-bin
+    Gram array B, so a peak narrower than a bin is not missed."""
+
+    @pytest.mark.parametrize("sigma", [1e-3, 3e-4])
+    def test_bootstrap_sigma_near_the_plain_sandwich(self, sigma):
+        cow, data = narrow_peak_cow(sigma)
+        corr = corrected_covariance_cow(cow, data, Density1D("exponential", [2.0], T_IV), [2.0])
+        assert 0.9 < np.sqrt(corr.theta_block[0, 0] / corr.first_term[0, 0]) < 1.1
+
+    def test_unit_multiplicities_give_the_cow_W(self, monkeypatch):
+        # every replica draws every event once: its histogram is the cow's
+        cow, data = narrow_peak_cow(1e-3)
+        monkeypatch.setattr(wcov, "_multiplicities",
+                            lambda n, n_boot, seed: np.ones((n, n_boot), dtype=np.uint8))
+        seen = []
+        inverses = wcov._inverses
+        monkeypatch.setattr(wcov, "_inverses", lambda W: seen.append(W) or inverses(W))
+        corrected_covariance_cow(cow, data, Density1D("exponential", [2.0], T_IV), [2.0],
+                                 n_boot=4)
+        W, = seen
+        assert W.shape == (4, 3, 3)
+        np.testing.assert_allclose(W, np.broadcast_to(cow.W, W.shape), rtol=1e-13, atol=0)
 
 
 class TestBootstrapLayout:
@@ -929,8 +962,10 @@ class TestFamilyPass:
         ds, cows, hs = nonfact_family(500, 17, (1, 3), 20)
         other_bins = nonfact_family(500, 17, (1, 3), 10)[1]
         other_basis = nonfact_family(500, 17, (1, 3), 20)[1]
+        without_B = CowSet(cows[1].spec, cows[1].W, cows[1].A)
         for pair in ([cows[0], with_efficiency(cows[1], None)],
                      [cows[0], other_bins[1]],
-                     [cows[0], other_basis[1]]):
+                     [cows[0], other_basis[1]],
+                     [cows[0], without_B]):
             with pytest.raises(ValueError, match="family"):
                 wcov.corrected_covariance_cows(pair, ds.data, hs, self.THETAS[:2])
