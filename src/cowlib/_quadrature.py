@@ -57,18 +57,17 @@ def integrate(f: Callable, lo: float, hi: float, tol: float = 1e-9,
         raise ValueError(f"invalid interval [{lo}, {hi}]")
     edges = np.array(sorted({lo, hi}.union(p for p in (points if points is not None else ())
                                               if lo < p < hi)))
-    estimate, _, vector = panel_rule(f, edges, tol)
+    whole, halved, vector = panel_integrals(f, edges)
+    estimate = checked(whole.sum(axis=1), halved.sum(axis=1), tol, vector)
     return estimate if vector else float(estimate[0])
 
 
-def panel_rule(f: Callable, edges: np.ndarray, tol: float,
-               total: Callable = lambda s, halved: s.sum(axis=1)):
-    """The checked rule of :func:`integrate` on the panels between the
-    sorted ``edges``.  With s the integrals of each row of ``f`` on every
-    panel, (k, panels), or halved panel, (k, 2 panels), ``total(s, halved)``
-    is checked between the two; returns the halved total, the halved s and
-    whether ``f`` is a vector integrand.  No sum is a matrix product, so no
-    bit of a row depends on the others."""
+def panel_integrals(f: Callable, edges: np.ndarray):
+    """The rule of :func:`integrate` on the panels between the sorted
+    ``edges``: the integrals of each row of ``f`` on every panel, shape
+    (k, panels), and on every panel halved, (k, 2 panels), from one call of
+    ``f``, and whether ``f`` is a vector integrand.  No sum is a matrix
+    product, so no bit of a row depends on the others."""
     halves = np.empty(2 * len(edges) - 1)
     halves[::2], halves[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
     t, w = gauss_legendre(PANEL_NODES)
@@ -88,8 +87,16 @@ def panel_rule(f: Callable, edges: np.ndarray, tol: float,
         raise IntegrationError(f"integrand non-finite at m={bad!r}", np.nan, np.inf)
     s = np.einsum("kpq,q->kp", y.reshape(len(y), -1, PANEL_NODES), w)
     n = len(half[0])
-    halved = s[:, n:] * half[1]
-    whole, estimate = total(s[:, :n] * half[0], False), total(halved, True)
+    return s[:, :n] * half[0], s[:, n:] * half[1], vector
+
+
+def checked(whole: np.ndarray, estimate: np.ndarray, tol: float,
+            vector: bool = True) -> np.ndarray:
+    """The check of :func:`integrate`: ``estimate``, the totals from the
+    halved panels, once each lies within ``tol * max(1, |estimate|)`` of
+    ``whole``, the same totals from the whole panels.  Else raises
+    :class:`~cowlib.errors.IntegrationError` naming the first element that
+    does not, with the estimate and the move (floats unless ``vector``)."""
     move = np.abs(estimate - whole)
     over = move > tol * np.maximum(1.0, np.abs(estimate))
     if np.any(over):
@@ -99,4 +106,4 @@ def panel_rule(f: Callable, edges: np.ndarray, tol: float,
             f" on the halved panels and {float(whole[e])!r} on the whole ones",
             estimate if vector else float(estimate[0]),
             move if vector else float(move[0]))
-    return estimate, halved, vector
+    return estimate

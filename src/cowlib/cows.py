@@ -9,13 +9,13 @@ reduces to the classic (sPlot) weights.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ._quadrature import panel_rule
+from ._quadrature import checked, panel_integrals
 from .densities import Density1D, EfficiencyMap, Interval, histogram_density, integrate
 from .errors import (ConstructionError, EvaluationError,
                      IllConditionedBasisError, NonConvergenceError)
@@ -244,18 +244,41 @@ def gram_matrix(basis: Sequence[Density1D], variance_fn: Density1D,
 def _bin_gram(basis: Sequence[Density1D], hist: Density1D) -> Tuple[np.ndarray, np.ndarray]:
     """(W, B) for the ``basis`` g and a histogram I: B_klj = integral over
     bin j of g_k g_l, shape (n, n, bins), and W = sum_j B_klj / I_j, by the
-    rule of :func:`~cowlib._quadrature.panel_rule` on the panels between the
-    bin edges and the basis breakpoints, checked on W at ``GRAM_TOL``."""
+    rule of :func:`~cowlib._quadrature.panel_integrals` on the panels
+    between the bin edges and the basis breakpoints, checked on W at
+    ``GRAM_TOL``.  The panel integrals are those of :func:`_pair_integrals`."""
     edges = np.asarray(hist.data["edges"], dtype=float)
     ends = np.array(sorted(set(edges).union(*(g.breakpoints() for g in basis))))
     first = np.searchsorted(ends, edges[:-1])      # the first panel of each bin
     I = hist.pdf(0.5 * (edges[:-1] + edges[1:]))
+    key = tuple(repr(g.to_dict()) for g in basis), ends.tobytes()
+    # B from the integrals on the panels, each element on its own
+    whole, halved = (np.add.reduceat(s, first * (1 + h), axis=1)
+                     for h, s in enumerate(_pair_integrals(_Panels(key, tuple(basis), ends))))
+    W = checked((whole / I).sum(axis=1), (halved / I).sum(axis=1), GRAM_TOL)
+    return from_upper(W, len(basis)), from_upper(halved, len(basis))
 
-    def per_bin(s, halved):   # B from the integrals on the panels, each element on its own
-        return np.add.reduceat(s, first * (1 + halved), axis=1)
-    W, s, _ = panel_rule(lambda x: pair_products(np.stack([g.pdf(x) for g in basis])), ends,
-                         GRAM_TOL, lambda s, halved: (per_bin(s, halved) / I).sum(axis=1))
-    return from_upper(W, len(basis)), from_upper(per_bin(s, True), len(basis))
+
+@dataclass(frozen=True)
+class _Panels:
+    """A basis and the panel ends to integrate its pair products on, equal
+    (and hashed) by ``key``: the basis values (``to_dict``) and the ends."""
+
+    key: tuple
+    basis: tuple = field(compare=False)
+    ends: np.ndarray = field(compare=False)
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_integrals(panels: _Panels) -> Tuple[np.ndarray, np.ndarray]:
+    """The read-only integrals of the :func:`pair_products` of the basis on
+    the whole and the halved panels of ``panels``.  They depend on the
+    basis and the panel ends alone, which every toy of a fixed-shape
+    ensemble shares, so they are computed once per process."""
+    whole, halved, _ = panel_integrals(
+        lambda x: pair_products(np.stack([g.pdf(x) for g in panels.basis])), panels.ends)
+    whole.flags.writeable = halved.flags.writeable = False
+    return whole, halved
 
 
 def _gram(basis: Sequence[Density1D], variance_fn: Density1D,

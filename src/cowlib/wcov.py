@@ -173,8 +173,10 @@ def corrected_covariance_cow(cow, data, hs_model: Density1D, theta_hat,
     replica's W is sum_j B_j / I_j over the per-bin Gram array ``cow.B`` of
     :func:`~cowlib.cows.build_cow` (nothing is integrated here), and its
     score a sum of per-bin score sums, one matrix product per bin for all
-    replicas.  The Poisson multiplicities depend only on (N, n_boot,
-    boot_seed), so a small set of them is drawn once per process.
+    replicas, times the signal row of W^-1, which one batched solve against
+    the signal indicator gives for all replicas.  The Poisson multiplicities
+    depend only on (N, n_boot, boot_seed), so a small set of them is drawn
+    once per process.
     ``boot_kept`` counts the replicas used.  This is
     :func:`corrected_covariance_cows` for a family of one.
     """
@@ -196,9 +198,10 @@ def corrected_covariance_cows(cows: Sequence[CowSet], data, hs_model: Density1D,
     over the bins, which gathers and fills each chunk of multiplicities, are
     made once; each cow multiplies its own score rows by the gathered
     multiplicities and keeps its own sandwich, replica W (from its own B),
-    inverses, kept replicas and score covariance, so its result is bit for
-    bit that of its own call: in order, its :class:`CorrectedCovariance`, or
-    the :class:`~cowlib.errors.CowlibError` that its own call raises.
+    signal rows of their inverses, kept replicas and score covariance, so
+    its result is bit for bit that of its own call: in order, its
+    :class:`CorrectedCovariance`, or the :class:`~cowlib.errors.CowlibError`
+    that its own call raises.
     """
     cows = list(cows)
     top = max(cows, key=lambda cow: len(cow.A))
@@ -278,24 +281,27 @@ def corrected_covariance_cows(cows: Sequence[CowSet], data, hs_model: Density1D,
     return out
 
 
-def _inverses(W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Inverses of a stack of matrices and a mask of the invertible ones.
+def _signal_rows(W: np.ndarray, n_sig: int) -> Tuple[np.ndarray, np.ndarray]:
+    """W^-1 s for each matrix of the stack W, with s the signal indicator
+    (1 on the first ``n_sig`` elements), and a mask of the matrices solved.
 
-    One batched call; only when it fails is the stack inverted matrix by
+    One batched solve; only when it fails is the stack solved matrix by
     matrix, to find the singular ones.
     """
+    sel = np.zeros(W.shape[:-1] + (1,))
+    sel[:, :n_sig] = 1.0
     try:
-        return np.linalg.inv(W), np.ones(len(W), dtype=bool)
+        return np.linalg.solve(W, sel)[..., 0], np.ones(len(W), dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    A = np.empty_like(W)
+    a = np.zeros(W.shape[:-1])
     ok = np.ones(len(W), dtype=bool)
-    for i, Wi in enumerate(W):
+    for i, (Wi, si) in enumerate(zip(W, sel)):
         try:
-            A[i] = np.linalg.inv(Wi)
+            a[i] = np.linalg.solve(Wi, si)[:, 0]
         except np.linalg.LinAlgError:
             ok[i] = False
-    return A, ok
+    return a, ok
 
 
 def _replica_scores(X: np.ndarray, order: np.ndarray, bounds: np.ndarray,
@@ -309,9 +315,11 @@ def _replica_scores(X: np.ndarray, order: np.ndarray, bounds: np.ndarray,
     bounds[j]:bounds[j+1], have fill weights ``fill`` and, for each cow,
     score rows ``Y[i]`` of shape (N, nb p) and per-bin Gram array ``B[i]``
     for its basis of nb elements.  Bins are taken in chunks of at most
-    ``rows`` events, each gathered once for every cow.  Replicas that draw no event, or whose
-    weight matrix for a cow is singular, are left out of that cow's scores;
-    returns one (kept, p) array per cow.
+    ``rows`` events, each gathered once for every cow.  A replica's score
+    reads only the signal row of its W^-1, which one batched solve gives
+    for all replicas (:func:`_signal_rows`).  Replicas that draw no event,
+    or whose weight matrix for a cow is singular, are left out of that
+    cow's scores; returns one (kept, p) array per cow.
     """
     r = X.shape[1]
     nbins = len(bounds) - 1
@@ -348,9 +356,9 @@ def _replica_scores(X: np.ndarray, order: np.ndarray, bounds: np.ndarray,
     out = []
     for Ti, Bi in zip(T, B):
         nb = len(Bi)
-        A, ok = _inverses(np.einsum("klj,rj->rkl", Bi, inv_I))
+        a, ok = _signal_rows(np.einsum("klj,rj->rkl", Bi, inv_I), n_sig)
         Tc = Ti[:, keep[ok]].reshape(nb, p, -1) * total[ok, 0]
-        out.append(np.einsum("rk,kpr->rp", A[ok][:, :n_sig].sum(axis=1), Tc))
+        out.append(np.einsum("rk,kpr->rp", a[ok], Tc))
     return out
 
 

@@ -161,6 +161,7 @@ class TestBuildCow:
             m = np.random.default_rng(2).random(500)
             var = histogram_density(m, np.ones(500), 20, unit_interval)
         spec = CowSpec(basis=basis, variance_fn=var, support=unit_interval)
+        cows._pair_integrals.cache_clear()   # B's panel integrals are cached per process
         integrals = count_integrals(monkeypatch, cows)
         bin_grams = []
         bin_gram = cows._bin_gram
@@ -306,6 +307,73 @@ class TestBinGram:
         monkeypatch.setattr(cows, "GRAM_TOL", 1e-300)
         with pytest.raises(IntegrationError, match="unresolved"):
             cows._bin_gram(basis + [make_density("normal", [0.45, 0.3], unit_interval)], hist)
+
+
+class TestPairIntegralCache:
+    """The panel integrals of B depend on the basis and the panel ends alone,
+    and are computed once per process; W, B and the check are made on every
+    call."""
+
+    @staticmethod
+    def basis_and_hist(unit_interval, seed, sigma=0.05, bins=20):
+        basis = [make_density("normal", [0.45, sigma], unit_interval)] + monomial_basis(
+            3, unit_interval)
+        m = np.random.default_rng(seed).random(400)
+        return basis, histogram_density(m, None, bins, unit_interval)
+
+    def test_hit_is_bit_for_bit_a_cold_computation(self, unit_interval):
+        basis, first = self.basis_and_hist(unit_interval, 4)
+        _, second = self.basis_and_hist(unit_interval, 5)
+        assert np.array_equal(first.data["edges"], second.data["edges"])
+        cows._pair_integrals.cache_clear()
+        cows._bin_gram(basis, first)
+        hit = cows._bin_gram(basis, second)
+        assert cows._pair_integrals.cache_info().hits == 1
+        cows._pair_integrals.cache_clear()
+        cold = cows._bin_gram(basis, second)
+        assert cows._pair_integrals.cache_info().misses == 1
+        for got, want in zip(hit, cold):
+            assert np.array_equal(got, want)
+        assert not np.array_equal(cold[0], cows._bin_gram(basis, first)[0])   # I is per call
+
+    def test_changed_basis_or_edges_miss(self, unit_interval):
+        basis, hist = self.basis_and_hist(unit_interval, 4)
+        cows._pair_integrals.cache_clear()
+        cows._bin_gram(basis, hist)
+        # a new but equal basis hits: the key is the basis values
+        same, _ = self.basis_and_hist(unit_interval, 4)
+        cows._bin_gram(same, hist)
+        assert cows._pair_integrals.cache_info()[:2] == (1, 1)
+        moved, _ = self.basis_and_hist(unit_interval, 4, sigma=0.05 + 1e-12)
+        cows._bin_gram(moved, hist)
+        edges = np.array(hist.data["edges"])
+        edges[7] += 1e-12
+        cows._bin_gram(basis, Density1D("histogram", [], unit_interval,
+                                        {"edges": edges, "contents": hist.data["contents"]}))
+        assert cows._pair_integrals.cache_info()[:2] == (1, 3)
+
+    def test_hit_is_still_checked(self, unit_interval, monkeypatch):
+        basis, hist = self.basis_and_hist(unit_interval, 4)
+        cows._pair_integrals.cache_clear()
+        cows._bin_gram(basis, hist)
+        monkeypatch.setattr(cows, "GRAM_TOL", 1e-300)
+        with pytest.raises(IntegrationError, match="unresolved"):
+            cows._bin_gram(basis, hist)
+        assert cows._pair_integrals.cache_info().hits == 1
+
+    def test_cached_arrays_are_read_only(self, unit_interval, monkeypatch):
+        basis, hist = self.basis_and_hist(unit_interval, 4)
+        seen = []
+        pair_integrals = cows._pair_integrals
+        monkeypatch.setattr(cows, "_pair_integrals",
+                            lambda panels: seen.append(pair_integrals(panels)) or seen[-1])
+        cows._bin_gram(basis, hist)
+        cows._bin_gram(basis, hist)
+        assert seen[0][0] is seen[1][0]
+        for s in seen[0]:
+            assert not s.flags.writeable
+            with pytest.raises(ValueError):
+                s[0, 0] = 0.0
 
 
 class TestVarianceFunctions:

@@ -217,7 +217,9 @@ class TestMethodFamilies:
     def test_one_histogram_w_and_bootstrap_per_family(self, monkeypatch):
         # one histogram, one pass of the per-bin Gram array B and of the
         # quadrature rule (the bootstrap reads B and integrates nothing) and
-        # one bootstrap pass
+        # one bootstrap pass; the rule's panel integrals are cached per
+        # process, so the count starts from an empty cache
+        cowlib.cows._pair_integrals.cache_clear()
         calls = {"qm": 0, "gram": 0, "rule": 0, "cov": []}
         variance_fn_qm, bin_gram = methods.variance_fn_qm, cowlib.cows._bin_gram
         cows = methods.corrected_covariance_cows
@@ -231,7 +233,7 @@ class TestMethodFamilies:
         monkeypatch.setattr(methods, "variance_fn_qm", count("qm", variance_fn_qm))
         monkeypatch.setattr(cowlib.cows, "_bin_gram", count("gram", bin_gram))
         for module in (cowlib._quadrature, cowlib.cows):
-            monkeypatch.setattr(module, "panel_rule", count("rule", module.panel_rule))
+            monkeypatch.setattr(module, "panel_integrals", count("rule", module.panel_integrals))
         monkeypatch.setattr(methods, "corrected_covariance_cows",
                             lambda c, *a: calls["cov"].append(len(c)) or cows(c, *a))
         criterion_08_methods([qm_cow(1), qm_cow(3), qm_cow(5)])

@@ -451,10 +451,13 @@ def loop_bootstrap_covariance(cow, data, hs_model, theta, eff=None,
         raw = np.where(raw > 0, raw, pos.min() * ZERO_BIN_FLOOR)
         I_bins = raw / (widths * raw.sum())
         try:
-            A = np.linalg.inv(np.einsum("klj,j->kl", B, 1.0 / I_bins))
+            # the signal row of W^-1, by a solve as the batched version takes
+            # it: at order 5 cond(W) is ~1e7, and sel @ inv(W) differs from
+            # the solve by ~1e-9 relative
+            a = np.linalg.solve(np.einsum("klj,j->kl", B, 1.0 / I_bins), sel)
         except np.linalg.LinAlgError:
             continue
-        w_rep = ((sel @ A) @ G) / I_bins[jidx] * inv_e
+        w_rep = (a @ G) / I_bins[jidx] * inv_e
         scores.append(d1 @ (mult * w_rep))
     CS = np.cov(np.array(scores).T, ddof=1).reshape(len(theta), len(theta))
     block = Hinv @ CS @ Hinv.T
@@ -583,16 +586,32 @@ class TestBatchedBootstrap:
         ref = np.stack([rng.poisson(1.0, size=300) for _ in range(40)]) * 100
         assert np.array_equal(np.concatenate(blocks, axis=1), ref.T)
 
+    @pytest.mark.parametrize("n_sig", [1, 2])
+    def test_signal_rows_mark_only_the_singular_matrix(self, n_sig):
+        # a batch holding one exactly singular W: the batched solve fails, the
+        # matrices are solved one by one, and only that one is marked
+        rng = np.random.default_rng(5)
+        M = rng.normal(size=(6, 4, 4))
+        W = M @ M.transpose(0, 2, 1) + 4.0 * np.eye(4)
+        W[2] = np.ones((4, 4))
+        a, ok = wcov._signal_rows(W, n_sig)
+        assert ok.tolist() == [True, True, False, True, True, True]
+        ref = np.linalg.inv(W[ok])[:, :n_sig].sum(axis=1)
+        np.testing.assert_allclose(a[ok], ref, rtol=1e-12, atol=0)
+        full, all_ok = wcov._signal_rows(W[ok], n_sig)   # one batched solve
+        assert all_ok.all()
+        np.testing.assert_allclose(full, ref, rtol=1e-12, atol=0)
+
     def test_singular_replicas_skipped_like_the_loop(self, monkeypatch):
-        # make the batched inverse fail, and every fifth replica's weight
+        # make the batched solve fail, and every fifth replica's weight
         # matrix count as singular, in both implementations alike
         ds, cow, hs = nonfact_hist_cow(500, 17, 1, 20)
         nb = len(cow.spec.basis)
         theta = np.array([TRUE_SLOPE])
-        real_inv = np.linalg.inv
+        real_solve = np.linalg.solve
         calls = {"n": 0}
 
-        def flaky_inv(a):
+        def flaky_solve(a, b):
             a = np.asarray(a)
             if a.ndim == 3:
                 raise np.linalg.LinAlgError("batched")
@@ -600,9 +619,9 @@ class TestBatchedBootstrap:
                 calls["n"] += 1
                 if calls["n"] % 5 == 0:
                     raise np.linalg.LinAlgError("singular")
-            return real_inv(a)
+            return real_solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "inv", flaky_inv)
+        monkeypatch.setattr(np.linalg, "solve", flaky_solve)
         got = corrected_covariance_cow(cow, ds.data, hs, theta)
         calls["n"] = 0
         ref, kept = loop_bootstrap_covariance(cow, ds.data, hs, theta,
@@ -668,8 +687,9 @@ class TestNarrowPeakBootstrap:
         monkeypatch.setattr(wcov, "_multiplicities",
                             lambda n, n_boot, seed: np.ones((n, n_boot), dtype=np.uint8))
         seen = []
-        inverses = wcov._inverses
-        monkeypatch.setattr(wcov, "_inverses", lambda W: seen.append(W) or inverses(W))
+        signal_rows = wcov._signal_rows
+        monkeypatch.setattr(wcov, "_signal_rows",
+                            lambda W, n_sig: seen.append(W) or signal_rows(W, n_sig))
         corrected_covariance_cow(cow, data, Density1D("exponential", [2.0], T_IV), [2.0],
                                  n_boot=4)
         W, = seen
@@ -682,19 +702,19 @@ class TestBootstrapLayout:
     temporaries, no cache on the uncached path, and the kept-replica count."""
 
     def test_bin_contents_reproduce_bincount_exactly(self, monkeypatch):
-        # the weight matrices handed to the inverse are built from the bin
+        # the weight matrices handed to the solve are built from the bin
         # contents; they match the np.bincount ones bit for bit, also when
         # bins hold more events than one chunk
         ds, cow, hs = nonfact_hist_cow(500, 17, 3, 6)
         monkeypatch.setattr(wcov, "BOOT_BLOCK_ELEMENTS", 7 * 400 + 3)
         seen = []
-        real = wcov._inverses
+        real = wcov._signal_rows
 
-        def spy(W):
+        def spy(W, n_sig):
             seen.append(W.copy())
-            return real(W)
+            return real(W, n_sig)
 
-        monkeypatch.setattr(wcov, "_inverses", spy)
+        monkeypatch.setattr(wcov, "_signal_rows", spy)
         corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]), boot_seed=3)
         ref, counts = loop_histogram_weight_matrices(cow, ds.data, ds.efficiency,
                                                      400, 3)
@@ -820,10 +840,10 @@ class TestBootstrapLayout:
         # every fifth replica's weight matrix counts as singular
         ds, cow, hs = nonfact_hist_cow(500, 17, 1, 20)
         nb = len(cow.spec.basis)
-        real_inv = np.linalg.inv
+        real_solve = np.linalg.solve
         calls = {"n": 0}
 
-        def flaky_inv(a):
+        def flaky_solve(a, b):
             a = np.asarray(a)
             if a.ndim == 3:
                 raise np.linalg.LinAlgError("batched")
@@ -831,9 +851,9 @@ class TestBootstrapLayout:
                 calls["n"] += 1
                 if calls["n"] % 5 == 0:
                     raise np.linalg.LinAlgError("singular")
-            return real_inv(a)
+            return real_solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "inv", flaky_inv)
+        monkeypatch.setattr(np.linalg, "solve", flaky_solve)
         got = corrected_covariance_cow(cow, ds.data, hs, np.array([TRUE_SLOPE]))
         assert got.boot_kept == 320
 
